@@ -28,85 +28,32 @@ run.
 
 from __future__ import annotations
 
-import itertools
+import os
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-import os
-
-from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import KeySet
-from ..core.neighborhood import NeighborhoodIndex, radius_per_type
-from ..exceptions import MatchingError, StoreError
-from ..matching.blocking import BlockingIndex
-from ..matching.candidates import (
-    CandidateSet,
-    build_candidates,
-    build_filtered_candidates,
-)
-from ..matching.incremental import (
-    DependencyArtifact,
-    IncrementalState,
-    extra_dependency_edges,
-    plan_delta,
-    rebase_filtered_candidates,
-    touched_entity_nodes,
-)
-from ..matching.product_graph import ProductGraph
+from ..exceptions import MatchingError
+from ..matching.artifacts import SessionArtifacts, SessionCacheInfo
+from ..matching.incremental import IncrementalState, plan_session_delta
 from ..matching.result import EMResult
-from ..matching.traversal_order import traversal_orders
-from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.store import SnapshotStore, as_snapshot_store
 from .config import MatchConfig
 from .events import _LOGGER as _EVENT_LOGGER
 from .events import EventStream, ProgressEvent, ProgressObserver
-from .registry import ALGORITHMS, get_algorithm
+from .registry import ALGORITHMS, AlgorithmSpec, get_algorithm
 
-
-@dataclass(frozen=True)
-class SessionCacheInfo:
-    """Build counters of a session's artifact cache (for tests and tuning)."""
-
-    snapshot_builds: int = 0
-    neighborhood_index_builds: int = 0
-    candidate_builds: int = 0
-    product_graph_builds: int = 0
-    traversal_order_builds: int = 0
-    invalidations: int = 0
-    #: snapshots served from / missing in the configured on-disk store
-    #: (both stay 0 when the session has no snapshot store)
-    store_hits: int = 0
-    store_misses: int = 0
-    #: filtered candidate sets / product graphs migrated onto a new graph
-    #: version by journal-delta rebasing instead of a from-scratch rebuild
-    candidate_rebases: int = 0
-    product_graph_rebases: int = 0
-    #: snapshots produced by patching the previous compiled snapshot with the
-    #: mutation delta instead of recompiling from scratch (the patched arrays
-    #: are bit-identical to a rebuild; counted separately from
-    #: ``snapshot_builds``, which counts full recompiles only)
-    snapshot_patches: int = 0
-    #: incremental (delta) runs actually executed — silent fallbacks to a
-    #: full run (no previous result, expired journal window) do not count
-    incremental_runs: int = 0
-    #: cumulative candidate pairs re-chased / skipped across incremental
-    #: runs; per run, rechecked + skipped == |L| of the new graph
-    pairs_rechecked: int = 0
-    pairs_skipped: int = 0
-    #: blocking-layer observability: signature index builds / journal-delta
-    #: rebases, blocks enumerated, and candidate pairs pruned vs. the
-    #: quadratic baseline (cumulative across blocked candidate builds)
-    blocking_index_builds: int = 0
-    blocking_index_rebases: int = 0
-    blocking_blocks_touched: int = 0
-    blocking_pairs_pruned: int = 0
-    #: key-set deltas applied by selective per-type invalidation
-    #: (:meth:`SessionArtifacts.rekeyed`) instead of a full cache drop
-    key_rebases: int = 0
+__all__ = [
+    "DeltaProvenance",
+    "MatchSession",
+    "Session",
+    "SessionArtifacts",
+    "SessionCacheInfo",
+]
 
 
 @dataclass(frozen=True)
@@ -124,650 +71,6 @@ class DeltaProvenance:
     pairs_skipped: int = 0
     dropped_classes: int = 0
     seed_merges: int = 0
-
-
-class SessionArtifacts:
-    """The per-session cache of precomputed matching artifacts.
-
-    Backends receive this object as their ``artifacts`` argument and ask it
-    for candidate sets / product graphs instead of rebuilding them.  Flavours
-    are keyed by ``(filtered, reduce_neighborhoods, blocked)``; all flavours
-    share one underlying :class:`NeighborhoodIndex` (reduced flavours
-    restrict a clone, never the shared base) and one
-    :class:`~repro.matching.blocking.BlockingIndex` (the ``auto`` and
-    ``force`` modes enumerate identical pairs whenever ``force`` is
-    accepted, so one ``blocked`` flavour bit serves both).
-
-    The cache is **safe for concurrent callers**: every accessor runs under a
-    build-once re-entrant lock, so two requests racing on a cold artifact
-    never duplicate the build and never observe a half-built value — the
-    second caller blocks until the first caller's build is published, then
-    returns the same object.  One ``SessionArtifacts`` may therefore be
-    shared by many sessions on the same ``(graph, keys)`` (the service layer
-    multiplexes all requests for a named graph through one instance).
-    """
-
-    #: patch-vs-rebuild threshold: a journal delta touching more than this
-    #: fraction of the snapshot's interned nodes recompiles the snapshot
-    #: instead of patching it (a near-total patch recomputes almost every
-    #: CSR row *and* pays the splice bookkeeping, so a clean build wins)
-    SNAPSHOT_PATCH_MAX_FRACTION = 0.5
-
-    def __init__(
-        self,
-        graph: Graph,
-        keys: KeySet,
-        snapshot_store: Optional[SnapshotStore] = None,
-    ) -> None:
-        self._graph = graph
-        self._keys = keys
-        # per-type key lists snapshotted for rekeyed()'s delta detection:
-        # diffing against this baseline (not against the live KeySet object)
-        # also catches in-place KeySet mutation between with_keys calls
-        self._keyed_types = {
-            etype: list(keys.keys_for_type(etype)) for etype in keys.target_types()
-        }
-        #: optional on-disk snapshot store consulted before every build
-        self.snapshot_store = snapshot_store
-        # build-once lock: accessors nest (product graph → candidates →
-        # index → snapshot), so the lock must be re-entrant
-        self._lock = threading.RLock()
-        self._version = graph.version
-        self._snapshot: Optional[GraphSnapshot] = None
-        self._index: Optional[SnapshotNeighborhoodIndex] = None
-        self._blocking_index: Optional[BlockingIndex] = None
-        self._candidates: Dict[Tuple[bool, bool, bool], CandidateSet] = {}
-        self._dependency_maps: Dict[Tuple[bool, bool, bool], DependencyArtifact] = {}
-        self._product_graphs: Dict[Tuple[bool, bool, bool], ProductGraph] = {}
-        self._orders: Optional[Dict[str, object]] = None
-        # journal-delta rebasing: artifacts staled by a mutation wait here
-        # (with the union of delta-affected entities) until the accessor
-        # migrates them onto the new graph version instead of rebuilding
-        self._stale_candidates: Dict[Tuple[bool, bool, bool], Tuple[CandidateSet, set]] = {}
-        self._stale_product_graphs: Dict[Tuple[bool, bool, bool], Tuple[ProductGraph, set]] = {}
-        self._stale_dependency_maps: Dict[Tuple[bool, bool, bool], Tuple[DependencyArtifact, set]] = {}
-        # build counters exposed through SessionCacheInfo
-        self.snapshot_builds = 0
-        self.index_builds = 0
-        self.candidate_builds = 0
-        self.product_graph_builds = 0
-        self.order_builds = 0
-        self.invalidations = 0
-        self.store_hits = 0
-        self.store_misses = 0
-        self.candidate_rebases = 0
-        self.product_graph_rebases = 0
-        self.snapshot_patches = 0
-        self.incremental_runs = 0
-        self.pairs_rechecked = 0
-        self.pairs_skipped = 0
-        self.blocking_index_builds = 0
-        self.blocking_index_rebases = 0
-        self.blocking_blocks_touched = 0
-        self.blocking_pairs_pruned = 0
-        self.key_rebases = 0
-        #: cumulative seconds spent building each artifact kind (CLI --profile)
-        self.timings: Dict[str, float] = {}
-
-    def _timed(self, phase: str, build):
-        started = time.perf_counter()
-        result = build()
-        self.timings[phase] = self.timings.get(phase, 0.0) + (
-            time.perf_counter() - started
-        )
-        return result
-
-    # -- cache lifecycle ------------------------------------------------- #
-
-    def reset(self) -> None:
-        """Drop every cached artifact (e.g. after a key-set change).
-
-        The incremental-run counters are reset alongside: a manual
-        invalidation severs the delta chain (the next incremental run falls
-        back to a full one), so the per-delta accounting restarts too.
-        """
-        with self._lock:
-            self._snapshot = None
-            self._index = None
-            self._blocking_index = None
-            self._candidates.clear()
-            self._dependency_maps.clear()
-            self._product_graphs.clear()
-            self._stale_candidates.clear()
-            self._stale_product_graphs.clear()
-            self._stale_dependency_maps.clear()
-            self._orders = None
-            self._version = self._graph.version
-            self.invalidations += 1
-            self.incremental_runs = 0
-            self.pairs_rechecked = 0
-            self.pairs_skipped = 0
-
-    def rekeyed(self, keys: KeySet) -> set:
-        """Swap the key set, invalidating only what the key delta affects.
-
-        Returns the set of entity types whose key lists actually changed
-        (added, removed, or edited keys).  The graph-only artifacts — the
-        compiled snapshot and every cached neighbourhood of an *unchanged*
-        type (same keys ⇒ same per-type radius) — survive untouched.  The
-        key-derived artifacts are parked for delta rebasing with the changed
-        types' entities as the affected set, so the next access re-runs the
-        pairing fixpoint and dependency-row derivation only for those pairs:
-
-        * a pair of an unchanged type keeps its pairing verdict — pairing is
-          the simulation fixpoint of the pair's own type's key patterns over
-          graph-only d-neighbourhoods, so no other type's keys enter it;
-        * a dependency edge between two unchanged-type pairs is a
-          neighbourhood-containment fact plus the dependent's own
-          ``depends_on_types`` — both unchanged — while edges to pairs that
-          vanished (type lost its keys) or appeared (type gained keys) are
-          unlinked/probed by the rebase's removed/fresh handling.
-
-        The blocking index and traversal orders are dropped outright: their
-        per-type signature schemes/orders derive from the keys and rebuild
-        in one cheap pass on next use.  An empty return means the key lists
-        are identical and every cached artifact (and any incremental seed
-        state the caller holds) is still exact.
-        """
-        with self._lock:
-            old_by_type = self._keyed_types
-            new_by_type = {
-                etype: list(keys.keys_for_type(etype))
-                for etype in keys.target_types()
-            }
-            changed = {
-                etype
-                for etype in set(old_by_type) | set(new_by_type)
-                if old_by_type.get(etype) != new_by_type.get(etype)
-            }
-            self._keys = keys
-            self._keyed_types = new_by_type
-            if not changed:
-                return changed
-            affected = {
-                entity
-                for entity in self._graph.entity_ids()
-                if self._graph.entity_type(entity) in changed
-            }
-            self._stash_for_rebase(affected)
-            if self._index is not None:
-                self._index = self._index.rekeyed(keys, evict=affected)
-            self._blocking_index = None
-            self._orders = None
-            self.invalidations += 1
-            self.key_rebases += 1
-            return changed
-
-    def stale_entities(self, touched: set) -> set:
-        """Entities whose cached d-neighbourhood a *touched* node set stales.
-
-        An entity is stale when it was touched itself or when its cached
-        (pre-mutation) neighbourhood contains a touched node.  By the
-        locality argument in :mod:`repro.matching.incremental` this also
-        covers every entity whose *new* neighbourhood gained a touched node.
-        """
-        with self._lock:
-            if self._index is None:
-                return set()
-            return {
-                entity
-                for entity in self._index.cached_entities()
-                if entity in touched or touched & self._index.nodes(entity)
-            }
-
-    def _touched_ball_entities(self, touched: set) -> set:
-        """Entities within key radius of any touched node, on the new graph.
-
-        The delta-proportional superset of every entity whose d-ball a
-        mutation could have entered or left: walk any old or new path from
-        such an entity towards the mutation and the first touched node on it
-        is reached through edges present on both sides of the delta, so a
-        BFS from the touched nodes over the *new* snapshot finds the entity
-        within the same radius.  (A node removed outright anchors through
-        its old neighbours: deleting its edges touched them all.)  Unlike
-        :meth:`stale_entities` this does not depend on which neighbourhoods
-        happen to be cached.
-        """
-        snapshot = self.snapshot()
-        radius = max(radius_per_type(self._keys).values(), default=0)
-        seen: set = set()
-        for node in touched:
-            root = snapshot.id_of(node)
-            if root is None:
-                continue
-            seen.update(snapshot.neighborhood_ids(root, radius))
-        num_entities = snapshot.num_entities
-        node_of = snapshot._node_of
-        return {node_of[index] for index in seen if index < num_entities}
-
-    def refresh(self, stale_hint: Optional[set] = None) -> None:
-        """Reconcile the cache with any graph mutations since the last run.
-
-        When the mutation journal still covers the delta, the compiled
-        :class:`GraphSnapshot` is *patched* — only the journal-touched CSR
-        rows are recomputed and spliced into the previous arrays, with the
-        result bit-identical to a recompile (see :meth:`_patched_snapshot`
-        for the patch-vs-rebuild size threshold) — and the derived
-        artifacts are *rebased* instead of rebuilt: the
-        neighbourhood index evicts only the entities a touched node could
-        have staled, and the filtered candidate sets / product graphs are
-        parked for :func:`~repro.matching.incremental.rebase_filtered_candidates`
-        (re-running the pairing fixpoint only for delta-affected pairs) on
-        their next access.  An expired journal window drops everything.
-
-        *stale_hint* lets a caller that already ran :meth:`stale_entities`
-        for the same journal window (the incremental planner) pass the
-        result in, skipping the second neighbourhood sweep.
-        """
-        with self._lock:
-            version = self._graph.version
-            if version == self._version:
-                return
-            touched = self._graph.touched_since(self._version)
-            if touched is None or self._index is None:
-                self._candidates.clear()
-                self._product_graphs.clear()
-                self._dependency_maps.clear()
-                self._stale_candidates.clear()
-                self._stale_product_graphs.clear()
-                self._stale_dependency_maps.clear()
-                self._index = None
-                self._blocking_index = None
-                self._snapshot = None
-            else:
-                stale = stale_hint if stale_hint is not None else self.stale_entities(touched)
-                affected = set(stale) | touched_entity_nodes(self._graph, touched)
-                self._stash_for_rebase(affected)
-                old_snapshot = self._snapshot
-                self._snapshot = self._patched_snapshot(old_snapshot, touched)
-                self._index = self._index.rebased(self.snapshot(), evict=sorted(stale))
-                if self._blocking_index is not None:
-                    # the index holds a signature for EVERY entity of a
-                    # certified type — not just those with cached
-                    # neighbourhoods — so the stale_entities sweep is not a
-                    # sound affected set here: an entity never pulled into
-                    # the neighbourhood cache (e.g. one that never collided)
-                    # would keep a stale signature after a radius-local
-                    # edit.  Sweep the touched nodes' radius ball over the
-                    # new snapshot instead (sound by the first-touched-node
-                    # locality argument, both mutation directions).
-                    signature_stale = affected | self._touched_ball_entities(
-                        touched
-                    )
-                    old_blocking = self._blocking_index
-                    self._blocking_index = self._timed(
-                        "blocking_index_rebase",
-                        lambda: old_blocking.rebased(
-                            self._graph,
-                            snapshot=self.snapshot(),
-                            affected_entities=signature_stale,
-                        ),
-                    )
-                    self.blocking_index_rebases += 1
-            self._version = version
-            self.invalidations += 1
-
-    def _stash_for_rebase(self, affected: set) -> None:
-        """Park filtered candidates / product graphs for delta rebasing.
-
-        Entries parked by an earlier delta and never re-accessed stay parked
-        with their affected set widened to the union of both windows (the
-        per-window stale computation remains sound for each delta).
-        """
-        for flavor, (artifact, previous) in list(self._stale_candidates.items()):
-            self._stale_candidates[flavor] = (artifact, previous | affected)
-        for flavor, (artifact, previous) in list(self._stale_product_graphs.items()):
-            self._stale_product_graphs[flavor] = (artifact, previous | affected)
-        for flavor, (artifact, previous) in list(self._stale_dependency_maps.items()):
-            self._stale_dependency_maps[flavor] = (artifact, previous | affected)
-        for flavor, candidates in self._candidates.items():
-            filtered = flavor[0]
-            if filtered and candidates.pair_supports is not None:
-                self._stale_candidates[flavor] = (candidates, set(affected))
-        for flavor, product_graph in self._product_graphs.items():
-            self._stale_product_graphs[flavor] = (product_graph, set(affected))
-        for flavor, dependents in self._dependency_maps.items():
-            self._stale_dependency_maps[flavor] = (dependents, set(affected))
-        self._candidates.clear()
-        self._product_graphs.clear()
-        self._dependency_maps.clear()
-
-    def _patched_snapshot(
-        self, old: Optional[GraphSnapshot], touched: set
-    ) -> Optional[GraphSnapshot]:
-        """Patch *old* onto the current graph version, or ``None`` to rebuild.
-
-        Chooses patch-vs-rebuild by delta size (patching recomputes only the
-        touched CSR rows, so it wins exactly when the delta is a small
-        fraction of the graph) and treats any patch failure as a miss: the
-        caller's next :meth:`snapshot` access recompiles from scratch, which
-        is always correct because the patched arrays are bit-identical to a
-        rebuild whenever patching succeeds.  A successful patch is written
-        through to the configured snapshot store via
-        :meth:`SnapshotStore.patch`, so the on-disk file advances by a
-        segment-level diff instead of a full rewrite.
-        """
-        if old is None:
-            return None
-        if len(touched) > self.SNAPSHOT_PATCH_MAX_FRACTION * max(1, old.num_nodes):
-            return None
-        try:
-            patched = self._timed(
-                "snapshot_patch", lambda: old.patched(self._graph, touched)
-            )
-        except Exception:
-            return None
-        self.snapshot_patches += 1
-        store = self.snapshot_store
-        if store is not None:
-            try:
-                self._timed(
-                    "snapshot_store_patch",
-                    lambda: store.patch(
-                        patched,
-                        base=old,
-                        fingerprint=self._graph.content_fingerprint(),
-                    ),
-                )
-            except (StoreError, OSError):
-                pass
-        return patched
-
-    # -- artifact accessors (the backend-facing surface) ----------------- #
-
-    def snapshot(self) -> GraphSnapshot:
-        """The compiled, immutable read view of the session's graph.
-
-        Built once per :attr:`Graph.version`; every read-side artifact below
-        (and every backend run through the session) shares it.  With a
-        :attr:`snapshot_store` configured, the store is consulted first
-        (an ``mmap`` load of a warm file skips the build entirely) and a
-        freshly built snapshot is written back; *any*
-        :class:`~repro.exceptions.StoreError` — missing file, corruption,
-        format or staleness mismatch — falls back to a clean rebuild.  The
-        store's miss path is additionally serialized per graph fingerprint
-        (:meth:`SnapshotStore.get_or_build`), so sibling sessions sharing a
-        store build each snapshot exactly once machine-process-wide.
-        """
-        with self._lock:
-            if self._snapshot is None:
-                store = self.snapshot_store
-                if store is not None:
-                    snapshot, loaded = store.get_or_build(
-                        self._graph, self._build_snapshot, timed=self._timed
-                    )
-                    self._snapshot = snapshot
-                    if loaded:
-                        self.store_hits += 1
-                    else:
-                        self.store_misses += 1
-                else:
-                    self._snapshot = self._build_snapshot()
-            return self._snapshot
-
-    def _build_snapshot(self) -> GraphSnapshot:
-        snapshot = self._timed(
-            "snapshot_build", lambda: GraphSnapshot.build(self._graph)
-        )
-        self.snapshot_builds += 1
-        return snapshot
-
-    def neighborhood_index(self) -> SnapshotNeighborhoodIndex:
-        with self._lock:
-            if self._index is None:
-                snapshot = self.snapshot()
-                self._index = self._timed(
-                    "neighborhood_index_build",
-                    lambda: SnapshotNeighborhoodIndex(snapshot, self._keys),
-                )
-                self.index_builds += 1
-            return self._index
-
-    def blocking_index(self) -> BlockingIndex:
-        """The shared signature index of the blocking layer (built once)."""
-        with self._lock:
-            if self._blocking_index is None:
-                snapshot = self.snapshot()
-                self._blocking_index = self._timed(
-                    "blocking_index_build",
-                    lambda: BlockingIndex.build(
-                        self._graph, self._keys, snapshot=snapshot
-                    ),
-                )
-                self.blocking_index_builds += 1
-            return self._blocking_index
-
-    def candidates(
-        self,
-        *,
-        filtered: bool,
-        reduce_neighborhoods: bool = False,
-        blocking: str = "off",
-    ) -> CandidateSet:
-        with self._lock:
-            return self._candidates_locked(
-                filtered=filtered,
-                reduce_neighborhoods=reduce_neighborhoods,
-                blocking=blocking,
-            )
-
-    def _candidates_locked(
-        self,
-        *,
-        filtered: bool,
-        reduce_neighborhoods: bool = False,
-        blocking: str = "off",
-    ) -> CandidateSet:
-        blocked = blocking != "off"
-        blocking_index: Optional[BlockingIndex] = None
-        if blocked:
-            blocking_index = self.blocking_index()
-            if blocking == "force":
-                # "auto" and "force" share one cached flavour (identical
-                # pairs when force is accepted), so force re-validates the
-                # certification even on a cache hit
-                blocking_index.require_certified()
-        flavor = (filtered, reduce_neighborhoods, blocked)
-        cached = self._candidates.get(flavor)
-        if cached is None:
-            index = self.neighborhood_index()
-            snapshot = self.snapshot()
-            stale = self._stale_candidates.pop(flavor, None)
-            if stale is not None and filtered:
-                old, affected = stale
-                cached = self._timed(
-                    "candidates_rebase",
-                    lambda: rebase_filtered_candidates(
-                        old,
-                        self._graph,
-                        self._keys,
-                        snapshot=snapshot,
-                        index=index,
-                        affected_entities=affected,
-                        reduce_neighborhoods=reduce_neighborhoods,
-                        blocking=blocking,
-                        blocking_index=blocking_index,
-                    ),
-                )
-                self.candidate_rebases += 1
-            elif filtered:
-                cached = self._timed(
-                    "candidates_build",
-                    lambda: build_filtered_candidates(
-                        self._graph,
-                        self._keys,
-                        reduce_neighborhoods=reduce_neighborhoods,
-                        index=index,
-                        snapshot=snapshot,
-                        blocking=blocking,
-                        blocking_index=blocking_index,
-                    ),
-                )
-                self.candidate_builds += 1
-            else:
-                cached = self._timed(
-                    "candidates_build",
-                    lambda: build_candidates(
-                        self._graph,
-                        self._keys,
-                        index=index,
-                        snapshot=snapshot,
-                        blocking=blocking,
-                        blocking_index=blocking_index,
-                    ),
-                )
-                self.candidate_builds += 1
-            if cached.blocking is not None:
-                self.blocking_blocks_touched += cached.blocking.blocks_touched
-                self.blocking_pairs_pruned += cached.blocking.pairs_pruned
-                for phase, seconds in (
-                    ("blocking_collision", cached.blocking.collision_seconds),
-                    ("blocking_pairing_filter", cached.blocking.filter_seconds),
-                ):
-                    self.timings[phase] = self.timings.get(phase, 0.0) + seconds
-            self._candidates[flavor] = cached
-        return cached
-
-    def dependency_map(
-        self,
-        *,
-        filtered: bool,
-        reduce_neighborhoods: bool = False,
-        blocking: str = "off",
-    ):
-        with self._lock:
-            return self._dependency_map_locked(
-                filtered=filtered,
-                reduce_neighborhoods=reduce_neighborhoods,
-                blocking=blocking,
-            )
-
-    def _dependency_map_locked(
-        self,
-        *,
-        filtered: bool,
-        reduce_neighborhoods: bool = False,
-        blocking: str = "off",
-    ):
-        flavor = (filtered, reduce_neighborhoods, blocking != "off")
-        cached = self._dependency_maps.get(flavor)
-        if cached is None:
-            candidates = self.candidates(
-                filtered=filtered,
-                reduce_neighborhoods=reduce_neighborhoods,
-                blocking=blocking,
-            )
-            stale = self._stale_dependency_maps.pop(flavor, None)
-            if stale is not None:
-                old, affected = stale
-                # reduced flavours: entities whose restriction drifted via an
-                # affected partner pair count as affected for the row rebase
-                affected = affected | (candidates.restriction_drift or set())
-                cached = self._timed(
-                    "dependency_map_rebase",
-                    lambda: old.rebased(self.snapshot(), self._keys, candidates, affected),
-                )
-            else:
-                cached = self._timed(
-                    "dependency_map_build",
-                    lambda: DependencyArtifact.build(self.snapshot(), self._keys, candidates),
-                )
-            self._dependency_maps[flavor] = cached
-        return cached.forward
-
-    def product_graph(
-        self,
-        *,
-        filtered: bool,
-        reduce_neighborhoods: bool = False,
-        blocking: str = "off",
-    ) -> ProductGraph:
-        with self._lock:
-            return self._product_graph_locked(
-                filtered=filtered,
-                reduce_neighborhoods=reduce_neighborhoods,
-                blocking=blocking,
-            )
-
-    def _product_graph_locked(
-        self,
-        *,
-        filtered: bool,
-        reduce_neighborhoods: bool = False,
-        blocking: str = "off",
-    ) -> ProductGraph:
-        flavor = (filtered, reduce_neighborhoods, blocking != "off")
-        cached = self._product_graphs.get(flavor)
-        if cached is None:
-            candidates = self.candidates(
-                filtered=filtered,
-                reduce_neighborhoods=reduce_neighborhoods,
-                blocking=blocking,
-            )
-            dependents = self.dependency_map(
-                filtered=filtered,
-                reduce_neighborhoods=reduce_neighborhoods,
-                blocking=blocking,
-            )
-            stale = self._stale_product_graphs.pop(flavor, None)
-            if stale is not None:
-                old, affected = stale
-                affected = affected | (candidates.restriction_drift or set())
-                cached = self._timed(
-                    "product_graph_rebase",
-                    lambda: old.rebased(
-                        self.snapshot(),
-                        candidates,
-                        affected,
-                        dependents=dependents,
-                        keys=self._keys,
-                    ),
-                )
-                self.product_graph_rebases += 1
-            else:
-                cached = self._timed(
-                    "product_graph_build",
-                    lambda: ProductGraph(
-                        self.snapshot(), self._keys, candidates, dependents=dependents
-                    ),
-                )
-                self.product_graph_builds += 1
-            self._product_graphs[flavor] = cached
-        return cached
-
-    def traversal_orders(self):
-        with self._lock:
-            if self._orders is None:
-                self._orders = traversal_orders(self._keys)
-                self.order_builds += 1
-            return self._orders
-
-    def cache_info(self) -> SessionCacheInfo:
-        with self._lock:
-            return self._cache_info_locked()
-
-    def _cache_info_locked(self) -> SessionCacheInfo:
-        return SessionCacheInfo(
-            snapshot_builds=self.snapshot_builds,
-            neighborhood_index_builds=self.index_builds,
-            candidate_builds=self.candidate_builds,
-            product_graph_builds=self.product_graph_builds,
-            traversal_order_builds=self.order_builds,
-            invalidations=self.invalidations,
-            store_hits=self.store_hits,
-            store_misses=self.store_misses,
-            candidate_rebases=self.candidate_rebases,
-            product_graph_rebases=self.product_graph_rebases,
-            snapshot_patches=self.snapshot_patches,
-            incremental_runs=self.incremental_runs,
-            pairs_rechecked=self.pairs_rechecked,
-            pairs_skipped=self.pairs_skipped,
-            blocking_index_builds=self.blocking_index_builds,
-            blocking_index_rebases=self.blocking_index_rebases,
-            blocking_blocks_touched=self.blocking_blocks_touched,
-            blocking_pairs_pruned=self.blocking_pairs_pruned,
-            key_rebases=self.key_rebases,
-        )
 
 
 class MatchSession:
@@ -792,13 +95,13 @@ class MatchSession:
         artifacts: Optional[SessionArtifacts] = None,
     ) -> None:
         if artifacts is not None:
-            if artifacts._graph is not graph:
+            if artifacts.graph is not graph:
                 raise MatchingError(
                     "shared artifacts were built for a different graph object"
                 )
             if keys is None:
-                keys = artifacts._keys
-            elif keys is not artifacts._keys:
+                keys = artifacts.keys
+            elif keys is not artifacts.keys:
                 raise MatchingError(
                     "shared artifacts were built for a different key set"
                 )
@@ -813,7 +116,9 @@ class MatchSession:
         # registered keys, so the session detaches instead
         self._owns_artifacts = artifacts is None
         self._observers: List[ProgressObserver] = []
-        self._history: List[Tuple[MatchConfig, EMResult]] = []
+        self._history: Deque[Tuple[MatchConfig, EMResult]] = deque(
+            maxlen=self._MAX_HISTORY
+        )
         #: run-body lock: concurrent runs on one session serialize here
         self._lock = threading.RLock()
         #: (observer, exception) pairs recorded by the hardened dispatcher,
@@ -826,6 +131,11 @@ class MatchSession:
 
     #: how many observer failures a session remembers (oldest evicted first)
     _MAX_OBSERVER_ERRORS = 32
+
+    #: how many (config, result) runs :attr:`history` retains: a long-lived
+    #: session (the service's per-graph ingest session) must not pin every
+    #: window's ``EMResult`` for the life of the process
+    _MAX_HISTORY = 64
 
     # -- fluent configuration -------------------------------------------- #
 
@@ -881,25 +191,64 @@ class MatchSession:
         keeps the current default), as does ``blocking``
         (``"off"``/``"auto"``/``"force"`` candidate enumeration).
         """
-        if executor is None and self._config.executor is not None:
-            if self._supports_executors(algorithm):
-                executor = self._config.executor
-                workers = self._config.workers if workers is None else workers
-        self._config = MatchConfig(
+        self._config = self._config_for(
+            algorithm,
+            options,
+            processors=processors,
+            executor=executor,
+            workers=workers,
+            snapshot_store=snapshot_store,
+            incremental=incremental,
+            blocking=blocking,
+        )
+        return self
+
+    def _config_for(
+        self,
+        algorithm: Optional[str],
+        options: Dict[str, object],
+        *,
+        processors: Optional[int] = None,
+        executor: Optional[str] = None,
+        workers: Optional[int] = None,
+        snapshot_store: Union[None, str, "os.PathLike", SnapshotStore] = None,
+        incremental: Optional[bool] = None,
+        blocking: Optional[str] = None,
+    ) -> MatchConfig:
+        """The session default with one call's arguments merged over it.
+
+        ``None`` keeps the session default of that setting.  With no
+        *algorithm* the call refines the configured backend, so *options*
+        merge into the configured ones; naming an algorithm replaces them.
+        The session-wide executor default is inherited only by backends
+        that support executors (an explicit ``executor=`` is still validated
+        strictly), so e.g. ``run_all()`` over a session configured with a
+        process pool quietly runs ``"chase"`` on the classic path.
+        """
+        base = self._config
+        if algorithm is None:
+            algorithm, options = base.algorithm, {**base.options, **options}
+            executor = base.executor if executor is None else executor
+            workers = base.workers if workers is None else workers
+        elif (
+            executor is None
+            and base.executor is not None
+            and self._supports_executors(algorithm)
+        ):
+            executor = base.executor
+            workers = base.workers if workers is None else workers
+        return MatchConfig(
             algorithm=algorithm,
-            processors=self._config.processors if processors is None else processors,
+            processors=base.processors if processors is None else processors,
             executor=executor,
             workers=workers,
             snapshot_store=(
-                self._config.snapshot_store if snapshot_store is None else snapshot_store
+                base.snapshot_store if snapshot_store is None else snapshot_store
             ),
-            incremental=(
-                self._config.incremental if incremental is None else incremental
-            ),
-            blocking=self._config.blocking if blocking is None else blocking,
+            incremental=base.incremental if incremental is None else incremental,
+            blocking=base.blocking if blocking is None else blocking,
             options=options,
         )
-        return self
 
     def on_progress(self, observer: ProgressObserver) -> "MatchSession":
         """Register an observer for per-round :class:`ProgressEvent`\\ s."""
@@ -945,7 +294,8 @@ class MatchSession:
 
     @property
     def history(self) -> Tuple[Tuple[MatchConfig, EMResult], ...]:
-        """(config, result) provenance of every run, oldest first."""
+        """(config, result) provenance of the most recent runs, oldest first
+        (the last :attr:`_MAX_HISTORY`; older entries are evicted)."""
         return tuple(self._history)
 
     def cache_info(self) -> SessionCacheInfo:
@@ -1023,107 +373,138 @@ class MatchSession:
         run issued serially.
         """
         with self._lock:
-            return self._run_locked(
+            if self._keys is None:
+                raise MatchingError(
+                    "MatchSession has no keys; call with_keys(...) first"
+                )
+            config = self._config_for(
                 algorithm,
+                options,
                 processors=processors,
                 executor=executor,
                 workers=workers,
                 incremental=incremental,
                 blocking=blocking,
-                **options,
             )
+            spec, validated = config.resolve()
+            # a failed run must never leave a stale seed (or stale provenance)
+            # behind: detach both up front, re-attach only after success
+            state, self._incremental, self._last_delta = self._incremental, None, None
+            artifacts = self._artifacts_for(config)
+            result, self._last_delta = self._execute(
+                spec, config, validated, state, artifacts
+            )
+            # remember this run's fixpoint as the seed for the next delta run.
+            # Cheap on purpose: the unfiltered candidate set is enumerated
+            # lazily from the run's immutable snapshot only if an incremental
+            # run actually consumes this state (unless the cache already has
+            # it).  The recorded superset is always the *quadratic* flavour —
+            # plan_delta compares the new quadratic universe against it, so
+            # recording a blocked (strictly smaller) set would inflate every
+            # later worklist.
+            quadratic = artifacts.cached("candidates").get((False, False, False))
+            self._incremental = IncrementalState(
+                version=artifacts.version,
+                eq=result.eq.copy(),
+                result=result,
+                config=config,
+                snapshot=artifacts.snapshot(),
+                keys=self._keys,
+                candidates=None if quadratic is None else frozenset(quadratic.pairs),
+            )
+            self._history.append((config, result))
+            return result
 
-    def _run_locked(
+    def _execute(
         self,
-        algorithm: Optional[str] = None,
-        *,
-        processors: Optional[int] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        incremental: Optional[bool] = None,
-        blocking: Optional[str] = None,
-        **options: object,
-    ) -> EMResult:
-        if self._keys is None:
-            raise MatchingError("MatchSession has no keys; call with_keys(...) first")
-        if algorithm is None:
-            config = self._config
-            if (
-                processors is not None
-                or executor is not None
-                or workers is not None
-                or incremental is not None
-                or blocking is not None
-                or options
-            ):
-                config = MatchConfig(
-                    algorithm=config.algorithm,
-                    processors=config.processors if processors is None else processors,
-                    executor=config.executor if executor is None else executor,
-                    workers=config.workers if workers is None else workers,
-                    snapshot_store=config.snapshot_store,
-                    incremental=config.incremental if incremental is None else incremental,
-                    blocking=config.blocking if blocking is None else blocking,
-                    options={**config.options, **options},
-                )
+        spec: AlgorithmSpec,
+        config: MatchConfig,
+        validated: Dict[str, object],
+        state: Optional[IncrementalState],
+        artifacts: SessionArtifacts,
+    ) -> Tuple[EMResult, Optional[DeltaProvenance]]:
+        """Run *spec* once — fully, or as a delta re-chase seeded from *state*
+        — and say which it was (``None``: incremental was not requested)."""
+        touched = fallback = plan = delta = None
+        if config.incremental:
+            touched, fallback = self._journal_window(spec, state, artifacts)
+            delta = DeltaProvenance(mode="full", reason=fallback)
+        if touched is None:
+            artifacts.refresh()
         else:
-            # The session-wide executor default is inherited only by backends
-            # that support executors (an explicit executor= argument is still
-            # validated strictly), so e.g. run_all() over a session configured
-            # with a process pool quietly runs "chase" on the classic path.
-            if executor is None and self._config.executor is not None:
-                if self._supports_executors(algorithm):
-                    executor = self._config.executor
-                    workers = self._config.workers if workers is None else workers
-            config = MatchConfig(
-                algorithm=algorithm,
-                processors=self._config.processors if processors is None else processors,
-                executor=executor,
-                workers=workers,
-                snapshot_store=self._config.snapshot_store,
-                incremental=(
-                    self._config.incremental if incremental is None else incremental
-                ),
-                blocking=self._config.blocking if blocking is None else blocking,
-                options=options,
+            plan = plan_session_delta(
+                artifacts, state, touched, blocking=config.blocking
             )
-        spec, validated = config.resolve()
-        # a failed run must never leave a stale seed (or stale provenance)
-        # behind: detach both up front, re-attach only after success
-        state = self._incremental
-        self._incremental = None
-        self._last_delta = None
-        if config.incremental and "incremental" in spec.capabilities:
-            result, delta = self._run_incremental(spec, config, validated, state)
-        elif config.incremental:
-            result = self._run_full(spec, config, validated)
+            artifacts.count(
+                incremental_runs=1,
+                pairs_rechecked=plan.pairs_rechecked,
+                pairs_skipped=plan.pairs_skipped,
+            )
             delta = DeltaProvenance(
-                mode="full",
-                reason=f"algorithm {spec.name!r} lacks the incremental capability",
+                mode="incremental",
+                touched_nodes=len(touched),
+                pairs_rechecked=plan.pairs_rechecked,
+                pairs_skipped=plan.pairs_skipped,
+                dropped_classes=plan.dropped_classes,
+                seed_merges=len(plan.seed),
             )
-        else:
-            result = self._run_full(spec, config, validated)
-            delta = None
-        self._last_delta = delta
-        self._record_seed_state(result, config)
-        self._history.append((config, result))
-        return result
+            if (
+                plan.result_reusable
+                and state.result is not None
+                and self._same_run_shape(state.config, config)
+            ):
+                # the delta implicates nothing and the exact same
+                # configuration produced the previous result: return that
+                # object as-is
+                return state.result, replace(delta, mode="reused")
+        # an empty worklist still dispatches the backend (it returns the
+        # seeded closure immediately), so the result carries this run's
+        # algorithm name and statistics rather than the seeding run's
+        result = spec.run(
+            self._graph,
+            self._keys,
+            processors=config.processors,
+            options=validated,
+            artifacts=artifacts,
+            observer=self._dispatch_event if self._observers else None,
+            executor=config.executor,
+            workers=config.workers,
+            seed_pairs=None if plan is None else plan.seed,
+            worklist=None if plan is None else plan.worklist,
+            blocking=config.blocking,
+        )
+        if plan is not None:
+            # backends report their own (possibly restricted) pair counts;
+            # normalize the |L| statistic so delta provenance is comparable
+            # across backends
+            result.stats.candidate_pairs = plan.candidate_count
+        return result, delta
+
+    def _journal_window(
+        self,
+        spec: AlgorithmSpec,
+        state: Optional[IncrementalState],
+        artifacts: SessionArtifacts,
+    ) -> Tuple[Optional[set], Optional[str]]:
+        """The touched-node window an incremental run can plan over, or
+        ``(None, reason)`` when the request must fall back to a full run."""
+        if "incremental" not in spec.capabilities:
+            return None, f"algorithm {spec.name!r} lacks the incremental capability"
+        if state is None:
+            return None, "no previous result to seed from"
+        if artifacts.version != state.version:
+            return None, "artifact cache out of step with the previous result"
+        touched = self._graph.touched_since(state.version)
+        return touched, ("journal window expired" if touched is None else None)
 
     def run_async(
-        self,
-        algorithm: Optional[str] = None,
-        *,
-        processors: Optional[int] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        incremental: Optional[bool] = None,
-        blocking: Optional[str] = None,
-        **options: object,
+        self, algorithm: Optional[str] = None, **settings: object
     ) -> "Future[EMResult]":
         """Start :meth:`run` on a background thread; returns its future.
 
-        The future resolves to the run's :class:`EMResult` (or raises the
-        run's exception).  ``future.cancel()`` succeeds only while the run is
+        Takes exactly :meth:`run`'s arguments.  The future resolves to the
+        run's :class:`EMResult` (or raises the run's exception).
+        ``future.cancel()`` succeeds only while the run is
         still waiting on the session's run lock — a matching backend that has
         started cannot be interrupted.  Pair with :meth:`events` to stream
         the run's progress while it executes::
@@ -1144,17 +525,7 @@ class MatchSession:
                 if not future.set_running_or_notify_cancel():
                     return
                 try:
-                    future.set_result(
-                        self._run_locked(
-                            algorithm,
-                            processors=processors,
-                            executor=executor,
-                            workers=workers,
-                            incremental=incremental,
-                            blocking=blocking,
-                            **options,
-                        )
-                    )
+                    future.set_result(self.run(algorithm, **settings))
                 except BaseException as exc:  # the future owns the outcome
                     future.set_exception(exc)
 
@@ -1163,173 +534,6 @@ class MatchSession:
         )
         thread.start()
         return future
-
-    def _run_full(self, spec, config: MatchConfig, validated: Dict[str, object]) -> EMResult:
-        artifacts = self._refresh_artifacts(config)
-        return spec.run(
-            self._graph,
-            self._keys,
-            processors=config.processors,
-            options=validated,
-            artifacts=artifacts,
-            observer=self._dispatch_event if self._observers else None,
-            executor=config.executor,
-            workers=config.workers,
-            blocking=config.blocking,
-        )
-
-    def _run_incremental(
-        self,
-        spec,
-        config: MatchConfig,
-        validated: Dict[str, object],
-        state: Optional[IncrementalState],
-    ) -> Tuple[EMResult, DeltaProvenance]:
-        """Execute one incremental run (or fall back to a full one)."""
-        touched: Optional[set] = None
-        fallback: Optional[str] = None
-        if state is None:
-            fallback = "no previous result to seed from"
-        elif self._artifacts is None or self._artifacts._version != state.version:
-            fallback = "artifact cache out of step with the previous result"
-        else:
-            touched = self._graph.touched_since(state.version)
-            if touched is None:
-                fallback = "journal window expired"
-        if fallback is not None:
-            return self._run_full(spec, config, validated), DeltaProvenance(
-                mode="full", reason=fallback
-            )
-
-        # old-side staleness must be read off the pre-refresh index; the
-        # refresh reuses the sweep instead of recomputing it.  The recorded
-        # pairing supports must be read pre-refresh too: the rebase
-        # recomputes supports for delta-affected pairs, but the staleness
-        # test below must judge the *old* chase witness, which lives inside
-        # the *old* support set.
-        blocked = config.blocking != "off"
-        old_supports: Optional[Dict[Pair, Tuple[set, set]]] = None
-        if blocked:
-            old_supports = {}
-            for cached in self._artifacts._candidates.values():
-                if cached.pair_supports:
-                    old_supports.update(cached.pair_supports)
-        old_affected = self._artifacts.stale_entities(touched)
-        artifacts = self._refresh_artifacts(config, stale_hint=old_affected)
-        if blocked:
-            # plan over the sub-quadratic blocked (pairing-filtered) universe
-            # plus the previous run's identified pairs: a pair outside the
-            # blocked set provably cannot fire, so skipping it equals
-            # checking-and-failing it — but a previously-identified pair that
-            # *vanished* from the universe (signatures stopped colliding, or
-            # its pairing broke) must still drop its class and re-check its
-            # dependents, so those pairs rejoin as force-affected extras with
-            # explicitly probed dependency edges.
-            candidates = artifacts.candidates(filtered=True, blocking=config.blocking)
-            dependents = artifacts.dependency_map(filtered=True, blocking=config.blocking)
-            universe = set(candidates.pairs)
-            extras = sorted(
-                {
-                    pair
-                    for cls in state.eq.nontrivial_classes()
-                    for pair in itertools.combinations(sorted(cls), 2)
-                }
-                - universe
-            )
-            extra_edges = extra_dependency_edges(
-                self._graph, self._keys, candidates, extras
-            )
-            plan = plan_delta(
-                candidate_pairs=candidates.pairs,
-                dependents=dependents,
-                touched=touched,
-                touched_entities=touched_entity_nodes(self._graph, touched),
-                old_affected_entities=old_affected,
-                state=state,
-                old_pair_supports=old_supports,
-                extra_identified=extras,
-                extra_dependents=extra_edges,
-            )
-        else:
-            # classic quadratic planning: every candidate pair of the new
-            # graph is in the universe, so vanished pairs and support-level
-            # refinements never arise
-            candidates = artifacts.candidates(filtered=False)
-            dependents = artifacts.dependency_map(filtered=False)
-            plan = plan_delta(
-                candidate_pairs=candidates.pairs,
-                dependents=dependents,
-                touched=touched,
-                touched_entities=touched_entity_nodes(self._graph, touched),
-                old_affected_entities=old_affected,
-                state=state,
-            )
-        artifacts.incremental_runs += 1
-        artifacts.pairs_rechecked += plan.pairs_rechecked
-        artifacts.pairs_skipped += plan.pairs_skipped
-        if (
-            plan.result_reusable
-            and state.result is not None
-            and self._same_run_shape(state.config, config)
-        ):
-            # the delta implicates nothing and the exact same configuration
-            # produced the previous result: return that object as-is
-            result = state.result
-            mode = "reused"
-        else:
-            # an empty worklist still dispatches the backend (it returns the
-            # seeded closure immediately), so the result carries this run's
-            # algorithm name and statistics rather than the seeding run's
-            result = spec.run(
-                self._graph,
-                self._keys,
-                processors=config.processors,
-                options=validated,
-                artifacts=artifacts,
-                observer=self._dispatch_event if self._observers else None,
-                executor=config.executor,
-                workers=config.workers,
-                seed_pairs=plan.seed,
-                worklist=plan.worklist,
-                blocking=config.blocking,
-            )
-            # backends report their own (possibly restricted) pair counts;
-            # normalize the |L| statistic so delta provenance is comparable
-            # across backends
-            result.stats.candidate_pairs = plan.candidate_count
-            mode = "incremental"
-        delta = DeltaProvenance(
-            mode=mode,
-            touched_nodes=len(touched),
-            pairs_rechecked=plan.pairs_rechecked,
-            pairs_skipped=plan.pairs_skipped,
-            dropped_classes=plan.dropped_classes,
-            seed_merges=len(plan.seed),
-        )
-        return result, delta
-
-    def _record_seed_state(self, result: EMResult, config: MatchConfig) -> None:
-        """Remember this run's fixpoint as the seed for the next delta run.
-
-        Cheap on purpose: the unfiltered candidate set is enumerated lazily
-        from the run's immutable snapshot only if an incremental run actually
-        consumes this state (unless the session already has it cached).  The
-        recorded superset is always the *quadratic* flavor — ``plan_delta``
-        compares the new quadratic universe against it, so caching a blocked
-        (strictly smaller) set would inflate every later worklist.
-        """
-        if self._artifacts is None:
-            return
-        cached = self._artifacts._candidates.get((False, False, False))
-        self._incremental = IncrementalState(
-            version=self._artifacts._version,
-            eq=result.eq.copy(),
-            result=result,
-            config=config,
-            snapshot=self._artifacts.snapshot(),
-            keys=self._keys,
-            candidates=frozenset(cached.pairs) if cached is not None else None,
-        )
 
     def run_all(
         self,
@@ -1400,19 +604,14 @@ class MatchSession:
             return False  # unknown name: let resolve() raise the real error
         return "executors" in spec.capabilities
 
-    def _refresh_artifacts(
-        self,
-        config: Optional[MatchConfig] = None,
-        stale_hint: Optional[set] = None,
-    ) -> SessionArtifacts:
-        store = as_snapshot_store((config or self._config).snapshot_store)
+    def _artifacts_for(self, config: MatchConfig) -> SessionArtifacts:
+        """The session's cache (created on first use) under *config*'s store."""
+        store = as_snapshot_store(config.snapshot_store)
         if self._artifacts is None:
             self._artifacts = SessionArtifacts(self._graph, self._keys, snapshot_store=store)
             self._owns_artifacts = True
-        else:
-            if store is not None:
-                self._artifacts.snapshot_store = store
-            self._artifacts.refresh(stale_hint=stale_hint)
+        elif store is not None:
+            self._artifacts.snapshot_store = store
         return self._artifacts
 
     @property

@@ -1,0 +1,639 @@
+"""``SessionArtifacts``: the one cache of precomputed matching inputs.
+
+Every algorithm of the paper starts from the same precomputed inputs — the
+candidate set ``L`` with its d-neighbourhoods (Section 4.1), the
+pairing-filtered ``L`` and dependency relation of ``EMOptMR`` (Section 4.2)
+and the product graph ``Gp`` (Section 5).  This module builds each of them
+once per ``(graph, keys)``, migrates them across mutation-journal deltas,
+and is the *only* build path the parallel backends have: a backend run
+without a session constructs a throwaway cache and reads through it.
+
+The per-flavour artifacts live in one slot table keyed ``(kind, flavour)``
+with one rule (:meth:`SessionArtifacts._slot`): a fresh slot is returned as
+is, a slot parked by a mutation is rebased onto the new graph version with
+the entities the delta(s) affected, and a missing slot is built.  The
+singletons every flavour shares — compiled snapshot, neighbourhood index,
+blocking index, traversal orders — are reconciled eagerly by
+:meth:`SessionArtifacts.refresh`.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Tuple
+
+from ..core.graph import Graph
+from ..core.key import Key, KeySet
+from ..core.neighborhood import radius_per_type
+from ..exceptions import StoreError
+from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
+from ..storage.store import SnapshotStore
+from .blocking import BlockingIndex
+from .candidates import CandidateSet, build_candidates, build_filtered_candidates
+from .incremental import (
+    DependencyArtifact,
+    rebase_filtered_candidates,
+    touched_entity_nodes,
+)
+from .product_graph import ProductGraph
+from .traversal_order import traversal_orders
+
+#: an artifact flavour: ``(filtered, reduce_neighborhoods, blocked)``
+Flavour = Tuple[bool, bool, bool]
+
+
+@dataclass(frozen=True)
+class SessionCacheInfo:
+    """Build counters of a session's artifact cache (for tests and tuning)."""
+
+    snapshot_builds: int = 0
+    neighborhood_index_builds: int = 0
+    candidate_builds: int = 0
+    product_graph_builds: int = 0
+    traversal_order_builds: int = 0
+    invalidations: int = 0
+    #: snapshots served from / missing in the configured on-disk store
+    #: (both stay 0 when the session has no snapshot store)
+    store_hits: int = 0
+    store_misses: int = 0
+    #: filtered candidate sets / product graphs migrated onto a new graph
+    #: version by journal-delta rebasing instead of a from-scratch rebuild
+    candidate_rebases: int = 0
+    product_graph_rebases: int = 0
+    #: snapshots produced by patching the previous compiled snapshot with the
+    #: mutation delta instead of recompiling from scratch (the patched arrays
+    #: are bit-identical to a rebuild; counted separately from
+    #: ``snapshot_builds``, which counts full recompiles only)
+    snapshot_patches: int = 0
+    #: incremental (delta) runs actually executed — silent fallbacks to a
+    #: full run (no previous result, expired journal window) do not count
+    incremental_runs: int = 0
+    #: cumulative candidate pairs re-chased / skipped across incremental
+    #: runs; per run, rechecked + skipped == |L| of the new graph
+    pairs_rechecked: int = 0
+    pairs_skipped: int = 0
+    #: blocking-layer observability: signature index builds / journal-delta
+    #: rebases, blocks enumerated, and candidate pairs pruned vs. the
+    #: quadratic baseline (cumulative across blocked candidate builds)
+    blocking_index_builds: int = 0
+    blocking_index_rebases: int = 0
+    blocking_blocks_touched: int = 0
+    blocking_pairs_pruned: int = 0
+    #: key-set deltas applied by selective per-type invalidation
+    #: (:meth:`SessionArtifacts.rekeyed`) instead of a full cache drop
+    key_rebases: int = 0
+
+
+#: slot kind → the counters its build / rebase bump (dependency maps are
+#: timed like the other kinds but have never been counted)
+_SLOT_COUNTERS = {
+    "candidates": ("candidate_builds", "candidate_rebases"),
+    "product_graph": ("product_graph_builds", "product_graph_rebases"),
+}
+
+
+def _keys_by_type(keys: KeySet) -> Dict[str, List[Key]]:
+    return {etype: list(keys.keys_for_type(etype)) for etype in keys.target_types()}
+
+
+class SessionArtifacts:
+    """The cache of precomputed matching artifacts for one ``(graph, keys)``.
+
+    Backends receive this object as their ``artifacts`` argument and ask it
+    for candidate sets / product graphs instead of building them.  Flavours
+    are keyed by ``(filtered, reduce_neighborhoods, blocked)``; all flavours
+    share one underlying neighbourhood index (reduced flavours restrict a
+    clone, never the shared base) and one
+    :class:`~repro.matching.blocking.BlockingIndex` (the ``auto`` and
+    ``force`` modes enumerate identical pairs whenever ``force`` is
+    accepted, so one ``blocked`` flavour bit serves both).
+
+    The cache is **safe for concurrent callers**: every accessor runs under a
+    build-once re-entrant lock, so two requests racing on a cold artifact
+    never duplicate the build and never observe a half-built value — the
+    second caller blocks until the first caller's build is published, then
+    returns the same object.  One ``SessionArtifacts`` may therefore be
+    shared by many sessions on the same ``(graph, keys)`` (the service layer
+    multiplexes all requests for a named graph through one instance).
+    """
+
+    #: patch-vs-rebuild threshold: a journal delta touching more than this
+    #: fraction of the snapshot's interned nodes recompiles the snapshot
+    #: instead of patching it (a near-total patch recomputes almost every
+    #: CSR row *and* pays the splice bookkeeping, so a clean build wins)
+    SNAPSHOT_PATCH_MAX_FRACTION = 0.5
+
+    def __init__(
+        self,
+        graph: Graph,
+        keys: KeySet,
+        snapshot_store: Optional[SnapshotStore] = None,
+    ) -> None:
+        self.graph = graph
+        self.keys = keys
+        # per-type key lists snapshotted for rekeyed()'s delta detection:
+        # diffing against this baseline (not against the live KeySet object)
+        # also catches in-place KeySet mutation between with_keys calls
+        self._keyed_types = _keys_by_type(keys)
+        #: optional on-disk snapshot store consulted before every build
+        self.snapshot_store = snapshot_store
+        # build-once lock: accessors nest (product graph → candidates →
+        # index → snapshot), so the lock must be re-entrant
+        self._lock = threading.RLock()
+        #: the :attr:`Graph.version` the cached artifacts describe
+        self.version = graph.version
+        self._snapshot: Optional[GraphSnapshot] = None
+        self._index: Optional[SnapshotNeighborhoodIndex] = None
+        self._blocking_index: Optional[BlockingIndex] = None
+        self._orders: Optional[Dict[str, object]] = None
+        # the slot table: artifacts valid at self.version, and artifacts a
+        # mutation staled, parked with the union of delta-affected entities
+        # until their next access rebases them
+        self._fresh: Dict[Tuple[str, Flavour], object] = {}
+        self._stale: Dict[Tuple[str, Flavour], Tuple[object, set]] = {}
+        self._counts = dict.fromkeys((f.name for f in fields(SessionCacheInfo)), 0)
+        #: cumulative seconds spent building each artifact kind (CLI --profile)
+        self.timings: Dict[str, float] = {}
+
+    def _timed(self, phase: str, build):
+        started = time.perf_counter()
+        result = build()
+        self.timings[phase] = self.timings.get(phase, 0.0) + (
+            time.perf_counter() - started
+        )
+        return result
+
+    def count(self, **increments: int) -> None:
+        """Add *increments* to the named :class:`SessionCacheInfo` counters."""
+        with self._lock:
+            for name, amount in increments.items():
+                self._counts[name] += amount
+
+    def cache_info(self) -> SessionCacheInfo:
+        with self._lock:
+            return SessionCacheInfo(**self._counts)
+
+    def cached(self, kind: str) -> Dict[Flavour, object]:
+        """The fresh artifacts of *kind* (``"candidates"``,
+        ``"dependency_map"`` or ``"product_graph"``) by flavour; builds
+        nothing."""
+        with self._lock:
+            return {
+                flavour: value
+                for (slot_kind, flavour), value in self._fresh.items()
+                if slot_kind == kind
+            }
+
+    # -- cache lifecycle ------------------------------------------------- #
+
+    def _drop_all(self) -> None:
+        self._snapshot = None
+        self._index = None
+        self._blocking_index = None
+        self._fresh.clear()
+        self._stale.clear()
+
+    def reset(self) -> None:
+        """Drop every cached artifact (e.g. after a key-set change).
+
+        The incremental-run counters are reset alongside: a manual
+        invalidation severs the delta chain (the next incremental run falls
+        back to a full one), so the per-delta accounting restarts too.
+        """
+        with self._lock:
+            self._drop_all()
+            self._orders = None
+            self.version = self.graph.version
+            self._counts["invalidations"] += 1
+            for name in ("incremental_runs", "pairs_rechecked", "pairs_skipped"):
+                self._counts[name] = 0
+
+    def rekeyed(self, keys: KeySet) -> set:
+        """Swap the key set, invalidating only what the key delta affects.
+
+        Returns the set of entity types whose key lists actually changed
+        (added, removed, or edited keys).  The graph-only artifacts — the
+        compiled snapshot and every cached neighbourhood of an *unchanged*
+        type (same keys ⇒ same per-type radius) — survive untouched.  The
+        key-derived artifacts are parked for delta rebasing with the changed
+        types' entities as the affected set, so the next access re-runs the
+        pairing fixpoint and dependency-row derivation only for those pairs:
+
+        * a pair of an unchanged type keeps its pairing verdict — pairing is
+          the simulation fixpoint of the pair's own type's key patterns over
+          graph-only d-neighbourhoods, so no other type's keys enter it;
+        * a dependency edge between two unchanged-type pairs is a
+          neighbourhood-containment fact plus the dependent's own
+          ``depends_on_types`` — both unchanged — while edges to pairs that
+          vanished (type lost its keys) or appeared (type gained keys) are
+          unlinked/probed by the rebase's removed/fresh handling.
+
+        The blocking index and traversal orders are dropped outright: their
+        per-type signature schemes/orders derive from the keys and rebuild
+        in one cheap pass on next use.  An empty return means the key lists
+        are identical and every cached artifact (and any incremental seed
+        state the caller holds) is still exact.
+        """
+        with self._lock:
+            old_by_type = self._keyed_types
+            new_by_type = _keys_by_type(keys)
+            changed = {
+                etype
+                for etype in set(old_by_type) | set(new_by_type)
+                if old_by_type.get(etype) != new_by_type.get(etype)
+            }
+            self.keys = keys
+            self._keyed_types = new_by_type
+            if not changed:
+                return changed
+            affected = {
+                entity
+                for entity in self.graph.entity_ids()
+                if self.graph.entity_type(entity) in changed
+            }
+            self._park(affected)
+            if self._index is not None:
+                self._index = self._index.rekeyed(keys, evict=affected)
+            self._blocking_index = None
+            self._orders = None
+            self._counts["invalidations"] += 1
+            self._counts["key_rebases"] += 1
+            return changed
+
+    def stale_entities(self, touched: set) -> set:
+        """Entities whose cached d-neighbourhood a *touched* node set stales.
+
+        An entity is stale when it was touched itself or when its cached
+        (pre-mutation) neighbourhood contains a touched node.  By the
+        locality argument in :mod:`repro.matching.incremental` this also
+        covers every entity whose *new* neighbourhood gained a touched node.
+        """
+        with self._lock:
+            if self._index is None:
+                return set()
+            return {
+                entity
+                for entity in self._index.cached_entities()
+                if entity in touched or touched & self._index.nodes(entity)
+            }
+
+    def _touched_ball_entities(self, touched: set) -> set:
+        """Entities within key radius of any touched node, on the new graph.
+
+        The delta-proportional superset of every entity whose d-ball a
+        mutation could have entered or left: walk any old or new path from
+        such an entity towards the mutation and the first touched node on it
+        is reached through edges present on both sides of the delta, so a
+        BFS from the touched nodes over the *new* snapshot finds the entity
+        within the same radius.  (A node removed outright anchors through
+        its old neighbours: deleting its edges touched them all.)  Unlike
+        :meth:`stale_entities` this does not depend on which neighbourhoods
+        happen to be cached.
+        """
+        snapshot = self.snapshot()
+        radius = max(radius_per_type(self.keys).values(), default=0)
+        seen: set = set()
+        for node in touched:
+            root = snapshot.id_of(node)
+            if root is None:
+                continue
+            seen.update(snapshot.neighborhood_ids(root, radius))
+        num_entities = snapshot.num_entities
+        node_of = snapshot._node_of
+        return {node_of[index] for index in seen if index < num_entities}
+
+    def refresh(self, stale_hint: Optional[set] = None) -> None:
+        """Reconcile the cache with any graph mutations since the last run.
+
+        When the mutation journal still covers the delta, the compiled
+        :class:`GraphSnapshot` is *patched* — only the journal-touched CSR
+        rows are recomputed and spliced into the previous arrays, with the
+        result bit-identical to a recompile (see :meth:`_patched_snapshot`
+        for the patch-vs-rebuild size threshold) — and the derived
+        artifacts are *rebased* instead of rebuilt: the neighbourhood index
+        evicts only the entities a touched node could have staled, and the
+        slot table is parked (:meth:`_park`) so each slot's next access
+        migrates it, re-running the pairing fixpoint only for delta-affected
+        pairs.  An expired journal window drops everything.
+
+        *stale_hint* lets a caller that already ran :meth:`stale_entities`
+        for the same journal window (the incremental planner) pass the
+        result in, skipping the second neighbourhood sweep.
+        """
+        with self._lock:
+            version = self.graph.version
+            if version == self.version:
+                return
+            touched = self.graph.touched_since(self.version)
+            if touched is None or self._index is None:
+                self._drop_all()
+            else:
+                stale = stale_hint if stale_hint is not None else self.stale_entities(touched)
+                affected = set(stale) | touched_entity_nodes(self.graph, touched)
+                self._park(affected)
+                self._snapshot = self._patched_snapshot(self._snapshot, touched)
+                self._index = self._index.rebased(self.snapshot(), evict=sorted(stale))
+                if self._blocking_index is not None:
+                    # the index holds a signature for EVERY entity of a
+                    # certified type — not just those with cached
+                    # neighbourhoods — so the stale_entities sweep is not a
+                    # sound affected set here: an entity never pulled into
+                    # the neighbourhood cache (e.g. one that never collided)
+                    # would keep a stale signature after a radius-local
+                    # edit.  Sweep the touched nodes' radius ball over the
+                    # new snapshot instead (sound by the first-touched-node
+                    # locality argument, both mutation directions).
+                    signature_stale = affected | self._touched_ball_entities(
+                        touched
+                    )
+                    old_blocking = self._blocking_index
+                    self._blocking_index = self._timed(
+                        "blocking_index_rebase",
+                        lambda: old_blocking.rebased(
+                            self.graph,
+                            snapshot=self.snapshot(),
+                            affected_entities=signature_stale,
+                        ),
+                    )
+                    self._counts["blocking_index_rebases"] += 1
+            self.version = version
+            self._counts["invalidations"] += 1
+
+    def _park(self, affected: set) -> None:
+        """Park every fresh slot for delta rebasing with *affected* entities.
+
+        Slots parked by an earlier delta and never re-accessed stay parked
+        with their affected set widened to the union of both windows (the
+        per-window stale computation remains sound for each delta).
+        Unfiltered candidate sets carry no pairing verdicts worth migrating
+        and are dropped, so their next access is a plain build.
+        """
+        for slot, (artifact, previous) in self._stale.items():
+            self._stale[slot] = (artifact, previous | affected)
+        for slot, artifact in self._fresh.items():
+            if slot[0] != "candidates" or artifact.pair_supports is not None:
+                self._stale[slot] = (artifact, set(affected))
+        self._fresh.clear()
+
+    def _patched_snapshot(
+        self, old: Optional[GraphSnapshot], touched: set
+    ) -> Optional[GraphSnapshot]:
+        """Patch *old* onto the current graph version, or ``None`` to rebuild.
+
+        Chooses patch-vs-rebuild by delta size (patching recomputes only the
+        touched CSR rows, so it wins exactly when the delta is a small
+        fraction of the graph) and treats any patch failure as a miss: the
+        caller's next :meth:`snapshot` access recompiles from scratch, which
+        is always correct because the patched arrays are bit-identical to a
+        rebuild whenever patching succeeds.  A successful patch is written
+        through to the configured snapshot store via
+        :meth:`SnapshotStore.patch`, so the on-disk file advances by a
+        segment-level diff instead of a full rewrite.
+        """
+        if old is None:
+            return None
+        if len(touched) > self.SNAPSHOT_PATCH_MAX_FRACTION * max(1, old.num_nodes):
+            return None
+        try:
+            patched = self._timed(
+                "snapshot_patch", lambda: old.patched(self.graph, touched)
+            )
+        except Exception:
+            return None
+        self._counts["snapshot_patches"] += 1
+        store = self.snapshot_store
+        if store is not None:
+            try:
+                self._timed(
+                    "snapshot_store_patch",
+                    lambda: store.patch(
+                        patched,
+                        base=old,
+                        fingerprint=self.graph.content_fingerprint(),
+                    ),
+                )
+            except (StoreError, OSError):
+                pass
+        return patched
+
+    # -- the slot rule ------------------------------------------------------ #
+
+    def _slot(
+        self,
+        kind: str,
+        flavour: Flavour,
+        build: Callable[[], object],
+        rebase: Callable[[object, set], object],
+    ):
+        """The one rule every per-flavour artifact follows (lock held).
+
+        Fresh: return it.  Parked by a mutation: ``rebase(old, affected)``
+        with the union of the entities every un-accessed delta affected.
+        Missing: ``build()``.  Either way the work is charged to the phase
+        ``{kind}_build`` / ``{kind}_rebase`` and to the kind's counter.
+        """
+        slot = (kind, flavour)
+        value = self._fresh.get(slot)
+        if value is None:
+            parked = self._stale.pop(slot, None)
+            if parked is None:
+                value = self._timed(f"{kind}_build", build)
+            else:
+                value = self._timed(f"{kind}_rebase", lambda: rebase(*parked))
+            if kind in _SLOT_COUNTERS:
+                builds, rebases = _SLOT_COUNTERS[kind]
+                self._counts[builds if parked is None else rebases] += 1
+            self._fresh[slot] = value
+        return value
+
+    # -- artifact accessors (the backend-facing surface) ----------------- #
+
+    def snapshot(self) -> GraphSnapshot:
+        """The compiled, immutable read view of the session's graph.
+
+        Built once per :attr:`Graph.version`; every read-side artifact below
+        (and every backend run through the session) shares it.  With a
+        :attr:`snapshot_store` configured, the store is consulted first
+        (an ``mmap`` load of a warm file skips the build entirely) and a
+        freshly built snapshot is written back; *any*
+        :class:`~repro.exceptions.StoreError` — missing file, corruption,
+        format or staleness mismatch — falls back to a clean rebuild.  The
+        store's miss path is additionally serialized per graph fingerprint
+        (:meth:`SnapshotStore.get_or_build`), so sibling sessions sharing a
+        store build each snapshot exactly once machine-process-wide.
+        """
+        with self._lock:
+            if self._snapshot is None:
+                store = self.snapshot_store
+                if store is not None:
+                    self._snapshot, loaded = store.get_or_build(
+                        self.graph, self._build_snapshot, timed=self._timed
+                    )
+                    self._counts["store_hits" if loaded else "store_misses"] += 1
+                else:
+                    self._snapshot = self._build_snapshot()
+            return self._snapshot
+
+    def _build_snapshot(self) -> GraphSnapshot:
+        snapshot = self._timed(
+            "snapshot_build", lambda: GraphSnapshot.build(self.graph)
+        )
+        self._counts["snapshot_builds"] += 1
+        return snapshot
+
+    def neighborhood_index(self) -> SnapshotNeighborhoodIndex:
+        with self._lock:
+            if self._index is None:
+                snapshot = self.snapshot()
+                self._index = self._timed(
+                    "neighborhood_index_build",
+                    lambda: SnapshotNeighborhoodIndex(snapshot, self.keys),
+                )
+                self._counts["neighborhood_index_builds"] += 1
+            return self._index
+
+    def blocking_index(self) -> BlockingIndex:
+        """The shared signature index of the blocking layer (built once)."""
+        with self._lock:
+            if self._blocking_index is None:
+                snapshot = self.snapshot()
+                self._blocking_index = self._timed(
+                    "blocking_index_build",
+                    lambda: BlockingIndex.build(
+                        self.graph, self.keys, snapshot=snapshot
+                    ),
+                )
+                self._counts["blocking_index_builds"] += 1
+            return self._blocking_index
+
+    def traversal_orders(self):
+        with self._lock:
+            if self._orders is None:
+                self._orders = traversal_orders(self.keys)
+                self._counts["traversal_order_builds"] += 1
+            return self._orders
+
+    def candidates(
+        self,
+        *,
+        filtered: bool,
+        reduce_neighborhoods: bool = False,
+        blocking: str = "off",
+    ) -> CandidateSet:
+        with self._lock:
+            blocking_index: Optional[BlockingIndex] = None
+            if blocking != "off":
+                blocking_index = self.blocking_index()
+                if blocking == "force":
+                    # "auto" and "force" share one cached flavour (identical
+                    # pairs when force is accepted), so force re-validates the
+                    # certification even on a cache hit
+                    blocking_index.require_certified()
+            # upstream artifacts are fetched outside the timed build so each
+            # phase is charged its own work only
+            inputs = dict(
+                index=self.neighborhood_index(),
+                snapshot=self.snapshot(),
+                blocking=blocking,
+                blocking_index=blocking_index,
+            )
+
+            def charged(candidates: CandidateSet) -> CandidateSet:
+                stats = candidates.blocking
+                if stats is not None:
+                    self._counts["blocking_blocks_touched"] += stats.blocks_touched
+                    self._counts["blocking_pairs_pruned"] += stats.pairs_pruned
+                    for phase, seconds in (
+                        ("blocking_collision", stats.collision_seconds),
+                        ("blocking_pairing_filter", stats.filter_seconds),
+                    ):
+                        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
+                return candidates
+
+            def build() -> CandidateSet:
+                if not filtered:
+                    return charged(build_candidates(self.graph, self.keys, **inputs))
+                return charged(
+                    build_filtered_candidates(
+                        self.graph,
+                        self.keys,
+                        reduce_neighborhoods=reduce_neighborhoods,
+                        **inputs,
+                    )
+                )
+
+            def rebase(old: CandidateSet, affected: set) -> CandidateSet:
+                return charged(
+                    rebase_filtered_candidates(
+                        old,
+                        self.graph,
+                        self.keys,
+                        affected_entities=affected,
+                        reduce_neighborhoods=reduce_neighborhoods,
+                        **inputs,
+                    )
+                )
+
+            flavour = (filtered, reduce_neighborhoods, blocking != "off")
+            return self._slot("candidates", flavour, build, rebase)
+
+    def dependency_map(
+        self,
+        *,
+        filtered: bool,
+        reduce_neighborhoods: bool = False,
+        blocking: str = "off",
+    ):
+        """The prerequisite → dependents map over the flavour's candidates."""
+        with self._lock:
+            candidates = self.candidates(
+                filtered=filtered,
+                reduce_neighborhoods=reduce_neighborhoods,
+                blocking=blocking,
+            )
+            snapshot = self.snapshot()
+            # reduced flavours: entities whose restriction drifted via an
+            # affected partner pair count as affected for the row rebase
+            drift = candidates.restriction_drift or set()
+            return self._slot(
+                "dependency_map",
+                (filtered, reduce_neighborhoods, blocking != "off"),
+                lambda: DependencyArtifact.build(snapshot, self.keys, candidates),
+                lambda old, affected: old.rebased(
+                    snapshot, self.keys, candidates, affected | drift
+                ),
+            ).forward
+
+    def product_graph(
+        self,
+        *,
+        filtered: bool,
+        reduce_neighborhoods: bool = False,
+        blocking: str = "off",
+    ) -> ProductGraph:
+        with self._lock:
+            flavour = dict(
+                filtered=filtered,
+                reduce_neighborhoods=reduce_neighborhoods,
+                blocking=blocking,
+            )
+            candidates = self.candidates(**flavour)
+            dependents = self.dependency_map(**flavour)
+            snapshot = self.snapshot()
+            drift = candidates.restriction_drift or set()
+            return self._slot(
+                "product_graph",
+                (filtered, reduce_neighborhoods, blocking != "off"),
+                lambda: ProductGraph(
+                    snapshot, self.keys, candidates, dependents=dependents
+                ),
+                lambda old, affected: old.rebased(
+                    snapshot,
+                    candidates,
+                    affected | drift,
+                    dependents=dependents,
+                    keys=self.keys,
+                ),
+            )

@@ -32,7 +32,8 @@ from ..core.neighborhood import NeighborhoodIndex
 from ..mapreduce.runtime import MapReduceDriver, TaskContext
 from ..runtime import create_executor
 from ..storage import GraphSnapshot
-from .candidates import CandidateSet, build_candidates
+from .artifacts import SessionArtifacts
+from .candidates import CandidateSet
 from .checkers import EnumerationChecker, GuidedChecker, PairChecker
 from .result import EMResult, EMStatistics
 
@@ -165,7 +166,7 @@ class MapReduceEntityMatcher:
         *,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        artifacts: Optional[object] = None,
+        artifacts: Optional[SessionArtifacts] = None,
         observer: Optional[Callable[[ProgressEvent], None]] = None,
         seed_pairs: Optional[Sequence[Pair]] = None,
         worklist: Optional[Sequence[Pair]] = None,
@@ -178,8 +179,9 @@ class MapReduceEntityMatcher:
         self.executor = executor
         #: real worker count of the executor pool (None: processors, capped)
         self.workers = workers
-        #: session artifact cache (``repro.api.session.SessionArtifacts``) or None
-        self.artifacts = artifacts
+        #: the artifact cache every input is read through: the session's, or
+        #: a throwaway one when the caller passed none
+        self.artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
         self.observer = observer
         #: incremental re-matching: pairs merged into ``Eq`` before round 1
         #: (a previous run's surviving identifications) ...
@@ -194,20 +196,8 @@ class MapReduceEntityMatcher:
 
     # -- extension points overridden by EMVF2MR / EMOptMR ---------------- #
 
-    def _snapshot(self) -> GraphSnapshot:
-        """The compiled read view shared by the driver and every worker."""
-        if self.artifacts is not None:
-            return self.artifacts.snapshot()
-        return GraphSnapshot.build(self.graph)
-
-    def _build_candidates(self, snapshot: GraphSnapshot) -> CandidateSet:
-        if self.artifacts is not None:
-            return self.artifacts.candidates(
-                filtered=False, reduce_neighborhoods=False, blocking=self.blocking
-            )
-        return build_candidates(
-            self.graph, self.keys, snapshot=snapshot, blocking=self.blocking
-        )
+    def _candidates(self) -> CandidateSet:
+        return self.artifacts.candidates(filtered=False, blocking=self.blocking)
 
     def _checker_class(self) -> Type[PairChecker]:
         return GuidedChecker
@@ -242,9 +232,10 @@ class MapReduceEntityMatcher:
 
     def _run_with_executor(self, executor) -> EMResult:
         driver = MapReduceDriver(self.processors, executor=executor)
-        snapshot = self._snapshot()
+        # the compiled read view shared by the driver and every worker
+        snapshot = self.artifacts.snapshot()
         driver.placement_key = snapshot.placement_key
-        candidates = self._build_candidates(snapshot)
+        candidates = self._candidates()
         checker_class = self._checker_class()
         keys_by_type = {
             etype: self.keys.keys_for_type(etype) for etype in self.keys.target_types()
@@ -359,7 +350,7 @@ def _run_em_mr(
     processors: int = 4,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
-    artifacts: Optional[object] = None,
+    artifacts: Optional[SessionArtifacts] = None,
     observer: Optional[Callable[[ProgressEvent], None]] = None,
     seed_pairs: Optional[Sequence[Pair]] = None,
     worklist: Optional[Sequence[Pair]] = None,
@@ -392,7 +383,7 @@ def _run_em_vf2_mr(
     processors: int = 4,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
-    artifacts: Optional[object] = None,
+    artifacts: Optional[SessionArtifacts] = None,
     observer: Optional[Callable[[ProgressEvent], None]] = None,
     seed_pairs: Optional[Sequence[Pair]] = None,
     worklist: Optional[Sequence[Pair]] = None,

@@ -23,7 +23,8 @@ from ..api.registry import OptionSpec, get_algorithm, register_algorithm
 from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import KeySet
-from .candidates import CandidateSet, build_filtered_candidates, dependency_map
+from .artifacts import SessionArtifacts
+from .candidates import CandidateSet
 from .em_mr import MapReduceEntityMatcher
 from .incremental import DependencyWorklist
 from .result import EMResult
@@ -44,7 +45,7 @@ class OptimizedMapReduceEntityMatcher(MapReduceEntityMatcher):
         reduce_neighborhoods: bool = True,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        artifacts: Optional[object] = None,
+        artifacts: Optional[SessionArtifacts] = None,
         observer: Optional[Callable[[ProgressEvent], None]] = None,
         seed_pairs: Optional[Sequence[Pair]] = None,
         worklist: Optional[Sequence[Pair]] = None,
@@ -65,28 +66,14 @@ class OptimizedMapReduceEntityMatcher(MapReduceEntityMatcher):
         self.reduce_neighborhoods = reduce_neighborhoods
         self._dependents: Optional[DependencyWorklist] = None
 
-    def _build_candidates(self, snapshot) -> CandidateSet:
-        if self.artifacts is not None:
-            candidates = self.artifacts.candidates(
-                filtered=True,
-                reduce_neighborhoods=self.reduce_neighborhoods,
-                blocking=self.blocking,
-            )
-            dependents = self.artifacts.dependency_map(
-                filtered=True,
-                reduce_neighborhoods=self.reduce_neighborhoods,
-                blocking=self.blocking,
-            )
-            self._dependents = DependencyWorklist(dependents)
-            return candidates
-        candidates = build_filtered_candidates(
-            self.graph,
-            self.keys,
+    def _candidates(self) -> CandidateSet:
+        flavour = dict(
+            filtered=True,
             reduce_neighborhoods=self.reduce_neighborhoods,
-            snapshot=snapshot,
             blocking=self.blocking,
         )
-        self._dependents = DependencyWorklist(dependency_map(snapshot, self.keys, candidates))
+        candidates = self.artifacts.candidates(**flavour)
+        self._dependents = DependencyWorklist(self.artifacts.dependency_map(**flavour))
         return candidates
 
     def _pairs_to_check(
@@ -132,7 +119,7 @@ def _run_em_mr_opt(
     processors: int = 4,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
-    artifacts: Optional[object] = None,
+    artifacts: Optional[SessionArtifacts] = None,
     observer: Optional[Callable[[ProgressEvent], None]] = None,
     reduce_neighborhoods: bool = True,
     seed_pairs: Optional[Sequence[Pair]] = None,

@@ -15,7 +15,7 @@ propagation.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..api.events import ProgressEvent, notify
 from ..api.registry import OptionSpec, get_algorithm, register_algorithm
@@ -23,13 +23,10 @@ from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..runtime import create_executor, create_partitioner
-from ..storage import GraphSnapshot
 from ..vertexcentric.engine import VertexCentricEngine
-from .candidates import CandidateSet, build_filtered_candidates
+from .artifacts import SessionArtifacts
 from .eval_vc import Activate, EvalVCProgram, PairState
-from .product_graph import ProductGraph
 from .result import EMResult, EMStatistics
-from .traversal_order import traversal_orders
 
 #: Default fan-out budget of EMOptVC (the paper evaluates k = 4).
 DEFAULT_FANOUT = 4
@@ -54,7 +51,7 @@ class VertexCentricEntityMatcher:
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         partitioner: str = "hash",
-        artifacts: Optional[object] = None,
+        artifacts: Optional[SessionArtifacts] = None,
         observer: Optional[Callable[[ProgressEvent], None]] = None,
         seed_pairs: Optional[Sequence[Pair]] = None,
         worklist: Optional[Sequence[Pair]] = None,
@@ -70,8 +67,9 @@ class VertexCentricEntityMatcher:
         self.workers = workers
         #: vertex partitioning strategy for partitioned execution
         self.partitioner = partitioner
-        #: session artifact cache (``repro.api.session.SessionArtifacts``) or None
-        self.artifacts = artifacts
+        #: the artifact cache every input is read through: the session's, or
+        #: a throwaway one when the caller passed none
+        self.artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
         self.observer = observer
         #: incremental re-matching: merges seeding ``live_eq`` (and flagging
         #: the corresponding product-graph vertices) before the engine drains
@@ -84,42 +82,6 @@ class VertexCentricEntityMatcher:
 
     def _notify(self, stage: str, **fields: object) -> None:
         notify(self.observer, ProgressEvent(algorithm=self.algorithm_name, stage=stage, **fields))
-
-    def _snapshot(self) -> GraphSnapshot:
-        """The compiled read view shared by the driver and every replica."""
-        if self.artifacts is not None:
-            return self.artifacts.snapshot()
-        return GraphSnapshot.build(self.graph)
-
-    def _build_candidates(self, snapshot: GraphSnapshot) -> CandidateSet:
-        # the product graph only contains pairs that can be paired (Prop. 9);
-        # neighbourhoods stay unreduced because the dependency map is built
-        # from them and must over-approximate, never under-approximate.
-        if self.artifacts is not None:
-            return self.artifacts.candidates(
-                filtered=True, reduce_neighborhoods=False, blocking=self.blocking
-            )
-        return build_filtered_candidates(
-            self.graph,
-            self.keys,
-            reduce_neighborhoods=False,
-            snapshot=snapshot,
-            blocking=self.blocking,
-        )
-
-    def _build_product_graph(
-        self, candidates: CandidateSet, snapshot: GraphSnapshot
-    ) -> ProductGraph:
-        if self.artifacts is not None:
-            return self.artifacts.product_graph(
-                filtered=True, reduce_neighborhoods=False, blocking=self.blocking
-            )
-        return ProductGraph(snapshot, self.keys, candidates)
-
-    def _traversal_orders(self) -> Dict[str, object]:
-        if self.artifacts is not None:
-            return self.artifacts.traversal_orders()
-        return traversal_orders(self.keys)
 
     def run(self) -> EMResult:
         """Execute the algorithm and return its result."""
@@ -138,12 +100,17 @@ class VertexCentricEntityMatcher:
         return result
 
     def _run_with_executor(self, executor) -> EMResult:
-        snapshot = self._snapshot()
-        candidates = self._build_candidates(snapshot)
+        # the compiled read view shared by the driver and every replica
+        snapshot = self.artifacts.snapshot()
+        # the product graph only contains pairs that can be paired (Prop. 9);
+        # neighbourhoods stay unreduced because the dependency map is built
+        # from them and must over-approximate, never under-approximate.
+        flavour = dict(filtered=True, reduce_neighborhoods=False, blocking=self.blocking)
+        candidates = self.artifacts.candidates(**flavour)
         self._notify("candidates", pending=candidates.size)
-        product_graph = self._build_product_graph(candidates, snapshot)
+        product_graph = self.artifacts.product_graph(**flavour)
         self._notify("product-graph", pending=product_graph.num_nodes)
-        orders = self._traversal_orders()
+        orders = self.artifacts.traversal_orders()
         # the vertex program reads G through the snapshot, so partitioned
         # supersteps ship compact arrays (not graph dicts) to each replica
         program = EvalVCProgram(
@@ -253,7 +220,7 @@ class OptimizedVertexCentricEntityMatcher(VertexCentricEntityMatcher):
         executor: Optional[str] = None,
         workers: Optional[int] = None,
         partitioner: str = "hash",
-        artifacts: Optional[object] = None,
+        artifacts: Optional[SessionArtifacts] = None,
         observer: Optional[Callable[[ProgressEvent], None]] = None,
         seed_pairs: Optional[Sequence[Pair]] = None,
         worklist: Optional[Sequence[Pair]] = None,
@@ -299,7 +266,7 @@ def _run_em_vc(
     processors: int = 4,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
-    artifacts: Optional[object] = None,
+    artifacts: Optional[SessionArtifacts] = None,
     observer: Optional[Callable[[ProgressEvent], None]] = None,
     partitioner: str = "hash",
     seed_pairs: Optional[Sequence[Pair]] = None,
@@ -347,7 +314,7 @@ def _run_em_vc_opt(
     processors: int = 4,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
-    artifacts: Optional[object] = None,
+    artifacts: Optional[SessionArtifacts] = None,
     observer: Optional[Callable[[ProgressEvent], None]] = None,
     fanout: int = DEFAULT_FANOUT,
     prioritize: bool = True,

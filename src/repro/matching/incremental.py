@@ -27,9 +27,10 @@ already existed before the delta (a new edge would have touched its
 endpoints), so the old neighbourhood already intersected the touched set.
 
 All six backends consume the same plan through their ``seed_pairs`` /
-``worklist`` entry points; :class:`~repro.api.session.MatchSession` owns the
-orchestration (fallback to a full run when the journal window expired or no
-previous result exists).
+``worklist`` entry points; :func:`plan_session_delta` reads a session's
+artifact cache across the window, and
+:class:`~repro.api.session.MatchSession` owns the fallback policy (a full
+run when the journal window expired or no previous result exists).
 """
 
 from __future__ import annotations
@@ -267,6 +268,71 @@ def plan_delta(
         seed=tuple(seed),
         dropped_classes=dropped_classes,
         candidate_count=len(candidate_pairs),
+    )
+
+
+def plan_session_delta(
+    artifacts,
+    state: IncrementalState,
+    touched: Set[GraphNode],
+    *,
+    blocking: str,
+) -> DeltaPlan:
+    """Refresh a session's artifact cache over a journal window and plan the
+    delta re-chase against the previous run's *state*.
+
+    *artifacts* is the session's
+    :class:`~repro.matching.artifacts.SessionArtifacts`, still at
+    ``state.version``; it leaves here reconciled with the live graph.  The
+    order matters: old-side staleness must be read off the pre-refresh
+    neighbourhood index (the refresh then reuses the sweep instead of
+    recomputing it), and so must the recorded pairing supports — the rebase
+    recomputes supports for delta-affected pairs, but :func:`plan_delta`
+    must judge the *old* chase witness, which lives inside the *old* support
+    set.
+    """
+    blocked = blocking != "off"
+    old_supports: Optional[Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None
+    if blocked:
+        old_supports = {}
+        for cached in artifacts.cached("candidates").values():
+            if cached.pair_supports:
+                old_supports.update(cached.pair_supports)
+    old_affected = artifacts.stale_entities(touched)
+    artifacts.refresh(stale_hint=old_affected)
+    graph, keys = artifacts.graph, artifacts.keys
+    # classic planning is quadratic: every candidate pair of the new graph is
+    # in the universe, so vanished pairs and support-level refinements never
+    # arise.  A blocked session plans over the sub-quadratic blocked
+    # (pairing-filtered) universe plus the previous run's identified pairs: a
+    # pair outside the blocked set provably cannot fire, so skipping it
+    # equals checking-and-failing it — but a previously-identified pair that
+    # *vanished* from the universe (signatures stopped colliding, or its
+    # pairing broke) must still drop its class and re-check its dependents,
+    # so those pairs rejoin as force-affected extras with explicitly probed
+    # dependency edges.
+    candidates = artifacts.candidates(filtered=blocked, blocking=blocking)
+    dependents = artifacts.dependency_map(filtered=blocked, blocking=blocking)
+    extras: List[Pair] = []
+    if blocked:
+        extras = sorted(
+            {
+                pair
+                for cls in state.eq.nontrivial_classes()
+                for pair in itertools.combinations(sorted(cls), 2)
+            }
+            - set(candidates.pairs)
+        )
+    return plan_delta(
+        candidate_pairs=candidates.pairs,
+        dependents=dependents,
+        touched=touched,
+        touched_entities=touched_entity_nodes(graph, touched),
+        old_affected_entities=old_affected,
+        state=state,
+        old_pair_supports=old_supports,
+        extra_identified=extras,
+        extra_dependents=extra_dependency_edges(graph, keys, candidates, extras),
     )
 
 

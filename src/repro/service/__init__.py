@@ -5,7 +5,7 @@ than graphs.  It turns the session API into a long-lived service:
 
 * :class:`~repro.service.registry.GraphRegistry` — named graphs, each with
   **one** shared, thread-safe
-  :class:`~repro.api.session.SessionArtifacts` cache and all of them
+  :class:`~repro.matching.artifacts.SessionArtifacts` cache and all of them
   multiplexing **one** shared
   :class:`~repro.storage.store.SnapshotStore`, so N tenants on one box pay
   for one physical copy of every graph;

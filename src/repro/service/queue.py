@@ -255,12 +255,15 @@ class AdmissionController:
             return
         deadline = request.deadline
         if deadline is not None and time.time() > deadline:
-            if request._transition("timeout"):
-                request.error = (
-                    f"timed out after waiting {request.timeout:.3f}s in the "
-                    f"admission queue"
-                )
-                with self._lock:
+            # counters move under the controller lock *with* the terminal
+            # transition: the transition releases wait=true clients, whose
+            # next /metrics read must already see this request counted
+            with self._lock:
+                if request._transition("timeout"):
+                    request.error = (
+                        f"timed out after waiting {request.timeout:.3f}s in the "
+                        f"admission queue"
+                    )
                     self.timed_out += 1
             return
         if not request._transition("running"):
@@ -272,25 +275,23 @@ class AdmissionController:
             if request.queue_wait is not None:
                 self.total_queue_wait += request.queue_wait
         run_started = time.monotonic()
+        outcome = "failed"
         try:
             work(request)
+            outcome = "done"
         except Exception as exc:
             request.error = f"{type(exc).__name__}: {exc}"
-            request._transition("failed")
-            with self._lock:
-                self.failed += 1
-        else:
-            if request._transition("done"):
-                with self._lock:
-                    self.completed += 1
-            else:  # the runner marked it failed itself
-                with self._lock:
-                    self.failed += 1
         finally:
             with self._lock:
                 self.inflight -= 1
                 self.total_run_seconds += time.monotonic() - run_started
                 self.runs_measured += 1
+                # "done" is refused when the runner marked the request
+                # failed itself
+                if request._transition(outcome) and outcome == "done":
+                    self.completed += 1
+                else:
+                    self.failed += 1
 
     # -- lifecycle / observability ------------------------------------------ #
 

@@ -2,14 +2,16 @@
 
 A :class:`GraphRegistry` maps tenant-facing *names* to registered graphs.
 Registration builds exactly one thread-safe
-:class:`~repro.api.session.SessionArtifacts` cache per name; every request
-against that name runs through a fresh, throwaway
+:class:`~repro.matching.artifacts.SessionArtifacts` cache per name; every
+request against that name runs through a fresh, throwaway
 :class:`~repro.api.session.MatchSession` **sharing** that cache, so:
 
-* concurrent requests for one graph run in parallel (sessions don't share a
-  run lock) while the artifacts' build-once locks guarantee each expensive
-  artifact — snapshot, neighbourhood index, candidates, product graph — is
-  built exactly once per graph, no matter how many requests race on it;
+* requests for different graphs run in parallel, and the artifacts'
+  build-once locks guarantee each expensive artifact — snapshot,
+  neighbourhood index, candidates, product graph — is built exactly once per
+  graph, no matter how many requests race on it; requests and ingest windows
+  for *one* graph serialize on its ingest lock (:meth:`RegisteredGraph.match`),
+  so a read never sees a half-applied window;
 * all names multiplex the registry's single
   :class:`~repro.storage.store.SnapshotStore`: two names registered over
   content-identical graphs share one physical ``mmap``'d snapshot file, and
@@ -23,15 +25,17 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import os
 
 from ..api.config import MatchConfig
+from ..api.events import ProgressObserver
 from ..api.session import MatchSession, SessionArtifacts
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import AdmissionError, ServiceError, UnknownGraphError
+from ..matching.result import EMResult
 from ..storage.store import SnapshotStore, as_snapshot_store
 
 #: staleness samples kept per graph for the /metrics percentiles
@@ -87,6 +91,29 @@ class RegisteredGraph:
         return MatchSession(
             self.graph, self.keys, config, artifacts=self.artifacts
         )
+
+    def match(
+        self,
+        config: Optional[MatchConfig] = None,
+        observer: Optional[ProgressObserver] = None,
+    ) -> Tuple[MatchSession, EMResult]:
+        """Run one match on a throwaway session; returns the session (for
+        the run's provenance) and the result.
+
+        The run holds the ingest lock, so a read never refreshes artifacts
+        from a graph that a concurrent ingest window is still mutating: it
+        sees the graph at a window boundary.  Lock order, the same as
+        :meth:`ingest`: ingest lock → session run lock → artifact-cache lock
+        → snapshot-store fingerprint lock.
+        """
+        session = self.new_session(config)
+        if observer is not None:
+            session.on_progress(observer)
+        with self._ingest_lock:
+            result = session.run()
+        with self._lock:
+            self.runs += 1
+        return session, result
 
     def _ingest_session_for(self, config: MatchConfig) -> MatchSession:
         """The persistent ingest session (caller holds ``_ingest_lock``)."""
@@ -229,10 +256,6 @@ class RegisteredGraph:
         with self._ingest_lock:
             if self.wal is not None:
                 self.wal.close()
-
-    def count_run(self) -> None:
-        with self._lock:
-            self.runs += 1
 
     def warm(self) -> None:
         """Pre-build (or store-load) the snapshot + neighbourhood index."""

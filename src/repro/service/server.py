@@ -28,7 +28,7 @@ request → 404, result-not-ready → 409, admission rejection → 429.  Every
 Threading model: one HTTP thread per connection (stdlib), submissions hop
 onto the admission controller's fixed worker pool, and each worker drives a
 throwaway per-request :class:`~repro.api.session.MatchSession` that shares
-the named graph's :class:`~repro.api.session.SessionArtifacts` — so request
+the named graph's :class:`~repro.matching.artifacts.SessionArtifacts` — so request
 concurrency is bounded by ``max_inflight`` regardless of connection count,
 and no graph's artifacts are ever built twice.
 """
@@ -198,12 +198,8 @@ class MatchingService:
     ) -> None:
         """Run one admitted request on a worker thread."""
         before = entry.artifacts.cache_info()
-        session = entry.new_session(config)
-        session.on_progress(request.record_event)
-        result = session.run()
+        session, request.result = entry.match(config, observer=request.record_event)
         after = entry.artifacts.cache_info()
-        entry.count_run()
-        request.result = result
         delta = session.last_delta()
         store = self.registry.store
         request.provenance = {

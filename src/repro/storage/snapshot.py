@@ -54,20 +54,6 @@ from ..exceptions import UnknownEntityError
 #: Array typecode for node/predicate ids and CSR offsets.
 _ID = "q"
 
-# Optional vectorization: the patch path translates whole id columns through
-# a remap table and splices offset spans; numpy turns those per-element
-# Python loops into C-level gathers.  Everything falls back to the stdlib
-# when numpy is absent — the outputs are bit-identical either way.
-try:  # pragma: no cover - exercised wherever numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-def _np_ids(buf) -> "object":
-    """A zero-copy int64 view of an id column (array or store memoryview)."""
-    return _np.frombuffer(buf, dtype=_np.int64)
-
 #: The empty candidate set returned for unknown (node, predicate) lookups.
 _EMPTY_IDS: FrozenSet[int] = frozenset()
 _EMPTY_NODES: FrozenSet[GraphNode] = frozenset()
@@ -86,8 +72,6 @@ def _copy_ids(dst: array, src, lo: int, hi: int, remap) -> None:
             dst.extend(src[lo:hi])
         else:  # memoryview over a store mapping
             dst.frombytes(src[lo:hi].tobytes())
-    elif _np is not None and isinstance(remap, _np.ndarray):
-        dst.frombytes(remap[_np_ids(src)[lo:hi]].tobytes())
     else:
         dst.extend([remap[x] for x in src[lo:hi]])
 
@@ -101,10 +85,6 @@ def _fill_offsets(
     Spans cover *consecutive* old rows (``old_start`` .. ``old_end - 1``) by
     construction, so the new offsets are the old ones shifted by *base*.
     """
-    if _np is not None and span_end - span_start > 8:
-        shifted = _np_ids(old_offsets)[old_start + 1 : old_end + 1] + base
-        offsets[span_start + 1 : span_end + 1] = array(_ID, shifted.tobytes())
-        return
     for index in range(span_start, span_end):
         offsets[index + 1] = base + old_offsets[old_start + 1 + index - span_start]
 
@@ -619,27 +599,17 @@ class GraphSnapshot:
             )
             und_rows[nid] = sorted(new_id_of[n] for n in graph.neighbors(literal))
 
-        # id translation through the remap tables is the hot loop of a patch;
-        # with numpy the splices gather whole columns at C speed instead
-        splice_remap = remap
-        splice_pred_remap = pred_remap
-        if _np is not None:
-            if remap is not None:
-                splice_remap = _np.asarray(remap, dtype=_np.int64)
-            if pred_remap is not None:
-                splice_pred_remap = _np.asarray(pred_remap, dtype=_np.int64)
-
         snap._fwd_offsets, snap._fwd_preds, snap._fwd_objs = _splice_csr2(
             self._fwd_offsets, self._fwd_preds, self._fwd_objs,
-            fwd_rows, old_for_new, splice_pred_remap, splice_remap, new_num_nodes,
+            fwd_rows, old_for_new, pred_remap, remap, new_num_nodes,
         )
         snap._bwd_offsets, snap._bwd_preds, snap._bwd_subjs = _splice_csr2(
             self._bwd_offsets, self._bwd_preds, self._bwd_subjs,
-            bwd_rows, old_for_new, splice_pred_remap, splice_remap, new_num_nodes,
+            bwd_rows, old_for_new, pred_remap, remap, new_num_nodes,
         )
         snap._und_offsets, snap._und_targets = _splice_csr1(
             self._und_offsets, self._und_targets,
-            und_rows, old_for_new, splice_remap, new_num_nodes,
+            und_rows, old_for_new, remap, new_num_nodes,
         )
 
         # -- value index: filter touched subjects out, merge new postings - #
@@ -658,20 +628,6 @@ class GraphSnapshot:
         cursor = 0
         total = 0
         num_new = len(new_postings)
-        vec_lits = vec_subjs = vec_remap = vec_drop = None
-        if _np is not None:
-            vec_lits = _np_ids(old_vlits)
-            vec_subjs = _np_ids(old_vsubjs)
-            if remap is not None:
-                vec_remap = (
-                    splice_remap
-                    if isinstance(splice_remap, _np.ndarray)
-                    else _np.asarray(remap, dtype=_np.int64)
-                )
-            if drop_subjects:
-                vec_drop = _np.fromiter(
-                    drop_subjects, dtype=_np.int64, count=len(drop_subjects)
-                )
         for pid in range(len(new_preds)):
             fresh: List[Tuple[int, int]] = []
             while cursor < num_new and new_postings[cursor][0] == pid:
@@ -681,32 +637,7 @@ class GraphSnapshot:
             old_pid = old_run_of.get(pid)
             if old_pid is not None:
                 lo, hi = old_voffsets[old_pid], old_voffsets[old_pid + 1]
-                if vec_lits is not None:
-                    # vectorized run: filter dropped subjects and translate
-                    # ids with C-level gathers; untouched runs splice straight
-                    # into the output columns without a Python-level pass
-                    lits = vec_lits[lo:hi]
-                    subjs = vec_subjs[lo:hi]
-                    if vec_drop is not None and len(subjs):
-                        keep = _np.isin(subjs, vec_drop, invert=True)
-                        if not keep.all():
-                            lits = lits[keep]
-                            subjs = subjs[keep]
-                    if vec_remap is not None and len(lits):
-                        lits = vec_remap[lits]
-                        subjs = vec_remap[subjs]
-                    if not fresh:
-                        vindex_literals.frombytes(
-                            _np.ascontiguousarray(lits).tobytes()
-                        )
-                        vindex_subjects.frombytes(
-                            _np.ascontiguousarray(subjs).tobytes()
-                        )
-                        total += len(lits)
-                        vindex_offsets[pid + 1] = total
-                        continue
-                    run = list(zip(lits.tolist(), subjs.tolist()))
-                elif remap is None:
+                if remap is None:
                     for index in range(lo, hi):
                         sid = old_vsubjs[index]
                         if sid not in drop_subjects:

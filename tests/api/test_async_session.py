@@ -18,7 +18,7 @@ import pytest
 
 from repro import ALGORITHMS, MatchSession
 from repro.api.session import SessionArtifacts
-from repro.exceptions import MatchingError
+from repro.exceptions import ConfigError, MatchingError
 from repro.storage import SnapshotStore
 
 
@@ -48,6 +48,38 @@ class TestRunAsync:
         future = session.run_async("EMOptVC")
         with pytest.raises(MatchingError, match="no keys"):
             future.result(timeout=60.0)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(algorithm="EMOptVC", fanout=2),
+            dict(algorithm="EMMR", processors=2, blocking="auto"),
+            dict(algorithm="chase", incremental=True),
+            dict(processors=3, executor="serial", workers=1),
+            dict(algorithm="EMMR", fanout=2),  # option of another backend
+            dict(algorithm="chase", executor="thread"),  # no executor support
+            dict(algorithm="no-such-backend"),
+            dict(workers=2),  # workers without an executor
+            dict(blocking="bogus"),
+            dict(processors=0),
+        ],
+        ids=lambda settings: ",".join(f"{k}={v}" for k, v in settings.items()),
+    )
+    def test_accepts_and_rejects_the_same_settings_as_run(self, music, settings):
+        graph, keys, _expected = music
+
+        def outcome(call):
+            try:
+                return result_key(call())
+            except (ConfigError, MatchingError) as error:
+                return type(error), str(error)
+
+        sync = MatchSession(graph).with_keys(keys)
+        background = MatchSession(graph).with_keys(keys)
+        assert outcome(
+            lambda: background.run_async(**settings).result(timeout=60.0)
+        ) == outcome(lambda: sync.run(**settings))
+        assert [c for c, _ in background.history] == [c for c, _ in sync.history]
 
     def test_events_stream_a_background_run(self, music):
         graph, keys, expected = music

@@ -300,10 +300,10 @@ class TestReuseGuards:
 
         # a backend that dies mid-run (observers are isolated since the
         # notify() hardening, so the failure is injected below the session)
-        def exploding(self, spec, config, validated, state):
+        def exploding(self, spec, config, validated, state, artifacts):
             raise Boom(spec.name)
 
-        monkeypatch.setattr(MatchSession, "_run_incremental", exploding)
+        monkeypatch.setattr(MatchSession, "_execute", exploding)
         graph.add_value("alb3", "release_year", "1969")
         with pytest.raises(Boom):
             session.run("EMMR", incremental=True)  # dies mid-run

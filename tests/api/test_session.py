@@ -59,6 +59,14 @@ class TestFluentApi:
         assert session.history[1][0].options == {"fanout": 2}
         assert session.history[1][1].algorithm == "EMOptVC"
 
+    def test_history_keeps_only_the_most_recent_runs(self):
+        session = MatchSession(album_graph()).with_keys(parse_keys(ALBUM_KEYS))
+        runs = MatchSession._MAX_HISTORY + 3
+        for index in range(runs):
+            session.run("chase", processors=index + 1)
+        kept = [config.processors for config, _ in session.history]
+        assert kept == list(range(4, runs + 1))  # oldest three evicted
+
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
 def test_all_registered_algorithms_agree_on_paper_example(algorithm):

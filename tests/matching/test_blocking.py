@@ -392,7 +392,7 @@ class TestSessionIntegration:
         session = MatchSession(graph).with_keys(keys)
         session.run("EMOptMR")
         session.run("EMOptMR", blocking="auto")
-        flavors = set(session._artifacts._candidates)
+        flavors = set(session._artifacts.cached("candidates"))
         assert {flavor[2] for flavor in flavors} == {False, True}
 
     def test_index_is_built_once_and_shared_across_backends(self):

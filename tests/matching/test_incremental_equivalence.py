@@ -234,7 +234,7 @@ def test_rebased_artifacts_equal_fresh_builds(backend, seed):
         session.rerun()
         arts = session._artifacts
         snapshot = arts.snapshot()
-        for flavor, cached in arts._candidates.items():
+        for flavor, cached in arts.cached("candidates").items():
             filtered, reduce_neighborhoods, blocked = flavor
             blocking = "auto" if blocked else "off"
             if filtered:
@@ -254,11 +254,11 @@ def test_rebased_artifacts_equal_fresh_builds(backend, seed):
                     assert cached.neighborhoods.nodes(entity) == fresh.neighborhoods.nodes(entity), (
                         flavor, entity,
                     )
-        for flavor, artifact in arts._dependency_maps.items():
-            cached = arts._candidates[flavor]
+        for flavor, artifact in arts.cached("dependency_map").items():
+            cached = arts.cached("candidates")[flavor]
             assert artifact.forward == dependency_map(snapshot, keys, cached), flavor
-        for flavor, product_graph in arts._product_graphs.items():
-            cached = arts._candidates[flavor]
+        for flavor, product_graph in arts.cached("product_graph").items():
+            cached = arts.cached("candidates")[flavor]
             from repro.matching.product_graph import ProductGraph
 
             fresh_pg = ProductGraph(snapshot, keys, cached)

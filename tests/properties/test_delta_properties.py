@@ -240,9 +240,10 @@ def affected_closure_bound(
     the tighter of the two.
     """
     artifacts = session._artifacts
-    flavors = [flavor for flavor in artifacts._candidates if flavor[0] and flavor[2]]
+    cached = artifacts.cached("candidates")
+    flavors = [flavor for flavor in cached if flavor[0] and flavor[2]]
     assert flavors, "blocked run left no filtered blocked candidate flavor"
-    candidates = artifacts._candidates[flavors[0]]
+    candidates = cached[flavors[0]]
     universe = set(candidates.pairs)
     dependents = dict(
         artifacts.dependency_map(
@@ -317,7 +318,7 @@ def test_blocked_incremental_rechecks_within_affected_closure(seed, rounds):
         }
         old_supports = {
             pair: (frozenset(sides[0]), frozenset(sides[1]))
-            for cached in session._artifacts._candidates.values()
+            for cached in session._artifacts.cached("candidates").values()
             for pair, sides in (cached.pair_supports or {}).items()
         }
         previous_classes = [frozenset(cls) for cls in result.eq.nontrivial_classes()]
@@ -369,8 +370,9 @@ def test_support_miss_inside_neighbourhood_rechecks_nothing():
         session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking="auto")
         result = session.run()
         artifacts = session._artifacts
-        flavors = [f for f in artifacts._candidates if f[0] and f[2]]
-        candidates = artifacts._candidates[flavors[0]]
+        cached = artifacts.cached("candidates")
+        flavors = [f for f in cached if f[0] and f[2]]
+        candidates = cached[flavors[0]]
         universe = set(candidates.pairs)
         identified = {p for p in universe if result.eq.identified(*p)}
         unidentified = universe - identified

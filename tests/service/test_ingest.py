@@ -518,3 +518,94 @@ class TestIngestEndpoint:
         assert payload["report"]["ops_applied"] == 0
         full = chase(dataset.graph, dataset.keys)
         assert self.pairs_of(payload["result"]) == sorted(full.pairs())
+
+
+class TestMatchDuringIngest:
+    """``/match`` against a graph that is taking ingest windows.
+
+    A read runs under the graph's ingest lock, so it sees the graph at a
+    window boundary — never a half-applied window, whose dicts another
+    thread is still resizing.
+    """
+
+    WINDOWS = 24
+    PAIRS = 8
+
+    @staticmethod
+    def paired_albums(pairs):
+        from repro import Graph, parse_keys
+
+        keys = parse_keys(
+            "key album_by_name_and_year for album:\n"
+            "  x -[name_of]-> name*\n"
+            "  x -[release_year]-> year*\n"
+        )
+        graph = Graph()
+        for index in range(pairs):
+            for side in "ab":
+                graph.add_entity(f"{side}{index}", "album")
+                graph.add_value(f"{side}{index}", "name_of", f"Album {index}")
+            graph.add_value(f"a{index}", "release_year", str(1960 + index))
+        return graph, keys
+
+    def window(self, index):
+        """Identify pair ``index % PAIRS`` (or split it again), plus churn
+        that resizes the graph's entity and adjacency dicts."""
+        pair, on = index % self.PAIRS, (index // self.PAIRS) % 2 == 0
+        year = {"subject": f"b{pair}", "predicate": "release_year",
+                "value": str(1960 + pair)}
+        ops = [dict(year, op="add_value" if on else "remove_value")]
+        for churn in range(6):
+            eid = f"churn-{index}-{churn}"
+            ops.append({"op": "add_entity", "id": eid, "type": "album"})
+            ops.append({"op": "add_value", "subject": eid,
+                        "predicate": "name_of", "value": eid})
+        return ops
+
+    def test_concurrent_reads_see_window_boundaries(self):
+        import sys
+        import threading
+
+        from repro.api.config import MatchConfig
+        from repro.service.registry import GraphRegistry
+
+        graph, keys = self.paired_albums(self.PAIRS)
+        twin, _ = self.paired_albums(self.PAIRS)
+        windows = [self.window(index) for index in range(self.WINDOWS)]
+        boundaries = [sorted(chase(twin, keys).pairs())]
+        for ops in windows:
+            for op in ops:
+                apply_mutation(twin, op)
+            boundaries.append(sorted(chase(twin, keys).pairs()))
+
+        entry = GraphRegistry().register("hot", graph, keys)
+        config = MatchConfig(algorithm="EMOptVC", blocking="auto")
+        reads, failures = [], []
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                try:
+                    _session, result = entry.match(config)
+                    reads.append(sorted(result.pairs()))
+                except Exception as error:  # the regression: a torn read
+                    failures.append(error)
+
+        readers = [threading.Thread(target=reader, daemon=True) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for ops in windows:
+                _report, result = entry.ingest(ops, config=config)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60.0)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert failures == []
+        assert sorted(result.pairs()) == boundaries[-1]
+        assert reads and all(read in boundaries for read in reads)

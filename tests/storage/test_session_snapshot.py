@@ -63,7 +63,7 @@ def test_mutation_bumps_version_and_session_rebuilds_snapshot():
     graph = dataset.graph
     session = MatchSession(graph).with_keys(dataset.keys)
     before = session.run("chase")
-    artifacts = session._refresh_artifacts()
+    artifacts = session._artifacts
     first_snapshot = artifacts.snapshot()
     assert session.cache_info().snapshot_builds == 1
     assert first_snapshot.version == graph.version
@@ -78,7 +78,7 @@ def test_mutation_bumps_version_and_session_rebuilds_snapshot():
     assert info.snapshot_builds + info.snapshot_patches == 2
     assert info.snapshot_patches == 1
     assert info.invalidations >= 1
-    second_snapshot = session._refresh_artifacts().snapshot()
+    second_snapshot = session._artifacts.snapshot()
     assert second_snapshot is not first_snapshot
     assert second_snapshot.version == graph.version
     assert second_snapshot.objects(entity, "staleness_probe")  # sees the mutation
@@ -92,7 +92,7 @@ def test_mutation_rebases_fresh_neighborhood_entries():
     graph = dataset.graph
     session = MatchSession(graph).with_keys(dataset.keys)
     session.run("EMOptMR")
-    artifacts = session._refresh_artifacts()
+    artifacts = session._artifacts
     index_before = artifacts.neighborhood_index()
     cached_before = set(index_before.cached_entities())
     assert cached_before
@@ -101,7 +101,7 @@ def test_mutation_rebases_fresh_neighborhood_entries():
     graph.add_value(entity, "rebase_probe", 42)
     session.run("EMOptMR")
 
-    artifacts = session._refresh_artifacts()
+    artifacts = session._artifacts
     index_after = artifacts.neighborhood_index()
     assert index_after is not index_before
     assert index_after.snapshot.version == graph.version
