@@ -44,6 +44,7 @@ from repro.datasets.music import music_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.result import EMResult
 from repro.service import MatchingService, make_http_server
+from repro.service.ingest import _percentile
 
 
 def _result_key(result) -> tuple:
@@ -67,14 +68,6 @@ def _http_json(
         return response.status, json.loads(response.read().decode("utf-8"))
     finally:
         connection.close()
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def run_bench(
@@ -173,9 +166,10 @@ def run_bench(
         "burst_seconds": round(burst_seconds, 6),
         "requests_per_second": round(len(jobs) / burst_seconds, 3),
     }
+    ordered = sorted(latencies)
     report["latency_seconds"] = {
-        "p50": round(_percentile(latencies, 0.50), 6),
-        "p95": round(_percentile(latencies, 0.95), 6),
+        "p50": round(_percentile(ordered, 0.50), 6),
+        "p95": round(_percentile(ordered, 0.95), 6),
         "max": round(max(latencies), 6) if latencies else 0.0,
         "mean": round(statistics.fmean(latencies), 6) if latencies else 0.0,
     }

@@ -42,7 +42,8 @@ def run_generated_scenario() -> None:
     print(f"  graph: {dataset.graph.stats()}")
     print(f"  keys : {dataset.keys.stats()}")
     session = MatchSession(dataset.graph).with_keys(dataset.keys)
-    result = session.using("EMOptMR", processors=8).run()
+    # blocking="off": simulated time over the paper's full candidate list L
+    result = session.using("EMOptMR", processors=8, blocking="off").run()
     found = result.pairs()
     print(f"  planted duplicates : {len(dataset.planted_pairs)}")
     print(f"  identified pairs   : {len(found)}")

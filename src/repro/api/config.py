@@ -58,9 +58,12 @@ class MatchConfig:
     #: scan, ``"auto"`` enumerates through signature blocks with a per-type
     #: quadratic fallback for keys the prover cannot certify, ``"force"``
     #: raises instead of falling back (see :mod:`repro.matching.blocking`).
-    #: Validated per backend at :meth:`resolve` time against the
-    #: ``"blocking"`` capability.
-    blocking: str = "off"
+    #: Every mode returns the same ``Eq``; ``"auto"`` is the default because
+    #: it never enumerates the quadratic pair set it can prove away (the
+    #: core ``chase()`` keeps ``"off"`` as the reference oracle).  A backend
+    #: without the ``"blocking"`` capability keeps its own enumeration under
+    #: ``"auto"``; ``"force"`` is validated against it at :meth:`resolve`.
+    blocking: str = "auto"
 
     def __post_init__(self) -> None:
         if not isinstance(self.incremental, bool):
@@ -191,7 +194,7 @@ class MatchConfig:
                 f"algorithm {spec.name!r} does not support executor selection "
                 f"(requested executor={self.executor!r})"
             )
-        if self.blocking != "off" and "blocking" not in spec.capabilities:
+        if self.blocking == "force" and "blocking" not in spec.capabilities:
             raise ConfigError(
                 f"algorithm {spec.name!r} does not support blocked candidate "
                 f"generation (requested blocking={self.blocking!r})"

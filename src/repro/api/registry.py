@@ -115,7 +115,9 @@ class AlgorithmSpec:
         (a previous run's surviving merges and the affected pairs to
         re-chase); they require the ``"incremental"`` capability.
         ``blocking`` (``"auto"``/``"force"``) selects blocked candidate
-        generation and requires the ``"blocking"`` capability.
+        generation; a backend without the ``"blocking"`` capability keeps
+        its own enumeration under ``"auto"`` (the public default — it falls
+        back wherever it cannot block) and raises under ``"force"``.
         """
         validated = self.validate_options(options or {})
         runtime_kwargs: Dict[str, object] = {}
@@ -141,12 +143,13 @@ class AlgorithmSpec:
             runtime_kwargs["seed_pairs"] = seed_pairs
             runtime_kwargs["worklist"] = worklist
         if blocking is not None and blocking != "off":
-            if "blocking" not in self.capabilities:
+            if "blocking" in self.capabilities:
+                runtime_kwargs["blocking"] = blocking
+            elif blocking == "force":
                 raise ConfigError(
                     f"algorithm {self.name!r} does not support blocked "
                     f"candidate generation (requested blocking={blocking!r})"
                 )
-            runtime_kwargs["blocking"] = blocking
         return self.runner(
             graph,
             keys,

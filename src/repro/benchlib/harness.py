@@ -137,6 +137,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 processors=point_processors,
                 executor=spec.executor,
                 workers=spec.workers,
+                # the paper's sweeps cost the full same-type pair list L
+                blocking="off",
                 **options,
             )
         outcome.points.append(point)

@@ -158,7 +158,7 @@ def match_entities(
     processors: int = 4,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
-    blocking: str = "off",
+    blocking: str = "auto",
     **options: object,
 ) -> EMResult:
     """Compute ``chase(G, Σ)`` with the requested algorithm.
@@ -168,7 +168,9 @@ def match_entities(
     to the backend as options (validated against its
     :class:`~repro.api.registry.AlgorithmSpec`).  ``executor`` / ``workers``
     select the real execution runtime (``"serial"`` / ``"thread"`` /
-    ``"process"``) for backends that support it.  Raises
+    ``"process"``) for backends that support it; ``blocking`` defaults to
+    ``"auto"`` like :class:`~repro.api.config.MatchConfig` (same ``Eq`` as
+    ``"off"``, without enumerating the full same-type pair list).  Raises
     :class:`~repro.exceptions.MatchingError` for unknown algorithm names and
     :class:`~repro.exceptions.ConfigError` for options the backend does not
     accept.  For repeated runs on the same graph, prefer

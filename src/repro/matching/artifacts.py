@@ -279,7 +279,7 @@ class SessionArtifacts:
                 if entity in touched or touched & self._index.nodes(entity)
             }
 
-    def _touched_ball_entities(self, touched: set) -> set:
+    def touched_ball_entities(self, touched: set) -> set:
         """Entities within key radius of any touched node, on the new graph.
 
         The delta-proportional superset of every entity whose d-ball a
@@ -345,7 +345,7 @@ class SessionArtifacts:
                     # edit.  Sweep the touched nodes' radius ball over the
                     # new snapshot instead (sound by the first-touched-node
                     # locality argument, both mutation directions).
-                    signature_stale = affected | self._touched_ball_entities(
+                    signature_stale = affected | self.touched_ball_entities(
                         touched
                     )
                     old_blocking = self._blocking_index

@@ -300,6 +300,13 @@ def plan_session_delta(
                 old_supports.update(cached.pair_supports)
     old_affected = artifacts.stale_entities(touched)
     artifacts.refresh(stale_hint=old_affected)
+    if blocked:
+        # stale_entities only sees entities with a cached neighbourhood, and
+        # an entity that never collided has none: a radius-local edit can
+        # bring its pair into the blocked universe for the first time, and
+        # that pair must be checked.  The touched nodes' radius ball over
+        # the new snapshot covers it (the blocking-index rebase's argument).
+        old_affected = old_affected | artifacts.touched_ball_entities(touched)
     graph, keys = artifacts.graph, artifacts.keys
     # classic planning is quadratic: every candidate pair of the new graph is
     # in the universe, so vanished pairs and support-level refinements never

@@ -358,6 +358,10 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection: a response leaves as one
+    #: send (see :meth:`_send`), so Nagle has nothing to coalesce and could
+    #: only hold the tail of a multi-segment body back for an ACK
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # quiet by default; /metrics is the observability surface
@@ -386,19 +390,40 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
                 return
             remaining -= len(chunk)
 
+    def _content_length(self) -> int:
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # the body length is unknown, so the body cannot be drained
+            self.close_connection = True
+            raise WireError(f"malformed Content-Length {raw!r}")
+        return int(raw)
+
     def _send(self, code: int, payload: Dict[str, object], **headers: str) -> None:
+        """Write one response as ONE send: status line, headers and body.
+
+        Two sends (stdlib ``end_headers()`` then ``wfile.write(body)``) make
+        the second wait for the ACK of the first on a keep-alive connection
+        — Nagle against the client's ~40 ms delayed ACK — on every response
+        after the first.
+        """
         self._discard_body()
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        fields = {
+            "Server": self.version_string(),
+            "Date": self.date_time_string(),
+            "Content-Type": "application/json",
+            "Content-Length": str(len(body)),
+        }
         for name, value in headers.items():
-            self.send_header(name.replace("_", "-"), value)
-        self.end_headers()
-        self.wfile.write(body)
+            fields[name.replace("_", "-")] = value
+        if self.close_connection:
+            fields["Connection"] = "close"
+        head = f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
+        head += "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._body_remaining
         if length <= 0:
             raise WireError("request body required")
         if length > MAX_BODY_BYTES:
@@ -425,11 +450,9 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
     def _route(self, method: str) -> None:
         path, _, query = self.path.partition("?")
         parts = [part for part in path.split("/") if part]
+        self._body_remaining = 0
         try:
-            self._body_remaining = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self._body_remaining = 0
-        try:
+            self._body_remaining = self._content_length()
             handled = self._dispatch(method, parts, query)
         except WireError as error:
             self._send(400, {"error": str(error)})

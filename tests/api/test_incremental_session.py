@@ -162,7 +162,7 @@ class TestCounterInvariants:
             num_keys=4, chain_length=2, radius=2, entities_per_type=4, seed=3
         )
         graph, keys = dataset.graph, dataset.keys
-        session = MatchSession(graph).with_keys(keys).using("EMOptMR")
+        session = MatchSession(graph).with_keys(keys).using("EMOptMR", blocking="off")
         session.run()
         mutations = [
             lambda: graph.add_value("e0_1_0", "extra_tag", "x"),
@@ -202,7 +202,10 @@ class TestCounterInvariants:
         graph = album_graph()
         keys = parse_keys(ALBUM_KEYS)
         for backend in ("chase", "EMMR", "EMVF2MR", "EMOptMR", "EMVC", "EMOptVC"):
-            session = MatchSession(graph.copy()).with_keys(keys).using(backend)
+            # blocking="off": the counters partition the quadratic L
+            session = MatchSession(graph.copy()).with_keys(keys).using(
+                backend, blocking="off"
+            )
             session.run()
             session.graph.add_value("alb2", "release_year", "1996")
             result = session.rerun()
@@ -280,7 +283,9 @@ class TestReuseGuards:
         keys = parse_keys(ALBUM_KEYS)
         expected = len(candidate_pairs(graph, keys)) + 0  # |L| before mutation
         for backend in ("chase", "EMMR", "EMOptVC"):
-            session = MatchSession(graph.copy()).with_keys(keys).using(backend)
+            session = MatchSession(graph.copy()).with_keys(keys).using(
+                backend, blocking="off"
+            )
             session.run()
             session.graph.add_value("alb2", "release_year", "1996")
             result = session.rerun()

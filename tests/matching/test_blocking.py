@@ -17,6 +17,7 @@ from repro import MatchSession
 from repro.core.chase import candidate_pairs, chase
 from repro.core.graph import Graph
 from repro.core.key import Key, KeySet
+from repro.core.parser import parse_keys
 from repro.core.pattern import (
     GraphPattern,
     PatternTriple,
@@ -385,12 +386,13 @@ class TestSessionIntegration:
         assert "blocking_index_build" in timings
         assert "blocking_collision" in timings
         assert "blocking_pairing_filter" in timings
-        assert result.pairs() == MatchSession(graph).with_keys(keys).run("EMOptMR").pairs()
+        quadratic = MatchSession(graph).with_keys(keys).run("EMOptMR", blocking="off")
+        assert result.pairs() == quadratic.pairs()
 
     def test_blocked_and_quadratic_candidates_cache_separately(self):
         graph, keys = flat_graph(), flat_key()
         session = MatchSession(graph).with_keys(keys)
-        session.run("EMOptMR")
+        session.run("EMOptMR", blocking="off")
         session.run("EMOptMR", blocking="auto")
         flavors = set(session._artifacts.cached("candidates"))
         assert {flavor[2] for flavor in flavors} == {False, True}
@@ -412,8 +414,39 @@ class TestSessionIntegration:
         info = session.cache_info()
         assert info.blocking_index_builds == 1
         assert info.blocking_index_rebases == 1
-        full = MatchSession(graph).with_keys(keys).run("EMOptMR")
+        full = MatchSession(graph).with_keys(keys).run("EMOptMR", blocking="off")
         assert incremental.pairs() == full.pairs()
+
+    @pytest.mark.parametrize("backend", ["chase", "EMMR", "EMOptMR", "EMVC", "EMOptVC"])
+    def test_pair_entering_the_universe_off_a_never_cached_entity_is_rechecked(
+        self, backend
+    ):
+        """Regression: two entities that never collided have no cached
+        neighbourhood to go stale, so an edit one hop away (the wildcard
+        node's literal) that makes them collide for the first time used to
+        reach the blocked universe but not the delta plan's worklist, and
+        the incremental result silently missed the pair."""
+        keys = parse_keys(
+            """
+            key K for item:
+              x -[name_of]-> name*
+              x -[hop]-> _w:aux
+              _w:aux -[locator_of]-> locator*
+            """
+        )
+        graph = Graph()
+        for i, locator in enumerate(("loc_a", "loc_b", "loc_c")):
+            graph.add_entity(f"e{i}", "item")
+            graph.add_entity(f"aux{i}", "aux")
+            graph.add_value(f"e{i}", "name_of", "same name")
+            graph.add_edge(f"e{i}", "hop", f"aux{i}")
+            graph.add_value(f"aux{i}", "locator_of", locator)
+        session = MatchSession(graph).with_keys(keys).using(backend, blocking="auto")
+        assert not session.run().pairs()
+        graph.set_value("aux1", "locator_of", "loc_a")
+        result = session.rerun()
+        assert session.last_delta().mode == "incremental"
+        assert result.pairs() == chase(graph, keys).pairs() == {("e0", "e1")}
 
     def test_force_mode_raises_cleanly_through_the_session(self):
         graph = flat_graph()

@@ -96,9 +96,15 @@ def assert_incremental_matches_full(session: MatchSession, graph, keys) -> None:
     assert incremental.eq.pairs() == reference.pairs(), session.last_delta()
     delta = session.last_delta()
     if delta is not None and delta.mode in ("incremental", "reused"):
-        assert delta.pairs_rechecked + delta.pairs_skipped == len(
+        # the plan's universe: the quadratic L under blocking="off", the
+        # pairing-filtered blocked set otherwise
+        blocking = session.config.blocking
+        universe = (
             candidate_pairs(graph, keys)
+            if blocking == "off"
+            else session._artifacts.candidates(filtered=True, blocking=blocking).pairs
         )
+        assert delta.pairs_rechecked + delta.pairs_skipped == len(universe)
 
 
 # --------------------------------------------------------------------------- #
@@ -114,9 +120,13 @@ def assert_incremental_matches_full(session: MatchSession, graph, keys) -> None:
 @settings(max_examples=12, deadline=None)
 def test_incremental_equals_full_under_random_mutations(backend, seed, rounds):
     """incremental Eq == from-scratch Eq after arbitrary mutation sequences."""
+    fuzz_incremental(backend, seed, rounds, blocking="off")
+
+
+def fuzz_incremental(backend, seed, rounds, **settings):
     dataset = fuzz_dataset(seed)
     graph, keys = dataset.graph, dataset.keys
-    session = MatchSession(graph).with_keys(keys).using(backend)
+    session = MatchSession(graph).with_keys(keys).using(backend, **settings)
     session.run()
     rng = random.Random(seed)
     for count in rounds:
@@ -125,13 +135,25 @@ def test_incremental_equals_full_under_random_mutations(backend, seed, rounds):
         assert_incremental_matches_full(session, graph, keys)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    rounds=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+)
+@settings(max_examples=12, deadline=None)
+def test_incremental_equals_full_under_the_default_blocking(backend, seed, rounds):
+    """The same property on the default path: the blocked universe."""
+    assert MatchSession(Graph()).config.blocking == "auto"
+    fuzz_incremental(backend, seed, rounds)
+
+
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=10, deadline=None)
 def test_incremental_chain_survives_interleaved_full_runs(seed):
     """Full and incremental runs interleave freely on one session."""
     dataset = fuzz_dataset(seed)
     graph, keys = dataset.graph, dataset.keys
-    session = MatchSession(graph).with_keys(keys).using("chase")
+    session = MatchSession(graph).with_keys(keys).using("chase", blocking="off")
     session.run()
     rng = random.Random(seed)
     for index in range(3):
@@ -158,7 +180,7 @@ def test_incremental_equals_full_on_executor_pools(backend, executor):
     session = (
         MatchSession(graph)
         .with_keys(keys)
-        .using(backend, executor=executor, workers=2)
+        .using(backend, executor=executor, workers=2, blocking="off")
     )
     session.run()
     rng = random.Random(23)
@@ -174,7 +196,7 @@ def test_incremental_equals_full_on_process_pool(backend):
     session = (
         MatchSession(graph)
         .with_keys(keys)
-        .using(backend, executor="process", workers=2)
+        .using(backend, executor="process", workers=2, blocking="off")
     )
     session.run()
     rng = random.Random(5)
@@ -226,7 +248,7 @@ def test_rebased_artifacts_equal_fresh_builds(backend, seed):
 
     dataset = fuzz_dataset(seed)
     graph, keys = dataset.graph, dataset.keys
-    session = MatchSession(graph).with_keys(keys).using(backend)
+    session = MatchSession(graph).with_keys(keys).using(backend, blocking="off")
     session.run()
     rng = random.Random(seed + 999)
     for _ in range(2):

@@ -80,7 +80,7 @@ def test_eq_identical_with_blocking_on_and_off(backend, seed):
     dataset = fuzz_dataset(seed)
     graph, keys = dataset.graph, dataset.keys
     session = MatchSession(graph).with_keys(keys)
-    reference = session.run(backend).pairs()
+    reference = session.run(backend, blocking="off").pairs()
     assert session.run(backend, blocking="auto").pairs() == reference
 
 
@@ -90,7 +90,7 @@ def test_eq_identical_under_executor_pools(backend, executor):
     dataset = fuzz_dataset(23)
     graph, keys = dataset.graph, dataset.keys
     session = MatchSession(graph).with_keys(keys)
-    reference = session.run(backend, executor=executor, workers=2).pairs()
+    reference = session.run(backend, executor=executor, workers=2, blocking="off").pairs()
     blocked = session.run(backend, executor=executor, workers=2, blocking="auto")
     assert blocked.pairs() == reference
 
@@ -100,7 +100,9 @@ def test_eq_identical_on_process_pools(backend):
     dataset = fuzz_dataset(7)
     graph, keys = dataset.graph, dataset.keys
     session = MatchSession(graph).with_keys(keys)
-    reference = session.run(backend, executor="process", workers=2).pairs()
+    reference = session.run(
+        backend, executor="process", workers=2, blocking="off"
+    ).pairs()
     blocked = session.run(backend, executor="process", workers=2, blocking="auto")
     assert blocked.pairs() == reference
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -377,6 +378,123 @@ class TestKeepAlive:
             assert status == 200 and data["status"] == "done"
         finally:
             connection.close()
+
+
+class RecordingSocket:
+    """An accepted socket that logs every ``sendall`` (everything else is
+    the real socket's)."""
+
+    def __init__(self, sock, sends):
+        self._sock = sock
+        self._sends = sends
+
+    def sendall(self, data):
+        self._sends.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestTransport:
+    """A response is one TCP segment's worth of ``sendall`` on a no-delay
+    socket: a keep-alive exchange costs a round trip, never Nagle waiting
+    out the client's delayed ACK between headers and body."""
+
+    def test_every_response_is_one_send_on_a_nodelay_socket(self, music, monkeypatch):
+        service = MatchingService(max_inflight=1, max_queued=1)
+        graph, keys, _expected = music
+        service.register_graph("music", graph, keys)
+        release = threading.Event()
+        original = MatchingService._execute
+
+        def slow_execute(self, entry, config, request):
+            assert release.wait(timeout=30.0)
+            return original(self, entry, config, request)
+
+        monkeypatch.setattr(MatchingService, "_execute", slow_execute)
+        server, client = start_server(service)
+        sends, accepted = [], []
+        accept = server.get_request
+
+        def get_request():
+            sock, address = accept()
+            accepted.append(sock)
+            return RecordingSocket(sock, sends), address
+
+        server.get_request = get_request
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=30.0)
+
+        def exchange(method, path, body=None):
+            """One keep-alive round trip and the sends that answered it."""
+            before = len(sends)
+            payload = None if body is None else json.dumps(body)
+            connection.request(method, path, body=payload)
+            response = connection.getresponse()
+            data = response.read()
+            segments = sends[before:]
+            assert len(segments) == 1, (method, path, [len(s) for s in segments])
+            head, _, sent_body = segments[0].partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {response.status} ".encode())
+            assert sent_body == data and data
+            return response.status, json.loads(data)
+
+        try:
+            assert exchange("GET", "/healthz")[0] == 200
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            assert exchange("GET", "/requests/nope")[0] == 404
+            assert exchange("POST", "/match", {"graph": "music", "wat": 1})[0] == 400
+            body = {"graph": "music", "algorithm": "chase"}
+            status, first = exchange("POST", "/match", body)
+            assert status == 202
+            deadline = time.time() + 10.0
+            while time.time() < deadline:
+                if exchange("GET", f"/requests/{first['id']}")[1]["status"] == "running":
+                    break
+                time.sleep(0.01)
+            assert exchange("POST", "/match", body)[0] == 202  # fills the queue
+            assert exchange("POST", "/match", body)[0] == 429
+            assert len(accepted) == 1  # all of it on one connection
+        finally:
+            release.set()
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_keep_alive_exchanges_do_not_wait_out_a_delayed_ack(self, live):
+        # coarse guard only (two sends per response cost ~44 ms each here:
+        # ~880 ms for this loop; one send costs ~1 ms) — the deterministic
+        # check is the one above
+        _service, client = live
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=30.0)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200 and response.read()
+            assert time.perf_counter() - started < 0.4
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-4", ""])
+    def test_malformed_content_length_is_a_400_and_closes(self, live, length):
+        _service, client = live
+        with socket.create_connection((client.host, client.port), timeout=10.0) as raw:
+            raw.sendall(
+                b"POST /match HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                + length.encode()
+                + b"\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := raw.recv(65536):  # until the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "malformed Content-Length" in json.loads(body)["error"]
 
 
 class TestDrain:

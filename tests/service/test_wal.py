@@ -492,3 +492,34 @@ class TestServiceRestartRecovery:
             chase(rebuilt.graph, rebuilt.keys).pairs()
         )
         registry2.close()
+
+    def test_default_config_recovers_on_the_blocked_path(self, tmp_path):
+        """Recovery under the default config never enumerates the quadratic
+        pair set, and the ingest window that follows — default or explicit
+        ``auto`` — keeps seeding from the recovered session."""
+        from repro.api.config import MatchConfig
+        from repro.service.registry import GraphRegistry
+
+        dataset = small_dataset()
+        registry = GraphRegistry(wal_root=tmp_path / "wal")
+        registry.register("g", dataset.graph, dataset.keys)
+        registry.get("g").ingest(mutation_ops(dataset.graph), latency_budget=60.0)
+        registry.close()
+
+        rebuilt = small_dataset()
+        registry2 = GraphRegistry(wal_root=tmp_path / "wal")
+        registry2.register("g", rebuilt.graph, rebuilt.keys)
+        entry = registry2.get("g")
+        assert entry.last_recovery["ops_replayed"] == len(mutation_ops(dataset.graph))
+        info = entry.artifacts.cache_info()
+        assert info.blocking_index_builds == 1
+        flavours = set(entry.artifacts.cached("candidates"))
+        assert flavours and all(blocked for _f, _r, blocked in flavours)
+        recovered = entry._ingest_session
+        assert recovered.config.blocking == "auto"
+        for config in (None, MatchConfig(blocking="auto")):
+            _report, result = entry.ingest([], config=config)
+            assert entry._ingest_session is recovered
+            assert result.pairs() == chase(rebuilt.graph, rebuilt.keys).pairs()
+        assert entry.artifacts.cache_info().blocking_index_builds == 1
+        registry2.close()
