@@ -96,7 +96,7 @@ class ChaseResult:
 
     def summary(self) -> Dict[str, int]:
         return {
-            "identified_pairs": len(self.pairs()),
+            "identified_pairs": self.eq.pair_count(),
             "direct_steps": len(self.steps),
             "rounds": self.rounds,
             "candidates": self.candidates,

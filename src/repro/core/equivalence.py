@@ -5,12 +5,15 @@ pairs of the same type: reflexive, symmetric and transitive, seeded with the
 node-identity relation ``Eq0 = {(e, e)}``.  Union–find maintains exactly this
 closure; merging two classes implements a chase step, and transitivity comes
 for free.
+
+Beside the parent pointers the relation keeps, per class of size ≥ 2, the list
+of its members, so reading a class costs its size and reading the partition
+costs the identified entities — never the number of ids the relation has seen.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 
@@ -31,11 +34,13 @@ class EquivalenceRelation:
     whole graph.
     """
 
-    __slots__ = ("_parent", "_rank", "_merges")
+    __slots__ = ("_parent", "_members", "_merges")
 
     def __init__(self, members: Iterable[str] = ()) -> None:
         self._parent: Dict[str, str] = {}
-        self._rank: Dict[str, int] = {}
+        #: root → members of its class, for classes of size ≥ 2 only (a root
+        #: without an entry is a singleton)
+        self._members: Dict[str, List[str]] = {}
         self._merges = 0
         for member in members:
             self.add(member)
@@ -48,17 +53,19 @@ class EquivalenceRelation:
         """Register *member* as a singleton class (no-op when present)."""
         if member not in self._parent:
             self._parent[member] = member
-            self._rank[member] = 0
 
     def find(self, member: str) -> str:
         """Return the canonical representative of *member*'s class."""
-        self.add(member)
+        parent = self._parent
+        if member not in parent:
+            self.add(member)
+            return member
         root = member
-        while self._parent[root] != root:
-            root = self._parent[root]
+        while parent[root] != root:
+            root = parent[root]
         # path compression
-        while self._parent[member] != root:
-            self._parent[member], member = root, self._parent[member]
+        while parent[member] != root:
+            parent[member], member = root, parent[member]
         return root
 
     def merge(self, e1: str, e2: str) -> bool:
@@ -66,11 +73,16 @@ class EquivalenceRelation:
         r1, r2 = self.find(e1), self.find(e2)
         if r1 == r2:
             return False
-        if self._rank[r1] < self._rank[r2]:
-            r1, r2 = r2, r1
+        # union by size: the smaller class hangs under the larger one's root
+        # and its member list is spliced into the larger one's, so every
+        # member is moved O(log n) times over all merges
+        kept = self._members.pop(r1, None) or [r1]
+        moved = self._members.pop(r2, None) or [r2]
+        if len(kept) < len(moved):
+            r1, r2, kept, moved = r2, r1, moved, kept
         self._parent[r2] = r1
-        if self._rank[r1] == self._rank[r2]:
-            self._rank[r1] += 1
+        kept.extend(moved)
+        self._members[r1] = kept
         self._merges += 1
         return True
 
@@ -102,19 +114,22 @@ class EquivalenceRelation:
 
     def classes(self) -> List[Set[str]]:
         """Return all equivalence classes (including singletons)."""
-        groups: Dict[str, Set[str]] = defaultdict(set)
-        for member in self._parent:
-            groups[self.find(member)].add(member)
-        return list(groups.values())
+        classes = self.nontrivial_classes()
+        classes.extend(
+            {member}
+            for member, parent in self._parent.items()
+            if parent == member and member not in self._members
+        )
+        return classes
 
     def nontrivial_classes(self) -> List[Set[str]]:
         """Return the classes of size ≥ 2 (i.e. classes with identified pairs)."""
-        return [cls for cls in self.classes() if len(cls) > 1]
+        return [set(members) for members in self._members.values()]
 
     def class_of(self, member: str) -> Set[str]:
         """Return the class containing *member*."""
         root = self.find(member)
-        return {m for m in self._parent if self.find(m) == root}
+        return set(self._members.get(root, (root,)))
 
     def pairs(self) -> Set[Pair]:
         """All nontrivial identified pairs, canonically ordered.
@@ -124,24 +139,33 @@ class EquivalenceRelation:
         reported.
         """
         result: Set[Pair] = set()
-        for cls in self.nontrivial_classes():
-            ordered = sorted(cls)
-            for e1, e2 in itertools.combinations(ordered, 2):
-                result.add((e1, e2))
+        for members in self._members.values():
+            result.update(itertools.combinations(sorted(members), 2))
         return result
+
+    def pair_count(self) -> int:
+        """``len(self.pairs())``, from the class sizes alone."""
+        return sum(
+            len(members) * (len(members) - 1) // 2 for members in self._members.values()
+        )
 
     def copy(self) -> "EquivalenceRelation":
         """Return an independent copy of this relation."""
         clone = EquivalenceRelation()
         clone._parent = dict(self._parent)
-        clone._rank = dict(self._rank)
+        clone._members = {root: list(members) for root, members in self._members.items()}
         clone._merges = self._merges
         return clone
 
     def __eq__(self, other: object) -> bool:
+        """Same partition: the ids seen only as singletons do not matter."""
         if not isinstance(other, EquivalenceRelation):
             return NotImplemented
-        return self.pairs() == other.pairs()
+        if len(self._members) != len(other._members):
+            return False
+        return {frozenset(members) for members in self._members.values()} == {
+            frozenset(members) for members in other._members.values()
+        }
 
     def __hash__(self) -> int:  # mutable; identity hash
         return id(self)
@@ -149,5 +173,5 @@ class EquivalenceRelation:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"EquivalenceRelation(members={len(self._parent)}, "
-            f"identified_pairs={len(self.pairs())})"
+            f"identified_pairs={self.pair_count()})"
         )

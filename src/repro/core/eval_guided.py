@@ -23,7 +23,7 @@ feasibility conditions are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .equivalence import EquivalenceRelation
 from .graph import Graph
@@ -126,7 +126,7 @@ class GuidedPairEvaluator:
         assignment: PairAssignment = {designated.name: (e1, e2)}
         used1: Set[GraphNode] = {e1}
         used2: Set[GraphNode] = {e2}
-        order = self._instantiation_order(pattern)
+        order = pattern.instantiation_order
         found = self._extend(
             pattern, order, 1, assignment, used1, used2, eq, neighborhood1, neighborhood2
         )
@@ -154,41 +154,10 @@ class GuidedPairEvaluator:
     # search internals
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _instantiation_order(pattern: GraphPattern) -> List[PatternNode]:
-        """A connected order over pattern nodes, starting from ``x``.
-
-        Value-kind nodes adjacent to already-placed nodes are preferred so
-        that cheap equality conditions prune the search early.
-        """
-        order: List[PatternNode] = [pattern.designated]
-        placed = {pattern.designated.name}
-        remaining = {n.name: n for n in pattern.nodes() if n.name not in placed}
-        while remaining:
-            frontier: List[PatternNode] = []
-            for name, node in remaining.items():
-                for triple in pattern.adjacent_triples(name):
-                    other = (
-                        triple.obj.name
-                        if triple.subject.name == name
-                        else triple.subject.name
-                    )
-                    if other in placed:
-                        frontier.append(node)
-                        break
-            if not frontier:  # pragma: no cover - patterns are connected
-                frontier = list(remaining.values())
-            frontier.sort(key=lambda n: (not n.is_value, not n.is_constant, n.name))
-            chosen = frontier[0]
-            order.append(chosen)
-            placed.add(chosen.name)
-            del remaining[chosen.name]
-        return order
-
     def _extend(
         self,
         pattern: GraphPattern,
-        order: List[PatternNode],
+        order: Sequence[PatternNode],
         position: int,
         assignment: PairAssignment,
         used1: Set[GraphNode],

@@ -166,9 +166,15 @@ class GraphPattern:
     The pattern is validated on construction: exactly one designated node,
     entity-kind subjects, consistent node definitions (a name may not be used
     with two different kinds or types), non-empty and connected.
+
+    A pattern never changes after construction, so what the per-pair checks
+    read on every call — each node's incident triples and the connected
+    instantiation order — is derived here, once.
     """
 
-    __slots__ = ("_triples", "_nodes", "_designated", "_adjacency", "_name")
+    __slots__ = (
+        "_triples", "_nodes", "_designated", "_adjacency", "_name", "_incident", "_order",
+    )
 
     def __init__(
         self,
@@ -206,6 +212,15 @@ class GraphPattern:
         self._adjacency = self._build_adjacency()
         if not self._is_connected():
             raise PatternError(f"pattern {name!r} must be connected")
+        incident: Dict[str, List[PatternTriple]] = {name: [] for name in self._nodes}
+        for triple in self._triples:
+            incident[triple.subject.name].append(triple)
+            if triple.obj.name != triple.subject.name:
+                incident[triple.obj.name].append(triple)
+        self._incident: Dict[str, Tuple[PatternTriple, ...]] = {
+            name: tuple(triples) for name, triples in incident.items()
+        }
+        self._order = self._instantiation_order()
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -229,6 +244,31 @@ class GraphPattern:
                     seen.add(nbr)
                     frontier.append(nbr)
         return seen >= set(self._nodes.keys())
+
+    def _instantiation_order(self) -> Tuple[PatternNode, ...]:
+        """A connected order over the pattern nodes, starting from ``x``.
+
+        Value-kind nodes adjacent to already-placed nodes are preferred so
+        that cheap equality conditions prune a guided search early.
+        """
+        order: List[PatternNode] = [self._designated]
+        placed = {self._designated.name}
+        remaining = {n.name: n for n in self._nodes.values() if n.name not in placed}
+        while remaining:
+            # never empty: the pattern is connected
+            frontier = [
+                node
+                for name, node in remaining.items()
+                if any(
+                    t.subject.name in placed or t.obj.name in placed
+                    for t in self._incident[name]
+                )
+            ]
+            chosen = min(frontier, key=lambda n: (not n.is_value, not n.is_constant, n.name))
+            order.append(chosen)
+            placed.add(chosen.name)
+            del remaining[chosen.name]
+        return tuple(order)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -326,13 +366,14 @@ class GraphPattern:
                     queue.append(nbr)
         return distances
 
-    def adjacent_triples(self, node_name: str) -> List[PatternTriple]:
+    def adjacent_triples(self, node_name: str) -> Tuple[PatternTriple, ...]:
         """All pattern triples incident to the node called *node_name*."""
-        return [
-            t
-            for t in self._triples
-            if t.subject.name == node_name or t.obj.name == node_name
-        ]
+        return self._incident.get(node_name, ())
+
+    @property
+    def instantiation_order(self) -> Tuple[PatternNode, ...]:
+        """Every pattern node once, ``x`` first, each next to an earlier one."""
+        return self._order
 
     def entity_variable_types(self) -> Set[str]:
         """The types of the (recursive) entity variables of the pattern."""

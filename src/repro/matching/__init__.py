@@ -95,7 +95,7 @@ def chase_as_result(
         candidate_pairs=outcome.candidates,
         processed_pairs=outcome.candidates,
         directly_identified=len(outcome.steps),
-        identified_pairs=len(outcome.pairs()),
+        identified_pairs=outcome.eq.pair_count(),
         rounds=outcome.rounds,
         checks=outcome.checks,
         work_units=outcome.eval_stats.work,

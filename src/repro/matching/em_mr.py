@@ -299,7 +299,7 @@ class MapReduceEntityMatcher:
             self._notify(
                 "round",
                 round=rounds,
-                identified=len(eq.pairs()),
+                identified=eq.pair_count(),
                 pending=len(pending),
             )
             if not newly_identified:
@@ -312,7 +312,7 @@ class MapReduceEntityMatcher:
 
         stats.rounds = rounds
         stats.directly_identified = eq.merge_count - seed_merges
-        stats.identified_pairs = len(eq.pairs())
+        stats.identified_pairs = eq.pair_count()
         stats.work_units = driver.cost_model.total_work
 
         self._notify("done", round=rounds, identified=stats.identified_pairs)

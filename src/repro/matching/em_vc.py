@@ -167,14 +167,15 @@ class VertexCentricEntityMatcher:
         engine.run()
 
         eq = EquivalenceRelation(self.graph.entity_ids())
-        for e1, e2 in program.live_eq.pairs():
-            eq.merge(e1, e2)
+        for anchor, *others in program.live_eq.nontrivial_classes():
+            for other in others:
+                eq.merge(anchor, other)
 
         stats = EMStatistics(
             candidate_pairs=candidates.unfiltered_size,
             processed_pairs=len(activations),
             directly_identified=program.counters.confirmations,
-            identified_pairs=len(eq.pairs()),
+            identified_pairs=eq.pair_count(),
             checks=program.counters.eval_messages,
             messages_sent=engine.stats.messages_sent,
             messages_processed=engine.stats.messages_processed,

@@ -120,7 +120,6 @@ class EvalVCProgram:
         if max_fanout is not None and max_fanout < 1:
             raise ValueError(f"max_fanout must be >= 1 or None, got {max_fanout}")
         self._graph = graph
-        self._keys = keys
         self._product_graph = product_graph
         self._orders = orders
         self._max_fanout = max_fanout
@@ -129,6 +128,7 @@ class EvalVCProgram:
             etype: keys.keys_for_type(etype) for etype in keys.target_types()
         }
         self._pattern_node_counts = {key.name: len(list(key.pattern.nodes())) for key in keys}
+        self._patterns = {key.name: key.pattern for key in keys}
         self.live_eq = EquivalenceRelation(graph.entity_ids())
         #: incremental re-matching: a previous run's surviving merges, applied
         #: to ``live_eq`` up front and prepended to the canonical merge
@@ -346,9 +346,10 @@ class EvalVCProgram:
         else:
             targets = self._product_graph.backward_neighbors(vertex_id, step.triple.predicate)
         context.add_work(max(1, len(targets)))
-        pattern = self._keys.by_name(message.key_name).pattern
-        far_node = pattern.node(far_name)
-        feasible = [t for t in targets if self._feasible(far_node, t, assignment)]
+        far_node = self._patterns[message.key_name].node(far_name)
+        used1 = {pair[0] for pair in assignment.values()}
+        used2 = {pair[1] for pair in assignment.values()}
+        feasible = [t for t in targets if self._feasible(far_node, t, used1, used2)]
         if not feasible:
             self.counters.dead_branches += 1
             return
@@ -393,11 +394,15 @@ class EvalVCProgram:
     # ------------------------------------------------------------------ #
 
     def _feasible(
-        self, far_node: PatternNode, target: ProductNode, assignment: Dict[str, ProductNode]
+        self,
+        far_node: PatternNode,
+        target: ProductNode,
+        used1: Set[GraphNode],
+        used2: Set[GraphNode],
     ) -> bool:
+        """Can *target* instantiate *far_node*, given the graph nodes already
+        used on each side of the assignment?"""
         t1, t2 = target
-        used1 = {pair[0] for pair in assignment.values()}
-        used2 = {pair[1] for pair in assignment.values()}
         if t1 in used1 or t2 in used2:
             return False
         kind = far_node.kind

@@ -55,6 +55,8 @@ class ProductGraph:
         self._nodes_by_pair: Dict[Pair, Set[ProductNode]] = {}
         #: work units spent building the product graph (charged as setup cost)
         self.construction_work = 0
+        #: :meth:`count_edges`, once asked (every run reports it)
+        self._edge_count: Optional[int] = None
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -125,6 +127,7 @@ class ProductGraph:
         twin._nodes_by_pair = {}
         twin._prebuilt_dependents = None
         twin.construction_work = 0
+        twin._edge_count = None
         for pair in candidates.pairs:
             cached = self._nodes_by_pair.get(pair)
             if cached is not None and not affected_entities.intersection(pair):
@@ -205,12 +208,14 @@ class ProductGraph:
 
     def count_edges(self) -> int:
         """The number of topology edges of ``Gp`` (used by the |Gp| ≈ 2.7·|G| stat)."""
-        predicates = self._graph.predicates()
-        count = 0
-        for node in self._nodes:
-            for predicate in predicates:
-                count += len(self.forward_neighbors(node, predicate))
-        return count
+        if self._edge_count is None:
+            predicates = self._graph.predicates()
+            self._edge_count = sum(
+                len(self.forward_neighbors(node, predicate))
+                for node in self._nodes
+                for predicate in predicates
+            )
+        return self._edge_count
 
     def size(self) -> int:
         """``|Gp|`` measured in edges plus dep edges (mirrors ``|G|`` in triples)."""

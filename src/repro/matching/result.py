@@ -85,7 +85,7 @@ class EMResult:
 
     @property
     def num_identified(self) -> int:
-        return len(self.pairs())
+        return self.eq.pair_count()
 
     def to_dict(self) -> Dict[str, object]:
         """A stable, JSON-serializable wire form of this result.

@@ -45,13 +45,15 @@ class VertexCentricCostModel:
 
         Uses the process-stable :func:`repro.runtime.stable_hash`, not the
         salted builtin ``hash``, so placement — and therefore the simulated
-        makespan — is identical in every process of a multiprocess run.
+        makespan — is identical in every process of a multiprocess run.  It
+        hashes the vertex's canonical repr, so the engine asks once per vertex
+        and keeps the answer.
         """
         return stable_hash(vertex_id) % self.processors
 
-    def add_work(self, vertex_id: object, units: int) -> None:
-        """Charge *units* of work to the worker hosting *vertex_id*."""
-        self.worker_work[self.worker_for(vertex_id)] += units
+    def add_work(self, worker: int, units: int) -> None:
+        """Charge *units* of work to *worker* (see :meth:`worker_for`)."""
+        self.worker_work[worker] += units
 
     def add_setup_work(self, units: int) -> None:
         """Charge product-graph / traversal-order construction work."""

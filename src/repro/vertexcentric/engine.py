@@ -74,6 +74,18 @@ class _SuperstepContext(VertexContext):
         self._task.route(target, payload, self.vertex_id, priority)
 
 
+class _Placement(dict):
+    """Vertex → hosting worker, hashed when a vertex is first addressed."""
+
+    def __init__(self, worker_for: Callable[[VertexId], int]) -> None:
+        super().__init__()
+        self._worker_for = worker_for
+
+    def __missing__(self, vertex_id: VertexId) -> int:
+        worker = self[vertex_id] = self._worker_for(vertex_id)
+        return worker
+
+
 class VertexProgram(Protocol):
     """A vertex program: reacts to messages delivered at vertices."""
 
@@ -108,7 +120,8 @@ class VertexCentricEngine:
         self._processors = processors
         self._vertices: Dict[VertexId, object] = {}
         self.cost_model = VertexCentricCostModel(processors=processors)
-        self._scheduler = AsyncScheduler(processors, self.cost_model.worker_for)
+        self._worker_of = _Placement(self.cost_model.worker_for)
+        self._scheduler = AsyncScheduler(processors, self._worker_of.__getitem__)
         self._max_messages = max_messages
         self.stats = EngineStats()
         # Partitioned execution (see repro.vertexcentric.parallel): an
@@ -212,7 +225,7 @@ class VertexCentricEngine:
         state = self.vertex_state(message.target)
         context.add_work(1)
         self._program.on_message(message.target, state, message.payload, context)
-        self.cost_model.add_work(message.target, context.work)
+        self.cost_model.add_work(self._worker_of[message.target], context.work)
         self.cost_model.record_message_processed()
         self.stats.messages_processed += 1
 

@@ -115,7 +115,7 @@ class _SuperstepTask:
     def drain(self) -> None:
         engine = self._engine
         program = engine._program
-        worker_for = engine.cost_model.worker_for
+        worker_of = engine._worker_of
         budget = engine._max_messages
         while self.heap:
             message = heapq.heappop(self.heap)
@@ -123,7 +123,7 @@ class _SuperstepTask:
             state = engine.vertex_state(message.target)
             context.add_work(1)
             program.on_message(message.target, state, message.payload, context)
-            self.work_by_sim_worker[worker_for(message.target)] += context.work
+            self.work_by_sim_worker[worker_of[message.target]] += context.work
             self.processed += 1
             if budget is not None and self.processed > budget:
                 raise VertexCentricError(

@@ -32,11 +32,14 @@ class AsyncScheduler:
     """Per-worker priority queues with a deterministic round-robin drain."""
 
     def __init__(self, num_workers: int, worker_for: Callable[[VertexId], int]) -> None:
+        """*worker_for* maps a vertex to its worker, in ``range(num_workers)``."""
         if num_workers < 1:
             raise VertexCentricError(f"num_workers must be >= 1, got {num_workers}")
         self._num_workers = num_workers
         self._worker_for = worker_for
         self._queues: List[List[Message]] = [[] for _ in range(num_workers)]
+        #: messages waiting in all queues together
+        self._pending = 0
         self.stats = SchedulerStats()
 
     # ------------------------------------------------------------------ #
@@ -45,19 +48,18 @@ class AsyncScheduler:
 
     def enqueue(self, message: Message) -> None:
         """Route *message* to the queue of the worker hosting its target."""
-        worker = self._worker_for(message.target) % self._num_workers
-        heapq.heappush(self._queues[worker], message)
+        heapq.heappush(self._queues[self._worker_for(message.target)], message)
         self.stats.enqueued += 1
-        self.stats.max_queue_length = max(
-            self.stats.max_queue_length, sum(len(q) for q in self._queues)
-        )
+        self._pending += 1
+        if self._pending > self.stats.max_queue_length:
+            self.stats.max_queue_length = self._pending
 
     def pending(self) -> int:
         """Total number of messages waiting in all queues."""
-        return sum(len(queue) for queue in self._queues)
+        return self._pending
 
     def has_pending(self) -> bool:
-        return any(self._queues)
+        return self._pending > 0
 
     # ------------------------------------------------------------------ #
     # execution
@@ -83,6 +85,7 @@ class AsyncScheduler:
                 if not queue:
                     continue
                 message = heapq.heappop(queue)
+                self._pending -= 1
                 handler(message)
                 processed += 1
                 self.stats.processed += 1

@@ -10,7 +10,7 @@ from repro.vertexcentric import AsyncScheduler, Message, VertexCentricCostModel
 
 class TestAsyncScheduler:
     def test_processes_all_messages(self):
-        scheduler = AsyncScheduler(3, worker_for=lambda v: hash(v))
+        scheduler = AsyncScheduler(3, worker_for=lambda v: hash(v) % 3)
         seen = []
         for index in range(10):
             scheduler.enqueue(Message.create(f"v{index}", index))
@@ -19,9 +19,11 @@ class TestAsyncScheduler:
         assert sorted(seen) == list(range(10))
         assert scheduler.stats.enqueued == 10
         assert scheduler.stats.processed == 10
+        assert scheduler.stats.max_queue_length == 10
+        assert scheduler.pending() == 0 and not scheduler.has_pending()
 
     def test_handlers_can_enqueue_more(self):
-        scheduler = AsyncScheduler(2, worker_for=lambda v: hash(v))
+        scheduler = AsyncScheduler(2, worker_for=lambda v: hash(v) % 2)
         seen = []
 
         def handler(message):
@@ -30,8 +32,29 @@ class TestAsyncScheduler:
                 scheduler.enqueue(Message.create("v", message.payload + 1))
 
         scheduler.enqueue(Message.create("v", 0))
+        assert scheduler.pending() == 1 and scheduler.has_pending()
         scheduler.run(handler)
         assert seen == [0, 1, 2, 3]
+        # each message was popped before its handler enqueued the next
+        assert scheduler.stats.max_queue_length == 1
+        assert scheduler.pending() == 0
+
+    def test_max_queue_length_counts_all_workers_queues(self):
+        scheduler = AsyncScheduler(2, worker_for=lambda v: v)
+        seen = []
+
+        def handler(message):
+            seen.append(message.payload)
+            if message.payload == "first":
+                for worker in (0, 1, 1):
+                    scheduler.enqueue(Message.create(worker, "fan-out"))
+
+        scheduler.enqueue(Message.create(0, "first"))
+        scheduler.enqueue(Message.create(1, "second"))
+        scheduler.run(handler)
+        # "first" is popped (1 waiting) and fans out to three more
+        assert scheduler.stats.max_queue_length == 4
+        assert seen == ["first", "second", "fan-out", "fan-out", "fan-out"]
 
     def test_priority_order_within_a_worker(self):
         scheduler = AsyncScheduler(1, worker_for=lambda v: 0)
@@ -59,7 +82,7 @@ class TestAsyncScheduler:
 class TestVertexCentricCostModel:
     def test_work_goes_to_hosting_worker(self):
         model = VertexCentricCostModel(processors=4)
-        model.add_work("vertex", 7)
+        model.add_work(model.worker_for("vertex"), 7)
         assert sum(model.worker_work) == 7
         assert model.worker_work[model.worker_for("vertex")] == 7
 
@@ -67,7 +90,7 @@ class TestVertexCentricCostModel:
         def build(processors: int) -> VertexCentricCostModel:
             model = VertexCentricCostModel(processors=processors)
             for index in range(1000):
-                model.add_work(f"v{index}", 50)
+                model.add_work(model.worker_for(f"v{index}"), 50)
             model.record_message_sent(5000)
             return model
 
