@@ -94,7 +94,6 @@ def run_bench(scale: float, repeats: int, match_limit: int) -> Dict:
     # ---- snapshot build (the one-off compilation cost) ----------------- #
     build_seconds = _best_of(lambda: GraphSnapshot.build(graph), repeats)
     snapshot = GraphSnapshot.build(graph)
-    snapshot.adjacency()  # decode once, as a session-cached snapshot would be
     report["snapshot_build_seconds"] = round(build_seconds, 6)
 
     # ---- neighbourhood extraction: dict BFS vs integer BFS ------------- #

@@ -51,8 +51,6 @@ __all__ = [
     "DeltaProvenance",
     "MatchSession",
     "Session",
-    "SessionArtifacts",
-    "SessionCacheInfo",
 ]
 
 

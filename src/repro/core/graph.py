@@ -346,8 +346,7 @@ class Graph:
     @property
     def num_nodes(self) -> int:
         """Number of nodes (entities plus distinct value nodes)."""
-        values = {t.obj for t in self._triples if t.object_is_value()}
-        return len(self._entities) + len(values)
+        return len(self._entities) + len(self.value_nodes())
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -435,8 +434,12 @@ class Graph:
         return len(self._undirected.get(node, ()))
 
     def value_nodes(self) -> Set[Literal]:
-        """Return the set of distinct value nodes."""
-        return {t.obj for t in self._triples if t.object_is_value()}
+        """Return the set of distinct value nodes.
+
+        Off the live in-edge index (an emptied entry is deleted), so a
+        literal whose last triple was removed disappears from the answer.
+        """
+        return {node for node in self._in if not isinstance(node, str)}
 
     # ------------------------------------------------------------------ #
     # subgraphs and structural queries

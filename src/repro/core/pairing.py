@@ -4,7 +4,10 @@ Pairing is a *necessary* condition for a candidate pair to be identified by a
 key: if ``(e1, e2)`` cannot be paired by any key of ``Σ`` then
 ``(G, Σ) ⊭ (e1, e2)``.  The maximum pairing relation is computed by a
 simulation-style fixpoint in ``O(|Q|·|G^d_1|·|G^d_2|)`` time, which is far
-cheaper than isomorphism checking; the optimizations of Section 4.2 use it to
+cheaper than isomorphism checking — and in practice costs what the walk
+from ``(e1, e2)`` along the pattern touches, because the fixpoint starts
+from the pairs that walk reaches (:func:`_seed`), not from the product of
+the two neighbourhoods.  The optimizations of Section 4.2 use it to
 
 1. filter the candidate set ``L`` (``EMOptMR`` / the product graph of ``EMVC``), and
 2. shrink the d-neighbourhoods to the nodes that appear in the relation.
@@ -13,12 +16,12 @@ cheaper than isomorphism checking; the optimizations of Section 4.2 use it to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .equivalence import EquivalenceRelation
 from .graph import Graph
 from .key import Key, KeySet
-from .pattern import GraphPattern, NodeKind, PatternNode
+from .pattern import GraphPattern, PatternTriple
 from .triples import GraphNode, Literal, is_entity_ref
 
 #: ``P^Q`` grouped by pattern node: node name → set of (n1, n2) pairs.
@@ -39,39 +42,68 @@ class PairingStatistics:
         self.pruned += other.pruned
 
 
-def _initial_candidates(
+def _entities_of(
+    graph: Graph, found: Iterable[GraphNode], nodes: Set[GraphNode], etype: Optional[str]
+) -> List[GraphNode]:
+    """The nodes of *found* that one side of condition (2a) admits for an
+    entity-kind pattern node of type *etype*, within the neighbourhood *nodes*."""
+    return [
+        n
+        for n in found
+        if n in nodes
+        and is_entity_ref(n)
+        and graph.has_entity(n)
+        and graph.entity_type(n) == etype
+    ]
+
+
+def _seed(
     graph: Graph,
-    node: PatternNode,
-    nodes1: Set[GraphNode],
-    nodes2: Set[GraphNode],
+    pattern: GraphPattern,
     e1: str,
     e2: str,
-) -> Set[Tuple[GraphNode, GraphNode]]:
-    """Pairs satisfying condition (2a) of the pairing definition for *node*."""
-    if node.kind is NodeKind.DESIGNATED:
-        return {(e1, e2)}
-    if node.kind is NodeKind.CONSTANT:
-        literal = Literal(node.value)
-        if literal in nodes1 and literal in nodes2:
-            return {(literal, literal)}
-        return set()
-    if node.kind is NodeKind.VALUE_VAR:
-        values1 = {n for n in nodes1 if isinstance(n, Literal)}
-        values2 = {n for n in nodes2 if isinstance(n, Literal)}
-        return {(v, v) for v in values1 & values2}
-    # entity kinds (entity variable / wildcard): same declared type on both sides
-    etype = node.etype
-    ents1 = {
-        n
-        for n in nodes1
-        if is_entity_ref(n) and graph.has_entity(n) and graph.entity_type(n) == etype
-    }
-    ents2 = {
-        n
-        for n in nodes2
-        if is_entity_ref(n) and graph.has_entity(n) and graph.entity_type(n) == etype
-    }
-    return {(n1, n2) for n1 in ents1 for n2 in ents2}
+    nodes1: Set[GraphNode],
+    nodes2: Set[GraphNode],
+) -> Optional[PairingRelation]:
+    """A superset of the maximum pairing relation, read off the adjacency.
+
+    Walks the pattern outward from ``(e1, e2)``: a node is seeded with the
+    images, along its anchor triple, of the pairs already seeded at that
+    triple's other end, kept when they satisfy condition (2a) inside the two
+    neighbourhoods.  Nothing of the maximum relation is lost: (2b) demands a
+    supported image along *every* incident triple, so each of its pairs is
+    such an image of a pair of the maximum relation at the other end — which,
+    by induction along the (connected) instantiation order, was seeded.
+    Returns ``None`` when some node has no seed: the pattern is connected,
+    so the fixpoint would then empty every node, ``x`` included.
+    """
+    relation: PairingRelation = {pattern.designated.name: {(e1, e2)}}
+    for node in pattern.instantiation_order[1:]:
+        name = node.name
+        anchor = pattern.anchor_triple(name)
+        forward = anchor.obj.name == name
+        predicate = anchor.predicate
+        constant = Literal(node.value) if node.is_constant else None
+        seeded: Set[Tuple[GraphNode, GraphNode]] = set()
+        for a1, a2 in relation[anchor.subject.name if forward else anchor.obj.name]:
+            if forward:
+                found1, found2 = graph.objects(a1, predicate), graph.objects(a2, predicate)
+            else:
+                found1, found2 = graph.subjects(predicate, a1), graph.subjects(predicate, a2)
+            if node.is_value:
+                # one value on both sides; set algebra reuses stored hashes
+                for n in found1 & found2 & nodes1 & nodes2:
+                    if isinstance(n, Literal) and (constant is None or n == constant):
+                        seeded.add((n, n))
+            else:
+                images2 = _entities_of(graph, found2, nodes2, node.etype)
+                if images2:
+                    for n1 in _entities_of(graph, found1, nodes1, node.etype):
+                        seeded.update([(n1, n2) for n2 in images2])
+        if not seeded:
+            return None
+        relation[name] = seeded
+    return relation
 
 
 def _supported(
@@ -80,10 +112,17 @@ def _supported(
     node_name: str,
     pattern: GraphPattern,
     relation: PairingRelation,
+    known: Optional[PatternTriple] = None,
 ) -> bool:
-    """Condition (2b): every incident pattern triple has a supported image."""
+    """Condition (2b): every incident pattern triple has a supported image.
+
+    *known* names an incident triple along which support is already
+    established and need not be looked up again.
+    """
     n1, n2 = pair
     for triple in pattern.adjacent_triples(node_name):
+        if triple is known:
+            continue
         if triple.subject.name == node_name:
             if not (is_entity_ref(n1) and is_entity_ref(n2)):
                 return False
@@ -115,26 +154,31 @@ def pairing_relation(
     designated pair is pruned away by the fixpoint).
     """
     pattern = key.pattern
-    relation: PairingRelation = {
-        node.name: _initial_candidates(graph, node, neighborhood1, neighborhood2, e1, e2)
-        for node in pattern.nodes()
-    }
-    if not relation[pattern.designated.name]:
+    relation = _seed(graph, pattern, e1, e2, neighborhood1, neighborhood2)
+    if relation is None:
         return None
+    designated = pattern.designated.name
 
+    # While nothing has been pruned, every seeded pair still has the image
+    # along its anchor triple that seeded it; any prune triggers another
+    # pass, and from the second pass on every triple is checked.
+    untouched = True
     changed = True
     while changed:
         changed = False
         for node in pattern.nodes():
+            name = node.name
+            known = pattern.anchor_triple(name) if untouched and name != designated else None
             survivors = {
                 pair
-                for pair in relation[node.name]
-                if _supported(graph, pair, node.name, pattern, relation)
+                for pair in relation[name]
+                if _supported(graph, pair, name, pattern, relation, known)
             }
-            if len(survivors) != len(relation[node.name]):
-                relation[node.name] = survivors
+            if len(survivors) != len(relation[name]):
+                relation[name] = survivors
                 changed = True
-        if not relation[pattern.designated.name]:
+        untouched = False
+        if not relation[designated]:
             return None
     return relation
 

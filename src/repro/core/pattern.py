@@ -174,6 +174,7 @@ class GraphPattern:
 
     __slots__ = (
         "_triples", "_nodes", "_designated", "_adjacency", "_name", "_incident", "_order",
+        "_anchors",
     )
 
     def __init__(
@@ -221,6 +222,16 @@ class GraphPattern:
             name: tuple(triples) for name, triples in incident.items()
         }
         self._order = self._instantiation_order()
+        placed: Set[str] = set()
+        self._anchors: Dict[str, PatternTriple] = {}
+        for node in self._order:
+            if placed:  # never a self-loop: its other end is the node itself
+                self._anchors[node.name] = next(
+                    t
+                    for t in self._incident[node.name]
+                    if (t.subject.name if t.obj.name == node.name else t.obj.name) in placed
+                )
+            placed.add(node.name)
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -374,6 +385,14 @@ class GraphPattern:
     def instantiation_order(self) -> Tuple[PatternNode, ...]:
         """Every pattern node once, ``x`` first, each next to an earlier one."""
         return self._order
+
+    def anchor_triple(self, node_name: str) -> PatternTriple:
+        """The first triple tying a node to an earlier one of the instantiation order.
+
+        Defined for every node but ``x``; following the anchors from any
+        node leads back to ``x``.
+        """
+        return self._anchors[node_name]
 
     def entity_variable_types(self) -> Set[str]:
         """The types of the (recursive) entity variables of the pattern."""

@@ -38,7 +38,7 @@ class Entity:
         return f"{self.eid}:{self.etype}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Literal:
     """A data value from D.
 
@@ -56,6 +56,12 @@ class Literal:
             raise TypeError(
                 f"literal values must be hashable, got {type(self.value).__name__}"
             ) from exc
+
+    def __repr__(self) -> str:
+        # what @dataclass would generate, minus its recursion guard (a
+        # hashable value cannot contain its own literal): node orders sort
+        # by this string, once per literal per snapshot build
+        return f"Literal(value={self.value!r})"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return repr(self.value)

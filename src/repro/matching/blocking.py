@@ -483,7 +483,7 @@ def _path_signatures(
 ) -> _PathSignatures:
     """Signatures of every *etype* entity along *path* (empty ones omitted)."""
     if snapshot is not None:
-        fast = _vindex_signatures(snapshot, etype, path)
+        fast = _snapshot_signatures(snapshot, etype, path)
         if fast is not None:
             return fast
     result: _PathSignatures = {}
@@ -494,39 +494,63 @@ def _path_signatures(
     return result
 
 
-def _vindex_signatures(
+def _level_range(snapshot: object, etype: Optional[str]) -> Tuple[int, int]:
+    """The interned-id range a path level admits: a type bucket, or the literals."""
+    if etype is None:
+        return snapshot.num_entities, snapshot.num_interned_nodes
+    return snapshot.type_range(etype)
+
+
+def _snapshot_signatures(
     snapshot: object, etype: str, path: SignaturePath
 ) -> Optional[_PathSignatures]:
-    """One-pass signatures from the snapshot's inverted value index.
+    """Signatures of the whole *etype* bucket, one integer-space pass per hop.
 
-    Serves the flat-key shape (a single forward hop to a value position);
-    returns ``None`` when the path has another shape or the snapshot carries
-    no value index (hand-built or legacy instances).
+    The path is walked from its value end back to ``x``.  The last hop (a
+    value position is always an object) streams the predicate's run of the
+    inverted value index; every earlier hop carries the reached literal sets
+    one step back over the CSR rows.  Only nodes that reach a literal are
+    ever visited, and each is visited once per hop rather than once per
+    entity whose walk crosses it.  Returns ``None`` when the snapshot
+    carries no value index for the last predicate (legacy instances, unknown
+    predicates); the caller then walks entity by entity.
     """
-    if len(path.steps) != 1:
-        return None
-    step = path.steps[0]
-    if not step.forward or step.etype is not None:
-        return None
-    postings = snapshot.value_postings(snapshot.pred_id(step.predicate))
+    *hops, last = path.steps
+    postings = snapshot.value_postings(snapshot.pred_id(last.predicate))
     if postings is None:
         return None
-    literals, subjects = postings
-    lo, hi = snapshot.type_range(etype)
+    want = None
+    if path.constant is not None:
+        want = snapshot.id_of(path.constant)
+        if want is None:
+            return {}
+    lo, hi = _level_range(snapshot, hops[-1].etype if hops else etype)
+    #: node id of the current level -> literal ids it reaches down the path
+    reach: Dict[int, Set[int]] = {}
+    for literal, subject in zip(*postings):
+        if lo <= subject < hi and (want is None or literal == want):
+            found = reach.get(subject)
+            if found is None:
+                reach[subject] = {literal}
+            else:
+                found.add(literal)
+    for index in range(len(hops) - 1, -1, -1):
+        step = hops[index]
+        lo, hi = _level_range(snapshot, hops[index - 1].etype if index else etype)
+        pid = snapshot.pred_id(step.predicate)
+        back = snapshot.in_ids if step.forward else snapshot.out_ids
+        carried: Dict[int, Set[int]] = {}
+        for node, found in reach.items():
+            for source in back(node, pid):
+                if lo <= source < hi:
+                    have = carried.get(source)
+                    # a set is shared until a second one meets it
+                    carried[source] = found if have is None else have | found
+        reach = carried
     node_at = snapshot.node_at
-    found: Dict[int, Set[Literal]] = {}
-    for i in range(len(subjects)):
-        sid = subjects[i]
-        if lo <= sid < hi:
-            found.setdefault(sid, set()).add(node_at(literals[i]))
-    result: _PathSignatures = {}
-    for sid, values in found.items():
-        tokens = frozenset(values)
-        if path.constant is not None:
-            tokens &= frozenset((path.constant,))
-        if tokens:
-            result[node_at(sid)] = tokens
-    return result
+    return {
+        node_at(node): frozenset(map(node_at, found)) for node, found in reach.items()
+    }
 
 
 def _entity_signature(

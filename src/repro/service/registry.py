@@ -31,10 +31,11 @@ import os
 
 from ..api.config import MatchConfig
 from ..api.events import ProgressObserver
-from ..api.session import MatchSession, SessionArtifacts
+from ..api.session import MatchSession
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import AdmissionError, ServiceError, UnknownGraphError
+from ..matching.artifacts import SessionArtifacts
 from ..matching.result import EMResult
 from ..storage.store import SnapshotStore, as_snapshot_store
 

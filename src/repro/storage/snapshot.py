@@ -24,9 +24,10 @@ Two API surfaces coexist:
   ``neighborhood_ids``, ``type_range``, ``repr_rank``) used by the compiled
   hot paths (CSR BFS, the compiled VF2 matcher).
 
-Pickling ships only the compact arrays and interning tables; the decoded
-per-process lookup maps are rebuilt lazily on first use in each worker
-(the once-per-worker cost the PR 2 shared-payload contract amortizes).
+Pickling ships only the compact arrays and interning tables.  Nothing is
+decoded up front: the object-space surface decodes and memoises one CSR row
+the first time that row is read, in each process, so a reader pays for the
+rows it touches and never for the graph (``stats()["decoded_rows"]``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from heapq import merge as _heap_merge
+from itertools import accumulate
 from operator import itemgetter as _itemgetter
 from typing import (
     Dict,
@@ -57,6 +59,8 @@ _ID = "q"
 #: The empty candidate set returned for unknown (node, predicate) lookups.
 _EMPTY_IDS: FrozenSet[int] = frozenset()
 _EMPTY_NODES: FrozenSet[GraphNode] = frozenset()
+#: The decoded row of a node the graph does not hold (never memoised).
+_NO_ROW: Dict[str, frozenset] = {}
 
 
 def _copy_ids(dst: array, src, lo: int, hi: int, remap) -> None:
@@ -167,19 +171,26 @@ def _splice_csr1(
     return offsets, targets
 
 
-def _csr(per_row: Sequence[Sequence[Tuple[int, int]]]) -> Tuple[array, array, array]:
-    """Pack per-row ``(a, b)`` pair lists into offset + two column arrays."""
-    firsts = array(_ID)
-    seconds = array(_ID)
-    total = 0
-    offsets = array(_ID, [0] * (len(per_row) + 1))
-    for row, pairs in enumerate(per_row):
-        total += len(pairs)
-        offsets[row + 1] = total
-        for a, b in pairs:
-            firsts.append(a)
-            seconds.append(b)
-    return offsets, firsts, seconds
+def _offsets(rows: Sequence[int], num_rows: int) -> array:
+    """The CSR offset array of a sorted row-id column, by counting."""
+    counts = [0] * (num_rows + 1)
+    for row in rows:
+        counts[row + 1] += 1
+    return array(_ID, accumulate(counts))
+
+
+def _unpack(
+    keys: Sequence[int], low_bits: int, mid_bits: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """The three columns of keys packed as ``high | mid | low`` bit fields."""
+    high_shift = low_bits + mid_bits
+    mid_mask = (1 << mid_bits) - 1
+    low_mask = (1 << low_bits) - 1
+    return (
+        [key >> high_shift for key in keys],
+        [(key >> low_bits) & mid_mask for key in keys],
+        [key & low_mask for key in keys],
+    )
 
 
 class GraphSnapshot:
@@ -213,12 +224,10 @@ class GraphSnapshot:
         # flat-key fast path streams one predicate run in a single pass
         "_vindex_offsets", "_vindex_literals", "_vindex_subjects",
         "_num_triples",
-        # --- per-process lazy decode (never pickled) -------------------- #
+        # --- per-process decode, one row per first read (never pickled) - #
         "_obj_map",        # subject eid -> pred -> frozenset of object nodes
         "_subj_map",       # object node -> pred -> frozenset of subject eids
         "_neighbor_map",   # node -> frozenset of undirected neighbour nodes
-        "_out_triples_map",
-        "_in_triples_map",
         "_int_objects",    # (subject id, pred id) -> frozenset of object ids
         "_int_subjects",   # (object id, pred id) -> frozenset of subject ids
         "_adjacency",      # id -> tuple of undirected neighbour ids (BFS form)
@@ -263,57 +272,72 @@ class GraphSnapshot:
         snap._pred_of = tuple(preds)
         snap._pred_ids = {pred: index for index, pred in enumerate(preds)}
 
+        # Triple-major: a triple becomes one integer, (sid, pid, oid) packed
+        # into bit fields, so sorting the flat key list sorts the triples and
+        # each CSR falls out of a sorted list by counting.  No per-node
+        # container is allocated, and ints are invisible to the cycle
+        # collector.  Rows come out sorted by (pred, other endpoint), the
+        # layout ``patched()`` and the store's segment reuse rely on.
         num_nodes = len(node_of)
+        num_entities = snap._num_entities
         id_of = snap._id_of
         pred_ids = snap._pred_ids
-        fwd: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
-        bwd: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
-        und: List[Set[int]] = [set() for _ in range(num_nodes)]
-        num_entities = snap._num_entities
-        postings: List[Tuple[int, int, int]] = []
-        count = 0
-        for triple in graph.triples():
-            count += 1
-            sid = id_of[triple.subject]
-            oid = id_of[triple.obj]
-            pid = pred_ids[triple.predicate]
-            fwd[sid].append((pid, oid))
-            bwd[oid].append((pid, sid))
-            und[sid].add(oid)
-            und[oid].add(sid)
-            if oid >= num_entities:  # literal object: a value-index posting
-                postings.append((pid, oid, sid))
-        snap._num_triples = count
-        for row in fwd:
-            row.sort()
-        for row in bwd:
-            row.sort()
-        snap._fwd_offsets, snap._fwd_preds, snap._fwd_objs = _csr(fwd)
-        snap._bwd_offsets, snap._bwd_preds, snap._bwd_subjs = _csr(bwd)
+        node_bits = num_nodes.bit_length()
+        pred_bits = len(preds).bit_length()
+        row_shift = node_bits + pred_bits
+        node_mask = (1 << node_bits) - 1
 
-        und_offsets = array(_ID, [0] * (num_nodes + 1))
-        und_targets = array(_ID)
-        total = 0
-        for node, targets in enumerate(und):
-            total += len(targets)
-            und_offsets[node + 1] = total
-            und_targets.extend(sorted(targets))
-        snap._und_offsets = und_offsets
-        snap._und_targets = und_targets
+        sids, pids, oids = _unpack(
+            sorted(
+                [
+                    (id_of[s] << row_shift) | (pred_ids[p] << node_bits) | id_of[o]
+                    for s, p, o in graph.triples()
+                ]
+            ),
+            node_bits,
+            pred_bits,
+        )
+        snap._num_triples = len(sids)
+        snap._fwd_offsets = _offsets(sids, num_nodes)
+        snap._fwd_preds = array(_ID, pids)
+        snap._fwd_objs = array(_ID, oids)
 
-        postings.sort()
-        vindex_offsets = array(_ID, [0] * (len(preds) + 1))
-        vindex_literals = array(_ID)
-        vindex_subjects = array(_ID)
-        for pid, oid, sid in postings:
-            vindex_offsets[pid + 1] += 1
-            vindex_literals.append(oid)
-            vindex_subjects.append(sid)
-        for index in range(1, len(vindex_offsets)):
-            vindex_offsets[index] += vindex_offsets[index - 1]
-        snap._vindex_offsets = vindex_offsets
-        snap._vindex_literals = vindex_literals
-        snap._vindex_subjects = vindex_subjects
+        rows, preds_in, subjs = _unpack(
+            sorted(
+                [
+                    (o << row_shift) | (p << node_bits) | s
+                    for s, p, o in zip(sids, pids, oids)
+                ]
+            ),
+            node_bits,
+            pred_bits,
+        )
+        snap._bwd_offsets = _offsets(rows, num_nodes)
+        snap._bwd_preds = array(_ID, preds_in)
+        snap._bwd_subjs = array(_ID, subjs)
+
+        # undirected: both directions of every triple, parallel edges merged
+        both = {(s << node_bits) | o for s, o in zip(sids, oids)}
+        both.update([(o << node_bits) | s for s, o in zip(sids, oids)])
+        keys = sorted(both)
+        snap._und_offsets = _offsets([key >> node_bits for key in keys], num_nodes)
+        snap._und_targets = array(_ID, [key & node_mask for key in keys])
+
+        # value index: the literal-object triples by (pred, literal, subject)
+        runs, literals, subjects = _unpack(
+            sorted(
+                [
+                    (((p << node_bits) | o) << node_bits) | s
+                    for s, p, o in zip(sids, pids, oids)
+                    if o >= num_entities
+                ]
+            ),
+            node_bits,
+            node_bits,
+        )
+        snap._vindex_offsets = _offsets(runs, len(preds))
+        snap._vindex_literals = array(_ID, literals)
+        snap._vindex_subjects = array(_ID, subjects)
 
         snap._reset_lazy()
         return snap
@@ -680,19 +704,17 @@ class GraphSnapshot:
         self._unchanged_tables = frozenset()
         self._store_path = None
         self._store_fingerprint = None
-        self._obj_map = None
-        self._subj_map = None
-        self._neighbor_map = None
-        self._out_triples_map = None
-        self._in_triples_map = None
-        self._int_objects = None
-        self._int_subjects = None
-        self._adjacency = None
+        self._obj_map = {}
+        self._subj_map = {}
+        self._neighbor_map = {}
+        self._int_objects = {}
+        self._int_subjects = {}
+        self._adjacency = {}
         self._value_node_set = None
         self._repr_ranks = None
 
     # ------------------------------------------------------------------ #
-    # pickling: compact arrays only, decode maps rebuilt per process
+    # pickling: compact arrays only, rows decoded again per process
     # ------------------------------------------------------------------ #
 
     # _id_of is deliberately absent: it is exactly {node: i for i, node in
@@ -834,40 +856,31 @@ class GraphSnapshot:
     # integer-space adjacency (compiled hot paths)
     # ------------------------------------------------------------------ #
 
-    def _ensure_int_maps(self) -> None:
-        if self._int_objects is not None:
-            return
-        int_objects: Dict[Tuple[int, int], Set[int]] = {}
-        offsets, preds, objs = self._fwd_offsets, self._fwd_preds, self._fwd_objs
-        for sid in range(len(self._node_of)):
-            for index in range(offsets[sid], offsets[sid + 1]):
-                int_objects.setdefault((sid, preds[index]), set()).add(objs[index])
-        int_subjects: Dict[Tuple[int, int], Set[int]] = {}
-        offsets, preds, subjs = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
-        for oid in range(len(self._node_of)):
-            for index in range(offsets[oid], offsets[oid + 1]):
-                int_subjects.setdefault((oid, preds[index]), set()).add(subjs[index])
-        self._int_objects = {key: frozenset(val) for key, val in int_objects.items()}
-        self._int_subjects = {key: frozenset(val) for key, val in int_subjects.items()}
-
     def objects_ids(self, subject_id: int, pred_id: int) -> FrozenSet[int]:
         """Interned object ids with ``(subject, pred, o)`` in the graph."""
-        self._ensure_int_maps()
-        return self._int_objects.get((subject_id, pred_id), _EMPTY_IDS)
+        key = (subject_id, pred_id)
+        found = self._int_objects.get(key)
+        if found is None:
+            found = frozenset(self.out_ids(subject_id, pred_id)) or _EMPTY_IDS
+            self._int_objects[key] = found
+        return found
 
     def subjects_ids(self, object_id: int, pred_id: int) -> FrozenSet[int]:
         """Interned subject ids with ``(s, pred, object)`` in the graph."""
-        self._ensure_int_maps()
-        return self._int_subjects.get((object_id, pred_id), _EMPTY_IDS)
+        key = (object_id, pred_id)
+        found = self._int_subjects.get(key)
+        if found is None:
+            found = frozenset(self.in_ids(object_id, pred_id)) or _EMPTY_IDS
+            self._int_subjects[key] = found
+        return found
 
     def out_ids(self, node_id: int, pred_id: int) -> List[int]:
         """Object ids of ``(node, pred, o)`` straight off the CSR row.
 
-        Unlike :meth:`objects_ids` this never materializes the whole-graph
-        integer maps: the forward row is sorted by ``(pred, obj)``, so one
-        bisection isolates the predicate run — O(log row + matches) per call,
-        which is what per-entity signature traversal and incremental rebasing
-        want.
+        The forward row is sorted by ``(pred, obj)``, so one bisection
+        isolates the predicate run — O(log row + matches) per call and
+        nothing memoised, which is what signature traversal and incremental
+        rebasing want; :meth:`objects_ids` is this answer kept as a set.
         """
         offsets, preds, objs = self._fwd_offsets, self._fwd_preds, self._fwd_objs
         lo, hi = offsets[node_id], offsets[node_id + 1]
@@ -898,22 +911,18 @@ class GraphSnapshot:
         lo, hi = offsets[pred_id], offsets[pred_id + 1]
         return self._vindex_literals[lo:hi], self._vindex_subjects[lo:hi]
 
-    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-id undirected neighbour tuples (the BFS working form).
+    def adjacency(self, node_id: int) -> Tuple[int, ...]:
+        """The undirected neighbour ids of *node_id* (the BFS working form).
 
-        Decoded from the CSR arrays once per process; the CSR arrays remain
-        the pickled representation.
+        One CSR row, decoded on first read; the CSR arrays remain the
+        pickled representation.
         """
-        adjacency = self._adjacency
-        if adjacency is None:
-            offsets, targets = self._und_offsets, self._und_targets
-            target_list = targets.tolist()
-            adjacency = tuple(
-                tuple(target_list[offsets[index] : offsets[index + 1]])
-                for index in range(len(self._node_of))
-            )
-            self._adjacency = adjacency
-        return adjacency
+        row = self._adjacency.get(node_id)
+        if row is None:
+            offsets = self._und_offsets
+            row = tuple(self._und_targets[offsets[node_id] : offsets[node_id + 1]])
+            self._adjacency[node_id] = row
+        return row
 
     #: Above this node count, the BFS visited-set switches from a bytearray
     #: (O(num_nodes) allocation per call, unbeatable per-edge cost) to an int
@@ -932,7 +941,7 @@ class GraphSnapshot:
         result = [root_id]
         if radius == 0:
             return result
-        adjacency = self.adjacency()
+        adjacency = self.adjacency
         use_flags = len(self._node_of) <= self.FLAG_BFS_LIMIT
         if use_flags:
             flags = bytearray(len(self._node_of))
@@ -945,13 +954,13 @@ class GraphSnapshot:
             append = next_frontier.append
             if use_flags:
                 for node in frontier:
-                    for nbr in adjacency[node]:
+                    for nbr in adjacency(node):
                         if not flags[nbr]:
                             flags[nbr] = 1
                             append(nbr)
             else:
                 for node in frontier:
-                    for nbr in adjacency[node]:
+                    for nbr in adjacency(node):
                         if nbr not in seen:
                             seen.add(nbr)
                             append(nbr)
@@ -1061,68 +1070,50 @@ class GraphSnapshot:
             graph.add_triple(triple)
         return graph
 
-    # -- decoded adjacency maps (built once per process) ----------------- #
+    # -- decoded adjacency rows (one row per first read, per process) ---- #
 
-    def _ensure_read_maps(self) -> None:
-        if self._obj_map is not None:
-            return
+    def _decode_row(self, node: GraphNode, forward: bool) -> Dict[str, frozenset]:
+        """Decode and memoise one forward / backward CSR row: ``pred -> node set``."""
+        index = self._id_of.get(node)
+        if index is None:
+            return _NO_ROW
+        if forward:
+            offsets, preds, others = self._fwd_offsets, self._fwd_preds, self._fwd_objs
+        else:
+            offsets, preds, others = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
         node_of, pred_of = self._node_of, self._pred_of
-        obj_map: Dict[str, Dict[str, frozenset]] = {}
-        offsets, preds, objs = self._fwd_offsets, self._fwd_preds, self._fwd_objs
-        for sid in range(self._num_entities):
-            lo, hi = offsets[sid], offsets[sid + 1]
-            if lo == hi:
-                continue
-            per_pred: Dict[str, set] = {}
-            for index in range(lo, hi):
-                per_pred.setdefault(pred_of[preds[index]], set()).add(node_of[objs[index]])
-            obj_map[node_of[sid]] = {
-                pred: frozenset(found) for pred, found in per_pred.items()
-            }
-        subj_map: Dict[GraphNode, Dict[str, frozenset]] = {}
-        offsets, preds, subjs = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
-        for oid in range(len(node_of)):
-            lo, hi = offsets[oid], offsets[oid + 1]
-            if lo == hi:
-                continue
-            per_pred = {}
-            for index in range(lo, hi):
-                per_pred.setdefault(pred_of[preds[index]], set()).add(node_of[subjs[index]])
-            subj_map[node_of[oid]] = {
-                pred: frozenset(found) for pred, found in per_pred.items()
-            }
-        self._subj_map = subj_map
-        self._obj_map = obj_map
+        per_pred: Dict[str, list] = {}
+        for i in range(offsets[index], offsets[index + 1]):
+            per_pred.setdefault(pred_of[preds[i]], []).append(node_of[others[i]])
+        row = {pred: frozenset(found) for pred, found in per_pred.items()}
+        (self._obj_map if forward else self._subj_map)[node] = row
+        return row
 
     def objects(self, subject: str, predicate: str) -> FrozenSet[GraphNode]:
-        self._ensure_read_maps()
-        per_pred = self._obj_map.get(subject)
-        if per_pred is None:
-            return _EMPTY_NODES
-        return per_pred.get(predicate, _EMPTY_NODES)
+        row = self._obj_map.get(subject)
+        if row is None:
+            row = self._decode_row(subject, True)
+        return row.get(predicate, _EMPTY_NODES)
 
     def subjects(self, predicate: str, obj: GraphNode) -> FrozenSet[str]:
-        self._ensure_read_maps()
-        per_pred = self._subj_map.get(obj)
-        if per_pred is None:
-            return _EMPTY_NODES
-        return per_pred.get(predicate, _EMPTY_NODES)
+        row = self._subj_map.get(obj)
+        if row is None:
+            row = self._decode_row(obj, False)
+        return row.get(predicate, _EMPTY_NODES)
 
     def has_triple(self, subject: str, predicate: str, obj: GraphNode) -> bool:
         return obj in self.objects(subject, predicate)
 
     def neighbors(self, node: GraphNode) -> FrozenSet[GraphNode]:
-        if self._neighbor_map is None:
+        found = self._neighbor_map.get(node)
+        if found is None:
+            index = self._id_of.get(node)
+            if index is None:
+                return _EMPTY_NODES
             node_of = self._node_of
-            offsets, targets = self._und_offsets, self._und_targets
-            self._neighbor_map = {
-                node_of[index]: frozenset(
-                    node_of[targets[i]] for i in range(offsets[index], offsets[index + 1])
-                )
-                for index in range(len(node_of))
-                if offsets[index] != offsets[index + 1]
-            }
-        return self._neighbor_map.get(node, _EMPTY_NODES)
+            found = frozenset(node_of[nbr] for nbr in self.adjacency(index))
+            self._neighbor_map[node] = found
+        return found
 
     def degree(self, node: GraphNode) -> int:
         index = self._id_of.get(node)
@@ -1131,24 +1122,20 @@ class GraphSnapshot:
         return self._und_offsets[index + 1] - self._und_offsets[index]
 
     def out_triples(self, subject: str) -> FrozenSet[Triple]:
-        if self._out_triples_map is None:
-            per_subject: Dict[str, List[Triple]] = {}
-            for triple in self.triples():
-                per_subject.setdefault(triple.subject, []).append(triple)
-            self._out_triples_map = {
-                subj: frozenset(found) for subj, found in per_subject.items()
-            }
-        return self._out_triples_map.get(subject, _EMPTY_NODES)
+        row = self._obj_map.get(subject)
+        if row is None:
+            row = self._decode_row(subject, True)
+        return frozenset(
+            Triple(subject, pred, obj) for pred, objs in row.items() for obj in objs
+        )
 
     def in_triples(self, obj: GraphNode) -> FrozenSet[Triple]:
-        if self._in_triples_map is None:
-            per_object: Dict[GraphNode, List[Triple]] = {}
-            for triple in self.triples():
-                per_object.setdefault(triple.obj, []).append(triple)
-            self._in_triples_map = {
-                node: frozenset(found) for node, found in per_object.items()
-            }
-        return self._in_triples_map.get(obj, _EMPTY_NODES)
+        row = self._subj_map.get(obj)
+        if row is None:
+            row = self._decode_row(obj, False)
+        return frozenset(
+            Triple(subj, pred, obj) for pred, subjs in row.items() for subj in subjs
+        )
 
     def induced_subgraph(self, nodes: Iterable[GraphNode]) -> Graph:
         """The induced subgraph as a fresh, mutable :class:`Graph`."""
@@ -1166,7 +1153,18 @@ class GraphSnapshot:
         return sub
 
     def stats(self) -> Dict[str, int]:
+        """Summary counts; ``decoded_rows`` is what this process has read so far.
+
+        It counts the CSR rows decoded and memoised on first read — forward
+        and backward rows (object space), undirected rows (the BFS form) —
+        plus the predicate runs kept by the integer surface.  A freshly
+        built, patched, loaded or unpickled snapshot starts at zero.
+        """
         return {
+            "decoded_rows": (
+                len(self._obj_map) + len(self._subj_map) + len(self._adjacency)
+                + len(self._int_objects) + len(self._int_subjects)
+            ),
             "entities": self.num_entities,
             "values": len(self._node_of) - self._num_entities,
             "nodes": self.num_nodes,

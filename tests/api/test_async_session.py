@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import ALGORITHMS, MatchSession
-from repro.api.session import SessionArtifacts
 from repro.exceptions import ConfigError, MatchingError
+from repro.matching.artifacts import SessionArtifacts
 from repro.storage import SnapshotStore
 
 

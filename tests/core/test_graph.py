@@ -175,6 +175,20 @@ class TestNonMonotoneMutations:
         assert Literal("X") in graph.value_nodes()
         assert "a" not in graph.subjects("name_of", Literal("X"))
 
+    def test_value_node_disappears_with_its_last_triple(self, graph: Graph):
+        graph.add_value("a", "alias_of", "Y")
+        assert graph.value_nodes() == {Literal("X"), Literal("Y")}
+        graph.remove_value("a", "name_of", "X")
+        graph.remove_value("b", "name_of", "X")
+        assert graph.value_nodes() == {Literal("Y")}
+        assert graph.num_nodes == graph.num_entities + 1
+        assert graph.in_triples(Literal("X")) == set()  # a read must not revive it
+        assert graph.value_nodes() == {Literal("Y")}
+        graph.set_value("a", "alias_of", "Z")
+        assert graph.value_nodes() == {Literal("Z")}
+        # an entity is never a value node, with or without incoming edges
+        assert not graph.value_nodes() & set(graph.entity_ids())
+
     def test_removal_is_journalled(self, graph: Graph):
         version = graph.version
         graph.remove_edge("a", "recorded_by", "r")

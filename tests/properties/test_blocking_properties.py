@@ -23,9 +23,16 @@ from hypothesis import strategies as st
 from repro import ALGORITHMS, MatchSession
 from repro.core.chase import candidate_pairs, chase
 from repro.datasets.synthetic import synthetic_dataset
-from repro.matching.blocking import blocked_candidate_pairs
+from repro.matching.blocking import (
+    _entity_signature,
+    _path_signatures,
+    blocked_candidate_pairs,
+    compile_blocking_scheme,
+)
+from repro.storage import GraphSnapshot
 
 from tests.matching.test_incremental_equivalence import apply_random_mutation
+from tests.properties.test_pairing_properties import SHAPED_KEYS, random_graph, random_key
 
 BACKENDS = tuple(ALGORITHMS)
 
@@ -120,6 +127,30 @@ def test_force_equals_auto_whenever_force_is_accepted(seed):
     except ConfigError:
         return  # an uncertified key shape: refusal is the contract
     assert force_pairs == auto_pairs
+
+
+# --------------------------------------------------------------------------- #
+# 2b. one bucket-wide pass per hop == one walk per entity
+# --------------------------------------------------------------------------- #
+
+
+@given(seed=st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=60, deadline=None)
+def test_bucket_signatures_equal_per_entity_walks(seed):
+    """Multi-hop, backward-hop, through-a-value and constant paths alike."""
+    rng = random.Random(seed)
+    graph = random_graph(rng)
+    snapshot = GraphSnapshot.build(graph)
+    for key in [random_key(rng), *SHAPED_KEYS.values()]:
+        scheme = compile_blocking_scheme(key)
+        for path in scheme.paths:
+            bucket = _path_signatures(snapshot, snapshot, scheme.target_type, path)
+            for reader, compiled in ((graph, None), (snapshot, snapshot)):
+                walked = {
+                    entity: _entity_signature(reader, compiled, entity, path)
+                    for entity in graph.entities_of_type(scheme.target_type)
+                }
+                assert bucket == {e: tokens for e, tokens in walked.items() if tokens}
 
 
 # --------------------------------------------------------------------------- #
