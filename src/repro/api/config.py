@@ -105,15 +105,28 @@ class MatchConfig:
         # the generated frozen-dataclass hash would choke on the options dict
         return hash(
             (
-                self.algorithm,
-                self.processors,
-                self.executor,
-                self.workers,
+                self.run_shape(),
                 None if self.snapshot_store is None else str(self.snapshot_store),
                 self.incremental,
-                self.blocking,
-                tuple(sorted(self.options.items())),
             )
+        )
+
+    def run_shape(self) -> Tuple[object, ...]:
+        """The result-shaping knobs of this config, as a hashable key.
+
+        Two configs with equal shapes produce the same ``EMResult`` on the
+        same graph: the ``incremental`` flag and the snapshot store change
+        how a run executes, never what it returns, so they are left out.
+        Everything else (backend, processors, executor, blocking, options)
+        shapes the result's statistics and must match exactly.
+        """
+        return (
+            self.algorithm,
+            self.processors,
+            self.executor,
+            self.workers,
+            self.blocking,
+            tuple(sorted(self.options.items())),
         )
 
     def to_dict(self) -> Dict[str, object]:

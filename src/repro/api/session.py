@@ -131,7 +131,7 @@ class MatchSession:
     _MAX_OBSERVER_ERRORS = 32
 
     #: how many (config, result) runs :attr:`history` retains: a long-lived
-    #: session (the service's per-graph ingest session) must not pin every
+    #: session (the service's per-shape sessions) must not pin every
     #: window's ``EMResult`` for the life of the process
     _MAX_HISTORY = 64
 
@@ -392,24 +392,26 @@ class MatchSession:
             result, self._last_delta = self._execute(
                 spec, config, validated, state, artifacts
             )
-            # remember this run's fixpoint as the seed for the next delta run.
-            # Cheap on purpose: the unfiltered candidate set is enumerated
-            # lazily from the run's immutable snapshot only if an incremental
-            # run actually consumes this state (unless the cache already has
-            # it).  The recorded superset is always the *quadratic* flavour —
-            # plan_delta compares the new quadratic universe against it, so
-            # recording a blocked (strictly smaller) set would inflate every
-            # later worklist.
-            quadratic = artifacts.cached("candidates").get((False, False, False))
-            self._incremental = IncrementalState(
-                version=artifacts.version,
-                eq=result.eq.copy(),
-                result=result,
-                config=config,
-                snapshot=artifacts.snapshot(),
-                keys=self._keys,
-                candidates=None if quadratic is None else frozenset(quadratic.pairs),
-            )
+            if (
+                state is not None
+                and result is state.result
+                and state.version == artifacts.version
+            ):
+                # the held fixpoint answered an empty window: it stays the
+                # seed as it is
+                self._incremental = state
+            else:
+                # remember this run's fixpoint as the seed for the next delta
+                # run: an ``Eq`` copy and the run's immutable snapshot, which
+                # is all the planner reads of the old graph
+                self._incremental = IncrementalState(
+                    version=artifacts.version,
+                    eq=result.eq.copy(),
+                    result=result,
+                    config=config,
+                    snapshot=artifacts.snapshot(),
+                    keys=self._keys,
+                )
             self._history.append((config, result))
             return result
 
@@ -427,8 +429,25 @@ class MatchSession:
         if config.incremental:
             touched, fallback = self._journal_window(spec, state, artifacts)
             delta = DeltaProvenance(mode="full", reason=fallback)
+        reusable = (
+            touched is not None
+            and state.result is not None
+            and state.config.run_shape() == config.run_shape()
+        )
         if touched is None:
             artifacts.refresh()
+        elif not touched and reusable:
+            # an empty journal window under the run shape that produced the
+            # held result: chase(G, Σ) is a function of (G, Σ), so the held
+            # fixpoint *is* the answer — nothing to refresh, plan or re-chase.
+            # The universe is read off the (in step, so cached) candidate
+            # slot the planner would have walked
+            blocked = config.blocking != "off"
+            universe = len(
+                artifacts.candidates(filtered=blocked, blocking=config.blocking).pairs
+            )
+            artifacts.count(incremental_runs=1, pairs_skipped=universe)
+            return state.result, DeltaProvenance(mode="reused", pairs_skipped=universe)
         else:
             plan = plan_session_delta(
                 artifacts, state, touched, blocking=config.blocking
@@ -446,11 +465,7 @@ class MatchSession:
                 dropped_classes=plan.dropped_classes,
                 seed_merges=len(plan.seed),
             )
-            if (
-                plan.result_reusable
-                and state.result is not None
-                and self._same_run_shape(state.config, config)
-            ):
+            if plan.result_reusable and reusable:
                 # the delta implicates nothing and the exact same
                 # configuration produced the previous result: return that
                 # object as-is
@@ -572,27 +587,6 @@ class MatchSession:
         return self.run(incremental=True, **options)
 
     # -- internals --------------------------------------------------------- #
-
-    @staticmethod
-    def _same_run_shape(previous: Optional[MatchConfig], config: MatchConfig) -> bool:
-        """Would *config* produce the same ``EMResult`` as *previous* did?
-
-        Compares the result-shaping knobs only: the ``incremental`` flag and
-        the snapshot store change how a run executes, never what it returns,
-        so a no-op delta may hand back the previous result object across
-        them.  Everything else (backend, processors, executor, options)
-        shapes the result's statistics and must match exactly.
-        """
-        if previous is None:
-            return False
-        return (
-            previous.algorithm == config.algorithm
-            and previous.processors == config.processors
-            and previous.executor == config.executor
-            and previous.workers == config.workers
-            and previous.blocking == config.blocking
-            and previous.options == config.options
-        )
 
     @staticmethod
     def _supports_executors(algorithm: str) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.key import Key, KeySet
@@ -92,13 +92,13 @@ class DependencyWorklist:
 class IncrementalState:
     """What a finished run leaves behind to seed the next delta run.
 
-    ``candidates`` (the unfiltered candidate set ``L`` at ``version``) is
-    enumerated lazily from the run's immutable snapshot, so recording the
-    state after every run costs only an ``Eq`` copy — sessions that never
-    go incremental never pay the ``O(|L|)`` enumeration.
+    Recording the state costs an ``Eq`` copy: the candidate set ``L`` at
+    ``version`` is never materialised.  Membership in it is a property of
+    the pair alone (:meth:`was_candidate`), read off the run's immutable
+    snapshot.
     """
 
-    __slots__ = ("version", "eq", "result", "config", "_snapshot", "_keys", "_candidates")
+    __slots__ = ("version", "eq", "result", "config", "_snapshot", "_types")
 
     def __init__(
         self,
@@ -108,7 +108,6 @@ class IncrementalState:
         config: Optional[object],
         snapshot,
         keys: KeySet,
-        candidates: Optional[FrozenSet[Pair]] = None,
     ) -> None:
         #: :attr:`Graph.version` the result corresponds to.
         self.version = version
@@ -120,17 +119,22 @@ class IncrementalState:
         #: the ``MatchConfig`` that produced ``result``.
         self.config = config
         self._snapshot = snapshot
-        self._keys = keys
-        self._candidates = candidates
+        self._types = frozenset(keys.target_types())
 
-    @property
-    def candidates(self) -> FrozenSet[Pair]:
-        """The unfiltered candidate set ``L`` at :attr:`version`."""
-        if self._candidates is None:
-            from ..core.chase import candidate_pairs  # lazy: avoid import cycle
+    def was_candidate(self, pair: Pair) -> bool:
+        """Was *pair* in the unfiltered candidate set ``L`` at :attr:`version`?
 
-            self._candidates = frozenset(candidate_pairs(self._snapshot, self._keys))
-        return self._candidates
+        ``L`` is every (canonically ordered) pair of distinct same-type
+        entities of a type some key targets
+        (:func:`repro.core.chase.candidate_pairs`), so membership is three
+        reads of the old snapshot, not a lookup in ``O(|L|)`` pairs.
+        """
+        e1, e2 = pair
+        old = self._snapshot
+        if e1 == e2 or not (old.has_entity(e1) and old.has_entity(e2)):
+            return False
+        etype = old.entity_type(e1)
+        return etype == old.entity_type(e2) and etype in self._types
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ def plan_delta(
     eq = state.eq
     for pair in candidate_pairs:
         e1, e2 = pair
-        if pair not in state.candidates or e1 in touched or e2 in touched:
+        if e1 in touched or e2 in touched or not state.was_candidate(pair):
             affected.add(pair)
             continue
         if use_supports and eq.identified(e1, e2):

@@ -55,8 +55,11 @@ class ProductGraph:
         self._nodes_by_pair: Dict[Pair, Set[ProductNode]] = {}
         #: work units spent building the product graph (charged as setup cost)
         self.construction_work = 0
-        #: :meth:`count_edges`, once asked (every run reports it)
+        #: :meth:`count_edges`, once asked (every run reports it), and the
+        #: per-node topology out-edge counts it summed (entity-pair nodes
+        #: only); :meth:`rebased` carries the counts a delta cannot move
         self._edge_count: Optional[int] = None
+        self._edge_counts: Dict[ProductNode, int] = {}
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -114,7 +117,10 @@ class ProductGraph:
         candidates.  The result is bit-identical to ``ProductGraph(graph,
         keys, candidates)``.  Pass *keys* when the key set changed since the
         old build (a session ``rekeyed`` delta): affected pairs then
-        recompute their relations under the new keys.
+        recompute their relations under the new keys.  *affected_entities*
+        must hold every entity the delta touched (it does for every journal
+        window: a mutated triple touches its subject), which is also what
+        lets the per-node edge counts of untouched nodes carry over.
         """
         twin = object.__new__(ProductGraph)
         twin._graph = graph
@@ -140,7 +146,37 @@ class ProductGraph:
             else dependency_map(graph, twin._keys, candidates)
         )
         twin.construction_work += len(twin._nodes)
+        twin._edge_counts = self._carried_edge_counts(twin, affected_entities)
         return twin
+
+    def _carried_edge_counts(
+        self, twin: "ProductGraph", affected_entities: Set[str]
+    ) -> Dict[ProductNode, int]:
+        """The per-node edge counts still exact on *twin*.
+
+        A node's count reads its two components' out-rows and the membership
+        of its successor pairs in ``Gp``.  The rows are unchanged when
+        neither component was touched; the successors that changed
+        membership are the symmetric difference of the two node sets, and a
+        node with untouched rows reaches them through in-edges the new graph
+        still holds.
+        """
+        if not self._edge_counts:
+            return {}
+        graph, nodes = twin._graph, twin._nodes
+        moved: Set[ProductNode] = set()
+        for o1, o2 in self._nodes ^ nodes:
+            for s1, predicate, _ in graph.in_triples(o1):
+                for s2 in graph.subjects(predicate, o2):
+                    moved.add((s1, s2))
+        return {
+            node: count
+            for node, count in self._edge_counts.items()
+            if node in nodes
+            and node not in moved
+            and node[0] not in affected_entities
+            and node[1] not in affected_entities
+        }
 
     # ------------------------------------------------------------------ #
     # structure queries
@@ -209,12 +245,21 @@ class ProductGraph:
     def count_edges(self) -> int:
         """The number of topology edges of ``Gp`` (used by the |Gp| ≈ 2.7·|G| stat)."""
         if self._edge_count is None:
-            predicates = self._graph.predicates()
-            self._edge_count = sum(
-                len(self.forward_neighbors(node, predicate))
-                for node in self._nodes
-                for predicate in predicates
-            )
+            # a statistic, so count in place: walk each entity-pair node's own
+            # out-row (never every predicate of G) and test membership of the
+            # target pair, building and sorting no neighbour list
+            graph, nodes, counts = self._graph, self._nodes, self._edge_counts
+            for node in nodes:
+                s1, s2 = node
+                if node in counts or not (is_entity_ref(s1) and is_entity_ref(s2)):
+                    continue
+                count = 0
+                for _, predicate, o1 in graph.out_triples(s1):
+                    for o2 in graph.objects(s2, predicate):
+                        if (o1, o2) in nodes:
+                            count += 1
+                counts[node] = count
+            self._edge_count = sum(counts.values())
         return self._edge_count
 
     def size(self) -> int:

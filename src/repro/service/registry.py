@@ -2,10 +2,19 @@
 
 A :class:`GraphRegistry` maps tenant-facing *names* to registered graphs.
 Registration builds exactly one thread-safe
-:class:`~repro.matching.artifacts.SessionArtifacts` cache per name; every
-request against that name runs through a fresh, throwaway
-:class:`~repro.api.session.MatchSession` **sharing** that cache, so:
+:class:`~repro.matching.artifacts.SessionArtifacts` cache per name, and every
+request against that name — match, ingest window, WAL recovery — runs on one
+of a small bounded table of **persistent**
+:class:`~repro.api.session.MatchSession` objects, one per run shape
+(:meth:`~repro.api.config.MatchConfig.run_shape`), all **sharing** that
+cache, so:
 
+* a session keeps the fixpoint it last computed, and ``chase(G, Σ)`` is a
+  function of ``(G, Σ)`` alone: a read at an unchanged graph version — or
+  under the shape the last ingest window ran under — is answered from the
+  held result (``reused``), a read after a window its own session planned
+  is a delta re-run (``incremental``), and only a shape whose seed fell
+  behind the shared cache pays a full run;
 * requests for different graphs run in parallel, and the artifacts'
   build-once locks guarantee each expensive artifact — snapshot,
   neighbourhood index, candidates, product graph — is built exactly once per
@@ -23,15 +32,15 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 import os
 
 from ..api.config import MatchConfig
 from ..api.events import ProgressObserver
-from ..api.session import MatchSession
+from ..api.session import DeltaProvenance, MatchSession
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import AdmissionError, ServiceError, UnknownGraphError
@@ -41,6 +50,20 @@ from ..storage.store import SnapshotStore, as_snapshot_store
 
 #: staleness samples kept per graph for the /metrics percentiles
 STALENESS_WINDOW = 2048
+
+#: persistent per-shape sessions kept per graph; one shape past the bound
+#: evicts the least recently used (its next read is a full run again)
+MAX_SESSIONS = 4
+
+
+class ServedRead(NamedTuple):
+    """One served match: everything read off the shared session while the
+    graph's ingest lock was still held."""
+
+    result: EMResult
+    #: how the read was answered (``reused`` / ``incremental`` / ``full``)
+    delta: DeltaProvenance
+    phase_timings: Dict[str, float]
 
 
 class RegisteredGraph:
@@ -65,13 +88,16 @@ class RegisteredGraph:
         #: completed match runs against this name (service bookkeeping)
         self.runs = 0
         self._lock = threading.Lock()
-        #: ingest state: one persistent incremental session per graph (its
-        #: seeded previous result is what makes each batch O(delta)), plus a
-        #: lock serializing mutation windows — concurrent ingests of one
-        #: name interleave whole batches, never individual mutations
+        #: serializes reads and mutation windows of this graph — concurrent
+        #: ingests of one name interleave whole batches, never individual
+        #: mutations, and a read sees the graph at a window boundary
         self._ingest_lock = threading.Lock()
-        self._ingest_session: Optional[MatchSession] = None
-        self._ingest_config: Optional[MatchConfig] = None
+        #: run shape → the persistent session holding that shape's last
+        #: fixpoint, least recently used first (guarded by ``_lock``)
+        self._sessions: "OrderedDict[tuple, MatchSession]" = OrderedDict()
+        self._session_evictions = 0
+        #: served reads by how they were answered
+        self._reads_by_mode = {"reused": 0, "incremental": 0, "full": 0}
         self.ingested_ops = 0
         self.ingest_batches = 0
         #: durability + flow control (attached by the registry)
@@ -87,45 +113,63 @@ class RegisteredGraph:
         #: recent per-mutation staleness samples (seconds), for /metrics
         self._staleness = deque(maxlen=STALENESS_WINDOW)
 
-    def new_session(self, config: Optional[MatchConfig] = None) -> MatchSession:
-        """A throwaway per-request session sharing this graph's artifacts."""
-        return MatchSession(
-            self.graph, self.keys, config, artifacts=self.artifacts
-        )
+    def session_for(self, config: Optional[MatchConfig] = None) -> MatchSession:
+        """The persistent session for *config*'s run shape (created on first
+        use, sharing this graph's artifacts).
+
+        Configs that differ only in how a run executes (``incremental``,
+        the snapshot store) share a session.  The table holds at most
+        :data:`MAX_SESSIONS` shapes; a new one past that evicts the least
+        recently used, whose fixpoint is dropped with it.
+        """
+        config = config or MatchConfig()
+        shape = config.run_shape()
+        with self._lock:
+            session = self._sessions.get(shape)
+            if session is not None:
+                self._sessions.move_to_end(shape)
+                return session
+            session = MatchSession(
+                self.graph, self.keys, config, artifacts=self.artifacts
+            )
+            self._sessions[shape] = session
+            if len(self._sessions) > MAX_SESSIONS:
+                self._sessions.popitem(last=False)
+                self._session_evictions += 1
+            return session
 
     def match(
         self,
         config: Optional[MatchConfig] = None,
         observer: Optional[ProgressObserver] = None,
-    ) -> Tuple[MatchSession, EMResult]:
-        """Run one match on a throwaway session; returns the session (for
-        the run's provenance) and the result.
+    ) -> ServedRead:
+        """Serve one match as a delta re-run of the shape's session.
 
         The run holds the ingest lock, so a read never refreshes artifacts
         from a graph that a concurrent ingest window is still mutating: it
-        sees the graph at a window boundary.  Lock order, the same as
-        :meth:`ingest`: ingest lock → session run lock → artifact-cache lock
-        → snapshot-store fingerprint lock.
+        sees the graph at a window boundary.  The session is shared with
+        every other request of its shape, so *observer* is attached for this
+        call only and the result's provenance is read before the lock is
+        released.  Lock order, the same as :meth:`ingest`: ingest lock →
+        session run lock → artifact-cache lock → snapshot-store fingerprint
+        lock.
         """
-        session = self.new_session(config)
-        if observer is not None:
-            session.on_progress(observer)
         with self._ingest_lock:
-            result = session.run()
+            session = self.session_for(config)
+            if observer is not None:
+                session.on_progress(observer)
+            try:
+                result = session.rerun()
+                read = ServedRead(
+                    result, session.last_delta(), session.phase_timings()
+                )
+            finally:
+                if observer is not None:
+                    session.remove_observer(observer)
         with self._lock:
             self.runs += 1
-        return session, result
-
-    def _ingest_session_for(self, config: MatchConfig) -> MatchSession:
-        """The persistent ingest session (caller holds ``_ingest_lock``)."""
-        session = self._ingest_session
-        if session is None or self._ingest_config != config:
-            session = MatchSession(
-                self.graph, self.keys, config, artifacts=self.artifacts
-            )
-            self._ingest_session = session
-            self._ingest_config = config
-        return session
+            self._reads_by_mode[read.delta.mode] += 1
+        return read
 
     def ingest_retry_after(self, backlog: Optional[int] = None) -> int:
         """A ``Retry-After`` estimate for an over-limit ingest window:
@@ -158,11 +202,13 @@ class RegisteredGraph:
 
         Returns ``(report, result)`` — the window's
         :class:`~repro.service.ingest.IngestReport` and the final (exact)
-        ``EMResult`` covering every applied mutation.  The persistent ingest
-        session survives across windows, so successive calls keep seeding
-        from the previous fixpoint; a config change swaps the session (the
-        first flush then falls back to a full run, after which increments
-        resume).
+        ``EMResult`` covering every applied mutation.  The window runs on
+        the persistent session of *config*'s run shape
+        (:meth:`session_for`), so successive windows — and the reads between
+        them under that shape — keep seeding from the previous fixpoint; a
+        window under another shape runs on that shape's session (whose seed
+        is then behind the shared cache: its first flush is a full run,
+        after which increments resume).
 
         Flow control: with a pending-window bound (per-request
         *max_pending_ops* or the registry-wide default), a window that
@@ -193,7 +239,7 @@ class RegisteredGraph:
         window_started = time.monotonic()
         try:
             with self._ingest_lock:
-                session = self._ingest_session_for(config)
+                session = self.session_for(config)
                 pipeline = IngestPipeline(
                     session,
                     latency_budget=latency_budget,
@@ -230,12 +276,12 @@ class RegisteredGraph:
                 self._inflight_ops -= len(ops)
 
     def recover(self, config: Optional[MatchConfig] = None) -> Dict[str, object]:
-        """Replay this graph's WAL through the persistent ingest session.
+        """Replay this graph's WAL through the session of *config*'s shape.
 
         Called by the registry right after registration when the attached
-        journal holds records; the replayed session stays as the persistent
-        ingest session, so subsequent windows keep seeding incrementally
-        from the recovered fixpoint.  Raises
+        journal holds records; the replayed session stays in the session
+        table, so subsequent windows and reads under that shape keep seeding
+        incrementally from the recovered fixpoint.  Raises
         :class:`~repro.exceptions.WalError` when the journal does not
         describe this graph — recovery never silently drops ops.
         """
@@ -244,7 +290,7 @@ class RegisteredGraph:
         if self.wal is None:
             raise ServiceError(f"graph {self.name!r} has no WAL attached")
         with self._ingest_lock:
-            session = self._ingest_session_for(config or MatchConfig())
+            session = self.session_for(config)
             report = replay(self.wal, session)
             with self._lock:
                 self.ingested_ops += report.ops_replayed
@@ -285,6 +331,14 @@ class RegisteredGraph:
     def describe(self) -> Dict[str, object]:
         """The ``GET /graphs`` wire entry for this registration."""
         info = self.artifacts.cache_info()
+        with self._lock:
+            reads_by_mode = dict(self._reads_by_mode)
+            sessions = {
+                "shapes": [
+                    session.config.describe() for session in self._sessions.values()
+                ],
+                "evictions": self._session_evictions,
+            }
         return {
             "name": self.name,
             "source": self.source,
@@ -293,6 +347,8 @@ class RegisteredGraph:
             "triples": self.graph.num_triples,
             "keys": self.keys.cardinality,
             "runs": self.runs,
+            "reads_by_mode": reads_by_mode,
+            "sessions": sessions,
             "ingested_ops": self.ingested_ops,
             "ingest_batches": self.ingest_batches,
             "ingest": self.ingest_status(),

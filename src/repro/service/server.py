@@ -26,11 +26,14 @@ request → 404, result-not-ready → 409, admission rejection → 429.  Every
 429 carries a ``Retry-After`` header.
 
 Threading model: one HTTP thread per connection (stdlib), submissions hop
-onto the admission controller's fixed worker pool, and each worker drives a
-throwaway per-request :class:`~repro.api.session.MatchSession` that shares
-the named graph's :class:`~repro.matching.artifacts.SessionArtifacts` — so request
-concurrency is bounded by ``max_inflight`` regardless of connection count,
-and no graph's artifacts are ever built twice.
+onto the admission controller's fixed worker pool, and each worker re-runs
+the named graph's persistent :class:`~repro.api.session.MatchSession` for
+the request's run shape (:meth:`RegisteredGraph.match`), which shares the
+graph's :class:`~repro.matching.artifacts.SessionArtifacts` and keeps its
+last fixpoint — so request concurrency is bounded by ``max_inflight``
+regardless of connection count, no graph's artifacts are ever built twice,
+and a read at a graph version the service has already solved under that
+shape is answered from the held result.
 """
 
 from __future__ import annotations
@@ -198,9 +201,9 @@ class MatchingService:
     ) -> None:
         """Run one admitted request on a worker thread."""
         before = entry.artifacts.cache_info()
-        session, request.result = entry.match(config, observer=request.record_event)
+        read = entry.match(config, observer=request.record_event)
+        request.result = read.result
         after = entry.artifacts.cache_info()
-        delta = session.last_delta()
         store = self.registry.store
         request.provenance = {
             "request_id": request.id,
@@ -209,7 +212,7 @@ class MatchingService:
             "deadline_exceeded": (
                 request.deadline is not None and time.time() > request.deadline
             ),
-            "phase_timings": session.phase_timings(),
+            "phase_timings": read.phase_timings,
             # per-request build/hit deltas: under concurrency a racing
             # request may be the one paying a build this request benefits
             # from, so interpret these as "builds charged while this request
@@ -231,11 +234,7 @@ class MatchingService:
                 "store_misses": after.store_misses,
             },
             "store": None if store is None else store.metrics(),
-            "delta": (
-                {"mode": "full", "reason": "service runs are stateless"}
-                if delta is None
-                else {"mode": delta.mode, "reason": delta.reason}
-            ),
+            "delta": {"mode": read.delta.mode, "reason": read.delta.reason},
         }
 
     def _remember(self, request: MatchRequest) -> None:
@@ -649,18 +648,34 @@ def _query_int(query: str, name: str, default: int) -> int:
     return default
 
 
+#: Smallest listen backlog ``repro serve`` asks the kernel for.
+MIN_LISTEN_BACKLOG = 128
+
+
 def make_http_server(
     service: MatchingService,
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> ThreadingHTTPServer:
-    """An HTTP server bound to *service* (``port=0``: ephemeral port)."""
+    """An HTTP server bound to *service* (``port=0``: ephemeral port).
+
+    The listen backlog is sized from what admission control can hold
+    (``max_queued + max_inflight``, at least :data:`MIN_LISTEN_BACKLOG`):
+    ``socketserver``'s default of 5 lets the kernel reset or stall a burst
+    of simultaneous connects before the service can answer any of them
+    with a 429.
+    """
     handler = type(
         "BoundServiceHTTPHandler", (ServiceHTTPHandler,), {"service": service}
     )
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    controller = service.controller
+    backlog = max(MIN_LISTEN_BACKLOG, controller.max_queued + controller.max_inflight)
+    bound = type(
+        "BoundThreadingHTTPServer",
+        (ThreadingHTTPServer,),
+        {"request_queue_size": backlog, "daemon_threads": True},
+    )
+    return bound((host, port), handler)
 
 
 def _drain_and_stop(

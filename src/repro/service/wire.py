@@ -150,7 +150,8 @@ def parse_match_request(
 
     Returns ``(graph_name, config, wait, timeout)``.  ``snapshot_store``
     and ``incremental`` are deliberately not accepted: the service owns the
-    store (the multiplexing contract) and serves stateless full runs.
+    store (the multiplexing contract) and decides per read whether the held
+    fixpoint answers it (``provenance.delta``).
     """
     if not isinstance(payload, Mapping):
         raise WireError(f"request body must be a JSON object, got {payload!r}")

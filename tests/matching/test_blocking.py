@@ -470,11 +470,12 @@ class TestSessionIntegration:
         assert "blocking=auto" in config.describe()
 
     def test_service_metrics_expose_blocking_counters(self):
+        from repro.api.config import MatchConfig
         from repro.service.registry import GraphRegistry
 
         registry = GraphRegistry()
         entry = registry.register("g", flat_graph(), flat_key())
-        entry.new_session().run("EMOptMR", blocking="auto")
+        entry.session_for(MatchConfig(algorithm="EMOptMR", blocking="auto")).run()
         cache = entry.describe()["cache"]
         assert cache["blocking_index_builds"] == 1
         assert cache["blocking_pairs_pruned"] > 0

@@ -583,15 +583,21 @@ class TestMatchDuringIngest:
         reads, failures = [], []
         done = threading.Event()
 
-        def reader():
+        # two shapes: one shares the writer's persistent session, the other
+        # lags the shared cache after every window and re-solves
+        shapes = (config, MatchConfig(algorithm="EMOptMR"))
+
+        def reader(shape):
             while not done.is_set():
                 try:
-                    _session, result = entry.match(config)
-                    reads.append(sorted(result.pairs()))
+                    reads.append(sorted(entry.match(shape).result.pairs()))
                 except Exception as error:  # the regression: a torn read
                     failures.append(error)
 
-        readers = [threading.Thread(target=reader, daemon=True) for _ in range(3)]
+        readers = [
+            threading.Thread(target=reader, args=(shapes[n % 2],), daemon=True)
+            for n in range(4)
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

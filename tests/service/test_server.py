@@ -240,7 +240,74 @@ class TestMatchLifecycle:
         assert provenance["builds_during_request"]["snapshot"] == 0
 
 
+class TestServedFromTheHeldFixpoint:
+    def test_reused_read_has_no_events_and_the_computing_runs_statistics(self, live):
+        """The second read of one shape at an unchanged graph version is
+        answered from the held result: ``delta.mode == "reused"``, no
+        progress events (no backend ran), and the statistics of the run
+        that computed it.  ``/metrics`` counts both reads by mode."""
+        _service, client = live
+        register_music(client)
+        body = {"graph": "music", "algorithm": "EMOptMR", "wait": True}
+        status, first, _ = client.post("/match", body)
+        assert status == 200 and first["status"] == "done", first
+        assert first["provenance"]["delta"]["mode"] == "full"
+        assert first["provenance"]["delta"]["reason"] == "no previous result to seed from"
+        _, events, _ = client.get(f"/requests/{first['id']}/events")
+        assert events["events"] and events["events"][-1]["stage"] == "done"
+
+        status, second, _ = client.post("/match", body)
+        assert status == 200 and second["status"] == "done", second
+        assert second["provenance"]["delta"] == {"mode": "reused", "reason": None}
+        assert second["result"] == first["result"]  # wall clock and all
+        _, events, _ = client.get(f"/requests/{second['id']}/events")
+        assert events["events"] == [] and events["dropped"] == 0
+
+        # another shape is another session: its first read solves
+        status, other, _ = client.post(
+            "/match", {"graph": "music", "algorithm": "EMOptMR", "processors": 2, "wait": True}
+        )
+        assert other["provenance"]["delta"]["mode"] == "full"
+
+        _, metrics, _ = client.get("/metrics")
+        entry = metrics["registry"]["per_graph"]["music"]
+        assert entry["reads_by_mode"] == {"reused": 1, "incremental": 0, "full": 2}
+        assert entry["sessions"]["evictions"] == 0
+        assert entry["sessions"]["shapes"] == [
+            "EMOptMR(p=4, blocking=auto)", "EMOptMR(p=2, blocking=auto)",
+        ]
+
+
 class TestAdmissionOverHttp:
+    def test_burst_of_fresh_connections_all_get_an_http_status(self, music):
+        """64 simultaneous fresh connections: each is answered 200 or 429 by
+        admission control; the kernel's listen queue resets none of them."""
+        service = MatchingService(max_inflight=1, max_queued=4)
+        graph, keys, _expected = music
+        service.register_graph("music", graph, keys)
+        server, client = start_server(service)
+        burst = 64
+        assert server.request_queue_size >= 128 > burst
+        barrier = threading.Barrier(burst)
+
+        def fire(_index):
+            barrier.wait(timeout=30.0)
+            status, _data, _headers = client.post(
+                "/match", {"graph": "music", "algorithm": "chase", "wait": True},
+                timeout=60.0,
+            )
+            return status
+
+        try:
+            with ThreadPoolExecutor(max_workers=burst) as pool:
+                statuses = list(pool.map(fire, range(burst)))
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert set(statuses) <= {200, 429}, statuses
+        assert 200 in statuses
+
     def test_over_limit_load_gets_429(self, music):
         service = MatchingService(max_inflight=1, max_queued=1)
         graph, keys, _expected = music
@@ -607,7 +674,7 @@ class TestIngestBackpressureOverHttp:
         assert status == 200, payload
 
         entry = service.registry.get("g")
-        session = entry._ingest_session
+        session = entry.session_for()
         original_rerun = session.rerun
 
         def broken_rerun(**options):

@@ -515,11 +515,12 @@ class TestServiceRestartRecovery:
         assert info.blocking_index_builds == 1
         flavours = set(entry.artifacts.cached("candidates"))
         assert flavours and all(blocked for _f, _r, blocked in flavours)
-        recovered = entry._ingest_session
+        recovered = entry.session_for()
         assert recovered.config.blocking == "auto"
+        assert recovered.history  # the replay ran on it
         for config in (None, MatchConfig(blocking="auto")):
             _report, result = entry.ingest([], config=config)
-            assert entry._ingest_session is recovered
+            assert entry.session_for(config) is recovered
             assert result.pairs() == chase(rebuilt.graph, rebuilt.keys).pairs()
         assert entry.artifacts.cache_info().blocking_index_builds == 1
         registry2.close()
