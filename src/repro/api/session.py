@@ -17,10 +17,10 @@ Sessions also support incremental re-matching: mutating the graph (e.g.
 detected via the graph's mutation journal, and only the artifacts a mutation
 could have staled are evicted or rebased before the next run.  Going further,
 ``session.rerun()`` (= ``run(incremental=True)``) seeds the next run from the
-previous result and re-chases only the journal-affected candidate pairs —
-bit-identical to a full run, with :meth:`MatchSession.last_delta` reporting
-the delta provenance.  Observers registered with
-:meth:`MatchSession.on_progress` receive per-round
+fixpoint the artifact cache holds and re-chases only the journal-affected
+candidate pairs — bit-identical to a full run, with
+:meth:`MatchSession.last_delta` reporting the delta provenance.  Observers
+registered with :meth:`MatchSession.on_progress` receive per-round
 :class:`~repro.api.events.ProgressEvent` notifications, and
 :attr:`MatchSession.history` records the (config, result) provenance of every
 run.
@@ -33,7 +33,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..core.graph import Graph
 from ..core.key import KeySet
@@ -71,6 +71,15 @@ class DeltaProvenance:
     seed_merges: int = 0
 
 
+class _HeldResult(NamedTuple):
+    """A session's last result: what a ``reused`` answer returns."""
+
+    result: EMResult
+    config: MatchConfig
+    #: the artifact-cache version the result is the answer at
+    version: int
+
+
 class MatchSession:
     """A fluent facade over the algorithm registry with artifact caching.
 
@@ -80,7 +89,10 @@ class MatchSession:
     sessions run fully in parallel.  Passing a shared ``artifacts`` cache —
     or configuring sibling sessions with one shared ``snapshot_store`` —
     lets many sessions on the same graph pay for each expensive artifact
-    exactly once (the service layer's multiplexing contract).
+    exactly once (the service layer's multiplexing contract).  The seed of
+    incremental re-matching lives in that cache too, so a sibling session's
+    fixpoint seeds this one's next :meth:`rerun`; a session itself holds
+    only its last result object, for the ``reused`` answer.
     """
 
     def __init__(
@@ -122,8 +134,9 @@ class MatchSession:
         #: (observer, exception) pairs recorded by the hardened dispatcher,
         #: newest last (bounded; see _MAX_OBSERVER_ERRORS)
         self._observer_errors: List[Tuple[ProgressObserver, BaseException]] = []
-        #: seed state for incremental re-matching (set after every run)
-        self._incremental: Optional[IncrementalState] = None
+        #: the last run's (result, config, version), returned as it is when
+        #: the same run shape is asked for again at the same version
+        self._held: Optional[_HeldResult] = None
         #: delta provenance of the last run (None for classic full runs)
         self._last_delta: Optional[DeltaProvenance] = None
 
@@ -161,7 +174,7 @@ class MatchSession:
                     self._artifacts = None
             self._keys = keys
             if changed is None or changed:
-                self._incremental = None
+                self._held = None
         return self
 
     def using(
@@ -321,16 +334,23 @@ class MatchSession:
     def invalidate(self) -> "MatchSession":
         """Manually drop every cached artifact.
 
-        The incremental seed state and its counters are reset alongside the
-        cached artifacts, so the next ``run(incremental=True)`` falls back to
-        a full run.
+        The cache's seed and its incremental counters are reset alongside,
+        so the next ``run(incremental=True)`` falls back to a full run.
         """
         with self._lock:
             if self._artifacts is not None:
                 self._artifacts.reset()
-            self._incremental = None
+            self._held = None
             self._last_delta = None
         return self
+
+    @property
+    def seed_version(self) -> Optional[int]:
+        """The graph version of the fixpoint the next :meth:`rerun` would
+        seed from (``None``: the artifact cache holds none yet)."""
+        if self._artifacts is None:
+            return None
+        return self._artifacts.seed_version
 
     def last_delta(self) -> Optional[DeltaProvenance]:
         """Delta provenance of the most recent run (``None``: classic run)."""
@@ -385,33 +405,19 @@ class MatchSession:
                 blocking=blocking,
             )
             spec, validated = config.resolve()
-            # a failed run must never leave a stale seed (or stale provenance)
-            # behind: detach both up front, re-attach only after success
-            state, self._incremental, self._last_delta = self._incremental, None, None
+            # a failed run must never leave stale provenance behind.  The
+            # seed needs no such care: it is immutable, lives in the cache,
+            # and a run plans from it only at the cache's own version
+            self._last_delta = None
             artifacts = self._artifacts_for(config)
             result, self._last_delta = self._execute(
-                spec, config, validated, state, artifacts
+                spec, config, validated, artifacts
             )
-            if (
-                state is not None
-                and result is state.result
-                and state.version == artifacts.version
-            ):
-                # the held fixpoint answered an empty window: it stays the
-                # seed as it is
-                self._incremental = state
-            else:
-                # remember this run's fixpoint as the seed for the next delta
-                # run: an ``Eq`` copy and the run's immutable snapshot, which
-                # is all the planner reads of the old graph
-                self._incremental = IncrementalState(
-                    version=artifacts.version,
-                    eq=result.eq.copy(),
-                    result=result,
-                    config=config,
-                    snapshot=artifacts.snapshot(),
-                    keys=self._keys,
-                )
+            # this run's fixpoint seeds the next delta run — of any session
+            # sharing the cache (a no-op when the cache already holds the
+            # fixpoint of this version)
+            artifacts.record_seed(result.eq)
+            self._held = _HeldResult(result, config, artifacts.version)
             self._history.append((config, result))
             return result
 
@@ -420,35 +426,40 @@ class MatchSession:
         spec: AlgorithmSpec,
         config: MatchConfig,
         validated: Dict[str, object],
-        state: Optional[IncrementalState],
         artifacts: SessionArtifacts,
     ) -> Tuple[EMResult, Optional[DeltaProvenance]]:
-        """Run *spec* once — fully, or as a delta re-chase seeded from *state*
-        — and say which it was (``None``: incremental was not requested)."""
-        touched = fallback = plan = delta = None
+        """Run *spec* once — fully, or as a delta re-chase seeded from the
+        cache's fixpoint — and say which it was (``None``: incremental was
+        not requested)."""
+        state = touched = plan = delta = None
         if config.incremental:
-            touched, fallback = self._journal_window(spec, state, artifacts)
+            state, touched, fallback = self._journal_window(spec, artifacts)
             delta = DeltaProvenance(mode="full", reason=fallback)
+        held = self._held
+        # the held result answers when it was computed under this run shape
+        # at the seed's version: chase(G, Σ) is a function of (G, Σ)
         reusable = (
             touched is not None
-            and state.result is not None
-            and state.config.run_shape() == config.run_shape()
+            and held is not None
+            and held.version == state.version
+            and held.config.run_shape() == config.run_shape()
         )
         if touched is None:
             artifacts.refresh()
         elif not touched and reusable:
             # an empty journal window under the run shape that produced the
-            # held result: chase(G, Σ) is a function of (G, Σ), so the held
-            # fixpoint *is* the answer — nothing to refresh, plan or re-chase.
-            # The universe is read off the (in step, so cached) candidate
-            # slot the planner would have walked
+            # held result: the held fixpoint *is* the answer — nothing to
+            # refresh, plan or re-chase.  The universe is read off the (in
+            # step, so cached) candidate slot the planner would have walked
             blocked = config.blocking != "off"
             universe = len(
                 artifacts.candidates(filtered=blocked, blocking=config.blocking).pairs
             )
             artifacts.count(incremental_runs=1, pairs_skipped=universe)
-            return state.result, DeltaProvenance(mode="reused", pairs_skipped=universe)
+            return held.result, DeltaProvenance(mode="reused", pairs_skipped=universe)
         else:
+            # an empty window under another shape (a sibling session moved
+            # the cache and the seed on) plans against that shape's fixpoint
             plan = plan_session_delta(
                 artifacts, state, touched, blocking=config.blocking
             )
@@ -469,7 +480,7 @@ class MatchSession:
                 # the delta implicates nothing and the exact same
                 # configuration produced the previous result: return that
                 # object as-is
-                return state.result, replace(delta, mode="reused")
+                return held.result, replace(delta, mode="reused")
         # an empty worklist still dispatches the backend (it returns the
         # seeded closure immediately), so the result carries this run's
         # algorithm name and statistics rather than the seeding run's
@@ -496,19 +507,27 @@ class MatchSession:
     def _journal_window(
         self,
         spec: AlgorithmSpec,
-        state: Optional[IncrementalState],
         artifacts: SessionArtifacts,
-    ) -> Tuple[Optional[set], Optional[str]]:
-        """The touched-node window an incremental run can plan over, or
-        ``(None, reason)`` when the request must fall back to a full run."""
+    ) -> Tuple[Optional[IncrementalState], Optional[set], Optional[str]]:
+        """``(seed, touched, None)`` — the cache's fixpoint and the
+        touched-node window an incremental run can plan over from it — or
+        ``(None, None, reason)`` when the request must fall back to a full
+        run."""
         if "incremental" not in spec.capabilities:
-            return None, f"algorithm {spec.name!r} lacks the incremental capability"
+            return None, None, (
+                f"algorithm {spec.name!r} lacks the incremental capability"
+            )
+        state = artifacts.seed()
         if state is None:
-            return None, "no previous result to seed from"
+            # the first run on this graph (or after the keys changed)
+            return None, None, "no previous result to seed from"
         if artifacts.version != state.version:
-            return None, "artifact cache out of step with the previous result"
+            # only a run that failed after refresh() moved the cache gets here
+            return None, None, "artifact cache out of step with the previous result"
         touched = self._graph.touched_since(state.version)
-        return touched, ("journal window expired" if touched is None else None)
+        if touched is None:
+            return None, None, "journal window expired"
+        return state, touched, None
 
     def run_async(
         self, algorithm: Optional[str] = None, **settings: object

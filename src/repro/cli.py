@@ -663,8 +663,8 @@ def _command_ingest(args: argparse.Namespace) -> int:
             recovery = replay(wal, session)
             if not args.json and not args.quiet:
                 print(
-                    f"recovered      : {recovery.ops_replayed} op(s) replayed "
-                    f"in {recovery.batches} batch(es), "
+                    f"recovered      : {recovery.ops_replayed} op(s) replayed, "
+                    f"{recovery.batches} solve(s), "
                     f"{recovery.checkpoints_verified} checkpoint(s) verified, "
                     f"{recovery.pending_replayed} pending op(s) salvaged"
                 )

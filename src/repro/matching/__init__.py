@@ -128,6 +128,11 @@ def _run_chase(
 ) -> EMResult:
     snapshot = artifacts.snapshot() if artifacts is not None else None
     index = artifacts.neighborhood_index() if artifacts is not None else None
+    if artifacts is not None and worklist is None and blocking != "off":
+        # the cache's enumeration of this graph version, in the order the
+        # chase itself would enumerate: same candidates, same checks, no
+        # blocking index built and no collision pass per run
+        worklist, _ = artifacts.blocked_pairs(blocking)
     result = chase_as_result(
         graph,
         keys,

@@ -14,26 +14,35 @@ is, a slot parked by a mutation is rebased onto the new graph version with
 the entities the delta(s) affected, and a missing slot is built.  The
 singletons every flavour shares — compiled snapshot, neighbourhood index,
 blocking index, traversal orders — are reconciled eagerly by
-:meth:`SessionArtifacts.refresh`.
+:meth:`SessionArtifacts.refresh`; the blocked collision result
+(:meth:`SessionArtifacts.blocked_pairs`) is scoped to one graph version.
+
+The cache also holds the one *seed* of incremental re-matching
+(:meth:`SessionArtifacts.seed`): the fixpoint of the last finished run, at
+the version it was computed for.  ``chase(G, Σ)`` is a function of
+``(G, Σ)`` alone, so whichever session recorded it, it seeds every session
+sharing the cache.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.neighborhood import radius_per_type
 from ..exceptions import StoreError
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.store import SnapshotStore
-from .blocking import BlockingIndex
+from .blocking import BlockingIndex, BlockingStats
 from .candidates import CandidateSet, build_candidates, build_filtered_candidates
 from .incremental import (
     DependencyArtifact,
+    IncrementalState,
     rebase_filtered_candidates,
     touched_entity_nodes,
 )
@@ -76,7 +85,8 @@ class SessionCacheInfo:
     pairs_skipped: int = 0
     #: blocking-layer observability: signature index builds / journal-delta
     #: rebases, blocks enumerated, and candidate pairs pruned vs. the
-    #: quadratic baseline (cumulative across blocked candidate builds)
+    #: quadratic baseline (cumulative across collision passes: one per graph
+    #: version that ran blocked, see :meth:`SessionArtifacts.blocked_pairs`)
     blocking_index_builds: int = 0
     blocking_index_rebases: int = 0
     blocking_blocks_touched: int = 0
@@ -147,7 +157,12 @@ class SessionArtifacts:
         self._snapshot: Optional[GraphSnapshot] = None
         self._index: Optional[SnapshotNeighborhoodIndex] = None
         self._blocking_index: Optional[BlockingIndex] = None
+        # the blocked enumeration off _blocking_index, valid at self.version
+        self._blocked_pairs: Optional[Tuple[Tuple[Pair, ...], BlockingStats]] = None
         self._orders: Optional[Dict[str, object]] = None
+        # the seed of incremental re-matching: the last finished run's
+        # fixpoint (immutable; usable while its version equals self.version)
+        self._seed: Optional[IncrementalState] = None
         # the slot table: artifacts valid at self.version, and artifacts a
         # mutation staled, parked with the union of delta-affected entities
         # until their next access rebases them
@@ -157,12 +172,13 @@ class SessionArtifacts:
         #: cumulative seconds spent building each artifact kind (CLI --profile)
         self.timings: Dict[str, float] = {}
 
+    def _charge(self, phase: str, seconds: float) -> None:
+        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
+
     def _timed(self, phase: str, build):
         started = time.perf_counter()
         result = build()
-        self.timings[phase] = self.timings.get(phase, 0.0) + (
-            time.perf_counter() - started
-        )
+        self._charge(phase, time.perf_counter() - started)
         return result
 
     def count(self, **increments: int) -> None:
@@ -186,24 +202,65 @@ class SessionArtifacts:
                 if slot_kind == kind
             }
 
+    # -- the seed of incremental re-matching ------------------------------ #
+
+    def seed(self) -> Optional[IncrementalState]:
+        """The last finished run's fixpoint (``None`` before the first run).
+
+        A run may plan a delta from it only while its version equals
+        :attr:`version`: the planner reads old-side staleness off this
+        cache, so the two must describe the same graph version.  They differ
+        only after a run that failed once :meth:`refresh` had moved the
+        cache on — the seed is immutable and a failed run leaves it alone.
+        """
+        with self._lock:
+            return self._seed
+
+    @property
+    def seed_version(self) -> Optional[int]:
+        """The graph version :meth:`seed` is the fixpoint of, if any."""
+        seed = self._seed
+        return None if seed is None else seed.version
+
+    def record_seed(self, eq: EquivalenceRelation) -> None:
+        """Hold *eq* as the fixpoint at :attr:`version` (every finished run
+        calls this).
+
+        The fixpoint is a function of the graph version and the keys, so a
+        seed already at this version *is* this relation and stays:
+        recording costs one ``Eq`` copy per graph version, however many run
+        shapes solve at it.  The run's immutable snapshot rides along — it
+        is all the planner reads of the old graph.
+        """
+        with self._lock:
+            if self._seed is None or self._seed.version != self.version:
+                self._seed = IncrementalState(
+                    version=self.version,
+                    eq=eq.copy(),
+                    snapshot=self.snapshot(),
+                    keys=self.keys,
+                )
+
     # -- cache lifecycle ------------------------------------------------- #
 
     def _drop_all(self) -> None:
         self._snapshot = None
         self._index = None
         self._blocking_index = None
+        self._blocked_pairs = None
         self._fresh.clear()
         self._stale.clear()
 
     def reset(self) -> None:
         """Drop every cached artifact (e.g. after a key-set change).
 
-        The incremental-run counters are reset alongside: a manual
-        invalidation severs the delta chain (the next incremental run falls
-        back to a full one), so the per-delta accounting restarts too.
+        The seed and the incremental-run counters are reset alongside: a
+        manual invalidation severs the delta chain (the next incremental run
+        falls back to a full one), so the per-delta accounting restarts too.
         """
         with self._lock:
             self._drop_all()
+            self._seed = None
             self._orders = None
             self.version = self.graph.version
             self._counts["invalidations"] += 1
@@ -232,9 +289,10 @@ class SessionArtifacts:
 
         The blocking index and traversal orders are dropped outright: their
         per-type signature schemes/orders derive from the keys and rebuild
-        in one cheap pass on next use.  An empty return means the key lists
-        are identical and every cached artifact (and any incremental seed
-        state the caller holds) is still exact.
+        in one cheap pass on next use, and so is the seed — a fixpoint
+        under different keys seeds nothing.  An empty return means the key
+        lists are identical and every cached artifact, the seed included, is
+        still exact.
         """
         with self._lock:
             old_by_type = self._keyed_types
@@ -257,6 +315,8 @@ class SessionArtifacts:
             if self._index is not None:
                 self._index = self._index.rekeyed(keys, evict=affected)
             self._blocking_index = None
+            self._blocked_pairs = None
+            self._seed = None
             self._orders = None
             self._counts["invalidations"] += 1
             self._counts["key_rebases"] += 1
@@ -333,6 +393,7 @@ class SessionArtifacts:
                 stale = stale_hint if stale_hint is not None else self.stale_entities(touched)
                 affected = set(stale) | touched_entity_nodes(self.graph, touched)
                 self._park(affected)
+                self._blocked_pairs = None
                 self._snapshot = self._patched_snapshot(self._snapshot, touched)
                 self._index = self._index.rebased(self.snapshot(), evict=sorted(stale))
                 if self._blocking_index is not None:
@@ -508,6 +569,33 @@ class SessionArtifacts:
                 self._counts["blocking_index_builds"] += 1
             return self._blocking_index
 
+    def blocked_pairs(self, mode: str) -> Tuple[Tuple[Pair, ...], BlockingStats]:
+        """The blocked candidate enumeration and its stats, colliding the
+        signatures of :meth:`blocking_index` at most once per graph version.
+
+        Every blocked consumer at one version — each ``candidates`` flavour's
+        build or rebase, the ``chase`` backend's pair order — reads the same
+        pair tuple (the unfiltered blocked flavour holds it as its ``pairs``
+        outright); a mutation drops it with the version it was enumerated
+        at.  The collision pass is charged here
+        (``blocking_collision``, blocks touched, pairs pruned), so consumers
+        get their own stats copy to add their filter time to.  ``"auto"``
+        and ``"force"`` enumerate identical pairs whenever ``"force"`` is
+        accepted, which is re-validated on every call.
+        """
+        with self._lock:
+            index = self.blocking_index()
+            if mode == "force":
+                index.require_certified()
+            if self._blocked_pairs is None:
+                pairs, stats = index.candidate_pairs("auto")
+                self._blocked_pairs = (tuple(pairs), stats)
+                self._counts["blocking_blocks_touched"] += stats.blocks_touched
+                self._counts["blocking_pairs_pruned"] += stats.pairs_pruned
+                self._charge("blocking_collision", stats.collision_seconds)
+            pairs, stats = self._blocked_pairs
+            return pairs, replace(stats, mode=mode)
+
     def traversal_orders(self):
         with self._lock:
             if self._orders is None:
@@ -523,33 +611,20 @@ class SessionArtifacts:
         blocking: str = "off",
     ) -> CandidateSet:
         with self._lock:
-            blocking_index: Optional[BlockingIndex] = None
-            if blocking != "off":
-                blocking_index = self.blocking_index()
-                if blocking == "force":
-                    # "auto" and "force" share one cached flavour (identical
-                    # pairs when force is accepted), so force re-validates the
-                    # certification even on a cache hit
-                    blocking_index.require_certified()
             # upstream artifacts are fetched outside the timed build so each
             # phase is charged its own work only
             inputs = dict(
                 index=self.neighborhood_index(),
                 snapshot=self.snapshot(),
                 blocking=blocking,
-                blocking_index=blocking_index,
+                blocked=None if blocking == "off" else self.blocked_pairs(blocking),
             )
 
             def charged(candidates: CandidateSet) -> CandidateSet:
-                stats = candidates.blocking
-                if stats is not None:
-                    self._counts["blocking_blocks_touched"] += stats.blocks_touched
-                    self._counts["blocking_pairs_pruned"] += stats.pairs_pruned
-                    for phase, seconds in (
-                        ("blocking_collision", stats.collision_seconds),
-                        ("blocking_pairing_filter", stats.filter_seconds),
-                    ):
-                        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
+                if candidates.blocking is not None:
+                    self._charge(
+                        "blocking_pairing_filter", candidates.blocking.filter_seconds
+                    )
                 return candidates
 
             def build() -> CandidateSet:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.chase import candidate_pairs
 from ..core.equivalence import Pair
@@ -27,7 +27,9 @@ from .blocking import BlockingIndex, BlockingStats, blocked_candidate_pairs
 class CandidateSet:
     """The candidate pairs to check, with the supporting neighbourhood index."""
 
-    pairs: List[Pair]
+    #: in deterministic enumeration order; never mutated in place (a blocked
+    #: unfiltered set shares the session cache's enumeration tuple)
+    pairs: Sequence[Pair]
     neighborhoods: NeighborhoodIndex
     #: |L| before the pairing filter (for the optimization-effectiveness stats).
     unfiltered_size: int = 0
@@ -78,6 +80,7 @@ def build_candidates(
     snapshot: Optional[GraphSnapshot] = None,
     blocking: str = "off",
     blocking_index: Optional[BlockingIndex] = None,
+    blocked: Optional[Tuple[Sequence[Pair], BlockingStats]] = None,
 ) -> CandidateSet:
     """The unfiltered candidate set ``L`` with full d-neighbourhoods.
 
@@ -89,12 +92,20 @@ def build_candidates(
     *blocking* selects the enumeration strategy: ``"off"`` is the classic
     quadratic scan, ``"auto"`` enumerates through signature blocks with a
     per-type quadratic fallback for uncertified keys, ``"force"`` refuses to
-    fall back (see :mod:`repro.matching.blocking`).  A prebuilt
-    *blocking_index* (session cache) skips the signature build.
+    fall back (see :mod:`repro.matching.blocking`).  *blocked* — the session
+    cache's ``(pairs, stats)`` enumeration of the graph version at hand,
+    with the stats the caller's own — skips the signature build and the
+    collision pass; it is what every caller in ``src/`` passes.  A prebuilt
+    *blocking_index* skips the signature build only: it is kept for the
+    benchmark spine's cache-less batch path alone and goes, with the
+    ``blocked_candidate_pairs`` branch, once the spine passes *blocked*
+    (ROADMAP item 1).
     """
     reader = snapshot if snapshot is not None else graph
     stats: Optional[BlockingStats] = None
-    if blocking != "off":
+    if blocked is not None:
+        pairs, stats = blocked
+    elif blocking != "off":
         pairs, stats, _ = blocked_candidate_pairs(
             graph, keys, mode=blocking, snapshot=snapshot, index=blocking_index
         )
@@ -127,6 +138,7 @@ def build_filtered_candidates(
     snapshot: Optional[GraphSnapshot] = None,
     blocking: str = "off",
     blocking_index: Optional[BlockingIndex] = None,
+    blocked: Optional[Tuple[Sequence[Pair], BlockingStats]] = None,
 ) -> CandidateSet:
     """The candidate set after the pairing filter of Section 4.2.
 
@@ -146,6 +158,7 @@ def build_filtered_candidates(
         snapshot=snapshot,
         blocking=blocking,
         blocking_index=blocking_index,
+        blocked=blocked,
     )
     neighborhoods = base.neighborhoods
     filter_started = time.perf_counter()

@@ -28,9 +28,10 @@ endpoints), so the old neighbourhood already intersected the touched set.
 
 All six backends consume the same plan through their ``seed_pairs`` /
 ``worklist`` entry points; :func:`plan_session_delta` reads a session's
-artifact cache across the window, and
+artifact cache — which also holds the seed, so every session sharing the
+cache plans from the same fixpoint — across the window, and
 :class:`~repro.api.session.MatchSession` owns the fallback policy (a full
-run when the journal window expired or no previous result exists).
+run when the journal window expired or the cache holds no fixpoint yet).
 """
 
 from __future__ import annotations
@@ -90,34 +91,31 @@ class DependencyWorklist:
 
 
 class IncrementalState:
-    """What a finished run leaves behind to seed the next delta run.
+    """The fixpoint a finished run leaves behind to seed the next delta run.
 
-    Recording the state costs an ``Eq`` copy: the candidate set ``L`` at
+    ``chase(G, Σ)`` is a function of ``(G, Σ)`` alone, so the state carries
+    no trace of the run that computed it — no result object, no
+    configuration — and one state per graph version, held by the shared
+    :class:`~repro.matching.artifacts.SessionArtifacts`, seeds every run
+    shape.  Recording it costs an ``Eq`` copy: the candidate set ``L`` at
     ``version`` is never materialised.  Membership in it is a property of
     the pair alone (:meth:`was_candidate`), read off the run's immutable
     snapshot.
     """
 
-    __slots__ = ("version", "eq", "result", "config", "_snapshot", "_types")
+    __slots__ = ("version", "eq", "_snapshot", "_types")
 
     def __init__(
         self,
         version: int,
         eq: EquivalenceRelation,
-        result: Optional[object],
-        config: Optional[object],
         snapshot,
         keys: KeySet,
     ) -> None:
-        #: :attr:`Graph.version` the result corresponds to.
+        #: :attr:`Graph.version` the fixpoint corresponds to.
         self.version = version
         #: the computed fixpoint (an independent copy, never mutated).
         self.eq = eq
-        #: the previous run's result, returned as-is when a delta touches
-        #: nothing and the requested config matches (``EMResult``).
-        self.result = result
-        #: the ``MatchConfig`` that produced ``result``.
-        self.config = config
         self._snapshot = snapshot
         self._types = frozenset(keys.target_types())
 
@@ -196,9 +194,12 @@ def plan_delta(
         Entities whose *old* cached d-neighbourhood contained a touched node
         (computed from the pre-refresh session index).  By the locality
         argument in the module docstring this also covers every entity whose
-        *new* neighbourhood gained a touched node.
+        *new* neighbourhood gained a touched node — among the entities that
+        *have* a cached neighbourhood; :func:`plan_session_delta` adds the
+        touched nodes' radius ball for the rest.
     state:
-        The previous run's :class:`IncrementalState`.
+        The seed fixpoint (:class:`IncrementalState`) the delta is planned
+        against.
     old_pair_supports:
         The pairing-support nodes recorded at ``state.version`` (per pair, a
         ``(side1, side2)`` node-set tuple).  When given, a *previously
@@ -283,11 +284,15 @@ def plan_session_delta(
     blocking: str,
 ) -> DeltaPlan:
     """Refresh a session's artifact cache over a journal window and plan the
-    delta re-chase against the previous run's *state*.
+    delta re-chase against the seed *state*.
 
     *artifacts* is the session's
     :class:`~repro.matching.artifacts.SessionArtifacts`, still at
-    ``state.version``; it leaves here reconciled with the live graph.  The
+    ``state.version`` (*state* is the seed it holds); it leaves here
+    reconciled with the live graph.  An empty *touched* — a sibling run
+    shape already moved the cache and the seed to the live version — plans
+    against that shape's fixpoint: nothing is stale, and only this
+    flavour's parked slots are rebased.  The
     order matters: old-side staleness must be read off the pre-refresh
     neighbourhood index (the refresh then reuses the sweep instead of
     recomputing it), and so must the recorded pairing supports — the rebase
@@ -304,13 +309,15 @@ def plan_session_delta(
                 old_supports.update(cached.pair_supports)
     old_affected = artifacts.stale_entities(touched)
     artifacts.refresh(stale_hint=old_affected)
-    if blocked:
-        # stale_entities only sees entities with a cached neighbourhood, and
-        # an entity that never collided has none: a radius-local edit can
-        # bring its pair into the blocked universe for the first time, and
-        # that pair must be checked.  The touched nodes' radius ball over
-        # the new snapshot covers it (the blocking-index rebase's argument).
-        old_affected = old_affected | artifacts.touched_ball_entities(touched)
+    # stale_entities only sees entities with a cached neighbourhood.  An
+    # entity that never collided has none, and neither has one a blocked
+    # window evicted — and the seed may be a blocked sibling's fixpoint, so
+    # an unblocked run cannot assume its own earlier build cached them all.
+    # A radius-local edit can make such an entity's pair identifiable (or
+    # bring it into the blocked universe) for the first time, and that pair
+    # must be checked.  The touched nodes' radius ball over the new snapshot
+    # covers it whatever is cached (the blocking-index rebase's argument).
+    old_affected = old_affected | artifacts.touched_ball_entities(touched)
     graph, keys = artifacts.graph, artifacts.keys
     # classic planning is quadratic: every candidate pair of the new graph is
     # in the universe, so vanished pairs and support-level refinements never
@@ -404,7 +411,7 @@ def rebase_filtered_candidates(
     affected_entities: Set[str],
     reduce_neighborhoods: bool,
     blocking: str = "off",
-    blocking_index=None,
+    blocked=None,
 ) -> CandidateSet:
     """Rebuild a pairing-filtered :class:`CandidateSet` after a journal delta,
     re-running the pairing fixpoint only for pairs the delta could have
@@ -415,8 +422,10 @@ def rebase_filtered_candidates(
     keep the cached verdict from *old* (``pair_supports`` / ``rejected_pairs``).
     The result is bit-identical to :func:`build_filtered_candidates` on the
     new graph — the equivalence the mutation-fuzz suite enforces.  With
-    *blocking*, pass the session's already-rebased *blocking_index* so the
-    enumeration stays O(delta) instead of re-deriving every signature.
+    *blocking*, pass the session cache's *blocked* enumeration of the new
+    version (:meth:`SessionArtifacts.blocked_pairs`, off the already-rebased
+    blocking index), so no signature is re-derived and flavours rebased in
+    the same window share one collision pass.
     """
     reader = snapshot if snapshot is not None else graph
     base = build_candidates(
@@ -425,7 +434,7 @@ def rebase_filtered_candidates(
         index=index,
         snapshot=snapshot,
         blocking=blocking,
-        blocking_index=blocking_index,
+        blocked=blocked,
     )
     neighborhoods = base.neighborhoods
     if reduce_neighborhoods:

@@ -26,8 +26,8 @@ than graphs.  It turns the session API into a long-lived service:
 * :mod:`~repro.service.wal` — the per-graph write-ahead op journal:
   append-before-apply durability with per-flush fingerprint checkpoints,
   tunable fsync policy, and crash recovery that replays the un-covered
-  suffix through the normal pipeline (bit-identical by the incremental
-  equivalence invariant);
+  suffix onto the graph, verifies every checkpoint fingerprint and solves
+  once (bit-identical: ``chase(G, Σ)`` is a function of ``(G, Σ)``);
 * :mod:`~repro.service.wire` — the wire schemas: every request is parsed
   into a validated :class:`~repro.api.MatchConfig` and every response
   carries request-level provenance (request id, queue wait, phase timings,

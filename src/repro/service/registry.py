@@ -9,12 +9,14 @@ of a small bounded table of **persistent**
 (:meth:`~repro.api.config.MatchConfig.run_shape`), all **sharing** that
 cache, so:
 
-* a session keeps the fixpoint it last computed, and ``chase(G, Σ)`` is a
-  function of ``(G, Σ)`` alone: a read at an unchanged graph version — or
-  under the shape the last ingest window ran under — is answered from the
-  held result (``reused``), a read after a window its own session planned
-  is a delta re-run (``incremental``), and only a shape whose seed fell
-  behind the shared cache pays a full run;
+* the cache holds the graph's one fixpoint — the last finished run's,
+  whichever shape ran it — and ``chase(G, Σ)`` is a function of ``(G, Σ)``
+  alone: a read under a shape that already answered at this graph version
+  (the shape the last ingest window ran under included) returns that
+  shape's held result (``reused``), every other read is a delta re-run
+  seeded from the cache's fixpoint (``incremental`` — an empty window when
+  a sibling shape already moved the cache on), and only the graph's very
+  first run is a full one;
 * requests for different graphs run in parallel, and the artifacts'
   build-once locks guarantee each expensive artifact — snapshot,
   neighbourhood index, candidates, product graph — is built exactly once per
@@ -51,8 +53,9 @@ from ..storage.store import SnapshotStore, as_snapshot_store
 #: staleness samples kept per graph for the /metrics percentiles
 STALENESS_WINDOW = 2048
 
-#: persistent per-shape sessions kept per graph; one shape past the bound
-#: evicts the least recently used (its next read is a full run again)
+#: persistent per-shape sessions kept per graph.  A session holds only its
+#: shape's last result object; one shape past the bound evicts the least
+#: recently used, whose next read re-dispatches on the cache's fixpoint
 MAX_SESSIONS = 4
 
 
@@ -120,7 +123,9 @@ class RegisteredGraph:
         Configs that differ only in how a run executes (``incremental``,
         the snapshot store) share a session.  The table holds at most
         :data:`MAX_SESSIONS` shapes; a new one past that evicts the least
-        recently used, whose fixpoint is dropped with it.
+        recently used.  Eviction drops a result object, never a fixpoint:
+        the seed lives in the shared cache, so an evicted (or brand-new)
+        shape's next run is seeded like any other.
         """
         config = config or MatchConfig()
         shape = config.run_shape()
@@ -144,6 +149,12 @@ class RegisteredGraph:
         observer: Optional[ProgressObserver] = None,
     ) -> ServedRead:
         """Serve one match as a delta re-run of the shape's session.
+
+        ``reused`` when this shape already answered at the current graph
+        version, otherwise ``incremental`` from the fixpoint the shared
+        cache holds — whichever shape's read or window put it there —
+        and ``full`` only for the first run this graph ever sees (or once
+        the journal window behind the seed has expired).
 
         The run holds the ingest lock, so a read never refreshes artifacts
         from a graph that a concurrent ingest window is still mutating: it
@@ -204,11 +215,11 @@ class RegisteredGraph:
         :class:`~repro.service.ingest.IngestReport` and the final (exact)
         ``EMResult`` covering every applied mutation.  The window runs on
         the persistent session of *config*'s run shape
-        (:meth:`session_for`), so successive windows — and the reads between
-        them under that shape — keep seeding from the previous fixpoint; a
-        window under another shape runs on that shape's session (whose seed
-        is then behind the shared cache: its first flush is a full run,
-        after which increments resume).
+        (:meth:`session_for`).  Every flush seeds from the fixpoint the
+        shared cache holds, so successive windows stay incremental whichever
+        shapes they — and the reads between them — run under: a window
+        under another shape than the last plans its ops against that
+        shape's fixpoint and dispatches its own backend on the result.
 
         Flow control: with a pending-window bound (per-request
         *max_pending_ops* or the registry-wide default), a window that
@@ -276,12 +287,15 @@ class RegisteredGraph:
                 self._inflight_ops -= len(ops)
 
     def recover(self, config: Optional[MatchConfig] = None) -> Dict[str, object]:
-        """Replay this graph's WAL through the session of *config*'s shape.
+        """Replay this graph's WAL and solve once, on the session of
+        *config*'s shape.
 
         Called by the registry right after registration when the attached
-        journal holds records; the replayed session stays in the session
-        table, so subsequent windows and reads under that shape keep seeding
-        incrementally from the recovered fixpoint.  Raises
+        journal holds records.  The recovered fixpoint is the cache's seed,
+        so subsequent windows and reads — under any shape — are delta
+        re-runs; the returned report (also :attr:`last_recovery`) counts
+        the recovery's solves under ``batches``: 1, whatever the number of
+        journalled windows, or 0 when nothing was replayed.  Raises
         :class:`~repro.exceptions.WalError` when the journal does not
         describe this graph — recovery never silently drops ops.
         """
@@ -338,6 +352,8 @@ class RegisteredGraph:
                     session.config.describe() for session in self._sessions.values()
                 ],
                 "evictions": self._session_evictions,
+                # the graph version the cache's fixpoint is at
+                "seed_version": self.artifacts.seed_version,
             }
         return {
             "name": self.name,
@@ -419,10 +435,11 @@ class GraphRegistry:
         With a ``wal_root`` configured, registration attaches the graph's
         write-ahead journal (``<wal_root>/<name>/``); if the journal holds
         records from a previous process, the un-covered suffix is replayed
-        through the normal ingest pipeline *before* the entry is published,
-        verifying every recorded fingerprint — a journal that does not
-        describe *graph* fails registration loudly instead of serving a
-        graph that silently lost its last ingest window.
+        and solved once (:func:`~repro.service.wal.replay`) *before* the
+        entry is published, verifying every recorded fingerprint — a
+        journal that does not describe *graph* fails registration loudly
+        instead of serving a graph that silently lost its last ingest
+        window.
         """
         if not name or "/" in name:
             raise ServiceError(

@@ -29,11 +29,12 @@ Threading model: one HTTP thread per connection (stdlib), submissions hop
 onto the admission controller's fixed worker pool, and each worker re-runs
 the named graph's persistent :class:`~repro.api.session.MatchSession` for
 the request's run shape (:meth:`RegisteredGraph.match`), which shares the
-graph's :class:`~repro.matching.artifacts.SessionArtifacts` and keeps its
-last fixpoint — so request concurrency is bounded by ``max_inflight``
-regardless of connection count, no graph's artifacts are ever built twice,
-and a read at a graph version the service has already solved under that
-shape is answered from the held result.
+graph's :class:`~repro.matching.artifacts.SessionArtifacts` — the graph's
+one fixpoint included — and keeps its last result: request concurrency is
+bounded by ``max_inflight`` regardless of connection count, no graph's
+artifacts are ever built twice, a read at a graph version the service has
+already answered under that shape returns the held result, and every other
+read after the graph's first is seeded from the cache's fixpoint.
 """
 
 from __future__ import annotations

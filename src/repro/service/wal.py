@@ -13,11 +13,12 @@ contract:
   post-flush :func:`~repro.core.fingerprint.fingerprint_of` is appended, so
   recovery knows exactly which prefix of the journal the published result
   covers;
-* **replay on restart** — :func:`replay` feeds the un-covered suffix back
-  through the normal :class:`~repro.service.ingest.IngestPipeline`,
-  verifying the graph's O(1) fingerprint accumulator against every
-  checkpoint record it passes.  The replayed run is bit-identical to the
-  uninterrupted one by the incremental-equivalence invariant (fatal gate in
+* **replay on restart** — :func:`replay` applies the un-covered suffix to
+  the graph, verifying the graph's O(1) fingerprint accumulator against
+  every checkpoint record it passes, then solves **once**: the checkpoints
+  need no solve to verify, and only the last fixpoint is ever read.  The
+  recovered result is bit-identical to the uninterrupted run's because
+  ``chase(G, Σ)`` is a function of ``(G, Σ)`` (fatal gate in
   ``benchmarks/bench_ingest.py``).
 
 Layout: one directory per graph holding numbered segments
@@ -502,6 +503,8 @@ class ReplayReport:
     """What one WAL recovery did."""
 
     ops_replayed: int = 0
+    #: solves the recovery ran: 1, or 0 when there was nothing to replay —
+    #: never one per journalled window
     batches: int = 0
     checkpoints_verified: int = 0
     #: ops after the last checkpoint (the window a crash would have lost)
@@ -528,44 +531,46 @@ def replay(
     *,
     on_batch: Optional[Callable] = None,
 ) -> ReplayReport:
-    """Replay the journal's un-covered suffix through the normal pipeline.
+    """Replay the journal's un-covered suffix onto the session's graph and
+    solve once.
 
     The session's graph must be at the journal base or at a recorded
-    checkpoint (see :meth:`WriteAheadLog.recovery_plan`).  Each span replays
-    through an :class:`~repro.service.ingest.IngestPipeline` flush — the
-    same batching the original run used — and the graph's fingerprint
-    accumulator is verified against every checkpoint record passed.  On
-    success a recovery checkpoint is appended, so the journal is fully
-    covered again and a second restart replays nothing.
+    checkpoint (see :meth:`WriteAheadLog.recovery_plan`).  Every span's ops
+    are applied with :func:`~repro.service.ingest.apply_mutation` — a
+    rejected op raises there and then, nothing is skipped — and the graph's
+    fingerprint accumulator is verified against every checkpoint record
+    passed, which takes no solve.  One ``session.rerun()`` then covers the
+    whole suffix, whatever the number of journalled windows: a session
+    holding a fixpoint at the journal base plans them as one delta window,
+    any other runs in full.  *on_batch* ``(result, report)`` fires after
+    that solve.  On success a recovery checkpoint is appended, so the
+    journal is fully covered again and a second restart replays nothing.
     """
-    from .ingest import IngestPipeline  # lazy: ingest stays WAL-agnostic
+    from .ingest import apply_mutation  # lazy: ingest stays WAL-agnostic
 
     started = time.monotonic()
     graph = session.graph
     report = ReplayReport(final_fingerprint=fingerprint_of(graph))
     spans = wal.recovery_plan(report.final_fingerprint)
     for span in spans:
-        if not span.ops:
-            # an empty span still re-verifies the checkpoint fingerprint
-            if span.expected_fingerprint is not None:
-                _verify(graph, span.expected_fingerprint, wal)
-                report.checkpoints_verified += 1
-            continue
-        pipeline = IngestPipeline(
-            session,
-            latency_budget=float("inf"),
-            deadline_flush=False,
-            on_batch=on_batch,
-        )
-        span_report = pipeline.run(iter(span.ops))
-        report.ops_replayed += span_report.ops_applied
-        report.batches += span_report.batches
-        report.rerun_seconds += span_report.rerun_seconds
+        for op in span.ops:
+            apply_mutation(graph, op)
+        report.ops_replayed += len(span.ops)
         if span.expected_fingerprint is None:
-            report.pending_replayed += span_report.ops_applied
+            report.pending_replayed += len(span.ops)
         else:
-            _verify(graph, span.expected_fingerprint, wal)
+            # an empty span still re-verifies the checkpoint fingerprint
+            _verify(
+                graph, span.expected_fingerprint, wal, report.checkpoints_verified + 1
+            )
             report.checkpoints_verified += 1
+    if report.ops_replayed:
+        rerun_started = time.monotonic()
+        result = session.rerun()
+        report.rerun_seconds = time.monotonic() - rerun_started
+        report.batches = 1
+        if on_batch is not None:
+            on_batch(result, report)
     report.final_fingerprint = fingerprint_of(graph)
     if spans:
         wal.checkpoint(report.final_fingerprint, note="recovery")
@@ -576,11 +581,12 @@ def replay(
     return report
 
 
-def _verify(graph, expected: str, wal: WriteAheadLog) -> None:
+def _verify(graph, expected: str, wal: WriteAheadLog, ordinal: int) -> None:
     actual = fingerprint_of(graph)
     if actual != expected:
         raise WalError(
             f"WAL replay diverged: graph fingerprint {actual[:12]}… does not "
-            f"match the checkpoint {expected[:12]}… recorded in {wal.root} — "
-            f"the journal does not describe this graph's history"
+            f"match checkpoint {ordinal} of this recovery ({expected[:12]}…) "
+            f"recorded in {wal.root} — the journal does not describe this "
+            f"graph's history"
         )

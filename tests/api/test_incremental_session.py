@@ -51,7 +51,7 @@ class TestFallbacks:
         for index in range(4):
             graph.add_value("alb3", f"tag_{index}", f"v{index}")
         graph.add_value("alb2", "release_year", "1996")
-        assert graph.touched_since(session._incremental.version) is None
+        assert graph.touched_since(session.seed_version) is None
         result = session.rerun()
         assert result.identified("alb1", "alb2")
         delta = session.last_delta()
@@ -121,7 +121,7 @@ class TestJournalEdgeCases:
     def test_back_to_back_mutations_between_runs(self):
         graph = album_graph()
         session = primed_session(graph)
-        seed_version = session._incremental.version
+        seed_version = session.seed_version
         graph.add_value("alb2", "release_year", "1996")
         graph.add_value("alb3", "release_year", "1969")
         graph.add_entity("alb4", "album")
@@ -293,27 +293,123 @@ class TestReuseGuards:
                 candidate_pairs(session.graph, keys)
             ), backend
 
-    def test_failed_run_clears_seed_and_provenance(self, monkeypatch):
+    def test_failed_run_clears_provenance_and_leaves_the_seed_sound(self, monkeypatch):
         graph = album_graph()
         session = primed_session(graph)
         graph.add_value("alb2", "release_year", "1996")
         session.rerun()
         assert session.last_delta() is not None
+        seeded_at = session.seed_version
 
         class Boom(RuntimeError):
             pass
 
         # a backend that dies mid-run (observers are isolated since the
         # notify() hardening, so the failure is injected below the session)
-        def exploding(self, spec, config, validated, state, artifacts):
+        def exploding(self, spec, config, validated, artifacts):
             raise Boom(spec.name)
 
         monkeypatch.setattr(MatchSession, "_execute", exploding)
-        graph.add_value("alb3", "release_year", "1969")
+        graph.remove_value("alb2", "release_year", "1996")
         with pytest.raises(Boom):
             session.run("EMMR", incremental=True)  # dies mid-run
         monkeypatch.undo()
-        # neither stale provenance nor a stale seed survives the failure
+        # no stale provenance survives the failure.  The seed does, untouched
+        # (it is immutable and still at the cache's version), so the next
+        # run plans the failed run's mutation too
         assert session.last_delta() is None
+        assert session.seed_version == seeded_at
+        result = session.rerun()
+        assert session.last_delta().mode == "incremental"
+        assert not result.identified("alb1", "alb2")
+        assert result.eq.pairs() == chase(graph, parse_keys(ALBUM_KEYS)).pairs()
+
+    def test_failure_after_the_refresh_is_the_one_out_of_step_case(self, monkeypatch):
+        """A run that dies once ``refresh()`` has moved the cache leaves the
+        seed a version behind it: the next run must not plan from that
+        seed, and says why."""
+        import repro.api.session as session_module
+
+        graph = album_graph()
+        session = primed_session(graph)
+        graph.add_value("alb2", "release_year", "1996")
+
+        def refresh_then_die(artifacts, state, touched, *, blocking):
+            artifacts.refresh()
+            raise RuntimeError("died planning")
+
+        monkeypatch.setattr(session_module, "plan_session_delta", refresh_then_die)
+        with pytest.raises(RuntimeError, match="died planning"):
+            session.rerun()
+        monkeypatch.undo()
+        assert session.seed_version < graph.version
+        result = session.rerun()
+        delta = session.last_delta()
+        assert delta.mode == "full" and "out of step" in delta.reason
+        assert result.identified("alb1", "alb2")
+        assert session.seed_version == graph.version
+
+
+class TestSharedSeed:
+    """The seed lives in the artifact cache: sibling sessions share it."""
+
+    def test_a_sibling_session_seeds_from_the_fixpoint_the_cache_holds(self):
+        from repro.matching.artifacts import SessionArtifacts
+
+        dataset = synthetic_dataset(
+            num_keys=4, chain_length=2, radius=2, entities_per_type=4, seed=3
+        )
+        graph, keys = dataset.graph, dataset.keys
+        artifacts = SessionArtifacts(graph, keys)
+        writer = MatchSession(graph, artifacts=artifacts).using("EMOptVC")
+        reader = MatchSession(graph, artifacts=artifacts).using("EMOptMR")
+        assert reader.seed_version is None
+        writer.rerun()
+        assert writer.last_delta().mode == "full"
+        # never ran, yet seeded: the cache holds the writer's fixpoint
+        first = reader.rerun()
+        assert reader.last_delta().mode == "incremental"
+        assert reader.last_delta().touched_nodes == 0
+        assert first.algorithm == "EMOptMR"
+        assert reader.rerun() is first and reader.last_delta().mode == "reused"
+
+        graph.add_value("e0_1_0", "name_of", "name_0_1_1")
+        written = writer.rerun()
+        assert writer.last_delta().mode == "incremental"
+        assert reader.seed_version == writer.seed_version == graph.version
+        # the reader lags the cache by a window it never saw: an empty
+        # journal window against the writer's fixpoint, its own backend
+        second = reader.rerun()
+        delta = reader.last_delta()
+        assert (delta.mode, delta.touched_nodes) == ("incremental", 0)
+        assert second is not first and second.algorithm == "EMOptMR"
+        assert second.eq.pairs() == written.eq.pairs() == chase(graph, keys).pairs()
+        assert delta.pairs_rechecked + delta.pairs_skipped == len(
+            artifacts.candidates(filtered=True, blocking="auto").pairs
+        )
+
+    def test_one_eq_copy_per_graph_version(self):
+        graph = album_graph()
+        session = primed_session(graph)
+        seed = session._artifacts.seed()
+        for backend in ("EMMR", "EMOptVC", "chase"):
+            session.run(backend)
+        assert session._artifacts.seed() is seed  # same version, same fixpoint
+        graph.add_value("alb2", "release_year", "1996")
         session.rerun()
-        assert session.last_delta().mode == "full"
+        assert session._artifacts.seed() is not seed
+        assert seed.version < session.seed_version
+
+    def test_rekeying_and_invalidation_drop_the_seed(self):
+        graph = album_graph()
+        session = primed_session(graph)
+        assert session.seed_version == graph.version
+        session.with_keys(parse_keys(ALBUM_KEYS))  # equal keys: the seed stays
+        assert session.seed_version == graph.version
+        changed = ALBUM_KEYS.replace("release_year]-> year*", "name_of]-> name*")
+        session.with_keys(parse_keys(changed))
+        assert session.seed_version is None
+        session.rerun()
+        assert session.seed_version == graph.version
+        session.invalidate()
+        assert session.seed_version is None

@@ -404,6 +404,60 @@ class TestSessionIntegration:
             session.run(backend, blocking="auto")
         assert session.cache_info().blocking_index_builds == 1
 
+    def test_signatures_collide_once_per_graph_version(self, monkeypatch):
+        """Every blocked consumer at one version — each ``candidates``
+        flavour, and the ``chase`` backend on every run of a warm session —
+        reads the cache's one enumeration; a mutation drops it."""
+        from repro.matching.blocking import BlockingIndex
+
+        calls = {"build": 0, "collide": 0}
+        original_build = BlockingIndex.build.__func__
+        original_collide = BlockingIndex.candidate_pairs
+
+        def build(cls, *args, **kwargs):
+            calls["build"] += 1
+            return original_build(cls, *args, **kwargs)
+
+        def collide(self, mode="auto"):
+            calls["collide"] += 1
+            return original_collide(self, mode)
+
+        monkeypatch.setattr(BlockingIndex, "build", classmethod(build))
+        monkeypatch.setattr(BlockingIndex, "candidate_pairs", collide)
+
+        graph, keys = flat_graph(), flat_key()
+        reference = chase(graph, keys, blocking="auto")
+        calls.update(build=0, collide=0)
+        session = MatchSession(graph).with_keys(keys)
+        for _ in range(3):
+            for backend in ("chase", "EMMR", "EMOptMR", "EMVC", "EMOptVC"):
+                result = session.run(backend, blocking="auto")
+                assert result.pairs() == reference.pairs()
+            # the oracle and the backend enumerate the same pairs in the same
+            # order, so the statistics do not move
+            warm = session.run("chase", blocking="auto")
+            assert warm.stats.candidate_pairs == reference.candidates
+            assert warm.stats.checks == reference.checks
+        assert calls == {"build": 1, "collide": 1}
+        flavours = session._artifacts.cached("candidates")
+        assert len(flavours) >= 2 and all(blocked for _f, _r, blocked in flavours)
+        collision = session.phase_timings()["blocking_collision"]
+
+        graph.add_entity("p_extra", "person")
+        graph.add_value("p_extra", "name", "n1")
+        for backend in ("EMOptMR", "chase", "EMOptVC"):
+            assert session.run(backend, blocking="auto").pairs() == chase(graph, keys).pairs()
+        assert calls == {"build": 1, "collide": 2}  # rebased index, one new pass
+        assert session.phase_timings()["blocking_collision"] > collision
+        pairs, stats = session._artifacts.blocked_pairs("auto")
+        assert stats.mode == "auto" and stats.enumerated_pairs == len(pairs)
+        assert session._artifacts.blocked_pairs("force")[1].mode == "force"
+        assert calls["collide"] == 2
+        # one immutable enumeration, shared by reference: no consumer can
+        # reorder or grow another flavour's pairs
+        assert pairs == tuple(blocked_candidate_pairs(graph, keys, mode="auto")[0])
+        assert session._artifacts.blocked_pairs("auto")[0] is pairs
+
     def test_incremental_rerun_rebases_instead_of_rebuilding(self):
         graph, keys = flat_graph(), flat_key()
         session = MatchSession(graph).with_keys(keys).using("EMOptMR", blocking="auto")

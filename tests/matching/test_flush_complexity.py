@@ -132,8 +132,7 @@ def test_was_candidate_is_membership_in_the_old_universe(old, new):
 
     old_snapshot = GraphSnapshot.build(build(old))
     state = IncrementalState(
-        version=0, eq=EquivalenceRelation(), result=None, config=None,
-        snapshot=old_snapshot, keys=KEYS,
+        version=0, eq=EquivalenceRelation(), snapshot=old_snapshot, keys=KEYS
     )
     universe = frozenset(candidate_pairs(old_snapshot, KEYS))
     assert set(candidate_pairs(build(new), KEYS)) <= {
@@ -142,7 +141,8 @@ def test_was_candidate_is_membership_in_the_old_universe(old, new):
     for a, b in itertools.combinations(IDS, 2):
         pair = canonical_pair(a, b)
         assert state.was_candidate(pair) == (pair in universe), pair
-    assert not hasattr(state, "candidates")
+    for gone in ("candidates", "result", "config"):
+        assert not hasattr(state, gone)
 
 
 def _out_triples_of_pair_nodes(product_graph, snapshot):

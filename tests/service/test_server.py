@@ -263,16 +263,23 @@ class TestServedFromTheHeldFixpoint:
         _, events, _ = client.get(f"/requests/{second['id']}/events")
         assert events["events"] == [] and events["dropped"] == 0
 
-        # another shape is another session: its first read solves
+        # another shape is another session, seeded from the fixpoint the
+        # graph's cache already holds: its own backend runs (events, its
+        # own statistics) on an empty delta
         status, other, _ = client.post(
             "/match", {"graph": "music", "algorithm": "EMOptMR", "processors": 2, "wait": True}
         )
-        assert other["provenance"]["delta"]["mode"] == "full"
+        assert other["provenance"]["delta"]["mode"] == "incremental"
+        assert other["result"]["processors"] == 2
+        assert other["result"]["classes"] == first["result"]["classes"]
+        _, events, _ = client.get(f"/requests/{other['id']}/events")
+        assert events["events"] and events["events"][-1]["stage"] == "done"
 
         _, metrics, _ = client.get("/metrics")
         entry = metrics["registry"]["per_graph"]["music"]
-        assert entry["reads_by_mode"] == {"reused": 1, "incremental": 0, "full": 2}
+        assert entry["reads_by_mode"] == {"reused": 1, "incremental": 1, "full": 1}
         assert entry["sessions"]["evictions"] == 0
+        assert entry["sessions"]["seed_version"] == _service.registry.get("music").graph.version
         assert entry["sessions"]["shapes"] == [
             "EMOptMR(p=4, blocking=auto)", "EMOptMR(p=2, blocking=auto)",
         ]

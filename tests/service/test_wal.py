@@ -3,9 +3,9 @@
 The durability contract under test: every ingest op is journalled before
 it touches the graph, every flush checkpoints the journal with the
 post-flush content fingerprint, and a process killed mid-ingest recovers
-on restart by replaying the un-covered suffix through the normal pipeline
-— with a final ``Eq`` **bit-identical** to the uninterrupted run and the
-fingerprint accumulator verified against every checkpoint passed.
+on restart by replaying the un-covered suffix onto the graph and solving
+**once** — with a final ``Eq`` **bit-identical** to the uninterrupted run
+and the fingerprint accumulator verified against every checkpoint passed.
 """
 
 from __future__ import annotations
@@ -350,6 +350,186 @@ class TestReplayIdentity:
         with pytest.raises(WalError, match="does not describe this graph"):
             replay(wal, session)
         wal.close()
+
+
+def _duplicate(chain, entity, twin):
+    """Make ``e{chain}_2_{entity}`` a duplicate of ``e{chain}_2_{twin}``
+    under the chain's leaf key (same name, same locator one hop out)."""
+    return [
+        {"op": "set_value", "subject": f"e{chain}_2_{entity}",
+         "predicate": "name_of", "value": f"name_{chain}_2_{twin}"},
+        {"op": "set_value", "subject": f"aux_{chain}_2_{entity}_1",
+         "predicate": "locator_of", "value": f"loc_{chain}_2_{twin}"},
+    ]
+
+
+def windowed_ops():
+    """Six windows on :func:`small_dataset`; each one moves the fixpoint:
+    identifications appear, break (taking the recursive key's dependent
+    pair with them), come back, and a class grows to three."""
+    return [
+        _duplicate(0, 1, 2),
+        [{"op": "set_value", "subject": "e0_2_0_dup", "predicate": "name_of",
+          "value": "renamed"}],
+        _duplicate(1, 1, 2) + [{"op": "add_entity", "id": "rw", "type": "wal_probe"}],
+        [{"op": "set_value", "subject": "e0_2_0_dup", "predicate": "name_of",
+          "value": "name_0_2_0"}],
+        [{"op": "remove_value", "subject": "e1_2_0_dup", "predicate": "name_of",
+          "value": "name_1_2_0"}],
+        _duplicate(0, 3, 2),
+    ]
+
+
+def journal_of_windows(root, windows, *, pending):
+    """Write a journal of checkpointed *windows* plus one *pending* window
+    (journalled and applied, never flushed), as a crashed process leaves it."""
+    dataset = small_dataset()
+    session = MatchSession(dataset.graph).with_keys(dataset.keys)
+    session.run("chase")
+    wal = WriteAheadLog(
+        root, fsync="off", base_fingerprint=fingerprint_of(dataset.graph)
+    )
+    pipeline = IngestPipeline(
+        session, latency_budget=60.0, wal=wal, deadline_flush=False
+    )
+    for ops in windows:
+        pipeline.run(iter(ops))
+    assert wal.checkpoints_written == len(windows)
+    for op in pending:
+        wal.append(op)
+    wal.close()
+
+
+class TestRecoveryIsOneSolve:
+    """Recovery applies every span, verifies every checkpoint against the
+    O(1) fingerprint accumulator, and solves once — whatever the number of
+    journalled windows."""
+
+    @pytest.fixture
+    def dispatches(self, monkeypatch):
+        """Every backend dispatch, by algorithm name."""
+        from repro.api.registry import AlgorithmSpec
+
+        seen = []
+        original = AlgorithmSpec.run
+
+        def counted(self, *args, **kwargs):
+            seen.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlgorithmSpec, "run", counted)
+        return seen
+
+    def test_five_checkpointed_windows_and_a_pending_one_recover_with_one_solve(
+        self, tmp_path, dispatches
+    ):
+        *checkpointed, pending = windowed_ops()
+        journal_of_windows(tmp_path / "wal", checkpointed, pending=pending)
+
+        restarted = small_dataset()
+        session = MatchSession(restarted.graph).with_keys(restarted.keys).using("EMOptVC")
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        del dispatches[:]
+        batches = []
+        report = replay(
+            wal, session, on_batch=lambda result, rep: batches.append((result, rep.batches))
+        )
+        assert report.batches == 1
+        assert report.checkpoints_verified == 5
+        assert report.ops_replayed == 10 and report.pending_replayed == 2
+        assert dispatches == ["EMOptVC"]  # exactly one solve
+        assert session.last_delta().mode == "full"  # nothing to seed from
+        assert len(batches) == 1 and batches[0][1] == 1
+
+        twin = small_dataset()
+        for ops in checkpointed + [pending]:
+            for op in ops:
+                apply_mutation(twin.graph, op)
+        expected = chase(twin.graph, twin.keys)
+        result = batches[0][0]
+        assert result is session.history[-1][1]
+        assert result.pairs() == expected.pairs()
+        assert sorted(map(sorted, result.eq.nontrivial_classes())) == sorted(
+            map(sorted, expected.eq.nontrivial_classes())
+        )
+        assert report.final_fingerprint == graph_fingerprint(twin.graph)
+        assert fingerprint_of(restarted.graph) == graph_fingerprint(twin.graph)
+
+        # the recovery checkpoint covers the journal: nothing left to replay
+        del dispatches[:]
+        again = replay(wal, session)
+        assert (again.ops_replayed, again.batches, again.checkpoints_verified) == (0, 0, 0)
+        assert dispatches == []
+        assert wal.metrics()["replays"] == 2
+        wal.close()
+
+    def test_a_seed_at_the_journal_base_recovers_as_one_delta_window(
+        self, tmp_path, dispatches
+    ):
+        *checkpointed, pending = windowed_ops()
+        journal_of_windows(tmp_path / "wal", checkpointed, pending=pending)
+
+        restarted = small_dataset()
+        session = MatchSession(restarted.graph).with_keys(restarted.keys).using("EMOptMR")
+        session.run()  # holds the fixpoint of the journal base
+        base_version = session.seed_version
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        del dispatches[:]
+        report = replay(wal, session)
+        assert report.batches == 1 and report.checkpoints_verified == 5
+        assert dispatches == ["EMOptMR"]
+        delta = session.last_delta()
+        assert delta.mode == "incremental"  # one union window over six
+        assert delta.touched_nodes > 0
+        assert session.cache_info().snapshot_patches == 1
+        assert session.seed_version == restarted.graph.version > base_version
+        twin = small_dataset()
+        for ops in checkpointed + [pending]:
+            for op in ops:
+                apply_mutation(twin.graph, op)
+        assert session.history[-1][1].pairs() == chase(twin.graph, twin.keys).pairs()
+        wal.close()
+
+    def test_an_altered_checkpoint_fails_loudly_at_that_checkpoint(
+        self, tmp_path, dispatches
+    ):
+        *checkpointed, pending = windowed_ops()
+        journal_of_windows(tmp_path / "wal", checkpointed, pending=pending)
+        (segment,) = sorted((tmp_path / "wal").iterdir())
+        lines = segment.read_text().splitlines()
+        positions = [n for n, line in enumerate(lines) if '"checkpoint"' in line]
+        record = json.loads(lines[positions[2]])
+        record["checkpoint"] = "c" * 64
+        lines[positions[2]] = json.dumps(record, sort_keys=True)
+        segment.write_text("\n".join(lines) + "\n")
+
+        restarted = small_dataset()
+        session = MatchSession(restarted.graph).with_keys(restarted.keys)
+        wal = WriteAheadLog(tmp_path / "wal", fsync="off")
+        del dispatches[:]
+        with pytest.raises(WalError, match=r"checkpoint 3 of this recovery \(cccccccccccc"):
+            replay(wal, session)
+        assert dispatches == []  # a journal that lies is never solved for
+        assert wal.metrics()["replays"] == 0
+        wal.close()
+
+    def test_a_rejected_op_fails_loudly_and_nothing_is_skipped(self, tmp_path):
+        from repro.service.ingest import IngestError
+
+        dataset = small_dataset()
+        wal = WriteAheadLog(
+            tmp_path / "wal", fsync="off",
+            base_fingerprint=fingerprint_of(dataset.graph),
+        )
+        wal.append({"op": "add_entity", "id": "ok", "type": "wal_probe"})
+        wal.append({"op": "add_edge", "subject": "ok", "predicate": "p", "object": "nobody"})
+        wal.close()
+        session = MatchSession(dataset.graph).with_keys(dataset.keys)
+        reopened = WriteAheadLog(tmp_path / "wal", fsync="off")
+        with pytest.raises(IngestError, match="nobody"):
+            replay(reopened, session)
+        assert reopened.pending_count == 2  # no recovery checkpoint written
+        reopened.close()
 
 
 _CRASH_CHILD = textwrap.dedent(
