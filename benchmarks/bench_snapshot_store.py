@@ -15,8 +15,13 @@ Measures what the ``repro.storage.store`` persistence layer buys:
 Correctness is a hard requirement: the loaded snapshot must produce
 *identical* ``EMResult``\\ s (pairs, statistics, simulated seconds) to the
 freshly built one for every registered backend, or the script exits
-non-zero.  Timings are written to ``BENCH_store.json``; CI uploads the
-artifact on every run.
+non-zero.  The same gate then runs on the store's second file kind: the
+graph takes a mutation window, the patched snapshot is written as a delta
+file, and every backend on the delta-loaded snapshot must return the pairs
+and statistics of a fresh build of the mutated graph.  (Simulated seconds
+are left out of that comparison only: placement hashes interned ids, and a
+patched snapshot's ids are its history's, not the canonical ones.)  Timings
+are written to ``BENCH_store.json``; CI uploads the artifact on every run.
 
 Run with:  python benchmarks/bench_snapshot_store.py --out BENCH_store.json
 """
@@ -153,10 +158,37 @@ def run_bench(scale: float, repeats: int, store_dir: str) -> Dict:
         "divergent": divergent,
         "store_hits": session_loaded.cache_info().store_hits,
     }
+    # ---- identity, second file kind: a delta-loaded snapshot ------------ #
+    entities = sorted(graph.entity_ids())
+    for index, subject in enumerate(entities[:: max(1, len(entities) // 24)]):
+        graph.add_value(subject, f"window_tag_{index % 3}", f"w{index % 5}")
+    graph.retype_entity(entities[0], graph.entity_type(entities[-1]))
+    graph.add_entity("window_entity", graph.entity_type(entities[1]))
+    graph.add_edge("window_entity", "window_ref", entities[2])
+    patched = built.patched(graph, graph.touched_since(built.version))
+    delta_path = store.patch(patched, base=built, fingerprint=graph.content_fingerprint())
+    session_rebuilt = MatchSession(graph).with_keys(keys)
+    session_delta = MatchSession(graph, snapshot_store=store_dir).with_keys(keys)
+    delta_divergent = []
+    for name in ALGORITHMS:
+        rebuilt_result = session_rebuilt.run(name, processors=4)
+        delta_result = session_delta.run(name, processors=4)
+        if _result_key(rebuilt_result)[:2] != _result_key(delta_result)[:2]:
+            delta_divergent.append(name)
+    delta_info = session_delta.cache_info()
+    if delta_info.store_hits < 1 or not delta_info.snapshot_overlay_rows:
+        delta_divergent.append("<the delta file was never loaded>")
+    report["delta_identity"] = {
+        "identical": not delta_divergent,
+        "divergent": delta_divergent,
+        "overlay_rows": patched.overlay_rows,
+        "delta_file_bytes": os.path.getsize(delta_path),
+        "delta_load_seconds": round(_best_of(lambda: store.load(graph), repeats), 6),
+    }
     # identity is the hard gate; timing lives in the artifact trajectory
     # (enforce locally with --require-speedup) so a noisy CI runner cannot
     # fail an otherwise-green commit
-    report["ok"] = identical
+    report["ok"] = identical and not delta_divergent
     return report
 
 
@@ -190,7 +222,8 @@ def main(argv=None) -> int:
     if not report["ok"]:
         print(
             "FAIL: store-loaded snapshot diverged from the built one "
-            f"(backends: {report['identity']['divergent']})",
+            f"(backends: {report['identity']['divergent']}; "
+            f"delta-loaded: {report['delta_identity']['divergent']})",
             file=sys.stderr,
         )
         return 1

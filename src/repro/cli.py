@@ -453,8 +453,8 @@ def _print_profile(session: MatchSession, result) -> None:
     if info.snapshot_patches:
         print(
             f"  {'snapshot refresh':<24} : {info.snapshot_patches} patch(es), "
-            f"{info.snapshot_builds} rebuild(s) — patched arrays are "
-            f"bit-identical to a recompile"
+            f"{info.snapshot_builds} rebuild(s) — a patched snapshot "
+            f"reads exactly as a recompile does"
         )
     delta = session.last_delta()
     if delta is not None:
@@ -587,6 +587,16 @@ def _command_snapshot(args: argparse.Namespace) -> int:
     if args.snapshot_command == "info":
         info = snapshot_info(args.file)
         print(f"file          : {info['path']} ({info['file_size']} bytes)")
+        print(f"kind          : {info['kind']}")
+        if info["kind"] == "delta":
+            overlay = info["overlay"]
+            sizes = overlay["sizes"]
+            print(f"ancestor      : {info['ancestor']}")
+            print(
+                f"overlay       : {sizes['row_ids']} rows, {sizes['dead']} tombstones, "
+                f"{sizes['nodes']} new nodes, {len(overlay['preds'])} new predicates, "
+                f"{len(overlay['etypes'])} typed or retyped entities"
+            )
         print(f"format version: {info['format_version']}")
         print(f"graph version : {info['graph_version']}")
         print(f"fingerprint   : {info['fingerprint']}")
@@ -611,6 +621,8 @@ def _command_snapshot(args: argparse.Namespace) -> int:
         print(f"FAIL: {error}")
         return 1
     checked = "structure, checksum, decode"
+    if info["kind"] == "delta":
+        checked += f", ancestor {info['ancestor'][:12]}… checksum"
     if graph is not None:
         checked += ", fingerprint, graph version"
     print(f"OK: {args.file} ({checked})")

@@ -75,6 +75,12 @@ class ProofError(ReproError):
     """A proof graph failed verification."""
 
 
+class SnapshotPatchError(ReproError):
+    """``GraphSnapshot.patched`` was handed a journal window that does not
+    cover the delta between the snapshot and the live graph.  The session's
+    artifact cache answers this one error with a rebuild, and counts it."""
+
+
 class StoreError(ReproError):
     """Errors raised by the on-disk snapshot store (``repro.storage.store``).
 

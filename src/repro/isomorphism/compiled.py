@@ -62,16 +62,16 @@ class CompiledPattern:
             self.adjacent[obj].append(subject)
             self.triples.append((subject, pred, obj))
         # label-based initial domains, mirroring initial_candidates():
-        # entities -> the target's contiguous type bucket, literals -> the
-        # equal interned value node (or nothing)
+        # entities -> the target's type bucket, literals -> the equal
+        # interned value node (or nothing)
         self.domains: List[FrozenSet[int]] = []
         for node in nodes:
             if isinstance(node, Literal):
                 mapped = snapshot.id_of(node)
                 self.domains.append(frozenset((mapped,)) if mapped is not None else _EMPTY)
             else:
-                lo, hi = snapshot.type_range(pattern_graph.entity_type(node))
-                self.domains.append(frozenset(range(lo, hi)))
+                bucket = snapshot.type_ids(pattern_graph.entity_type(node))
+                self.domains.append(frozenset(bucket))
 
 
 class CompiledVF2:
@@ -146,7 +146,6 @@ class CompiledVF2:
         pattern = self._pattern
         snapshot = self._snapshot
         forward = self._forward
-        num_entities = snapshot.num_entities
         candidates: Optional[FrozenSet[int]] = None
         if pattern.is_entity[position]:
             for pred, obj in pattern.out_edges[position]:
@@ -161,8 +160,6 @@ class CompiledVF2:
             mapped_subject = forward[subject]
             if mapped_subject is None:
                 continue
-            if mapped_subject >= num_entities:
-                return _EMPTY
             found = snapshot.objects_ids(mapped_subject, pred)
             candidates = found if candidates is None else candidates & found
             if not candidates:
@@ -203,22 +200,17 @@ class CompiledVF2:
         pattern = self._pattern
         snapshot = self._snapshot
         forward = self._forward
-        num_entities = snapshot.num_entities
         if pattern.is_entity[position]:
             for pred, obj in pattern.out_edges[position]:
                 mapped_obj = forward[obj]
                 if mapped_obj is None:
                     continue
-                if target_id >= num_entities:
-                    return False
                 if mapped_obj not in snapshot.objects_ids(target_id, pred):
                     return False
         for pred, subject in pattern.in_edges[position]:
             mapped_subject = forward[subject]
             if mapped_subject is None:
                 continue
-            if mapped_subject >= num_entities:
-                return False
             if target_id not in snapshot.objects_ids(mapped_subject, pred):
                 return False
         return True
@@ -226,13 +218,10 @@ class CompiledVF2:
     def _covers_all_triples(self) -> bool:
         snapshot = self._snapshot
         forward = self._forward
-        num_entities = snapshot.num_entities
         for subject, pred, obj in self._pattern.triples:
             mapped_subject = forward[subject]
             mapped_obj = forward[obj]
             if mapped_subject is None or mapped_obj is None:
-                return False
-            if mapped_subject >= num_entities:
                 return False
             if mapped_obj not in snapshot.objects_ids(mapped_subject, pred):
                 return False

@@ -35,7 +35,8 @@ from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.neighborhood import radius_per_type
-from ..exceptions import StoreError
+from ..core.triples import is_entity_ref
+from ..exceptions import SnapshotPatchError, StoreError
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.store import SnapshotStore
 from .blocking import BlockingIndex, BlockingStats
@@ -72,10 +73,21 @@ class SessionCacheInfo:
     candidate_rebases: int = 0
     product_graph_rebases: int = 0
     #: snapshots produced by patching the previous compiled snapshot with the
-    #: mutation delta instead of recompiling from scratch (the patched arrays
-    #: are bit-identical to a rebuild; counted separately from
+    #: mutation delta instead of recompiling from scratch (a patched snapshot
+    #: reads exactly as a rebuild does; counted separately from
     #: ``snapshot_builds``, which counts full recompiles only)
     snapshot_patches: int = 0
+    #: refreshes that recompiled the canonical form instead of patching,
+    #: because overlay rows + window passed ``SNAPSHOT_PATCH_MAX_FRACTION``
+    snapshot_compactions: int = 0
+    #: gauge, not a counter: rows the current snapshot holds outside the
+    #: canonical arrays (0 right after a build or a compaction)
+    snapshot_overlay_rows: int = 0
+    #: patches refused by a journal window that did not cover the delta
+    #: (``SnapshotPatchError``, answered with a rebuild) and write-throughs
+    #: of a patch the snapshot store failed; both stay 0 on a healthy stream
+    snapshot_patch_fallbacks: int = 0
+    store_write_failures: int = 0
     #: incremental (delta) runs actually executed — silent fallbacks to a
     #: full run (no previous result, expired journal window) do not count
     incremental_runs: int = 0
@@ -129,10 +141,11 @@ class SessionArtifacts:
     multiplexes all requests for a named graph through one instance).
     """
 
-    #: patch-vs-rebuild threshold: a journal delta touching more than this
-    #: fraction of the snapshot's interned nodes recompiles the snapshot
-    #: instead of patching it (a near-total patch recomputes almost every
-    #: CSR row *and* pays the splice bookkeeping, so a clean build wins)
+    #: patch-vs-rebuild threshold: once the rows a snapshot would hold
+    #: outside its canonical arrays (the overlay's, plus the journal window's)
+    #: pass this fraction of its nodes, the snapshot is recompiled instead of
+    #: patched; it bounds what every read consults first, and what each
+    #: window copies and the store writes
     SNAPSHOT_PATCH_MAX_FRACTION = 0.5
 
     def __init__(
@@ -189,7 +202,8 @@ class SessionArtifacts:
 
     def cache_info(self) -> SessionCacheInfo:
         with self._lock:
-            return SessionCacheInfo(**self._counts)
+            rows = 0 if self._snapshot is None else self._snapshot.overlay_rows
+            return SessionCacheInfo(**{**self._counts, "snapshot_overlay_rows": rows})
 
     def cached(self, kind: str) -> Dict[Flavour, object]:
         """The fresh artifacts of *kind* (``"candidates"``,
@@ -360,18 +374,16 @@ class SessionArtifacts:
             if root is None:
                 continue
             seen.update(snapshot.neighborhood_ids(root, radius))
-        num_entities = snapshot.num_entities
-        node_of = snapshot._node_of
-        return {node_of[index] for index in seen if index < num_entities}
+        return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
 
     def refresh(self, stale_hint: Optional[set] = None) -> None:
         """Reconcile the cache with any graph mutations since the last run.
 
         When the mutation journal still covers the delta, the compiled
-        :class:`GraphSnapshot` is *patched* — only the journal-touched CSR
-        rows are recomputed and spliced into the previous arrays, with the
-        result bit-identical to a recompile (see :meth:`_patched_snapshot`
-        for the patch-vs-rebuild size threshold) — and the derived
+        :class:`GraphSnapshot` is *patched* — only the journal-touched rows
+        are recomputed, into an overlay over the previous arrays, and the
+        result reads exactly as a recompile does (see
+        :meth:`_patched_snapshot` for the compaction threshold) — and the derived
         artifacts are *rebased* instead of rebuilt: the neighbourhood index
         evicts only the entities a touched node could have staled, and the
         slot table is parked (:meth:`_park`) so each slot's next access
@@ -443,25 +455,31 @@ class SessionArtifacts:
     ) -> Optional[GraphSnapshot]:
         """Patch *old* onto the current graph version, or ``None`` to rebuild.
 
-        Chooses patch-vs-rebuild by delta size (patching recomputes only the
-        touched CSR rows, so it wins exactly when the delta is a small
-        fraction of the graph) and treats any patch failure as a miss: the
-        caller's next :meth:`snapshot` access recompiles from scratch, which
-        is always correct because the patched arrays are bit-identical to a
-        rebuild whenever patching succeeds.  A successful patch is written
-        through to the configured snapshot store via
-        :meth:`SnapshotStore.patch`, so the on-disk file advances by a
-        segment-level diff instead of a full rewrite.
+        Patching recomputes only the touched rows and never moves an id, so
+        it costs the window, not the graph; what grows is the overlay, and
+        once its rows plus the window pass
+        :attr:`SNAPSHOT_PATCH_MAX_FRACTION` of the nodes the caller's next
+        :meth:`snapshot` access recompiles (and saves) the canonical form
+        instead: that is compaction.  The one failure answered with a
+        rebuild is the documented one, a window that does not cover the
+        delta (:class:`~repro.exceptions.SnapshotPatchError`); it is
+        counted, and anything else is a defect and propagates.  A successful
+        patch is written through to the configured snapshot store as a delta
+        file (:meth:`SnapshotStore.patch`); a failed write is counted and
+        the run goes on.
         """
         if old is None:
             return None
-        if len(touched) > self.SNAPSHOT_PATCH_MAX_FRACTION * max(1, old.num_nodes):
+        rows = old.overlay_rows + len(touched)
+        if rows > self.SNAPSHOT_PATCH_MAX_FRACTION * max(1, old.num_nodes):
+            self._counts["snapshot_compactions"] += 1
             return None
         try:
             patched = self._timed(
                 "snapshot_patch", lambda: old.patched(self.graph, touched)
             )
-        except Exception:
+        except SnapshotPatchError:
+            self._counts["snapshot_patch_fallbacks"] += 1
             return None
         self._counts["snapshot_patches"] += 1
         store = self.snapshot_store
@@ -476,7 +494,7 @@ class SessionArtifacts:
                     ),
                 )
             except (StoreError, OSError):
-                pass
+                self._counts["store_write_failures"] += 1
         return patched
 
     # -- the slot rule ------------------------------------------------------ #

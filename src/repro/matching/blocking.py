@@ -494,11 +494,23 @@ def _path_signatures(
     return result
 
 
-def _level_range(snapshot: object, etype: Optional[str]) -> Tuple[int, int]:
-    """The interned-id range a path level admits: a type bucket, or the literals."""
-    if etype is None:
-        return snapshot.num_entities, snapshot.num_interned_nodes
-    return snapshot.type_range(etype)
+class _LiteralIds:
+    """The ids of a snapshot's literals as a bucket (``in`` only), so every
+    path level is tested the same way."""
+
+    __slots__ = ("is_literal_id",)
+
+    def __init__(self, snapshot: object) -> None:
+        self.is_literal_id = snapshot.is_literal_id
+
+    def __contains__(self, node_id: int) -> bool:
+        return self.is_literal_id(node_id)
+
+
+def _level(snapshot: object, etype: Optional[str]):
+    """The interned ids a path level admits, as a bucket to test with
+    ``in``: those of a type, or the literals'."""
+    return _LiteralIds(snapshot) if etype is None else snapshot.type_ids(etype)
 
 
 def _snapshot_signatures(
@@ -524,11 +536,11 @@ def _snapshot_signatures(
         want = snapshot.id_of(path.constant)
         if want is None:
             return {}
-    lo, hi = _level_range(snapshot, hops[-1].etype if hops else etype)
+    level = _level(snapshot, hops[-1].etype if hops else etype)
     #: node id of the current level -> literal ids it reaches down the path
     reach: Dict[int, Set[int]] = {}
     for literal, subject in zip(*postings):
-        if lo <= subject < hi and (want is None or literal == want):
+        if subject in level and (want is None or literal == want):
             found = reach.get(subject)
             if found is None:
                 reach[subject] = {literal}
@@ -536,13 +548,13 @@ def _snapshot_signatures(
                 found.add(literal)
     for index in range(len(hops) - 1, -1, -1):
         step = hops[index]
-        lo, hi = _level_range(snapshot, hops[index - 1].etype if index else etype)
+        level = _level(snapshot, hops[index - 1].etype if index else etype)
         pid = snapshot.pred_id(step.predicate)
         back = snapshot.in_ids if step.forward else snapshot.out_ids
         carried: Dict[int, Set[int]] = {}
         for node, found in reach.items():
             for source in back(node, pid):
-                if lo <= source < hi:
+                if source in level:
                     have = carried.get(source)
                     # a set is shared until a second one meets it
                     carried[source] = found if have is None else have | found
@@ -575,7 +587,6 @@ def _entity_signature_int(
     root = snapshot.id_of(entity)
     if root is None:
         return frozenset()
-    num_entities = snapshot.num_entities
     frontier: Set[int] = {root}
     for step in path.steps:
         pid = snapshot.pred_id(step.predicate)
@@ -588,11 +599,8 @@ def _entity_signature_int(
         else:
             for node in frontier:
                 reached.update(snapshot.in_ids(node, pid))
-        if step.etype is None:
-            frontier = {i for i in reached if i >= num_entities}
-        else:
-            lo, hi = snapshot.type_range(step.etype)
-            frontier = {i for i in reached if lo <= i < hi}
+        level = _level(snapshot, step.etype)
+        frontier = {i for i in reached if i in level}
     node_at = snapshot.node_at
     return frozenset(node_at(i) for i in frontier)
 

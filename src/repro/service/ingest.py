@@ -1,7 +1,7 @@
 """Streaming ingest: continuous mutation streams batched into delta reruns.
 
 The O(delta) machinery (patched snapshots, incremental fingerprints,
-segment-level store patching, the support-level delta planner) makes a
+delta files in the store, the support-level delta planner) makes a
 single ``rerun()`` cheap — this module turns that into a *pipeline*: a
 continuous stream of journalled mutations (JSONL records from a file, a
 socket, or the service endpoint) is applied to the live graph and folded

@@ -371,6 +371,10 @@ class RegisteredGraph:
             "cache": {
                 "snapshot_builds": info.snapshot_builds,
                 "snapshot_patches": info.snapshot_patches,
+                "snapshot_compactions": info.snapshot_compactions,
+                "snapshot_overlay_rows": info.snapshot_overlay_rows,
+                "snapshot_patch_fallbacks": info.snapshot_patch_fallbacks,
+                "store_write_failures": info.store_write_failures,
                 "neighborhood_index_builds": info.neighborhood_index_builds,
                 "candidate_builds": info.candidate_builds,
                 "product_graph_builds": info.product_graph_builds,

@@ -1,10 +1,12 @@
 """``GraphSnapshot``: an immutable, interned, CSR-backed view of a ``Graph``.
 
-The snapshot assigns every node a dense integer id:
+A snapshot is in one of two forms.
 
-* entity ids come first, sorted by ``(type, entity id)`` — so the entities of
-  one type occupy a *contiguous id range* (the type bucket), and within a
-  bucket ids follow the sorted entity-id order that
+**Canonical** is what :meth:`GraphSnapshot.build` produces and the only form
+the store writes whole.  Every node has a dense integer id:
+
+* entity ids come first, sorted by ``(type, entity id)``, so within a type
+  ids follow the sorted entity-id order that
   :meth:`~repro.core.graph.Graph.entities_of_type` reports;
 * value nodes (:class:`~repro.core.triples.Literal`) follow, sorted by repr.
 
@@ -14,6 +16,16 @@ subject, backward ``(pred, subj)`` runs per object, and a deduplicated
 undirected neighbour list per node that drives the d-neighbourhood BFS in
 pure integer space.
 
+**Patched** is what :meth:`GraphSnapshot.patched` produces from a journal
+window, and **ids never move**.  A patched snapshot shares its canonical
+ancestor's interning tables and arrays *by reference* and carries an overlay
+(:class:`_Overlay`): nodes and predicates new since the ancestor take the
+next ids past its, a node that left the graph leaves a tombstone, a retyped
+entity keeps its id, and the rows of every node a window touched are held,
+recomputed, in the overlay.  Every read consults the overlay first, so a
+window costs what it touched and nothing that scales with the graph;
+:meth:`GraphSnapshot.compacted` re-canonicalises.
+
 Two API surfaces coexist:
 
 * the **read surface of Graph** (``entity_type``, ``objects``, ``subjects``,
@@ -21,8 +33,13 @@ Two API surfaces coexist:
   read-side consumer — the guided evaluator, the pairing fixpoint, the
   declarative matcher, the product graph — runs on a snapshot unchanged;
 * an **integer-space surface** (``objects_ids``, ``subjects_ids``,
-  ``neighborhood_ids``, ``type_range``, ``repr_rank``) used by the compiled
-  hot paths (CSR BFS, the compiled VF2 matcher).
+  ``neighborhood_ids``, ``type_ids``, ``is_literal_id``, ``repr_rank``) used
+  by the compiled hot paths (CSR BFS, the compiled VF2 matcher).  An id is a
+  stable handle and nothing more: that a canonical type bucket is a
+  contiguous range and that literals follow entities are facts of one form,
+  not of the surface.  Ask :meth:`GraphSnapshot.type_ids` and
+  :meth:`GraphSnapshot.is_literal_id`; order comes from ``repr_rank`` and
+  from sorted entity ids, never from the id.
 
 Pickling ships only the compact arrays and interning tables.  Nothing is
 decoded up front: the object-space surface decodes and memoises one CSR row
@@ -34,8 +51,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import merge as _heap_merge
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter as _itemgetter
 from typing import (
     Dict,
@@ -51,7 +67,7 @@ from typing import (
 
 from ..core.graph import Graph
 from ..core.triples import Entity, GraphNode, Literal, Triple, is_entity_ref
-from ..exceptions import UnknownEntityError
+from ..exceptions import SnapshotPatchError, UnknownEntityError
 
 #: Array typecode for node/predicate ids and CSR offsets.
 _ID = "q"
@@ -61,114 +77,6 @@ _EMPTY_IDS: FrozenSet[int] = frozenset()
 _EMPTY_NODES: FrozenSet[GraphNode] = frozenset()
 #: The decoded row of a node the graph does not hold (never memoised).
 _NO_ROW: Dict[str, frozenset] = {}
-
-
-def _copy_ids(dst: array, src, lo: int, hi: int, remap) -> None:
-    """Append ``src[lo:hi]`` to *dst*, translating ids through *remap*.
-
-    With ``remap=None`` (identity) the copy is a C-level splice — array
-    slices for in-memory snapshots, a buffer copy for mmap-backed ones.
-    """
-    if lo == hi:
-        return
-    if remap is None:
-        if isinstance(src, array):
-            dst.extend(src[lo:hi])
-        else:  # memoryview over a store mapping
-            dst.frombytes(src[lo:hi].tobytes())
-    else:
-        dst.extend([remap[x] for x in src[lo:hi]])
-
-
-def _fill_offsets(
-    offsets: array, old_offsets, span_start: int, span_end: int,
-    old_start: int, old_end: int, base: int,
-) -> None:
-    """Fill ``offsets[span_start+1 : span_end+1]`` from a copied old span.
-
-    Spans cover *consecutive* old rows (``old_start`` .. ``old_end - 1``) by
-    construction, so the new offsets are the old ones shifted by *base*.
-    """
-    for index in range(span_start, span_end):
-        offsets[index + 1] = base + old_offsets[old_start + 1 + index - span_start]
-
-
-def _splice_csr2(
-    old_offsets, old_a, old_b, touched_rows, old_for_new, a_remap, b_remap, num_rows
-) -> Tuple[array, array, array]:
-    """Rebuild a two-column CSR by splicing old spans with recomputed rows.
-
-    *touched_rows* maps new row ids to recomputed ``(a, b)`` pair lists;
-    every other row is copied from its old row (``old_for_new`` gives the
-    old id per new id, ``None`` meaning identity), batching maximal spans of
-    consecutive old rows into single copies.
-    """
-    offsets = array(_ID, bytes(8 * (num_rows + 1)))
-    new_a = array(_ID)
-    new_b = array(_ID)
-    total = 0
-    row = 0
-    while row < num_rows:
-        pairs = touched_rows.get(row)
-        if pairs is not None:
-            for a, b in pairs:
-                new_a.append(a)
-                new_b.append(b)
-            total += len(pairs)
-            offsets[row + 1] = total
-            row += 1
-            continue
-        span_start = row
-        old_start = row if old_for_new is None else old_for_new[row]
-        old_end = old_start + 1
-        row += 1
-        while row < num_rows and row not in touched_rows:
-            old_id = row if old_for_new is None else old_for_new[row]
-            if old_id != old_end:
-                break
-            old_end += 1
-            row += 1
-        lo, hi = old_offsets[old_start], old_offsets[old_end]
-        _copy_ids(new_a, old_a, lo, hi, a_remap)
-        _copy_ids(new_b, old_b, lo, hi, b_remap)
-        base = total - lo
-        _fill_offsets(offsets, old_offsets, span_start, row, old_start, old_end, base)
-        total = base + hi
-    return offsets, new_a, new_b
-
-
-def _splice_csr1(
-    old_offsets, old_targets, touched_rows, old_for_new, remap, num_rows
-) -> Tuple[array, array]:
-    """Single-column variant of :func:`_splice_csr2` (undirected adjacency)."""
-    offsets = array(_ID, bytes(8 * (num_rows + 1)))
-    targets = array(_ID)
-    total = 0
-    row = 0
-    while row < num_rows:
-        members = touched_rows.get(row)
-        if members is not None:
-            targets.extend(members)
-            total += len(members)
-            offsets[row + 1] = total
-            row += 1
-            continue
-        span_start = row
-        old_start = row if old_for_new is None else old_for_new[row]
-        old_end = old_start + 1
-        row += 1
-        while row < num_rows and row not in touched_rows:
-            old_id = row if old_for_new is None else old_for_new[row]
-            if old_id != old_end:
-                break
-            old_end += 1
-            row += 1
-        lo, hi = old_offsets[old_start], old_offsets[old_end]
-        _copy_ids(targets, old_targets, lo, hi, remap)
-        base = total - lo
-        _fill_offsets(offsets, old_offsets, span_start, row, old_start, old_end, base)
-        total = base + hi
-    return offsets, targets
 
 
 def _offsets(rows: Sequence[int], num_rows: int) -> array:
@@ -193,6 +101,119 @@ def _unpack(
     )
 
 
+#: An overlay row is one packed int64 sequence per node,
+#: ``[nf, nb, fwd preds * nf, fwd objs * nf, bwd preds * nb, bwd subjs * nb,
+#: undirected neighbours ...]``, each run sorted as the canonical CSR row it
+#: stands in for.  Rows stay packed so pickle and the store serialise an
+#: overlay with one ``bytes.join``.  This is a tombstone's row.
+_EMPTY_ROW = array(_ID, (0, 0))
+
+
+def _row_pairs(row, forward: bool):
+    """The ``(pred id, other endpoint id)`` pairs of a packed row's run."""
+    count = row[0] if forward else row[1]
+    lo = 2 if forward else 2 + 2 * row[0]
+    return zip(row[lo : lo + count], row[lo + count : lo + 2 * count])
+
+
+def _row_run(row, pred_id: int, forward: bool) -> List[int]:
+    """The other-endpoint ids under one predicate of a packed row's run."""
+    count = row[0] if forward else row[1]
+    lo = 2 if forward else 2 + 2 * row[0]
+    start = bisect_left(row, pred_id, lo, lo + count)
+    end = bisect_right(row, pred_id, start, lo + count)
+    return list(row[start + count : end + count])
+
+
+class _Overlay:
+    """Everything the windows since a canonical snapshot changed.
+
+    Bounded by the session's compaction threshold, so copying one per window
+    (the parent stays immutable for the seed and for in-flight workers) is a
+    handful of C-level container copies.
+    """
+
+    __slots__ = (
+        "base",          # the canonical ancestor whose arrays are shared
+        "nodes",         # appended nodes; id = len(base._node_of) + index
+        "ids",           # appended node -> id
+        "dead",          # tombstoned ids (ancestor's or appended)
+        "etypes",        # id -> type of appended and of retyped entities
+        "preds",         # appended predicates; id = len(base._pred_of) + index
+        "pred_ids",      # appended predicate -> id
+        "dead_preds",    # interned predicate ids no live triple uses
+        "rows",          # id -> packed row of every touched node and tombstone
+    )
+
+    def __init__(self, base: "GraphSnapshot") -> None:
+        self.base = base
+        self.nodes: List[GraphNode] = []
+        self.ids: Dict[GraphNode, int] = {}
+        self.dead: Set[int] = set()
+        self.etypes: Dict[int, str] = {}
+        self.preds: List[str] = []
+        self.pred_ids: Dict[str, int] = {}
+        self.dead_preds: FrozenSet[int] = frozenset()
+        self.rows: Dict[int, Sequence[int]] = {}
+
+    def copy(self) -> "_Overlay":
+        """A twin whose containers are its own (rows are shared: immutable)."""
+        twin = object.__new__(_Overlay)
+        for name in _Overlay.__slots__:
+            value = getattr(self, name)
+            mutable = isinstance(value, (list, dict, set))
+            setattr(twin, name, type(value)(value) if mutable else value)
+        return twin
+
+    def packed(self) -> Dict[str, object]:
+        """The serial form, deterministic for one history: what pickle ships
+        inline and what the store writes as a delta file."""
+        row_ids = sorted(self.rows)
+        rows = [self.rows[row_id] for row_id in row_ids]
+        return {
+            "nodes": list(self.nodes),
+            "preds": list(self.preds),
+            "etypes": sorted(self.etypes.items()),
+            "dead_preds": sorted(self.dead_preds),
+            "dead": array(_ID, sorted(self.dead)),
+            "row_ids": array(_ID, row_ids),
+            "row_offsets": array(_ID, accumulate(map(len, rows), initial=0)),
+            "rows": b"".join(rows),
+        }
+
+    @classmethod
+    def unpacked(cls, base: "GraphSnapshot", state: Dict[str, object]) -> "_Overlay":
+        """Inverse of :meth:`packed` over *base*; rows are views of ``rows``."""
+        overlay = cls(base)
+        overlay.nodes = list(state["nodes"])
+        first = len(base._node_of)
+        overlay.ids = {node: first + k for k, node in enumerate(overlay.nodes)}
+        overlay.preds = list(state["preds"])
+        first = len(base._pred_of)
+        overlay.pred_ids = {pred: first + k for k, pred in enumerate(overlay.preds)}
+        overlay.etypes = {node_id: etype for node_id, etype in state["etypes"]}
+        overlay.dead_preds = frozenset(state["dead_preds"])
+        overlay.dead = set(state["dead"])
+        flat = memoryview(state["rows"]).cast("B").cast(_ID)
+        offsets = state["row_offsets"]
+        overlay.rows = {
+            row_id: flat[offsets[k] : offsets[k + 1]]
+            for k, row_id in enumerate(state["row_ids"])
+        }
+        return overlay
+
+
+#: what a patched snapshot takes from its canonical ancestor, by reference
+_SHARED = (
+    "_node_of", "_id_of", "_num_entities", "_etype_of", "_type_ranges",
+    "_pred_of", "_pred_ids",
+    "_fwd_offsets", "_fwd_preds", "_fwd_objs",
+    "_bwd_offsets", "_bwd_preds", "_bwd_subjs",
+    "_und_offsets", "_und_targets",
+    "_vindex_offsets", "_vindex_literals", "_vindex_subjects",
+)
+
+
 class GraphSnapshot:
     """An immutable, array-backed compilation of one ``Graph`` version.
 
@@ -203,10 +224,10 @@ class GraphSnapshot:
     """
 
     __slots__ = (
-        # --- patch provenance (never pickled): table segments proven
-        # byte-identical to the patch base, so the store's segment-level
-        # patch writer skips re-serializing them ------------------------- #
-        "_unchanged_tables",
+        # ``None`` on a canonical snapshot; on a patched one, what changed
+        # since the canonical ancestor whose tables and arrays the slots
+        # below then hold by reference (see the module docstring)
+        "_overlay",
         # --- pickled core: interning tables + CSR arrays ---------------- #
         "version",
         "_node_of",        # id -> node object (entities first, then literals)
@@ -233,6 +254,7 @@ class GraphSnapshot:
         "_adjacency",      # id -> tuple of undirected neighbour ids (BFS form)
         "_value_node_set",
         "_repr_ranks",     # id -> rank of the node in global repr order
+        "_buckets",        # type -> {id: entity id}, see type_ids
         # --- snapshot-store backing (set by repro.storage.store) -------- #
         "_store_path",         # file this snapshot is attached to, or None
         "_store_fingerprint",  # content fingerprint recorded in that file
@@ -347,361 +369,161 @@ class GraphSnapshot:
     # ------------------------------------------------------------------ #
 
     def patched(self, graph: Graph, touched: Iterable[GraphNode]) -> "GraphSnapshot":
-        """Compile *graph* by splicing this snapshot with a mutation delta.
+        """Compile *graph* from this snapshot and a mutation delta.
 
         *touched* is the journal window (:meth:`Graph.touched_since`) between
         this snapshot's version and the live graph — a superset of every node
-        whose interning or adjacency rows may have changed.  The result is
-        **bit-identical** to ``GraphSnapshot.build(graph)``: the same
-        canonical interning order (entities by ``(type, id)``, literals by
-        repr) and the same array contents, which is what lets the store
-        patch files segment-by-segment and keeps every downstream consumer
-        (blocking vindex scans, compiled VF2 type ranges, placement keys)
-        oblivious to how the snapshot was produced.
+        whose interning or adjacency rows may have changed.  The result reads
+        exactly as ``GraphSnapshot.build(graph)`` does on the object surface,
+        and on the integer surface after :meth:`node_at` decoding; its
+        :meth:`compacted` form is bit-identical to it.
 
-        Cost is O(|touched rows| + |V|) with small, mostly C-level constants
-        (array splices, one remap pass) instead of ``build()``'s
-        per-triple Python object work: new terms are interned into the old
-        order by merge, surviving ids get a monotone old→new remap, and only
-        the rows of touched nodes are recomputed from the live graph.
+        No id moves.  Nodes and predicates new in the window take the next
+        ids, in canonical order of the window's new terms (entities by
+        ``(type, id)``, then literals by repr — never set order, so one
+        history always assigns the same ids); a node that left the graph
+        leaves a tombstone and gets its id back if it returns; a retyped
+        entity keeps its id.  The rows of every touched surviving node are
+        recomputed from the live graph into the overlay, which is copied
+        first so this snapshot stays as it was: O(|touched rows| +
+        |overlay|), and nothing scales with the graph.
+
+        Raises :class:`~repro.exceptions.SnapshotPatchError` when *touched*
+        does not cover the delta.
         """
-        if self._vindex_offsets is None:  # pre-vindex pickle: nothing to splice
-            return GraphSnapshot.build(graph)
+        overlay = _Overlay(self) if self._overlay is None else self._overlay.copy()
+        base_ids, extra_ids = self._id_of, overlay.ids
+        base_preds, extra_preds = self._pred_ids, overlay.pred_ids
+        first_id = len(self._node_of)
+        rows, dead = overlay.rows, overlay.dead
+        fwd_offsets = self._fwd_offsets
 
-        id_of = self._id_of
-        node_of = self._node_of
-        etype_of = self._etype_of
-        num_entities = self._num_entities
-        num_nodes = len(node_of)
+        def forward_len(node_id: int) -> int:
+            row = rows.get(node_id)
+            if row is not None:
+                return row[0]
+            return fwd_offsets[node_id + 1] - fwd_offsets[node_id]
 
-        touched_set = set(touched)
-        # A retype moves an interned id to another type bucket — the only
-        # non-monotone id move a delta can cause.  Rows referencing the moved
-        # id would re-sort around it, so its neighbours join the recompute
-        # set (any *removed* neighbour edge already touched both endpoints).
-        retype_neighbors: Set[GraphNode] = set()
-        for node in touched_set:
-            if is_entity_ref(node):
-                old = id_of.get(node)
-                if (
-                    old is not None
-                    and graph.has_entity(node)
-                    and graph.entity_type(node) != etype_of[old]
-                ):
-                    retype_neighbors |= graph.neighbors(node)
-        touched_set |= retype_neighbors
-
-        touched_entities: List[str] = []
-        touched_literals: List[Literal] = []
-        for node in touched_set:
-            if is_entity_ref(node):
-                touched_entities.append(node)
-            else:
-                touched_literals.append(node)
-
-        # -- classify the delta: dead old ids, new interned terms -------- #
-        dead: Set[int] = set()
-        ent_inserts: List[Tuple[str, str]] = []  # (etype, eid)
-        lit_inserts: List[Literal] = []
-        recompute_entities: List[str] = []
-        recompute_literals: List[Literal] = []
-        for eid in touched_entities:
-            old = id_of.get(eid)
-            if graph.has_entity(eid):
-                recompute_entities.append(eid)
-                etype = graph.entity_type(eid)
-                if old is None:
-                    ent_inserts.append((etype, eid))
-                elif etype_of[old] != etype:  # retype: move to the new bucket
-                    dead.add(old)
-                    ent_inserts.append((etype, eid))
-            elif old is not None:
-                dead.add(old)
-        for literal in touched_literals:
-            old = id_of.get(literal)
-            if graph.in_triples(literal):
-                recompute_literals.append(literal)
-                if old is None:
-                    lit_inserts.append(literal)
-            elif old is not None:
-                dead.add(old)
-
-        snap = object.__new__(GraphSnapshot)
-        snap.version = graph.version
-
-        ents_unchanged = not ent_inserts and not any(
-            old < num_entities for old in dead
+        # -- classify the window: survivors, new terms, tombstones -------- #
+        num_triples = self._num_triples
+        survivors: List[Tuple[int, GraphNode]] = []
+        fresh: List[GraphNode] = []
+        regrouped: Set[Optional[str]] = set()  # types whose membership changes
+        for node in touched:
+            is_entity = is_entity_ref(node)
+            alive = graph.has_entity(node) if is_entity else graph.degree(node) > 0
+            node_id = base_ids.get(node)
+            if node_id is None:
+                node_id = extra_ids.get(node)
+            if node_id is None:
+                if alive:
+                    fresh.append(node)
+                continue
+            num_triples -= forward_len(node_id)
+            if alive:
+                survivors.append((node_id, node))
+            if alive == (node_id in dead):  # it returns, or it leaves a tombstone
+                (dead.discard if alive else dead.add)(node_id)
+                if is_entity:
+                    regrouped.add(self._etype_at(node_id))
+                if not alive:
+                    rows[node_id] = _EMPTY_ROW
+        fresh.sort(
+            key=lambda node: (0, graph.entity_type(node), node)
+            if is_entity_ref(node)
+            else (1, repr(node), "")
         )
-        lits_unchanged = not lit_inserts and not any(
-            old >= num_entities for old in dead
+        for node in fresh:
+            extra_ids[node] = first_id + len(overlay.nodes)
+            survivors.append((extra_ids[node], node))
+            overlay.nodes.append(node)
+
+        live_preds = graph.predicates()
+        for pred in sorted(live_preds - base_preds.keys() - extra_preds.keys()):
+            extra_preds[pred] = len(self._pred_of) + len(overlay.preds)
+            overlay.preds.append(pred)
+        overlay.dead_preds = frozenset(
+            pred_id
+            for pred, pred_id in chain(base_preds.items(), extra_preds.items())
+            if pred not in live_preds
         )
-        identity = ents_unchanged and lits_unchanged
-        if identity:
-            # no interning change: reuse every table object outright
-            snap._node_of = node_of
-            snap._id_of = id_of
-            snap._num_entities = num_entities
-            snap._etype_of = etype_of
-            snap._type_ranges = self._type_ranges
-            remap: Optional[List[int]] = None
-            old_for_new: Optional[List[int]] = None
-            new_num_nodes = num_nodes
-        else:
-            if ents_unchanged:
-                # the steady-state ingest shape — only the literal block
-                # changed: the entity prefix is copied wholesale and the old
-                # tables (types, buckets) are reused object-for-object
-                remap = list(range(num_entities)) + [-1] * (num_nodes - num_entities)
-                old_for_new = list(range(num_entities))
-                new_nodes = list(node_of[:num_entities])
-                new_etypes: Optional[List[str]] = None
-            else:
-                remap = [-1] * num_nodes
-                old_for_new = []
-                new_nodes = []
-                new_etypes = []
-                # entity inserts: position in the OLD entity order (insert
-                # before that old id), bisecting the sorted (type, id) buckets
-                type_starts = sorted(
-                    (etype, span[0]) for etype, span in self._type_ranges.items()
-                )
-                positioned: List[Tuple[int, str, str]] = []
-                for etype, eid in ent_inserts:
-                    span = self._type_ranges.get(etype)
-                    if span is not None:
-                        pos = bisect_left(node_of, eid, span[0], span[1])
-                    else:
-                        at = bisect_left(type_starts, (etype, -1))
-                        pos = type_starts[at][1] if at < len(type_starts) else num_entities
-                    positioned.append((pos, etype, eid))
-                positioned.sort()
-                emit = 0
-                for pos, etype, eid in positioned:
-                    for oid in range(emit, pos):
-                        if oid not in dead:
-                            remap[oid] = len(new_nodes)
-                            old_for_new.append(oid)
-                            new_nodes.append(node_of[oid])
-                            new_etypes.append(etype_of[oid])
-                    emit = pos
-                    old_for_new.append(-1)
-                    new_nodes.append(eid)
-                    new_etypes.append(etype)
-                for oid in range(emit, num_entities):
-                    if oid not in dead:
-                        remap[oid] = len(new_nodes)
-                        old_for_new.append(oid)
-                        new_nodes.append(node_of[oid])
-                        new_etypes.append(etype_of[oid])
-            new_num_entities = len(new_nodes)
-
-            # literal inserts: bisect the old repr order with lazy reprs
-            def _lit_pos(key: str) -> int:
-                lo, hi = num_entities, num_nodes
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if repr(node_of[mid]) < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                return lo
-
-            lit_positioned = sorted(
-                (_lit_pos(repr(literal)), repr(literal), literal)
-                for literal in lit_inserts
-            )
-            #: first new id whose interning differs from the old literal
-            #: block (feeds the incremental _id_of rebuild below)
-            changed_from: Optional[int] = None
-            emit = num_entities
-            for pos, _key, literal in lit_positioned:
-                if dead:
-                    for oid in range(emit, pos):
-                        if oid in dead:
-                            if changed_from is None:
-                                changed_from = len(new_nodes)
-                        else:
-                            remap[oid] = len(new_nodes)
-                            old_for_new.append(oid)
-                            new_nodes.append(node_of[oid])
-                else:
-                    shift = len(new_nodes) - emit
-                    remap[emit:pos] = range(emit + shift, pos + shift)
-                    old_for_new.extend(range(emit, pos))
-                    new_nodes.extend(node_of[emit:pos])
-                emit = pos
-                if changed_from is None:
-                    changed_from = len(new_nodes)
-                old_for_new.append(-1)
-                new_nodes.append(literal)
-            if dead:
-                for oid in range(emit, num_nodes):
-                    if oid in dead:
-                        if changed_from is None:
-                            changed_from = len(new_nodes)
-                    else:
-                        remap[oid] = len(new_nodes)
-                        old_for_new.append(oid)
-                        new_nodes.append(node_of[oid])
-            else:
-                shift = len(new_nodes) - emit
-                remap[emit:num_nodes] = range(emit + shift, num_nodes + shift)
-                old_for_new.extend(range(emit, num_nodes))
-                new_nodes.extend(node_of[emit:num_nodes])
-
-            snap._node_of = tuple(new_nodes)
-            snap._num_entities = new_num_entities
-            if new_etypes is None:
-                # entity interning untouched: the old id map survives from
-                # the front; only the shifted literal tail is rewritten
-                id_map = dict(id_of)
-                for old in dead:
-                    id_map.pop(node_of[old], None)
-                if changed_from is not None:
-                    for index in range(changed_from, len(new_nodes)):
-                        id_map[new_nodes[index]] = index
-                snap._id_of = id_map
-                snap._etype_of = etype_of
-                snap._type_ranges = self._type_ranges
-            else:
-                snap._id_of = {node: index for index, node in enumerate(new_nodes)}
-                snap._etype_of = tuple(new_etypes)
-                type_ranges: Dict[str, Tuple[int, int]] = {}
-                start = 0
-                for index, etype in enumerate(new_etypes):
-                    if index == 0 or etype != new_etypes[index - 1]:
-                        start = index
-                    type_ranges[etype] = (start, index + 1)
-                snap._type_ranges = type_ranges
-            new_num_nodes = len(new_nodes)
-
-        # -- predicates --------------------------------------------------- #
-        new_preds = sorted(graph.predicates())
-        preds_unchanged = list(self._pred_of) == new_preds
-        if preds_unchanged:
-            snap._pred_of = self._pred_of
-            snap._pred_ids = self._pred_ids
-            pred_remap: Optional[List[int]] = None
-        else:
-            snap._pred_of = tuple(new_preds)
-            snap._pred_ids = {pred: index for index, pred in enumerate(new_preds)}
-            pred_remap = [snap._pred_ids.get(pred, -1) for pred in self._pred_of]
-        new_pred_ids = snap._pred_ids
-        new_id_of = snap._id_of
 
         # -- recomputed rows for every touched, surviving node ------------ #
-        fwd_rows: Dict[int, List[Tuple[int, int]]] = {}
-        bwd_rows: Dict[int, List[Tuple[int, int]]] = {}
-        und_rows: Dict[int, List[int]] = {}
-        drop_subjects: Set[int] = set(dead)
-        new_postings: List[Tuple[int, int, int]] = []
-        for eid in recompute_entities:
-            nid = new_id_of[eid]
-            out_row: List[Tuple[int, int]] = []
-            for triple in graph.out_triples(eid):
-                oid = new_id_of[triple.obj]
-                pid = new_pred_ids[triple.predicate]
-                out_row.append((pid, oid))
-                if oid >= snap._num_entities:
-                    new_postings.append((pid, oid, nid))
-            out_row.sort()
-            fwd_rows[nid] = out_row
-            bwd_rows[nid] = sorted(
-                (new_pred_ids[t.predicate], new_id_of[t.subject])
-                for t in graph.in_triples(eid)
-            )
-            und_rows[nid] = sorted(new_id_of[n] for n in graph.neighbors(eid))
-            old = id_of.get(eid)
-            if old is not None:
-                drop_subjects.add(old)
-        for literal in recompute_literals:
-            nid = new_id_of[literal]
-            fwd_rows[nid] = []
-            bwd_rows[nid] = sorted(
-                (new_pred_ids[t.predicate], new_id_of[t.subject])
-                for t in graph.in_triples(literal)
-            )
-            und_rows[nid] = sorted(new_id_of[n] for n in graph.neighbors(literal))
+        def id_of(node: GraphNode) -> int:
+            found = base_ids.get(node)
+            return extra_ids[node] if found is None else found
 
-        snap._fwd_offsets, snap._fwd_preds, snap._fwd_objs = _splice_csr2(
-            self._fwd_offsets, self._fwd_preds, self._fwd_objs,
-            fwd_rows, old_for_new, pred_remap, remap, new_num_nodes,
-        )
-        snap._bwd_offsets, snap._bwd_preds, snap._bwd_subjs = _splice_csr2(
-            self._bwd_offsets, self._bwd_preds, self._bwd_subjs,
-            bwd_rows, old_for_new, pred_remap, remap, new_num_nodes,
-        )
-        snap._und_offsets, snap._und_targets = _splice_csr1(
-            self._und_offsets, self._und_targets,
-            und_rows, old_for_new, remap, new_num_nodes,
-        )
+        def pred_id(pred: str) -> int:
+            found = base_preds.get(pred)
+            return extra_preds[pred] if found is None else found
 
-        # -- value index: filter touched subjects out, merge new postings - #
-        new_postings.sort()
-        vindex_offsets = array(_ID, bytes(8 * (len(new_preds) + 1)))
-        vindex_literals = array(_ID)
-        vindex_subjects = array(_ID)
-        old_voffsets = self._vindex_offsets
-        old_vlits = self._vindex_literals
-        old_vsubjs = self._vindex_subjects
-        old_run_of: Dict[int, int] = {}
-        for old_pid in range(len(self._pred_of)):
-            pid = old_pid if pred_remap is None else pred_remap[old_pid]
-            if pid >= 0:
-                old_run_of[pid] = old_pid
-        cursor = 0
-        total = 0
-        num_new = len(new_postings)
-        for pid in range(len(new_preds)):
-            fresh: List[Tuple[int, int]] = []
-            while cursor < num_new and new_postings[cursor][0] == pid:
-                fresh.append(new_postings[cursor][1:])
-                cursor += 1
-            run: List[Tuple[int, int]] = []
-            old_pid = old_run_of.get(pid)
-            if old_pid is not None:
-                lo, hi = old_voffsets[old_pid], old_voffsets[old_pid + 1]
-                if remap is None:
-                    for index in range(lo, hi):
-                        sid = old_vsubjs[index]
-                        if sid not in drop_subjects:
-                            run.append((old_vlits[index], sid))
-                else:
-                    for index in range(lo, hi):
-                        sid = old_vsubjs[index]
-                        if sid not in drop_subjects:
-                            run.append((remap[old_vlits[index]], remap[sid]))
-            if fresh:
-                run = list(_heap_merge(run, fresh))
-            for lit_id, sid in run:
-                vindex_literals.append(lit_id)
-                vindex_subjects.append(sid)
-            total += len(run)
-            vindex_offsets[pid + 1] = total
-        snap._vindex_offsets = vindex_offsets
-        snap._vindex_literals = vindex_literals
-        snap._vindex_subjects = vindex_subjects
-
-        snap._num_triples = graph.num_triples
-        if len(snap._fwd_objs) != snap._num_triples:
-            raise RuntimeError(
-                f"snapshot patch drifted: {len(snap._fwd_objs)} forward columns "
-                f"for {snap._num_triples} triples (delta window inconsistent)"
+        etypes, etype_of, num_base_entities = overlay.etypes, self._etype_of, self._num_entities
+        try:
+            for node_id, node in survivors:
+                fwd: List[Tuple[int, int]] = []
+                if is_entity_ref(node):
+                    fwd = sorted(
+                        (pred_id(t.predicate), id_of(t.obj)) for t in graph.out_triples(node)
+                    )
+                    num_triples += len(fwd)
+                    etype = graph.entity_type(node)
+                    known = etypes.get(node_id)
+                    if known is None and node_id < num_base_entities:
+                        known = etype_of[node_id]
+                    if etype != known:
+                        etypes[node_id] = etype
+                        regrouped.update((etype, known))
+                bwd = sorted(
+                    (pred_id(t.predicate), id_of(t.subject)) for t in graph.in_triples(node)
+                )
+                row = array(_ID, (len(fwd), len(bwd)))
+                for run in (fwd, bwd):
+                    row.extend([pred for pred, _ in run])
+                    row.extend([other for _, other in run])
+                row.extend(sorted(map(id_of, graph.neighbors(node))))
+                rows[node_id] = row
+        except KeyError as missing:
+            raise SnapshotPatchError(
+                f"snapshot patch drifted: {missing.args[0]!r} is in the live graph "
+                f"but not in the delta window"
+            ) from None
+        if num_triples != graph.num_triples:
+            raise SnapshotPatchError(
+                f"snapshot patch drifted: {num_triples} forward columns for "
+                f"{graph.num_triples} triples (delta window inconsistent)"
             )
-        snap._reset_lazy()
-        snap._unchanged_tables = frozenset(
-            (("entity_offsets", "entity_blob") if ents_unchanged else ())
-            + (
-                ("literal_tags", "literal_offsets", "literal_blob")
-                if lits_unchanged
-                else ()
-            )
-            + (("pred_offsets", "pred_blob") if preds_unchanged else ())
-        )
+        snap = GraphSnapshot._over(overlay, graph.version, num_triples)
+        snap._buckets = {t: b for t, b in self._buckets.items() if t not in regrouped}
         return snap
 
+    @classmethod
+    def _over(cls, overlay: _Overlay, version: int, num_triples: int) -> "GraphSnapshot":
+        """The patched snapshot that is *overlay* over its canonical base."""
+        snap = object.__new__(cls)
+        for name in _SHARED:
+            setattr(snap, name, getattr(overlay.base, name))
+        snap.version = version
+        snap._num_triples = num_triples
+        snap._reset_lazy()
+        snap._overlay = overlay
+        return snap
+
+    def compacted(self) -> "GraphSnapshot":
+        """This snapshot in canonical form, bit-identical to ``build(graph)``.
+
+        A canonical snapshot is its own compaction; a patched one is
+        recompiled off its own read surface, which is all ``build`` needs.
+        """
+        return self if self._overlay is None else GraphSnapshot.build(self)
+
+    @property
+    def overlay_rows(self) -> int:
+        """Rows held outside the canonical arrays: touched nodes plus
+        tombstones since the canonical ancestor (0 on a canonical snapshot)."""
+        return 0 if self._overlay is None else len(self._overlay.rows)
+
     def _reset_lazy(self) -> None:
-        self._unchanged_tables = frozenset()
+        self._overlay = None
         self._store_path = None
         self._store_fingerprint = None
         self._obj_map = {}
@@ -712,6 +534,7 @@ class GraphSnapshot:
         self._adjacency = {}
         self._value_node_set = None
         self._repr_ranks = None
+        self._buckets = {}
 
     # ------------------------------------------------------------------ #
     # pickling: compact arrays only, rows decoded again per process
@@ -720,20 +543,7 @@ class GraphSnapshot:
     # _id_of is deliberately absent: it is exactly {node: i for i, node in
     # enumerate(_node_of)} and is rebuilt on unpickle, so worker payloads
     # carry the interning table once, not twice.
-    _PICKLED = (
-        "version",
-        "_node_of",
-        "_num_entities",
-        "_etype_of",
-        "_type_ranges",
-        "_pred_of",
-        "_pred_ids",
-        "_fwd_offsets", "_fwd_preds", "_fwd_objs",
-        "_bwd_offsets", "_bwd_preds", "_bwd_subjs",
-        "_und_offsets", "_und_targets",
-        "_vindex_offsets", "_vindex_literals", "_vindex_subjects",
-        "_num_triples",
-    )
+    _PICKLED = ("version", "_num_triples") + tuple(n for n in _SHARED if n != "_id_of")
 
     def __getstate__(self) -> Dict[str, object]:
         state = {}
@@ -758,6 +568,17 @@ class GraphSnapshot:
         self._reset_lazy()
 
     def __reduce__(self):
+        overlay = self._overlay
+        if overlay is not None:
+            # the ancestor (a path stub when it is store-backed) plus the
+            # overlay inline, never a delta file's path: two histories that
+            # reach one fingerprint write different delta bytes under one
+            # name, and only the sender's own overlay has the ids that what
+            # ships beside the snapshot (id-encoded neighbourhoods) is in
+            return (
+                _restore_patched,
+                (overlay.base, overlay.packed(), self.version, self._num_triples),
+            )
         if self._store_path is not None:
             # attach-by-path: ship the store file path (a few hundred bytes),
             # not the arrays — the receiving process mmaps the same file, so
@@ -793,32 +614,82 @@ class GraphSnapshot:
 
     def id_of(self, node: GraphNode) -> Optional[int]:
         """The interned id of *node*, or ``None`` when it is not in the graph."""
-        return self._id_of.get(node)
+        found = self._id_of.get(node)
+        overlay = self._overlay
+        if overlay is not None:
+            if found is None:
+                found = overlay.ids.get(node)
+            if found in overlay.dead:
+                return None
+        return found
 
     def node_at(self, node_id: int) -> GraphNode:
         """The node object with interned id *node_id*."""
+        if self._overlay is not None and node_id >= len(self._node_of):
+            return self._overlay.nodes[node_id - len(self._node_of)]
         return self._node_of[node_id]
 
     def pred_id(self, predicate: str) -> int:
         """The interned predicate id (``-1`` for unknown predicates)."""
-        return self._pred_ids.get(predicate, -1)
+        found = self._pred_ids.get(predicate)
+        if found is None and self._overlay is not None:
+            found = self._overlay.pred_ids.get(predicate)
+        return -1 if found is None else found
 
-    def type_range(self, etype: str) -> Tuple[int, int]:
-        """The contiguous entity-id bucket ``[lo, hi)`` of *etype*."""
-        return self._type_ranges.get(etype, (0, 0))
+    def _pred_at(self, pred_id: int) -> str:
+        if self._overlay is not None and pred_id >= len(self._pred_of):
+            return self._overlay.preds[pred_id - len(self._pred_of)]
+        return self._pred_of[pred_id]
+
+    def type_ids(self, etype: str) -> Dict[int, str]:
+        """The ids of the entities of type *etype*, as a bucket.
+
+        A bucket supports ``in``, ``len`` and iteration over the ids in
+        sorted entity-id order, in either form, and is to be used for nothing
+        else.  (It is the read-only dict ``id -> entity id``: a hash probe
+        tests membership faster than any range object.)  Built on first use
+        and handed on by :meth:`patched` to the next window unless that
+        window changed the type's membership.
+        """
+        bucket = self._buckets.get(etype)
+        if bucket is None:
+            lo, hi = self._type_ranges.get(etype, (0, 0))
+            if self._overlay is None:
+                bucket = dict(zip(range(lo, hi), self._node_of[lo:hi]))
+            else:
+                moved, dead = self._overlay.etypes, self._overlay.dead
+                ids = [i for i in range(lo, hi) if i not in moved]
+                ids += [i for i, t in moved.items() if t == etype]
+                members = sorted((self.node_at(i), i) for i in ids if i not in dead)
+                bucket = {i: eid for eid, i in members}
+            self._buckets[etype] = bucket
+        return bucket
+
+    def is_literal_id(self, node_id: int) -> bool:
+        """Whether the interned *node_id* is a value node's."""
+        if node_id < len(self._node_of):
+            return node_id >= self._num_entities
+        return not is_entity_ref(self.node_at(node_id))
 
     @property
     def num_interned_nodes(self) -> int:
-        """Total number of interned node ids (entities + value nodes)."""
-        return len(self._node_of)
+        """Size of the id space: every id is below it.  On a patched
+        snapshot that counts tombstones, so it can exceed ``num_nodes``."""
+        if self._overlay is None:
+            return len(self._node_of)
+        return len(self._node_of) + len(self._overlay.nodes)
 
     def decode_ids(self, ids: Iterable[int]) -> Set[GraphNode]:
         """Decode interned ids back into a set of node objects."""
+        if self._overlay is not None:
+            return set(map(self.node_at, ids))
         node_of = self._node_of
         return {node_of[i] for i in ids}
 
     def encode_nodes(self, nodes: Iterable[GraphNode]) -> array:
         """Encode node objects into a sorted array of interned ids."""
+        if self._overlay is not None:
+            return array(_ID, sorted(map(self.id_of, nodes)))
         id_of = self._id_of
         return array(_ID, sorted(id_of[node] for node in nodes))
 
@@ -833,7 +704,7 @@ class GraphSnapshot:
         """
         if isinstance(key, tuple):
             return tuple(self.placement_key(item) for item in key)
-        mapped = self._id_of.get(key)
+        mapped = self._id_of.get(key) if self._overlay is None else self.id_of(key)
         return key if mapped is None else mapped
 
     def repr_rank(self, node_id: int) -> int:
@@ -845,7 +716,10 @@ class GraphSnapshot:
         """
         ranks = self._repr_ranks
         if ranks is None:
-            order = sorted(range(len(self._node_of)), key=lambda i: repr(self._node_of[i]))
+            node_at = self.node_at
+            order = sorted(
+                range(self.num_interned_nodes), key=lambda i: repr(node_at(i))
+            )
             ranks = array(_ID, [0] * len(order))
             for rank, index in enumerate(order):
                 ranks[index] = rank
@@ -875,13 +749,16 @@ class GraphSnapshot:
         return found
 
     def out_ids(self, node_id: int, pred_id: int) -> List[int]:
-        """Object ids of ``(node, pred, o)`` straight off the CSR row.
+        """Object ids of ``(node, pred, o)`` straight off the row.
 
         The forward row is sorted by ``(pred, obj)``, so one bisection
         isolates the predicate run — O(log row + matches) per call and
         nothing memoised, which is what signature traversal and incremental
         rebasing want; :meth:`objects_ids` is this answer kept as a set.
         """
+        overlay = self._overlay
+        if overlay is not None and (row := overlay.rows.get(node_id)) is not None:
+            return _row_run(row, pred_id, True)
         offsets, preds, objs = self._fwd_offsets, self._fwd_preds, self._fwd_objs
         lo, hi = offsets[node_id], offsets[node_id + 1]
         start = bisect_left(preds, pred_id, lo, hi)
@@ -889,38 +766,77 @@ class GraphSnapshot:
         return list(objs[start:end])
 
     def in_ids(self, node_id: int, pred_id: int) -> List[int]:
-        """Subject ids of ``(s, pred, node)`` straight off the CSR row."""
+        """Subject ids of ``(s, pred, node)`` straight off the row."""
+        overlay = self._overlay
+        if overlay is not None and (row := overlay.rows.get(node_id)) is not None:
+            return _row_run(row, pred_id, False)
         offsets, preds, subjs = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
         lo, hi = offsets[node_id], offsets[node_id + 1]
         start = bisect_left(preds, pred_id, lo, hi)
         end = bisect_right(preds, pred_id, start, hi)
         return list(subjs[start:end])
 
+    def _row_pairs(self, node_id: int, forward: bool):
+        """The ``(pred id, other endpoint id)`` pairs of one forward /
+        backward row, overlay first."""
+        overlay = self._overlay
+        if overlay is not None and (row := overlay.rows.get(node_id)) is not None:
+            return _row_pairs(row, forward)
+        if forward:
+            offsets, preds, others = self._fwd_offsets, self._fwd_preds, self._fwd_objs
+        else:
+            offsets, preds, others = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
+        lo, hi = offsets[node_id], offsets[node_id + 1]
+        return zip(preds[lo:hi], others[lo:hi])
+
     def value_postings(self, pred_id: int):
         """The inverted value-index run of *pred_id*.
 
         Returns ``(literal ids, subject ids)`` — two parallel id sequences
-        sorted by ``(literal, subject)`` covering every triple of that
-        predicate whose object is a literal — or ``None`` when the predicate
-        is unknown or this snapshot carries no value index (instances
-        unpickled from pre-index states).
+        covering every triple of that predicate whose object is a literal —
+        or ``None`` when the predicate is unknown or this snapshot carries no
+        value index (instances unpickled from pre-index states).  A canonical
+        run is sorted by ``(literal, subject)``.  A patched one is merged
+        here, on read: the ancestor's run without the subjects the overlay
+        holds a row for, then those rows' own postings, in no promised order.
         """
         offsets = getattr(self, "_vindex_offsets", None)
-        if offsets is None or pred_id < 0 or pred_id >= len(offsets) - 1:
+        if offsets is None or pred_id < 0:
             return None
-        lo, hi = offsets[pred_id], offsets[pred_id + 1]
-        return self._vindex_literals[lo:hi], self._vindex_subjects[lo:hi]
+        overlay = self._overlay
+        if pred_id >= len(offsets) - 1:
+            if overlay is None or pred_id >= len(offsets) - 1 + len(overlay.preds):
+                return None
+            literals, subjects = (), ()
+        else:
+            lo, hi = offsets[pred_id], offsets[pred_id + 1]
+            literals, subjects = self._vindex_literals[lo:hi], self._vindex_subjects[lo:hi]
+        if overlay is None:
+            return literals, subjects
+        rows = overlay.rows
+        kept = [(lit, sid) for lit, sid in zip(literals, subjects) if sid not in rows]
+        is_literal_id = self.is_literal_id
+        for sid, row in rows.items():
+            if row[0]:
+                kept.extend(
+                    (oid, sid) for oid in _row_run(row, pred_id, True) if is_literal_id(oid)
+                )
+        return [lit for lit, _ in kept], [sid for _, sid in kept]
 
     def adjacency(self, node_id: int) -> Tuple[int, ...]:
         """The undirected neighbour ids of *node_id* (the BFS working form).
 
-        One CSR row, decoded on first read; the CSR arrays remain the
-        pickled representation.
+        One row, decoded on first read; the CSR arrays (and the overlay's
+        packed rows) remain the pickled representation.
         """
         row = self._adjacency.get(node_id)
         if row is None:
-            offsets = self._und_offsets
-            row = tuple(self._und_targets[offsets[node_id] : offsets[node_id + 1]])
+            overlay = self._overlay
+            if overlay is not None and (packed := overlay.rows.get(node_id)) is not None:
+                row = tuple(packed[2 + 2 * (packed[0] + packed[1]) :])
+            else:
+                offsets = self._und_offsets
+                row = tuple(self._und_targets[offsets[node_id] : offsets[node_id + 1]])
             self._adjacency[node_id] = row
         return row
 
@@ -942,9 +858,10 @@ class GraphSnapshot:
         if radius == 0:
             return result
         adjacency = self.adjacency
-        use_flags = len(self._node_of) <= self.FLAG_BFS_LIMIT
+        num_ids = len(self._node_of) if self._overlay is None else self.num_interned_nodes
+        use_flags = num_ids <= self.FLAG_BFS_LIMIT
         if use_flags:
-            flags = bytearray(len(self._node_of))
+            flags = bytearray(num_ids)
             flags[root_id] = 1
         else:
             seen = {root_id}
@@ -972,10 +889,9 @@ class GraphSnapshot:
 
     def neighborhood_nodes(self, entity: str, radius: int) -> Set[GraphNode]:
         """The d-neighbourhood of *entity* as a set of node objects."""
-        root = self._id_of.get(entity)
-        if root is None or root >= self._num_entities:
-            raise UnknownEntityError(entity)
-        ids = self.neighborhood_ids(root, radius)
+        ids = self.neighborhood_ids(self._entity_index(entity), radius)
+        if self._overlay is not None:
+            return set(map(self.node_at, ids))
         if len(ids) == 1:
             return {self._node_of[ids[0]]}
         return set(_itemgetter(*ids)(self._node_of))
@@ -986,7 +902,12 @@ class GraphSnapshot:
 
     @property
     def num_entities(self) -> int:
-        return self._num_entities
+        overlay = self._overlay
+        if overlay is None:
+            return self._num_entities
+        arrived = {i for node, i in overlay.ids.items() if is_entity_ref(node)}
+        gone = sum(1 for i in overlay.dead if i < self._num_entities or i in arrived)
+        return self._num_entities + len(arrived) - gone
 
     @property
     def num_triples(self) -> int:
@@ -994,7 +915,9 @@ class GraphSnapshot:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._node_of)
+        if self._overlay is None:
+            return len(self._node_of)
+        return self.num_interned_nodes - len(self._overlay.dead)  # every tombstone is an id
 
     def __len__(self) -> int:
         return self._num_triples
@@ -1007,45 +930,102 @@ class GraphSnapshot:
         return False
 
     def has_entity(self, eid: str) -> bool:
+        if self._overlay is not None:
+            return is_entity_ref(eid) and self.id_of(eid) is not None
         index = self._id_of.get(eid)
         return index is not None and index < self._num_entities
 
     def _entity_index(self, eid: str) -> int:
-        index = self._id_of.get(eid) if isinstance(eid, str) else None
-        if index is None or index >= self._num_entities:
+        index = None
+        if isinstance(eid, str):  # so an interned id is an entity's, in either form
+            index = self._id_of.get(eid) if self._overlay is None else self.id_of(eid)
+        if index is None:
             raise UnknownEntityError(str(eid))
         return index
 
+    def _etype_at(self, index: int) -> str:
+        if self._overlay is not None:
+            etype = self._overlay.etypes.get(index)
+            if etype is not None:
+                return etype
+        return self._etype_of[index]
+
     def entity(self, eid: str) -> Entity:
-        index = self._entity_index(eid)
-        return Entity(eid, self._etype_of[index])
+        return Entity(eid, self._etype_at(self._entity_index(eid)))
 
     def entity_type(self, eid: str) -> str:
-        return self._etype_of[self._entity_index(eid)]
+        index = self._entity_index(eid)
+        return self._etype_of[index] if self._overlay is None else self._etype_at(index)
+
+    def _live_ids(self, entities: bool) -> Iterator[int]:
+        """The ids of a patched snapshot's live entities, or live values."""
+        overlay = self._overlay
+        dead = overlay.dead
+        split, first = self._num_entities, len(self._node_of)
+        for index in range(split) if entities else range(split, first):
+            if index not in dead:
+                yield index
+        for index, node in enumerate(overlay.nodes, first):
+            if is_entity_ref(node) == entities and index not in dead:
+                yield index
 
     def entities(self) -> Iterator[Entity]:
-        for index in range(self._num_entities):
-            yield Entity(self._node_of[index], self._etype_of[index])
+        live = range(self._num_entities) if self._overlay is None else self._live_ids(True)
+        for index in live:
+            yield Entity(self.node_at(index), self._etype_at(index))
 
     def entity_ids(self) -> Iterator[str]:
-        return iter(self._node_of[: self._num_entities])
+        base = self._node_of[: self._num_entities]
+        overlay = self._overlay
+        if overlay is None:
+            return iter(base)
+        dead = overlay.dead  # the ancestor's entities are walked at C speed
+        if any(index < len(base) for index in dead):
+            base = [node for index, node in enumerate(base) if index not in dead]
+        arrived = [n for n, i in overlay.ids.items() if is_entity_ref(n) and i not in dead]
+        return chain(base, arrived)
 
     def entities_of_type(self, etype: str) -> List[str]:
+        if self._overlay is not None:
+            return list(self.type_ids(etype).values())
         lo, hi = self._type_ranges.get(etype, (0, 0))
         return list(self._node_of[lo:hi])
 
     def types(self) -> Set[str]:
-        return set(self._type_ranges.keys())
+        overlay = self._overlay
+        if overlay is None:
+            return set(self._type_ranges.keys())
+        known = chain(self._type_ranges, overlay.etypes.values())
+        return {etype for etype in known if self.type_ids(etype)}
 
     def predicates(self) -> Set[str]:
-        return set(self._pred_of)
+        overlay = self._overlay
+        if overlay is None:
+            return set(self._pred_of)
+        dead = overlay.dead_preds
+        return {
+            pred
+            for pred, pred_id in chain(self._pred_ids.items(), overlay.pred_ids.items())
+            if pred_id not in dead
+        }
 
     def value_nodes(self) -> FrozenSet[Literal]:
         if self._value_node_set is None:
-            self._value_node_set = frozenset(self._node_of[self._num_entities :])
+            if self._overlay is not None:
+                values = map(self.node_at, self._live_ids(False))
+            else:
+                values = self._node_of[self._num_entities :]
+            self._value_node_set = frozenset(values)
         return self._value_node_set
 
     def triples(self) -> Iterator[Triple]:
+        if self._overlay is not None:
+            node_at, pred_at = self.node_at, self._pred_at
+            for sid in self._live_ids(True):
+                subject = node_at(sid)
+                for pid, oid in self._row_pairs(sid, True):
+                    yield Triple(subject, pred_at(pid), node_at(oid))
+            return
         node_of, pred_of = self._node_of, self._pred_of
         offsets, preds, objs = self._fwd_offsets, self._fwd_preds, self._fwd_objs
         for sid in range(self._num_entities):
@@ -1061,8 +1041,6 @@ class GraphSnapshot:
         the property WAL recovery relies on when the journal's base state
         lives in a snapshot store rather than in memory.
         """
-        from ..core.graph import Graph  # lazy: storage must not import core eagerly
-
         graph = Graph()
         for entity in self.entities():
             graph.add_entity(entity.eid, entity.etype)
@@ -1073,18 +1051,26 @@ class GraphSnapshot:
     # -- decoded adjacency rows (one row per first read, per process) ---- #
 
     def _decode_row(self, node: GraphNode, forward: bool) -> Dict[str, frozenset]:
-        """Decode and memoise one forward / backward CSR row: ``pred -> node set``."""
-        index = self._id_of.get(node)
-        if index is None:
-            return _NO_ROW
-        if forward:
-            offsets, preds, others = self._fwd_offsets, self._fwd_preds, self._fwd_objs
-        else:
-            offsets, preds, others = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
-        node_of, pred_of = self._node_of, self._pred_of
+        """Decode and memoise one forward / backward row: ``pred -> node set``."""
         per_pred: Dict[str, list] = {}
-        for i in range(offsets[index], offsets[index + 1]):
-            per_pred.setdefault(pred_of[preds[i]], []).append(node_of[others[i]])
+        if self._overlay is not None:
+            index = self.id_of(node)
+            if index is None:
+                return _NO_ROW
+            node_at, pred_at = self.node_at, self._pred_at
+            for pid, other in self._row_pairs(index, forward):
+                per_pred.setdefault(pred_at(pid), []).append(node_at(other))
+        else:
+            index = self._id_of.get(node)
+            if index is None:
+                return _NO_ROW
+            if forward:
+                offsets, preds, others = self._fwd_offsets, self._fwd_preds, self._fwd_objs
+            else:
+                offsets, preds, others = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
+            node_of, pred_of = self._node_of, self._pred_of
+            for i in range(offsets[index], offsets[index + 1]):
+                per_pred.setdefault(pred_of[preds[i]], []).append(node_of[others[i]])
         row = {pred: frozenset(found) for pred, found in per_pred.items()}
         (self._obj_map if forward else self._subj_map)[node] = row
         return row
@@ -1107,18 +1093,21 @@ class GraphSnapshot:
     def neighbors(self, node: GraphNode) -> FrozenSet[GraphNode]:
         found = self._neighbor_map.get(node)
         if found is None:
-            index = self._id_of.get(node)
+            canonical = self._overlay is None
+            index = self._id_of.get(node) if canonical else self.id_of(node)
             if index is None:
                 return _EMPTY_NODES
-            node_of = self._node_of
-            found = frozenset(node_of[nbr] for nbr in self.adjacency(index))
+            node_at = self._node_of.__getitem__ if canonical else self.node_at
+            found = frozenset(map(node_at, self.adjacency(index)))
             self._neighbor_map[node] = found
         return found
 
     def degree(self, node: GraphNode) -> int:
-        index = self._id_of.get(node)
+        index = self.id_of(node)
         if index is None:
             return 0
+        if self._overlay is not None:
+            return len(self.adjacency(index))
         return self._und_offsets[index + 1] - self._und_offsets[index]
 
     def out_triples(self, subject: str) -> FrozenSet[Triple]:
@@ -1166,17 +1155,17 @@ class GraphSnapshot:
                 + len(self._int_objects) + len(self._int_subjects)
             ),
             "entities": self.num_entities,
-            "values": len(self._node_of) - self._num_entities,
+            "values": self.num_nodes - self.num_entities,
             "nodes": self.num_nodes,
             "triples": self.num_triples,
-            "types": len(self._type_ranges),
-            "predicates": len(self._pred_of),
+            "types": len(self.types()),
+            "predicates": len(self.predicates()),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"GraphSnapshot(version={self.version}, entities={self.num_entities}, "
-            f"triples={self.num_triples}, types={len(self._type_ranges)})"
+            f"triples={self.num_triples}, types={len(self.types())})"
         )
 
 
@@ -1184,6 +1173,12 @@ def _restore_snapshot(state: Dict[str, object]) -> GraphSnapshot:
     snap = object.__new__(GraphSnapshot)
     snap.__setstate__(state)
     return snap
+
+
+def _restore_patched(
+    base: GraphSnapshot, packed: Dict[str, object], version: int, num_triples: int
+) -> GraphSnapshot:
+    return GraphSnapshot._over(_Overlay.unpacked(base, packed), version, num_triples)
 
 
 def _attach_stored_snapshot(path: str, fingerprint, graph_version) -> GraphSnapshot:

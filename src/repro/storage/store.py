@@ -25,6 +25,13 @@ plus three *string tables* (entity ids, predicates, literals) stored as an
 tag byte each (str/int/float/bool/None inline, pickle only as a fallback
 for exotic hashable values).
 
+A **delta file** is the second file kind (header field ``kind``): the same
+container holding a *patched* snapshot's overlay — cumulative since its
+canonical ancestor, whose fingerprint the header names — and nothing of the
+graph.  A delta depends on exactly one canonical file in the same directory
+and never on another delta, so there are no chains to walk, validate or
+collect; its size is a function of the overlay, not of the graph.
+
 Loads go through :func:`read_snapshot`, which by default ``mmap``\\ s the
 file and exposes every array segment as a read-only :class:`memoryview`
 over the mapping — no bytes are copied, and concurrent readers of one file
@@ -49,8 +56,10 @@ import tempfile
 import threading
 import zlib
 from array import array
+from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.graph import Graph
 from ..core.triples import Literal
@@ -61,7 +70,7 @@ from ..exceptions import (
     StoreStaleError,
     StoreVersionError,
 )
-from .snapshot import _ID, GraphSnapshot
+from .snapshot import _ID, GraphSnapshot, _Overlay
 
 #: File magic: identifies a Repro Keys Graph SNAPShot file.
 MAGIC = b"RKGSNAPS"
@@ -107,6 +116,22 @@ _TABLE_SEGMENTS = (
 
 _ALL_SEGMENTS = _ARRAY_SEGMENTS + _TABLE_SEGMENTS
 
+#: The segments of a delta file, in file order: the overlay's tombstones,
+#: its packed rows (ids, offsets, rows) and the table of appended nodes.
+_DELTA_SEGMENTS = (
+    "ov_dead",
+    "ov_row_ids",
+    "ov_row_offsets",
+    "ov_rows",
+    "ov_node_tags",
+    "ov_node_offsets",
+    "ov_node_blob",
+)
+
+
+def _segment_names(header: dict) -> Tuple[str, ...]:
+    return _DELTA_SEGMENTS if header.get("kind") == "delta" else _ALL_SEGMENTS
+
 
 def _pad8(length: int) -> int:
     return (length + 7) & ~7
@@ -117,13 +142,17 @@ def _pad8(length: int) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _encode_literal(literal: Literal) -> Tuple[bytes, bytes]:
-    """Encode one literal as ``(tag, payload)``; text forms round-trip exactly.
+def _encode_node(node) -> Tuple[bytes, bytes]:
+    """Encode one node as ``(tag, payload)``; text forms round-trip exactly.
 
-    ``type() is`` checks (not ``isinstance``) keep subclasses on the generic
-    pickle path, whose decode restores the exact object.
+    An entity id (only a delta's table of appended nodes holds any) is tag
+    ``e``; the rest are literal values.  ``type() is`` checks (not
+    ``isinstance``) keep subclasses on the generic pickle path, whose decode
+    restores the exact object.
     """
-    value = literal.value
+    if type(node) is str:
+        return b"e", node.encode("utf-8")
+    value = node.value
     if type(value) is str:
         return b"s", value.encode("utf-8")
     if type(value) is bool:
@@ -137,7 +166,9 @@ def _encode_literal(literal: Literal) -> Tuple[bytes, bytes]:
     return b"p", pickle.dumps(value, protocol=4)
 
 
-def _decode_literal(tag: int, payload: bytes) -> Literal:
+def _decode_node(tag: int, payload: bytes):
+    if tag == ord("e"):
+        return payload.decode("utf-8")
     if tag == ord("s"):
         return Literal(payload.decode("utf-8"))
     if tag == ord("b"):
@@ -150,18 +181,13 @@ def _decode_literal(tag: int, payload: bytes) -> Literal:
         return Literal(None)
     if tag == ord("p"):
         return Literal(pickle.loads(payload))
-    raise StoreFormatError(f"unknown literal tag {tag!r} in snapshot file")
+    raise StoreFormatError(f"unknown node tag {tag!r} in snapshot file")
 
 
 # The fingerprint implementation lives in core.fingerprint (Graph maintains
 # the accumulator incrementally); these re-exports keep the store module the
 # public home of the fingerprint API.
-from ..core.fingerprint import (  # noqa: E402  (re-export)
-    _chunk,
-    _fingerprint_value,
-    fingerprint_of,
-    graph_fingerprint,
-)
+from ..core.fingerprint import fingerprint_of, graph_fingerprint  # noqa: E402  (re-export)
 
 
 # --------------------------------------------------------------------------- #
@@ -171,119 +197,64 @@ from ..core.fingerprint import (  # noqa: E402  (re-export)
 
 def _string_table(strings: Sequence[str]) -> Tuple[bytes, bytes]:
     """Pack *strings* into ``(offsets, blob)`` — int64 offsets over UTF-8."""
-    offsets = array(_ID, [0] * (len(strings) + 1))
-    parts: List[bytes] = []
-    total = 0
-    for index, text in enumerate(strings):
-        encoded = text.encode("utf-8")
-        parts.append(encoded)
-        total += len(encoded)
-        offsets[index + 1] = total
+    parts = [text.encode("utf-8") for text in strings]
+    offsets = array(_ID, accumulate(map(len, parts), initial=0))
     return offsets.tobytes(), b"".join(parts)
 
 
-def _literal_table(literals: Sequence[Literal]) -> Tuple[bytes, bytes, bytes]:
-    """Pack *literals* into ``(tags, offsets, blob)``."""
-    tags = bytearray()
-    offsets = array(_ID, [0] * (len(literals) + 1))
-    parts: List[bytes] = []
-    total = 0
-    for index, literal in enumerate(literals):
-        tag, payload = _encode_literal(literal)
-        tags += tag
-        parts.append(payload)
-        total += len(payload)
-        offsets[index + 1] = total
-    return bytes(tags), offsets.tobytes(), b"".join(parts)
+def _node_table(nodes: Sequence[object]) -> Tuple[bytes, bytes, bytes]:
+    """Pack *nodes* into ``(tags, offsets, blob)``."""
+    encoded = [_encode_node(node) for node in nodes]
+    parts = [payload for _, payload in encoded]
+    offsets = array(_ID, accumulate(map(len, parts), initial=0))
+    return b"".join(tag for tag, _ in encoded), offsets.tobytes(), b"".join(parts)
 
 
-#: Array segment name -> snapshot attribute.
-_ARRAY_ATTRS = (
-    "_fwd_offsets", "_fwd_preds", "_fwd_objs",
-    "_bwd_offsets", "_bwd_preds", "_bwd_subjs",
-    "_und_offsets", "_und_targets",
-    "_vindex_offsets", "_vindex_literals", "_vindex_subjects",
-)
+#: The snapshot attribute of each array segment.
+_ARRAY_ATTRS = tuple(f"_{name}" for name in _ARRAY_SEGMENTS)
 
 
-def _snapshot_segments(
-    snapshot: GraphSnapshot, *, skip: Iterable[str] = ()
-) -> Dict[str, bytes]:
-    """The raw segment payloads of *snapshot*, in no particular order.
-
-    Names in *skip* are omitted (the segment-patch writer fills those from
-    the base file instead of re-serializing them).
-    """
-    skipped = set(skip)
+def _snapshot_segments(snapshot: GraphSnapshot) -> Dict[str, bytes]:
+    """The raw segment payloads of a canonical *snapshot*."""
     segments: Dict[str, bytes] = {}
     for name, attr in zip(_ARRAY_SEGMENTS, _ARRAY_ATTRS):
-        if name not in skipped:
-            # bytes() handles both array('q') values and mmap-backed memoryviews
-            segments[name] = bytes(getattr(snapshot, attr))
-    node_of = snapshot._node_of
-    num_entities = snapshot._num_entities
-    if not skipped >= {"entity_offsets", "entity_blob"}:
-        entity_offsets, entity_blob = _string_table(node_of[:num_entities])
-        segments["entity_offsets"] = entity_offsets
-        segments["entity_blob"] = entity_blob
-    if not skipped >= {"pred_offsets", "pred_blob"}:
-        pred_offsets, pred_blob = _string_table(snapshot._pred_of)
-        segments["pred_offsets"] = pred_offsets
-        segments["pred_blob"] = pred_blob
-    if not skipped >= {"literal_tags", "literal_offsets", "literal_blob"}:
-        tags, literal_offsets, literal_blob = _literal_table(node_of[num_entities:])
-        segments["literal_tags"] = tags
-        segments["literal_offsets"] = literal_offsets
-        segments["literal_blob"] = literal_blob
+        # bytes() handles both array('q') values and mmap-backed memoryviews
+        segments[name] = bytes(getattr(snapshot, attr))
+    node_of, split = snapshot._node_of, snapshot._num_entities
+    tables = (
+        *_string_table(node_of[:split]),
+        *_string_table(snapshot._pred_of),
+        *_node_table(node_of[split:]),
+    )
+    segments.update(zip(_TABLE_SEGMENTS, tables))
     return segments
 
 
-def write_snapshot(
-    snapshot: GraphSnapshot,
-    path: Union[str, os.PathLike],
-    *,
-    fingerprint: str,
-    graph_version: Optional[int] = None,
-    segments: Optional[Dict[str, bytes]] = None,
+def _write_file(
+    target: Path, header: Dict[str, object], names: Sequence[str], segments: Dict[str, bytes]
 ) -> Path:
-    """Serialize *snapshot* to *path* in the versioned binary format.
+    """Write one store file: preamble, JSON *header* (completed with the
+    segment table and checksum), the *names* segments in order.
 
-    *fingerprint* is the content fingerprint of the source graph
-    (:func:`graph_fingerprint`); *graph_version* defaults to the version the
-    snapshot was compiled from.  The write is atomic (temp file + rename)
-    and deterministic: the same snapshot always produces identical bytes.
-    *segments* optionally supplies pre-serialized payloads (the
-    segment-patch path passes a mix of fresh and base-file bytes).
+    The write is atomic (temp file + rename) and deterministic: the same
+    header and payloads always produce identical bytes.
     """
-    target = Path(path)
-    if segments is None:
-        segments = _snapshot_segments(snapshot)
-
     table: Dict[str, Tuple[int, int]] = {}
     checksum = 0
     offset = 0
-    for name in _ALL_SEGMENTS:
+    for name in names:
         payload = segments[name]
         table[name] = (offset, len(payload))
         checksum = zlib.crc32(payload, checksum)
         offset = _pad8(offset + len(payload))
-
-    header = {
-        "format_version": FORMAT_VERSION,
-        "graph_version": snapshot.version if graph_version is None else graph_version,
-        "fingerprint": fingerprint,
-        "byteorder": sys.byteorder,
-        "itemsize": 8,
-        "num_entities": snapshot._num_entities,
-        "num_nodes": len(snapshot._node_of),
-        "num_triples": snapshot._num_triples,
-        "num_predicates": len(snapshot._pred_of),
-        "types": [
-            [etype, lo, hi] for etype, (lo, hi) in sorted(snapshot._type_ranges.items())
-        ],
-        "checksum": checksum,
-        "segments": {name: list(span) for name, span in table.items()},
-    }
+    header = dict(
+        header,
+        format_version=FORMAT_VERSION,
+        byteorder=sys.byteorder,
+        itemsize=8,
+        checksum=checksum,
+        segments={name: list(span) for name, span in table.items()},
+    )
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     preamble = _PREAMBLE.pack(MAGIC, FORMAT_VERSION, 0, len(header_bytes))
     data_start = _pad8(len(preamble) + len(header_bytes))
@@ -299,14 +270,10 @@ def write_snapshot(
             handle.write(preamble)
             handle.write(header_bytes)
             handle.write(b"\x00" * (data_start - len(preamble) - len(header_bytes)))
-            position = 0
-            for name in _ALL_SEGMENTS:
+            for name in names:
                 payload = segments[name]
                 handle.write(payload)
-                position += len(payload)
-                padded = _pad8(position)
-                handle.write(b"\x00" * (padded - position))
-                position = padded
+                handle.write(b"\x00" * (_pad8(len(payload)) - len(payload)))
         os.chmod(temp, 0o644)  # mkstemp's 0600 would hide the file from pool users
         os.replace(temp, target)
     except BaseException:
@@ -318,62 +285,65 @@ def write_snapshot(
     return target
 
 
-def patch_snapshot(
+def write_snapshot(
     snapshot: GraphSnapshot,
     path: Union[str, os.PathLike],
     *,
-    base_path: Union[str, os.PathLike],
     fingerprint: str,
-    graph_version: Optional[int] = None,
-) -> Tuple[Path, Dict[str, int]]:
-    """Write *snapshot* to *path*, reusing unchanged segments of *base_path*.
+) -> Path:
+    """Serialize *snapshot* to *path* as a canonical file.
 
-    The base file's segment table is diffed against the new snapshot:
-    table segments the snapshot proved unchanged while patching (its
-    patch provenance, see :meth:`GraphSnapshot.patched`) are copied from
-    the base file without re-serialization — skipping the O(|V|) string
-    and literal table rebuilds — and array segments that compare
-    byte-equal to the base count as reused in the returned stats.  The
-    output file is **byte-identical** to a full :func:`write_snapshot` of
-    the same snapshot; only the work to produce it is delta-proportional.
-    The write is atomic (temp file + rename), exactly like a full write.
-
-    Returns ``(path, stats)`` with ``segments_reused`` /
-    ``segments_rewritten`` counts.
+    *fingerprint* is the content fingerprint of the source graph
+    (:func:`graph_fingerprint`).  A patched snapshot is compacted first, so
+    the bytes depend on the graph's content alone, never on its history.
     """
-    source = Path(base_path)
-    info = snapshot_info(source)
-    with open(source, "rb") as handle:
-        base_raw = handle.read()
-    data_start = info["data_start"]
-    _check_segments(info, data_start, len(base_raw), source)
-    base_table = info["segments"]
+    snapshot = snapshot.compacted()
+    header = {
+        "graph_version": snapshot.version,
+        "fingerprint": fingerprint,
+        "num_entities": snapshot._num_entities,
+        "num_nodes": len(snapshot._node_of),
+        "num_triples": snapshot._num_triples,
+        "num_predicates": len(snapshot._pred_of),
+        "types": [
+            [etype, lo, hi] for etype, (lo, hi) in sorted(snapshot._type_ranges.items())
+        ],
+    }
+    return _write_file(Path(path), header, _ALL_SEGMENTS, _snapshot_segments(snapshot))
 
-    unchanged = getattr(snapshot, "_unchanged_tables", frozenset())
-    reusable = {name for name in unchanged if name in base_table}
-    fresh = _snapshot_segments(snapshot, skip=reusable)
-    stats = {"segments_reused": 0, "segments_rewritten": 0}
-    segments: Dict[str, bytes] = {}
-    for name in _ALL_SEGMENTS:
-        offset, length = base_table[name]
-        base_payload = base_raw[data_start + offset : data_start + offset + length]
-        if name in reusable:
-            segments[name] = base_payload
-            stats["segments_reused"] += 1
-        else:
-            segments[name] = fresh[name]
-            if fresh[name] == base_payload:
-                stats["segments_reused"] += 1
-            else:
-                stats["segments_rewritten"] += 1
-    target = write_snapshot(
-        snapshot,
-        path,
-        fingerprint=fingerprint,
-        graph_version=graph_version,
-        segments=segments,
+
+def _write_delta(
+    snapshot: GraphSnapshot, path: Path, *, fingerprint: str, ancestor: str
+) -> Path:
+    """Write the overlay of a patched *snapshot* to *path* as a delta file
+    over the canonical file of fingerprint *ancestor*."""
+    packed = snapshot._overlay.packed()
+    header = {
+        "kind": "delta",
+        "ancestor": ancestor,
+        "graph_version": snapshot.version,
+        "fingerprint": fingerprint,
+        "num_entities": snapshot.num_entities,
+        "num_nodes": snapshot.num_nodes,
+        "num_triples": snapshot._num_triples,
+        "num_predicates": (
+            len(snapshot._pred_of) + len(packed["preds"]) - len(packed["dead_preds"])
+        ),
+        "types": [],
+        "overlay": {
+            "preds": packed["preds"],
+            "etypes": [list(item) for item in packed["etypes"]],
+            "dead_preds": packed["dead_preds"],
+            # what the segments hold, for `snapshot info`; loads do not read it
+            "sizes": {name: len(packed[name]) for name in ("row_ids", "dead", "nodes")},
+        },
+    }
+    payloads = (
+        *(packed[name].tobytes() for name in ("dead", "row_ids", "row_offsets")),
+        packed["rows"],
+        *_node_table(packed["nodes"]),
     )
-    return target, stats
+    return _write_file(path, header, _DELTA_SEGMENTS, dict(zip(_DELTA_SEGMENTS, payloads)))
 
 
 # --------------------------------------------------------------------------- #
@@ -414,7 +384,7 @@ def _read_header(raw: bytes, path: Path) -> Tuple[dict, int]:
 
 def _check_segments(header: dict, data_start: int, file_size: int, path: Path) -> None:
     segments = header["segments"]
-    for name in _ALL_SEGMENTS:
+    for name in _segment_names(header):
         if name not in segments:
             raise StoreFormatError(f"{path}: header is missing segment {name!r}")
         offset, length = segments[name]
@@ -425,9 +395,39 @@ def _check_segments(header: dict, data_start: int, file_size: int, path: Path) -
             )
 
 
+@contextmanager
+def _opened(source: Path):
+    """Open the store file at *source* and parse its header: yields
+    ``(handle, header, data_start, file_size)``.  Failing to open it is a
+    typed :class:`~repro.exceptions.StoreError`."""
+    try:
+        handle = open(source, "rb")
+    except FileNotFoundError as exc:
+        raise StoreMissError(f"{source}: no such snapshot file") from exc
+    except OSError as exc:
+        raise StoreError(f"{source}: cannot open snapshot file ({exc})") from exc
+    with handle:
+        head = handle.read(_PREAMBLE.size + 4096)
+        if len(head) >= _PREAMBLE.size:
+            header_len = _PREAMBLE.unpack_from(head)[3]
+            if len(head) < _PREAMBLE.size + header_len:
+                head += handle.read(_PREAMBLE.size + header_len - len(head))
+        header, data_start = _read_header(head, source)
+        yield handle, header, data_start, os.fstat(handle.fileno()).st_size
+
+
 def _decode_strings(offsets_raw, blob, count: int) -> List[str]:
     offsets = memoryview(offsets_raw).cast(_ID)
     return [bytes(blob[offsets[i] : offsets[i + 1]]).decode("utf-8") for i in range(count)]
+
+
+def _decode_nodes(tags, offsets_raw, blob, count: int, source: Path) -> List[object]:
+    offsets = memoryview(offsets_raw).cast(_ID)
+    if len(tags) != count or len(offsets) != count + 1:
+        raise StoreFormatError(f"{source}: node table does not match the node counts")
+    return [
+        _decode_node(tags[i], bytes(blob[offsets[i] : offsets[i + 1]])) for i in range(count)
+    ]
 
 
 def read_snapshot(
@@ -446,22 +446,14 @@ def read_snapshot(
     optional ``expect_*`` arguments make staleness a hard error
     (:class:`~repro.exceptions.StoreStaleError`); with ``attach=True`` the
     returned snapshot remembers *path* and pickles as a path stub.
+
+    A delta file loads as a patched snapshot: its canonical ancestor is read
+    (and validated) from the same directory and the overlay applied over it.
+    A missing or corrupt ancestor is the same typed
+    :class:`~repro.exceptions.StoreError` a missing or corrupt file is.
     """
     source = Path(path)
-    try:
-        handle = open(source, "rb")
-    except FileNotFoundError as exc:
-        raise StoreMissError(f"{source}: no such snapshot file") from exc
-    except OSError as exc:
-        raise StoreError(f"{source}: cannot open snapshot file ({exc})") from exc
-    with handle:
-        head = handle.read(_PREAMBLE.size + 4096)
-        if len(head) >= _PREAMBLE.size:
-            header_len = _PREAMBLE.unpack_from(head)[3]
-            if len(head) < _PREAMBLE.size + header_len:
-                head += handle.read(_PREAMBLE.size + header_len - len(head))
-        header, data_start = _read_header(head, source)
-        file_size = os.fstat(handle.fileno()).st_size
+    with _opened(source) as (handle, header, data_start, file_size):
         _check_segments(header, data_start, file_size, source)
         if expect_fingerprint is not None and header["fingerprint"] != expect_fingerprint:
             raise StoreStaleError(
@@ -484,22 +476,30 @@ def read_snapshot(
         offset, length = header["segments"][name]
         return data[data_start + offset : data_start + offset + length]
 
+    if header.get("kind") == "delta":
+        ancestor = read_snapshot(
+            source.with_name(f"{header['ancestor']}{SNAPSHOT_SUFFIX}"),
+            use_mmap=use_mmap,
+            expect_fingerprint=header["ancestor"],
+            attach=attach,
+        )
+        snap = _read_delta(header, segment, ancestor, source)
+        if attach:
+            snap._mark_stored(str(source), header["fingerprint"])
+        return snap
+
     snap = object.__new__(GraphSnapshot)
     snap.version = header["graph_version"]
     num_entities = header["num_entities"]
     num_nodes = header["num_nodes"]
 
-    entity_ids = _decode_strings(segment("entity_offsets"), segment("entity_blob"), num_entities)
-    literal_tags = segment("literal_tags")
-    literal_offsets = memoryview(segment("literal_offsets")).cast(_ID)
-    literal_blob = segment("literal_blob")
-    num_literals = num_nodes - num_entities
-    if len(literal_tags) != num_literals or len(literal_offsets) != num_literals + 1:
-        raise StoreFormatError(f"{source}: literal table does not match the node counts")
-    node_of: List[object] = list(entity_ids)
-    for index in range(num_literals):
-        payload = bytes(literal_blob[literal_offsets[index] : literal_offsets[index + 1]])
-        node_of.append(_decode_literal(literal_tags[index], payload))
+    node_of: List[object] = _decode_strings(
+        segment("entity_offsets"), segment("entity_blob"), num_entities
+    )
+    node_of += _decode_nodes(
+        segment("literal_tags"), segment("literal_offsets"), segment("literal_blob"),
+        num_nodes - num_entities, source,
+    )
     snap._node_of = tuple(node_of)
     snap._id_of = {node: index for index, node in enumerate(node_of)}
     snap._num_entities = num_entities
@@ -521,15 +521,7 @@ def read_snapshot(
     snap._pred_of = tuple(preds)
     snap._pred_ids = {pred: index for index, pred in enumerate(preds)}
 
-    for name, attr in zip(
-        _ARRAY_SEGMENTS,
-        (
-            "_fwd_offsets", "_fwd_preds", "_fwd_objs",
-            "_bwd_offsets", "_bwd_preds", "_bwd_subjs",
-            "_und_offsets", "_und_targets",
-            "_vindex_offsets", "_vindex_literals", "_vindex_subjects",
-        ),
-    ):
+    for name, attr in zip(_ARRAY_SEGMENTS, _ARRAY_ATTRS):
         raw = segment(name)
         if len(raw) % 8:
             raise StoreFormatError(f"{source}: segment {name!r} is not an int64 array")
@@ -548,27 +540,45 @@ def read_snapshot(
     return snap
 
 
+def _read_delta(header: dict, segment, ancestor: GraphSnapshot, source: Path) -> GraphSnapshot:
+    """The patched snapshot a delta file's segments describe over *ancestor*."""
+    if ancestor._overlay is not None:
+        raise StoreFormatError(f"{source}: its ancestor is a delta file, not a canonical one")
+    try:
+        overlay = header["overlay"]
+        state = {
+            "preds": overlay["preds"],
+            "etypes": overlay["etypes"],
+            "dead_preds": overlay["dead_preds"],
+            "dead": segment("ov_dead").cast(_ID),
+            "row_ids": segment("ov_row_ids").cast(_ID),
+            "row_offsets": segment("ov_row_offsets").cast(_ID),
+            "rows": segment("ov_rows"),
+        }
+        state["nodes"] = _decode_nodes(
+            segment("ov_node_tags"), segment("ov_node_offsets"), segment("ov_node_blob"),
+            len(segment("ov_node_tags")), source,
+        )
+        if len(state["row_offsets"]) != len(state["row_ids"]) + 1 or (
+            8 * state["row_offsets"][-1] != len(state["rows"])
+        ):
+            raise StoreFormatError(f"{source}: overlay row table does not match its rows")
+        return GraphSnapshot._over(
+            _Overlay.unpacked(ancestor, state), header["graph_version"], header["num_triples"]
+        )
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise StoreFormatError(f"{source}: unreadable overlay ({exc!r})") from exc
+
+
 def snapshot_info(path: Union[str, os.PathLike]) -> Dict[str, object]:
-    """The header of the snapshot file at *path*, plus its file size.
+    """The header of the snapshot file at *path*, plus its file size and
+    ``kind`` (``"canonical"``, or ``"delta"`` with its ``ancestor``).
 
     Reads only the preamble and header — never the array segments.
     """
-    source = Path(path)
-    try:
-        with open(source, "rb") as handle:
-            head = handle.read(_PREAMBLE.size)
-            if len(head) == _PREAMBLE.size:
-                head += handle.read(_PREAMBLE.unpack_from(head)[3])
-            header, data_start = _read_header(head, source)
-            file_size = os.fstat(handle.fileno()).st_size
-    except FileNotFoundError as exc:
-        raise StoreMissError(f"{source}: no such snapshot file") from exc
-    except OSError as exc:
-        raise StoreError(f"{source}: cannot open snapshot file ({exc})") from exc
-    info = dict(header)
-    info["path"] = str(source)
-    info["file_size"] = file_size
-    info["data_start"] = data_start
+    with _opened(Path(path)) as (_, header, data_start, file_size):
+        info = dict(header, path=str(path), file_size=file_size, data_start=data_start)
+    info.setdefault("kind", "canonical")
     return info
 
 
@@ -578,10 +588,10 @@ def verify_snapshot(
     """Fully validate the snapshot file at *path*; returns its header info.
 
     Checks structure (magic, format version, segment bounds), the payload
-    checksum, and that the arrays decode into a well-formed snapshot.  With
-    *graph* given, also checks the content fingerprint and ``Graph.version``
-    against the live graph.  Raises a :class:`~repro.exceptions.StoreError`
-    subclass on the first failure.
+    checksum — a delta's and its ancestor's — and that the arrays decode
+    into a well-formed snapshot.  With *graph* given, also checks the content
+    fingerprint and ``Graph.version`` against the live graph.  Raises a
+    :class:`~repro.exceptions.StoreError` subclass on the first failure.
     """
     source = Path(path)
     info = snapshot_info(source)
@@ -590,7 +600,7 @@ def verify_snapshot(
         raw = handle.read()
     _check_segments(info, data_start, len(raw), source)
     checksum = 0
-    for name in _ALL_SEGMENTS:
+    for name in _segment_names(info):
         offset, length = info["segments"][name]
         checksum = zlib.crc32(raw[data_start + offset : data_start + offset + length], checksum)
     if checksum != info["checksum"]:
@@ -598,6 +608,8 @@ def verify_snapshot(
             f"{source}: segment checksum {checksum:#010x} does not match the "
             f"recorded {info['checksum']:#010x}; the payload is corrupt"
         )
+    if info["kind"] == "delta":
+        verify_snapshot(source.with_name(f"{info['ancestor']}{SNAPSHOT_SUFFIX}"))
     expect_fingerprint = graph_fingerprint(graph) if graph is not None else None
     expect_version = graph.version if graph is not None else None
     snapshot = read_snapshot(
@@ -663,15 +675,9 @@ class SnapshotStore:
 
     def metrics(self) -> Dict[str, int]:
         """Cumulative load/save counters of this store handle."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "saves": self.saves,
-            "builds": self.builds,
-            "patches": self.patches,
-            "patched_segments_reused": self.patched_segments_reused,
-            "patched_segments_rewritten": self.patched_segments_rewritten,
-        }
+        names = ("hits", "misses", "saves", "builds", "patches",
+                 "patched_segments_reused", "patched_segments_rewritten")
+        return {name: getattr(self, name) for name in names}
 
     def _build_lock(self, fingerprint: str) -> threading.Lock:
         with self._locks_guard:
@@ -766,57 +772,48 @@ class SnapshotStore:
         fingerprint: Optional[str] = None,
         prune_base: bool = False,
     ) -> Path:
-        """Save *snapshot* by patching the store file it was derived from.
+        """Save a patched *snapshot* as a delta file; returns the file path.
 
-        *base* is the snapshot this one was patched from (ideally
-        store-backed, so its file is known) or a bare fingerprint.  Only
-        the segments whose bytes changed are re-serialized; the rest are
-        carried over from the base file, and the result — byte-identical
-        to a full save — lands under the new fingerprint via atomic
-        rename.  Falls back to a plain :meth:`save` when the base file is
-        missing or unreadable, so callers never have to special-case cold
-        stores.  With ``prune_base=True`` the base file is unlinked after
-        a successful patch (streaming ingest would otherwise leave one
-        file per batch behind; concurrent readers that already mmap'd the
-        base keep a live mapping through the open inode).
+        What is written is the snapshot's overlay, cumulative since its
+        canonical ancestor, under the new fingerprint: bytes bounded by the
+        overlay, never by the graph.  The ancestor's canonical file must be
+        in this store for the delta to load, so it is saved first if it is
+        not.  The store is content-addressed: a file already under the new
+        fingerprint holds this content and is kept (it may be a canonical
+        file that other deltas name as their ancestor; a delta never
+        replaces one), and a canonical *snapshot* is simply saved.
+
+        *base* is the snapshot this one was patched from (or its bare
+        fingerprint).  With ``prune_base=True`` its file is unlinked after
+        the write if it is a superseded delta (streaming ingest would
+        otherwise leave one file per window behind); a canonical file is
+        never unlinked here.
         """
         if fingerprint is None:
             fingerprint = fingerprint_of(snapshot)
         if isinstance(base, GraphSnapshot):
-            base_fingerprint = base.store_fingerprint
-            if base.store_path is not None:
-                base_path: Optional[Path] = Path(base.store_path)
-            elif base_fingerprint is not None:
-                base_path = self.path_for(base_fingerprint)
-            else:
-                base_path = None
-        else:
-            base_fingerprint = base
-            base_path = self.path_for(base) if base else None
-        if fingerprint == base_fingerprint and base_path is not None:
-            # the delta cancelled out: the base file already is this content
-            snapshot._mark_stored(str(base_path), fingerprint)
-            return base_path
-        if base_path is None or not base_path.is_file():
+            base = base.store_fingerprint
+        base_path = self.path_for(base) if base else None
+        if snapshot._overlay is None:
             return self.save(snapshot, fingerprint=fingerprint)
-        self._root.mkdir(parents=True, exist_ok=True)
-        try:
-            path, stats = patch_snapshot(
-                snapshot,
-                self.path_for(fingerprint),
-                base_path=base_path,
-                fingerprint=fingerprint,
-            )
-        except (StoreError, OSError):
-            return self.save(snapshot, fingerprint=fingerprint)
+        ancestor = snapshot._overlay.base
+        ancestor_fingerprint = ancestor.store_fingerprint or fingerprint_of(ancestor)
+        if not self.contains(ancestor_fingerprint):
+            self.save(ancestor, fingerprint=ancestor_fingerprint)
+        path = self.path_for(fingerprint)
+        if path.is_file():  # also the graph that came back to its ancestor's content
+            snapshot._mark_stored(str(path), fingerprint)
+            return path
+        _write_delta(snapshot, path, fingerprint=fingerprint, ancestor=ancestor_fingerprint)
         snapshot._mark_stored(str(path), fingerprint)
         self.patches += 1
-        self.patched_segments_reused += stats["segments_reused"]
-        self.patched_segments_rewritten += stats["segments_rewritten"]
-        if prune_base and base_path != path:
+        self.patched_segments_reused += len(_ALL_SEGMENTS)  # the ancestor's, untouched
+        self.patched_segments_rewritten += len(_DELTA_SEGMENTS)
+        if prune_base and base_path is not None:
             try:
-                base_path.unlink()
-            except OSError:
+                if snapshot_info(base_path)["kind"] == "delta":
+                    base_path.unlink()
+            except (StoreError, OSError):
                 pass
         return path
 
@@ -844,10 +841,7 @@ class SnapshotStore:
         # fingerprint and rebase its version onto the live graph's, so
         # journal-delta consumers see a current snapshot.
         try:
-            snapshot = read_snapshot(
-                self.path_for(fingerprint),
-                expect_fingerprint=fingerprint,
-            )
+            snapshot = self.load_fingerprint(fingerprint)
         except StoreError:
             if count:
                 self.misses += 1

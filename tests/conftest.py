@@ -14,6 +14,39 @@ from repro.datasets.knowledge import fusion_example_graph, knowledge_dataset
 from repro.datasets.music import EXPECTED_IDENTIFIED_PAIRS as MUSIC_PAIRS, music_dataset
 from repro.datasets.social import social_dataset
 from repro.datasets.synthetic import synthetic_dataset
+from repro.matching.artifacts import SessionArtifacts
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "provokes_fallbacks: the test makes a snapshot patch or a store write fail on purpose",
+    )
+
+
+@pytest.fixture(autouse=True)
+def no_silent_snapshot_fallbacks(request, monkeypatch):
+    """Every artifact cache a test creates ends with no refused patch and no
+    failed store write.
+
+    Both are answered with a correct rebuild, so a defect in the delta path
+    would otherwise leave every result right, the suite green and the gain
+    gone.  A test that provokes one on purpose is marked
+    ``provokes_fallbacks``.
+    """
+    caches = []
+    construct = SessionArtifacts.__init__
+
+    def tracked(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        caches.append(self)
+
+    monkeypatch.setattr(SessionArtifacts, "__init__", tracked)
+    yield
+    if request.node.get_closest_marker("provokes_fallbacks") is None:
+        for cache in caches:
+            info = cache.cache_info()
+            assert (info.snapshot_patch_fallbacks, info.store_write_failures) == (0, 0), info
 
 
 @pytest.fixture

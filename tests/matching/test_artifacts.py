@@ -12,6 +12,7 @@ import pytest
 
 from repro import MatchSession
 from repro.api.registry import get_algorithm
+from repro.core.graph import Graph
 from repro.datasets.music import music_dataset
 from repro.matching import (
     MapReduceEntityMatcher,
@@ -120,3 +121,82 @@ def test_backend_without_a_session_reads_through_a_throwaway_cache(
     assert info.product_graph_builds == (1 if vertex_centric else 0)
     assert info.traversal_order_builds == (1 if vertex_centric else 0)
     assert info.candidate_rebases == info.product_graph_rebases == 0
+
+
+# --------------------------------------------------------------------------- #
+# the snapshot refresh: patch, compact, and fail loudly
+# --------------------------------------------------------------------------- #
+
+
+def test_overlay_past_the_threshold_compacts_through_the_ordinary_build_path(small_synthetic):
+    """Windows accumulate overlay rows; past the fraction the next snapshot
+    is a canonical rebuild, and the overlay starts again from nothing."""
+    graph, keys = small_synthetic.graph, small_synthetic.keys
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking="auto")
+    session.run()
+    artifacts = session._artifacts
+    limit = SessionArtifacts.SNAPSHOT_PATCH_MAX_FRACTION
+    entities = sorted(graph.entity_ids())
+    rows = []
+    for window, subject in enumerate(entities):
+        graph.add_value(subject, "window_tag", f"value {window}")
+        assert session.rerun().pairs() == session.run("chase").pairs()
+        info = session.cache_info()
+        assert info.snapshot_overlay_rows == artifacts.snapshot().overlay_rows
+        assert info.snapshot_overlay_rows <= limit * artifacts.snapshot().num_nodes
+        rows.append(info.snapshot_overlay_rows)
+        if info.snapshot_compactions:
+            break
+    assert info.snapshot_compactions == 1 and info.snapshot_builds == 2
+    assert info.snapshot_patches == len(rows) - 1
+    assert rows[:-1] == sorted(rows[:-1]) and rows[-1] == 0  # grew, then compacted away
+
+
+@pytest.mark.provokes_fallbacks
+def test_a_window_that_does_not_cover_the_delta_is_counted_and_rebuilt(small_synthetic, monkeypatch):
+    graph, keys = small_synthetic.graph, small_synthetic.keys
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC")
+    session.run()
+    subject = sorted(graph.entity_ids())[0]
+    touched_since = Graph.touched_since
+    # the journal "forgets" the literal the window added
+    monkeypatch.setattr(
+        Graph, "touched_since", lambda self, version: touched_since(self, version) & {subject}
+    )
+    graph.add_value(subject, "window_tag", "uncovered")
+    assert session.rerun().pairs() == session.run("chase").pairs()
+    info = session.cache_info()
+    assert info.snapshot_patch_fallbacks == 1 and info.snapshot_patches == 0
+    assert info.snapshot_builds == 2  # the documented failure is answered with a rebuild
+
+
+def test_a_defect_in_the_patch_is_not_answered_with_a_rebuild(small_synthetic, monkeypatch):
+    """Only ``SnapshotPatchError`` falls back; anything else is a bug and must
+    surface, not turn into a correct, slow, silent rebuild."""
+    from repro.storage import GraphSnapshot
+
+    graph, keys = small_synthetic.graph, small_synthetic.keys
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC")
+    session.run()
+
+    def defective(self, graph, touched):
+        raise ZeroDivisionError("a defect in the overlay code")
+
+    monkeypatch.setattr(GraphSnapshot, "patched", defective)
+    graph.add_value(sorted(graph.entity_ids())[0], "window_tag", "x")
+    with pytest.raises(ZeroDivisionError):
+        session.rerun()
+
+
+@pytest.mark.provokes_fallbacks
+def test_a_failed_store_write_through_is_counted_and_the_run_goes_on(small_synthetic, tmp_path):
+    graph, keys = small_synthetic.graph, small_synthetic.keys
+    session = MatchSession(graph, snapshot_store=tmp_path / "store").with_keys(keys)
+    session.run("EMOptVC")
+    (tmp_path / "store").rename(tmp_path / "moved")
+    (tmp_path / "store").write_text("a file where the store directory was")
+    graph.add_value(sorted(graph.entity_ids())[0], "window_tag", "x")
+    assert session.rerun().pairs() == session.run("chase").pairs()
+    info = session.cache_info()
+    assert info.store_write_failures == 1 and info.snapshot_patches == 1
+    assert info.snapshot_patch_fallbacks == 0

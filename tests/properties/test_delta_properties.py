@@ -1,11 +1,16 @@
-"""Property tests of the O(delta) pipeline: patch ≡ rebuild, bit for bit.
+"""Property tests of the O(delta) pipeline: patch ≡ rebuild on every read.
 
-Three layers of the delta machinery carry a *bit-identity* contract:
+Three layers of the delta machinery carry an identity contract:
 
-* :meth:`GraphSnapshot.patched` must produce the same interning tables and
-  CSR arrays as a from-scratch :meth:`GraphSnapshot.build`, for arbitrary
-  journalled mutation sequences (including retypes and removals, which
-  reshuffle the canonical entity order);
+* :meth:`GraphSnapshot.patched` never moves an id, so a patched snapshot is
+  not *laid out* like a from-scratch :meth:`GraphSnapshot.build`; it must
+  *read* like one.  For arbitrary journalled mutation sequences (retypes,
+  removals, a literal losing its last triple, a node coming back) every
+  object-space read equals the rebuild's exactly, every integer-space read
+  equals it after ``node_at`` decoding, and ``patched.compacted()`` is
+  bit-identical to the rebuild slot by slot.  The same holds across the
+  store's delta files and across pickling, which must also keep the sender's
+  ids;
 * the incremental AdHash accumulator behind ``Graph.content_fingerprint``
   must always equal the one-pass :func:`graph_fingerprint` recompute — and
   the fingerprint of any snapshot compiled from the graph;
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import pathlib
+import pickle
 import random
 import sys
 
@@ -33,21 +39,24 @@ from hypothesis import strategies as st
 from repro import ALGORITHMS, MatchSession
 from repro.core.chase import candidate_pairs, chase
 from repro.core.fingerprint import graph_fingerprint
+from repro.core.graph import Graph
 from repro.core.neighborhood import NeighborhoodIndex
+from repro.core.triples import Literal, is_entity_ref
+from repro.exceptions import StoreFormatError, StoreMissError
 from repro.matching.incremental import (
     DependencyWorklist,
     extra_dependency_edges,
     touched_entity_nodes,
 )
 from repro.storage.snapshot import GraphSnapshot
+from repro.storage.store import SnapshotStore, snapshot_info
 
 # reuse the PR 5 mutation fuzzer verbatim — the whole point is that the
 # delta layers survive the exact mutation vocabulary the journal supports
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "matching"))
 from test_incremental_equivalence import apply_random_mutation, fuzz_dataset  # noqa: E402
 
-#: every pickled-core slot of a snapshot; the patch path must reproduce each
-#: one exactly (``_unchanged_tables`` provenance and lazy decode caches are
+#: every pickled-core slot of a canonical snapshot (lazy decode caches are
 #: deliberately excluded — they are never pickled and never read by equality)
 _SNAPSHOT_SLOTS = (
     "version",
@@ -73,9 +82,96 @@ _SNAPSHOT_SLOTS = (
 )
 
 
-def assert_snapshots_bit_identical(patched: GraphSnapshot, rebuilt: GraphSnapshot) -> None:
+def assert_snapshots_bit_identical(canonical: GraphSnapshot, rebuilt: GraphSnapshot) -> None:
+    """Two canonical snapshots, slot by slot; pass ``patched.compacted()``."""
+    assert canonical.overlay_rows == rebuilt.overlay_rows == 0
     for slot in _SNAPSHOT_SLOTS:
-        assert getattr(patched, slot) == getattr(rebuilt, slot), slot
+        assert getattr(canonical, slot) == getattr(rebuilt, slot), slot
+
+
+def assert_same_reads(snapshot: GraphSnapshot, rebuilt: GraphSnapshot) -> None:
+    """Every read of *snapshot* answers as *rebuilt* (a fresh ``build``) does:
+    the object surface exactly, the integer surface after ``node_at``."""
+    decode, reference = snapshot.decode_ids, rebuilt.decode_ids
+    assert snapshot.version == rebuilt.version
+    assert len(snapshot) == len(rebuilt)
+    for count in ("num_entities", "num_nodes", "num_triples"):
+        assert getattr(snapshot, count) == getattr(rebuilt, count), count
+    assert {**snapshot.stats(), "decoded_rows": 0} == {**rebuilt.stats(), "decoded_rows": 0}
+    assert sorted(snapshot.entities(), key=repr) == sorted(rebuilt.entities(), key=repr)
+    assert sorted(snapshot.entity_ids()) == sorted(rebuilt.entity_ids())
+    assert snapshot.value_nodes() == rebuilt.value_nodes()
+    assert snapshot.types() == rebuilt.types()
+    assert snapshot.predicates() == rebuilt.predicates()
+    assert sorted(snapshot.triples(), key=repr) == sorted(rebuilt.triples(), key=repr)
+    for etype in rebuilt.types() | {"no-such-type"}:
+        bucket = snapshot.type_ids(etype)
+        assert snapshot.entities_of_type(etype) == rebuilt.entities_of_type(etype)
+        assert [snapshot.node_at(i) for i in bucket] == rebuilt.entities_of_type(etype)
+        assert len(bucket) == len(rebuilt.type_ids(etype))
+        assert all(i in bucket for i in bucket)
+    predicates = sorted(rebuilt.predicates()) + ["no-such-predicate"]
+    nodes = sorted(rebuilt.entity_ids()) + sorted(rebuilt.value_nodes(), key=repr)
+    for node in nodes:
+        mine, theirs = snapshot.id_of(node), rebuilt.id_of(node)
+        assert mine is not None and snapshot.node_at(mine) == node
+        assert snapshot.placement_key((node, "no-such-node")) == (mine, "no-such-node")
+        assert snapshot.is_literal_id(mine) == rebuilt.is_literal_id(theirs)
+        assert snapshot.neighbors(node) == rebuilt.neighbors(node)
+        assert snapshot.degree(node) == rebuilt.degree(node)
+        assert snapshot.in_triples(node) == rebuilt.in_triples(node)
+        assert decode(snapshot.adjacency(mine)) == reference(rebuilt.adjacency(theirs))
+        if is_entity_ref(node):
+            assert node in snapshot and snapshot.has_entity(node)
+            assert snapshot.entity(node) == rebuilt.entity(node)
+            assert snapshot.entity_type(node) in snapshot.types()
+            assert mine in snapshot.type_ids(snapshot.entity_type(node))
+            assert snapshot.out_triples(node) == rebuilt.out_triples(node)
+            for radius in (0, 1, 2):
+                ball = rebuilt.neighborhood_nodes(node, radius)
+                assert snapshot.neighborhood_nodes(node, radius) == ball
+                assert decode(snapshot.neighborhood_ids(mine, radius)) == ball
+                assert decode(snapshot.encode_nodes(ball)) == ball
+        for predicate in predicates:
+            here, there = snapshot.pred_id(predicate), rebuilt.pred_id(predicate)
+            assert snapshot.subjects(predicate, node) == rebuilt.subjects(predicate, node)
+            if here < 0 or there < 0:
+                assert here == there
+                continue
+            assert decode(snapshot.out_ids(mine, here)) == reference(rebuilt.out_ids(theirs, there))
+            assert decode(snapshot.in_ids(mine, here)) == reference(rebuilt.in_ids(theirs, there))
+            assert decode(snapshot.objects_ids(mine, here)) == reference(
+                rebuilt.objects_ids(theirs, there)
+            )
+            assert decode(snapshot.subjects_ids(mine, here)) == reference(
+                rebuilt.subjects_ids(theirs, there)
+            )
+            if is_entity_ref(node):
+                assert snapshot.objects(node, predicate) == rebuilt.objects(node, predicate)
+    for predicate in sorted(rebuilt.predicates()):
+        postings = [
+            sorted(
+                (repr(reader.node_at(literal)), reader.node_at(subject))
+                for literal, subject in zip(*reader.value_postings(reader.pred_id(predicate)))
+            )
+            for reader in (snapshot, rebuilt)
+        ]
+        assert postings[0] == postings[1], predicate
+    ids = [snapshot.id_of(node) for node in nodes]
+    assert sorted(ids, key=snapshot.repr_rank) == sorted(
+        ids, key=lambda i: repr(snapshot.node_at(i))
+    )
+    # gone, never-seen and wrong-kind nodes read as absent
+    for stranger in ("no-such-entity", Literal("no-such-value")):
+        assert snapshot.id_of(stranger) is None
+        assert stranger not in snapshot
+        assert not snapshot.neighbors(stranger) and snapshot.degree(stranger) == 0
+
+
+def assert_reads_as_rebuild(snapshot: GraphSnapshot, graph: Graph) -> None:
+    rebuilt = GraphSnapshot.build(graph)
+    assert_same_reads(snapshot, rebuilt)
+    assert_snapshots_bit_identical(snapshot.compacted(), rebuilt)
 
 
 # --------------------------------------------------------------------------- #
@@ -89,7 +185,7 @@ def assert_snapshots_bit_identical(patched: GraphSnapshot, rebuilt: GraphSnapsho
 )
 @settings(max_examples=20, deadline=None)
 def test_patched_snapshot_bit_identical_to_rebuild(seed, rounds):
-    """patched(journal window) == build(graph), slot by slot, array by array."""
+    """patched(journal window) reads as build(graph) and compacts to it."""
     dataset = fuzz_dataset(seed)
     graph = dataset.graph
     snapshot = GraphSnapshot.build(graph)
@@ -101,7 +197,7 @@ def test_patched_snapshot_bit_identical_to_rebuild(seed, rounds):
         touched = graph.touched_since(base_version)
         assert touched is not None
         snapshot = snapshot.patched(graph, touched)
-        assert_snapshots_bit_identical(snapshot, GraphSnapshot.build(graph))
+        assert_reads_as_rebuild(snapshot, graph)
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000))
@@ -117,17 +213,240 @@ def test_patched_snapshot_survives_retype_and_removal(seed):
 
     base = snapshot.version
     victim = rng.choice(entities)
+    old_id = snapshot.id_of(victim)
     graph.retype_entity(victim, rng.choice(types))
     for triple in sorted(graph.out_triples(rng.choice(entities)), key=repr)[:2]:
         graph.remove_triple(triple)
     snapshot = snapshot.patched(graph, graph.touched_since(base))
-    assert_snapshots_bit_identical(snapshot, GraphSnapshot.build(graph))
+    assert snapshot.id_of(victim) == old_id  # a retype moves a type, not an id
+    assert_reads_as_rebuild(snapshot, graph)
 
     # a patched snapshot is itself a valid patch base
     base = snapshot.version
     graph.add_entity(f"patch_{seed % 97}", rng.choice(types))
     snapshot = snapshot.patched(graph, graph.touched_since(base))
-    assert_snapshots_bit_identical(snapshot, GraphSnapshot.build(graph))
+    assert_reads_as_rebuild(snapshot, graph)
+
+
+def scripted_window(graph: Graph, window: int) -> None:
+    """The cases a random draw rarely lines up, one per window slot: a new
+    predicate, a self-loop, a literal losing its last triple and coming
+    back, a retype there and back."""
+    entities = sorted(graph.entity_ids())
+    subject = entities[window % len(entities)]
+    slot = window % 6
+    if slot == 0:
+        graph.add_edge(subject, f"scripted_pred_{window}", subject)  # new predicate, self-loop
+    elif slot == 1:
+        graph.add_value(subject, "scripted_tag", "only-holder")
+    elif slot == 2:  # the literal's last triple goes: the value node dies
+        for holder in sorted(graph.subjects("scripted_tag", Literal("only-holder"))):
+            graph.remove_value(holder, "scripted_tag", "only-holder")
+    elif slot == 3:  # ... and is re-added later, on another subject
+        graph.add_value(subject, "scripted_tag", "only-holder")
+    elif slot == 4:
+        graph.retype_entity(subject, sorted(graph.types())[window % len(graph.types())])
+    else:
+        for triple in sorted(graph.out_triples(subject), key=repr)[:1]:
+            graph.remove_triple(triple)
+            graph.add_triple(triple)  # removed and re-added inside one window
+
+
+@pytest.mark.parametrize("seed", [3, 11, 27])
+def test_long_chain_without_compaction_reads_as_a_rebuild(seed):
+    """64 multi-op windows patched onto one another, never compacted: the
+    overlay outgrows the canonical arrays and every read still agrees."""
+    graph = fuzz_dataset(seed).graph
+    snapshot = ancestor = GraphSnapshot.build(graph)
+    ancestor_state = pickle.dumps(ancestor)
+    rng = random.Random(seed)
+    interned = {}
+    for window in range(64):
+        base_version = snapshot.version
+        for _ in range(rng.randint(1, 4)):
+            apply_random_mutation(graph, rng)
+        scripted_window(graph, window)
+        parent, parent_state = snapshot, pickle.dumps(snapshot)
+        snapshot = snapshot.patched(graph, graph.touched_since(base_version))
+        assert pickle.dumps(parent) == parent_state  # the parent is immutable
+        assert snapshot._node_of is ancestor._node_of
+        assert snapshot._fwd_objs is ancestor._fwd_objs
+        for node in list(graph.entity_ids()) + list(graph.value_nodes()):
+            # an id, once given, is the node's for the life of the chain
+            assert interned.setdefault(node, snapshot.id_of(node)) == snapshot.id_of(node)
+        if window % 4 == 3:
+            assert_reads_as_rebuild(snapshot, graph)
+    assert_reads_as_rebuild(snapshot, graph)
+    assert snapshot.overlay_rows > snapshot.num_nodes / 2  # far past the session's threshold
+    assert pickle.dumps(ancestor) == ancestor_state
+
+
+def test_entity_removed_outright_leaves_a_tombstone_and_can_return():
+    """``Graph`` has no entity removal; a window onto a graph without the
+    entity (what a replaced graph object looks like) must still patch."""
+    graph = fuzz_dataset(5).graph
+    snapshot = GraphSnapshot.build(graph)
+    victim = sorted(graph.entity_ids())[4]
+    victim_id = snapshot.id_of(victim)
+    touched = {victim} | graph.neighbors(victim)
+    without = Graph()
+    for entity in graph.entities():
+        if entity.eid != victim:
+            without.add_entity(entity.eid, entity.etype)
+    for triple in graph.triples():
+        if victim not in (triple.subject, triple.obj):
+            without.add_triple(triple)
+    gone = snapshot.patched(without, touched)
+    assert gone.id_of(victim) is None and not gone.has_entity(victim)
+    assert gone.num_interned_nodes == snapshot.num_interned_nodes
+    assert_reads_as_rebuild(gone, without)
+
+    back = gone.patched(graph, touched)  # the same node returns to its id
+    assert back.id_of(victim) == victim_id
+    assert back.version == graph.version
+    assert_reads_as_rebuild(back, graph)
+
+
+# --------------------------------------------------------------------------- #
+# delta files and pickles: same reads, the sender's ids
+# --------------------------------------------------------------------------- #
+
+
+def patched_chain(seed: int, windows: int = 6):
+    """A fuzz graph, its build, and the snapshot patched over *windows*."""
+    dataset = fuzz_dataset(seed)
+    graph = dataset.graph
+    ancestor = snapshot = GraphSnapshot.build(graph)
+    rng = random.Random(seed)
+    for window in range(windows):
+        base_version = snapshot.version
+        for _ in range(rng.randint(1, 3)):
+            apply_random_mutation(graph, rng)
+        scripted_window(graph, window)
+        snapshot = snapshot.patched(graph, graph.touched_since(base_version))
+    return dataset, ancestor, snapshot
+
+
+def assert_same_ids(snapshot: GraphSnapshot, sender: GraphSnapshot) -> None:
+    assert snapshot.num_interned_nodes == sender.num_interned_nodes
+    for index in range(sender.num_interned_nodes):  # tombstones included
+        node = sender.node_at(index)
+        assert snapshot.node_at(index) == node
+        assert snapshot.id_of(node) == sender.id_of(node)
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=8, deadline=None)
+def test_delta_file_round_trips(seed, tmp_path_factory):
+    dataset, ancestor, patched = patched_chain(seed)
+    graph = dataset.graph
+    root = tmp_path_factory.mktemp("delta")
+    store = SnapshotStore(root / "delta")
+    store.save(ancestor)
+    path = store.patch(patched, base=ancestor, fingerprint=graph.content_fingerprint())
+    info = snapshot_info(path)
+    assert info["kind"] == "delta" and info["ancestor"] == ancestor.store_fingerprint
+    assert store.metrics()["patches"] == 1
+
+    loaded = store.load(graph)
+    assert loaded.overlay_rows == patched.overlay_rows > 0
+    assert_same_ids(loaded, patched)
+    assert_reads_as_rebuild(loaded, graph)
+    # a load is a valid patch base, and its delta names the same ancestor
+    base_version = graph.version
+    apply_random_mutation(graph, random.Random(seed))
+    again = loaded.patched(graph, graph.touched_since(base_version))
+    assert_reads_as_rebuild(again, graph)
+    again_path = store.patch(again, base=loaded, fingerprint=graph.content_fingerprint())
+    assert snapshot_info(again_path).get("ancestor", ancestor.store_fingerprint) == (
+        ancestor.store_fingerprint
+    )
+    assert_reads_as_rebuild(store.load(graph), graph)
+
+    # save() always writes the canonical file: history leaves no trace in it
+    built, saved = SnapshotStore(root / "built"), SnapshotStore(root / "saved")
+    canonical = built.save(GraphSnapshot.build(graph), graph=graph)
+    assert saved.save(again, graph=graph).read_bytes() == canonical.read_bytes()
+    assert snapshot_info(canonical)["kind"] == "canonical"
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@settings(max_examples=8, deadline=None)
+def test_pickled_patched_snapshot_keeps_the_senders_ids(seed, tmp_path_factory):
+    dataset, ancestor, patched = patched_chain(seed)
+    detached = pickle.loads(pickle.dumps(patched))
+    assert_same_ids(detached, patched)
+    assert_reads_as_rebuild(detached, dataset.graph)
+
+    # store-backed: the ancestor travels as a path stub, the overlay inline,
+    # and never the delta file (whose bytes another history may have written)
+    store = SnapshotStore(tmp_path_factory.mktemp("pickle"))
+    store.save(ancestor)
+    delta = store.patch(patched, base=ancestor)
+    payload = pickle.dumps(patched)
+    assert len(payload) < len(pickle.dumps(detached))
+    assert str(store.path_for(ancestor.store_fingerprint)).encode() in payload
+    assert str(delta).encode() not in payload
+    delta.unlink()
+    attached = pickle.loads(payload)
+    assert isinstance(attached._fwd_offsets, memoryview)
+    assert_same_ids(attached, patched)
+    assert_reads_as_rebuild(attached, dataset.graph)
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["detached", "store-backed"])
+def test_process_workers_on_a_patched_snapshot_equal_the_chase(stored, tmp_path):
+    """All six backends; the five with executors also across a process pool,
+    whose workers unpickle the patched snapshot next to id-encoded state."""
+    dataset = fuzz_dataset(9)
+    graph, keys = dataset.graph, dataset.keys
+    session = MatchSession(graph, snapshot_store=tmp_path if stored else None).with_keys(keys)
+    session.run("EMOptVC")
+    rng = random.Random(9)
+    for window in range(3):
+        for _ in range(2):
+            apply_random_mutation(graph, rng)
+        scripted_window(graph, window)
+        session.rerun()
+    reference = chase(graph, keys).pairs()
+    for backend in ALGORITHMS:
+        assert session.run(backend).pairs() == reference, backend
+        if backend != "chase":
+            pooled = session.run(backend, processors=4, executor="process", workers=2)
+            assert pooled.pairs() == reference, backend
+    info = session.cache_info()
+    assert info.snapshot_builds == 1 and info.snapshot_patches == 3
+    assert info.snapshot_overlay_rows > 0
+    assert info.snapshot_patch_fallbacks == 0 and info.store_write_failures == 0
+
+
+@pytest.mark.parametrize("damage", ["deleted", "truncated"])
+def test_delta_without_its_ancestor_is_a_typed_miss_and_the_session_rebuilds(damage, tmp_path):
+    graph, keys = fuzz_dataset(4).graph, fuzz_dataset(4).keys
+    store = SnapshotStore(tmp_path)
+    session = MatchSession(graph, snapshot_store=store).with_keys(keys)
+    session.run("EMOptVC")
+    ancestor = store.path_for(graph.content_fingerprint())
+    apply_random_mutation(graph, random.Random(4))
+    session.rerun()
+    assert snapshot_info(store.path_for(graph.content_fingerprint()))["kind"] == "delta"
+    assert store.load(graph).overlay_rows > 0  # loads while the ancestor is there
+
+    if damage == "deleted":
+        ancestor.unlink()
+        error = StoreMissError
+    else:
+        ancestor.write_bytes(ancestor.read_bytes()[:200])
+        error = StoreFormatError
+    with pytest.raises(error):
+        store.load(graph)
+    # a cold session answers the typed error with a rebuild, saved canonical
+    cold = MatchSession(graph, snapshot_store=store).with_keys(keys)
+    assert cold.run("EMOptVC").pairs() == chase(graph, keys).pairs()
+    info = cold.cache_info()
+    assert info.store_misses == 1 and info.snapshot_builds == 1
+    assert snapshot_info(store.path_for(graph.content_fingerprint()))["kind"] == "canonical"
+    assert_reads_as_rebuild(store.load(graph), graph)
 
 
 # --------------------------------------------------------------------------- #

@@ -20,9 +20,10 @@ from repro.storage import GraphSnapshot, SnapshotStore
 CSRS = 3
 
 
-def _scale_4():
+def _scale_4(scale=4):
+    """The spine's ``hot`` dataset (scale 4 there); *scale* grows the graph."""
     return synthetic_dataset(
-        num_keys=8, chain_length=2, radius=2, entities_per_type=8, scale=4, seed=1
+        num_keys=8, chain_length=2, radius=2, entities_per_type=8, scale=scale, seed=1
     )
 
 
@@ -66,3 +67,81 @@ def test_unread_snapshots_have_decoded_nothing(tmp_path):
     store.save(patched, graph=graph)
     assert store.load(graph).stats()["decoded_rows"] == 0
     assert pickle.loads(pickle.dumps(built)).stats()["decoded_rows"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# the write path: a window costs what it touched, at any graph size
+# --------------------------------------------------------------------------- #
+
+
+def _hot_window(graph, entities):
+    """One ``serve_mixed`` ingest window (5 ``add_value``, a ``set_value``,
+    an ``add_entity`` with its edge) on *entities*, which both scales hold."""
+    for index, subject in enumerate(entities[:5]):
+        graph.add_value(subject, f"stream_tag_{index % 3}", f"s{index}")
+    edited = entities[5]
+    predicate, old = min(
+        (t.predicate, t.obj) for t in graph.out_triples(edited) if t.object_is_value()
+    )
+    graph.set_value(edited, predicate, "edited")
+    graph.add_entity("stream_1", graph.entity_type(entities[6]))
+    graph.add_edge("stream_1", "stream_ref", entities[7])
+    return old
+
+
+def test_a_window_costs_its_rows_at_any_graph_size(tmp_path, monkeypatch):
+    small, large = _scale_4().graph, _scale_4(32).graph
+    assert large.num_nodes > 6 * small.num_nodes
+    # eight entities both graphs hold, with the same rows in both
+    shared = [
+        eid for eid in sorted(small.entity_ids())
+        if large.has_entity(eid) and small.out_triples(eid) == large.out_triples(eid)
+        and small.in_triples(eid) == large.in_triples(eid)
+    ]
+    entities = shared[:: len(shared) // 8][:8]
+    sizes = []
+    for name, graph in (("small", small), ("large", large)):
+        parent = GraphSnapshot.build(graph)
+        store = SnapshotStore(tmp_path / name)
+        store.save(parent, graph=graph)
+        old_value = _hot_window(graph, entities)
+        touched = graph.touched_since(parent.version)
+        survivors = {
+            node for node in touched
+            if (graph.has_entity(node) if isinstance(node, str) else graph.degree(node))
+        }
+        tombstones = touched - survivors
+        assert tombstones <= {old_value}
+
+        calls = {"out_triples": [], "in_triples": [], "neighbors": []}
+        for method, seen in calls.items():
+            original = getattr(type(graph), method)
+
+            def counted(self, node, original=original, seen=seen):
+                if self is graph:
+                    seen.append(node)
+                return original(self, node)
+
+            monkeypatch.setattr(type(graph), method, counted)
+        patched = parent.patched(graph, touched)
+        monkeypatch.undo()
+
+        # the live graph is read once per touched surviving node, and no other
+        assert sorted(calls["in_triples"], key=repr) == sorted(survivors, key=repr)
+        assert sorted(calls["neighbors"], key=repr) == sorted(survivors, key=repr)
+        assert sorted(calls["out_triples"]) == sorted(n for n in survivors if isinstance(n, str))
+        assert patched.overlay_rows == len(survivors) + len(tombstones)
+        # nothing of the parent was copied, and no id moved
+        for slot in ("_node_of", "_id_of", "_etype_of", "_fwd_offsets", "_fwd_objs",
+                     "_bwd_subjs", "_und_targets", "_vindex_subjects"):
+            assert getattr(patched, slot) is getattr(parent, slot), slot
+        assert all(patched.id_of(n) == parent.id_of(n) for n in entities)
+        assert patched.stats()["decoded_rows"] == 0
+
+        path = store.patch(patched, base=parent, fingerprint=graph.content_fingerprint())
+        assert store.metrics()["patches"] == 1
+        assert store.load(graph).neighbors("stream_1") == graph.neighbors("stream_1")
+        sizes.append(path.stat().st_size)
+    # a delta's size is a function of the overlay, never of the graph
+    assert max(sizes) < 8 * 1024
+    assert max(sizes) <= 1.1 * min(sizes)

@@ -122,14 +122,21 @@ def test_type_buckets_are_contiguous_and_sorted():
     snapshot = GraphSnapshot.build(graph)
     seen_ids = set()
     for etype in sorted(graph.types()):
-        lo, hi = snapshot.type_range(etype)
-        bucket = [snapshot.node_at(i) for i in range(lo, hi)]
-        assert bucket == graph.entities_of_type(etype)  # sorted, contiguous
-        assert all(snapshot.id_of(eid) == lo + k for k, eid in enumerate(bucket))
-        assert seen_ids.isdisjoint(range(lo, hi))
-        seen_ids.update(range(lo, hi))
+        ids = list(snapshot.type_ids(etype))
+        assert ids == list(range(ids[0], ids[0] + len(ids)))  # canonical: contiguous
+        bucket = [snapshot.node_at(i) for i in ids]
+        assert bucket == graph.entities_of_type(etype)  # in sorted entity-id order
+        assert [snapshot.id_of(eid) for eid in bucket] == ids
+        assert all(i in snapshot.type_ids(etype) for i in ids)
+        assert seen_ids.isdisjoint(ids)
+        seen_ids.update(ids)
     assert seen_ids == set(range(snapshot.num_entities))
-    assert snapshot.type_range("no-such-type") == (0, 0)
+    assert not any(snapshot.is_literal_id(i) for i in seen_ids)
+    assert all(
+        snapshot.is_literal_id(i)
+        for i in range(snapshot.num_entities, snapshot.num_interned_nodes)
+    )
+    assert len(snapshot.type_ids("no-such-type")) == 0
 
 
 def test_snapshot_is_read_only_and_versioned():

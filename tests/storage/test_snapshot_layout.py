@@ -1,8 +1,8 @@
 """The snapshot's on-disk layout, pinned.
 
 ``GraphSnapshot.build`` may be rewritten for speed, never for layout: store
-files written by one version must load, fingerprint-match and segment-patch
-under the next.  The property suites compare two code paths of the *same*
+files written by one version must load and fingerprint-match under the next,
+and be the ancestor the next version's delta files name.  The property suites compare two code paths of the *same*
 checkout (``patched`` against ``build``), so a rewrite that moved both the
 same way would pass them.  These constants were recorded from the files the
 store wrote before ``build`` went triple-major; a mismatch means files
@@ -17,6 +17,7 @@ salt: CI re-runs this file under ``PYTHONHASHSEED=1`` and ``2``.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -24,7 +25,10 @@ from repro.datasets.music import music_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.storage import GraphSnapshot, SnapshotStore, fingerprint_of, snapshot_info
 
-from tests.properties.test_delta_properties import assert_snapshots_bit_identical
+from tests.properties.test_delta_properties import (
+    assert_same_reads,
+    assert_snapshots_bit_identical,
+)
 
 #: dataset -> (content fingerprint, segment checksum, file size in bytes)
 PINNED = {
@@ -45,6 +49,9 @@ PINNED_AFTER_WINDOW = (
     2939005688,
     28664,
 )
+#: the delta file of that window over the pinned ``synthetic`` file; the last
+#: field is the CRC-32 of the whole file (the header holds overlay fields too)
+PINNED_DELTA_AFTER_WINDOW = (PINNED_AFTER_WINDOW[0], 432804835, 8512, 2424416971)
 
 
 def _graph(name: str):
@@ -97,6 +104,35 @@ def test_build_and_patch_agree_on_the_pinned_file_after_a_mutation_window(tmp_pa
     mutation_window(graph)
     built = GraphSnapshot.build(graph)
     patched = base.patched(graph, graph.touched_since(base.version))
-    assert_snapshots_bit_identical(patched, built)
+    assert_same_reads(patched, built)
+    assert_snapshots_bit_identical(patched.compacted(), built)
     assert _stored(SnapshotStore(tmp_path / "built"), built, graph) == PINNED_AFTER_WINDOW
     assert _stored(SnapshotStore(tmp_path / "patched"), patched, graph) == PINNED_AFTER_WINDOW
+
+
+def test_patch_of_the_mutation_window_writes_the_pinned_delta_file(tmp_path):
+    """One history, one delta: the ids a window's new terms take and the
+    bytes the store writes for it depend on neither set order nor the salt."""
+    graph = _graph("synthetic")
+    base = GraphSnapshot.build(graph)
+    store = SnapshotStore(tmp_path)
+    store.save(base, graph=graph)
+    mutation_window(graph)
+    patched = base.patched(graph, graph.touched_since(base.version))
+    appended = [
+        patched.node_at(i) for i in range(base.num_interned_nodes, patched.num_interned_nodes)
+    ]
+    assert appended[:8] == sorted(  # canonical order of the new terms: entities ...
+        (f"window_{round_}" for round_ in range(8)), key=lambda e: (graph.entity_type(e), e)
+    )
+    assert appended[8:] == sorted(appended[8:], key=repr)  # then the new values
+    assert [patched.pred_id(p) - len(base.predicates()) for p in ("window_ref", "window_tag")] == [
+        0, 1,
+    ]
+    path = store.patch(patched, base=base)
+    info = snapshot_info(path)
+    assert info["kind"] == "delta" and info["ancestor"] == PINNED["synthetic"][0]
+    assert (
+        info["fingerprint"], info["checksum"], info["file_size"], zlib.crc32(path.read_bytes())
+    ) == PINNED_DELTA_AFTER_WINDOW
+    assert_same_reads(store.load(graph), GraphSnapshot.build(graph))

@@ -356,6 +356,95 @@ class TestSnapshotStore:
         assert store.load(graph).has_triple("alb1", "bonus_of", Literal("extra"))
 
 
+class TestDeltaFiles:
+    """``SnapshotStore.patch``: one delta file per window, each over exactly
+    one canonical ancestor, none ever in a canonical file's place."""
+
+    def windows(self, graph, snapshot, store):
+        """Three windows patched onto one another, each written through."""
+        patched = []
+        for mutate in (
+            lambda: graph.add_value("alb1", "bonus_of", "extra"),
+            lambda: graph.add_entity("alb9", "album"),
+            lambda: graph.remove_value("alb1", "bonus_of", "extra"),
+        ):
+            base, version = snapshot, snapshot.version
+            mutate()
+            snapshot = snapshot.patched(graph, graph.touched_since(version))
+            path = store.patch(snapshot, base=base, fingerprint=graph.content_fingerprint())
+            patched.append((snapshot, path))
+        return patched
+
+    def test_every_delta_names_the_canonical_ancestor_never_another_delta(
+        self, graph, stored, store
+    ):
+        ancestor, ancestor_path = stored
+        for snapshot, path in self.windows(graph, ancestor, store):
+            info = snapshot_info(path)
+            assert info["kind"] == "delta" and info["ancestor"] == ancestor.store_fingerprint
+            assert snapshot.store_path == str(path)
+            assert verify_snapshot(path)["fingerprint"] == info["fingerprint"]
+        assert snapshot_info(ancestor_path)["kind"] == "canonical"
+        assert store.metrics()["patches"] == 3 and store.metrics()["saves"] == 1
+        assert store.load(graph).has_entity("alb9")
+
+    def test_content_already_stored_is_not_written_again(self, graph, store):
+        ancestor = GraphSnapshot.build(graph)
+        *_, (third, third_path) = self.windows(graph, ancestor, store)
+        assert len(store) == 4  # the ancestor was saved on demand, then three deltas
+        graph.retype_entity("alb9", "artist")  # a fourth window that cancels out
+        graph.retype_entity("alb9", "album")
+        back = third.patched(graph, graph.touched_since(third.version))
+        before = third_path.read_bytes()
+        assert store.patch(back, base=third, prune_base=True) == third_path
+        assert third_path.read_bytes() == before and len(store) == 4
+        assert store.metrics()["patches"] == 3
+
+    def test_a_cancelled_out_history_lands_on_the_canonical_file_even_in_an_empty_store(
+        self, graph, store
+    ):
+        ancestor = GraphSnapshot.build(graph)
+        graph.add_value("alb1", "bonus_of", "extra")
+        graph.remove_value("alb1", "bonus_of", "extra")
+        patched = ancestor.patched(graph, graph.touched_since(ancestor.version))
+        assert patched.overlay_rows > 0
+        path = store.patch(patched, base=None, fingerprint=graph.content_fingerprint())
+        # a delta here would name itself as its ancestor
+        assert snapshot_info(path)["kind"] == "canonical" and len(store) == 1
+        assert set(store.load(graph).triples()) == set(graph.triples())
+
+    def test_prune_base_unlinks_a_superseded_delta_and_never_a_canonical_file(
+        self, graph, stored, store
+    ):
+        ancestor, ancestor_path = stored
+        graph.add_value("alb1", "bonus_of", "extra")
+        first = ancestor.patched(graph, graph.touched_since(ancestor.version))
+        first_path = store.patch(first, base=ancestor, prune_base=True)
+        assert ancestor_path.is_file()  # the base was canonical: kept
+        graph.add_value("alb1", "bonus_of", "more")
+        second = first.patched(graph, graph.touched_since(first.version))
+        second_path = store.patch(second, base=first, prune_base=True)
+        assert not first_path.is_file() and second_path.is_file() and ancestor_path.is_file()
+        assert store.load(graph).has_triple("alb1", "bonus_of", Literal("more"))
+
+    def test_verify_checks_the_ancestor_of_a_delta_too(self, graph, stored, store):
+        ancestor, ancestor_path = stored
+        (_, path), *_ = self.windows(graph, ancestor, store)
+        info = snapshot_info(ancestor_path)
+        raw = bytearray(ancestor_path.read_bytes())
+        raw[info["data_start"] + info["segments"]["und_targets"][0]] ^= 0x01  # the *ancestor*
+        ancestor_path.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="checksum"):
+            verify_snapshot(path)
+
+    def test_a_delta_over_a_delta_is_a_format_error(self, graph, stored, store):
+        ancestor, ancestor_path = stored
+        (_, first), (_, second), _ = self.windows(graph, ancestor, store)
+        ancestor_path.write_bytes(first.read_bytes())  # a delta where the ancestor was
+        with pytest.raises(StoreError):
+            read_snapshot(second)
+
+
 class TestWorkerCacheShipCost:
     def test_store_backed_snapshot_shrinks_the_mr_worker_payload(self, graph, stored, store):
         """The MR Haloop cache ships a path stub, not arrays, under a store."""

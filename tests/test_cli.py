@@ -169,6 +169,32 @@ class TestSnapshotCommands:
         assert output.startswith("OK:")
         assert "fingerprint, graph version" in output
 
+    def test_info_and_verify_understand_delta_files(self, music_files, tmp_path, capsys):
+        from repro.core.parser import load_graph
+        from repro.storage import GraphSnapshot, SnapshotStore
+
+        graph = load_graph(music_files[0])
+        store = SnapshotStore(tmp_path / "snaps")
+        ancestor = GraphSnapshot.build(graph)
+        canonical = store.save(ancestor, graph=graph)
+        graph.add_value("alb1", "bonus_of", "extra")
+        graph.retype_entity("art2", "album")
+        patched = ancestor.patched(graph, graph.touched_since(ancestor.version))
+        delta = store.patch(patched, base=ancestor)
+
+        assert main(["snapshot", "info", str(canonical)]) == 0
+        assert "kind          : canonical" in capsys.readouterr().out
+        assert main(["snapshot", "info", str(delta)]) == 0
+        output = capsys.readouterr().out
+        assert "kind          : delta" in output
+        assert f"ancestor      : {ancestor.store_fingerprint}" in output
+        assert "3 rows, 0 tombstones, 1 new nodes, 1 new predicates, 1 typed or retyped" in output
+        assert main(["snapshot", "verify", str(delta)]) == 0
+        assert "ancestor" in capsys.readouterr().out
+        canonical.unlink()
+        assert main(["snapshot", "verify", str(delta)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_save_to_explicit_file(self, music_files, tmp_path, capsys):
         graph_path, _keys_path = music_files
         out = tmp_path / "music.snap"
