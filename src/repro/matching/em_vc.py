@@ -135,26 +135,20 @@ class VertexCentricEntityMatcher:
             max_messages=MAX_MESSAGES,
             executor=executor,
             partitioner=partitioner,
+            placement=product_graph.placement(self.processors),
         )
         engine.cost_model.add_setup_work(product_graph.construction_work)
 
-        candidate_set = set(candidates.pairs)
+        # identity pairs and equal-value pairs are trivially identified
         for node in product_graph.nodes():
-            n1, n2 = node
-            is_candidate = node in candidate_set
-            etype = None
-            if is_candidate:
-                etype = self.graph.entity_type(str(n1))
-            # identity pairs and equal-value pairs are trivially identified;
-            # seeded candidate pairs (incremental re-matching) start flagged
-            trivially_equal = n1 == n2
-            flag = trivially_equal or (
-                is_candidate and program.live_eq.identified(str(n1), str(n2))
-            )
-            engine.add_vertex(
-                node,
-                PairState(flag=flag, is_candidate=is_candidate, etype=etype),
-            )
+            engine.add_vertex(node, PairState(flag=node[0] == node[1]))
+        # every candidate pair is a node of Gp; seeded ones (incremental
+        # re-matching) start flagged
+        identified = program.live_eq.identified
+        for pair in candidates.pairs:
+            state = engine.vertex_state(pair)
+            state.is_candidate = True
+            state.flag = state.flag or identified(*pair)
 
         if self.worklist is None:
             activations = list(candidates.pairs)

@@ -2,12 +2,13 @@
 
 Each candidate pair evaluates its keys by sending messages along the key's
 traversal order ``P_Q`` through the product graph.  A message carries the
-partial instantiation vector ``m`` (pattern-node name → product-graph node);
-the vertex hosting the current cursor position extends ``m`` by forking copies
-to feasible neighbour pairs, verifies already-instantiated edges when the tour
-revisits them, and — when the tour returns to the origin fully instantiated —
-sets the origin's flag, which triggers dependency notifications and
-transitive-closure propagation.
+partial instantiation vector ``m`` (one slot per pattern node, holding the
+product-graph node instantiating it or ``None``); the vertex hosting the
+current cursor position extends ``m`` by forking copies to feasible neighbour
+pairs, verifies already-instantiated edges when the tour revisits them, and —
+when the tour returns to the origin fully instantiated — sets the origin's
+flag, which triggers dependency notifications and transitive-closure
+propagation.
 
 Differences from the paper, noted for reviewers:
 
@@ -22,13 +23,13 @@ Differences from the paper, noted for reviewers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import EquivalenceRelation, Pair
-from ..core.key import Key, KeySet
+from ..core.key import KeySet
 from ..core.graph import Graph
-from ..core.pattern import NodeKind, PatternNode
+from ..core.pattern import NodeKind
 from ..core.triples import GraphNode, Literal, is_entity_ref
 from ..vertexcentric.engine import VertexContext
 from .product_graph import ProductGraph, ProductNode
@@ -41,7 +42,6 @@ class PairState:
 
     flag: bool = False
     is_candidate: bool = False
-    etype: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -55,30 +55,19 @@ class Activate:
     prerequisite: Optional[Pair] = None
 
 
-@dataclass(frozen=True)
-class EvalMessage:
-    """A key-evaluation message travelling along a traversal order."""
+#: The instantiation vector ``m``: one slot per pattern node of the key, in
+#: ``pattern.nodes()`` order, ``None`` while the node is not instantiated.
+Slots = Tuple[Optional[ProductNode], ...]
 
-    origin: Pair
-    key_name: str
-    step_index: int
-    assignment: Tuple[Tuple[str, ProductNode], ...]
+#: A key-evaluation message travelling along a traversal order, as a plain
+#: tuple ``(origin, key name, step index, slots)``: extending ``m`` is two
+#: slices and a concatenation, advancing the cursor a new 4-tuple.
+EvalMessage = Tuple[Pair, str, int, Slots]
 
-    def assignment_dict(self) -> Dict[str, ProductNode]:
-        return dict(self.assignment)
-
-    def extended(self, name: str, node: ProductNode, step_index: int) -> "EvalMessage":
-        items = dict(self.assignment)
-        items[name] = node
-        return EvalMessage(
-            origin=self.origin,
-            key_name=self.key_name,
-            step_index=step_index,
-            assignment=tuple(sorted(items.items())),
-        )
-
-    def advanced(self, step_index: int) -> "EvalMessage":
-        return replace(self, step_index=step_index)
+#: One step of a tour, compiled once per program: ``(source slot, target
+#: slot, predicate, forward, far kind, far etype, far constant)``; the last
+#: three say what may instantiate the target (the *far* pattern node).
+_Step = Tuple[int, int, str, bool, NodeKind, Optional[str], object]
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ class DeferredFork:
     """A continuation holding fork targets beyond the message budget."""
 
     message: EvalMessage
-    far_name: str
+    far_slot: int
     targets: Tuple[ProductNode, ...]
 
 
@@ -121,14 +110,28 @@ class EvalVCProgram:
             raise ValueError(f"max_fanout must be >= 1 or None, got {max_fanout}")
         self._graph = graph
         self._product_graph = product_graph
-        self._orders = orders
         self._max_fanout = max_fanout
         self._prioritize = prioritize
-        self._keys_by_type: Dict[str, List[Key]] = {
-            etype: keys.keys_for_type(etype) for etype in keys.target_types()
-        }
-        self._pattern_node_counts = {key.name: len(list(key.pattern.nodes())) for key in keys}
-        self._patterns = {key.name: key.pattern for key in keys}
+        #: key name -> its tour, compiled to slot-indexed steps
+        self._tours: Dict[str, Tuple[_Step, ...]] = {}
+        #: entity type -> (key name, is recursive, blank slots before and
+        #: after the designated node's) of each key defined on it
+        self._starts: Dict[str, List[Tuple[str, bool, Slots, Slots]]] = {}
+        for key in keys:
+            nodes = list(key.pattern.nodes())
+            slot = {node.name: index for index, node in enumerate(nodes)}
+            steps = []
+            for step in orders[key.name]:
+                far = nodes[slot[step.target_name]]
+                steps.append(
+                    (slot[step.source_name], slot[far.name], step.triple.predicate,
+                     step.forward, far.kind, far.etype, far.value)
+                )
+            self._tours[key.name] = tuple(steps)
+            x = slot[key.pattern.designated.name]
+            self._starts.setdefault(key.target_type, []).append(
+                (key.name, key.is_recursive, (None,) * x, (None,) * (len(nodes) - x - 1))
+            )
         self.live_eq = EquivalenceRelation(graph.entity_ids())
         #: incremental re-matching: a previous run's surviving merges, applied
         #: to ``live_eq`` up front and prepended to the canonical merge
@@ -263,15 +266,14 @@ class EvalVCProgram:
     # ------------------------------------------------------------------ #
 
     def on_message(
-        self, vertex_id: ProductNode, state: object, payload: object, context: VertexContext
+        self, vertex_id: ProductNode, state: PairState, payload: object, context: VertexContext
     ) -> None:
-        assert isinstance(state, PairState)
-        if isinstance(payload, Activate):
+        if type(payload) is tuple:
+            self._handle_eval(vertex_id, payload, context)
+        elif isinstance(payload, Activate):
             self._handle_activate(vertex_id, state, payload, context)
-        elif isinstance(payload, EvalMessage):
-            self._handle_eval(vertex_id, state, payload, context)
         elif isinstance(payload, DeferredFork):
-            self._handle_deferred(vertex_id, state, payload, context)
+            self._handle_deferred(vertex_id, payload, context)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unexpected message payload: {type(payload).__name__}")
 
@@ -285,157 +287,117 @@ class EvalVCProgram:
         self.counters.activations += 1
         if state.flag or not state.is_candidate:
             return
-        etype = state.etype or self._graph.entity_type(str(vertex_id[0]))
-        keys = self._keys_by_type.get(etype, [])
-        if payload.prerequisite is not None:
-            # a dependency was discharged: only recursively defined keys can
-            # newly succeed, value-based keys were fully evaluated already
-            keys = [key for key in keys if key.is_recursive]
-        for key in keys:
-            x_name = key.pattern.designated.name
-            initial = EvalMessage(
-                origin=(str(vertex_id[0]), str(vertex_id[1])),
-                key_name=key.name,
-                step_index=0,
-                assignment=((x_name, vertex_id),),
-            )
-            context.send(vertex_id, initial)
+        origin = (str(vertex_id[0]), str(vertex_id[1]))
+        # a discharged dependency can only make recursively defined keys newly
+        # succeed: value-based keys were fully evaluated already
+        recursive_only = payload.prerequisite is not None
+        starts = self._starts.get(self._graph.entity_type(origin[0]), ())
+        for key_name, is_recursive, before, after in starts:
+            if is_recursive or not recursive_only:
+                context.send(vertex_id, (origin, key_name, 0, before + (vertex_id,) + after))
 
     # ------------------------------------------------------------------ #
     # the guided tour
     # ------------------------------------------------------------------ #
 
     def _handle_eval(
-        self, vertex_id: ProductNode, state: PairState, message: EvalMessage, context: VertexContext
+        self, vertex_id: ProductNode, message: EvalMessage, context: VertexContext
     ) -> None:
-        self.counters.eval_messages += 1
-        origin_state = context.state(message.origin)
-        assert isinstance(origin_state, PairState)
-        if origin_state.flag:
-            self.counters.early_cancelled += 1
+        counters = self.counters
+        counters.eval_messages += 1
+        origin, key_name, index, slots = message
+        if context.state(origin).flag:
+            counters.early_cancelled += 1
             return
-        order = self._orders[message.key_name]
-        assignment = message.assignment_dict()
-
-        if message.step_index >= len(order):
-            fully_instantiated = (
-                len(assignment) == self._pattern_node_counts[message.key_name]
-            )
-            if vertex_id == message.origin and fully_instantiated:
-                self._confirm(message.origin, context)
+        tour = self._tours[key_name]
+        if index >= len(tour):
+            if vertex_id == origin and None not in slots:  # fully instantiated
+                self._confirm(origin, context)
             return
 
-        step = order[message.step_index]
-        near = assignment.get(step.source_name)
-        if near != vertex_id:  # pragma: no cover - defensive routing check
-            self.counters.dead_branches += 1
+        near_slot, far_slot, predicate, forward, kind, etype, constant = tour[index]
+        if slots[near_slot] != vertex_id:  # pragma: no cover - defensive routing check
+            counters.dead_branches += 1
             return
-        far_name = step.target_name
-        far_assigned = assignment.get(far_name)
-        if far_assigned is not None:
+        far = slots[far_slot]
+        if far is not None:
             context.add_work(1)
-            if self._edge_exists(step, near, far_assigned):
-                context.send(far_assigned, message.advanced(message.step_index + 1))
+            if self._edge_exists(predicate, forward, vertex_id, far):
+                context.send(far, (origin, key_name, index + 1, slots))
             else:
-                self.counters.dead_branches += 1
+                counters.dead_branches += 1
             return
 
-        # far end not instantiated yet: fork over feasible product neighbours
-        if step.forward:
-            targets = self._product_graph.forward_neighbors(vertex_id, step.triple.predicate)
-        else:
-            targets = self._product_graph.backward_neighbors(vertex_id, step.triple.predicate)
+        # far end not instantiated yet: fork over feasible product neighbours,
+        # in EMOptVC's send order when propagation is prioritized
+        targets = self._product_graph.neighbors(vertex_id, predicate, forward, self._prioritize)
         context.add_work(max(1, len(targets)))
-        far_node = self._patterns[message.key_name].node(far_name)
-        used1 = {pair[0] for pair in assignment.values()}
-        used2 = {pair[1] for pair in assignment.values()}
-        feasible = [t for t in targets if self._feasible(far_node, t, used1, used2)]
+        used1 = {pair[0] for pair in slots if pair is not None}
+        used2 = {pair[1] for pair in slots if pair is not None}
+        feasible = [t for t in targets if self._feasible(kind, etype, constant, t, used1, used2)]
         if not feasible:
-            self.counters.dead_branches += 1
+            counters.dead_branches += 1
             return
-        if self._prioritize:
-            feasible.sort(key=self._priority_key)
-        self._fork(vertex_id, message, far_name, feasible, context)
+        self._fork(vertex_id, message, far_slot, feasible, context)
 
     def _handle_deferred(
-        self, vertex_id: ProductNode, state: PairState, payload: DeferredFork, context: VertexContext
+        self, vertex_id: ProductNode, payload: DeferredFork, context: VertexContext
     ) -> None:
         self.counters.deferred_forks += 1
-        origin_state = context.state(payload.message.origin)
-        assert isinstance(origin_state, PairState)
-        if origin_state.flag:
+        if context.state(payload.message[0]).flag:
             self.counters.early_cancelled += 1
             return
-        self._fork(vertex_id, payload.message, payload.far_name, list(payload.targets), context)
+        self._fork(vertex_id, payload.message, payload.far_slot, list(payload.targets), context)
 
     def _fork(
-        self,
-        vertex_id: ProductNode,
-        message: EvalMessage,
-        far_name: str,
-        targets: List[ProductNode],
-        context: VertexContext,
+        self, vertex_id: ProductNode, message: EvalMessage, far_slot: int,
+        targets: List[ProductNode], context: VertexContext,
     ) -> None:
+        origin, key_name, index, slots = message
+        before, after, index = slots[:far_slot], slots[far_slot + 1 :], index + 1
         budget = self._max_fanout if self._max_fanout is not None else len(targets)
-        now, later = targets[:budget], targets[budget:]
-        for target in now:
-            context.send(
-                target, message.extended(far_name, target, message.step_index + 1)
-            )
+        send = context.send
+        for target in targets[:budget]:
+            send(target, (origin, key_name, index, before + (target,) + after))
+        later = targets[budget:]
         if later:
-            context.send(
-                vertex_id,
-                DeferredFork(message=message, far_name=far_name, targets=tuple(later)),
-                priority=5,
-            )
+            send(vertex_id, DeferredFork(message, far_slot, tuple(later)), priority=5)
 
     # ------------------------------------------------------------------ #
-    # feasibility, edge verification and prioritization
+    # feasibility and edge verification
     # ------------------------------------------------------------------ #
 
     def _feasible(
-        self,
-        far_node: PatternNode,
-        target: ProductNode,
-        used1: Set[GraphNode],
-        used2: Set[GraphNode],
+        self, kind: NodeKind, etype: Optional[str], constant: object,
+        target: ProductNode, used1: Set[GraphNode], used2: Set[GraphNode],
     ) -> bool:
-        """Can *target* instantiate *far_node*, given the graph nodes already
-        used on each side of the assignment?"""
+        """Can *target* instantiate a far pattern node of this *kind* (with
+        its *etype* or *constant*), given the graph nodes already used on each
+        side of the assignment?"""
         t1, t2 = target
         if t1 in used1 or t2 in used2:
             return False
-        kind = far_node.kind
         if kind is NodeKind.CONSTANT:
             return (
                 isinstance(t1, Literal)
                 and isinstance(t2, Literal)
-                and t1.value == far_node.value
-                and t2.value == far_node.value
+                and t1.value == constant
+                and t2.value == constant
             )
         if kind is NodeKind.VALUE_VAR:
             return isinstance(t1, Literal) and isinstance(t2, Literal) and t1 == t2
         if not (is_entity_ref(t1) and is_entity_ref(t2)):
             return False
-        if (
-            self._graph.entity_type(t1) != far_node.etype
-            or self._graph.entity_type(t2) != far_node.etype
-        ):
+        if self._graph.entity_type(t1) != etype or self._graph.entity_type(t2) != etype:
             return False
         if kind is NodeKind.ENTITY_VAR:
             return self.live_eq.identified(t1, t2)
         return True  # WILDCARD
 
     def _edge_exists(
-        self, step: TraversalStep, near: ProductNode, far: ProductNode
+        self, predicate: str, forward: bool, near: ProductNode, far: ProductNode
     ) -> bool:
-        predicate = step.triple.predicate
-        if step.forward:
-            subjects, objects = near, far
-        else:
-            subjects, objects = far, near
-        s1, s2 = subjects
-        o1, o2 = objects
+        (s1, s2), (o1, o2) = (near, far) if forward else (far, near)
         return (
             is_entity_ref(s1)
             and is_entity_ref(s2)
@@ -443,20 +405,12 @@ class EvalVCProgram:
             and self._graph.has_triple(s2, predicate, o2)
         )
 
-    def _priority_key(self, target: ProductNode) -> Tuple[int, int, str]:
-        """Prioritized propagation: identity pairs first, then well-connected pairs."""
-        t1, t2 = target
-        identity = 0 if t1 == t2 else 1
-        degree = self._graph.degree(t1) + self._graph.degree(t2)
-        return (identity, -degree, repr(target))
-
     # ------------------------------------------------------------------ #
     # confirmation: flag, transitive closure and dependency notifications
     # ------------------------------------------------------------------ #
 
     def _confirm(self, origin: Pair, context: VertexContext) -> None:
         origin_state = context.state(origin)
-        assert isinstance(origin_state, PairState)
         if origin_state.flag:
             return
         origin_state.flag = True
@@ -472,7 +426,6 @@ class EvalVCProgram:
                 if not context.has_vertex(pair):
                     continue
                 pair_state = context.state(pair)
-                assert isinstance(pair_state, PairState)
                 if not pair_state.flag and self.live_eq.identified(pair[0], pair[1]):
                     pair_state.flag = True
                     self._record_flag(pair)
@@ -485,8 +438,6 @@ class EvalVCProgram:
             for dependent in self._product_graph.dependents_of(flagged):
                 if not context.has_vertex(dependent):
                     continue
-                dependent_state = context.state(dependent)
-                assert isinstance(dependent_state, PairState)
-                if not dependent_state.flag:
+                if not context.state(dependent).flag:
                     self.counters.dep_notifications += 1
                     context.send(dependent, Activate(prerequisite=flagged))

@@ -10,6 +10,11 @@ relationships used to drive incremental re-evaluation.
 
 The experiments report ``|Gp| ≈ 2.7·|G|`` on average, far smaller than the
 naive ``|G|²``; :meth:`ProductGraph.count_edges` reproduces that statistic.
+
+The topology edges stay implicit in ``G``, but what a run derives from them
+is remembered on the product graph, which outlives runs (a session caches it
+and rebases it across mutation windows): each node's sorted neighbour lists,
+EMOptVC's send order over them, and each node's simulated worker.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from ..core.graph import Graph
 from ..core.key import KeySet
 from ..core.pairing import pairing_relation
 from ..core.triples import GraphNode, is_entity_ref
+from ..vertexcentric.cost_model import Placement
 from .candidates import CandidateSet, dependency_map
 
 #: A product-graph node: an ordered pair of graph nodes.
@@ -39,15 +45,20 @@ class ProductGraph:
         candidates: CandidateSet,
         dependents: Optional[Dict[Pair, Set[Pair]]] = None,
     ) -> None:
+        """*dependents* is an optional precomputed dependency map (e.g. the
+        session cache's); it must equal ``dependency_map(graph, keys,
+        candidates)``."""
+        self._start(graph, keys, candidates)
+        for pair in candidates.pairs:
+            self._register_pair(pair, self._pair_nodes(pair))
+        self._finish(dependents)
+
+    def _start(self, graph: Graph, keys: KeySet, candidates: CandidateSet) -> None:
         self._graph = graph
         self._keys = keys
         self._candidates = candidates
-        #: optional precomputed dependency map (e.g. the session cache's);
-        #: must equal ``dependency_map(graph, keys, candidates)``
-        self._prebuilt_dependents = dependents
         self._nodes: Set[ProductNode] = set()
         self._candidate_nodes: List[Pair] = list(candidates.pairs)
-        self._dependents: Dict[Pair, Set[Pair]] = {}
         self._pairs_by_entity: Dict[str, Set[Pair]] = defaultdict(set)
         #: per-candidate-pair contributed nodes (the pair itself plus its
         #: pairing-relation nodes); :meth:`rebased` reuses the entries of
@@ -55,12 +66,41 @@ class ProductGraph:
         self._nodes_by_pair: Dict[Pair, Set[ProductNode]] = {}
         #: work units spent building the product graph (charged as setup cost)
         self.construction_work = 0
-        #: :meth:`count_edges`, once asked (every run reports it), and the
-        #: per-node topology out-edge counts it summed (entity-pair nodes
-        #: only); :meth:`rebased` carries the counts a delta cannot move
+        self._forget_derived()
+
+    def _finish(self, dependents: Optional[Dict[Pair, Set[Pair]]]) -> None:
+        self._dependents: Dict[Pair, Set[Pair]] = (
+            dependents
+            if dependents is not None
+            else dependency_map(self._graph, self._keys, self._candidates)
+        )
+        self.construction_work += len(self._nodes)
+
+    def _forget_derived(self) -> None:
+        #: node -> predicate -> sorted neighbour list.  A forward row is
+        #: complete once present (only non-empty lists are kept) and is what
+        #: :meth:`count_edges` sums; a backward row fills per predicate.
+        #: :meth:`rebased` carries the rows a delta cannot have moved.
+        self._forward: Dict[ProductNode, Dict[str, List[ProductNode]]] = {}
+        self._backward: Dict[ProductNode, Dict[str, List[ProductNode]]] = {}
+        #: (node, predicate, forward) -> the list in EMOptVC's send order.  It
+        #: reads the degrees of the *neighbours*, which a delta moves without
+        #: touching the node, so it lives for one graph version only.
+        self._send_order: Dict[Tuple[ProductNode, str, bool], List[ProductNode]] = {}
+        #: simulated worker count -> vertex placement table
+        self._placements: Dict[int, Placement] = {}
+        #: :meth:`count_edges`, once asked (every run reports it)
         self._edge_count: Optional[int] = None
-        self._edge_counts: Dict[ProductNode, int] = {}
-        self._build()
+
+    # Product graphs travel to process-pool workers inside the vertex program:
+    # what is remembered stays behind (a worker recomputes the rows it reads).
+    def __getstate__(self) -> Dict[str, object]:
+        derived = ("_forward", "_backward", "_send_order", "_placements", "_edge_count")
+        return {name: value for name, value in self.__dict__.items() if name not in derived}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._forget_derived()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -88,17 +128,6 @@ class ProductGraph:
         self._pairs_by_entity[pair[0]].add(pair)
         self._pairs_by_entity[pair[1]].add(pair)
 
-    def _build(self) -> None:
-        for pair in self._candidates.pairs:
-            self._register_pair(pair, self._pair_nodes(pair))
-        self._dependents = (
-            self._prebuilt_dependents
-            if self._prebuilt_dependents is not None
-            else dependency_map(self._graph, self._keys, self._candidates)
-        )
-        self._prebuilt_dependents = None
-        self.construction_work += len(self._nodes)
-
     def rebased(
         self,
         graph: Graph,
@@ -120,63 +149,54 @@ class ProductGraph:
         recompute their relations under the new keys.  *affected_entities*
         must hold every entity the delta touched (it does for every journal
         window: a mutated triple touches its subject), which is also what
-        lets the per-node edge counts of untouched nodes carry over.
+        lets the adjacency rows of untouched nodes carry over.
         """
         twin = object.__new__(ProductGraph)
-        twin._graph = graph
-        twin._keys = self._keys if keys is None else keys
-        twin._candidates = candidates
-        twin._nodes = set()
-        twin._candidate_nodes = list(candidates.pairs)
-        twin._dependents = {}
-        twin._pairs_by_entity = defaultdict(set)
-        twin._nodes_by_pair = {}
-        twin._prebuilt_dependents = None
-        twin.construction_work = 0
-        twin._edge_count = None
+        twin._start(graph, self._keys if keys is None else keys, candidates)
         for pair in candidates.pairs:
             cached = self._nodes_by_pair.get(pair)
             if cached is not None and not affected_entities.intersection(pair):
                 twin._register_pair(pair, cached)
             else:
                 twin._register_pair(pair, twin._pair_nodes(pair))
-        twin._dependents = (
-            dependents
-            if dependents is not None
-            else dependency_map(graph, twin._keys, candidates)
-        )
-        twin.construction_work += len(twin._nodes)
-        twin._edge_counts = self._carried_edge_counts(twin, affected_entities)
+        twin._finish(dependents)
+        self._carry_derived(twin, affected_entities)
         return twin
 
-    def _carried_edge_counts(
-        self, twin: "ProductGraph", affected_entities: Set[str]
-    ) -> Dict[ProductNode, int]:
-        """The per-node edge counts still exact on *twin*.
+    def _carry_derived(self, twin: "ProductGraph", affected_entities: Set[str]) -> None:
+        """Hand *twin* the adjacency rows and placements still exact on it.
 
-        A node's count reads its two components' out-rows and the membership
-        of its successor pairs in ``Gp``.  The rows are unchanged when
-        neither component was touched; the successors that changed
-        membership are the symmetric difference of the two node sets, and a
-        node with untouched rows reaches them through in-edges the new graph
-        still holds.
+        A forward row reads its node's two out-rows and the membership of its
+        successor pairs in ``Gp``.  The rows are unchanged when neither
+        component was touched; the successors that changed membership are the
+        symmetric difference of the two node sets, and a node with untouched
+        rows reaches them through in-edges the new graph still holds.  A
+        backward row is the mirror image (in-rows, predecessors, out-edges),
+        but only for entity pairs: a literal's in-row moves with a value
+        triple, and *affected_entities* never names a literal.
         """
-        if not self._edge_counts:
-            return {}
         graph, nodes = twin._graph, twin._nodes
-        moved: Set[ProductNode] = set()
-        for o1, o2 in self._nodes ^ nodes:
-            for s1, predicate, _ in graph.in_triples(o1):
-                for s2 in graph.subjects(predicate, o2):
-                    moved.add((s1, s2))
-        return {
-            node: count
-            for node, count in self._edge_counts.items()
-            if node in nodes
-            and node not in moved
-            and node[0] not in affected_entities
-            and node[1] not in affected_entities
-        }
+        moved: Set[ProductNode] = set()  # a neighbour changed membership
+        for n1, n2 in self._nodes ^ nodes:
+            for s1, predicate, _ in graph.in_triples(n1):
+                moved.update((s1, s2) for s2 in graph.subjects(predicate, n2))
+            if is_entity_ref(n1) and is_entity_ref(n2):
+                for _, predicate, o1 in graph.out_triples(n1):
+                    moved.update((o1, o2) for o2 in graph.objects(n2, predicate))
+
+        def carried(rows: Dict[ProductNode, dict]) -> Dict[ProductNode, dict]:
+            return {
+                node: row
+                for node, row in rows.items()
+                if node in nodes and node not in moved
+                and is_entity_ref(node[0]) and is_entity_ref(node[1])
+                and node[0] not in affected_entities and node[1] not in affected_entities
+            }
+
+        twin._forward, twin._backward = carried(self._forward), carried(self._backward)
+        for processors, placement in self._placements.items():
+            kept = twin._placements[processors] = Placement(processors)
+            kept.update((node, worker) for node, worker in placement.items() if node in nodes)
 
     # ------------------------------------------------------------------ #
     # structure queries
@@ -212,54 +232,80 @@ class ProductGraph:
     # adjacency (computed from G on demand; Gp edges are implicit)
     # ------------------------------------------------------------------ #
 
+    def neighbors(
+        self, node: ProductNode, predicate: str, forward: bool = True, prioritized: bool = False
+    ) -> List[ProductNode]:
+        """The remembered :meth:`forward_neighbors` (or backward) list of
+        *node*; the caller must not change it.
+
+        Sorted by ``repr``, or — *prioritized* — in the order of EMOptVC's
+        prioritized propagation: identity pairs first, then well-connected
+        pairs, ``repr`` breaking ties.  That order is total, so a caller may
+        filter the list and keep the order.
+        """
+        if prioritized:
+            key = (node, predicate, forward)
+            found = self._send_order.get(key)
+            if found is None:
+                found = self._send_order[key] = sorted(
+                    self.neighbors(node, predicate, forward), key=self._priority_key
+                )
+            return found
+        if forward:
+            return self._forward_row(node).get(predicate) or []
+        row = self._backward.setdefault(node, {})
+        found = row.get(predicate)
+        if found is None:
+            found = row[predicate] = self._pairs_in_gp(
+                self._graph.subjects(predicate, node[0]), self._graph.subjects(predicate, node[1])
+            )
+        return found
+
     def forward_neighbors(self, node: ProductNode, predicate: str) -> List[ProductNode]:
         """Targets ``(o1, o2) ∈ Gp`` with ``(s1, p, o1)`` and ``(s2, p, o2)`` in ``G``."""
-        s1, s2 = node
-        if not (is_entity_ref(s1) and is_entity_ref(s2)):
-            return []
-        objs1 = self._graph.objects(s1, predicate)
-        objs2 = self._graph.objects(s2, predicate)
-        found = [
-            (o1, o2)
-            for o1 in objs1
-            for o2 in objs2
-            if (o1, o2) in self._nodes
-        ]
-        found.sort(key=repr)
-        return found
+        return self.neighbors(node, predicate, True)
 
     def backward_neighbors(self, node: ProductNode, predicate: str) -> List[ProductNode]:
         """Sources ``(s1, s2) ∈ Gp`` with ``(s1, p, o1)`` and ``(s2, p, o2)`` in ``G``."""
-        o1, o2 = node
-        subs1 = self._graph.subjects(predicate, o1)
-        subs2 = self._graph.subjects(predicate, o2)
-        found = [
-            (s1, s2)
-            for s1 in subs1
-            for s2 in subs2
-            if (s1, s2) in self._nodes
-        ]
-        found.sort(key=repr)
+        return self.neighbors(node, predicate, False)
+
+    def _pairs_in_gp(self, firsts, seconds) -> List[ProductNode]:
+        nodes = self._nodes
+        found = [(n1, n2) for n1 in firsts for n2 in seconds if (n1, n2) in nodes]
+        if len(found) > 1:
+            found.sort(key=repr)
         return found
+
+    def _forward_row(self, node: ProductNode) -> Dict[str, List[ProductNode]]:
+        """Every forward list of *node*, computed on first use by walking its
+        own out-row (never every predicate of ``G``)."""
+        row = self._forward.get(node)
+        if row is None:
+            s1, s2 = node
+            row = {}
+            if is_entity_ref(s1) and is_entity_ref(s2):
+                objects = self._graph.objects
+                for predicate in dict.fromkeys(p for _, p, _ in self._graph.out_triples(s1)):
+                    found = self._pairs_in_gp(objects(s1, predicate), objects(s2, predicate))
+                    if found:
+                        row[predicate] = found
+                self._forward[node] = row
+        return row
+
+    def _priority_key(self, target: ProductNode) -> Tuple[int, int, str]:
+        t1, t2 = target
+        degree = self._graph.degree(t1) + self._graph.degree(t2)
+        return (0 if t1 == t2 else 1, -degree, repr(target))
+
+    def placement(self, processors: int) -> Placement:
+        """The vertex → simulated worker table of a *processors*-worker engine."""
+        return self._placements.setdefault(processors, Placement(processors))
 
     def count_edges(self) -> int:
         """The number of topology edges of ``Gp`` (used by the |Gp| ≈ 2.7·|G| stat)."""
         if self._edge_count is None:
-            # a statistic, so count in place: walk each entity-pair node's own
-            # out-row (never every predicate of G) and test membership of the
-            # target pair, building and sorting no neighbour list
-            graph, nodes, counts = self._graph, self._nodes, self._edge_counts
-            for node in nodes:
-                s1, s2 = node
-                if node in counts or not (is_entity_ref(s1) and is_entity_ref(s2)):
-                    continue
-                count = 0
-                for _, predicate, o1 in graph.out_triples(s1):
-                    for o2 in graph.objects(s2, predicate):
-                        if (o1, o2) in nodes:
-                            count += 1
-                counts[node] = count
-            self._edge_count = sum(counts.values())
+            rows = map(self._forward_row, self._nodes)
+            self._edge_count = sum(len(found) for row in rows for found in row.values())
         return self._edge_count
 
     def size(self) -> int:

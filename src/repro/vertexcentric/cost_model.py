@@ -24,6 +24,24 @@ MESSAGE_SECONDS = 5e-4
 ENGINE_OVERHEAD_SECONDS = 0.15
 
 
+class Placement(dict):
+    """Vertex → hosting simulated worker, hashed when a vertex is first asked for.
+
+    The function :meth:`VertexCentricCostModel.worker_for` computes, kept: it
+    depends on the vertex and the worker count alone, so whoever outlives an
+    engine (a session's product graph) may hold the table and hand it to the
+    next engine of the same size.
+    """
+
+    def __init__(self, processors: int) -> None:
+        super().__init__()
+        self.processors = processors
+
+    def __missing__(self, vertex_id: object) -> int:
+        worker = self[vertex_id] = stable_hash(vertex_id) % self.processors
+        return worker
+
+
 @dataclass
 class VertexCentricCostModel:
     """Accumulates per-worker work and message traffic of a run."""
@@ -46,8 +64,8 @@ class VertexCentricCostModel:
         Uses the process-stable :func:`repro.runtime.stable_hash`, not the
         salted builtin ``hash``, so placement — and therefore the simulated
         makespan — is identical in every process of a multiprocess run.  It
-        hashes the vertex's canonical repr, so the engine asks once per vertex
-        and keeps the answer.
+        hashes the vertex's canonical repr, so the engine reads it through a
+        :class:`Placement`, which asks once per vertex and keeps the answer.
         """
         return stable_hash(vertex_id) % self.processors
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Protocol, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Protocol, Tuple
 
 from ..exceptions import VertexCentricError
 from ..runtime import Executor, Partitioner, WorkAccount
-from .cost_model import VertexCentricCostModel
-from .message import Message, VertexId
+from .cost_model import Placement, VertexCentricCostModel
+from .message import Message, VertexId, next_sequence
 from .scheduler import AsyncScheduler
 
 
@@ -32,14 +32,17 @@ class VertexContext(WorkAccount):
 
     Work accounting (``add_work`` / named counters / scratch space) comes from
     the shared :class:`repro.runtime.WorkAccount`, the same base the MapReduce
-    task context uses.
+    task context uses.  A drain makes **one** context and points it at each
+    message in turn (``vertex_id``; ``work`` restarts at the one unit a
+    delivery costs), so a program must not keep it.
     """
 
     error_class = VertexCentricError
 
-    def __init__(self, engine: "VertexCentricEngine", vertex_id: VertexId) -> None:
+    def __init__(self, engine: "VertexCentricEngine", vertex_id: VertexId = None) -> None:
         super().__init__()
         self._engine = engine
+        self._vertices = engine._vertices
         self.vertex_id = vertex_id
 
     def state(self, vertex_id: Optional[VertexId] = None) -> object:
@@ -48,7 +51,12 @@ class VertexContext(WorkAccount):
         Reading another vertex's state models the paper's "send a message to
         (e1, e2) to check Flag" shortcut without simulating the extra hop.
         """
-        return self._engine.vertex_state(vertex_id if vertex_id is not None else self.vertex_id)
+        if vertex_id is None:
+            vertex_id = self.vertex_id
+        try:
+            return self._vertices[vertex_id]
+        except KeyError:
+            return self._engine.vertex_state(vertex_id)  # raises the typed error
 
     def send(
         self,
@@ -57,33 +65,10 @@ class VertexContext(WorkAccount):
         priority: int = 0,
     ) -> None:
         """Send *payload* to *target* asynchronously."""
-        self._engine._send(Message.create(target, payload, sender=self.vertex_id, priority=priority))
+        self._engine._send((priority, next_sequence(), target, self.vertex_id, payload))
 
     def has_vertex(self, vertex_id: VertexId) -> bool:
-        return self._engine.has_vertex(vertex_id)
-
-
-class _SuperstepContext(VertexContext):
-    """Context used under partitioned execution: sends go through the task."""
-
-    def __init__(self, engine: "VertexCentricEngine", vertex_id: VertexId, task) -> None:
-        super().__init__(engine, vertex_id)
-        self._task = task
-
-    def send(self, target: VertexId, payload: object, priority: int = 0) -> None:
-        self._task.route(target, payload, self.vertex_id, priority)
-
-
-class _Placement(dict):
-    """Vertex → hosting worker, hashed when a vertex is first addressed."""
-
-    def __init__(self, worker_for: Callable[[VertexId], int]) -> None:
-        super().__init__()
-        self._worker_for = worker_for
-
-    def __missing__(self, vertex_id: VertexId) -> int:
-        worker = self[vertex_id] = self._worker_for(vertex_id)
-        return worker
+        return vertex_id in self._vertices
 
 
 class VertexProgram(Protocol):
@@ -113,14 +98,24 @@ class VertexCentricEngine:
         max_messages: Optional[int] = None,
         executor: Optional[Executor] = None,
         partitioner: Optional[Partitioner] = None,
+        placement: Optional[Placement] = None,
     ) -> None:
+        """*placement* is a table an earlier engine of the same size filled
+        (see :class:`~repro.vertexcentric.cost_model.Placement`); without one
+        the engine starts its own."""
         if processors < 1:
             raise VertexCentricError(f"processors must be >= 1, got {processors}")
+        if placement is None:
+            placement = Placement(processors)
+        elif placement.processors != processors:
+            raise VertexCentricError(
+                f"placement table is for {placement.processors} workers, not {processors}"
+            )
         self._program = program
         self._processors = processors
         self._vertices: Dict[VertexId, object] = {}
         self.cost_model = VertexCentricCostModel(processors=processors)
-        self._worker_of = _Placement(self.cost_model.worker_for)
+        self._worker_of = placement
         self._scheduler = AsyncScheduler(processors, self._worker_of.__getitem__)
         self._max_messages = max_messages
         self.stats = EngineStats()
@@ -179,13 +174,13 @@ class VertexCentricEngine:
     # ------------------------------------------------------------------ #
 
     def _send(self, message: Message) -> None:
-        if message.target not in self._vertices:
+        if message[2] not in self._vertices:
             # messages to non-existent product-graph nodes are silently dropped,
             # like messages to filtered-out candidate pairs in the paper
             self.stats.messages_dropped += 1
             return
         self._scheduler.enqueue(message)
-        self.cost_model.record_message_sent()
+        self.cost_model.messages_sent += 1
         self.stats.messages_sent += 1
 
     def post(self, target: VertexId, payload: object, priority: int = 0) -> None:
@@ -198,7 +193,7 @@ class VertexCentricEngine:
             self.cost_model.record_message_sent()
             self.stats.messages_sent += 1
             return
-        self._send(Message.create(target, payload, sender=None, priority=priority))
+        self._send((priority, next_sequence(), target, None, payload))
 
     def run(self) -> None:
         """Process messages until none are in flight.
@@ -209,25 +204,33 @@ class VertexCentricEngine:
         :mod:`repro.vertexcentric.parallel`); results are identical for every
         executor kind.
         """
-        if self._executor is None:
-            self._scheduler.run(self._handle, max_messages=self._max_messages)
+        if self._executor is not None:
+            from .parallel import PartitionedRun
+
+            PartitionedRun(self, self._executor, self._partitioner).run()
             return
-        from .parallel import PartitionedRun
+        # The drain's one context lives in this frame and dies with it.  Kept
+        # on the engine it would close a cycle (engine -> context -> engine),
+        # and every finished run would wait for the cycle collector.
+        context = VertexContext(self)
+        on_message = self._program.on_message
+        vertices, worker_of = self._vertices, self._worker_of
+        worker_work = self.cost_model.worker_work
 
-        PartitionedRun(self, self._executor, self._partitioner).run()
+        def handle(message: Message) -> None:
+            target = context.vertex_id = message[2]
+            context.work = 1
+            on_message(target, vertices[target], message[4], context)
+            worker_work[worker_of[target]] += context.work
 
-    def _superstep_context(self, vertex_id: VertexId, task) -> VertexContext:
-        """Build the message-handling context of a partitioned task."""
-        return _SuperstepContext(self, vertex_id, task)
-
-    def _handle(self, message: Message) -> None:
-        context = VertexContext(self, message.target)
-        state = self.vertex_state(message.target)
-        context.add_work(1)
-        self._program.on_message(message.target, state, message.payload, context)
-        self.cost_model.add_work(self._worker_of[message.target], context.work)
-        self.cost_model.record_message_processed()
-        self.stats.messages_processed += 1
+        scheduler_stats = self._scheduler.stats
+        before = scheduler_stats.processed
+        try:
+            self._scheduler.run(handle, max_messages=self._max_messages)
+        finally:
+            processed = scheduler_stats.processed - before
+            self.cost_model.record_message_processed(processed)
+            self.stats.messages_processed += processed
 
     def simulated_seconds(self) -> float:
         """Simulated cluster seconds of the whole run."""

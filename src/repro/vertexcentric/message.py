@@ -9,29 +9,30 @@ the target vertex and an optional priority used by prioritized propagation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Hashable, NamedTuple, Optional
 
 #: Vertices are identified by hashable ids (EM uses entity-pair tuples).
 VertexId = Hashable
 
-_sequence = itertools.count()
+#: Draws the process-wide send order; see :class:`Message`.
+next_sequence = itertools.count().__next__
 
 
-@dataclass(order=True)
-class Message:
-    """One message in flight.
+class Message(NamedTuple):
+    """One message in flight: what a priority queue of the engine holds.
 
-    Messages are ordered by (priority, sequence) so that a priority queue pops
-    the most promising message first while remaining deterministic; lower
-    priority values are processed earlier.
+    A queue pops the lowest ``(priority, sequence)`` first: the most
+    promising message, in send order among equals.  The sequence number is
+    unique, so comparing two entries never reaches the target, the sender or
+    the payload — none of which need be orderable — and the whole comparison
+    is the tuple's own, in C.  The drains push plain 5-tuples of this layout.
     """
 
     priority: int
-    sequence: int = field(compare=True)
-    target: VertexId = field(compare=False, default=None)
-    sender: Optional[VertexId] = field(compare=False, default=None)
-    payload: object = field(compare=False, default=None)
+    sequence: int
+    target: VertexId = None
+    sender: Optional[VertexId] = None
+    payload: object = None
 
     @classmethod
     def create(
@@ -41,10 +42,4 @@ class Message:
         sender: Optional[VertexId] = None,
         priority: int = 0,
     ) -> "Message":
-        return cls(
-            priority=priority,
-            sequence=next(_sequence),
-            target=target,
-            sender=sender,
-            payload=payload,
-        )
+        return cls(priority, next_sequence(), target, sender, payload)

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import VertexCentricError
 from ..runtime import Executor, HashPartitioner, Partitioner
+from .engine import VertexContext
 from .message import Message, VertexId
 
 #: A message crossing a partition boundary: (priority, target, sender, payload).
@@ -69,32 +70,37 @@ class SuperstepOutcome:
     work_by_sim_worker: List[int] = field(default_factory=list)
 
 
+class _SuperstepContext(VertexContext):
+    """The context of a partitioned task: sends go through the task."""
+
+    def __init__(self, engine, task: "_SuperstepTask") -> None:
+        super().__init__(engine)
+        self._task = task
+
+    def send(self, target: VertexId, payload: object, priority: int = 0) -> None:
+        self._task.route(target, payload, self.vertex_id, priority)
+
+
 class _SuperstepTask:
     """Drains one partition's inbox against the worker's engine replica."""
 
     def __init__(self, engine, worker_id: int, inbox: List[MailboxEntry]) -> None:
         self._engine = engine
         self.worker_id = worker_id
-        self.heap: List[Message] = []
         # inbox messages keep their arrival order via sequence numbers 0..n-1;
         # locally generated messages continue the sequence, so the heap order
         # is a pure function of (canonical, inbox) in any executor.
-        self._next_sequence = 0
-        for priority, target, sender, payload in inbox:
-            heapq.heappush(
-                self.heap,
-                Message(priority, self._sequence(), target, sender, payload),
-            )
+        self.heap: List[Message] = [
+            (priority, sequence, target, sender, payload)
+            for sequence, (priority, target, sender, payload) in enumerate(inbox)
+        ]
+        heapq.heapify(self.heap)
+        self._next_sequence = len(inbox)
         self.outbox: List[MailboxEntry] = []
         self.processed = 0
         self.sent = 0
         self.dropped = 0
         self.work_by_sim_worker = [0] * engine.cost_model.processors
-
-    def _sequence(self) -> int:
-        value = self._next_sequence
-        self._next_sequence += 1
-        return value
 
     def route(
         self, target: VertexId, payload: object, sender: Optional[VertexId], priority: int
@@ -106,24 +112,27 @@ class _SuperstepTask:
         self.sent += 1
         if self._engine._partition_of[target] == self.worker_id:
             heapq.heappush(
-                self.heap,
-                Message(priority, self._sequence(), target, sender, payload),
+                self.heap, (priority, self._next_sequence, target, sender, payload)
             )
+            self._next_sequence += 1
         else:
             self.outbox.append((priority, target, sender, payload))
 
     def drain(self) -> None:
         engine = self._engine
-        program = engine._program
-        worker_of = engine._worker_of
+        on_message = engine._program.on_message
+        vertices, worker_of = engine._vertices, engine._worker_of
+        work_by_sim_worker, heap, pop = self.work_by_sim_worker, self.heap, heapq.heappop
         budget = engine._max_messages
-        while self.heap:
-            message = heapq.heappop(self.heap)
-            context = engine._superstep_context(message.target, self)
-            state = engine.vertex_state(message.target)
-            context.add_work(1)
-            program.on_message(message.target, state, message.payload, context)
-            self.work_by_sim_worker[worker_of[message.target]] += context.work
+        # one context per task, in this frame: the serial drain's design
+        # (see VertexCentricEngine.run)
+        context = _SuperstepContext(engine, self)
+        while heap:
+            message = pop(heap)
+            target = context.vertex_id = message[2]
+            context.work = 1
+            on_message(target, vertices[target], message[4], context)
+            work_by_sim_worker[worker_of[target]] += context.work
             self.processed += 1
             if budget is not None and self.processed > budget:
                 raise VertexCentricError(

@@ -48,11 +48,12 @@ class AsyncScheduler:
 
     def enqueue(self, message: Message) -> None:
         """Route *message* to the queue of the worker hosting its target."""
-        heapq.heappush(self._queues[self._worker_for(message.target)], message)
-        self.stats.enqueued += 1
+        heapq.heappush(self._queues[self._worker_for(message[2])], message)
+        stats = self.stats
+        stats.enqueued += 1
         self._pending += 1
-        if self._pending > self.stats.max_queue_length:
-            self.stats.max_queue_length = self._pending
+        if self._pending > stats.max_queue_length:
+            stats.max_queue_length = self._pending
 
     def pending(self) -> int:
         """Total number of messages waiting in all queues."""
@@ -77,21 +78,23 @@ class AsyncScheduler:
         of messages processed.  ``max_messages`` is a safety valve against
         runaway algorithms (an exception is raised when it is exceeded).
         """
+        queues, stats, pop = self._queues, self.stats, heapq.heappop
         processed = 0
-        while self.has_pending():
-            self.stats.turns += 1
-            for worker in range(self._num_workers):
-                queue = self._queues[worker]
-                if not queue:
-                    continue
-                message = heapq.heappop(queue)
-                self._pending -= 1
-                handler(message)
-                processed += 1
-                self.stats.processed += 1
-                if max_messages is not None and processed > max_messages:
-                    raise VertexCentricError(
-                        f"message budget exceeded ({max_messages}); "
-                        "the vertex program appears not to terminate"
-                    )
+        try:
+            while self._pending:
+                stats.turns += 1
+                for queue in queues:
+                    if not queue:
+                        continue
+                    message = pop(queue)
+                    self._pending -= 1
+                    handler(message)
+                    processed += 1
+                    if max_messages is not None and processed > max_messages:
+                        raise VertexCentricError(
+                            f"message budget exceeded ({max_messages}); "
+                            "the vertex program appears not to terminate"
+                        )
+        finally:
+            stats.processed += processed
         return processed

@@ -200,7 +200,7 @@ def test_rebased_edge_count_equals_a_fresh_count_and_reads_rows_not_predicates(
         rebased_count, rebased_calls = reads(rebased)
         assert rebased_count == fresh_count
         assert rebased_calls <= fresh_calls <= bound
-        assert rebased._edge_counts == fresh._edge_counts
+        assert rebased._forward == fresh._forward
         rebased_reads += rebased_calls
         fresh_reads += fresh_calls
     # untouched nodes carried their counts: the stream read fewer rows

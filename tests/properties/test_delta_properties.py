@@ -43,6 +43,7 @@ from repro.core.graph import Graph
 from repro.core.neighborhood import NeighborhoodIndex
 from repro.core.triples import Literal, is_entity_ref
 from repro.exceptions import StoreFormatError, StoreMissError
+from repro.runtime import stable_hash
 from repro.matching.incremental import (
     DependencyWorklist,
     extra_dependency_edges,
@@ -770,3 +771,118 @@ def test_rekeyed_session_equals_fresh_chase(backend, seed):
         assert session.rerun().eq.pairs() == chase(graph, new_keys).pairs()
     info = session.cache_info()
     assert info.snapshot_builds == 1
+
+
+# --------------------------------------------------------------------------- #
+# what the product graph remembers: carried or recomputed ≡ a fresh Gp
+# --------------------------------------------------------------------------- #
+
+
+def _remembered_rows(product_graph):
+    """``{(node, predicate, forward): list}`` of every remembered entry."""
+    rows = {}
+    for forward, table in ((True, product_graph._forward), (False, product_graph._backward)):
+        for node, row in table.items():
+            for predicate, found in row.items():
+                rows[(node, predicate, forward)] = found
+    return rows
+
+
+def _read_every_row(product_graph, predicates):
+    for node in list(product_graph.nodes()):
+        for predicate in predicates:
+            product_graph.forward_neighbors(node, predicate)
+            product_graph.backward_neighbors(node, predicate)
+
+
+@pytest.mark.parametrize("blocking", ["off", "auto"])
+@pytest.mark.parametrize("seed", [6, 8, 19, 24, 27, 47])
+def test_remembered_adjacency_equals_a_fresh_product_graph_after_every_window(seed, blocking):
+    """Multi-op windows with retypes, a literal dying and returning, a triple
+    removed and re-added: after every ``rebased()`` each remembered row —
+    carried across the window, then recomputed on demand — is the list a
+    fresh ``ProductGraph`` returns, ``count_edges()`` is the fresh count, and
+    the placement tables hold no node that left ``Gp``.  The seeds are the
+    ones (of 0..39) on which a weakened carry rule goes stale: 6, 8, 19 and 24
+    carry a literal pair's backward row across a value edit without the
+    entity-pair condition, 6, 24 and 27 miss a neighbour that changed
+    membership without the ``moved`` set, every seed without the affected
+    check."""
+    from repro.matching.product_graph import ProductGraph
+
+    dataset = fuzz_dataset(seed)
+    graph, keys = dataset.graph, dataset.keys
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking=blocking)
+    session.run()
+    session.run("EMVC", processors=3)  # a second placement table
+    arts = session._artifacts
+    request = dict(filtered=True, reduce_neighborhoods=False, blocking=blocking)
+    _read_every_row(arts.product_graph(**request), sorted(graph.predicates()))
+
+    rng = random.Random(seed)
+    carried_total = 0
+    for window in range(8):
+        for _ in range(rng.randint(1, 3)):
+            apply_random_mutation(graph, rng)
+        scripted_window(graph, window)
+        arts.refresh()
+        rebased = arts.product_graph(**request)
+        assert arts.cache_info().product_graph_builds == 1  # rebased, not rebuilt
+        fresh = ProductGraph(arts.snapshot(), keys, arts.candidates(**request))
+        predicates = sorted(graph.predicates())
+
+        def expected(node, predicate, forward):
+            neighbors = fresh.forward_neighbors if forward else fresh.backward_neighbors
+            return neighbors(node, predicate)
+
+        carried = _remembered_rows(rebased)
+        carried_total += len(carried)
+        for (node, predicate, forward), found in carried.items():
+            assert found == expected(node, predicate, forward), (window, node, predicate, forward)
+        for node, row in rebased._forward.items():  # a forward row is complete
+            assert row == {p: expected(node, p, True) for p in predicates if expected(node, p, True)}
+        assert rebased.count_edges() == fresh.count_edges()
+        live = set(rebased.nodes())
+        assert {3, session.config.processors} <= set(rebased._placements)
+        for placement in rebased._placements.values():
+            assert set(placement) <= live
+            assert all(worker == stable_hash(node) % placement.processors
+                       for node, worker in placement.items())
+
+        _read_every_row(rebased, predicates)
+        for (node, predicate, forward), found in _remembered_rows(rebased).items():
+            assert found == expected(node, predicate, forward), (window, node, predicate, forward)
+        for node in live:
+            for predicate in predicates:
+                for forward in (True, False):
+                    assert rebased.neighbors(node, predicate, forward, True) == sorted(
+                        expected(node, predicate, forward), key=fresh._priority_key
+                    )
+        assert session.rerun().eq.pairs() == chase(graph, keys).pairs()
+    assert carried_total > 0  # the windows did carry rows across
+
+
+def test_what_the_product_graph_remembers_is_not_pickled():
+    """A warm product graph ships to process workers as a cold one does."""
+    from repro.matching.product_graph import ProductGraph
+
+    dataset = fuzz_dataset(11)
+    session = MatchSession(dataset.graph).with_keys(dataset.keys).using("EMOptVC")
+    reference = session.run()
+    arts = session._artifacts
+    flavour = dict(filtered=True, blocking=session.config.blocking)
+    warm_graph = arts.product_graph(**flavour)
+    assert warm_graph._forward and warm_graph._send_order and warm_graph._placements
+    cold_graph = ProductGraph(
+        arts.snapshot(), dataset.keys, arts.candidates(**flavour),
+        dependents=arts.dependency_map(**flavour),
+    )
+    assert len(pickle.dumps(warm_graph)) == len(pickle.dumps(cold_graph))
+    clone = pickle.loads(pickle.dumps(warm_graph))
+    assert not (clone._forward or clone._backward or clone._send_order or clone._placements)
+    assert clone.count_edges() == warm_graph.count_edges()
+
+    # ... and a process-executor run after the warm serial one is bit-identical
+    parallel = session.run(executor="process", workers=2)
+    assert parallel.eq.pairs() == reference.eq.pairs()
+    assert parallel.stats == session.run(executor="serial", workers=2).stats

@@ -105,3 +105,139 @@ class TestEngine:
         engine.post("b", "a")
         engine.run()
         assert engine.vertex_state("b").value == 15
+
+
+class Unorderable:
+    """A payload that must never be compared."""
+
+    def __lt__(self, other):  # pragma: no cover - the point is that it never runs
+        raise AssertionError("the heap compared two payloads")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+class ScriptedProgram:
+    """Fans a token out along a fixed script: some sends at low priority, one
+    to a vertex that does not exist."""
+
+    SCRIPT = {
+        "a": [("b", 0), ("c", 5), ("d", 0)],
+        "b": [("e", 0), ("f", 0), ("ghost", 0)],
+        "c": [("a", 0)],
+        "d": [("e", 5), ("b", 0)],
+        "e": [("f", 0)],
+        "f": [],
+    }
+
+    def on_message(self, vertex_id, state, payload, context):
+        state.log.append(payload)
+        context.add_work(len(state.log))
+        if payload >= 3:
+            return
+        for target, priority in self.SCRIPT[vertex_id]:
+            context.send(target, payload + 1, priority=priority)
+
+
+class TestEngineContract:
+    """What a faster drain must not change.  The numbers were written down
+    from the engine as it stood before its drain was rewritten (one context
+    and one dataclass message per delivery)."""
+
+    def test_scripted_three_worker_run_keeps_every_counter(self):
+        engine = VertexCentricEngine(ScriptedProgram(), processors=3)
+        for vertex in "abcdef":
+            engine.add_vertex(vertex, CounterState())
+        engine.post("a", 0)
+        engine.post("d", 1, priority=5)
+        engine.run()
+        assert vars(engine._scheduler.stats) == {
+            "enqueued": 22, "processed": 22, "max_queue_length": 7, "turns": 8,
+        }
+        assert vars(engine.stats) == {
+            "vertices": 6, "messages_sent": 22, "messages_processed": 22, "messages_dropped": 3,
+        }
+        model = engine.cost_model
+        assert [model.worker_for(vertex) for vertex in "abcdef"] == [2, 0, 0, 1, 1, 2]
+        assert model.worker_work == [19, 29, 32]
+        assert (model.messages_sent, model.messages_processed) == (22, 22)
+        # the delivery order at every vertex: (priority, send order) per worker
+        assert {vertex: engine.vertex_state(vertex).log for vertex in "abcdef"} == {
+            "a": [0, 2], "b": [2, 1, 2, 3], "c": [1, 3], "d": [1, 1, 3],
+            "e": [3, 2, 3, 2, 2], "f": [3, 2, 3, 3, 3, 3],
+        }
+
+    def test_queue_order_never_compares_targets_or_payloads(self):
+        class Relay:
+            def on_message(self, vertex_id, state, payload, context):
+                state.log.append(payload)
+                if vertex_id == "hub":
+                    for target in (1, "one", (1, "one"), (1, 1)):  # mutually unorderable
+                        context.send(target, Unorderable())
+
+        engine = VertexCentricEngine(Relay(), processors=1)
+        for vertex in ("hub", 1, "one", (1, "one"), (1, 1)):
+            engine.add_vertex(vertex, CounterState())
+        engine.post("hub", Unorderable())
+        engine.post("hub", Unorderable())
+        engine.run()
+        assert engine.stats.messages_processed == 10
+        assert [len(engine.vertex_state(v).log) for v in (1, "one", (1, "one"), (1, 1))] == [2] * 4
+
+    def test_message_budget_raises_at_the_same_count(self):
+        class LoopProgram:
+            def on_message(self, vertex_id, state, payload, context):
+                context.send(vertex_id, payload)
+
+        engine = VertexCentricEngine(LoopProgram(), processors=1, max_messages=50)
+        engine.add_vertex("a", CounterState())
+        engine.post("a", 0)
+        with pytest.raises(VertexCentricError, match=r"message budget exceeded \(50\)"):
+            engine.run()
+        # the 51st delivery trips the valve, and is counted
+        assert engine._scheduler.stats.processed == 51
+        assert engine.stats.messages_processed == 51
+        assert engine.cost_model.messages_processed == 51
+        assert engine.stats.messages_sent == engine._scheduler.stats.enqueued == 52
+        assert engine.cost_model.worker_work == [51]
+
+    def test_post_and_send_to_unknown_vertices_are_dropped_and_counted(self):
+        engine = VertexCentricEngine(PropagateProgram({"a": "ghost"}), processors=2)
+        engine.add_vertex("a", CounterState())
+        engine.post("phantom", 1)
+        engine.post("a", 1)
+        engine.run()
+        assert engine.stats.messages_dropped == 2
+        assert engine.stats.messages_sent == engine.stats.messages_processed == 1
+        assert engine._scheduler.stats.enqueued == 1
+
+    def test_context_state_of_an_unknown_vertex_is_a_typed_error(self):
+        class PeekGhost:
+            def on_message(self, vertex_id, state, payload, context):
+                assert context.state() is state and context.has_vertex(vertex_id)
+                assert not context.has_vertex("ghost")
+                context.state("ghost")
+
+        engine = VertexCentricEngine(PeekGhost(), processors=1)
+        engine.add_vertex("a", CounterState())
+        engine.post("a", 1)
+        with pytest.raises(VertexCentricError, match="unknown vertex 'ghost'"):
+            engine.run()
+
+    def test_a_placement_table_outlives_its_engine(self):
+        from repro.vertexcentric.cost_model import Placement
+
+        def run(placement):
+            engine = VertexCentricEngine(ScriptedProgram(), processors=3, placement=placement)
+            for vertex in "abcdef":
+                engine.add_vertex(vertex, CounterState())
+            engine.post("a", 0)
+            engine.run()
+            return engine.cost_model
+
+        table = Placement(3)
+        reference = run(None)
+        assert run(table).worker_work == reference.worker_work
+        assert table == {vertex: reference.worker_for(vertex) for vertex in "abcdef"}
+        assert run(table).worker_work == reference.worker_work  # read, not re-hashed
+        with pytest.raises(VertexCentricError, match="placement table is for 3 workers"):
+            VertexCentricEngine(ScriptedProgram(), processors=4, placement=table)

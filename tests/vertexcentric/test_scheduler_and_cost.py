@@ -64,6 +64,20 @@ class TestAsyncScheduler:
         scheduler.run(lambda message: seen.append(message.payload))
         assert seen == ["high priority", "low priority"]
 
+    def test_equal_priorities_pop_in_send_order_whatever_they_carry(self):
+        """An entry is ``(priority, sequence, target, sender, payload)`` and the
+        sequence is unique: the order is decided before the target is reached."""
+        scheduler = AsyncScheduler(1, worker_for=lambda v: 0)
+        targets = [1, "one", (1, "one"), None, (1, 1), 1.5]  # mutually unorderable
+        for target in targets:
+            scheduler.enqueue(Message.create(target, object()))  # so are the payloads
+        first, second = Message.create("v", None), Message.create("v", None)
+        assert first < second and first[:2] == (0, first.sequence)
+        assert tuple(first) == (first.priority, first.sequence, "v", None, None)
+        seen = []
+        scheduler.run(lambda message: seen.append(message.target))
+        assert seen == targets
+
     def test_message_budget(self):
         scheduler = AsyncScheduler(1, worker_for=lambda v: 0)
 
@@ -73,6 +87,8 @@ class TestAsyncScheduler:
         scheduler.enqueue(Message.create("v", None))
         with pytest.raises(VertexCentricError):
             scheduler.run(handler, max_messages=10)
+        # the 11th message tripped the valve and is counted
+        assert scheduler.stats.processed == 11 and scheduler.pending() == 1
 
     def test_invalid_worker_count(self):
         with pytest.raises(VertexCentricError):
