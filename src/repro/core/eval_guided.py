@@ -17,7 +17,12 @@ feasibility conditions are:
   the node's type; constants require ``s1 = s2 = d``.
 * **Guided expansion** — for every pattern triple incident to the node whose
   other endpoint is instantiated, the corresponding edges must exist in both
-  neighbourhoods.
+  neighbourhoods; a self-loop ``(n, p, n)`` must exist on both images.
+
+The search walks :attr:`GraphPattern.guided_plan
+<repro.core.pattern.GraphPattern.guided_plan>`, compiled once per key: slot
+lists in place of a by-name vector, and guided expansion enforced by how the
+candidates are generated rather than re-checked on each of them.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .equivalence import EquivalenceRelation
 from .graph import Graph
 from .key import Key
-from .pattern import GraphPattern, NodeKind, PatternNode
-from .triples import GraphNode, Literal, is_entity_ref
+from .pattern import NodeKind, PlanStep
+from .triples import GraphNode, Literal
 
 #: The instantiation vector maps pattern-node names to pairs of graph nodes.
 PairAssignment = Dict[str, Tuple[GraphNode, GraphNode]]
@@ -112,28 +117,28 @@ class GuidedPairEvaluator:
         graph nodes it was instantiated with; ``None`` when the key does not
         identify the pair.  The witness is what proof graphs record.
         """
-        self.stats.calls += 1
+        stats = self.stats
+        stats.calls += 1
         graph = self._graph
-        pattern = key.pattern
-        designated = pattern.designated
+        steps = key.pattern.guided_plan
+        designated = steps[0]
         if not graph.has_entity(e1) or not graph.has_entity(e2):
             return None
         if graph.entity_type(e1) != designated.etype:
             return None
         if graph.entity_type(e2) != designated.etype:
             return None
+        for predicate in designated.loops:
+            if not (graph.has_triple(e1, predicate, e1) and graph.has_triple(e2, predicate, e2)):
+                return None
 
-        assignment: PairAssignment = {designated.name: (e1, e2)}
-        used1: Set[GraphNode] = {e1}
-        used2: Set[GraphNode] = {e2}
-        order = pattern.instantiation_order
-        found = self._extend(
-            pattern, order, 1, assignment, used1, used2, eq, neighborhood1, neighborhood2
-        )
-        if not found:
+        # slot i holds the images of steps[i] on either side
+        left: List[GraphNode] = [e1]
+        right: List[GraphNode] = [e2]
+        if not self._extend(steps, left, right, {e1}, {e2}, eq, neighborhood1, neighborhood2):
             return None
-        self.stats.successes += 1
-        return dict(assignment)
+        stats.successes += 1
+        return {step.name: pair for step, pair in zip(steps, zip(left, right))}
 
     def identify_with_any(
         self,
@@ -156,149 +161,85 @@ class GuidedPairEvaluator:
 
     def _extend(
         self,
-        pattern: GraphPattern,
-        order: Sequence[PatternNode],
-        position: int,
-        assignment: PairAssignment,
+        steps: Sequence[PlanStep],
+        left: List[GraphNode],
+        right: List[GraphNode],
         used1: Set[GraphNode],
         used2: Set[GraphNode],
         eq: EquivalenceRelation,
         neighborhood1: Optional[Set[GraphNode]],
         neighborhood2: Optional[Set[GraphNode]],
     ) -> bool:
-        if position == len(order):
+        """Fill the next slot with each feasible pair in turn, depth first.
+
+        The candidates on each side are the intersection of the stored rows
+        the step's anchors name — so every pair already has the image of
+        each pattern triple tying the node to an earlier slot ('Guided
+        expansion'), and a string among them is a registered entity — then
+        narrowed to the neighbourhood and to nodes carrying the step's
+        self-loops.  The rows are the reader's own sets: never updated in
+        place.  Pairs are tried in ``repr`` order, which fixes the witness
+        and every counter.
+        """
+        position = len(left)
+        if position == len(steps):
             return True
-        node = order[position]
-        for n1, n2 in self._candidate_pairs(
-            pattern, node, assignment, neighborhood1, neighborhood2
-        ):
-            self.stats.feasibility_checks += 1
+        _, kind, etype, value, anchors, loops = steps[position]
+        graph = self._graph
+        found1 = found2 = None
+        for is_subject, predicate, slot in anchors:
+            if is_subject:
+                row1 = graph.subjects(predicate, left[slot])
+                row2 = graph.subjects(predicate, right[slot])
+            else:
+                row1 = graph.objects(left[slot], predicate)
+                row2 = graph.objects(right[slot], predicate)
+            found1 = row1 if found1 is None else found1 & row1
+            found2 = row2 if found2 is None else found2 & row2
+            if not found1 or not found2:
+                return False
+        if neighborhood1 is not None:
+            found1 = found1 & neighborhood1
+        if neighborhood2 is not None:
+            found2 = found2 & neighborhood2
+        for predicate in loops:
+            found1 = [n for n in found1 if graph.has_triple(n, predicate, n)]
+            found2 = [n for n in found2 if graph.has_triple(n, predicate, n)]
+        pairs = [(n1, n2) for n1 in found1 for n2 in found2]
+        if len(pairs) > 1:
+            pairs.sort(key=repr)
+
+        stats = self.stats
+        for n1, n2 in pairs:
+            stats.feasibility_checks += 1
             if n1 in used1 or n2 in used2:
                 continue
-            if not self._equality_ok(node, n1, n2, eq):
-                continue
-            if not self._expansion_ok(pattern, node, n1, n2, assignment):
-                continue
-            assignment[node.name] = (n1, n2)
+            # the 'Equality' condition
+            if kind is NodeKind.VALUE_VAR:
+                if not (isinstance(n1, Literal) and n1 == n2):
+                    continue
+            elif kind is NodeKind.CONSTANT:
+                if not (isinstance(n1, Literal) and isinstance(n2, Literal)):
+                    continue
+                if not (n1.value == value and n2.value == value):
+                    continue
+            else:  # ENTITY_VAR or WILDCARD: two entities of the node's type
+                if not (isinstance(n1, str) and isinstance(n2, str)):
+                    continue
+                if graph.entity_type(n1) != etype or graph.entity_type(n2) != etype:
+                    continue
+                if kind is NodeKind.ENTITY_VAR and not eq.identified(n1, n2):
+                    continue
+            left.append(n1)
+            right.append(n2)
             used1.add(n1)
             used2.add(n2)
-            self.stats.expansions += 1
-            if self._extend(
-                pattern,
-                order,
-                position + 1,
-                assignment,
-                used1,
-                used2,
-                eq,
-                neighborhood1,
-                neighborhood2,
-            ):
+            stats.expansions += 1
+            if self._extend(steps, left, right, used1, used2, eq, neighborhood1, neighborhood2):
                 return True
-            del assignment[node.name]
+            left.pop()
+            right.pop()
             used1.discard(n1)
             used2.discard(n2)
-            self.stats.backtracks += 1
+            stats.backtracks += 1
         return False
-
-    def _candidate_pairs(
-        self,
-        pattern: GraphPattern,
-        node: PatternNode,
-        assignment: PairAssignment,
-        neighborhood1: Optional[Set[GraphNode]],
-        neighborhood2: Optional[Set[GraphNode]],
-    ) -> List[Tuple[GraphNode, GraphNode]]:
-        """Candidate pairs for *node*, guided by instantiated neighbours."""
-        graph = self._graph
-        candidates1: Optional[Set[GraphNode]] = None
-        candidates2: Optional[Set[GraphNode]] = None
-        for triple in pattern.adjacent_triples(node.name):
-            if triple.subject.name == node.name and triple.obj.name in assignment:
-                o1, o2 = assignment[triple.obj.name]
-                found1: Set[GraphNode] = set(graph.subjects(triple.predicate, o1))
-                found2: Set[GraphNode] = set(graph.subjects(triple.predicate, o2))
-            elif triple.obj.name == node.name and triple.subject.name in assignment:
-                s1, s2 = assignment[triple.subject.name]
-                if not (is_entity_ref(s1) and is_entity_ref(s2)):
-                    return []
-                found1 = set(graph.objects(s1, triple.predicate))
-                found2 = set(graph.objects(s2, triple.predicate))
-            else:
-                continue
-            candidates1 = found1 if candidates1 is None else candidates1 & found1
-            candidates2 = found2 if candidates2 is None else candidates2 & found2
-            if not candidates1 or not candidates2:
-                return []
-        if candidates1 is None or candidates2 is None:
-            # No instantiated neighbour yet; since the order is connected this
-            # only happens for the designated node, which is pre-assigned.
-            return []
-        if neighborhood1 is not None:
-            candidates1 &= neighborhood1
-        if neighborhood2 is not None:
-            candidates2 &= neighborhood2
-        pairs = [(n1, n2) for n1 in candidates1 for n2 in candidates2]
-        pairs.sort(key=repr)
-        return pairs
-
-    def _equality_ok(
-        self,
-        node: PatternNode,
-        n1: GraphNode,
-        n2: GraphNode,
-        eq: EquivalenceRelation,
-    ) -> bool:
-        """The 'Equality' feasibility condition of ``EvalMR``."""
-        graph = self._graph
-        if node.kind is NodeKind.CONSTANT:
-            return (
-                isinstance(n1, Literal)
-                and isinstance(n2, Literal)
-                and n1.value == node.value
-                and n2.value == node.value
-            )
-        if node.kind is NodeKind.VALUE_VAR:
-            return isinstance(n1, Literal) and isinstance(n2, Literal) and n1 == n2
-        # entity kinds
-        if not (is_entity_ref(n1) and is_entity_ref(n2)):
-            return False
-        if not (graph.has_entity(n1) and graph.has_entity(n2)):
-            return False
-        if graph.entity_type(n1) != node.etype or graph.entity_type(n2) != node.etype:
-            return False
-        if node.kind is NodeKind.ENTITY_VAR:
-            return eq.identified(n1, n2)
-        # WILDCARD (and DESIGNATED, which is never re-instantiated)
-        return True
-
-    def _expansion_ok(
-        self,
-        pattern: GraphPattern,
-        node: PatternNode,
-        n1: GraphNode,
-        n2: GraphNode,
-        assignment: PairAssignment,
-    ) -> bool:
-        """The 'Guided expansion' feasibility condition of ``EvalMR``."""
-        graph = self._graph
-        for triple in pattern.adjacent_triples(node.name):
-            if triple.subject.name == node.name and triple.obj.name in assignment:
-                o1, o2 = assignment[triple.obj.name]
-                if not (
-                    is_entity_ref(n1)
-                    and is_entity_ref(n2)
-                    and graph.has_triple(n1, triple.predicate, o1)
-                    and graph.has_triple(n2, triple.predicate, o2)
-                ):
-                    return False
-            elif triple.obj.name == node.name and triple.subject.name in assignment:
-                s1, s2 = assignment[triple.subject.name]
-                if not (
-                    is_entity_ref(s1)
-                    and is_entity_ref(s2)
-                    and graph.has_triple(s1, triple.predicate, n1)
-                    and graph.has_triple(s2, triple.predicate, n2)
-                ):
-                    return False
-        return True

@@ -4,114 +4,31 @@ satisfaction (Section 2).
 This module is the *reference* semantics; it enumerates matches explicitly
 (subgraph isomorphism from the pattern into the graph), checks whether two
 matches coincide (``S1(e1) ≅Q S2(e2)``) and decides key satisfaction
-``G |= Q(x)``.  It deliberately favours clarity over speed; the matching
-algorithms of :mod:`repro.matching` use the guided, early-terminating check of
-:mod:`repro.core.eval_guided` instead, and the cross-checks in the test suite
-assert that the two agree.
+``G |= Q(x)``.  It is also the kernel of the ``EMVF2MR`` baseline, whose
+reported cost is this enumeration's: what is fixed is therefore the order —
+nodes in :attr:`GraphPattern.enumeration_plan
+<repro.core.pattern.GraphPattern.enumeration_plan>` order, candidates in
+``repr`` order, so matches are listed, and coincidence checks counted, the same
+way on every reader — and the ``work_counter`` counts; nothing enumerated is
+remembered from one call to the next.  The other matching algorithms use the
+guided, early-terminating check of :mod:`repro.core.eval_guided`, and the
+cross-checks in the test suite assert that the two agree.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..exceptions import UnknownEntityError
 from .equivalence import EquivalenceRelation
 from .graph import Graph
 from .key import Key
-from .pattern import GraphPattern, NodeKind, PatternNode, PatternTriple
+from .pattern import GraphPattern, NodeKind
 from .triples import GraphNode, Literal, Triple, is_entity_ref
 
 #: A valuation maps pattern-node names to graph nodes.
 Valuation = Dict[str, GraphNode]
-
-
-def _node_admissible(
-    graph: Graph,
-    node: PatternNode,
-    candidate: GraphNode,
-) -> bool:
-    """Can *candidate* be the image of pattern node *node* (ignoring identity)?
-
-    This checks the typing discipline of valuations (Section 2.1): entity-kind
-    nodes map to entities of the node's type, value variables map to values,
-    constants map to the exact value.
-    """
-    if node.kind is NodeKind.CONSTANT:
-        return isinstance(candidate, Literal) and candidate.value == node.value
-    if node.kind is NodeKind.VALUE_VAR:
-        return isinstance(candidate, Literal)
-    # entity kinds
-    if not is_entity_ref(candidate) or not graph.has_entity(candidate):
-        return False
-    return graph.entity_type(candidate) == node.etype
-
-
-def _candidate_images(
-    graph: Graph,
-    pattern: GraphPattern,
-    node: PatternNode,
-    valuation: Valuation,
-    restrict: Optional[Set[GraphNode]],
-) -> Set[GraphNode]:
-    """Graph nodes that could extend *valuation* at *node*.
-
-    Candidates are generated from the pattern triples connecting *node* to
-    already-instantiated nodes (guided expansion); when no such triple exists
-    the node is unconstrained so far and all admissible graph nodes are
-    candidates (this only happens transiently because patterns are connected
-    and the search instantiates nodes in a connected order).
-    """
-    candidates: Optional[Set[GraphNode]] = None
-    for triple in pattern.adjacent_triples(node.name):
-        if triple.subject.name == node.name and triple.obj.name in valuation:
-            other = valuation[triple.obj.name]
-            found: Set[GraphNode] = set(graph.subjects(triple.predicate, other))
-        elif triple.obj.name == node.name and triple.subject.name in valuation:
-            other = valuation[triple.subject.name]
-            if not is_entity_ref(other):
-                return set()
-            found = set(graph.objects(other, triple.predicate))
-        else:
-            continue
-        candidates = found if candidates is None else (candidates & found)
-        if not candidates:
-            return set()
-    if candidates is None:
-        # unconstrained: fall back to all nodes of the right kind
-        if node.kind in (NodeKind.VALUE_VAR, NodeKind.CONSTANT):
-            candidates = set(graph.value_nodes())
-        else:
-            candidates = set(graph.entities_of_type(node.etype or ""))
-    if restrict is not None:
-        candidates = candidates & restrict
-    return {c for c in candidates if _node_admissible(graph, node, c)}
-
-
-def _search_order(pattern: GraphPattern) -> List[PatternNode]:
-    """A connected instantiation order starting from the designated variable."""
-    order = [pattern.designated]
-    placed = {pattern.designated.name}
-    remaining = {n.name: n for n in pattern.nodes() if n.name not in placed}
-    while remaining:
-        progressed = False
-        for name, node in sorted(remaining.items()):
-            for triple in pattern.adjacent_triples(name):
-                other = (
-                    triple.obj.name if triple.subject.name == name else triple.subject.name
-                )
-                if other in placed:
-                    order.append(node)
-                    placed.add(name)
-                    del remaining[name]
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:  # pragma: no cover - patterns are validated connected
-            order.extend(remaining.values())
-            break
-    return order
 
 
 def find_matches(
@@ -138,44 +55,72 @@ def find_matches(
     """
     if not graph.has_entity(at_entity):
         raise UnknownEntityError(at_entity)
-    designated = pattern.designated
-    if graph.entity_type(at_entity) != designated.etype:
+    steps = pattern.enumeration_plan
+    if graph.entity_type(at_entity) != steps[0].etype:
         return []
     if restrict is not None and at_entity not in restrict:
         return []
+    for predicate in steps[0].loops:
+        if not graph.has_triple(at_entity, predicate, at_entity):
+            return []
 
-    order = _search_order(pattern)
     matches: List[Valuation] = []
-    valuation: Valuation = {designated.name: at_entity}
+    slots: List[GraphNode] = [at_entity]  # slot i holds the image of steps[i]
     used: Set[GraphNode] = {at_entity}
+    tried = 0
 
-    def count(field: str, amount: int = 1) -> None:
-        if work_counter is not None:
-            work_counter[field] = work_counter.get(field, 0) + amount
-
-    def backtrack(position: int) -> bool:
+    def backtrack() -> bool:
         """Return True when the enumeration should stop (limit reached)."""
-        if position == len(order):
-            matches.append(dict(valuation))
-            count("matches")
+        nonlocal tried
+        position = len(slots)
+        if position == len(steps):
+            matches.append({step.name: image for step, image in zip(steps, slots)})
             return limit is not None and len(matches) >= limit
-        node = order[position]
-        for candidate in sorted(
-            _candidate_images(graph, pattern, node, valuation, restrict), key=repr
-        ):
-            count("candidates")
+        _, kind, etype, value, anchors, loops = steps[position]
+        # guided expansion: the stored rows the anchors name, intersected
+        # (the reader's own sets: never updated in place)
+        found = None
+        for is_subject, predicate, slot in anchors:
+            if is_subject:
+                row = graph.subjects(predicate, slots[slot])
+            else:
+                row = graph.objects(slots[slot], predicate)
+            found = row if found is None else found & row
+            if not found:
+                return False
+        if restrict is not None:
+            found = found & restrict
+        # the typing discipline of valuations (Section 2.1); a string drawn
+        # from a stored row is a registered entity
+        if kind is NodeKind.VALUE_VAR:
+            images = [c for c in found if isinstance(c, Literal)]
+        elif kind is NodeKind.CONSTANT:
+            images = [c for c in found if isinstance(c, Literal) and c.value == value]
+        else:
+            images = [c for c in found if isinstance(c, str) and graph.entity_type(c) == etype]
+        for predicate in loops:
+            images = [c for c in images if graph.has_triple(c, predicate, c)]
+        if len(images) > 1:
+            images.sort(key=repr)
+        for candidate in images:
+            tried += 1
             if candidate in used:
                 continue
-            valuation[node.name] = candidate
+            slots.append(candidate)
             used.add(candidate)
-            stop = backtrack(position + 1)
-            del valuation[node.name]
+            stop = backtrack()
+            slots.pop()
             used.discard(candidate)
             if stop:
                 return True
         return False
 
-    backtrack(1)
+    backtrack()
+    if work_counter is not None:
+        if tried:
+            work_counter["candidates"] = work_counter.get("candidates", 0) + tried
+        if matches:
+            work_counter["matches"] = work_counter.get("matches", 0) + len(matches)
     return matches
 
 

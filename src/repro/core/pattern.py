@@ -160,6 +160,28 @@ class PatternTriple(NamedTuple):
         return f"({self.subject}, {self.predicate}, {self.obj})"
 
 
+class PlanStep(NamedTuple):
+    """One node of a compiled per-pair check; its slot is its place in the plan.
+
+    A plan is a connected order over the pattern's nodes, ``x`` in slot 0.
+    A check fills the slots left to right and reads nothing else of the
+    pattern: a node's candidates are the intersection of the graph rows its
+    *anchors* name, narrowed to those carrying its *loops*.
+    """
+
+    name: str
+    kind: NodeKind
+    etype: Optional[str]
+    value: object
+    #: per incident triple whose other end sits in an earlier slot, in stored
+    #: triple order: (is the node the subject?, predicate, that slot).  Never
+    #: empty past slot 0: the order is connected, and a self-loop's other end
+    #: is the node itself, which no earlier slot holds.
+    anchors: Tuple[Tuple[bool, str, int], ...]
+    #: predicates of the self-loops ``(n, p, n)``: the image must carry each
+    loops: Tuple[str, ...]
+
+
 class GraphPattern:
     """A connected graph pattern ``Q(x)`` with a designated variable ``x``.
 
@@ -168,13 +190,15 @@ class GraphPattern:
     with two different kinds or types), non-empty and connected.
 
     A pattern never changes after construction, so what the per-pair checks
-    read on every call — each node's incident triples and the connected
-    instantiation order — is derived here, once.
+    read on every call — each node's incident triples, the connected
+    instantiation order and the two plans compiled from it — is derived
+    here, once.  All of it is plain tuples, so it pickles with the pattern
+    and a worker process compiles nothing.
     """
 
     __slots__ = (
         "_triples", "_nodes", "_designated", "_adjacency", "_name", "_incident", "_order",
-        "_anchors",
+        "_anchors", "_guided_plan", "_enumeration_plan",
     )
 
     def __init__(
@@ -232,6 +256,8 @@ class GraphPattern:
                     if (t.subject.name if t.obj.name == node.name else t.obj.name) in placed
                 )
             placed.add(node.name)
+        self._guided_plan = self._compile(self._order)
+        self._enumeration_plan = self._compile(self._connected_order(lambda n: n.name))
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -257,11 +283,13 @@ class GraphPattern:
         return seen >= set(self._nodes.keys())
 
     def _instantiation_order(self) -> Tuple[PatternNode, ...]:
-        """A connected order over the pattern nodes, starting from ``x``.
+        """The guided check's order: value-kind nodes adjacent to placed ones
+        first, so that cheap equality conditions prune the search early."""
+        return self._connected_order(lambda n: (not n.is_value, not n.is_constant, n.name))
 
-        Value-kind nodes adjacent to already-placed nodes are preferred so
-        that cheap equality conditions prune a guided search early.
-        """
+    def _connected_order(self, preference) -> Tuple[PatternNode, ...]:
+        """Every node once, ``x`` first, each next to an earlier one; among
+        the nodes that could come next, the one *preference* ranks lowest."""
         order: List[PatternNode] = [self._designated]
         placed = {self._designated.name}
         remaining = {n.name: n for n in self._nodes.values() if n.name not in placed}
@@ -275,11 +303,32 @@ class GraphPattern:
                     for t in self._incident[name]
                 )
             ]
-            chosen = min(frontier, key=lambda n: (not n.is_value, not n.is_constant, n.name))
+            chosen = min(frontier, key=preference)
             order.append(chosen)
             placed.add(chosen.name)
             del remaining[chosen.name]
         return tuple(order)
+
+    def _compile(self, order: Tuple[PatternNode, ...]) -> Tuple[PlanStep, ...]:
+        """*order* as :class:`PlanStep`s: each triple lands once, as a loop of
+        its node or as an anchor of whichever of its ends comes later."""
+        slot = {node.name: index for index, node in enumerate(order)}
+        steps: List[PlanStep] = []
+        for position, node in enumerate(order):
+            anchors: List[Tuple[bool, str, int]] = []
+            loops: List[str] = []
+            for subject, predicate, obj in self._incident[node.name]:
+                if subject.name == obj.name:
+                    loops.append(predicate)
+                    continue
+                is_subject = subject.name == node.name
+                other = slot[obj.name if is_subject else subject.name]
+                if other < position:
+                    anchors.append((is_subject, predicate, other))
+            steps.append(
+                PlanStep(node.name, node.kind, node.etype, node.value, tuple(anchors), tuple(loops))
+            )
+        return tuple(steps)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -393,6 +442,18 @@ class GraphPattern:
         node leads back to ``x``.
         """
         return self._anchors[node_name]
+
+    @property
+    def guided_plan(self) -> Tuple[PlanStep, ...]:
+        """:attr:`instantiation_order` compiled for the guided ``EvalMR`` check."""
+        return self._guided_plan
+
+    @property
+    def enumeration_plan(self) -> Tuple[PlanStep, ...]:
+        """The alphabetical connected order compiled for match enumeration
+        (it fixes the order in which :func:`~repro.core.matching.find_matches`
+        lists matches, and with it ``EMVF2MR``'s coincidence-check count)."""
+        return self._enumeration_plan
 
     def entity_variable_types(self) -> Set[str]:
         """The types of the (recursive) entity variables of the pattern."""

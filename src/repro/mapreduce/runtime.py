@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from ..exceptions import MapReduceError
-from ..runtime import Executor, SerialExecutor, WorkAccount, stable_hash
+from ..runtime import Executor, HashPartitioner, SerialExecutor, WorkAccount
 from .cost_model import MapReduceCostModel, RoundCost
 from .haloop_cache import WorkerCache
 from .hdfs import InMemoryHDFS
@@ -187,24 +187,34 @@ class JobResult:
         return grouped
 
 
-def _partition(
-    key: Hashable,
-    num_workers: int,
-    placement_key: Optional[Callable[[Hashable], Hashable]] = None,
-) -> int:
-    """Deterministic, process-stable hash partitioning of keys to workers.
+class ShufflePlacement(dict):
+    """Shuffle key → worker: deterministic, process-stable hash partitioning,
+    hashed when a key is first placed.
 
-    Built on :func:`repro.runtime.stable_hash`: the builtin ``hash`` is salted
-    per process, so two worker processes would disagree on key placement.
-    When a *placement_key* is set (the snapshot's interning of entity ids and
+    A memo over :meth:`repro.runtime.HashPartitioner.assign`, so built on
+    :func:`repro.runtime.stable_hash`: the builtin ``hash`` is salted per
+    process, so two worker processes would disagree on key placement.  When a
+    *placement_key* is set (the snapshot's interning of entity ids and
     candidate pairs), the hash runs over interned integer ids instead of the
-    key's full repr.
+    key's full repr.  A pair pending for five rounds is placed ten times, and
+    its worker depends on the key, the interning and ``p`` alone — so the
+    table belongs to whoever fixes those two for a run (the
+    :class:`MapReduceDriver`) and dies with it.  Not to the snapshot's
+    ``id()``: ids are recycled, and a table outliving its snapshot would
+    answer for another graph's interning.
     """
-    if num_workers <= 0:
-        return 0
-    if placement_key is not None:
-        key = placement_key(key)
-    return stable_hash(key) % num_workers
+
+    def __init__(
+        self,
+        num_workers: int,
+        placement_key: Optional[Callable[[Hashable], Hashable]] = None,
+    ) -> None:
+        super().__init__()
+        self._assign = HashPartitioner(num_workers, key_fn=placement_key).assign
+
+    def __missing__(self, key: Hashable) -> int:
+        worker = self[key] = self._assign(key)
+        return worker
 
 
 class MapReduceJob:
@@ -225,7 +235,7 @@ class MapReduceJob:
         cost_model: Optional[MapReduceCostModel] = None,
         cache: Optional[WorkerCache] = None,
         executor: Optional[Executor] = None,
-        placement_key: Optional[Callable[[Hashable], Hashable]] = None,
+        placement: Optional[ShufflePlacement] = None,
     ) -> None:
         if num_workers < 1:
             raise MapReduceError(f"num_workers must be >= 1, got {num_workers}")
@@ -235,7 +245,7 @@ class MapReduceJob:
         self._cost_model = cost_model
         self._cache = cache
         self._executor = executor if executor is not None else SerialExecutor()
-        self._placement_key = placement_key
+        self._placement = placement if placement is not None else ShufflePlacement(num_workers)
 
     def run(self, input_pairs: Sequence[KeyValue]) -> JobResult:
         """Execute the job on *input_pairs* and return its result."""
@@ -247,11 +257,10 @@ class MapReduceJob:
         counters: Dict[str, int] = {}
 
         # ---- map phase ------------------------------------------------ #
+        placement = self._placement
         map_splits: List[List[KeyValue]] = [[] for _ in range(self._num_workers)]
         for key, value in input_pairs:
-            map_splits[
-                _partition(key, self._num_workers, self._placement_key)
-            ].append((key, value))
+            map_splits[placement[key]].append((key, value))
 
         map_batches = [
             (worker_id, self._mapper, split) for worker_id, split in enumerate(map_splits)
@@ -276,9 +285,7 @@ class MapReduceJob:
             [] for _ in range(self._num_workers)
         ]
         for key in sorted(grouped.keys(), key=repr):
-            reduce_splits[
-                _partition(key, self._num_workers, self._placement_key)
-            ].append((key, grouped[key]))
+            reduce_splits[placement[key]].append((key, grouped[key]))
 
         output: List[KeyValue] = []
         reduce_work: List[int] = []
@@ -340,7 +347,12 @@ class MapReduceDriver:
     re-distributed to already-spawned workers.
     """
 
-    def __init__(self, num_workers: int, executor: Optional[Executor] = None) -> None:
+    def __init__(
+        self,
+        num_workers: int,
+        executor: Optional[Executor] = None,
+        placement_key: Optional[Callable[[Hashable], Hashable]] = None,
+    ) -> None:
         if num_workers < 1:
             raise MapReduceError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
@@ -348,9 +360,10 @@ class MapReduceDriver:
         self.cache = WorkerCache(num_workers)
         self.cost_model = MapReduceCostModel(processors=num_workers)
         self.executor = executor
-        #: optional key interning applied before stable_hash placement (the
-        #: entity-matching drivers install the snapshot's interned-id mapping)
-        self.placement_key: Optional[Callable[[Hashable], Hashable]] = None
+        #: every round's key placement; *placement_key* is an optional key
+        #: interning applied before the hash (the entity-matching drivers
+        #: pass the snapshot's interned-id mapping)
+        self.placement = ShufflePlacement(num_workers, placement_key)
 
     def run_job(self, mapper: Mapper, reducer: Reducer, input_pairs: Sequence[KeyValue]) -> JobResult:
         """Run one MapReduce round with the driver's shared state."""
@@ -361,7 +374,7 @@ class MapReduceDriver:
             cost_model=self.cost_model,
             cache=self.cache,
             executor=self.executor,
-            placement_key=self.placement_key,
+            placement=self.placement,
         )
         result = job.run(input_pairs)
         # charge the HDFS traffic performed since the previous round

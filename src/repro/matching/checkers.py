@@ -76,7 +76,6 @@ class EnumerationChecker:
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self.total_matches = 0
 
     def check(
         self,
@@ -102,7 +101,6 @@ class EnumerationChecker:
             ):
                 identified = True
                 break
-        self.total_matches += counter.get("matches", 0)
         work = (
             counter.get("candidates", 0)
             + counter.get("matches", 0)

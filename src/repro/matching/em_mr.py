@@ -231,10 +231,11 @@ class MapReduceEntityMatcher:
         return result
 
     def _run_with_executor(self, executor) -> EMResult:
-        driver = MapReduceDriver(self.processors, executor=executor)
         # the compiled read view shared by the driver and every worker
         snapshot = self.artifacts.snapshot()
-        driver.placement_key = snapshot.placement_key
+        driver = MapReduceDriver(
+            self.processors, executor=executor, placement_key=snapshot.placement_key
+        )
         candidates = self._candidates()
         checker_class = self._checker_class()
         keys_by_type = {
@@ -306,7 +307,7 @@ class MapReduceEntityMatcher:
                 break
             pending = [
                 (pair, False)
-                for pair, _ in ((p, v) for p, v in (job.output))
+                for pair, _ in job.output
                 if isinstance(pair, tuple) and not eq.identified(*pair)
             ]
 

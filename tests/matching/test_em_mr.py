@@ -89,3 +89,75 @@ class TestEMOptMR:
         base = em_mr(dataset.graph, dataset.keys, processors=4)
         optimized = em_mr_opt(dataset.graph, dataset.keys, processors=4)
         assert optimized.simulated_seconds <= base.simulated_seconds * 1.05
+
+
+class TestPlansTravel:
+    """Keys ship to process workers in the Haloop cache, compiled plans and all."""
+
+    @staticmethod
+    def _looped_dataset():
+        """The synthetic workload plus a key whose pattern carries a self-loop,
+        on entities of which some have the loop, so that a worker that lost a
+        plan's ``loops`` would identify more pairs than the driver's chase."""
+        from repro.core.key import Key, KeySet
+        from repro.core.pattern import PatternTriple, designated, value_var
+
+        dataset = synthetic_dataset(num_keys=4, chain_length=2, radius=2, entities_per_type=4)
+        graph = dataset.graph
+        x = designated("x", "looped")
+        key = Key.from_triples(
+            [PatternTriple(x, "again", x), PatternTriple(x, "tag", value_var("t"))],
+            name="Qloop",
+        )
+        for index in range(6):
+            graph.add_entity(f"loop{index}", "looped")
+            graph.add_value(f"loop{index}", "tag", index % 2)
+            if index < 4:
+                graph.add_edge(f"loop{index}", "again", f"loop{index}")
+        keys = KeySet(list(dataset.keys) + [key])
+        expected = dataset.planted_pairs | {("loop0", "loop2"), ("loop1", "loop3")}
+        return graph, keys, expected
+
+    @pytest.mark.parametrize("algorithm", ["EMMR", "EMOptMR", "EMVF2MR"])
+    def test_process_workers_run_the_plans_the_driver_compiled(self, algorithm):
+        from repro.api.session import MatchSession
+
+        graph, keys, expected = self._looped_dataset()
+        session = MatchSession(graph).with_keys(keys)
+        serial = session.run(algorithm, processors=4)
+        pooled = session.run(algorithm, processors=4, executor="process", workers=2)
+        assert serial.pairs() == pooled.pairs() == expected
+        assert sorted(map(sorted, pooled.eq.classes())) == sorted(map(sorted, serial.eq.classes()))
+        assert pooled.stats.as_dict() == serial.stats.as_dict()
+        assert pooled.simulated_seconds == serial.simulated_seconds
+        assert pooled.cost_breakdown == serial.cost_breakdown
+
+    def test_an_unpickled_key_set_carries_its_plans(self, monkeypatch):
+        import pickle
+
+        from repro.core.chase import chase
+        from repro.core.pattern import GraphPattern
+
+        graph, keys, expected = self._looped_dataset()
+        blob = pickle.dumps(keys)
+        compiles = []
+        for name in ("_compile", "_connected_order"):
+            original = getattr(GraphPattern, name)
+
+            def counted(self, *args, _original=original):
+                compiles.append(self)
+                return _original(self, *args)
+
+            monkeypatch.setattr(GraphPattern, name, counted)
+        shipped = pickle.loads(blob)
+        for sent, arrived in zip(keys, shipped):
+            assert arrived.pattern.guided_plan == sent.pattern.guided_plan
+            assert arrived.pattern.enumeration_plan == sent.pattern.enumeration_plan
+        assert chase(graph, shipped).pairs() == expected
+        assert compiles == []
+
+        # what the plans add to the shipped bytes is the plan tuples, no more
+        plans = [(key.pattern.guided_plan, key.pattern.enumeration_plan) for key in keys]
+        for key in shipped:
+            del key.pattern._guided_plan, key.pattern._enumeration_plan
+        assert len(blob) <= len(pickle.dumps(shipped)) + len(pickle.dumps(plans))

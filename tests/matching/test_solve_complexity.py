@@ -4,7 +4,9 @@ A vertex-centric run pays per message and a chase per check; neither may pay
 per entity of ``G`` or per triple of ``Q`` on each of them.  These tests wrap
 the two primitives such a regression would go through —
 ``EquivalenceRelation.find`` and ``GraphPattern._instantiation_order`` — in
-call counters and bound the counts by the work the run reports.
+call counters and bound the counts by the work the run reports.  A MapReduce
+run pays per check and per shuffled record: it may not interpret a pattern
+per check nor hash a shuffle key per round.
 """
 
 from __future__ import annotations
@@ -168,6 +170,61 @@ def test_second_warm_vertex_centric_run_only_reads_what_the_first_remembered(
     assert second.stats == first.stats
     assert dict(hashes=hashes["n"], reprs=reprs["n"], reads=inside["reads"]) == before
     assert contexts["n"] == 2 and replaces["n"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# a warm MapReduce run walks compiled plans and hashes a shuffle key once
+# --------------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("algorithm", ["EMMR", "EMOptMR", "EMVF2MR"])
+def test_warm_mapreduce_run_interprets_no_pattern_and_hashes_each_key_once(
+    monkeypatch, algorithm
+):
+    from repro.core import eval_guided, matching
+    from repro.mapreduce.runtime import MapReduceDriver
+    from repro.runtime import partition
+
+    dataset = _deep_dataset()
+    session = MatchSession(dataset.graph).with_keys(dataset.keys)
+    session.run(algorithm)  # every artifact the backend reads
+
+    derived = [
+        _count_calls(monkeypatch, GraphPattern, name)
+        for name in ("_connected_order", "_instantiation_order", "_compile", "adjacent_triples")
+    ]
+    hashes = _count_function(monkeypatch, partition, "stable_hash")
+    # ``repr`` as the two checks' sorts see it (module global over builtin)
+    reprs = [
+        _count_function(monkeypatch, module, "repr", original=repr)
+        for module in (eval_guided, matching)
+    ]
+    drivers = _track_instances(monkeypatch, MapReduceDriver)
+    tables = []
+    run_job = MapReduceDriver.run_job
+
+    def keep_table(self, *args):
+        tables.append(self.placement)
+        return run_job(self, *args)
+
+    monkeypatch.setattr(MapReduceDriver, "run_job", keep_table)
+
+    for run in (1, 2):
+        before = hashes["n"]
+        result = session.run(algorithm)
+        assert result.pairs() == dataset.planted_pairs
+        assert result.stats.checks >= 100 and result.stats.rounds >= 3
+        table = tables[-1]
+        assert all(one is table for one in tables[-result.stats.rounds:])  # one per run ...
+        assert len({id(one) for one in tables}) == run  # ... and a new one for the next
+        # placed twice a round (map split, reduce split), hashed once a run
+        assert hashes["n"] - before == len(table)
+        assert len(table) <= 3 * result.stats.processed_pairs
+        assert len(table) < result.stats.shuffled_records
+    assert [calls["n"] for calls in derived] == [0, 0, 0, 0]
+    # this fixture's steps have one candidate (pair) each: nothing to order
+    assert [calls["n"] for calls in reprs] == [0, 0]
+    assert len(drivers) == 2
 
 
 # --------------------------------------------------------------------------- #

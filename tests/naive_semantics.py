@@ -1,0 +1,122 @@
+"""Section 2 read literally: the slowest matcher that could be right.
+
+An oracle for the differential suites, sharing no code with ``src/``'s
+matchers: no instantiation order, no guided expansion, no neighbourhoods, no
+union-find.  A valuation is an injective assignment of graph nodes to the
+pattern nodes, in declaration order, that respects the typing discipline and
+sends *every* pattern triple — self-loops included — to a member of
+``set(graph.triples())``.  ``chase(G, Σ)`` is the least equivalence relation
+closed under "two entities with coinciding matches of a key are equal".
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Dict, List, Set, Tuple
+
+from repro.core.key import Key
+from repro.core.pattern import GraphPattern, NodeKind, PatternNode
+from repro.core.triples import GraphNode, Literal, Triple
+
+Valuation = Dict[str, GraphNode]
+
+
+def _well_typed(graph, node: PatternNode, image: GraphNode) -> bool:
+    if node.kind is NodeKind.CONSTANT:
+        return isinstance(image, Literal) and image.value == node.value
+    if node.kind is NodeKind.VALUE_VAR:
+        return isinstance(image, Literal)
+    return isinstance(image, str) and graph.entity_type(image) == node.etype
+
+
+def naive_matches(graph, pattern: GraphPattern, at_entity: str) -> List[Valuation]:
+    """Every valuation of *pattern* in *graph* sending ``x`` to *at_entity*."""
+    triples: Set[Triple] = set(graph.triples())
+    universe: List[GraphNode] = sorted(graph.entity_ids()) + sorted(
+        {t.obj for t in triples if isinstance(t.obj, Literal)}, key=repr
+    )
+    nodes = list(pattern.nodes())
+    found: List[Valuation] = []
+
+    def images_hold(valuation: Valuation) -> bool:
+        return all(
+            Triple(valuation[t.subject.name], t.predicate, valuation[t.obj.name]) in triples
+            for t in pattern.triples
+            if t.subject.name in valuation and t.obj.name in valuation
+        )
+
+    def assign(index: int, valuation: Valuation) -> None:
+        if index == len(nodes):
+            found.append(dict(valuation))
+            return
+        node = nodes[index]
+        choices = [at_entity] if node.is_designated else universe
+        for image in choices:
+            if image in valuation.values() or not _well_typed(graph, node, image):
+                continue
+            valuation[node.name] = image
+            if images_hold(valuation):
+                assign(index + 1, valuation)
+            del valuation[node.name]
+
+    assign(0, {})
+    return found
+
+
+def _coincide(pattern: GraphPattern, m1: Valuation, m2: Valuation, same) -> bool:
+    for node in pattern.nodes():
+        if node.kind is NodeKind.ENTITY_VAR and not same(m1[node.name], m2[node.name]):
+            return False
+        if node.kind is NodeKind.VALUE_VAR and m1[node.name] != m2[node.name]:
+            return False
+    return True
+
+
+def naive_violations(graph, key: Key) -> List[Tuple[str, str]]:
+    """Pairs of distinct entities with coinciding matches (``Eq`` = identity)."""
+    entities = sorted(graph.entities_of_type(key.target_type))
+    matches = {e: naive_matches(graph, key.pattern, e) for e in entities}
+    return [
+        (e1, e2)
+        for e1, e2 in itertools.combinations(entities, 2)
+        if any(
+            _coincide(key.pattern, m1, m2, lambda a, b: a == b)
+            for m1 in matches[e1]
+            for m2 in matches[e2]
+        )
+    ]
+
+
+def naive_chase(graph, keys) -> Set[Tuple[str, str]]:
+    """The pairs of ``chase(G, Σ)``, each as ``(smaller id, larger id)``."""
+    class_of: Dict[str, int] = {e: i for i, e in enumerate(sorted(graph.entity_ids()))}
+    matches = {
+        (key.name, e): naive_matches(graph, key.pattern, e)
+        for key in keys
+        for e in graph.entities_of_type(key.target_type)
+    }
+
+    def same(a: GraphNode, b: GraphNode) -> bool:
+        return class_of[a] == class_of[b]
+
+    changed = True
+    while changed:
+        changed = False
+        for key in keys:
+            entities = sorted(graph.entities_of_type(key.target_type))
+            for e1, e2 in itertools.combinations(entities, 2):
+                if same(e1, e2):
+                    continue
+                if any(
+                    _coincide(key.pattern, m1, m2, same)
+                    for m1 in matches[key.name, e1]
+                    for m2 in matches[key.name, e2]
+                ):
+                    old, new = class_of[e2], class_of[e1]
+                    for entity, cls in class_of.items():
+                        if cls == old:
+                            class_of[entity] = new
+                    changed = True
+    return {
+        (a, b) for a, b in itertools.combinations(sorted(class_of), 2) if same(a, b)
+    }
