@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Core storage-layer micro-benchmark: dict path vs compiled snapshot path.
 
-Measures the three costs the ``repro.storage`` layer targets, on a synthetic
+Measures the two costs the ``repro.storage`` layer targets, on a synthetic
 benchmark graph dense enough that d-neighbourhoods have real extent:
 
 * **snapshot build** — the one-off cost of compiling ``Graph`` into the
   interned, CSR-backed :class:`~repro.storage.GraphSnapshot`;
 * **neighbourhood extraction** — a full
   :class:`~repro.core.neighborhood.NeighborhoodIndex` precompute over every
-  entity, dict-of-sets BFS vs the snapshot's integer-space BFS;
-* **VF2 throughput** — enumerating all subgraph isomorphisms of a pool of
-  small patterns into the graph, the generic dict-path matcher vs the
-  compiled integer-space search.
+  entity, dict-of-sets BFS vs the snapshot's integer-space BFS.
 
 Correctness is a hard requirement: both paths must produce identical
-neighbourhood sets and identical VF2 mappings (same order, same search
-statistics), or the script exits non-zero.  Timings are written to
+neighbourhood sets, or the script exits non-zero; timings are recorded, not
+gated.  Timings are written to
 ``BENCH_core.json``; CI uploads the artifact on every run, seeding the
 storage layer's performance trajectory.
 
@@ -30,16 +27,11 @@ import os
 import platform
 import sys
 import time
-from typing import Dict, List
+from typing import Dict
 
-from repro.core.graph import Graph
-from repro.core.neighborhood import NeighborhoodIndex, d_neighborhood_nodes
+from repro.core.neighborhood import NeighborhoodIndex
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
-from repro.isomorphism.vf2 import VF2Matcher
 from repro.storage import GraphSnapshot, SnapshotNeighborhoodIndex
-
-#: The combined speedup the acceptance criteria require of the snapshot path.
-REQUIRED_SPEEDUP = 1.5
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -52,19 +44,7 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _pattern_pool(graph: Graph, limit: int) -> List[Graph]:
-    """Small connected patterns cut out of the benchmark graph itself."""
-    patterns: List[Graph] = []
-    for entity in graph.entity_ids():
-        pattern = graph.induced_subgraph(d_neighborhood_nodes(graph, entity, 1))
-        if 2 <= pattern.num_triples <= 6:
-            patterns.append(pattern)
-        if len(patterns) >= limit:
-            break
-    return patterns
-
-
-def run_bench(scale: float, repeats: int, match_limit: int) -> Dict:
+def run_bench(scale: float, repeats: int) -> Dict:
     # radius-3 keys over a graph with enough noise edges that neighbourhoods
     # have tens of nodes — the regime the paper's d-neighbourhoods live in
     config = SyntheticConfig(
@@ -87,7 +67,6 @@ def run_bench(scale: float, repeats: int, match_limit: int) -> Dict:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
-        "required_speedup": REQUIRED_SPEEDUP,
         "ok": True,
     }
 
@@ -122,45 +101,9 @@ def run_bench(scale: float, repeats: int, match_limit: int) -> Dict:
         "identical": neighborhoods_identical,
     }
 
-    # ---- VF2 throughput: generic matcher vs compiled integer search ---- #
-    patterns = _pattern_pool(graph, limit=30)
-
-    def vf2_over(target) -> List[int]:
-        return [
-            len(VF2Matcher(pattern, target).find_all(limit=match_limit))
-            for pattern in patterns
-        ]
-
-    vf2_identical = True
-    for pattern in patterns:
-        old_matcher, new_matcher = VF2Matcher(pattern, graph), VF2Matcher(pattern, snapshot)
-        if old_matcher.find_all(limit=match_limit) != new_matcher.find_all(limit=match_limit):
-            vf2_identical = False
-            break
-        if vars(old_matcher.stats) != vars(new_matcher.stats):
-            vf2_identical = False
-            break
-    vf2_old = _best_of(lambda: vf2_over(graph), repeats)
-    vf2_new = _best_of(lambda: vf2_over(snapshot), repeats)
-    report["vf2"] = {
-        "patterns": len(patterns),
-        "matches": sum(vf2_over(snapshot)),
-        "dict_seconds": round(vf2_old, 6),
-        "snapshot_seconds": round(vf2_new, 6),
-        "speedup": round(vf2_old / vf2_new, 3) if vf2_new > 0 else 0.0,
-        "identical": vf2_identical,
-    }
-
-    combined_old = neigh_old + vf2_old
-    combined_new = neigh_new + vf2_new
-    report["combined_speedup"] = (
-        round(combined_old / combined_new, 3) if combined_new > 0 else 0.0
-    )
-    report["meets_required_speedup"] = report["combined_speedup"] >= REQUIRED_SPEEDUP
-    # correctness is the hard gate; timing lives in the artifact trajectory
-    # (and can be enforced locally with --require-speedup), so a noisy CI
-    # runner cannot fail an otherwise-green commit
-    report["ok"] = neighborhoods_identical and vf2_identical
+    # correctness is the hard gate; timing lives in the artifact trajectory,
+    # so a noisy CI runner cannot fail an otherwise-green commit
+    report["ok"] = neighborhoods_identical
     return report
 
 
@@ -168,30 +111,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=2.0)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--match-limit", type=int, default=200)
     parser.add_argument("--out", default="BENCH_core.json")
-    parser.add_argument(
-        "--require-speedup",
-        action="store_true",
-        help=f"also fail when the combined speedup is below {REQUIRED_SPEEDUP}x "
-        "(off by default so noisy CI runners only gate on correctness)",
-    )
     args = parser.parse_args(argv)
 
-    report = run_bench(args.scale, args.repeats, args.match_limit)
+    report = run_bench(args.scale, args.repeats)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
     print(json.dumps(report, indent=2, sort_keys=True))
     print(f"\nwrote {args.out}")
     if not report["ok"]:
         print("FAIL: snapshot path diverged from the dict path", file=sys.stderr)
-        return 1
-    if args.require_speedup and not report["meets_required_speedup"]:
-        print(
-            f"FAIL: combined speedup {report['combined_speedup']}x is below the "
-            f"required {REQUIRED_SPEEDUP}x",
-            file=sys.stderr,
-        )
         return 1
     return 0
 

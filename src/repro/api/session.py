@@ -2,9 +2,9 @@
 
 A session owns a graph, a key set and the expensive precomputed artifacts the
 backends share — the :class:`~repro.core.neighborhood.NeighborhoodIndex`, the
-candidate sets (per filter flavour), the product graph and the per-key
-traversal orders — so a benchmark sweep that runs all six algorithms on the
-same input builds each of them exactly once instead of once per algorithm::
+candidate sets (per filter flavour) and the product graph — so a benchmark
+sweep that runs all six algorithms on the same input builds each of them
+exactly once instead of once per algorithm::
 
     from repro import MatchSession
 

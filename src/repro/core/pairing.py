@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .equivalence import EquivalenceRelation
 from .graph import Graph
 from .key import Key, KeySet
-from .pattern import GraphPattern, PatternTriple
+from .pattern import VALUE_KINDS, GraphPattern, NodeKind
 from .triples import GraphNode, Literal, is_entity_ref
 
 #: ``P^Q`` grouped by pattern node: node name → set of (n1, n2) pairs.
@@ -67,42 +67,41 @@ def _seed(
 ) -> Optional[PairingRelation]:
     """A superset of the maximum pairing relation, read off the adjacency.
 
-    Walks the pattern outward from ``(e1, e2)``: a node is seeded with the
-    images, along its anchor triple, of the pairs already seeded at that
-    triple's other end, kept when they satisfy condition (2a) inside the two
-    neighbourhoods.  Nothing of the maximum relation is lost: (2b) demands a
-    supported image along *every* incident triple, so each of its pairs is
-    such an image of a pair of the maximum relation at the other end — which,
-    by induction along the (connected) instantiation order, was seeded.
-    Returns ``None`` when some node has no seed: the pattern is connected,
-    so the fixpoint would then empty every node, ``x`` included.
+    Walks :attr:`~GraphPattern.guided_plan` outward from ``(e1, e2)``: a
+    node is seeded with the images, along its first anchor, of the pairs
+    already seeded at that anchor's earlier slot, kept when they satisfy
+    condition (2a) inside the two neighbourhoods.  Nothing of the maximum
+    relation is lost: (2b) demands a supported image along *every* incident
+    triple, so each of its pairs is such an image of a pair of the maximum
+    relation at the other end — which, by induction along the (connected)
+    plan, was seeded.  Returns ``None`` when some node has no seed: the
+    pattern is connected, so the fixpoint would then empty every node, ``x``
+    included.
     """
-    relation: PairingRelation = {pattern.designated.name: {(e1, e2)}}
-    for node in pattern.instantiation_order[1:]:
-        name = node.name
-        anchor = pattern.anchor_triple(name)
-        forward = anchor.obj.name == name
-        predicate = anchor.predicate
-        constant = Literal(node.value) if node.is_constant else None
+    plan = pattern.guided_plan
+    relation: PairingRelation = {plan[0].name: {(e1, e2)}}
+    for step in plan[1:]:
+        is_subject, predicate, slot = step.anchors[0]
+        constant = Literal(step.value) if step.kind is NodeKind.CONSTANT else None
         seeded: Set[Tuple[GraphNode, GraphNode]] = set()
-        for a1, a2 in relation[anchor.subject.name if forward else anchor.obj.name]:
-            if forward:
-                found1, found2 = graph.objects(a1, predicate), graph.objects(a2, predicate)
-            else:
+        for a1, a2 in relation[plan[slot].name]:
+            if is_subject:
                 found1, found2 = graph.subjects(predicate, a1), graph.subjects(predicate, a2)
-            if node.is_value:
+            else:
+                found1, found2 = graph.objects(a1, predicate), graph.objects(a2, predicate)
+            if step.kind in VALUE_KINDS:
                 # one value on both sides; set algebra reuses stored hashes
                 for n in found1 & found2 & nodes1 & nodes2:
                     if isinstance(n, Literal) and (constant is None or n == constant):
                         seeded.add((n, n))
             else:
-                images2 = _entities_of(graph, found2, nodes2, node.etype)
+                images2 = _entities_of(graph, found2, nodes2, step.etype)
                 if images2:
-                    for n1 in _entities_of(graph, found1, nodes1, node.etype):
+                    for n1 in _entities_of(graph, found1, nodes1, step.etype):
                         seeded.update([(n1, n2) for n2 in images2])
         if not seeded:
             return None
-        relation[name] = seeded
+        relation[step.name] = seeded
     return relation
 
 
@@ -112,18 +111,19 @@ def _supported(
     node_name: str,
     pattern: GraphPattern,
     relation: PairingRelation,
-    known: Optional[PatternTriple] = None,
+    known: Optional[Tuple[bool, str, str]] = None,
 ) -> bool:
     """Condition (2b): every incident pattern triple has a supported image.
 
-    *known* names an incident triple along which support is already
-    established and need not be looked up again.
+    *known* — ``(node is subject?, predicate, other end)`` — names an
+    incident triple along which support is already established and need not
+    be looked up again.
     """
     n1, n2 = pair
     for triple in pattern.adjacent_triples(node_name):
-        if triple is known:
-            continue
         if triple.subject.name == node_name:
+            if known == (True, triple.predicate, triple.obj.name):
+                continue
             if not (is_entity_ref(n1) and is_entity_ref(n2)):
                 return False
             targets = relation[triple.obj.name]
@@ -132,6 +132,8 @@ def _supported(
             if not any(o1 in objs1 and o2 in objs2 for (o1, o2) in targets):
                 return False
         if triple.obj.name == node_name:
+            if known == (False, triple.predicate, triple.subject.name):
+                continue
             sources = relation[triple.subject.name]
             subs1 = graph.subjects(triple.predicate, n1)
             subs2 = graph.subjects(triple.predicate, n2)
@@ -157,18 +159,21 @@ def pairing_relation(
     relation = _seed(graph, pattern, e1, e2, neighborhood1, neighborhood2)
     if relation is None:
         return None
-    designated = pattern.designated.name
+    plan = pattern.guided_plan
+    designated = plan[0].name
 
     # While nothing has been pruned, every seeded pair still has the image
-    # along its anchor triple that seeded it; any prune triggers another
-    # pass, and from the second pass on every triple is checked.
+    # along the anchor that seeded it; any prune triggers another pass, and
+    # from the second pass on every triple is checked.
     untouched = True
     changed = True
     while changed:
         changed = False
-        for node in pattern.nodes():
-            name = node.name
-            known = pattern.anchor_triple(name) if untouched and name != designated else None
+        for step in plan:
+            name, known = step.name, None
+            if untouched and step.anchors:
+                is_subject, predicate, slot = step.anchors[0]
+                known = (is_subject, predicate, plan[slot].name)
             survivors = {
                 pair
                 for pair in relation[name]

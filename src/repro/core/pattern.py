@@ -19,13 +19,13 @@ Subjects of pattern triples are always entities (``DESIGNATED``,
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from ..exceptions import PatternError
+from .triples import Literal
 
 
 class NodeKind(Enum):
@@ -182,6 +182,40 @@ class PlanStep(NamedTuple):
     loops: Tuple[str, ...]
 
 
+#: One step of the tour ``P_Q`` (Section 5.1), over :meth:`GraphPattern.nodes`
+#: slots: ``(source slot, target slot, predicate, forward, far kind, far
+#: etype, far constant)``; ``forward`` moves from the triple's subject to its
+#: object, and the last three say what may instantiate the target (the *far*
+#: node).
+TourStep = Tuple[int, int, str, bool, NodeKind, Optional[str], object]
+
+
+class SignatureStep(NamedTuple):
+    """One hop of a signature path.
+
+    ``forward`` follows subject → object edges of *predicate*; backward
+    follows object → subject.  ``etype`` filters the reached nodes: a type
+    string keeps entities of that type, ``None`` keeps literals (value-kind
+    pattern nodes carry no type).
+    """
+
+    predicate: str
+    forward: bool
+    etype: Optional[str]
+
+
+class SignaturePath(NamedTuple):
+    """The BFS-tree path from ``x`` to one value position of a pattern.
+
+    ``constant`` is the literal a constant node must equal (``None`` for
+    value variables); the blocking layer reads one path per value position.
+    """
+
+    node_name: str
+    steps: Tuple[SignatureStep, ...]
+    constant: Optional[Literal] = None
+
+
 class GraphPattern:
     """A connected graph pattern ``Q(x)`` with a designated variable ``x``.
 
@@ -189,16 +223,16 @@ class GraphPattern:
     entity-kind subjects, consistent node definitions (a name may not be used
     with two different kinds or types), non-empty and connected.
 
-    A pattern never changes after construction, so what the per-pair checks
-    read on every call — each node's incident triples, the connected
-    instantiation order and the two plans compiled from it — is derived
-    here, once.  All of it is plain tuples, so it pickles with the pattern
+    A pattern never changes after construction, so everything an algorithm
+    walks — each node's incident triples, the two check plans, the tour
+    ``P_Q``, the radius and the signature paths — is derived here, once, and
+    nowhere else.  All of it is plain tuples, so it pickles with the pattern
     and a worker process compiles nothing.
     """
 
     __slots__ = (
-        "_triples", "_nodes", "_designated", "_adjacency", "_name", "_incident", "_order",
-        "_anchors", "_guided_plan", "_enumeration_plan",
+        "_triples", "_nodes", "_designated", "_name", "_incident", "_order", "_radius",
+        "_guided_plan", "_enumeration_plan", "_tour", "_signature_paths",
     )
 
     def __init__(
@@ -234,9 +268,6 @@ class GraphPattern:
                 f"found {len(designated_nodes)}"
             )
         self._designated = designated_nodes[0]
-        self._adjacency = self._build_adjacency()
-        if not self._is_connected():
-            raise PatternError(f"pattern {name!r} must be connected")
         incident: Dict[str, List[PatternTriple]] = {name: [] for name in self._nodes}
         for triple in self._triples:
             incident[triple.subject.name].append(triple)
@@ -245,42 +276,78 @@ class GraphPattern:
         self._incident: Dict[str, Tuple[PatternTriple, ...]] = {
             name: tuple(triples) for name, triples in incident.items()
         }
+        paths = self._signature_steps()
+        if len(paths) != len(self._nodes):
+            raise PatternError(f"pattern {name!r} must be connected")
+        self._radius = max(map(len, paths.values()))
+        self._signature_paths = tuple(
+            SignaturePath(n.name, paths[n.name], Literal(n.value) if n.is_constant else None)
+            for n in sorted(self._nodes.values(), key=lambda n: n.name)
+            if n.is_value
+        )
         self._order = self._instantiation_order()
-        placed: Set[str] = set()
-        self._anchors: Dict[str, PatternTriple] = {}
-        for node in self._order:
-            if placed:  # never a self-loop: its other end is the node itself
-                self._anchors[node.name] = next(
-                    t
-                    for t in self._incident[node.name]
-                    if (t.subject.name if t.obj.name == node.name else t.obj.name) in placed
-                )
-            placed.add(node.name)
         self._guided_plan = self._compile(self._order)
         self._enumeration_plan = self._compile(self._connected_order(lambda n: n.name))
+        self._tour = self._compile_tour()
 
     # ------------------------------------------------------------------ #
     # construction helpers
     # ------------------------------------------------------------------ #
 
-    def _build_adjacency(self) -> Dict[str, Set[str]]:
-        adjacency: Dict[str, Set[str]] = defaultdict(set)
-        for triple in self._triples:
-            adjacency[triple.subject.name].add(triple.obj.name)
-            adjacency[triple.obj.name].add(triple.subject.name)
-        return adjacency
+    def _signature_steps(self) -> Dict[str, Tuple[SignatureStep, ...]]:
+        """A BFS from ``x`` over sorted neighbour names: each node it reaches
+        -> the hops of the tree path to it, so its length is the distance.
+        A hop from ``a`` to ``b`` takes the least predicate of the triples
+        ``(a, p, b)``, or of ``(b, p, a)`` when there are none."""
+        root = self._designated.name
+        paths: Dict[str, Tuple[SignatureStep, ...]] = {root: ()}
+        queue = deque([root])
+        while queue:
+            a = queue.popleft()
+            incident = self._incident[a]
+            ends = {t.obj.name if t.subject.name == a else t.subject.name for t in incident}
+            for b in sorted(ends - paths.keys()):  # b != a: a triple to b runs a -> b or b -> a
+                forward = [t.predicate for t in incident if t.obj.name == b]
+                backward = [t.predicate for t in incident if t.subject.name == b]
+                hop = SignatureStep(min(forward or backward), bool(forward), self._nodes[b].etype)
+                paths[b] = paths[a] + (hop,)
+                queue.append(b)
+        return paths
 
-    def _is_connected(self) -> bool:
-        start = self._designated.name
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for nbr in self._adjacency.get(node, ()):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
-        return seen >= set(self._nodes.keys())
+    def _compile_tour(self) -> Tuple[TourStep, ...]:
+        """``P_Q``: a DFS from ``x`` over each node's incident triples in
+        ``(predicate, subject, object)`` order that crosses every distinct
+        triple once away and once back — ``2·|Q|`` steps (Lemma 11), ending at
+        ``x``.  A shortest tour is the Chinese Postman problem; like the
+        paper, this is the greedy one."""
+        slot = {name: index for index, name in enumerate(self._nodes)}
+        steps: List[TourStep] = []
+        visited: Set[str] = set()
+        covered: Set[Tuple[str, str, str]] = set()
+
+        def step(near: PatternNode, far: PatternNode, predicate: str, forward: bool) -> None:
+            steps.append(
+                (slot[near.name], slot[far.name], predicate, forward, far.kind, far.etype, far.value)
+            )
+
+        def visit(node: PatternNode) -> None:
+            visited.add(node.name)
+            for subject, predicate, obj in sorted(
+                self._incident[node.name], key=lambda t: (t.predicate, t.subject.name, t.obj.name)
+            ):
+                edge = (subject.name, predicate, obj.name)
+                if edge in covered:
+                    continue
+                covered.add(edge)
+                forward = subject.name == node.name
+                other = obj if forward else subject
+                step(node, other, predicate, forward)
+                if other.name not in visited:
+                    visit(other)
+                step(other, node, predicate, not forward)
+
+        visit(self._designated)
+        return tuple(steps)
 
     def _instantiation_order(self) -> Tuple[PatternNode, ...]:
         """The guided check's order: value-kind nodes adjacent to placed ones
@@ -411,20 +478,7 @@ class GraphPattern:
     @property
     def radius(self) -> int:
         """``d(Q, x)``: the longest undirected distance from ``x`` to any node."""
-        distances = self.distances_from_designated()
-        return max(distances.values()) if distances else 0
-
-    def distances_from_designated(self) -> Dict[str, int]:
-        """BFS distances (undirected) from the designated variable to all nodes."""
-        distances = {self._designated.name: 0}
-        queue: deque[str] = deque([self._designated.name])
-        while queue:
-            current = queue.popleft()
-            for nbr in self._adjacency.get(current, ()):
-                if nbr not in distances:
-                    distances[nbr] = distances[current] + 1
-                    queue.append(nbr)
-        return distances
+        return self._radius
 
     def adjacent_triples(self, node_name: str) -> Tuple[PatternTriple, ...]:
         """All pattern triples incident to the node called *node_name*."""
@@ -435,17 +489,11 @@ class GraphPattern:
         """Every pattern node once, ``x`` first, each next to an earlier one."""
         return self._order
 
-    def anchor_triple(self, node_name: str) -> PatternTriple:
-        """The first triple tying a node to an earlier one of the instantiation order.
-
-        Defined for every node but ``x``; following the anchors from any
-        node leads back to ``x``.
-        """
-        return self._anchors[node_name]
-
     @property
     def guided_plan(self) -> Tuple[PlanStep, ...]:
-        """:attr:`instantiation_order` compiled for the guided ``EvalMR`` check."""
+        """:attr:`instantiation_order` compiled for the guided ``EvalMR`` check
+        (and walked by the pairing seed: a step's first anchor is the triple
+        that ties it to an earlier one, so following them leads back to ``x``)."""
         return self._guided_plan
 
     @property
@@ -454,6 +502,17 @@ class GraphPattern:
         (it fixes the order in which :func:`~repro.core.matching.find_matches`
         lists matches, and with it ``EMVF2MR``'s coincidence-check count)."""
         return self._enumeration_plan
+
+    @property
+    def tour(self) -> Tuple[TourStep, ...]:
+        """The tour ``P_Q`` an ``EMVC`` evaluation message follows."""
+        return self._tour
+
+    @property
+    def signature_paths(self) -> Tuple[SignaturePath, ...]:
+        """One path per value position, by node name (the blocking layer's
+        scheme; empty when the pattern has no value variable or constant)."""
+        return self._signature_paths
 
     def entity_variable_types(self) -> Set[str]:
         """The types of the (recursive) entity variables of the pattern."""

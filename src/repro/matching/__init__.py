@@ -62,7 +62,6 @@ from .incremental import (
 )
 from .product_graph import ProductGraph
 from .result import EMResult, EMStatistics
-from .traversal_order import TraversalStep, traversal_order, traversal_orders, tour_is_valid
 
 
 def chase_as_result(
@@ -212,7 +211,6 @@ __all__ = [
     "OptimizedVertexCentricEntityMatcher",
     "PairState",
     "ProductGraph",
-    "TraversalStep",
     "VF2MapReduceEntityMatcher",
     "VertexCentricEntityMatcher",
     "blocked_candidate_pairs",
@@ -228,7 +226,4 @@ __all__ = [
     "em_vf2_mr",
     "match_entities",
     "plan_delta",
-    "tour_is_valid",
-    "traversal_order",
-    "traversal_orders",
 ]

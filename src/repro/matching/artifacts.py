@@ -13,7 +13,7 @@ with one rule (:meth:`SessionArtifacts._slot`): a fresh slot is returned as
 is, a slot parked by a mutation is rebased onto the new graph version with
 the entities the delta(s) affected, and a missing slot is built.  The
 singletons every flavour shares — compiled snapshot, neighbourhood index,
-blocking index, traversal orders — are reconciled eagerly by
+blocking index — are reconciled eagerly by
 :meth:`SessionArtifacts.refresh`; the blocked collision result
 (:meth:`SessionArtifacts.blocked_pairs`) is scoped to one graph version.
 
@@ -48,7 +48,6 @@ from .incremental import (
     touched_entity_nodes,
 )
 from .product_graph import ProductGraph
-from .traversal_order import traversal_orders
 
 #: an artifact flavour: ``(filtered, reduce_neighborhoods, blocked)``
 Flavour = Tuple[bool, bool, bool]
@@ -62,7 +61,6 @@ class SessionCacheInfo:
     neighborhood_index_builds: int = 0
     candidate_builds: int = 0
     product_graph_builds: int = 0
-    traversal_order_builds: int = 0
     invalidations: int = 0
     #: snapshots served from / missing in the configured on-disk store
     #: (both stay 0 when the session has no snapshot store)
@@ -172,7 +170,6 @@ class SessionArtifacts:
         self._blocking_index: Optional[BlockingIndex] = None
         # the blocked enumeration off _blocking_index, valid at self.version
         self._blocked_pairs: Optional[Tuple[Tuple[Pair, ...], BlockingStats]] = None
-        self._orders: Optional[Dict[str, object]] = None
         # the seed of incremental re-matching: the last finished run's
         # fixpoint (immutable; usable while its version equals self.version)
         self._seed: Optional[IncrementalState] = None
@@ -275,7 +272,6 @@ class SessionArtifacts:
         with self._lock:
             self._drop_all()
             self._seed = None
-            self._orders = None
             self.version = self.graph.version
             self._counts["invalidations"] += 1
             for name in ("incremental_runs", "pairs_rechecked", "pairs_skipped"):
@@ -301,12 +297,11 @@ class SessionArtifacts:
           vanished (type lost its keys) or appeared (type gained keys) are
           unlinked/probed by the rebase's removed/fresh handling.
 
-        The blocking index and traversal orders are dropped outright: their
-        per-type signature schemes/orders derive from the keys and rebuild
-        in one cheap pass on next use, and so is the seed — a fixpoint
-        under different keys seeds nothing.  An empty return means the key
-        lists are identical and every cached artifact, the seed included, is
-        still exact.
+        The blocking index is dropped outright: its per-type signature
+        schemes derive from the keys and it rebuilds in one pass on next
+        use, and so is the seed — a fixpoint under different keys seeds
+        nothing.  An empty return means the key lists are identical and
+        every cached artifact, the seed included, is still exact.
         """
         with self._lock:
             old_by_type = self._keyed_types
@@ -331,7 +326,6 @@ class SessionArtifacts:
             self._blocking_index = None
             self._blocked_pairs = None
             self._seed = None
-            self._orders = None
             self._counts["invalidations"] += 1
             self._counts["key_rebases"] += 1
             return changed
@@ -613,13 +607,6 @@ class SessionArtifacts:
                 self._charge("blocking_collision", stats.collision_seconds)
             pairs, stats = self._blocked_pairs
             return pairs, replace(stats, mode=mode)
-
-    def traversal_orders(self):
-        with self._lock:
-            if self._orders is None:
-                self._orders = traversal_orders(self.keys)
-                self._counts["traversal_order_builds"] += 1
-            return self._orders
 
     def candidates(
         self,

@@ -4,10 +4,11 @@
 the wall that caps graph size long before the chase does.  This module
 replaces that enumeration with *signature-join* candidate generation:
 
-1. For every key, compile a **blocking scheme**: one *signature path* per
-   value variable / constant node of the pattern — the shortest pattern path
-   from the designated variable ``x`` to that node, expressed as a sequence
-   of ``(predicate, direction, type filter)`` steps.
+1. For every key, read its **blocking scheme** off the compiled pattern: one
+   *signature path* per value variable / constant node
+   (:attr:`~repro.core.pattern.GraphPattern.signature_paths`) — the BFS-tree
+   path from the designated variable ``x`` to that node, expressed as a
+   sequence of ``(predicate, direction, type filter)`` steps.
 2. For every entity of the key's target type, compute the **signature** of
    each path: the set of literals reachable from the entity by following the
    path's predicate steps through the graph (an inverted value index over
@@ -50,13 +51,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
+from ..core.pattern import SignaturePath
 from ..core.triples import Literal, is_entity_ref
 from ..exceptions import ConfigError
 
@@ -71,35 +72,6 @@ def validate_blocking_mode(mode: object) -> str:
             f"blocking must be one of {'/'.join(BLOCKING_MODES)}, got {mode!r}"
         )
     return mode  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class SignatureStep:
-    """One hop of a signature path.
-
-    ``forward`` follows subject → object edges of *predicate*; backward
-    follows object → subject.  ``etype`` filters the reached nodes: a type
-    string keeps entities of that type, ``None`` keeps literals (value-kind
-    pattern nodes carry no type).
-    """
-
-    predicate: str
-    forward: bool
-    etype: Optional[str]
-
-
-@dataclass(frozen=True)
-class SignaturePath:
-    """The compiled path from ``x`` to one value position of a key pattern.
-
-    ``constant`` is the literal a constant node must equal (``None`` for
-    value variables); constant paths contribute a filter block — an entity
-    participates only when it actually reaches that literal.
-    """
-
-    node_name: str
-    steps: Tuple[SignatureStep, ...]
-    constant: Optional[Literal] = None
 
 
 @dataclass(frozen=True)
@@ -119,68 +91,15 @@ class KeyBlockingScheme:
 
 
 def compile_blocking_scheme(key: Key) -> KeyBlockingScheme:
-    """Compile the blocking scheme of *key* (see the module docstring)."""
-    pattern = key.pattern
-    value_nodes = sorted(
-        (node for node in pattern.nodes() if node.is_value), key=lambda n: n.name
-    )
-    if not value_nodes:
-        return KeyBlockingScheme(
-            key_name=key.name,
-            target_type=key.target_type,
-            paths=(),
-            certified=False,
-            reason="pattern has no value variable or constant node",
-        )
-
-    # undirected pattern-node adjacency with sorted neighbours, so the BFS
-    # tree (and hence the compiled steps) is independent of triple order
-    adjacency: Dict[str, Set[str]] = {}
-    for triple in pattern.triples:
-        adjacency.setdefault(triple.subject.name, set()).add(triple.obj.name)
-        adjacency.setdefault(triple.obj.name, set()).add(triple.subject.name)
-    parent: Dict[str, str] = {}
-    root = pattern.designated.name
-    seen = {root}
-    queue: deque[str] = deque([root])
-    while queue:
-        current = queue.popleft()
-        for neighbour in sorted(adjacency.get(current, ())):
-            if neighbour not in seen:
-                seen.add(neighbour)
-                parent[neighbour] = current
-                queue.append(neighbour)
-
-    paths: List[SignaturePath] = []
-    for node in value_nodes:
-        names = [node.name]
-        while names[-1] != root:
-            names.append(parent[names[-1]])
-        names.reverse()  # x = n0, ..., nk = value node
-        steps: List[SignatureStep] = []
-        for a, b in zip(names, names[1:]):
-            forward = sorted(
-                t.predicate
-                for t in pattern.triples
-                if t.subject.name == a and t.obj.name == b
-            )
-            endpoint = pattern.node(b)
-            if forward:
-                steps.append(SignatureStep(forward[0], True, endpoint.etype))
-            else:
-                backward = sorted(
-                    t.predicate
-                    for t in pattern.triples
-                    if t.subject.name == b and t.obj.name == a
-                )
-                steps.append(SignatureStep(backward[0], False, endpoint.etype))
-        constant = Literal(node.value) if node.is_constant else None
-        paths.append(SignaturePath(node.name, tuple(steps), constant))
+    """The blocking scheme of *key*: its pattern's signature paths (see the
+    module docstring)."""
+    paths = key.pattern.signature_paths
     return KeyBlockingScheme(
         key_name=key.name,
         target_type=key.target_type,
-        paths=tuple(paths),
-        certified=True,
+        paths=paths,
+        certified=bool(paths),
+        reason="" if paths else "pattern has no value variable or constant node",
     )
 
 

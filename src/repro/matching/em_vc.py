@@ -2,7 +2,7 @@
 asynchronous model (Section 5).
 
 The driver builds the product graph ``Gp`` from the pairing-filtered candidate
-set, computes a traversal order per key, registers every product-graph node as
+set, reads each key's compiled tour, registers every product-graph node as
 a vertex of the asynchronous engine, posts an initial activation to every
 candidate pair and lets the engine drain.  The identified pairs are the
 equivalence closure of the flags set by the vertex program.
@@ -110,14 +110,13 @@ class VertexCentricEntityMatcher:
         self._notify("candidates", pending=candidates.size)
         product_graph = self.artifacts.product_graph(**flavour)
         self._notify("product-graph", pending=product_graph.num_nodes)
-        orders = self.artifacts.traversal_orders()
         # the vertex program reads G through the snapshot, so partitioned
-        # supersteps ship compact arrays (not graph dicts) to each replica
+        # supersteps ship compact arrays (not graph dicts) to each replica;
+        # each key's tour P_Q is the one its pattern compiled
         program = EvalVCProgram(
             snapshot,
             self.keys,
             product_graph,
-            orders,
             max_fanout=self.max_fanout,
             prioritize=self.prioritize,
             seed_pairs=self.seed_pairs,

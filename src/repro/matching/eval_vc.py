@@ -29,11 +29,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.key import KeySet
 from ..core.graph import Graph
-from ..core.pattern import NodeKind
+from ..core.pattern import NodeKind, TourStep
 from ..core.triples import GraphNode, Literal, is_entity_ref
 from ..vertexcentric.engine import VertexContext
 from .product_graph import ProductGraph, ProductNode
-from .traversal_order import TraversalStep
 
 
 @dataclass
@@ -63,11 +62,6 @@ Slots = Tuple[Optional[ProductNode], ...]
 #: tuple ``(origin, key name, step index, slots)``: extending ``m`` is two
 #: slices and a concatenation, advancing the cursor a new 4-tuple.
 EvalMessage = Tuple[Pair, str, int, Slots]
-
-#: One step of a tour, compiled once per program: ``(source slot, target
-#: slot, predicate, forward, far kind, far etype, far constant)``; the last
-#: three say what may instantiate the target (the *far* pattern node).
-_Step = Tuple[int, int, str, bool, NodeKind, Optional[str], object]
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,6 @@ class EvalVCProgram:
         graph: Graph,
         keys: KeySet,
         product_graph: ProductGraph,
-        orders: Dict[str, List[TraversalStep]],
         max_fanout: Optional[int] = None,
         prioritize: bool = False,
         seed_pairs: Optional[Sequence[Pair]] = None,
@@ -112,25 +105,17 @@ class EvalVCProgram:
         self._product_graph = product_graph
         self._max_fanout = max_fanout
         self._prioritize = prioritize
-        #: key name -> its tour, compiled to slot-indexed steps
-        self._tours: Dict[str, Tuple[_Step, ...]] = {}
+        #: key name -> its tour, as its pattern compiled it
+        self._tours: Dict[str, Tuple[TourStep, ...]] = {}
         #: entity type -> (key name, is recursive, blank slots before and
         #: after the designated node's) of each key defined on it
         self._starts: Dict[str, List[Tuple[str, bool, Slots, Slots]]] = {}
         for key in keys:
-            nodes = list(key.pattern.nodes())
-            slot = {node.name: index for index, node in enumerate(nodes)}
-            steps = []
-            for step in orders[key.name]:
-                far = nodes[slot[step.target_name]]
-                steps.append(
-                    (slot[step.source_name], slot[far.name], step.triple.predicate,
-                     step.forward, far.kind, far.etype, far.value)
-                )
-            self._tours[key.name] = tuple(steps)
-            x = slot[key.pattern.designated.name]
+            names = [node.name for node in key.pattern.nodes()]
+            self._tours[key.name] = key.pattern.tour
+            x = names.index(key.pattern.designated.name)
             self._starts.setdefault(key.target_type, []).append(
-                (key.name, key.is_recursive, (None,) * x, (None,) * (len(nodes) - x - 1))
+                (key.name, key.is_recursive, (None,) * x, (None,) * (len(names) - x - 1))
             )
         self.live_eq = EquivalenceRelation(graph.entity_ids())
         #: incremental re-matching: a previous run's surviving merges, applied

@@ -12,6 +12,7 @@ of matches in order, and the ``work_counter`` counts.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Dict, List, Optional, Set
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core.eval_guided import GuidedPairEvaluator
 from repro.core.key import KeySet
 from repro.core.matching import coincides, find_matches, identify_pair_by_enumeration
 from repro.core.pattern import GraphPattern
-from repro.core.triples import GraphNode
+from repro.core.triples import GraphNode, Literal
 from repro.exceptions import UnknownEntityError
 from repro.storage import GraphSnapshot
 
@@ -172,3 +173,59 @@ def test_every_step_reads_exactly_its_triples_to_earlier_slots():
                 (t.subject.name, t.obj.name, t.predicate) for t in pattern.triples
             )
     assert loops_seen > 0
+
+
+def test_every_tour_crosses_each_triple_once_each_way():
+    """The tour starts and ends at ``x``, each step starts where the last one
+    ended, and each distinct pattern triple is crossed exactly twice, once in
+    each direction — a self-loop included — with the far end's kind, type
+    and constant."""
+    for pattern in _patterns():
+        nodes = list(pattern.nodes())
+        x = nodes.index(pattern.designated)
+        tour = pattern.tour
+        assert tour[0][0] == x and tour[-1][1] == x
+        assert all(previous[1] == step[0] for previous, step in zip(tour, tour[1:]))
+        crossed = []
+        for source, target, predicate, forward, kind, etype, value in tour:
+            far = nodes[target]
+            assert (kind, etype, value) == (far.kind, far.etype, far.value)
+            ends = (nodes[source].name, nodes[target].name)
+            crossed.append((*(ends if forward else ends[::-1]), predicate, forward))
+        distinct = {(t.subject.name, t.obj.name, t.predicate) for t in pattern.triples}
+        assert sorted(crossed) == sorted(
+            (*triple, forward) for triple in distinct for forward in (True, False)
+        )
+
+
+def test_every_signature_path_walks_pattern_triples_to_its_node():
+    """One path per value node, by name; it is as long as the node's BFS
+    distance from ``x``, and every hop is a pattern triple, read in its
+    direction, that reaches a node of the hop's type one step further out."""
+    for pattern in _patterns():
+        triples = {(t.subject.name, t.predicate, t.obj.name) for t in pattern.triples}
+        edges = [(s, o) for s, _, o in triples] + [(o, s) for s, _, o in triples]
+        distance = {pattern.designated.name: 0}
+        queue = deque([pattern.designated.name])
+        while queue:
+            a = queue.popleft()
+            for source, b in edges:
+                if source == a and b not in distance:
+                    distance[b] = distance[a] + 1
+                    queue.append(b)
+        values = sorted(node.name for node in pattern.nodes() if node.is_value)
+        assert [path.node_name for path in pattern.signature_paths] == values
+        for path in pattern.signature_paths:
+            node = pattern.node(path.node_name)
+            assert path.constant == (Literal(node.value) if node.is_constant else None)
+            assert len(path.steps) == distance[path.node_name]
+            reached = {pattern.designated.name}
+            for hop in path.steps:
+                reached = {
+                    b
+                    for s, p, o in triples
+                    for a, b in [(s, o) if hop.forward else (o, s)]
+                    if p == hop.predicate and a in reached and distance[b] == distance[a] + 1
+                    and pattern.node(b).etype == hop.etype
+                }
+            assert path.node_name in reached

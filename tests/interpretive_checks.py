@@ -1,4 +1,5 @@
-"""The per-pair checks as they were before they ran on a compiled plan.
+"""The per-pair checks and the pattern walkers as they were before the
+compiled pattern.
 
 ``core/eval_guided.py`` and ``core/matching.py`` used to interpret the
 pattern on every step: look the node's incident triples up by name, test
@@ -10,19 +11,35 @@ one thing it got wrong added: a pattern triple whose two ends are the same
 node fell through both branches below and was never checked
 (:func:`_loops_hold`, applied where the plan applies it — to the designated
 entity before the search, to each side's candidates before they are paired).
+
+The second half is the pattern walkers that each derived their own order
+before ``GraphPattern.__init__`` compiled them all: the tour DFS of
+``matching/traversal_order.py``, the BFS of ``compile_blocking_scheme``, the
+pairing seed's anchor triples and the radius BFS — moved here verbatim as the
+oracle for ``tests/core/test_compiled_pattern.py``.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.equivalence import EquivalenceRelation
 from repro.core.eval_guided import EvalStatistics, PairAssignment
 from repro.core.graph import Graph
 from repro.core.key import Key
-from repro.core.pattern import GraphPattern, NodeKind, PatternNode
+from repro.core.pattern import (
+    GraphPattern,
+    NodeKind,
+    PatternNode,
+    PatternTriple,
+    SignaturePath,
+    SignatureStep,
+)
 from repro.core.triples import GraphNode, Literal, is_entity_ref
 from repro.exceptions import UnknownEntityError
+from repro.matching.blocking import KeyBlockingScheme
 
 Valuation = Dict[str, GraphNode]
 
@@ -382,3 +399,166 @@ def interpretive_find_matches(
 
     backtrack(1)
     return matches
+
+
+# --------------------------------------------------------------------------- #
+# the pattern walkers, each deriving its own order
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class TraversalStep:
+    """One step of a tour.
+
+    ``forward`` is True when the cursor moves from the triple's subject to its
+    object, False when it moves from the object back to the subject.
+    """
+
+    triple: PatternTriple
+    forward: bool
+
+    @property
+    def source_name(self) -> str:
+        """The pattern node the cursor is at before the step."""
+        return self.triple.subject.name if self.forward else self.triple.obj.name
+
+    @property
+    def target_name(self) -> str:
+        """The pattern node the cursor is at after the step."""
+        return self.triple.obj.name if self.forward else self.triple.subject.name
+
+
+def traversal_order(pattern: GraphPattern) -> List[TraversalStep]:
+    """A tour of *pattern* starting and ending at ``x``, covering all triples.
+
+    The tour is a DFS double-traversal: each pattern triple contributes one
+    step away from ``x``'s DFS tree position and one step back, so the length
+    is ``2·|Q|`` and the final cursor position is ``x`` again.
+    """
+    steps: List[TraversalStep] = []
+    visited: Set[str] = set()
+    covered: Set[Tuple[str, str, str]] = set()
+
+    def edge_key(triple: PatternTriple) -> Tuple[str, str, str]:
+        return (triple.subject.name, triple.predicate, triple.obj.name)
+
+    def dfs(node_name: str) -> None:
+        visited.add(node_name)
+        adjacent = sorted(
+            pattern.adjacent_triples(node_name),
+            key=lambda t: (t.predicate, t.subject.name, t.obj.name),
+        )
+        for triple in adjacent:
+            key = edge_key(triple)
+            if key in covered:
+                continue
+            covered.add(key)
+            forward = triple.subject.name == node_name
+            other = triple.obj.name if forward else triple.subject.name
+            steps.append(TraversalStep(triple, forward))
+            if other not in visited:
+                dfs(other)
+            steps.append(TraversalStep(triple, not forward))
+
+    dfs(pattern.designated.name)
+    return steps
+
+
+def compile_blocking_scheme(key: Key) -> KeyBlockingScheme:
+    """Compile the blocking scheme of *key* (see the module docstring)."""
+    pattern = key.pattern
+    value_nodes = sorted(
+        (node for node in pattern.nodes() if node.is_value), key=lambda n: n.name
+    )
+    if not value_nodes:
+        return KeyBlockingScheme(
+            key_name=key.name,
+            target_type=key.target_type,
+            paths=(),
+            certified=False,
+            reason="pattern has no value variable or constant node",
+        )
+
+    # undirected pattern-node adjacency with sorted neighbours, so the BFS
+    # tree (and hence the compiled steps) is independent of triple order
+    adjacency: Dict[str, Set[str]] = {}
+    for triple in pattern.triples:
+        adjacency.setdefault(triple.subject.name, set()).add(triple.obj.name)
+        adjacency.setdefault(triple.obj.name, set()).add(triple.subject.name)
+    parent: Dict[str, str] = {}
+    root = pattern.designated.name
+    seen = {root}
+    queue: deque[str] = deque([root])
+    while queue:
+        current = queue.popleft()
+        for neighbour in sorted(adjacency.get(current, ())):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                parent[neighbour] = current
+                queue.append(neighbour)
+
+    paths: List[SignaturePath] = []
+    for node in value_nodes:
+        names = [node.name]
+        while names[-1] != root:
+            names.append(parent[names[-1]])
+        names.reverse()  # x = n0, ..., nk = value node
+        steps: List[SignatureStep] = []
+        for a, b in zip(names, names[1:]):
+            forward = sorted(
+                t.predicate
+                for t in pattern.triples
+                if t.subject.name == a and t.obj.name == b
+            )
+            endpoint = pattern.node(b)
+            if forward:
+                steps.append(SignatureStep(forward[0], True, endpoint.etype))
+            else:
+                backward = sorted(
+                    t.predicate
+                    for t in pattern.triples
+                    if t.subject.name == b and t.obj.name == a
+                )
+                steps.append(SignatureStep(backward[0], False, endpoint.etype))
+        constant = Literal(node.value) if node.is_constant else None
+        paths.append(SignaturePath(node.name, tuple(steps), constant))
+    return KeyBlockingScheme(
+        key_name=key.name,
+        target_type=key.target_type,
+        paths=tuple(paths),
+        certified=True,
+    )
+
+
+def anchor_triples(pattern: GraphPattern) -> Dict[str, PatternTriple]:
+    """``GraphPattern._anchors``: per node but ``x``, the first incident
+    triple tying it to an earlier node of the instantiation order."""
+    placed: Set[str] = set()
+    anchors: Dict[str, PatternTriple] = {}
+    for node in pattern.instantiation_order:
+        if placed:  # never a self-loop: its other end is the node itself
+            anchors[node.name] = next(
+                t
+                for t in pattern.adjacent_triples(node.name)
+                if (t.subject.name if t.obj.name == node.name else t.obj.name) in placed
+            )
+        placed.add(node.name)
+    return anchors
+
+
+def radius(pattern: GraphPattern) -> int:
+    """``GraphPattern.radius``: the longest BFS distance from ``x``, over
+    the undirected adjacency ``_build_adjacency`` kept."""
+    adjacency: Dict[str, Set[str]] = {}
+    for triple in pattern.triples:
+        adjacency.setdefault(triple.subject.name, set()).add(triple.obj.name)
+        adjacency.setdefault(triple.obj.name, set()).add(triple.subject.name)
+    distances = {pattern.designated.name: 0}
+    queue: deque[str] = deque([pattern.designated.name])
+    while queue:
+        current = queue.popleft()
+        for nbr in adjacency.get(current, ()):
+            if nbr not in distances:
+                distances[nbr] = distances[current] + 1
+                queue.append(nbr)
+    return max(distances.values()) if distances else 0

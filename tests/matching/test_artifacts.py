@@ -119,7 +119,6 @@ def test_backend_without_a_session_reads_through_a_throwaway_cache(
     assert info.candidate_builds == 1
     assert info.blocking_index_builds == (1 if blocking == "auto" else 0)
     assert info.product_graph_builds == (1 if vertex_centric else 0)
-    assert info.traversal_order_builds == (1 if vertex_centric else 0)
     assert info.candidate_rebases == info.product_graph_rebases == 0
 
 

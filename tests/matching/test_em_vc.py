@@ -86,9 +86,7 @@ class TestEvalVCProgram:
         graph, keys, _ = music
         artifacts = SessionArtifacts(graph, keys)
         product_graph = artifacts.product_graph(filtered=True)
-        program = EvalVCProgram(
-            artifacts.snapshot(), keys, product_graph, artifacts.traversal_orders(), **options
-        )
+        program = EvalVCProgram(artifacts.snapshot(), keys, product_graph, **options)
         engine = VertexCentricEngine(program, processors=2)
         for node in product_graph.nodes():
             engine.add_vertex(node, PairState(flag=node[0] == node[1]))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 
+from repro.core.pattern import GraphPattern, TourStep
 from repro.matching.candidates import build_filtered_candidates
 from repro.matching.product_graph import ProductGraph
-from repro.matching.traversal_order import traversal_order, traversal_orders, tour_is_valid
 from repro.datasets.business import business_dataset
 from repro.datasets.music import key_q1, key_q2, key_q3, music_dataset
 from repro.datasets.synthetic import synthetic_dataset
@@ -62,33 +64,56 @@ class TestProductGraph:
         assert product.construction_work > 0
 
 
+def tour_is_valid(pattern: GraphPattern, steps: Sequence[TourStep]) -> bool:
+    """Check the defining properties of a tour.
+
+    The tour must start and end at the designated variable, consecutive steps
+    must share their cursor position, and every pattern triple must be covered
+    at least once.
+    """
+    names = [node.name for node in pattern.nodes()]
+    x = names.index(pattern.designated.name)
+    if not steps or steps[0][0] != x or steps[-1][1] != x:
+        return False
+    if any(previous[1] != current[0] for previous, current in zip(steps, steps[1:])):
+        return False
+    covered = {
+        (names[s], p, names[t]) if forward else (names[t], p, names[s])
+        for s, t, p, forward, *_ in steps
+    }
+    required = {(t.subject.name, t.predicate, t.obj.name) for t in pattern.triples}
+    return required <= covered
+
+
 class TestTraversalOrder:
     @pytest.mark.parametrize("key_factory", [key_q1, key_q2, key_q3])
     def test_music_keys_have_valid_tours(self, key_factory):
         key = key_factory()
-        steps = traversal_order(key.pattern)
+        steps = key.pattern.tour
         assert tour_is_valid(key.pattern, steps)
         assert len(steps) == 2 * key.size  # Lemma 11: at most 2|Q| propagations
 
     def test_business_keys_have_valid_tours(self):
         _, keys = business_dataset()
         for key in keys:
-            assert tour_is_valid(key.pattern, traversal_order(key.pattern))
+            assert tour_is_valid(key.pattern, key.pattern.tour)
 
     def test_synthetic_keys_have_valid_tours(self):
         dataset = synthetic_dataset(num_keys=6, chain_length=3, radius=3, entities_per_type=3)
         for key in dataset.keys:
-            steps = traversal_order(key.pattern)
+            steps = key.pattern.tour
             assert tour_is_valid(key.pattern, steps)
-            assert steps[0].source_name == key.pattern.designated.name
+            names = [node.name for node in key.pattern.nodes()]
+            assert names[steps[0][0]] == key.pattern.designated.name
 
-    def test_traversal_orders_indexed_by_key_name(self, music):
+    def test_every_key_of_a_set_carries_its_tour(self, music):
         _, keys, _ = music
-        orders = traversal_orders(keys)
-        assert set(orders.keys()) == {"Q1", "Q2", "Q3"}
+        assert {key.name for key in keys if tour_is_valid(key.pattern, key.pattern.tour)} == {
+            "Q1", "Q2", "Q3"
+        }
 
     def test_tour_validity_checker_rejects_broken_tours(self):
         key = key_q2()
-        steps = traversal_order(key.pattern)
+        steps = key.pattern.tour
         assert not tour_is_valid(key.pattern, steps[:-1])  # does not return to x
         assert not tour_is_valid(key.pattern, steps[1:])   # does not start at x

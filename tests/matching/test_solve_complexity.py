@@ -73,6 +73,35 @@ def test_chase_never_derives_an_instantiation_order(monkeypatch):
     assert orders["n"] == compiled
 
 
+@pytest.mark.parametrize("algorithm", ["EMVC", "EMOptVC"])
+def test_warm_vertex_centric_run_compiles_no_tour(monkeypatch, algorithm):
+    tours = _count_calls(monkeypatch, GraphPattern, "_compile_tour")
+    dataset = _deep_dataset()
+    assert tours["n"] == len(dataset.keys)  # once per key, when the pattern is built
+
+    session = MatchSession(dataset.graph).with_keys(dataset.keys)
+    for _ in range(2):
+        result = session.run(algorithm)
+        assert result.pairs() == dataset.planted_pairs
+    assert tours["n"] == len(dataset.keys)
+
+
+def test_blocking_index_build_compiles_no_signature_path(monkeypatch):
+    from repro.matching.blocking import BlockingIndex
+    from repro.storage import GraphSnapshot
+
+    paths = _count_calls(monkeypatch, GraphPattern, "_signature_steps")
+    dataset = _deep_dataset()
+    assert paths["n"] == len(dataset.keys)
+
+    snapshot = GraphSnapshot.build(dataset.graph)
+    for reader in (None, snapshot):
+        index = BlockingIndex.build(dataset.graph, dataset.keys, snapshot=reader)
+        for key, scheme in zip(dataset.keys, index.schemes):
+            assert scheme.paths is key.pattern.signature_paths
+    assert paths["n"] == len(dataset.keys)
+
+
 def test_incident_triples_are_read_as_stored():
     for key in _deep_dataset().keys:
         pattern = key.pattern

@@ -229,6 +229,27 @@ def _shaped_keys() -> Dict[str, Key]:
                 PatternTriple(entity_var("y", "b"), "w", value_var("m")),
             ]
         ),
+        # two triples between one pair of nodes: an anchor is one of them
+        "parallel_edges": Key.from_triples(
+            [
+                PatternTriple(x, "p", entity_var("y", "b")),
+                PatternTriple(x, "q", entity_var("y", "b")),
+            ]
+        ),
+        "two_cycle": Key.from_triples(
+            [
+                PatternTriple(x, "p", wildcard("y", "b")),
+                PatternTriple(wildcard("y", "b"), "q", x),
+            ]
+        ),
+        # a three-hop signature path, two of its hops past the wildcard
+        "constant_two_hops_behind_wildcard": Key.from_triples(
+            [
+                PatternTriple(x, "p", wildcard("w", "b")),
+                PatternTriple(wildcard("w", "b"), "q", wildcard("z", "a")),
+                PatternTriple(wildcard("z", "a"), "v", constant(1, name="one")),
+            ]
+        ),
     }
 
 
