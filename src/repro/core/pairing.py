@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .equivalence import EquivalenceRelation
 from .graph import Graph
-from .key import Key, KeySet
+from .key import Key
 from .pattern import VALUE_KINDS, GraphPattern, NodeKind
 from .triples import GraphNode, Literal, is_entity_ref
 

@@ -41,12 +41,7 @@ from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.store import SnapshotStore
 from .blocking import BlockingIndex, BlockingStats
 from .candidates import CandidateSet, build_candidates, build_filtered_candidates
-from .incremental import (
-    DependencyArtifact,
-    IncrementalState,
-    rebase_filtered_candidates,
-    touched_entity_nodes,
-)
+from .incremental import DependencyArtifact, IncrementalState, rebase_filtered_candidates
 from .product_graph import ProductGraph
 
 #: an artifact flavour: ``(filtered, reduce_neighborhoods, blocked)``
@@ -219,10 +214,11 @@ class SessionArtifacts:
         """The last finished run's fixpoint (``None`` before the first run).
 
         A run may plan a delta from it only while its version equals
-        :attr:`version`: the planner reads old-side staleness off this
-        cache, so the two must describe the same graph version.  They differ
-        only after a run that failed once :meth:`refresh` had moved the
-        cache on — the seed is immutable and a failed run leaves it alone.
+        :attr:`version`: the planner reads the old pairing supports and the
+        journal window off this cache, so the two must describe the same
+        graph version.  They differ only after a run that failed once
+        :meth:`refresh` had moved the cache on — the seed is immutable and
+        a failed run leaves it alone.
         """
         with self._lock:
             return self._seed
@@ -330,110 +326,81 @@ class SessionArtifacts:
             self._counts["key_rebases"] += 1
             return changed
 
-    def stale_entities(self, touched: set) -> set:
-        """Entities whose cached d-neighbourhood a *touched* node set stales.
+    def refresh(self) -> Optional[set]:
+        """Reconcile the cache with the graph mutations since the last run,
+        and return the entities the journal window affected.
 
-        An entity is stale when it was touched itself or when its cached
-        (pre-mutation) neighbourhood contains a touched node.  By the
-        locality argument in :mod:`repro.matching.incremental` this also
-        covers every entity whose *new* neighbourhood gained a touched node.
-        """
-        with self._lock:
-            if self._index is None:
-                return set()
-            return {
-                entity
-                for entity in self._index.cached_entities()
-                if entity in touched or touched & self._index.nodes(entity)
-            }
+        The snapshot goes first: while the journal covers the delta it is
+        *patched* — the touched rows recomputed into an overlay that reads
+        exactly as a recompile does (:meth:`_patched_snapshot`).  Then the
+        window's affected set is taken, once: every entity within key radius
+        (the key set's largest) of a touched node, over the *new* snapshot
+        (:meth:`_touched_ball`).  The locality argument of
+        :mod:`repro.matching.incremental` makes it exact in both directions:
+        a removed edge journals both endpoints, so every entity whose old
+        d-neighbourhood held a touched node is in the ball, and an added
+        edge journals its endpoints too, so every entity in the ball had a
+        touched node within the ball's radius on the old graph already.
+        Every consumer reads that one set: the neighbourhood index evicts
+        it, the slot table is parked with it (:meth:`_park`) so each slot's
+        next access re-runs the pairing fixpoint only for the pairs it
+        names, and the blocking index re-derives its signatures — which
+        every entity of a certified type has, cached neighbourhood or not.
 
-    def touched_ball_entities(self, touched: set) -> set:
-        """Entities within key radius of any touched node, on the new graph.
-
-        The delta-proportional superset of every entity whose d-ball a
-        mutation could have entered or left: walk any old or new path from
-        such an entity towards the mutation and the first touched node on it
-        is reached through edges present on both sides of the delta, so a
-        BFS from the touched nodes over the *new* snapshot finds the entity
-        within the same radius.  (A node removed outright anchors through
-        its old neighbours: deleting its edges touched them all.)  Unlike
-        :meth:`stale_entities` this does not depend on which neighbourhoods
-        happen to be cached.
-        """
-        snapshot = self.snapshot()
-        radius = max(radius_per_type(self.keys).values(), default=0)
-        seen: set = set()
-        for node in touched:
-            root = snapshot.id_of(node)
-            if root is None:
-                continue
-            seen.update(snapshot.neighborhood_ids(root, radius))
-        return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
-
-    def refresh(self, stale_hint: Optional[set] = None) -> None:
-        """Reconcile the cache with any graph mutations since the last run.
-
-        When the mutation journal still covers the delta, the compiled
-        :class:`GraphSnapshot` is *patched* — only the journal-touched rows
-        are recomputed, into an overlay over the previous arrays, and the
-        result reads exactly as a recompile does (see
-        :meth:`_patched_snapshot` for the compaction threshold) — and the derived
-        artifacts are *rebased* instead of rebuilt: the neighbourhood index
-        evicts only the entities a touched node could have staled, and the
-        slot table is parked (:meth:`_park`) so each slot's next access
-        migrates it, re-running the pairing fixpoint only for delta-affected
-        pairs.  An expired journal window drops everything.
-
-        *stale_hint* lets a caller that already ran :meth:`stale_entities`
-        for the same journal window (the incremental planner) pass the
-        result in, skipping the second neighbourhood sweep.
+        The set is returned even when nothing was cached to rebase and the
+        cache was dropped, since the planner needs it whatever is cached.
+        An empty window returns an empty set; an expired journal window
+        drops everything and returns ``None``.
         """
         with self._lock:
             version = self.graph.version
             if version == self.version:
-                return
+                return set()
             touched = self.graph.touched_since(self.version)
             if touched is None or self._index is None:
                 self._drop_all()
             else:
-                stale = stale_hint if stale_hint is not None else self.stale_entities(touched)
-                affected = set(stale) | touched_entity_nodes(self.graph, touched)
+                self._snapshot = self._patched_snapshot(self._snapshot, touched)
+            affected = None if touched is None else self._touched_ball(touched)
+            if self._index is not None:
                 self._park(affected)
                 self._blocked_pairs = None
-                self._snapshot = self._patched_snapshot(self._snapshot, touched)
-                self._index = self._index.rebased(self.snapshot(), evict=sorted(stale))
-                if self._blocking_index is not None:
-                    # the index holds a signature for EVERY entity of a
-                    # certified type — not just those with cached
-                    # neighbourhoods — so the stale_entities sweep is not a
-                    # sound affected set here: an entity never pulled into
-                    # the neighbourhood cache (e.g. one that never collided)
-                    # would keep a stale signature after a radius-local
-                    # edit.  Sweep the touched nodes' radius ball over the
-                    # new snapshot instead (sound by the first-touched-node
-                    # locality argument, both mutation directions).
-                    signature_stale = affected | self.touched_ball_entities(
-                        touched
-                    )
-                    old_blocking = self._blocking_index
+                self._index = self._index.rebased(self.snapshot(), evict=affected)
+                old_blocking = self._blocking_index
+                if old_blocking is not None:
                     self._blocking_index = self._timed(
                         "blocking_index_rebase",
                         lambda: old_blocking.rebased(
                             self.graph,
                             snapshot=self.snapshot(),
-                            affected_entities=signature_stale,
+                            affected_entities=affected,
                         ),
                     )
                     self._counts["blocking_index_rebases"] += 1
             self.version = version
             self._counts["invalidations"] += 1
+            return affected
+
+    def _touched_ball(self, touched: set) -> set:
+        """The entities within the largest key radius of a *touched* node,
+        by one BFS per touched node over the current snapshot (a node the
+        window removed is no root: deleting its edges touched its
+        neighbours)."""
+        snapshot = self.snapshot()
+        radius = max(radius_per_type(self.keys).values(), default=0)
+        seen: set = set()
+        for node in touched:
+            root = snapshot.id_of(node)
+            if root is not None:
+                seen.update(snapshot.neighborhood_ids(root, radius))
+        return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
 
     def _park(self, affected: set) -> None:
         """Park every fresh slot for delta rebasing with *affected* entities.
 
         Slots parked by an earlier delta and never re-accessed stay parked
-        with their affected set widened to the union of both windows (the
-        per-window stale computation remains sound for each delta).
+        with their affected set widened to the union of both windows (each
+        window's set stays sound for its own delta).
         Unfiltered candidate sets carry no pairing verdicts worth migrating
         and are dropped, so their next access is a plain build.
         """

@@ -20,11 +20,14 @@ empirically): a pair outside the affected closure has (a) untouched
 d-neighbourhoods in both the old and the new graph, and (b) only
 prerequisites outside the closure — so its direct-derivability is unchanged
 by the delta.  Classes built exclusively from such pairs survive verbatim;
-every other previously identified pair is re-derived or dropped.  Notably the
-*new*-graph neighbourhood test is subsumed by the old one: the first touched
-node on any new path from an untouched entity is reached through edges that
-already existed before the delta (a new edge would have touched its
-endpoints), so the old neighbourhood already intersected the touched set.
+every other previously identified pair is re-derived or dropped.  (a) is one
+set per window: the entities within key radius of a touched node on the
+*new* graph, which :meth:`SessionArtifacts.refresh` takes once.  Every edit
+journals the endpoints of the triple it adds or removes, so along any path,
+old or new, the stretch up to its first touched node is on both sides of
+the delta: a removed edge cannot hide an entity whose old neighbourhood held
+a touched node from the new ball, and an added edge cannot put an entity in
+the new ball whose old neighbourhood, at that radius, held none.
 
 All six backends consume the same plan through their ``seed_pairs`` /
 ``worklist`` entry points; :func:`plan_session_delta` reads a session's
@@ -44,7 +47,7 @@ from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.key import Key, KeySet
 from ..core.neighborhood import NeighborhoodIndex
 from ..core.pairing import pairing_relation, pairing_support_nodes
-from ..core.triples import GraphNode, is_entity_ref
+from ..core.triples import GraphNode
 from .candidates import (
     CandidateSet,
     apply_support_restrictions,
@@ -167,8 +170,7 @@ def plan_delta(
     candidate_pairs: Sequence[Pair],
     dependents: Mapping[Pair, Set[Pair]],
     touched: Set[GraphNode],
-    touched_entities: Set[str],
-    old_affected_entities: Set[str],
+    affected_entities: Set[str],
     state: IncrementalState,
     old_pair_supports: Optional[Mapping[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None,
     extra_identified: Sequence[Pair] = (),
@@ -187,16 +189,13 @@ def plan_delta(
     dependents:
         The dependency map over *candidate_pairs* (prerequisite → dependents),
         built on the new graph with full (unreduced) neighbourhoods.
-    touched / touched_entities:
-        The journal's touched node set since ``state.version`` and its
-        entity-node subset.
-    old_affected_entities:
-        Entities whose *old* cached d-neighbourhood contained a touched node
-        (computed from the pre-refresh session index).  By the locality
-        argument in the module docstring this also covers every entity whose
-        *new* neighbourhood gained a touched node — among the entities that
-        *have* a cached neighbourhood; :func:`plan_session_delta` adds the
-        touched nodes' radius ball for the rest.
+    touched:
+        The journal's touched node set since ``state.version``.
+    affected_entities:
+        The window's one affected set: the entities within key radius of a
+        touched node on the new graph (what
+        :meth:`SessionArtifacts.refresh` returns; the module docstring says
+        why it covers both sides of the delta).
     state:
         The seed fixpoint (:class:`IncrementalState`) the delta is planned
         against.
@@ -238,7 +237,7 @@ def plan_delta(
                 if touched & support[0] or touched & support[1]:
                     affected.add(pair)
                 continue
-        if e1 in old_affected_entities or e2 in old_affected_entities:
+        if e1 in affected_entities or e2 in affected_entities:
             affected.add(pair)
     affected.update(extra_identified)
     if extra_dependents:
@@ -251,7 +250,7 @@ def plan_delta(
     # every entity the delta implicates: members of affected pairs plus every
     # touched entity (covers candidate pairs that *vanished*, e.g. a retype)
     implicated: Set[str] = {entity for pair in affected for entity in pair}
-    implicated |= touched_entities
+    implicated |= touched & affected_entities
 
     seed: List[Pair] = []
     dropped_pairs: Set[Pair] = set()
@@ -289,35 +288,27 @@ def plan_session_delta(
     *artifacts* is the session's
     :class:`~repro.matching.artifacts.SessionArtifacts`, still at
     ``state.version`` (*state* is the seed it holds); it leaves here
-    reconciled with the live graph.  An empty *touched* — a sibling run
-    shape already moved the cache and the seed to the live version — plans
-    against that shape's fixpoint: nothing is stale, and only this
-    flavour's parked slots are rebased.  The
-    order matters: old-side staleness must be read off the pre-refresh
-    neighbourhood index (the refresh then reuses the sweep instead of
-    recomputing it), and so must the recorded pairing supports — the rebase
-    recomputes supports for delta-affected pairs, but :func:`plan_delta`
-    must judge the *old* chase witness, which lives inside the *old* support
-    set.
+    reconciled with the live graph.  The window's affected entities are the
+    set the refresh returns: the touched nodes' radius ball over the new
+    snapshot, which holds every entity whose old or new d-neighbourhood a
+    touched node entered (a removed edge journals both endpoints, and so
+    does an added one) — cached or not, so a seed a blocked sibling left,
+    or an entity that never collided, needs no case of its own.  An empty
+    *touched* — a sibling run shape already moved the cache and the seed to
+    the live version — plans against that shape's fixpoint: nothing is
+    affected, and only this flavour's parked slots are rebased.
     """
     blocked = blocking != "off"
+    # the one read before the refresh: the rebase recomputes the supports of
+    # affected pairs, but plan_delta judges the *old* chase witness, which
+    # lives inside the *old* support set
     old_supports: Optional[Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None
     if blocked:
         old_supports = {}
         for cached in artifacts.cached("candidates").values():
             if cached.pair_supports:
                 old_supports.update(cached.pair_supports)
-    old_affected = artifacts.stale_entities(touched)
-    artifacts.refresh(stale_hint=old_affected)
-    # stale_entities only sees entities with a cached neighbourhood.  An
-    # entity that never collided has none, and neither has one a blocked
-    # window evicted — and the seed may be a blocked sibling's fixpoint, so
-    # an unblocked run cannot assume its own earlier build cached them all.
-    # A radius-local edit can make such an entity's pair identifiable (or
-    # bring it into the blocked universe) for the first time, and that pair
-    # must be checked.  The touched nodes' radius ball over the new snapshot
-    # covers it whatever is cached (the blocking-index rebase's argument).
-    old_affected = old_affected | artifacts.touched_ball_entities(touched)
+    affected_entities = artifacts.refresh()
     graph, keys = artifacts.graph, artifacts.keys
     # classic planning is quadratic: every candidate pair of the new graph is
     # in the universe, so vanished pairs and support-level refinements never
@@ -345,8 +336,7 @@ def plan_session_delta(
         candidate_pairs=candidates.pairs,
         dependents=dependents,
         touched=touched,
-        touched_entities=touched_entity_nodes(graph, touched),
-        old_affected_entities=old_affected,
+        affected_entities=affected_entities,
         state=state,
         old_pair_supports=old_supports,
         extra_identified=extras,
@@ -643,10 +633,3 @@ class DependencyArtifact:
             forward.setdefault(pair, set())
             rows.setdefault(pair, set())
         return DependencyArtifact(forward, rows)
-
-
-def touched_entity_nodes(graph, touched: Set[GraphNode]) -> Set[str]:
-    """The touched nodes that are (still) entities of *graph*."""
-    return {
-        node for node in touched if is_entity_ref(node) and graph.has_entity(node)
-    }

@@ -28,8 +28,10 @@ from repro.core.triples import is_entity_ref
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching import candidates as candidates_module
 from repro.matching import incremental as incremental_module
+from repro.matching.artifacts import SessionArtifacts
 from repro.matching.incremental import IncrementalState
 from repro.matching.product_graph import ProductGraph
+from repro.storage import SnapshotNeighborhoodIndex
 from repro.storage.snapshot import GraphSnapshot
 
 from test_incremental_equivalence import apply_random_mutation, fuzz_dataset
@@ -100,6 +102,43 @@ def test_blocked_stream_never_enumerates_the_quadratic_universe(monkeypatch):
     # the only combinations the planner takes are over equivalence classes
     assert counting.sizes and max(counting.sizes) <= largest_class + 1
     assert result.pairs() == chase(graph, keys, blocking="auto").pairs()
+
+
+@pytest.mark.parametrize("blocking", ["auto", "off"])
+def test_a_window_takes_one_radius_ball_and_sweeps_no_cached_neighbourhood(
+    blocking, monkeypatch
+):
+    """One affected set per journal window: the blocking-index rebase, the
+    eviction, the parked slots and the plan all read the one radius ball
+    ``refresh()`` takes, and nothing walks the cached neighbourhoods."""
+    dataset = fuzz_dataset(7)
+    graph, keys = dataset.graph, dataset.keys
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking=blocking)
+    session.run()
+    calls = {}
+    ball = SessionArtifacts._touched_ball
+    cached_entities = SnapshotNeighborhoodIndex.cached_entities
+
+    def counted_ball(self, touched):
+        calls["balls"] += 1
+        return ball(self, touched)
+
+    def counted_sweep(self):
+        calls["sweeps"] += 1
+        return cached_entities(self)
+
+    monkeypatch.setattr(SessionArtifacts, "_touched_ball", counted_ball)
+    monkeypatch.setattr(SnapshotNeighborhoodIndex, "cached_entities", counted_sweep)
+    rng = random.Random(7)
+    for window in range(4):
+        for _ in range(3):
+            apply_random_mutation(graph, rng)
+        calls.update(balls=0, sweeps=0)
+        session.rerun()
+        assert session.last_delta().mode in ("incremental", "reused")
+        assert calls == {"balls": 1, "sweeps": 0}, (window, calls)
+    rebases = session.cache_info().blocking_index_rebases
+    assert rebases == (4 if blocking == "auto" else 0)
 
 
 IDS = [f"n{i}" for i in range(7)]

@@ -17,11 +17,13 @@ Three layers of the delta machinery carry an identity contract:
 * every backend riding the patched-snapshot path must produce the same Eq
   as the sequential chase on the mutated graph.
 
-The last class of tests is the blocked-planner acceptance fuzz: on blocked
-incremental runs, ``pairs_rechecked`` stays within an independently computed
-affected-closure bound (full d-neighbourhood staleness, closed under the
-dependency map, plus dropped-class members) — the support-level planner may
-only ever *tighten* that set, never exceed it.
+Then the blocked-planner acceptance fuzz: on blocked incremental runs,
+``pairs_rechecked`` stays within an independently computed affected-closure
+bound (full d-neighbourhood staleness, closed under the dependency map, plus
+dropped-class members) — the support-level planner may only ever *tighten*
+that set, never exceed it.  And the one affected set per window: the radius
+ball ``refresh()`` takes over the new snapshot holds every entity a sweep of
+the pre-window neighbourhoods marks, and no other entity that had one.
 """
 
 from __future__ import annotations
@@ -40,15 +42,11 @@ from repro import ALGORITHMS, MatchSession
 from repro.core.chase import candidate_pairs, chase
 from repro.core.fingerprint import graph_fingerprint
 from repro.core.graph import Graph
-from repro.core.neighborhood import NeighborhoodIndex
+from repro.core.neighborhood import NeighborhoodIndex, radius_per_type
 from repro.core.triples import Literal, is_entity_ref
 from repro.exceptions import StoreFormatError, StoreMissError
 from repro.runtime import stable_hash
-from repro.matching.incremental import (
-    DependencyWorklist,
-    extra_dependency_edges,
-    touched_entity_nodes,
-)
+from repro.matching.incremental import DependencyWorklist, extra_dependency_edges
 from repro.storage.snapshot import GraphSnapshot
 from repro.storage.store import SnapshotStore, snapshot_info
 
@@ -582,12 +580,15 @@ def affected_closure_bound(
     ).items():
         dependents[prerequisite] = dependents.get(prerequisite, set()) | extra
 
+    touched_entities = {
+        node for node in touched if is_entity_ref(node) and graph.has_entity(node)
+    }
     stale_entities = {
         entity
         for entity, neighborhood in old_neighborhoods.items()
         if neighborhood & touched
     }
-    stale_entities |= touched_entity_nodes(graph, touched)
+    stale_entities |= touched_entities
     stale_entities |= set(old_neighborhoods) & touched
 
     affected = set()
@@ -607,7 +608,7 @@ def affected_closure_bound(
     closed = DependencyWorklist(dependents).close(affected)
 
     implicated = {entity for pair in closed for entity in pair}
-    implicated |= touched_entity_nodes(graph, touched)
+    implicated |= touched_entities
     implicated |= set(old_neighborhoods) & touched
     dropped = set()
     for cls in previous_classes:
@@ -742,6 +743,72 @@ def test_untouched_delta_rechecks_nothing_on_blocked_runs():
     assert delta.mode in ("incremental", "reused")
     assert delta.pairs_rechecked == 0, delta
     assert result.eq.pairs() == chase(graph, keys).pairs()
+
+
+# --------------------------------------------------------------------------- #
+# one affected set per window: the new-snapshot ball holds the old sweep
+# --------------------------------------------------------------------------- #
+
+
+def cached_neighbourhood_sweep(index, touched):
+    """The old-side rule the ball replaced: a cached entity that was touched,
+    or whose cached (pre-window) d-neighbourhood holds a touched node."""
+    return {
+        entity
+        for entity in index.cached_entities()
+        if entity in touched or touched & index.nodes(entity)
+    }
+
+
+@pytest.mark.parametrize("blocking", ["auto", "off"])
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    rounds=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+)
+@settings(max_examples=15, deadline=None)
+def test_the_window_ball_holds_the_cached_neighbourhood_sweep(blocking, seed, rounds):
+    """Over multi-op fuzz windows (triples added and removed, entities added
+    and retyped, literals edited) the set ``refresh()`` returns — the touched
+    nodes' radius ball over the new snapshot — contains every entity the
+    pre-window sweep marks, and names exactly those among the entities
+    cached when the window opened: a removed edge journals both endpoints,
+    and so does an added one.  The same holds over every keyed entity's
+    pre-window neighbourhood, cached by the session or not."""
+    dataset = fuzz_dataset(seed)
+    graph, keys = dataset.graph, dataset.keys
+    # one radius for every keyed type, so the ball and the sweep see as far
+    assert len(set(radius_per_type(keys).values())) == 1
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking=blocking)
+    session.run()
+    arts = session._artifacts
+    refresh, returned = arts.refresh, []
+
+    def recording_refresh():
+        returned.append(refresh())
+        return returned[-1]
+
+    arts.refresh = recording_refresh
+    rng = random.Random(seed)
+    for count in rounds:
+        base_version = graph.version
+        everyone = NeighborhoodIndex(graph, keys)
+        everyone.precompute(
+            e for e in graph.entity_ids() if graph.entity_type(e) in keys.target_types()
+        )
+        indexes = (arts.neighborhood_index(), everyone)
+        for _ in range(count):
+            apply_random_mutation(graph, rng)
+        touched = graph.touched_since(base_version)
+        sweeps = [(index.cached_entities(), cached_neighbourhood_sweep(index, touched))
+                  for index in indexes]
+        returned.clear()
+        session.rerun()
+        if not touched:
+            continue
+        (ball,) = returned
+        for cached, swept in sweeps:
+            assert swept <= ball, swept - ball
+            assert ball & cached == swept, (ball & cached) ^ swept
 
 
 # --------------------------------------------------------------------------- #
