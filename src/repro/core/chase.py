@@ -168,14 +168,14 @@ def chase(
         and so yields the same chase result.
     """
     if len(keys) == 0:
-        eq = EquivalenceRelation(graph.entity_ids())
+        eq = EquivalenceRelation()
         for e1, e2 in seed or ():
             eq.merge(e1, e2)
         return ChaseResult(eq=eq, candidates=0)
 
     reader = snapshot if snapshot is not None else graph
     evaluator = GuidedPairEvaluator(reader)
-    eq = EquivalenceRelation(graph.entity_ids())
+    eq = EquivalenceRelation()
     for e1, e2 in seed or ():
         eq.merge(e1, e2)
     if not use_neighborhoods:

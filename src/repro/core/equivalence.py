@@ -31,7 +31,9 @@ class EquivalenceRelation:
     The relation starts as the identity relation over the ids it has seen;
     unseen ids are implicitly singleton classes (they are added lazily), so an
     ``EquivalenceRelation()`` with no arguments behaves like ``Eq0`` over the
-    whole graph.
+    whole graph.  Every matcher starts from that, so a result's
+    :meth:`members` and :meth:`classes` list only the ids its run merged or
+    looked up.  A task extends a frozen relation through :meth:`fork`.
     """
 
     __slots__ = ("_parent", "_members", "_merges")
@@ -67,6 +69,13 @@ class EquivalenceRelation:
         while parent[member] != root:
             parent[member], member = root, parent[member]
         return root
+
+    def root(self, member: str) -> str:
+        """:meth:`find` that writes nothing, so threads may share the relation."""
+        parent = self._parent
+        while parent.get(member, member) != member:
+            member = parent[member]
+        return member
 
     def merge(self, e1: str, e2: str) -> bool:
         """Identify *e1* and *e2* (a chase step).  Return True when new."""
@@ -157,6 +166,11 @@ class EquivalenceRelation:
         clone._merges = self._merges
         return clone
 
+    def fork(self) -> "EquivalenceFork":
+        """An O(1) child: this relation plus merges of its own, which it logs.
+        This relation must not change while the child lives."""
+        return EquivalenceFork(self)
+
     def __eq__(self, other: object) -> bool:
         """Same partition: the ids seen only as singletons do not matter."""
         if not isinstance(other, EquivalenceRelation):
@@ -175,3 +189,27 @@ class EquivalenceRelation:
             f"EquivalenceRelation(members={len(self._parent)}, "
             f"identified_pairs={self.pair_count()})"
         )
+
+
+class EquivalenceFork:
+    """A union–find over the roots of a frozen parent, which it reads without
+    writing (so threads may share the parent), plus the log of its novel
+    merges: replaying forks' logs into the parent in order gives what their
+    merges, made one after another, would.  It pickles with its parent."""
+
+    __slots__ = ("_base", "_roots", "log")
+
+    def __init__(self, base: EquivalenceRelation) -> None:
+        self._base = base
+        self._roots = EquivalenceRelation()
+        self.log: List[Pair] = []
+
+    def identified(self, e1: str, e2: str) -> bool:
+        find, root = self._roots.find, self._base.root
+        return e1 == e2 or find(root(e1)) == find(root(e2))
+
+    def merge(self, e1: str, e2: str) -> bool:
+        if not self._roots.merge(self._base.root(e1), self._base.root(e2)):
+            return False
+        self.log.append(canonical_pair(e1, e2))
+        return True

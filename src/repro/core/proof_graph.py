@@ -139,7 +139,7 @@ def verify_proof(
     a description of the first offending node otherwise.
     """
     evaluator = GuidedPairEvaluator(graph)
-    eq = EquivalenceRelation(graph.entity_ids())
+    eq = EquivalenceRelation()
     order = proof.topological_order()
     for node in order:
         for prerequisite in node.prerequisites:

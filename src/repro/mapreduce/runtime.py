@@ -28,8 +28,9 @@ uses.
 
 **Replicate/absorb protocol.** A reducer that carries mutable cross-task
 state (the entity-matching reducer merges into a global union–find) exposes
-three methods: ``replicate()`` returns an independent copy to run one task
-against, ``collect()`` returns the picklable state delta a task produced, and
+three methods: ``replicate()`` returns a replica whose writes never reach the
+original (an O(1) fork, for the entity matcher) to run one task against,
+``collect()`` returns the picklable state delta a task produced, and
 ``absorb(state)`` merges a delta back into the original, in task order.  The
 same protocol runs under every executor; reducers without it fall back to
 sequential in-driver execution when a parallel executor is configured (their
@@ -198,8 +199,8 @@ class ShufflePlacement(dict):
     candidate pairs), the hash runs over interned integer ids instead of the
     key's full repr.  A pair pending for five rounds is placed ten times, and
     its worker depends on the key, the interning and ``p`` alone — so the
-    table belongs to whoever fixes those two for a run (the
-    :class:`MapReduceDriver`) and dies with it.  Not to the snapshot's
+    table belongs to whoever holds the interning — the session's artifact
+    cache, one per ``p``, dropped with its snapshot — not to the snapshot's
     ``id()``: ids are recycled, and a table outliving its snapshot would
     answer for another graph's interning.
     """
@@ -351,7 +352,7 @@ class MapReduceDriver:
         self,
         num_workers: int,
         executor: Optional[Executor] = None,
-        placement_key: Optional[Callable[[Hashable], Hashable]] = None,
+        placement: Optional[ShufflePlacement] = None,
     ) -> None:
         if num_workers < 1:
             raise MapReduceError(f"num_workers must be >= 1, got {num_workers}")
@@ -360,10 +361,8 @@ class MapReduceDriver:
         self.cache = WorkerCache(num_workers)
         self.cost_model = MapReduceCostModel(processors=num_workers)
         self.executor = executor
-        #: every round's key placement; *placement_key* is an optional key
-        #: interning applied before the hash (the entity-matching drivers
-        #: pass the snapshot's interned-id mapping)
-        self.placement = ShufflePlacement(num_workers, placement_key)
+        #: every round's key placement (the MR matchers pass their session's)
+        self.placement = placement if placement is not None else ShufflePlacement(num_workers)
 
     def run_job(self, mapper: Mapper, reducer: Reducer, input_pairs: Sequence[KeyValue]) -> JobResult:
         """Run one MapReduce round with the driver's shared state."""

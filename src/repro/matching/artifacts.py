@@ -37,6 +37,7 @@ from ..core.key import Key, KeySet
 from ..core.neighborhood import radius_per_type
 from ..core.triples import is_entity_ref
 from ..exceptions import SnapshotPatchError, StoreError
+from ..mapreduce.runtime import ShufflePlacement
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.store import SnapshotStore
 from .blocking import BlockingIndex, BlockingStats
@@ -161,6 +162,8 @@ class SessionArtifacts:
         #: the :attr:`Graph.version` the cached artifacts describe
         self.version = graph.version
         self._snapshot: Optional[GraphSnapshot] = None
+        # processors → MR shuffle placement over _snapshot; cleared with it
+        self._placements: Dict[int, ShufflePlacement] = {}
         self._index: Optional[SnapshotNeighborhoodIndex] = None
         self._blocking_index: Optional[BlockingIndex] = None
         # the blocked enumeration off _blocking_index, valid at self.version
@@ -252,6 +255,7 @@ class SessionArtifacts:
 
     def _drop_all(self) -> None:
         self._snapshot = None
+        self._placements.clear()
         self._index = None
         self._blocking_index = None
         self._blocked_pairs = None
@@ -321,6 +325,7 @@ class SessionArtifacts:
                 self._index = self._index.rekeyed(keys, evict=affected)
             self._blocking_index = None
             self._blocked_pairs = None
+            self._placements.clear()  # exact, but holding the old keys' pairs
             self._seed = None
             self._counts["invalidations"] += 1
             self._counts["key_rebases"] += 1
@@ -361,6 +366,7 @@ class SessionArtifacts:
                 self._drop_all()
             else:
                 self._snapshot = self._patched_snapshot(self._snapshot, touched)
+                self._placements.clear()
             affected = None if touched is None else self._touched_ball(touched)
             if self._index is not None:
                 self._park(affected)
@@ -522,6 +528,15 @@ class SessionArtifacts:
         )
         self._counts["snapshot_builds"] += 1
         return snapshot
+
+    def shuffle_placement(self, processors: int) -> ShufflePlacement:
+        """The MapReduce key → worker table of *processors* workers over
+        :meth:`snapshot`'s interning, kept for every run until it changes."""
+        with self._lock:
+            if processors not in self._placements:
+                key = self.snapshot().placement_key
+                self._placements[processors] = ShufflePlacement(processors, key)
+            return self._placements[processors]
 
     def neighborhood_index(self) -> SnapshotNeighborhoodIndex:
         with self._lock:

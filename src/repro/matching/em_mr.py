@@ -7,7 +7,7 @@ maintains the transitive closure the paper's reducer computes by joins) and
 then iterates MapReduce rounds until ``Eq`` stops changing:
 
 * **MapEM** — for each candidate pair, either confirm it from the previous
-  round's ``Eq`` snapshot or run the per-pair isomorphism check restricted to
+  round's ``Eq`` or run the per-pair isomorphism check restricted to
   the two d-neighbourhoods, and emit ``(entity, (e1, e2, flag))`` records;
 * **ReduceEM** — group by entity, merge newly identified pairs into the
   global ``Eq`` (extending its transitive closure) and re-emit the still
@@ -21,11 +21,11 @@ enumeration (no early termination); ``EMOptMR`` (see
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 from ..api.events import ProgressEvent, notify
 from ..api.registry import get_algorithm, register_algorithm
-from ..core.equivalence import EquivalenceRelation, Pair, canonical_pair
+from ..core.equivalence import EquivalenceFork, EquivalenceRelation, Pair, canonical_pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.neighborhood import NeighborhoodIndex
@@ -37,31 +37,29 @@ from .candidates import CandidateSet
 from .checkers import EnumerationChecker, GuidedChecker, PairChecker
 from .result import EMResult, EMStatistics
 
-#: mapper/reducer record: (e1, e2, identified?)
-PairRecord = Tuple[str, str, bool]
-
-
 class _MapEM:
     """The ``MapEM`` function of Fig. 4 for one round.
 
     The mapper is a *picklable task payload*: it carries only the small
-    per-round state (the ``Eq`` snapshot and the incremental-checking set) and
+    per-round state (``Eq`` and the incremental-checking set) and
     reads the heavy invariants — the graph and the d-neighbourhoods — from the
     Haloop-style worker cache, which the executor ships to each worker once
     per run rather than once per task.  Per-worker helpers (the checker) live
     in the task context's scratch space, and statistics flow back through
-    ``context.count`` so the mapper object itself stays read-only.
+    ``context.count`` so the mapper object itself stays read-only.  ``Eq`` is
+    the driver's live one: every executor gathers all map outcomes before a
+    reduce task runs, so during the map phase it is the round-start relation.
     """
 
     def __init__(
         self,
         keys_by_type: Dict[str, List[Key]],
-        eq_snapshot: EquivalenceRelation,
+        eq: EquivalenceRelation,
         checker_class: Type[PairChecker],
         pairs_to_check: Optional[Set[Pair]],
     ) -> None:
         self._keys_by_type = keys_by_type
-        self._eq = eq_snapshot
+        self._eq = eq
         self._checker_class = checker_class
         self._pairs_to_check = pairs_to_check
 
@@ -78,8 +76,7 @@ class _MapEM:
 
     def map(self, key: Hashable, value: object, context: TaskContext) -> None:
         e1, e2 = key  # type: ignore[misc]
-        already = bool(value) or self._eq.identified(e1, e2)
-        if already:
+        if value:
             context.emit(e1, (e1, e2, True))
             context.emit(e2, (e1, e2, True))
             return
@@ -109,28 +106,24 @@ class _ReduceEM:
     plays the role of the paper's reducer-side transitive-closure joins (the
     join work is still charged to the cost model via ``add_work``).  The
     reducer implements the runtime's replicate/absorb protocol: each reduce
-    task runs against an independent copy of ``Eq`` and returns its merge log,
+    task runs against an O(1) fork of ``Eq`` and returns the fork's merge log,
     which the driver replays in task order — the same schedule under every
     executor, so parallel runs stay bit-identical with serial ones.
     """
 
-    def __init__(self, eq: EquivalenceRelation) -> None:
+    def __init__(self, eq: Union[EquivalenceRelation, EquivalenceFork]) -> None:
         self._eq = eq
         self.newly_identified: Set[Pair] = set()
-        self._merge_log: List[Pair] = []
 
     def reduce(self, key: Hashable, values: List[object], context: TaskContext) -> None:
         unidentified: List[Pair] = []
         for record in values:
             e1, e2, flag = record  # type: ignore[misc]
-            pair = canonical_pair(e1, e2)
             if flag:
-                if self._eq.merge(e1, e2):
-                    self.newly_identified.add(pair)
-                    self._merge_log.append(pair)
+                self._eq.merge(e1, e2)
                 context.add_work(1)  # transitive-closure join work
             else:
-                unidentified.append(pair)
+                unidentified.append(canonical_pair(e1, e2))
         for pair in unidentified:
             if not self._eq.identified(*pair):
                 context.emit(pair, False)
@@ -138,19 +131,18 @@ class _ReduceEM:
     # -- replicate/absorb protocol (see repro.mapreduce.runtime) --------- #
 
     def replicate(self) -> "_ReduceEM":
-        """An independent copy to run one reduce task against."""
-        return _ReduceEM(self._eq.copy())
+        """A fork of ``Eq`` to run one reduce task against."""
+        return _ReduceEM(self._eq.fork())
 
-    def collect(self) -> Tuple[List[Pair], Set[Pair]]:
-        """The picklable state delta of one task: (merge log, new pairs)."""
-        return (self._merge_log, self.newly_identified)
+    def collect(self) -> List[Pair]:
+        """The picklable state delta of one task: its fork's merge log."""
+        return self._eq.log
 
-    def absorb(self, state: Tuple[List[Pair], Set[Pair]]) -> None:
+    def absorb(self, merges: List[Pair]) -> None:
         """Replay a task's merge log into the driver-side ``Eq``."""
-        merges, newly = state
         for e1, e2 in merges:
             self._eq.merge(e1, e2)
-        self.newly_identified |= newly
+        self.newly_identified.update(merges)
 
 
 class MapReduceEntityMatcher:
@@ -233,9 +225,8 @@ class MapReduceEntityMatcher:
     def _run_with_executor(self, executor) -> EMResult:
         # the compiled read view shared by the driver and every worker
         snapshot = self.artifacts.snapshot()
-        driver = MapReduceDriver(
-            self.processors, executor=executor, placement_key=snapshot.placement_key
-        )
+        placement = self.artifacts.shuffle_placement(self.processors)
+        driver = MapReduceDriver(self.processors, executor=executor, placement=placement)
         candidates = self._candidates()
         checker_class = self._checker_class()
         keys_by_type = {
@@ -256,11 +247,10 @@ class MapReduceEntityMatcher:
         driver.cache.put("keys", self.keys, records=self.keys.size)
         driver.cache.put("snapshot", snapshot, records=0)
 
-        eq = EquivalenceRelation(self.graph.entity_ids())
+        eq = EquivalenceRelation()
         for e1, e2 in self.seed_pairs or ():
             eq.merge(e1, e2)
         seed_merges = eq.merge_count
-        driver.hdfs.overwrite("eq", [])
 
         if self.worklist is None:
             worklist_pairs = list(candidates.pairs)
@@ -276,33 +266,30 @@ class MapReduceEntityMatcher:
         )
 
         self._notify("candidates", pending=len(worklist_pairs))
-        pending: List[Tuple[Pair, bool]] = [(pair, False) for pair in worklist_pairs]
+        # a pending pair carries whether Eq held it at round start (a seed)
+        pending = [(pair, eq.identified(*pair)) for pair in worklist_pairs]
         newly_identified: Set[Pair] = set()
         rounds = 0
         while pending:
             rounds += 1
-            eq_snapshot = eq.copy()
             to_check = self._pairs_to_check(
                 rounds, [pair for pair, _ in pending], newly_identified, candidates
             )
-            mapper = _MapEM(keys_by_type, eq_snapshot, checker_class, to_check)
+            mapper = _MapEM(keys_by_type, eq, checker_class, to_check)
             reducer = _ReduceEM(eq)
             job = driver.run_job(mapper, reducer, pending)
-            driver.hdfs.overwrite("eq", sorted(eq.pairs()))
+            identified = eq.pair_count()
+            # the round's Eq, rewritten to HDFS (charged; nothing reads it)
+            driver.hdfs.stats.records_written += identified
             stats.checks += job.counters.get("checks", 0)
             stats.shuffled_records += job.map_emitted
-            newly_identified = set(reducer.newly_identified)
+            newly_identified = reducer.newly_identified
             # pairs that joined Eq purely through transitivity also count as
             # "newly identified" for dependency-based re-checking
-            for pair, _ in pending:
-                if pair not in newly_identified and not eq_snapshot.identified(*pair) and eq.identified(*pair):
+            for pair, held in pending:
+                if not held and pair not in newly_identified and eq.identified(*pair):
                     newly_identified.add(pair)
-            self._notify(
-                "round",
-                round=rounds,
-                identified=eq.pair_count(),
-                pending=len(pending),
-            )
+            self._notify("round", round=rounds, identified=identified, pending=len(pending))
             if not newly_identified:
                 break
             pending = [

@@ -159,7 +159,7 @@ class VertexCentricEntityMatcher:
         self._notify("engine", pending=len(activations))
         engine.run()
 
-        eq = EquivalenceRelation(self.graph.entity_ids())
+        eq = EquivalenceRelation()
         for anchor, *others in program.live_eq.nontrivial_classes():
             for other in others:
                 eq.merge(anchor, other)

@@ -117,7 +117,7 @@ class EvalVCProgram:
             self._starts.setdefault(key.target_type, []).append(
                 (key.name, key.is_recursive, (None,) * x, (None,) * (len(names) - x - 1))
             )
-        self.live_eq = EquivalenceRelation(graph.entity_ids())
+        self.live_eq = EquivalenceRelation()
         #: incremental re-matching: a previous run's surviving merges, applied
         #: to ``live_eq`` up front and prepended to the canonical merge
         #: history so partitioned replicas reconstruct the same seeded state
@@ -202,7 +202,7 @@ class EvalVCProgram:
             for vertex in flagged_set - self._replica_flagged:
                 vertices[vertex].flag = True  # type: ignore[attr-defined]
             self._replica_flagged = flagged_set
-            eq = EquivalenceRelation(self._graph.entity_ids())
+            eq = EquivalenceRelation()
             for e1, e2 in merges:
                 eq.merge(e1, e2)
             self.live_eq = eq

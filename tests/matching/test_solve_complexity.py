@@ -6,7 +6,8 @@ the two primitives such a regression would go through —
 ``EquivalenceRelation.find`` and ``GraphPattern._instantiation_order`` — in
 call counters and bound the counts by the work the run reports.  A MapReduce
 run pays per check and per shuffled record: it may not interpret a pattern
-per check nor hash a shuffle key per round.
+per check, copy ``Eq`` per round, nor hash a shuffle key that an earlier run
+at the same snapshot placed.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ def test_second_warm_vertex_centric_run_only_reads_what_the_first_remembered(
 
 
 # --------------------------------------------------------------------------- #
-# a warm MapReduce run walks compiled plans and hashes a shuffle key once
+# a warm MapReduce run walks compiled plans, copies no Eq and hashes a
+# shuffle key once per snapshot
 # --------------------------------------------------------------------------- #
 
 
@@ -215,8 +217,18 @@ def test_warm_mapreduce_run_interprets_no_pattern_and_hashes_each_key_once(
     from repro.runtime import partition
 
     dataset = _deep_dataset()
-    session = MatchSession(dataset.graph).with_keys(dataset.keys)
-    session.run(algorithm)  # every artifact the backend reads
+    graph = dataset.graph
+    session = MatchSession(graph).with_keys(dataset.keys)
+    tables = []
+    run_job = MapReduceDriver.run_job
+
+    def keep_table(self, *args):
+        tables.append(self.placement)
+        return run_job(self, *args)
+
+    monkeypatch.setattr(MapReduceDriver, "run_job", keep_table)
+    session.run(algorithm)  # every artifact the backend reads, the table too
+    table = tables[0]
 
     derived = [
         _count_calls(monkeypatch, GraphPattern, name)
@@ -228,32 +240,35 @@ def test_warm_mapreduce_run_interprets_no_pattern_and_hashes_each_key_once(
         _count_function(monkeypatch, module, "repr", original=repr)
         for module in (eval_guided, matching)
     ]
+    copies = _count_calls(monkeypatch, EquivalenceRelation, "copy")
     drivers = _track_instances(monkeypatch, MapReduceDriver)
-    tables = []
-    run_job = MapReduceDriver.run_job
 
-    def keep_table(self, *args):
-        tables.append(self.placement)
-        return run_job(self, *args)
-
-    monkeypatch.setattr(MapReduceDriver, "run_job", keep_table)
-
-    for run in (1, 2):
-        before = hashes["n"]
+    for _ in (1, 2):
         result = session.run(algorithm)
         assert result.pairs() == dataset.planted_pairs
         assert result.stats.checks >= 100 and result.stats.rounds >= 3
-        table = tables[-1]
-        assert all(one is table for one in tables[-result.stats.rounds:])  # one per run ...
-        assert len({id(one) for one in tables}) == run  # ... and a new one for the next
-        # placed twice a round (map split, reduce split), hashed once a run
-        assert hashes["n"] - before == len(table)
-        assert len(table) <= 3 * result.stats.processed_pairs
-        assert len(table) < result.stats.shuffled_records
+    # every round of every run at this snapshot placed its keys with the
+    # first run's table (twice a round: map split, reduce split) and no run
+    # after the first hashed one
+    assert all(one is table for one in tables)
+    assert hashes["n"] == 0
+    assert len(table) <= 3 * result.stats.processed_pairs
+    assert len(table) < result.stats.shuffled_records
+    # reduce tasks fork Eq and mappers read it: no copy per round or task
+    assert copies["n"] == 0
     assert [calls["n"] for calls in derived] == [0, 0, 0, 0]
     # this fixture's steps have one candidate (pair) each: nothing to order
     assert [calls["n"] for calls in reprs] == [0, 0]
     assert len(drivers) == 2
+
+    # one journal window patches the snapshot: its interning gets a new table
+    graph.add_value(sorted(graph.entity_ids())[0], "window_note", "window-value")
+    result = session.run(algorithm)
+    assert result.pairs() == dataset.planted_pairs
+    window_table = tables[-1]
+    assert window_table is not table
+    assert all(one is window_table for one in tables[-result.stats.rounds:])
+    assert hashes["n"] == len(window_table) > 0  # each key hashed once
 
 
 # --------------------------------------------------------------------------- #

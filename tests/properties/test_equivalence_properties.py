@@ -173,3 +173,99 @@ def test_relation_agrees_with_naive_partition_model(ops):
         assert_agrees(eq, model)
     for original, original_model in originals:
         assert_agrees(original, original_model)
+
+
+# ---------------------------------------------------------------------- #
+# forks: what a reduce task runs against
+# ---------------------------------------------------------------------- #
+
+universe_merges = st.lists(st.tuples(universe_members, universe_members), max_size=12)
+
+
+def assert_identifies_as(relation, model: NaivePartition) -> None:
+    """*relation* answers ``identified`` as *model*'s blocks, whichever ids
+    either of them has seen."""
+    for a in UNIVERSE:
+        for b in UNIVERSE:
+            same = a == b or any(a in block and b in block for block in model.blocks)
+            assert relation.identified(a, b) == same
+
+
+@given(parent_merges=universe_merges, task_merges=st.lists(universe_merges, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_forks_extend_a_frozen_parent_and_replay_to_sequential_merges(
+    parent_merges, task_merges
+):
+    eq, model = EquivalenceRelation(), NaivePartition()
+    for e1, e2 in parent_merges:
+        eq.merge(e1, e2)
+        model.merge(e1, e2)
+    frozen, sequential = model.copy(), model.copy()
+    forks = []
+    for merges in task_merges:
+        fork, fork_model = eq.fork(), frozen.copy()
+        for e1, e2 in merges:
+            assert fork.merge(e1, e2) == fork_model.merge(e1, e2)
+            sequential.merge(e1, e2)
+        assert_identifies_as(fork, fork_model)
+        assert_agrees(eq, frozen)  # the parent did not move
+        shipped = pickle.loads(pickle.dumps(fork))  # a process pool's task
+        assert shipped.log == fork.log
+        assert_identifies_as(shipped, fork_model)
+        forks.append(shipped)
+    # absorb: the logs replayed into the parent in task order
+    for fork in forks:
+        for e1, e2 in fork.log:
+            eq.merge(e1, e2)
+    assert_identifies_as(eq, sequential)
+    assert eq.pairs() == sequential.pairs()
+    assert eq.merge_count == sequential.merges
+
+
+def test_forks_on_threads_leave_their_shared_parent_untouched():
+    """A thread pool's reduce tasks fork one parent at once.  With more
+    threads than cores and a short switch interval, the parent's bytes do not
+    move (no fork compresses a path in it) and each fork answers for the
+    parent plus its own merges alone."""
+    import sys
+    import threading
+
+    tasks, blocks = 8, 64
+    parent = EquivalenceRelation()
+    for k in range(blocks):
+        # two classes of four per block, each with a path of length two
+        for base in (8 * k, 8 * k + 4):
+            a0, a1, a2, a3 = (f"e{base + i}" for i in range(4))
+            parent.merge(a0, a1), parent.merge(a2, a3), parent.merge(a0, a2)
+    frozen = pickle.dumps(parent)
+    logs, wrong = [None] * tasks, []
+
+    def task(t):
+        fork = parent.fork()
+        for k in range(t, blocks, tasks):
+            fork.merge(f"e{8 * k + 1}", f"e{8 * k + 5}")
+        for _ in range(20):
+            for k in range(blocks):
+                if fork.identified(f"e{8 * k + 3}", f"e{8 * k + 7}") != (k % tasks == t):
+                    wrong.append((t, k))
+        logs[t] = fork.log
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=task, args=(t,)) for t in range(tasks)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert pickle.dumps(parent) == frozen
+    merges = parent.merge_count
+    for log in logs:
+        for e1, e2 in log:
+            parent.merge(e1, e2)
+    assert parent.merge_count == merges + blocks
+    assert all(parent.identified(f"e{8 * k}", f"e{8 * k + 7}") for k in range(blocks))

@@ -5,6 +5,11 @@ serial, thread and process executors must produce *bit-identical* results —
 same identified pairs, same statistics, same simulated seconds — because the
 partitioned schedules are pure functions of the configuration, never of where
 the tasks physically ran.
+
+The answer is checked against ``tests/naive_semantics.naive_chase``, Section 2
+read literally with no code shared with ``src/``.  It is brute force over
+valuations, so the dataset stays at 88 entities and the oracle runs once per
+module.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from repro.api.registry import ALGORITHMS, get_algorithm
 from repro.api.session import MatchSession
 from repro.datasets.synthetic import synthetic_dataset
 from repro.exceptions import ConfigError
+from tests.naive_semantics import naive_chase
 
 EXECUTOR_KINDS = ("serial", "thread", "process")
 
@@ -24,6 +30,13 @@ def dataset():
     return synthetic_dataset(
         num_keys=8, chain_length=2, radius=2, entities_per_type=5, scale=1.0, seed=7
     )
+
+
+@pytest.fixture(scope="module")
+def naive_pairs(dataset):
+    pairs = naive_chase(dataset.graph, dataset.keys)
+    assert pairs  # the seeded dataset must contain duplicates to find
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +51,32 @@ def test_all_six_backends_are_registered(executor_backends):
     assert executor_backends == ["EMMR", "EMVF2MR", "EMOptMR", "EMVC", "EMOptVC"]
 
 
-def test_all_backends_agree_on_pairs_across_executors(dataset, executor_backends):
-    """All six backends, serial/thread/process: one identical pair set."""
+def test_all_backends_agree_on_pairs_across_executors(
+    dataset, executor_backends, naive_pairs
+):
+    """All six backends, serial/thread/process: the naive fixpoint."""
     session = MatchSession(dataset.graph).with_keys(dataset.keys)
-    expected = session.run("chase").pairs()
-    assert expected  # the seeded dataset must contain duplicates to find
+    assert session.run("chase").pairs() == naive_pairs
     for name in executor_backends:
         for kind in EXECUTOR_KINDS:
             result = session.run(name, processors=4, executor=kind, workers=2)
-            assert result.pairs() == expected, (name, kind)
+            assert result.pairs() == naive_pairs, (name, kind)
 
 
-def test_snapshot_path_is_bit_identical_to_the_dict_path_chase(dataset, executor_backends):
+def test_snapshot_path_is_bit_identical_to_the_dict_path_chase(
+    dataset, executor_backends, naive_pairs
+):
     """The compiled-snapshot read layer must not change chase(G, Σ).
 
     Session runs share one GraphSnapshot (built once); the dict-path chase —
-    run on the bare graph, no session, no snapshot — is the ground truth
-    every backend and every executor must reproduce exactly.
+    run on the bare graph, no session, no snapshot — is what every backend
+    and every executor must reproduce exactly, and it is itself held to the
+    naive fixpoint.
     """
     from repro.core.chase import chase
 
     dict_path = chase(dataset.graph, dataset.keys).pairs()
+    assert dict_path == naive_pairs
     session = MatchSession(dataset.graph).with_keys(dataset.keys)
     for name in ["chase"] + list(executor_backends):
         assert session.run(name).pairs() == dict_path, name
