@@ -62,7 +62,6 @@ from .core import (
     Key,
     KeySet,
     Literal,
-    NeighborhoodIndex,
     NodeKind,
     PatternNode,
     PatternTriple,
@@ -145,7 +144,6 @@ __all__ = [
     "MatchConfig",
     "MatchSession",
     "MatchingError",
-    "NeighborhoodIndex",
     "NodeKind",
     "OptionSpec",
     "ParseError",

@@ -1,7 +1,8 @@
 """``MatchSession``: one configurable entry point for repeated matching runs.
 
 A session owns a graph, a key set and the expensive precomputed artifacts the
-backends share — the :class:`~repro.core.neighborhood.NeighborhoodIndex`, the
+backends share — the compiled snapshot, its
+:class:`~repro.storage.neighborhoods.SnapshotNeighborhoodIndex`, the
 candidate sets (per filter flavour) and the product graph — so a benchmark
 sweep that runs all six algorithms on the same input builds each of them
 exactly once instead of once per algorithm::

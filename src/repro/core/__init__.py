@@ -20,12 +20,6 @@ from .matching import (
     satisfies,
     violations,
 )
-from .neighborhood import (
-    NeighborhoodIndex,
-    d_neighborhood_nodes,
-    d_neighborhood_subgraph,
-    radius_per_type,
-)
 from .pairing import (
     can_pair,
     can_pair_with_any,
@@ -69,7 +63,6 @@ __all__ = [
     "Key",
     "KeySet",
     "Literal",
-    "NeighborhoodIndex",
     "NodeKind",
     "PatternNode",
     "PatternTriple",
@@ -83,8 +76,6 @@ __all__ = [
     "chase",
     "coincides",
     "constant",
-    "d_neighborhood_nodes",
-    "d_neighborhood_subgraph",
     "designated",
     "entities_identified",
     "entity_var",
@@ -101,7 +92,6 @@ __all__ = [
     "parse_graph",
     "parse_keys",
     "proof_from_chase",
-    "radius_per_type",
     "reduced_neighborhoods",
     "satisfies",
     "save_graph",

@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import MatchingError
 from .equivalence import EquivalenceRelation, Pair, canonical_pair
 from .eval_guided import EvalStatistics, GuidedPairEvaluator
 from .graph import Graph
 from .key import Key, KeySet
-from .neighborhood import NeighborhoodIndex
 from .pattern import NodeKind
-from .triples import is_entity_ref
+
+if TYPE_CHECKING:
+    from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 
 
 def candidate_pairs(graph: Graph, keys: KeySet) -> List[Pair]:
@@ -121,14 +122,19 @@ def chase(
     keys: KeySet,
     pair_order: Optional[Sequence[Pair]] = None,
     key_order: Optional[Sequence[Key]] = None,
-    use_neighborhoods: bool = True,
     record_provenance: bool = True,
-    snapshot: Optional[object] = None,
-    index: Optional[NeighborhoodIndex] = None,
+    snapshot: Optional[GraphSnapshot] = None,
+    index: Optional[SnapshotNeighborhoodIndex] = None,
     seed: Optional[Iterable[Pair]] = None,
     blocking: str = "off",
 ) -> ChaseResult:
     """Compute ``chase(G, Σ)`` sequentially.
+
+    Every read — candidate enumeration, the d-neighbourhood BFS, the guided
+    per-pair checks — runs over a compiled
+    :class:`~repro.storage.snapshot.GraphSnapshot` of *graph*, and each check
+    is restricted to the d-neighbourhoods of its two entities (the
+    data-locality property of Section 4.1).
 
     Parameters
     ----------
@@ -138,22 +144,18 @@ def chase(
         Optional explicit orders in which candidate pairs / keys are tried.
         By the Church–Rosser property (Proposition 1) the result is the same
         for every order; the property tests rely on this hook.
-    use_neighborhoods:
-        When True (the default), per-pair checks are restricted to the
-        d-neighbourhoods of the two entities (the data-locality property of
-        Section 4.1).
     record_provenance:
         When True, each directly identified pair records the key used and the
         prerequisite pairs of its witness (see :class:`ChaseStep`).
     snapshot:
-        An optional :class:`~repro.storage.snapshot.GraphSnapshot` of *graph*
-        (e.g. the session cache's).  All reads — candidate enumeration,
-        d-neighbourhood BFS, the guided per-pair checks — then run over the
-        compiled arrays; the result is identical to the dict path.
+        The snapshot of *graph* to read (e.g. the session cache's); without
+        one, a snapshot is built once, here.
     index:
-        An optional prebuilt :class:`NeighborhoodIndex` (e.g. the session's
-        cached one) to reuse d-neighbourhood BFS results across runs; it is
-        extended in place with any missing entities.
+        An optional prebuilt
+        :class:`~repro.storage.neighborhoods.SnapshotNeighborhoodIndex` over
+        *snapshot* (e.g. the session's cached one) to reuse d-neighbourhood
+        BFS results across runs; it is extended in place with any missing
+        entities.
     seed:
         Optional pairs merged into ``Eq`` *before* any chase step — the
         incremental-matching entry point: a previous run's surviving
@@ -173,36 +175,30 @@ def chase(
             eq.merge(e1, e2)
         return ChaseResult(eq=eq, candidates=0)
 
-    reader = snapshot if snapshot is not None else graph
-    evaluator = GuidedPairEvaluator(reader)
+    # lazy: both packages import repro.core, which imports this module
+    from ..matching.blocking import blocked_candidate_pairs
+    from ..storage import SnapshotNeighborhoodIndex
+    from ..storage.snapshot import snapshot_of
+
+    snapshot = snapshot_of(graph, snapshot)
+    evaluator = GuidedPairEvaluator(snapshot)
     eq = EquivalenceRelation()
     for e1, e2 in seed or ():
         eq.merge(e1, e2)
-    if not use_neighborhoods:
-        neighborhoods = None
-    elif index is not None:
-        neighborhoods = index
-    elif snapshot is not None:
-        from ..storage import SnapshotNeighborhoodIndex  # lazy: avoid import cycle
-
-        neighborhoods = SnapshotNeighborhoodIndex(snapshot, keys)
-    else:
-        neighborhoods = NeighborhoodIndex(graph, keys)
+    neighborhoods = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
 
     if pair_order is not None:
         candidates = list(pair_order)
     elif blocking != "off":
-        from ..matching.blocking import blocked_candidate_pairs  # lazy: avoid import cycle
-
         candidates, _, _ = blocked_candidate_pairs(
-            graph, keys, mode=blocking, snapshot=snapshot  # type: ignore[arg-type]
+            graph, keys, mode=blocking, snapshot=snapshot
         )
     else:
-        candidates = candidate_pairs(reader, keys)
+        candidates = candidate_pairs(snapshot, keys)
     for e1, e2 in candidates:
-        if not reader.has_entity(e1):
+        if not snapshot.has_entity(e1):
             raise MatchingError(f"candidate pair references unknown entity {e1!r}")
-        if not reader.has_entity(e2):
+        if not snapshot.has_entity(e2):
             raise MatchingError(f"candidate pair references unknown entity {e2!r}")
 
     ordered_keys = list(key_order) if key_order is not None else list(keys)
@@ -220,17 +216,15 @@ def chase(
         for e1, e2 in pending:
             if eq.identified(e1, e2):
                 continue
-            etype = reader.entity_type(e1)
+            etype = snapshot.entity_type(e1)
             applicable = keys_by_type.get(etype, [])
             identified_by: Optional[Key] = None
             witness = None
             for key in applicable:
                 result.checks += 1
-                # "is not None", not truthiness: a fresh NeighborhoodIndex is
-                # empty (len 0 → falsy) until its first nodes() call caches
-                nbhd1 = neighborhoods.nodes(e1) if neighborhoods is not None else None
-                nbhd2 = neighborhoods.nodes(e2) if neighborhoods is not None else None
-                witness = evaluator.identify_with_witness(key, e1, e2, eq, nbhd1, nbhd2)
+                witness = evaluator.identify_with_witness(
+                    key, e1, e2, eq, neighborhoods.nodes(e1), neighborhoods.nodes(e2)
+                )
                 if witness is not None:
                     identified_by = key
                     break

@@ -30,6 +30,7 @@ from ..core.chase import chase
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import MatchingError
+from .artifacts import SessionArtifacts
 from .blocking import (
     BLOCKING_MODES,
     BlockingIndex,
@@ -71,15 +72,12 @@ def chase_as_result(
     index: Optional[object] = None,
     seed_pairs: Optional[object] = None,
     worklist: Optional[object] = None,
-    blocking: str = "off",
 ) -> EMResult:
     """Run the sequential chase and wrap it in an :class:`EMResult`.
 
     ``seed_pairs`` / ``worklist`` are the incremental re-matching hooks: the
     seed is merged into ``Eq`` before any chase step and the worklist (when
     given) replaces the full candidate enumeration as the pending pair list.
-    ``blocking`` selects blocked candidate enumeration (sound, so the chase
-    fixpoint is unchanged).
     """
     outcome = chase(
         graph,
@@ -88,7 +86,6 @@ def chase_as_result(
         index=index,
         seed=seed_pairs,
         pair_order=worklist,
-        blocking=blocking,
     )
     stats = EMStatistics(
         candidate_pairs=outcome.candidates,
@@ -125,21 +122,19 @@ def _run_chase(
     worklist: Optional[object] = None,
     blocking: str = "off",
 ) -> EMResult:
-    snapshot = artifacts.snapshot() if artifacts is not None else None
-    index = artifacts.neighborhood_index() if artifacts is not None else None
-    if artifacts is not None and worklist is None and blocking != "off":
+    artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
+    if worklist is None and blocking != "off":
         # the cache's enumeration of this graph version, in the order the
-        # chase itself would enumerate: same candidates, same checks, no
-        # blocking index built and no collision pass per run
+        # chase itself would enumerate: same candidates, same checks, and
+        # one collision pass per graph version, not per run
         worklist, _ = artifacts.blocked_pairs(blocking)
     result = chase_as_result(
         graph,
         keys,
-        snapshot=snapshot,
-        index=index,
+        snapshot=artifacts.snapshot(),
+        index=artifacts.neighborhood_index(),
         seed_pairs=seed_pairs,
         worklist=worklist,
-        blocking=blocking,
     )
     # the sequential chase has no rounds to report, but it honours the
     # events contract every backend shares: a final "done" notification

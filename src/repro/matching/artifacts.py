@@ -34,11 +34,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
-from ..core.neighborhood import radius_per_type
 from ..core.triples import is_entity_ref
 from ..exceptions import SnapshotPatchError, StoreError
 from ..mapreduce.runtime import ShufflePlacement
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
+from ..storage.neighborhoods import radius_per_type
 from ..storage.store import SnapshotStore
 from .blocking import BlockingIndex, BlockingStats
 from .candidates import CandidateSet, build_candidates, build_filtered_candidates
@@ -376,11 +376,7 @@ class SessionArtifacts:
                 if old_blocking is not None:
                     self._blocking_index = self._timed(
                         "blocking_index_rebase",
-                        lambda: old_blocking.rebased(
-                            self.graph,
-                            snapshot=self.snapshot(),
-                            affected_entities=affected,
-                        ),
+                        lambda: old_blocking.rebased(self.snapshot(), affected),
                     )
                     self._counts["blocking_index_rebases"] += 1
             self.version = version

@@ -58,8 +58,10 @@ from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.pattern import SignaturePath
-from ..core.triples import Literal, is_entity_ref
+from ..core.triples import Literal
 from ..exceptions import ConfigError
+from ..storage import GraphSnapshot
+from ..storage.snapshot import snapshot_of
 
 #: The recognised values of the ``blocking`` knob.
 BLOCKING_MODES: Tuple[str, ...] = ("off", "auto", "force")
@@ -138,41 +140,35 @@ _PathSignatures = Dict[str, FrozenSet[Literal]]
 
 
 class BlockingIndex:
-    """Per-key signature index over one graph version.
+    """Per-key signature index over one snapshot.
 
     Build with :meth:`build`; enumerate with :meth:`candidate_pairs`; carry
     across journal deltas with :meth:`rebased`, which recomputes signatures
     only for delta-affected entities (signature paths never leave a key's
-    radius ball, so the session's ``stale | touched`` entity set covers every
-    possible signature change).
+    radius ball, so the journal window's radius ball covers every possible
+    signature change).
     """
 
     __slots__ = (
-        "_graph",
         "_snapshot",
         "_schemes",
         "_signatures",
         "_buckets",
-        "version",
         "build_seconds",
     )
 
     def __init__(
         self,
-        graph: Graph,
-        snapshot: Optional[object],
+        snapshot: GraphSnapshot,
         schemes: Tuple[KeyBlockingScheme, ...],
         signatures: Dict[int, Tuple[_PathSignatures, ...]],
         buckets: Dict[str, FrozenSet[str]],
-        version: object,
         build_seconds: float,
     ) -> None:
-        self._graph = graph
         self._snapshot = snapshot
         self._schemes = schemes
         self._signatures = signatures
         self._buckets = buckets
-        self.version = version
         self.build_seconds = build_seconds
 
     # ------------------------------------------------------------------ #
@@ -185,17 +181,16 @@ class BlockingIndex:
         graph: Graph,
         keys: KeySet,
         *,
-        snapshot: Optional[object] = None,
+        snapshot: Optional[GraphSnapshot] = None,
     ) -> "BlockingIndex":
         """Compile the schemes of *keys* and index every keyed entity.
 
-        With a *snapshot*, signatures are computed in integer space over the
-        CSR arrays (single-hop forward paths stream the snapshot's inverted
-        value index in one pass); otherwise the object-space read surface of
-        *graph* is used.
+        Signatures are computed in integer space over the CSR arrays of
+        *snapshot* (built from *graph* here when not given); single-hop
+        forward paths stream the snapshot's inverted value index in one pass.
         """
+        snapshot = snapshot_of(graph, snapshot)
         started = time.perf_counter()
-        reader = snapshot if snapshot is not None else graph
         schemes = compile_blocking_schemes(keys)
         signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
         buckets: Dict[str, FrozenSet[str]] = {}
@@ -204,38 +199,33 @@ class BlockingIndex:
                 continue
             if scheme.target_type not in buckets:
                 buckets[scheme.target_type] = frozenset(
-                    reader.entities_of_type(scheme.target_type)
+                    snapshot.entities_of_type(scheme.target_type)
                 )
             signatures[index] = tuple(
-                _path_signatures(reader, snapshot, scheme.target_type, path)
+                _path_signatures(snapshot, scheme.target_type, path)
                 for path in scheme.paths
             )
         return cls(
-            graph=graph,
             snapshot=snapshot,
             schemes=schemes,
             signatures=signatures,
             buckets=buckets,
-            version=getattr(reader, "version", None),
             build_seconds=time.perf_counter() - started,
         )
 
     def rebased(
-        self,
-        graph: Graph,
-        *,
-        snapshot: Optional[object] = None,
-        affected_entities: Iterable[str] = (),
+        self, snapshot: GraphSnapshot, affected_entities: Iterable[str] = ()
     ) -> "BlockingIndex":
-        """A new index over the current graph version, reusing signatures.
+        """A new index over *snapshot*, the next graph version, reusing
+        signatures.
 
         Only *affected_entities* (and entities new since the previous
         version) are recomputed; everything else is copied.  The caller must
         pass a superset of the entities whose radius ball a delta touched —
-        the session passes ``stale | touched``, which is exactly that set.
+        the session passes the journal window's radius ball, which is
+        exactly that set.
         """
         started = time.perf_counter()
-        reader = snapshot if snapshot is not None else graph
         affected = set(affected_entities)
         signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
         buckets: Dict[str, FrozenSet[str]] = {}
@@ -244,7 +234,7 @@ class BlockingIndex:
                 continue
             etype = scheme.target_type
             if etype not in buckets:
-                buckets[etype] = frozenset(reader.entities_of_type(etype))
+                buckets[etype] = frozenset(snapshot.entities_of_type(etype))
             old_bucket = self._buckets.get(etype, frozenset())
             bucket = buckets[etype]
             old_per_path = self._signatures.get(index, ())
@@ -254,7 +244,7 @@ class BlockingIndex:
                 fresh: _PathSignatures = {}
                 for entity in bucket:
                     if entity in affected or entity not in old_bucket:
-                        tokens = _entity_signature(reader, snapshot, entity, path)
+                        tokens = _entity_signature(snapshot, entity, path)
                         if tokens:
                             fresh[entity] = tokens
                     else:
@@ -264,12 +254,10 @@ class BlockingIndex:
                 per_path.append(fresh)
             signatures[index] = tuple(per_path)
         return BlockingIndex(
-            graph=graph,
             snapshot=snapshot,
             schemes=self._schemes,
             signatures=signatures,
             buckets=buckets,
-            version=getattr(reader, "version", None),
             build_seconds=time.perf_counter() - started,
         )
 
@@ -314,11 +302,10 @@ class BlockingIndex:
             self.require_certified()
         started = time.perf_counter()
         stats = BlockingStats(mode=mode, index_seconds=self.build_seconds)
-        reader = self._snapshot if self._snapshot is not None else self._graph
         pairs: List[Pair] = []
         target_types = sorted({s.target_type for s in self._schemes})
         for etype in target_types:
-            bucket = reader.entities_of_type(etype)  # sorted entity ids
+            bucket = self._snapshot.entities_of_type(etype)  # sorted entity ids
             count = len(bucket)
             stats.quadratic_pairs += count * (count - 1) // 2
             type_schemes = [
@@ -395,19 +382,15 @@ def _most_selective_path(
 
 
 def _path_signatures(
-    reader: object,
-    snapshot: Optional[object],
-    etype: str,
-    path: SignaturePath,
+    snapshot: GraphSnapshot, etype: str, path: SignaturePath
 ) -> _PathSignatures:
     """Signatures of every *etype* entity along *path* (empty ones omitted)."""
-    if snapshot is not None:
-        fast = _snapshot_signatures(snapshot, etype, path)
-        if fast is not None:
-            return fast
+    fast = _snapshot_signatures(snapshot, etype, path)
+    if fast is not None:
+        return fast
     result: _PathSignatures = {}
-    for entity in reader.entities_of_type(etype):
-        tokens = _entity_signature(reader, snapshot, entity, path)
+    for entity in snapshot.entities_of_type(etype):
+        tokens = _entity_signature(snapshot, entity, path)
         if tokens:
             result[entity] = tokens
     return result
@@ -419,21 +402,21 @@ class _LiteralIds:
 
     __slots__ = ("is_literal_id",)
 
-    def __init__(self, snapshot: object) -> None:
+    def __init__(self, snapshot: GraphSnapshot) -> None:
         self.is_literal_id = snapshot.is_literal_id
 
     def __contains__(self, node_id: int) -> bool:
         return self.is_literal_id(node_id)
 
 
-def _level(snapshot: object, etype: Optional[str]):
+def _level(snapshot: GraphSnapshot, etype: Optional[str]):
     """The interned ids a path level admits, as a bucket to test with
     ``in``: those of a type, or the literals'."""
     return _LiteralIds(snapshot) if etype is None else snapshot.type_ids(etype)
 
 
 def _snapshot_signatures(
-    snapshot: object, etype: str, path: SignaturePath
+    snapshot: GraphSnapshot, etype: str, path: SignaturePath
 ) -> Optional[_PathSignatures]:
     """Signatures of the whole *etype* bucket, one integer-space pass per hop.
 
@@ -485,24 +468,9 @@ def _snapshot_signatures(
 
 
 def _entity_signature(
-    reader: object,
-    snapshot: Optional[object],
-    entity: str,
-    path: SignaturePath,
+    snapshot: GraphSnapshot, entity: str, path: SignaturePath
 ) -> FrozenSet[Literal]:
     """The signature of one entity: literals reachable along *path*."""
-    if snapshot is not None:
-        tokens = _entity_signature_int(snapshot, entity, path)
-    else:
-        tokens = _entity_signature_obj(reader, entity, path)
-    if path.constant is not None:
-        tokens &= frozenset((path.constant,))
-    return tokens
-
-
-def _entity_signature_int(
-    snapshot: object, entity: str, path: SignaturePath
-) -> FrozenSet[Literal]:
     root = snapshot.id_of(entity)
     if root is None:
         return frozenset()
@@ -520,34 +488,10 @@ def _entity_signature_int(
                 reached.update(snapshot.in_ids(node, pid))
         level = _level(snapshot, step.etype)
         frontier = {i for i in reached if i in level}
-    node_at = snapshot.node_at
-    return frozenset(node_at(i) for i in frontier)
-
-
-def _entity_signature_obj(
-    reader: object, entity: str, path: SignaturePath
-) -> FrozenSet[Literal]:
-    frontier: Set[object] = {entity}
-    for step in path.steps:
-        reached: Set[object] = set()
-        if step.forward:
-            for node in frontier:
-                if is_entity_ref(node):
-                    reached.update(reader.objects(node, step.predicate))
-        else:
-            for node in frontier:
-                reached.update(reader.subjects(step.predicate, node))
-        if step.etype is None:
-            frontier = {n for n in reached if isinstance(n, Literal)}
-        else:
-            frontier = {
-                n
-                for n in reached
-                if is_entity_ref(n)
-                and reader.has_entity(n)
-                and reader.entity_type(n) == step.etype
-            }
-    return frozenset(frontier)  # type: ignore[arg-type]
+    tokens = frozenset(map(snapshot.node_at, frontier))
+    if path.constant is not None:
+        tokens &= frozenset((path.constant,))
+    return tokens
 
 
 def blocked_candidate_pairs(
@@ -555,7 +499,7 @@ def blocked_candidate_pairs(
     keys: KeySet,
     *,
     mode: str = "auto",
-    snapshot: Optional[object] = None,
+    snapshot: Optional[GraphSnapshot] = None,
     index: Optional[BlockingIndex] = None,
 ) -> Tuple[List[Pair], BlockingStats, BlockingIndex]:
     """Convenience wrapper: build (or reuse) an index and enumerate.

@@ -16,10 +16,10 @@ from ..core.chase import candidate_pairs
 from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
-from ..core.neighborhood import NeighborhoodIndex
 from ..core.pairing import pairing_relation, pairing_support_nodes
 from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
+from ..storage.snapshot import snapshot_of
 from .blocking import BlockingIndex, BlockingStats, blocked_candidate_pairs
 
 
@@ -30,7 +30,7 @@ class CandidateSet:
     #: in deterministic enumeration order; never mutated in place (a blocked
     #: unfiltered set shares the session cache's enumeration tuple)
     pairs: Sequence[Pair]
-    neighborhoods: NeighborhoodIndex
+    neighborhoods: SnapshotNeighborhoodIndex
     #: |L| before the pairing filter (for the optimization-effectiveness stats).
     unfiltered_size: int = 0
     #: total neighbourhood size before reduction (nodes).
@@ -76,7 +76,7 @@ def build_candidates(
     graph: Graph,
     keys: KeySet,
     *,
-    index: Optional[NeighborhoodIndex] = None,
+    index: Optional[SnapshotNeighborhoodIndex] = None,
     snapshot: Optional[GraphSnapshot] = None,
     blocking: str = "off",
     blocking_index: Optional[BlockingIndex] = None,
@@ -84,10 +84,11 @@ def build_candidates(
 ) -> CandidateSet:
     """The unfiltered candidate set ``L`` with full d-neighbourhoods.
 
-    Pass a prebuilt *index* (e.g. a session cache) to reuse neighbourhood BFS
-    results across runs; it is extended in place with any missing entities.
-    With a *snapshot*, candidate enumeration reads the compiled type buckets
-    and a fresh index extracts neighbourhoods over the CSR arrays.
+    Every read goes to *snapshot* (built from *graph* here when not given):
+    candidate enumeration reads its type buckets and the neighbourhoods come
+    off its CSR arrays.  Pass a prebuilt *index* over it (e.g. a session
+    cache's) to reuse neighbourhood BFS results across runs; it is extended
+    in place with any missing entities.
 
     *blocking* selects the enumeration strategy: ``"off"`` is the classic
     quadratic scan, ``"auto"`` enumerates through signature blocks with a
@@ -99,9 +100,9 @@ def build_candidates(
     *blocking_index* skips the signature build only: it is kept for the
     benchmark spine's cache-less batch path alone and goes, with the
     ``blocked_candidate_pairs`` branch, once the spine passes *blocked*
-    (ROADMAP item 1).
+    (ROADMAP item 6).
     """
-    reader = snapshot if snapshot is not None else graph
+    snapshot = snapshot_of(graph, snapshot)
     stats: Optional[BlockingStats] = None
     if blocked is not None:
         pairs, stats = blocked
@@ -110,13 +111,8 @@ def build_candidates(
             graph, keys, mode=blocking, snapshot=snapshot, index=blocking_index
         )
     else:
-        pairs = candidate_pairs(reader, keys)
-    if index is not None:
-        neighborhoods = index
-    elif snapshot is not None:
-        neighborhoods = SnapshotNeighborhoodIndex(snapshot, keys)
-    else:
-        neighborhoods = NeighborhoodIndex(graph, keys)
+        pairs = candidate_pairs(snapshot, keys)
+    neighborhoods = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
     involved = {e for pair in pairs for e in pair}
     neighborhoods.precompute(involved)
     total = neighborhoods.total_size()
@@ -134,7 +130,7 @@ def build_filtered_candidates(
     keys: KeySet,
     reduce_neighborhoods: bool = True,
     *,
-    index: Optional[NeighborhoodIndex] = None,
+    index: Optional[SnapshotNeighborhoodIndex] = None,
     snapshot: Optional[GraphSnapshot] = None,
     blocking: str = "off",
     blocking_index: Optional[BlockingIndex] = None,
@@ -146,11 +142,11 @@ def build_filtered_candidates(
     when *reduce_neighborhoods* is set, the d-neighbourhoods of surviving
     pairs are shrunk to the union of pairing-supported nodes.  A shared
     *index* is never reduced in place — the reduction happens on a clone, so
-    the caller's cache stays valid for unreduced consumers.  A *snapshot*
-    routes every read (type lookups, the pairing fixpoint) through the
-    compiled layer.
+    the caller's cache stays valid for unreduced consumers.  Every read (type
+    lookups, the pairing fixpoint) goes to *snapshot*, built from *graph*
+    here when not given.
     """
-    reader = snapshot if snapshot is not None else graph
+    snapshot = snapshot_of(graph, snapshot)
     base = build_candidates(
         graph,
         keys,
@@ -172,14 +168,14 @@ def build_filtered_candidates(
     supports: Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]] = {}
     rejected: Set[Pair] = set()
     for e1, e2 in base.pairs:
-        etype = reader.entity_type(e1)
+        etype = snapshot.entity_type(e1)
         nbhd1 = neighborhoods.nodes(e1)
         nbhd2 = neighborhoods.nodes(e2)
         side1: Set[GraphNode] = set()
         side2: Set[GraphNode] = set()
         paired = False
         for key in keys_by_type.get(etype, ()):
-            relation = pairing_relation(reader, key, e1, e2, nbhd1, nbhd2)
+            relation = pairing_relation(snapshot, key, e1, e2, nbhd1, nbhd2)
             if relation is None:
                 continue
             paired = True
@@ -209,7 +205,7 @@ def build_filtered_candidates(
 
 
 def apply_support_restrictions(
-    neighborhoods: NeighborhoodIndex,
+    neighborhoods: SnapshotNeighborhoodIndex,
     supports: Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]],
 ) -> None:
     """Shrink *neighborhoods* to the pairing-supported nodes of *supports*.
@@ -251,7 +247,7 @@ def pair_prerequisites(
     dependent: Pair,
     wanted_types: Set[str],
     candidate_index: Dict[str, List[Pair]],
-    neighborhoods: NeighborhoodIndex,
+    neighborhoods: SnapshotNeighborhoodIndex,
 ) -> Set[Pair]:
     """The candidate pairs *dependent* depends on (its ``dep`` in-edges)."""
     if not wanted_types:

@@ -28,10 +28,9 @@ from ..api.registry import get_algorithm, register_algorithm
 from ..core.equivalence import EquivalenceFork, EquivalenceRelation, Pair, canonical_pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
-from ..core.neighborhood import NeighborhoodIndex
 from ..mapreduce.runtime import MapReduceDriver, TaskContext
 from ..runtime import create_executor
-from ..storage import GraphSnapshot
+from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from .artifacts import SessionArtifacts
 from .candidates import CandidateSet
 from .checkers import EnumerationChecker, GuidedChecker, PairChecker
@@ -63,7 +62,9 @@ class _MapEM:
         self._checker_class = checker_class
         self._pairs_to_check = pairs_to_check
 
-    def _tools(self, context: TaskContext) -> Tuple[GraphSnapshot, NeighborhoodIndex, PairChecker]:
+    def _tools(
+        self, context: TaskContext
+    ) -> Tuple[GraphSnapshot, SnapshotNeighborhoodIndex, PairChecker]:
         tools = context.scratch.get("em_mr_tools")
         if tools is None:
             # the cached "snapshot" is the compiled read view of G: compact

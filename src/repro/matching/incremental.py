@@ -45,9 +45,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import EquivalenceRelation, Pair
 from ..core.key import Key, KeySet
-from ..core.neighborhood import NeighborhoodIndex
 from ..core.pairing import pairing_relation, pairing_support_nodes
 from ..core.triples import GraphNode
+from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from .candidates import (
     CandidateSet,
     apply_support_restrictions,
@@ -309,7 +309,6 @@ def plan_session_delta(
             if cached.pair_supports:
                 old_supports.update(cached.pair_supports)
     affected_entities = artifacts.refresh()
-    graph, keys = artifacts.graph, artifacts.keys
     # classic planning is quadratic: every candidate pair of the new graph is
     # in the universe, so vanished pairs and support-level refinements never
     # arise.  A blocked session plans over the sub-quadratic blocked
@@ -340,7 +339,9 @@ def plan_session_delta(
         state=state,
         old_pair_supports=old_supports,
         extra_identified=extras,
-        extra_dependents=extra_dependency_edges(graph, keys, candidates, extras),
+        extra_dependents=extra_dependency_edges(
+            artifacts.snapshot(), artifacts.keys, candidates, extras
+        ),
     )
 
 
@@ -396,8 +397,8 @@ def rebase_filtered_candidates(
     graph,
     keys: KeySet,
     *,
-    snapshot,
-    index: NeighborhoodIndex,
+    snapshot: GraphSnapshot,
+    index: SnapshotNeighborhoodIndex,
     affected_entities: Set[str],
     reduce_neighborhoods: bool,
     blocking: str = "off",
@@ -417,7 +418,6 @@ def rebase_filtered_candidates(
     blocking index), so no signature is re-derived and flavours rebased in
     the same window share one collision pass.
     """
-    reader = snapshot if snapshot is not None else graph
     base = build_candidates(
         graph,
         keys,
@@ -459,8 +459,8 @@ def rebase_filtered_candidates(
         paired = False
         nbhd1 = neighborhoods.nodes(e1)
         nbhd2 = neighborhoods.nodes(e2)
-        for key in keys_by_type.get(reader.entity_type(e1), ()):
-            relation = pairing_relation(reader, key, e1, e2, nbhd1, nbhd2)
+        for key in keys_by_type.get(snapshot.entity_type(e1), ()):
+            relation = pairing_relation(snapshot, key, e1, e2, nbhd1, nbhd2)
             if relation is None:
                 continue
             paired = True

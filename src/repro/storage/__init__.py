@@ -3,7 +3,7 @@
 The mutable :class:`~repro.core.graph.Graph` stays the single source of
 truth for writes; this package compiles it into a :class:`GraphSnapshot` —
 an interned, CSR-backed view that every read-side consumer (d-neighbourhood
-extraction, candidate generation, the VF2 feasibility layer, the product
+extraction, candidate generation and blocking, the chase, the product
 graph, the MR mappers and the VC supersteps) shares.  A snapshot is built
 once per :attr:`Graph.version` and cached by
 :class:`~repro.api.session.MatchSession`; the parallel runtimes pickle the

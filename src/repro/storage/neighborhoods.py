@@ -1,7 +1,14 @@
-"""A ``NeighborhoodIndex`` that extracts d-neighbourhoods in integer space.
+"""d-neighbourhood extraction (Section 4.1), in integer space.
 
-Same contract as :class:`~repro.core.neighborhood.NeighborhoodIndex` (node
-*sets* in, node *sets* out, clone/restrict/evict semantics unchanged), but:
+For an entity ``e`` and radius ``d`` (the maximum radius of the keys defined
+on ``e``'s type), the *d-neighbour* ``G^d`` of ``e`` is the subgraph of ``G``
+induced by the nodes within ``d`` hops of ``e``, ignoring edge direction.
+The data-locality property the algorithms exploit is that
+``(G, Σ) |= (e1, e2)`` iff ``(G^d_1 ∪ G^d_2, Σ) |= (e1, e2)``, so the
+per-pair checks take the two node *sets* as a restriction on the reads of
+the whole snapshot and never copy a subgraph.
+
+:class:`SnapshotNeighborhoodIndex` caches those sets per entity:
 
 * the BFS runs over the snapshot's CSR arrays
   (:meth:`GraphSnapshot.neighborhood_ids`) instead of hashing node objects
@@ -9,27 +16,41 @@ Same contract as :class:`~repro.core.neighborhood.NeighborhoodIndex` (node
 * pickling encodes every cached node set as a sorted array of interned ids —
   the compact payload the MR worker cache and the VC engine replicas ship
   once per worker — and decodes entries lazily on first use in the worker;
-* :meth:`rebased` migrates still-fresh cache entries onto a rebuilt snapshot
-  after a graph mutation (the session's journal-driven selective
-  invalidation).
+* :meth:`SnapshotNeighborhoodIndex.rebased` migrates still-fresh cache
+  entries onto a patched snapshot after a graph mutation (the session's
+  journal-driven selective invalidation).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Set
+from typing import Dict, Iterable, Set
 
 from ..core.key import KeySet
-from ..core.neighborhood import NeighborhoodIndex, radius_per_type
 from ..core.triples import GraphNode
 from .snapshot import GraphSnapshot
 
 
-class SnapshotNeighborhoodIndex(NeighborhoodIndex):
-    """d-neighbourhood cache backed by a :class:`GraphSnapshot`."""
+def radius_per_type(keys: KeySet) -> Dict[str, int]:
+    """The neighbourhood radius to use for each keyed type.
+
+    This is the maximum radius over the keys defined on the type, as in the
+    construction of ``G^d`` in Section 4.1.
+    """
+    return {etype: keys.max_radius_for_type(etype) for etype in keys.target_types()}
+
+
+class SnapshotNeighborhoodIndex:
+    """A cache of d-neighbourhood node sets for the entities of keyed types.
+
+    Algorithm ``EMMR`` constructs d-neighbourhoods for all entities appearing
+    in the candidate set and caches them across rounds (the paper caches them
+    on worker disks, Haloop-style).  This index plays that role in-process,
+    and also reports the total and maximum neighbourhood sizes, which feed the
+    cost model and the optimization-effectiveness statistics.
+    """
 
     def __init__(self, snapshot: GraphSnapshot, keys: KeySet) -> None:
         self._snapshot = snapshot
-        self._graph = snapshot  # read surface only; satisfies the base class
         self._radius = radius_per_type(keys)
         self._cache: Dict[str, Set[GraphNode]] = {}
         # entries arriving through pickle stay id-encoded until first use
@@ -43,7 +64,12 @@ class SnapshotNeighborhoodIndex(NeighborhoodIndex):
     # cache access (integer-space BFS)
     # ------------------------------------------------------------------ #
 
+    def radius_for(self, entity: str) -> int:
+        """The radius used for *entity* (0 when its type has no keys)."""
+        return self._radius.get(self._snapshot.entity_type(entity), 0)
+
     def nodes(self, entity: str) -> Set[GraphNode]:
+        """The (cached) d-neighbourhood node set of *entity*."""
         cached = self._cache.get(entity)
         if cached is None:
             encoded = self._encoded.pop(entity, None)
@@ -56,19 +82,38 @@ class SnapshotNeighborhoodIndex(NeighborhoodIndex):
             self._cache[entity] = cached
         return cached
 
+    def precompute(self, entities: Iterable[str]) -> None:
+        """Eagerly compute the neighbourhoods of *entities*."""
+        for entity in entities:
+            self.nodes(entity)
+
     def evict(self, entity: str) -> None:
+        """Drop the cached neighbourhood of *entity* (recomputed on demand)."""
         self._cache.pop(entity, None)
         self._encoded.pop(entity, None)
 
     def restrict(self, entity: str, allowed: Set[GraphNode]) -> None:
+        """Shrink the cached neighbourhood of *entity* to ``allowed`` nodes.
+
+        Used by the optimization of Section 4.2 that reduces ``(G^d_1, G^d_2)``
+        to the nodes appearing in the maximum pairing relation.  The entity
+        itself is always kept.
+        """
         current = self.nodes(entity)
         self._cache[entity] = (current & allowed) | {entity}
         self._encoded.pop(entity, None)
 
     def clone(self) -> "SnapshotNeighborhoodIndex":
+        """A copy sharing the already-computed node sets.
+
+        The cache *entries* are shared (they are never mutated in place:
+        :meth:`restrict` replaces them with fresh sets), so a clone lets one
+        consumer reduce its neighbourhoods without staling the original —
+        the mechanism the session cache uses to serve both reduced and
+        unreduced algorithm families from one BFS pass.
+        """
         twin = object.__new__(SnapshotNeighborhoodIndex)
         twin._snapshot = self._snapshot
-        twin._graph = self._snapshot
         twin._radius = dict(self._radius)
         twin._cache = dict(self._cache)
         twin._encoded = dict(self._encoded)
@@ -85,7 +130,6 @@ class SnapshotNeighborhoodIndex(NeighborhoodIndex):
         """
         twin = self.clone()
         twin._snapshot = snapshot
-        twin._graph = snapshot
         for entity in evict:
             twin.evict(entity)
         # old-snapshot encodings cannot be decoded by the new snapshot
@@ -115,11 +159,13 @@ class SnapshotNeighborhoodIndex(NeighborhoodIndex):
     # ------------------------------------------------------------------ #
 
     def total_size(self) -> int:
+        """Total number of nodes over all cached neighbourhoods."""
         return sum(len(nodes) for nodes in self._cache.values()) + sum(
             len(ids) for ids in self._encoded.values()
         )
 
     def max_size(self) -> int:
+        """Size of the largest cached neighbourhood (``|G^d_m|``)."""
         sizes = [len(nodes) for nodes in self._cache.values()]
         sizes.extend(len(ids) for ids in self._encoded.values())
         return max(sizes, default=0)
@@ -143,7 +189,6 @@ class SnapshotNeighborhoodIndex(NeighborhoodIndex):
     def __setstate__(self, state) -> None:
         snapshot, radius, encoded = state
         self._snapshot = snapshot
-        self._graph = snapshot
         self._radius = radius
         self._cache = {}
         self._encoded = encoded

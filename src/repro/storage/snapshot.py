@@ -33,13 +33,13 @@ Two API surfaces coexist:
   read-side consumer — the guided evaluator, the pairing fixpoint, the
   declarative matcher, the product graph — runs on a snapshot unchanged;
 * an **integer-space surface** (``objects_ids``, ``subjects_ids``,
-  ``neighborhood_ids``, ``type_ids``, ``is_literal_id``, ``repr_rank``) used
-  by the compiled hot paths (CSR BFS, the compiled VF2 matcher).  An id is a
-  stable handle and nothing more: that a canonical type bucket is a
-  contiguous range and that literals follow entities are facts of one form,
-  not of the surface.  Ask :meth:`GraphSnapshot.type_ids` and
-  :meth:`GraphSnapshot.is_literal_id`; order comes from ``repr_rank`` and
-  from sorted entity ids, never from the id.
+  ``neighborhood_ids``, ``type_ids``, ``is_literal_id``) used by the
+  compiled hot paths (the CSR BFS, signature blocking).  An id is a stable
+  handle and nothing more: that a canonical type bucket is a contiguous
+  range and that literals follow entities are facts of one form, not of the
+  surface.  Ask :meth:`GraphSnapshot.type_ids` and
+  :meth:`GraphSnapshot.is_literal_id`; order comes from sorted entity ids,
+  never from the id.
 
 Pickling ships only the compact arrays and interning tables.  Nothing is
 decoded up front: the object-space surface decodes and memoises one CSR row
@@ -253,7 +253,6 @@ class GraphSnapshot:
         "_int_subjects",   # (object id, pred id) -> frozenset of subject ids
         "_adjacency",      # id -> tuple of undirected neighbour ids (BFS form)
         "_value_node_set",
-        "_repr_ranks",     # id -> rank of the node in global repr order
         "_buckets",        # type -> {id: entity id}, see type_ids
         # --- snapshot-store backing (set by repro.storage.store) -------- #
         "_store_path",         # file this snapshot is attached to, or None
@@ -533,7 +532,6 @@ class GraphSnapshot:
         self._int_subjects = {}
         self._adjacency = {}
         self._value_node_set = None
-        self._repr_ranks = None
         self._buckets = {}
 
     # ------------------------------------------------------------------ #
@@ -707,25 +705,6 @@ class GraphSnapshot:
         mapped = self._id_of.get(key) if self._overlay is None else self.id_of(key)
         return key if mapped is None else mapped
 
-    def repr_rank(self, node_id: int) -> int:
-        """The rank of the node in the global ``sorted(nodes, key=repr)`` order.
-
-        The compiled VF2 matcher orders candidate ids by this rank, which
-        reproduces the dict path's ``sorted(candidates, key=repr)`` branching
-        order exactly (node reprs are unique across a graph's nodes).
-        """
-        ranks = self._repr_ranks
-        if ranks is None:
-            node_at = self.node_at
-            order = sorted(
-                range(self.num_interned_nodes), key=lambda i: repr(node_at(i))
-            )
-            ranks = array(_ID, [0] * len(order))
-            for rank, index in enumerate(order):
-                ranks[index] = rank
-            self._repr_ranks = ranks
-        return ranks[node_id]
-
     # ------------------------------------------------------------------ #
     # integer-space adjacency (compiled hot paths)
     # ------------------------------------------------------------------ #
@@ -849,8 +828,7 @@ class GraphSnapshot:
         """The interned ids within *radius* undirected hops of *root_id*.
 
         A pure integer BFS (ids returned in BFS order, root first) — no node
-        objects are hashed while exploring, which is where the snapshot path
-        beats the dict path.
+        objects are hashed while exploring.
         """
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
@@ -1126,21 +1104,6 @@ class GraphSnapshot:
             Triple(subj, pred, obj) for pred, subjs in row.items() for subj in subjs
         )
 
-    def induced_subgraph(self, nodes: Iterable[GraphNode]) -> Graph:
-        """The induced subgraph as a fresh, mutable :class:`Graph`."""
-        keep = set(nodes)
-        sub = Graph()
-        for node in keep:
-            if is_entity_ref(node) and self.has_entity(node):
-                sub.add_entity(node, self.entity_type(node))
-        for node in keep:
-            if not (is_entity_ref(node) and self.has_entity(node)):
-                continue
-            for triple in self.out_triples(node):
-                if triple.obj in keep:
-                    sub.add_triple(triple)
-        return sub
-
     def stats(self) -> Dict[str, int]:
         """Summary counts; ``decoded_rows`` is what this process has read so far.
 
@@ -1167,6 +1130,16 @@ class GraphSnapshot:
             f"GraphSnapshot(version={self.version}, entities={self.num_entities}, "
             f"triples={self.num_triples}, types={len(self.types())})"
         )
+
+
+def snapshot_of(graph: Graph, snapshot: Optional[GraphSnapshot] = None) -> GraphSnapshot:
+    """The read view of *graph*: *snapshot* when the caller holds one (a
+    session cache's), else a fresh :meth:`GraphSnapshot.build`.
+
+    A public entry point handed a bare ``Graph`` calls this once, first, and
+    reads nothing but the result below that line.
+    """
+    return GraphSnapshot.build(graph) if snapshot is None else snapshot
 
 
 def _restore_snapshot(state: Dict[str, object]) -> GraphSnapshot:

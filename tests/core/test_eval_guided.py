@@ -9,9 +9,9 @@ import pytest
 from repro.core.equivalence import EquivalenceRelation
 from repro.core.eval_guided import GuidedPairEvaluator
 from repro.core.matching import identify_pair_by_enumeration
-from repro.core.neighborhood import NeighborhoodIndex
 from repro.datasets.business import business_dataset, business_graph, key_q4, key_q5
 from repro.datasets.music import key_q1, key_q2, key_q3, music_dataset, music_graph
+from repro.storage import GraphSnapshot, SnapshotNeighborhoodIndex
 
 
 class TestGuidedEvaluator:
@@ -65,7 +65,7 @@ class TestGuidedEvaluator:
         graph, keys = music_dataset()
         evaluator = GuidedPairEvaluator(graph)
         eq = EquivalenceRelation()
-        index = NeighborhoodIndex(graph, keys)
+        index = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         assert evaluator.identify(
             key_q2(), "alb1", "alb2", eq, index.nodes("alb1"), index.nodes("alb2")
         )

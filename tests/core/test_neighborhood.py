@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.graph import Graph
-from repro.core.neighborhood import (
-    NeighborhoodIndex,
-    d_neighborhood_nodes,
-    d_neighborhood_subgraph,
-    radius_per_type,
-)
 from repro.core.triples import Literal
 from repro.datasets.music import music_dataset
+from repro.storage import GraphSnapshot, SnapshotNeighborhoodIndex
+from repro.storage.neighborhoods import radius_per_type
+
+from tests.naive_semantics import naive_ball
 
 
 @pytest.fixture
@@ -27,26 +25,25 @@ def chain_graph() -> Graph:
 
 
 class TestDNeighborhood:
+    """The snapshot BFS, with the reference BFS read alongside."""
+
     def test_radius_zero_is_just_the_entity(self, chain_graph: Graph):
-        assert d_neighborhood_nodes(chain_graph, "n2", 0) == {"n2"}
+        snapshot = GraphSnapshot.build(chain_graph)
+        assert snapshot.neighborhood_nodes("n2", 0) == {"n2"}
+        assert naive_ball(chain_graph, "n2", 0) == {"n2"}
 
     def test_radius_grows_symmetrically(self, chain_graph: Graph):
-        nodes = d_neighborhood_nodes(chain_graph, "n2", 1)
-        assert nodes == {"n1", "n2", "n3"}
-        nodes2 = d_neighborhood_nodes(chain_graph, "n2", 2)
-        assert nodes2 == {"n0", "n1", "n2", "n3", "n4"}
-        nodes3 = d_neighborhood_nodes(chain_graph, "n2", 3)
-        assert Literal("start") in nodes3
+        snapshot = GraphSnapshot.build(chain_graph)
+        for ball in (snapshot.neighborhood_nodes, lambda e, r: naive_ball(chain_graph, e, r)):
+            assert ball("n2", 1) == {"n1", "n2", "n3"}
+            assert ball("n2", 2) == {"n0", "n1", "n2", "n3", "n4"}
+            assert Literal("start") in ball("n2", 3)
 
     def test_negative_radius_rejected(self, chain_graph: Graph):
         with pytest.raises(ValueError):
-            d_neighborhood_nodes(chain_graph, "n0", -1)
-
-    def test_subgraph_induced(self, chain_graph: Graph):
-        sub = d_neighborhood_subgraph(chain_graph, "n2", 1)
-        assert sub.num_entities == 3
-        assert sub.has_triple("n1", "next", "n2")
-        assert not sub.has_triple("n0", "next", "n1")
+            GraphSnapshot.build(chain_graph).neighborhood_nodes("n0", -1)
+        with pytest.raises(ValueError):
+            naive_ball(chain_graph, "n0", -1)
 
 
 class TestNeighborhoodIndex:
@@ -57,7 +54,7 @@ class TestNeighborhoodIndex:
 
     def test_index_caches_and_reports_sizes(self):
         graph, keys = music_dataset()
-        index = NeighborhoodIndex(graph, keys)
+        index = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         nodes = index.nodes("alb1")
         assert "alb1" in nodes and "art1" in nodes
         assert index.nodes("alb1") is nodes  # cached object reused
@@ -69,20 +66,13 @@ class TestNeighborhoodIndex:
     def test_radius_for_unkeyed_type_is_zero(self):
         graph, keys = music_dataset()
         graph.add_entity("stray", "label")
-        index = NeighborhoodIndex(graph, keys)
+        index = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         assert index.radius_for("stray") == 0
         assert index.nodes("stray") == {"stray"}
 
     def test_restrict_keeps_entity(self):
         graph, keys = music_dataset()
-        index = NeighborhoodIndex(graph, keys)
+        index = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         index.nodes("alb1")
         index.restrict("alb1", {"art1"})
         assert index.nodes("alb1") == {"alb1", "art1"}
-
-    def test_subgraph_view(self):
-        graph, keys = music_dataset()
-        index = NeighborhoodIndex(graph, keys)
-        sub = index.subgraph("alb1")
-        assert sub.has_entity("alb1")
-        assert sub.num_triples <= graph.num_triples

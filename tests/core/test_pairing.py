@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.chase import chase
 from repro.core.equivalence import EquivalenceRelation
-from repro.core.neighborhood import NeighborhoodIndex
 from repro.core.pairing import (
     can_pair,
     can_pair_with_any,
@@ -18,12 +17,13 @@ from repro.core.pairing import (
 )
 from repro.datasets.music import key_q1, key_q2, key_q3, music_dataset
 from repro.datasets.synthetic import synthetic_dataset
+from repro.storage import GraphSnapshot, SnapshotNeighborhoodIndex
 
 
 @pytest.fixture
 def music_env():
     graph, keys = music_dataset()
-    index = NeighborhoodIndex(graph, keys)
+    index = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
     return graph, keys, index
 
 
@@ -58,7 +58,7 @@ class TestPairingRelation:
         # alb1 and alb3 have different release years but both have *some* year,
         # so Q2 can still pair them; a pair across missing structure cannot:
         graph.add_entity("alb_orphan", "album")
-        index2 = NeighborhoodIndex(graph, keys)
+        index2 = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         assert not can_pair(
             graph, key_q2(), "alb1", "alb_orphan",
             index2.nodes("alb1"), index2.nodes("alb_orphan"),
@@ -97,7 +97,7 @@ class TestReducedNeighborhoods:
     def test_reduction_returns_none_when_unpairable(self, music_env):
         graph, keys, index = music_env
         graph.add_entity("alb_orphan", "album")
-        index2 = NeighborhoodIndex(graph, keys)
+        index2 = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         assert (
             reduced_neighborhoods(
                 graph,
@@ -113,7 +113,7 @@ class TestReducedNeighborhoods:
     def test_reduction_shrinks_on_synthetic_data(self):
         dataset = synthetic_dataset(num_keys=4, chain_length=2, radius=2, entities_per_type=5)
         graph, keys = dataset.graph, dataset.keys
-        index = NeighborhoodIndex(graph, keys)
+        index = SnapshotNeighborhoodIndex(GraphSnapshot.build(graph), keys)
         etype = next(iter(keys.target_types()))
         entities = graph.entities_of_type(etype)
         e1, e2 = entities[0], entities[1]

@@ -259,7 +259,7 @@ class TestRebasing:
         graph.add_entity("p_new", "person")
         graph.add_value("p_new", "name", "n0")
         graph.set_value("p3", "name", "totally_fresh")
-        rebased = index.rebased(graph, affected_entities=("p_new", "p3"))
+        rebased = index.rebased(GraphSnapshot.build(graph), affected_entities=("p_new", "p3"))
         fresh = BlockingIndex.build(graph, keys)
         assert rebased.candidate_pairs("auto")[0] == fresh.candidate_pairs("auto")[0]
 
@@ -268,7 +268,7 @@ class TestRebasing:
         index = BlockingIndex.build(graph, keys)
         for triple in graph.out_triples("b0").copy():
             graph.remove_triple(triple)
-        rebased = index.rebased(graph, affected_entities=("b0", "a0"))
+        rebased = index.rebased(GraphSnapshot.build(graph), affected_entities=("b0", "a0"))
         fresh = BlockingIndex.build(graph, keys)
         assert rebased.candidate_pairs("auto")[0] == fresh.candidate_pairs("auto")[0]
 

@@ -7,11 +7,14 @@ pattern nodes, in declaration order, that respects the typing discipline and
 sends *every* pattern triple — self-loops included — to a member of
 ``set(graph.triples())``.  ``chase(G, Σ)`` is the least equivalence relation
 closed under "two entities with coinciding matches of a key are equal".
+:func:`naive_ball` is the d-neighbourhood of Section 4.1 read the same way:
+a breadth-first walk over ``Graph.neighbors``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Dict, List, Set, Tuple
 
 from repro.core.key import Key
@@ -19,6 +22,23 @@ from repro.core.pattern import GraphPattern, NodeKind, PatternNode
 from repro.core.triples import GraphNode, Literal, Triple
 
 Valuation = Dict[str, GraphNode]
+
+
+def naive_ball(graph, entity: str, radius: int) -> Set[GraphNode]:
+    """The nodes within *radius* undirected hops of *entity* (itself included)."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    seen: Set[GraphNode] = {entity}
+    queue = deque([(entity, 0)])
+    while queue:
+        node, depth = queue.popleft()
+        if depth == radius:
+            continue
+        for nbr in graph.neighbors(node):
+            if nbr not in seen:
+                seen.add(nbr)
+                queue.append((nbr, depth + 1))
+    return seen
 
 
 def _well_typed(graph, node: PatternNode, image: GraphNode) -> bool:

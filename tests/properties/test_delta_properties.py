@@ -39,16 +39,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ALGORITHMS, MatchSession
-from repro.core.chase import candidate_pairs, chase
+from repro.core.chase import candidate_pairs
 from repro.core.fingerprint import graph_fingerprint
 from repro.core.graph import Graph
-from repro.core.neighborhood import NeighborhoodIndex, radius_per_type
 from repro.core.triples import Literal, is_entity_ref
 from repro.exceptions import StoreFormatError, StoreMissError
 from repro.runtime import stable_hash
 from repro.matching.incremental import DependencyWorklist, extra_dependency_edges
+from repro.storage.neighborhoods import radius_per_type
 from repro.storage.snapshot import GraphSnapshot
 from repro.storage.store import SnapshotStore, snapshot_info
+from tests.naive_semantics import naive_ball, naive_chase
 
 # reuse the PR 5 mutation fuzzer verbatim — the whole point is that the
 # delta layers survive the exact mutation vocabulary the journal supports
@@ -156,10 +157,6 @@ def assert_same_reads(snapshot: GraphSnapshot, rebuilt: GraphSnapshot) -> None:
             for reader in (snapshot, rebuilt)
         ]
         assert postings[0] == postings[1], predicate
-    ids = [snapshot.id_of(node) for node in nodes]
-    assert sorted(ids, key=snapshot.repr_rank) == sorted(
-        ids, key=lambda i: repr(snapshot.node_at(i))
-    )
     # gone, never-seen and wrong-kind nodes read as absent
     for stranger in ("no-such-entity", Literal("no-such-value")):
         assert snapshot.id_of(stranger) is None
@@ -407,7 +404,7 @@ def test_process_workers_on_a_patched_snapshot_equal_the_chase(stored, tmp_path)
             apply_random_mutation(graph, rng)
         scripted_window(graph, window)
         session.rerun()
-    reference = chase(graph, keys).pairs()
+    reference = naive_chase(graph, keys)
     for backend in ALGORITHMS:
         assert session.run(backend).pairs() == reference, backend
         if backend != "chase":
@@ -441,7 +438,7 @@ def test_delta_without_its_ancestor_is_a_typed_miss_and_the_session_rebuilds(dam
         store.load(graph)
     # a cold session answers the typed error with a rebuild, saved canonical
     cold = MatchSession(graph, snapshot_store=store).with_keys(keys)
-    assert cold.run("EMOptVC").pairs() == chase(graph, keys).pairs()
+    assert cold.run("EMOptVC").pairs() == naive_chase(graph, keys)
     info = cold.cache_info()
     assert info.store_misses == 1 and info.snapshot_builds == 1
     assert snapshot_info(store.path_for(graph.content_fingerprint()))["kind"] == "canonical"
@@ -514,7 +511,7 @@ def test_all_backends_identical_on_patched_snapshot_path(seed):
     rng = random.Random(seed)
     for _ in range(2):
         apply_random_mutation(graph, rng)
-    reference = chase(graph, keys).pairs()
+    reference = naive_chase(graph, keys)
     for backend, session in sessions.items():
         result = session.rerun()
         assert result.eq.pairs() == reference, backend
@@ -529,6 +526,16 @@ def test_all_backends_identical_on_patched_snapshot_path(seed):
 # --------------------------------------------------------------------------- #
 # blocked planner acceptance: pairs_rechecked within the affected closure
 # --------------------------------------------------------------------------- #
+
+
+def naive_neighborhoods(graph: Graph, keys, entities=None):
+    """Every entity's d-neighbourhood (all of *entities* when given), read by
+    the reference BFS over ``Graph`` rather than the snapshot index."""
+    radius = radius_per_type(keys)
+    return {
+        entity: frozenset(naive_ball(graph, entity, radius.get(graph.entity_type(entity), 0)))
+        for entity in sorted(graph.entity_ids() if entities is None else entities)
+    }
 
 
 def affected_closure_bound(
@@ -632,11 +639,7 @@ def test_blocked_incremental_rechecks_within_affected_closure(seed, rounds):
     for count in rounds:
         base_version = graph.version
         old_quadratic = set(candidate_pairs(graph, keys))
-        index = NeighborhoodIndex(graph, keys)
-        old_neighborhoods = {
-            entity: frozenset(index.nodes(entity))
-            for entity in sorted(graph.entity_ids())
-        }
+        old_neighborhoods = naive_neighborhoods(graph, keys)
         old_supports = {
             pair: (frozenset(sides[0]), frozenset(sides[1]))
             for cached in session._artifacts.cached("candidates").values()
@@ -650,7 +653,7 @@ def test_blocked_incremental_rechecks_within_affected_closure(seed, rounds):
         assert touched is not None
 
         result = session.rerun()
-        assert result.eq.pairs() == chase(graph, keys).pairs(), session.last_delta()
+        assert result.eq.pairs() == naive_chase(graph, keys), session.last_delta()
         delta = session.last_delta()
         assert delta.mode in ("incremental", "reused"), delta
         bounds = {
@@ -699,11 +702,7 @@ def test_support_miss_inside_neighbourhood_rechecks_nothing():
         unidentified = universe - identified
         if not identified:
             continue
-        index = NeighborhoodIndex(graph, keys)
-        neighborhoods = {
-            entity: frozenset(index.nodes(entity))
-            for entity in sorted(graph.entity_ids())
-        }
+        neighborhoods = naive_neighborhoods(graph, keys)
         support_nodes = set()
         for sides in (candidates.pair_supports or {}).values():
             support_nodes |= sides[0] | sides[1]
@@ -728,7 +727,7 @@ def test_support_miss_inside_neighbourhood_rechecks_nothing():
     assert delta.mode in ("incremental", "reused"), delta
     assert delta.pairs_rechecked == 0, delta
     assert delta.dropped_classes == 0, delta
-    assert rerun.eq.pairs() == chase(graph, keys).pairs()
+    assert rerun.eq.pairs() == naive_chase(graph, keys)
 
 
 def test_untouched_delta_rechecks_nothing_on_blocked_runs():
@@ -742,7 +741,7 @@ def test_untouched_delta_rechecks_nothing_on_blocked_runs():
     delta = session.last_delta()
     assert delta.mode in ("incremental", "reused")
     assert delta.pairs_rechecked == 0, delta
-    assert result.eq.pairs() == chase(graph, keys).pairs()
+    assert result.eq.pairs() == naive_chase(graph, keys)
 
 
 # --------------------------------------------------------------------------- #
@@ -750,13 +749,13 @@ def test_untouched_delta_rechecks_nothing_on_blocked_runs():
 # --------------------------------------------------------------------------- #
 
 
-def cached_neighbourhood_sweep(index, touched):
+def cached_neighbourhood_sweep(neighborhoods, touched):
     """The old-side rule the ball replaced: a cached entity that was touched,
     or whose cached (pre-window) d-neighbourhood holds a touched node."""
     return {
         entity
-        for entity in index.cached_entities()
-        if entity in touched or touched & index.nodes(entity)
+        for entity, nodes in neighborhoods.items()
+        if entity in touched or touched & nodes
     }
 
 
@@ -791,16 +790,18 @@ def test_the_window_ball_holds_the_cached_neighbourhood_sweep(blocking, seed, ro
     rng = random.Random(seed)
     for count in rounds:
         base_version = graph.version
-        everyone = NeighborhoodIndex(graph, keys)
-        everyone.precompute(
-            e for e in graph.entity_ids() if graph.entity_type(e) in keys.target_types()
+        cached_index = arts.neighborhood_index()
+        by_session = {e: cached_index.nodes(e) for e in cached_index.cached_entities()}
+        everyone = naive_neighborhoods(
+            graph,
+            keys,
+            (e for e in graph.entity_ids() if graph.entity_type(e) in keys.target_types()),
         )
-        indexes = (arts.neighborhood_index(), everyone)
         for _ in range(count):
             apply_random_mutation(graph, rng)
         touched = graph.touched_since(base_version)
-        sweeps = [(index.cached_entities(), cached_neighbourhood_sweep(index, touched))
-                  for index in indexes]
+        sweeps = [(set(cached), cached_neighbourhood_sweep(cached, touched))
+                  for cached in (by_session, everyone)]
         returned.clear()
         session.rerun()
         if not touched:
@@ -833,9 +834,9 @@ def test_rekeyed_session_equals_fresh_chase(backend, seed):
         subset = [key for key in all_keys if rng.random() < 0.8] or all_keys[:1]
         new_keys = KeySet(subset)
         result = session.with_keys(new_keys).run()
-        assert result.eq.pairs() == chase(graph, new_keys).pairs()
+        assert result.eq.pairs() == naive_chase(graph, new_keys)
         apply_random_mutation(graph, rng)
-        assert session.rerun().eq.pairs() == chase(graph, new_keys).pairs()
+        assert session.rerun().eq.pairs() == naive_chase(graph, new_keys)
     info = session.cache_info()
     assert info.snapshot_builds == 1
 
@@ -925,7 +926,7 @@ def test_remembered_adjacency_equals_a_fresh_product_graph_after_every_window(se
                     assert rebased.neighbors(node, predicate, forward, True) == sorted(
                         expected(node, predicate, forward), key=fresh._priority_key
                     )
-        assert session.rerun().eq.pairs() == chase(graph, keys).pairs()
+        assert session.rerun().eq.pairs() == naive_chase(graph, keys)
     assert carried_total > 0  # the windows did carry rows across
 
 

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core.graph import Graph
 from repro.core.key import Key
-from repro.core.neighborhood import d_neighborhood_nodes
 from repro.core.pairing import pairing_relation
 from repro.core.pattern import (
     NodeKind,
@@ -35,6 +34,8 @@ from repro.core.pattern import (
 )
 from repro.core.triples import GraphNode, Literal, is_entity_ref
 from repro.storage import GraphSnapshot
+
+from tests.naive_semantics import naive_ball
 
 TYPES = ("a", "b")
 EDGE_PREDICATES = ("p", "q")
@@ -258,7 +259,7 @@ SHAPED_KEYS = _shaped_keys()
 
 def neighbourhoods(rng: random.Random, graph: Graph, key: Key, entity: str) -> List[Set[GraphNode]]:
     """The full d-neighbourhood, a random restriction of it, and everything."""
-    full = d_neighborhood_nodes(graph, entity, key.radius)
+    full = naive_ball(graph, entity, key.radius)
     restricted = {n for n in sorted(full, key=repr) if rng.random() < 0.7} | {entity}
     everything = set(graph.entity_ids()) | graph.value_nodes()
     return [full, restricted, everything]

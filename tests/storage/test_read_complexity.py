@@ -4,17 +4,28 @@ A snapshot decodes a CSR row into Python containers the first time that row
 is read, and never the whole graph.  A blocked cold match reads only around
 its candidates, so what it decodes is bounded by their d-neighbourhoods —
 not by ``|G|`` — and a snapshot nobody has read yet has decoded nothing,
-however it was produced.
+however it was produced.  Below a public entry point handed a bare
+``Graph``, the snapshot is the only thing read: one is compiled, first, and
+the ``Graph`` is not read again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 
+import pytest
+
 from repro.api.session import MatchSession
+from repro.core.chase import chase
+from repro.core.graph import Graph
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.artifacts import SessionArtifacts
+from repro.matching.blocking import BlockingIndex
+from repro.matching.candidates import build_filtered_candidates
 from repro.storage import GraphSnapshot, SnapshotStore
+
+from tests.naive_semantics import naive_chase
 
 #: the CSRs a read can decode a row of: forward, backward, undirected
 CSRS = 3
@@ -145,3 +156,84 @@ def test_a_window_costs_its_rows_at_any_graph_size(tmp_path, monkeypatch):
     # a delta's size is a function of the overlay, never of the graph
     assert max(sizes) < 8 * 1024
     assert max(sizes) <= 1.1 * min(sizes)
+
+
+# --------------------------------------------------------------------------- #
+# one read path: an entry point handed a Graph compiles it once, reads that
+# --------------------------------------------------------------------------- #
+
+#: what a read path over the ``Graph`` would call
+GRAPH_READS = (
+    "objects",
+    "subjects",
+    "has_triple",
+    "neighbors",
+    "entities_of_type",
+    "entity_type",
+    "has_entity",
+    "out_triples",
+    "in_triples",
+)
+
+
+def _refused(name: str):
+    def read(*_args, **_kwargs):
+        raise AssertionError(f"Graph.{name} read after the snapshot was built")
+
+    return read
+
+
+@contextlib.contextmanager
+def graph_sealed_after_build(monkeypatch):
+    """Every ``GraphSnapshot.build`` in the block, recorded; the first one
+    seals the ``Graph`` read methods as it returns."""
+    builds = []
+    build = GraphSnapshot.build.__func__
+
+    def sealing_build(cls, graph):
+        snapshot = build(cls, graph)
+        builds.append(snapshot)
+        for name in GRAPH_READS:
+            patch.setattr(Graph, name, _refused(name))
+        return snapshot
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GraphSnapshot, "build", classmethod(sealing_build))
+        yield builds
+
+
+@pytest.fixture
+def workload():
+    """88 entities, the keys, and the duplicates the chase must find."""
+    dataset = synthetic_dataset(
+        num_keys=8, chain_length=2, radius=2, entities_per_type=5, seed=7
+    )
+    reference = naive_chase(dataset.graph, dataset.keys)
+    assert reference
+    return dataset.graph, dataset.keys, reference
+
+
+@pytest.mark.parametrize("blocking", ["off", "auto"])
+def test_chase_reads_one_snapshot(workload, blocking, monkeypatch):
+    graph, keys, reference = workload
+    with graph_sealed_after_build(monkeypatch) as builds:
+        result = chase(graph, keys, blocking=blocking)
+    assert len(builds) == 1
+    assert result.pairs() == reference
+
+
+def test_filtered_candidates_read_one_snapshot(workload, monkeypatch):
+    graph, keys, reference = workload
+    with graph_sealed_after_build(monkeypatch) as builds:
+        candidates = build_filtered_candidates(graph, keys, blocking="auto")
+    assert len(builds) == 1
+    assert candidates.neighborhoods.snapshot is builds[0]
+    assert reference <= set(candidates.pairs)  # no false negatives
+
+
+def test_blocking_index_reads_one_snapshot(workload, monkeypatch):
+    graph, keys, reference = workload
+    with graph_sealed_after_build(monkeypatch) as builds:
+        pairs, _ = BlockingIndex.build(graph, keys).candidate_pairs("auto")
+    assert len(builds) == 1
+    assert reference <= set(pairs)

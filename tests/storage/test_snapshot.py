@@ -15,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import Graph
-from repro.core.neighborhood import NeighborhoodIndex, d_neighborhood_nodes
 from repro.core.triples import Literal, Triple
 from repro.datasets.music import music_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.exceptions import UnknownEntityError
 from repro.storage import GraphSnapshot, SnapshotNeighborhoodIndex
+
+from tests.naive_semantics import naive_ball
 
 # --------------------------------------------------------------------- #
 # hypothesis graph strategy
@@ -109,12 +110,11 @@ def test_snapshot_round_trip_property(graph):
 @given(graph=graphs(), radius=st.integers(min_value=0, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_snapshot_bfs_matches_dict_bfs(graph, radius):
-    """Integer-space d-neighbourhood BFS == the dict-path BFS, any radius."""
+    """Integer-space d-neighbourhood BFS == the reference BFS over
+    ``Graph.neighbors``, any radius."""
     snapshot = GraphSnapshot.build(graph)
     for entity in graph.entity_ids():
-        assert snapshot.neighborhood_nodes(entity, radius) == d_neighborhood_nodes(
-            graph, entity, radius
-        )
+        assert snapshot.neighborhood_nodes(entity, radius) == naive_ball(graph, entity, radius)
 
 
 def test_type_buckets_are_contiguous_and_sorted():
@@ -190,42 +190,35 @@ def test_placement_key_interns_entities_pairs_and_passes_unknowns():
     assert snapshot.placement_key(("not-a-node", 17)) == ("not-a-node", 17)
 
 
-def test_repr_rank_orders_ids_like_sorted_by_repr():
-    graph, _keys = music_dataset()
-    snapshot = GraphSnapshot.build(graph)
-    ids = list(range(snapshot.num_interned_nodes))
-    by_rank = sorted(ids, key=snapshot.repr_rank)
-    by_repr = sorted(ids, key=lambda i: repr(snapshot.node_at(i)))
-    assert by_rank == by_repr
-
-
 # --------------------------------------------------------------------- #
 # SnapshotNeighborhoodIndex
 # --------------------------------------------------------------------- #
 
 
-def test_snapshot_index_matches_dict_index_and_survives_pickle():
+def test_snapshot_index_matches_reference_balls_and_survives_pickle():
     dataset = synthetic_dataset(
         num_keys=8, chain_length=2, radius=2, entities_per_type=5, seed=7
     )
     graph, keys = dataset.graph, dataset.keys
     snapshot = GraphSnapshot.build(graph)
-    dict_index = NeighborhoodIndex(graph, keys)
     snap_index = SnapshotNeighborhoodIndex(snapshot, keys)
     entities = list(graph.entity_ids())
     snap_index.precompute(entities)
+    balls = {}
     for entity in entities:
-        assert snap_index.nodes(entity) == dict_index.nodes(entity)
-        assert snap_index.radius_for(entity) == dict_index.radius_for(entity)
-    assert snap_index.total_size() == dict_index.total_size()
-    assert snap_index.max_size() == dict_index.max_size()
+        radius = keys.max_radius_for_type(graph.entity_type(entity))
+        assert snap_index.radius_for(entity) == radius
+        balls[entity] = naive_ball(graph, entity, radius)
+        assert snap_index.nodes(entity) == balls[entity]
+    assert snap_index.total_size() == sum(map(len, balls.values()))
+    assert snap_index.max_size() == max(map(len, balls.values()))
 
     # the pickled form is id-encoded and decodes lazily to the same sets
     clone = pickle.loads(pickle.dumps(snap_index))
     assert clone.cached_entities() == snap_index.cached_entities()
     assert clone.total_size() == snap_index.total_size()
     for entity in entities:
-        assert clone.nodes(entity) == dict_index.nodes(entity)
+        assert clone.nodes(entity) == balls[entity]
 
 
 def test_snapshot_index_clone_restrict_semantics():

@@ -78,8 +78,6 @@ def assert_same_surface(left: GraphSnapshot, right: GraphSnapshot) -> None:
     assert left._pred_of == right._pred_of
     assert set(left.triples()) == set(right.triples())
     assert left.value_nodes() == right.value_nodes()
-    for index in range(left.num_nodes):
-        assert left.repr_rank(index) == right.repr_rank(index)
     for entity in left.entity_ids():
         assert left.entity_type(entity) == right.entity_type(entity)
         assert left.neighbors(entity) == right.neighbors(entity)
