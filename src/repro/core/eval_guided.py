@@ -184,7 +184,7 @@ class GuidedPairEvaluator:
         position = len(left)
         if position == len(steps):
             return True
-        _, kind, etype, value, anchors, loops = steps[position]
+        _, kind, etype, constant, anchors, loops = steps[position]
         graph = self._graph
         found1 = found2 = None
         for is_subject, predicate, slot in anchors:
@@ -219,9 +219,7 @@ class GuidedPairEvaluator:
                 if not (isinstance(n1, Literal) and n1 == n2):
                     continue
             elif kind is NodeKind.CONSTANT:
-                if not (isinstance(n1, Literal) and isinstance(n2, Literal)):
-                    continue
-                if not (n1.value == value and n2.value == value):
+                if not (n1 == constant and n2 == constant):
                     continue
             else:  # ENTITY_VAR or WILDCARD: two entities of the node's type
                 if not (isinstance(n1, str) and isinstance(n2, str)):

@@ -76,7 +76,7 @@ def find_matches(
         if position == len(steps):
             matches.append({step.name: image for step, image in zip(steps, slots)})
             return limit is not None and len(matches) >= limit
-        _, kind, etype, value, anchors, loops = steps[position]
+        _, kind, etype, constant, anchors, loops = steps[position]
         # guided expansion: the stored rows the anchors name, intersected
         # (the reader's own sets: never updated in place)
         found = None
@@ -95,7 +95,7 @@ def find_matches(
         if kind is NodeKind.VALUE_VAR:
             images = [c for c in found if isinstance(c, Literal)]
         elif kind is NodeKind.CONSTANT:
-            images = [c for c in found if isinstance(c, Literal) and c.value == value]
+            images = [c for c in found if c == constant]
         else:
             images = [c for c in found if isinstance(c, str) and graph.entity_type(c) == etype]
         for predicate in loops:

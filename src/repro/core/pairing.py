@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .graph import Graph
 from .key import Key
-from .pattern import VALUE_KINDS, GraphPattern, NodeKind
+from .pattern import VALUE_KINDS, GraphPattern
 from .triples import GraphNode, Literal, is_entity_ref
 
 #: ``P^Q`` grouped by pattern node: node name → set of (n1, n2) pairs.
@@ -81,7 +81,7 @@ def _seed(
     relation: PairingRelation = {plan[0].name: {(e1, e2)}}
     for step in plan[1:]:
         is_subject, predicate, slot = step.anchors[0]
-        constant = Literal(step.value) if step.kind is NodeKind.CONSTANT else None
+        constant = step.constant
         seeded: Set[Tuple[GraphNode, GraphNode]] = set()
         for a1, a2 in relation[plan[slot].name]:
             if is_subject:

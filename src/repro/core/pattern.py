@@ -108,6 +108,11 @@ class PatternNode:
     def is_constant(self) -> bool:
         return self.kind is NodeKind.CONSTANT
 
+    @property
+    def constant(self) -> Optional[Literal]:
+        """The literal a constant node's image must equal (``None`` otherwise)."""
+        return Literal(self.value) if self.kind is NodeKind.CONSTANT else None
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind is NodeKind.CONSTANT:
             return f"{self.value!r}"
@@ -172,7 +177,8 @@ class PlanStep(NamedTuple):
     name: str
     kind: NodeKind
     etype: Optional[str]
-    value: object
+    #: the literal a constant node's image must equal (``None`` otherwise)
+    constant: Optional[Literal]
     #: per incident triple whose other end sits in an earlier slot, in stored
     #: triple order: (is the node the subject?, predicate, that slot).  Never
     #: empty past slot 0: the order is connected, and a self-loop's other end
@@ -187,7 +193,7 @@ class PlanStep(NamedTuple):
 #: etype, far constant)``; ``forward`` moves from the triple's subject to its
 #: object, and the last three say what may instantiate the target (the *far*
 #: node).
-TourStep = Tuple[int, int, str, bool, NodeKind, Optional[str], object]
+TourStep = Tuple[int, int, str, bool, NodeKind, Optional[str], Optional[Literal]]
 
 
 class SignatureStep(NamedTuple):
@@ -281,7 +287,7 @@ class GraphPattern:
             raise PatternError(f"pattern {name!r} must be connected")
         self._radius = max(map(len, paths.values()))
         self._signature_paths = tuple(
-            SignaturePath(n.name, paths[n.name], Literal(n.value) if n.is_constant else None)
+            SignaturePath(n.name, paths[n.name], n.constant)
             for n in sorted(self._nodes.values(), key=lambda n: n.name)
             if n.is_value
         )
@@ -327,7 +333,7 @@ class GraphPattern:
 
         def step(near: PatternNode, far: PatternNode, predicate: str, forward: bool) -> None:
             steps.append(
-                (slot[near.name], slot[far.name], predicate, forward, far.kind, far.etype, far.value)
+                (slot[near.name], slot[far.name], predicate, forward, far.kind, far.etype, far.constant)
             )
 
         def visit(node: PatternNode) -> None:
@@ -393,7 +399,7 @@ class GraphPattern:
                 if other < position:
                     anchors.append((is_subject, predicate, other))
             steps.append(
-                PlanStep(node.name, node.kind, node.etype, node.value, tuple(anchors), tuple(loops))
+                PlanStep(node.name, node.kind, node.etype, node.constant, tuple(anchors), tuple(loops))
             )
         return tuple(steps)
 

@@ -18,7 +18,8 @@ In this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from operator import itemgetter
+from typing import NamedTuple, Tuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,33 +39,45 @@ class Entity:
         return f"{self.eid}:{self.etype}"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class Literal:
+class Literal(tuple):
     """A data value from D.
 
     Two literals are equal exactly when their wrapped values are equal, which
     implements the paper's *value equality* (``d1 = d2``).  The wrapped value
-    must be hashable (strings, numbers, booleans, tuples...).
+    must be hashable (strings, numbers, booleans, tuples...).  A literal is
+    laid out as the 1-tuple of its value, so it hashes in C to
+    ``hash((value,))``, yet it equals only literals, never a plain tuple.
     """
 
-    value: object
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, value: object) -> "Literal":
         try:
-            hash(self.value)
-        except TypeError as exc:  # pragma: no cover - defensive
+            hash(value)
+        except TypeError as exc:
             raise TypeError(
-                f"literal values must be hashable, got {type(self.value).__name__}"
+                f"literal values must be hashable, got {type(value).__name__}"
             ) from exc
+        return tuple.__new__(cls, (value,))
+
+    value = property(itemgetter(0), doc="The wrapped value.")
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the negated __eq__, not the tuple comparison
+
+    def __getnewargs__(self) -> Tuple[object]:
+        return (self[0],)
 
     def __repr__(self) -> str:
-        # what @dataclass would generate, minus its recursion guard (a
-        # hashable value cannot contain its own literal): node orders sort
-        # by this string, once per literal per snapshot build
-        return f"Literal(value={self.value!r})"
+        # node orders sort by this string, once per literal per snapshot build
+        return f"Literal(value={self[0]!r})"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return repr(self.value)
+        return repr(self[0])
 
 
 #: A triple object is either an entity id (``str``) or a :class:`Literal`.

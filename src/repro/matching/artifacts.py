@@ -315,10 +315,10 @@ class SessionArtifacts:
             self._keyed_types = new_by_type
             if not changed:
                 return changed
-            affected = {
-                entity
-                for entity in self.graph.entity_ids()
-                if self.graph.entity_type(entity) in changed
+            # the cached version's buckets: a later window's additions are in its ball
+            snapshot = self._snapshot
+            affected = set() if snapshot is None else {
+                entity for etype in changed for entity in snapshot.entities_of_type(etype)
             }
             self._park(affected)
             if self._index is not None:
@@ -351,6 +351,8 @@ class SessionArtifacts:
         next access re-runs the pairing fixpoint only for the pairs it
         names, and the blocking index re-derives its signatures — which
         every entity of a certified type has, cached neighbourhood or not.
+        A window that compacts instead drops the blocking index: its tokens
+        are literal ids, which the recompiled snapshot assigns afresh.
 
         The set is returned even when nothing was cached to rebase and the
         cache was dropped, since the planner needs it whatever is cached.
@@ -367,6 +369,8 @@ class SessionArtifacts:
             else:
                 self._snapshot = self._patched_snapshot(self._snapshot, touched)
                 self._placements.clear()
+                if self._snapshot is None:  # a rebuild starts a new id lineage
+                    self._blocking_index = None
             affected = None if touched is None else self._touched_ball(touched)
             if self._index is not None:
                 self._park(affected)

@@ -10,9 +10,10 @@ replaces that enumeration with *signature-join* candidate generation:
    path from the designated variable ``x`` to that node, expressed as a
    sequence of ``(predicate, direction, type filter)`` steps.
 2. For every entity of the key's target type, compute the **signature** of
-   each path: the set of literals reachable from the entity by following the
-   path's predicate steps through the graph (an inverted value index over
-   the snapshot's CSR arrays serves the flat single-step case in one pass).
+   each path: the ids of the literals reachable from the entity by following
+   the path's predicate steps through the snapshot's CSR arrays (its
+   inverted value index serves the last hop in one pass).  Tokens are literal
+   ids, valid within one canonical lineage of snapshots.
 3. A pair becomes a candidate for a key iff its signatures *collide*
    (non-empty intersection) on **every** path of that key; the per-type
    candidate set is the union over the type's keys.
@@ -58,7 +59,6 @@ from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.pattern import SignaturePath
-from ..core.triples import Literal
 from ..exceptions import ConfigError
 from ..storage import GraphSnapshot
 from ..storage.snapshot import snapshot_of
@@ -135,8 +135,8 @@ class BlockingStats:
         return max(0, self.quadratic_pairs - self.enumerated_pairs)
 
 
-#: entity -> non-empty token set; entities with empty signatures are absent.
-_PathSignatures = Dict[str, FrozenSet[Literal]]
+#: entity -> non-empty literal-id set; entities with empty signatures are absent.
+_PathSignatures = Dict[str, FrozenSet[int]]
 
 
 class BlockingIndex:
@@ -146,14 +146,14 @@ class BlockingIndex:
     across journal deltas with :meth:`rebased`, which recomputes signatures
     only for delta-affected entities (signature paths never leave a key's
     radius ball, so the journal window's radius ball covers every possible
-    signature change).
+    signature change).  Tokens are literal ids, which name the same literals
+    only within one :attr:`~repro.storage.GraphSnapshot.lineage`.
     """
 
     __slots__ = (
         "_snapshot",
         "_schemes",
         "_signatures",
-        "_buckets",
         "build_seconds",
     )
 
@@ -162,13 +162,11 @@ class BlockingIndex:
         snapshot: GraphSnapshot,
         schemes: Tuple[KeyBlockingScheme, ...],
         signatures: Dict[int, Tuple[_PathSignatures, ...]],
-        buckets: Dict[str, FrozenSet[str]],
         build_seconds: float,
     ) -> None:
         self._snapshot = snapshot
         self._schemes = schemes
         self._signatures = signatures
-        self._buckets = buckets
         self.build_seconds = build_seconds
 
     # ------------------------------------------------------------------ #
@@ -186,30 +184,23 @@ class BlockingIndex:
         """Compile the schemes of *keys* and index every keyed entity.
 
         Signatures are computed in integer space over the CSR arrays of
-        *snapshot* (built from *graph* here when not given); single-hop
-        forward paths stream the snapshot's inverted value index in one pass.
+        *snapshot* (built from *graph* here when not given); the last hop of
+        every path streams the snapshot's inverted value index in one pass.
         """
         snapshot = snapshot_of(graph, snapshot)
         started = time.perf_counter()
         schemes = compile_blocking_schemes(keys)
         signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
-        buckets: Dict[str, FrozenSet[str]] = {}
         for index, scheme in enumerate(schemes):
-            if not scheme.certified:
-                continue
-            if scheme.target_type not in buckets:
-                buckets[scheme.target_type] = frozenset(
-                    snapshot.entities_of_type(scheme.target_type)
+            if scheme.certified:
+                signatures[index] = tuple(
+                    _path_signatures(snapshot, scheme.target_type, path)
+                    for path in scheme.paths
                 )
-            signatures[index] = tuple(
-                _path_signatures(snapshot, scheme.target_type, path)
-                for path in scheme.paths
-            )
         return cls(
             snapshot=snapshot,
             schemes=schemes,
             signatures=signatures,
-            buckets=buckets,
             build_seconds=time.perf_counter() - started,
         )
 
@@ -223,41 +214,37 @@ class BlockingIndex:
         version) are recomputed; everything else is copied.  The caller must
         pass a superset of the entities whose radius ball a delta touched —
         the session passes the journal window's radius ball, which is
-        exactly that set.
+        exactly that set.  *snapshot* must be of this index's lineage, or
+        the copied literal ids would name other literals: ``ValueError``.
         """
+        if snapshot.lineage is not self._snapshot.lineage:
+            raise ValueError("a blocking index rebases only within its snapshot lineage")
         started = time.perf_counter()
         affected = set(affected_entities)
         signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
-        buckets: Dict[str, FrozenSet[str]] = {}
         for index, scheme in enumerate(self._schemes):
             if not scheme.certified:
                 continue
-            etype = scheme.target_type
-            if etype not in buckets:
-                buckets[etype] = frozenset(snapshot.entities_of_type(etype))
-            old_bucket = self._buckets.get(etype, frozenset())
-            bucket = buckets[etype]
-            old_per_path = self._signatures.get(index, ())
+            # ids never move within a lineage: an id the old bucket lacks is
+            # an entity new to the type since the previous version
+            old_ids = self._snapshot.type_ids(scheme.target_type)
+            bucket = snapshot.type_ids(scheme.target_type).items()
             per_path: List[_PathSignatures] = []
-            for path_index, path in enumerate(scheme.paths):
-                old = old_per_path[path_index] if path_index < len(old_per_path) else {}
+            for path, old in zip(scheme.paths, self._signatures[index]):
                 fresh: _PathSignatures = {}
-                for entity in bucket:
-                    if entity in affected or entity not in old_bucket:
+                for node_id, entity in bucket:
+                    if entity in affected or node_id not in old_ids:
                         tokens = _entity_signature(snapshot, entity, path)
-                        if tokens:
-                            fresh[entity] = tokens
                     else:
                         tokens = old.get(entity)
-                        if tokens:
-                            fresh[entity] = tokens
+                    if tokens:
+                        fresh[entity] = tokens
                 per_path.append(fresh)
             signatures[index] = tuple(per_path)
         return BlockingIndex(
             snapshot=snapshot,
             schemes=self._schemes,
             signatures=signatures,
-            buckets=buckets,
             build_seconds=time.perf_counter() - started,
         )
 
@@ -322,9 +309,7 @@ class BlockingIndex:
             stats.certified_types += 1
             type_pairs: Set[Pair] = set()
             for index, scheme in type_schemes:
-                per_path = self._signatures.get(index, ())
-                if not per_path:
-                    continue
+                per_path = self._signatures[index]
                 participants = [
                     entity
                     for entity in bucket
@@ -333,7 +318,7 @@ class BlockingIndex:
                 if len(participants) < 2:
                     continue
                 anchor = _most_selective_path(per_path, participants)
-                blocks: Dict[Literal, List[str]] = {}
+                blocks: Dict[int, List[str]] = {}
                 anchor_sigs = per_path[anchor]
                 for entity in participants:  # sorted, so blocks stay sorted
                     for token in anchor_sigs[entity]:
@@ -365,7 +350,7 @@ def _most_selective_path(
     best_index = 0
     best_cost: Optional[int] = None
     for index, sigs in enumerate(per_path):
-        sizes: Dict[Literal, int] = {}
+        sizes: Dict[int, int] = {}
         for entity in participants:
             for token in sigs[entity]:
                 sizes[token] = sizes.get(token, 0) + 1
@@ -462,15 +447,13 @@ def _snapshot_signatures(
                     carried[source] = found if have is None else have | found
         reach = carried
     node_at = snapshot.node_at
-    return {
-        node_at(node): frozenset(map(node_at, found)) for node, found in reach.items()
-    }
+    return {node_at(node): frozenset(found) for node, found in reach.items()}
 
 
 def _entity_signature(
     snapshot: GraphSnapshot, entity: str, path: SignaturePath
-) -> FrozenSet[Literal]:
-    """The signature of one entity: literals reachable along *path*."""
+) -> FrozenSet[int]:
+    """The signature of one entity: ids of the literals reachable along *path*."""
     root = snapshot.id_of(entity)
     if root is None:
         return frozenset()
@@ -488,10 +471,9 @@ def _entity_signature(
                 reached.update(snapshot.in_ids(node, pid))
         level = _level(snapshot, step.etype)
         frontier = {i for i in reached if i in level}
-    tokens = frozenset(map(snapshot.node_at, frontier))
     if path.constant is not None:
-        tokens &= frozenset((path.constant,))
-    return tokens
+        frontier &= {snapshot.id_of(path.constant)}
+    return frozenset(frontier)
 
 
 def blocked_candidate_pairs(

@@ -100,7 +100,7 @@ def build_candidates(
     *blocking_index* skips the signature build only: it is kept for the
     benchmark spine's cache-less batch path alone and goes, with the
     ``blocked_candidate_pairs`` branch, once the spine passes *blocked*
-    (ROADMAP item 6).
+    (ROADMAP item 4).
     """
     snapshot = snapshot_of(graph, snapshot)
     stats: Optional[BlockingStats] = None

@@ -353,7 +353,7 @@ class EvalVCProgram:
     # ------------------------------------------------------------------ #
 
     def _feasible(
-        self, kind: NodeKind, etype: Optional[str], constant: object,
+        self, kind: NodeKind, etype: Optional[str], constant: Optional[Literal],
         target: ProductNode, used1: Set[GraphNode], used2: Set[GraphNode],
     ) -> bool:
         """Can *target* instantiate a far pattern node of this *kind* (with
@@ -363,12 +363,7 @@ class EvalVCProgram:
         if t1 in used1 or t2 in used2:
             return False
         if kind is NodeKind.CONSTANT:
-            return (
-                isinstance(t1, Literal)
-                and isinstance(t2, Literal)
-                and t1.value == constant
-                and t2.value == constant
-            )
+            return t1 == constant and t2 == constant
         if kind is NodeKind.VALUE_VAR:
             return isinstance(t1, Literal) and isinstance(t2, Literal) and t1 == t2
         if not (is_entity_ref(t1) and is_entity_ref(t2)):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from ..core.triples import Literal
 from ..exceptions import ExecutorError
 
 #: The registered partitioner strategies, in documentation order.
@@ -55,7 +56,7 @@ def _canonical_repr(value: object) -> str:
             (_canonical_repr(k), _canonical_repr(v)) for k, v in value.items()
         )
         return "{" + ", ".join(f"{k}: {v}" for k, v in items) + "}"
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and not isinstance(value, Literal):
         inner = ", ".join(_canonical_repr(item) for item in value)
         return f"({inner},)" if len(value) == 1 else f"({inner})"
     if isinstance(value, list):
@@ -190,7 +191,7 @@ class FragmentPartitioner(Partitioner):
 
 def default_affinity(item: Hashable) -> Hashable:
     """Affinity of a product-graph vertex: co-locate pairs by first component."""
-    if isinstance(item, tuple) and item:
+    if isinstance(item, tuple) and item and not isinstance(item, Literal):
         return item[0]
     return item
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter as _itemgetter
 from typing import (
     Dict,
@@ -272,22 +272,17 @@ class GraphSnapshot:
         snap = object.__new__(cls)
         snap.version = graph.version
 
-        entities = sorted(graph.entities(), key=lambda e: (e.etype, e.eid))
-        literals = sorted(graph.value_nodes(), key=repr)
-        node_of: List[GraphNode] = [e.eid for e in entities]
-        node_of.extend(literals)
+        # the sorted type buckets, concatenated, are the (type, id) order
+        types = sorted(graph.types())
+        buckets = [graph.entities_of_type(etype) for etype in types]
+        node_of: List[GraphNode] = list(chain.from_iterable(buckets))
+        ends = list(accumulate(map(len, buckets)))
+        snap._num_entities = len(node_of)
+        snap._type_ranges = dict(zip(types, zip([0] + ends[:-1], ends)))
+        snap._etype_of = tuple(chain.from_iterable(map(repeat, types, map(len, buckets))))
+        node_of.extend(sorted(graph.value_nodes(), key=repr))
         snap._node_of = tuple(node_of)
         snap._id_of = {node: index for index, node in enumerate(node_of)}
-        snap._num_entities = len(entities)
-        snap._etype_of = tuple(e.etype for e in entities)
-
-        type_ranges: Dict[str, Tuple[int, int]] = {}
-        start = 0
-        for index, entity in enumerate(entities):
-            if index == 0 or entity.etype != entities[index - 1].etype:
-                start = index
-            type_ranges[entity.etype] = (start, index + 1)
-        snap._type_ranges = type_ranges
 
         preds = sorted(graph.predicates())
         snap._pred_of = tuple(preds)
@@ -516,6 +511,12 @@ class GraphSnapshot:
         return self if self._overlay is None else GraphSnapshot.build(self)
 
     @property
+    def lineage(self) -> "GraphSnapshot":
+        """The canonical snapshot whose ids this one keeps (ids never move
+        within a lineage; a build or a compaction starts a new one)."""
+        return self if self._overlay is None else self._overlay.base
+
+    @property
     def overlay_rows(self) -> int:
         """Rows held outside the canonical arrays: touched nodes plus
         tombstones since the canonical ancestor (0 on a canonical snapshot)."""
@@ -642,9 +643,9 @@ class GraphSnapshot:
     def type_ids(self, etype: str) -> Dict[int, str]:
         """The ids of the entities of type *etype*, as a bucket.
 
-        A bucket supports ``in``, ``len`` and iteration over the ids in
-        sorted entity-id order, in either form, and is to be used for nothing
-        else.  (It is the read-only dict ``id -> entity id``: a hash probe
+        A bucket supports ``in``, ``len`` and iteration over the ids (with
+        ``items()``, over id and entity id) in sorted entity-id order, in
+        either form, and is to be used for nothing else.  (It is the read-only dict ``id -> entity id``: a hash probe
         tests membership faster than any range object.)  Built on first use
         and handed on by :meth:`patched` to the next window unless that
         window changed the type's membership.
@@ -700,7 +701,7 @@ class GraphSnapshot:
         reprs) to :func:`~repro.runtime.partition.stable_hash` keeps worker
         placement deterministic while hashing a handful of digits.
         """
-        if isinstance(key, tuple):
+        if isinstance(key, tuple) and not isinstance(key, Literal):
             return tuple(self.placement_key(item) for item in key)
         mapped = self._id_of.get(key) if self._overlay is None else self.id_of(key)
         return key if mapped is None else mapped

@@ -161,7 +161,8 @@ def test_every_step_reads_exactly_its_triples_to_earlier_slots():
             enforced = []
             for position, step in enumerate(plan):
                 node = pattern.node(step.name)
-                assert (step.kind, step.etype, step.value) == (node.kind, node.etype, node.value)
+                constant = Literal(node.value) if node.is_constant else None
+                assert (step.kind, step.etype, step.constant) == (node.kind, node.etype, constant)
                 assert bool(step.anchors) is (position > 0)
                 for is_subject, predicate, slot in step.anchors:
                     assert slot < position
@@ -187,9 +188,10 @@ def test_every_tour_crosses_each_triple_once_each_way():
         assert tour[0][0] == x and tour[-1][1] == x
         assert all(previous[1] == step[0] for previous, step in zip(tour, tour[1:]))
         crossed = []
-        for source, target, predicate, forward, kind, etype, value in tour:
+        for source, target, predicate, forward, kind, etype, constant in tour:
             far = nodes[target]
-            assert (kind, etype, value) == (far.kind, far.etype, far.value)
+            literal = Literal(far.value) if far.is_constant else None
+            assert (kind, etype, constant) == (far.kind, far.etype, literal)
             ends = (nodes[source].name, nodes[target].name)
             crossed.append((*(ends if forward else ends[::-1]), predicate, forward))
         distinct = {(t.subject.name, t.obj.name, t.predicate) for t in pattern.triples}

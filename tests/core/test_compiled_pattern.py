@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.key import Key
 from repro.core.pattern import PatternTriple, constant, designated, value_var, wildcard
+from repro.core.triples import Literal
 from repro.datasets.keygen import generate_keys
 from repro.matching.blocking import compile_blocking_scheme
 
@@ -39,9 +40,10 @@ def assert_compiled_as_walked(key: Key) -> None:
         (step.source_name, step.target_name, step.triple.predicate, step.forward)
         for step in walked.traversal_order(pattern)
     ]
-    for _, target, _, _, kind, etype, value in pattern.tour:
+    for _, target, _, _, kind, etype, far_constant in pattern.tour:
         far = pattern.node(names[target])
-        assert (kind, etype, value) == (far.kind, far.etype, far.value)
+        literal = Literal(far.value) if far.is_constant else None
+        assert (kind, etype, far_constant) == (far.kind, far.etype, literal)
 
     assert compile_blocking_scheme(key) == walked.compile_blocking_scheme(key)
     assert pattern.radius == walked.radius(pattern)

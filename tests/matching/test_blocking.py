@@ -36,6 +36,7 @@ from repro.matching.blocking import (
     compile_blocking_schemes,
     validate_blocking_mode,
 )
+from repro.matching.artifacts import SessionArtifacts
 from repro.storage import GraphSnapshot
 
 
@@ -252,25 +253,65 @@ class TestBlockedEnumeration:
 # --------------------------------------------------------------------------- #
 
 
+def _patched(snapshot: GraphSnapshot, graph: Graph, version: int) -> GraphSnapshot:
+    """*snapshot* patched with the journal window since *version*: the next
+    snapshot of its lineage, which is all an index may rebase onto."""
+    return snapshot.patched(graph, graph.touched_since(version))
+
+
 class TestRebasing:
     def test_rebased_index_equals_fresh_build(self):
         graph, keys = flat_graph(), flat_key()
-        index = BlockingIndex.build(graph, keys)
+        snapshot, version = GraphSnapshot.build(graph), graph.version
+        index = BlockingIndex.build(graph, keys, snapshot=snapshot)
         graph.add_entity("p_new", "person")
         graph.add_value("p_new", "name", "n0")
         graph.set_value("p3", "name", "totally_fresh")
-        rebased = index.rebased(GraphSnapshot.build(graph), affected_entities=("p_new", "p3"))
+        rebased = index.rebased(
+            _patched(snapshot, graph, version), affected_entities=("p_new", "p3")
+        )
         fresh = BlockingIndex.build(graph, keys)
         assert rebased.candidate_pairs("auto")[0] == fresh.candidate_pairs("auto")[0]
 
     def test_rebase_drops_removed_entities(self):
         graph, keys = book_graph(), recursive_key()
-        index = BlockingIndex.build(graph, keys)
+        snapshot, version = GraphSnapshot.build(graph), graph.version
+        index = BlockingIndex.build(graph, keys, snapshot=snapshot)
         for triple in graph.out_triples("b0").copy():
             graph.remove_triple(triple)
-        rebased = index.rebased(GraphSnapshot.build(graph), affected_entities=("b0", "a0"))
+        rebased = index.rebased(
+            _patched(snapshot, graph, version), affected_entities=("b0", "a0")
+        )
         fresh = BlockingIndex.build(graph, keys)
         assert rebased.candidate_pairs("auto")[0] == fresh.candidate_pairs("auto")[0]
+
+    def test_rebased_refuses_a_snapshot_of_another_lineage(self):
+        """Tokens are literal ids, which a canonical rebuild reassigns."""
+        graph, keys = flat_graph(), flat_key()
+        index = BlockingIndex.build(graph, keys)
+        graph.add_value("p3", "name", "totally_fresh")
+        with pytest.raises(ValueError, match="lineage"):
+            index.rebased(GraphSnapshot.build(graph), affected_entities=("p3",))
+
+    def test_a_compacting_window_rebuilds_the_index_over_the_new_lineage(self, monkeypatch):
+        """A compaction reassigns every literal id (a new entity sorts before
+        them all), so the session's index after it must read the compacted
+        snapshot's ids, exactly as a fresh build over it does."""
+        monkeypatch.setattr(SessionArtifacts, "SNAPSHOT_PATCH_MAX_FRACTION", 0.0)
+        graph, keys = flat_graph(), flat_key()
+        session = MatchSession(graph).with_keys(keys).using("EMOptMR", blocking="auto")
+        session.run()
+        graph.add_entity("p_new", "person")
+        graph.add_value("p_new", "name", "n0")
+        assert session.rerun().pairs() == chase(graph, keys).pairs()
+        info = session.cache_info()
+        assert info.snapshot_compactions == 1 and info.snapshot_patches == 0
+        assert (info.blocking_index_builds, info.blocking_index_rebases) == (2, 0)
+        artifacts = session._artifacts
+        snapshot = artifacts.snapshot()
+        assert snapshot.lineage is snapshot
+        fresh = BlockingIndex.build(graph, keys, snapshot=snapshot)
+        assert artifacts.blocking_index()._signatures == fresh._signatures
 
 
 # --------------------------------------------------------------------------- #

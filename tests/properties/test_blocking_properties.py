@@ -171,9 +171,18 @@ def test_bucket_signatures_equal_per_entity_walks(seed):
     for key in [random_key(rng), *SHAPED_KEYS.values()]:
         scheme = compile_blocking_scheme(key)
         for path in scheme.paths:
-            bucket = _path_signatures(snapshot, scheme.target_type, path)
+            # both index sides hold literal ids: decode them to compare
+            # against the object-space walk
+            bucket = {
+                entity: frozenset(map(snapshot.node_at, tokens))
+                for entity, tokens in _path_signatures(
+                    snapshot, scheme.target_type, path
+                ).items()
+            }
             for walk in (
-                lambda entity: _entity_signature(snapshot, entity, path),
+                lambda entity: frozenset(
+                    map(snapshot.node_at, _entity_signature(snapshot, entity, path))
+                ),
                 lambda entity: reference_signature(graph, entity, path),
             ):
                 walked = {
