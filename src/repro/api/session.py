@@ -34,7 +34,7 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.graph import Graph
 from ..core.key import KeySet
@@ -72,15 +72,6 @@ class DeltaProvenance:
     seed_merges: int = 0
 
 
-class _HeldResult(NamedTuple):
-    """A session's last result: what a ``reused`` answer returns."""
-
-    result: EMResult
-    config: MatchConfig
-    #: the artifact-cache version the result is the answer at
-    version: int
-
-
 class MatchSession:
     """A fluent facade over the algorithm registry with artifact caching.
 
@@ -91,9 +82,12 @@ class MatchSession:
     or configuring sibling sessions with one shared ``snapshot_store`` —
     lets many sessions on the same graph pay for each expensive artifact
     exactly once (the service layer's multiplexing contract).  The seed of
-    incremental re-matching lives in that cache too, so a sibling session's
-    fixpoint seeds this one's next :meth:`rerun`; a session itself holds
-    only its last result object, for the ``reused`` answer.
+    incremental re-matching and the run shapes' held results live in that
+    cache too, so a sibling session's fixpoint seeds this one's next
+    :meth:`rerun`, and a sibling's result at the current graph version is
+    this session's ``reused`` answer under the same run shape.  A session
+    holds no result of its own: it is a view (keys, config, observers) over
+    the cache, cheap enough to build per request.
     """
 
     def __init__(
@@ -135,9 +129,6 @@ class MatchSession:
         #: (observer, exception) pairs recorded by the hardened dispatcher,
         #: newest last (bounded; see _MAX_OBSERVER_ERRORS)
         self._observer_errors: List[Tuple[ProgressObserver, BaseException]] = []
-        #: the last run's (result, config, version), returned as it is when
-        #: the same run shape is asked for again at the same version
-        self._held: Optional[_HeldResult] = None
         #: delta provenance of the last run (None for classic full runs)
         self._last_delta: Optional[DeltaProvenance] = None
 
@@ -145,8 +136,8 @@ class MatchSession:
     _MAX_OBSERVER_ERRORS = 32
 
     #: how many (config, result) runs :attr:`history` retains: a long-lived
-    #: session (the service's per-shape sessions) must not pin every
-    #: window's ``EMResult`` for the life of the process
+    #: session (an ingest pipeline's, or a library caller's) must not pin
+    #: every window's ``EMResult`` for the life of the process
     _MAX_HISTORY = 64
 
     # -- fluent configuration -------------------------------------------- #
@@ -161,21 +152,18 @@ class MatchSession:
         neighbourhoods / candidate verdicts / dependency rows of unchanged
         types all survive, and only the changed types' entries are
         re-derived on the next run (see :meth:`SessionArtifacts.rekeyed`).
-        The incremental seed state is dropped whenever the delta is
-        non-empty: a previous result under different keys is not a valid
-        seed.
+        The incremental seed state and the held results are dropped
+        whenever the delta is non-empty: a previous result under different
+        keys is not a valid seed.
         """
         with self._lock:
-            changed: Optional[set] = None
             if self._artifacts is not None:
                 if self._owns_artifacts:
-                    changed = self._artifacts.rekeyed(keys)
+                    self._artifacts.rekeyed(keys)
                 else:
                     # shared cache: detach rather than rekey other tenants
                     self._artifacts = None
             self._keys = keys
-            if changed is None or changed:
-                self._held = None
         return self
 
     def using(
@@ -335,13 +323,13 @@ class MatchSession:
     def invalidate(self) -> "MatchSession":
         """Manually drop every cached artifact.
 
-        The cache's seed and its incremental counters are reset alongside,
-        so the next ``run(incremental=True)`` falls back to a full run.
+        The cache's seed, its held results and its incremental counters are
+        reset alongside, so the next ``run(incremental=True)`` falls back to
+        a full run.
         """
         with self._lock:
             if self._artifacts is not None:
                 self._artifacts.reset()
-            self._held = None
             self._last_delta = None
         return self
 
@@ -415,10 +403,9 @@ class MatchSession:
                 spec, config, validated, artifacts
             )
             # this run's fixpoint seeds the next delta run — of any session
-            # sharing the cache (a no-op when the cache already holds the
-            # fixpoint of this version)
-            artifacts.record_seed(result.eq)
-            self._held = _HeldResult(result, config, artifacts.version)
+            # sharing the cache — and its result answers this run shape at
+            # this version
+            artifacts.record(config, result)
             self._history.append((config, result))
             return result
 
@@ -436,18 +423,12 @@ class MatchSession:
         if config.incremental:
             state, touched, fallback = self._journal_window(spec, artifacts)
             delta = DeltaProvenance(mode="full", reason=fallback)
-        held = self._held
         # the held result answers when it was computed under this run shape
         # at the seed's version: chase(G, Σ) is a function of (G, Σ)
-        reusable = (
-            touched is not None
-            and held is not None
-            and held.version == state.version
-            and held.config.run_shape() == config.run_shape()
-        )
+        held = None if touched is None else artifacts.held(config)
         if touched is None:
             artifacts.refresh()
-        elif not touched and reusable:
+        elif not touched and held is not None:
             # an empty journal window under the run shape that produced the
             # held result: the held fixpoint *is* the answer — nothing to
             # refresh, plan or re-chase.  The universe is read off the (in
@@ -457,10 +438,11 @@ class MatchSession:
                 artifacts.candidates(filtered=blocked, blocking=config.blocking).pairs
             )
             artifacts.count(incremental_runs=1, pairs_skipped=universe)
-            return held.result, DeltaProvenance(mode="reused", pairs_skipped=universe)
+            return held, DeltaProvenance(mode="reused", pairs_skipped=universe)
         else:
-            # an empty window under another shape (a sibling session moved
-            # the cache and the seed on) plans against that shape's fixpoint
+            # an empty window under a shape holding no result at this version
+            # (another shape moved the cache and the seed on) plans against
+            # that shape's fixpoint
             plan = plan_session_delta(
                 artifacts, state, touched, blocking=config.blocking
             )
@@ -477,11 +459,10 @@ class MatchSession:
                 dropped_classes=plan.dropped_classes,
                 seed_merges=len(plan.seed),
             )
-            if plan.result_reusable and reusable:
-                # the delta implicates nothing and the exact same
-                # configuration produced the previous result: return that
-                # object as-is
-                return held.result, replace(delta, mode="reused")
+            if plan.result_reusable and held is not None:
+                # the delta implicates nothing and the same run shape
+                # produced the held result: return that object as-is
+                return held, replace(delta, mode="reused")
         # an empty worklist still dispatches the backend (it returns the
         # seeded closure immediately), so the result carries this run's
         # algorithm name and statistics rather than the seeding run's

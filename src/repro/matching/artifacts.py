@@ -21,17 +21,18 @@ The cache also holds the one *seed* of incremental re-matching
 (:meth:`SessionArtifacts.seed`): the fixpoint of the last finished run, at
 the version it was computed for.  ``chase(G, Σ)`` is a function of
 ``(G, Σ)`` alone, so whichever session recorded it, it seeds every session
-sharing the cache.
+sharing the cache, and each run shape's held result answers them all alike.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..core.equivalence import EquivalenceRelation, Pair
+from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.triples import is_entity_ref
@@ -44,6 +45,10 @@ from .blocking import BlockingIndex, BlockingStats
 from .candidates import CandidateSet, build_candidates, build_filtered_candidates
 from .incremental import DependencyArtifact, IncrementalState, rebase_filtered_candidates
 from .product_graph import ProductGraph
+from .result import EMResult
+
+if TYPE_CHECKING:
+    from ..api.config import MatchConfig
 
 #: an artifact flavour: ``(filtered, reduce_neighborhoods, blocked)``
 Flavour = Tuple[bool, bool, bool]
@@ -100,6 +105,8 @@ class SessionCacheInfo:
     #: key-set deltas applied by selective per-type invalidation
     #: (:meth:`SessionArtifacts.rekeyed`) instead of a full cache drop
     key_rebases: int = 0
+    #: held results evicted past :attr:`SessionArtifacts.MAX_HELD_SHAPES`
+    held_evictions: int = 0
 
 
 #: slot kind → the counters its build / rebase bump (dependency maps are
@@ -142,6 +149,10 @@ class SessionArtifacts:
     #: window copies and the store writes
     SNAPSHOT_PATCH_MAX_FRACTION = 0.5
 
+    #: run shapes whose last result :meth:`held` keeps for a ``reused``
+    #: answer; one more evicts the least recently used (never the seed)
+    MAX_HELD_SHAPES = 4
+
     def __init__(
         self,
         graph: Graph,
@@ -171,6 +182,9 @@ class SessionArtifacts:
         # the seed of incremental re-matching: the last finished run's
         # fixpoint (immutable; usable while its version equals self.version)
         self._seed: Optional[IncrementalState] = None
+        # run shape -> (result, config, version) of that shape's last run,
+        # least recently used first; cleared wherever the seed is dropped
+        self._held: "OrderedDict[tuple, tuple]" = OrderedDict()
         # the slot table: artifacts valid at self.version, and artifacts a
         # mutation staled, parked with the union of delta-affected entities
         # until their next access rebases them
@@ -211,7 +225,7 @@ class SessionArtifacts:
                 if slot_kind == kind
             }
 
-    # -- the seed of incremental re-matching ------------------------------ #
+    # -- the seed of incremental re-matching, and the held results --------- #
 
     def seed(self) -> Optional[IncrementalState]:
         """The last finished run's fixpoint (``None`` before the first run).
@@ -232,9 +246,9 @@ class SessionArtifacts:
         seed = self._seed
         return None if seed is None else seed.version
 
-    def record_seed(self, eq: EquivalenceRelation) -> None:
-        """Hold *eq* as the fixpoint at :attr:`version` (every finished run
-        calls this).
+    def record(self, config: "MatchConfig", result: EMResult) -> None:
+        """Hold *result* as *config*'s run shape's answer at :attr:`version`
+        and its ``Eq`` as the fixpoint there (every finished run calls this).
 
         The fixpoint is a function of the graph version and the keys, so a
         seed already at this version *is* this relation and stays:
@@ -246,10 +260,32 @@ class SessionArtifacts:
             if self._seed is None or self._seed.version != self.version:
                 self._seed = IncrementalState(
                     version=self.version,
-                    eq=eq.copy(),
+                    eq=result.eq.copy(),
                     snapshot=self.snapshot(),
                     keys=self.keys,
                 )
+            shape = config.run_shape()
+            self._held[shape] = (result, config, self.version)
+            self._held.move_to_end(shape)
+            if len(self._held) > self.MAX_HELD_SHAPES:
+                self._held.popitem(last=False)
+                self._counts["held_evictions"] += 1
+
+    def held(self, config: "MatchConfig") -> Optional[EMResult]:
+        """The result held for *config*'s run shape, if that shape last ran
+        at :attr:`version` (``None`` otherwise); marks the shape used."""
+        with self._lock:
+            shape = config.run_shape()
+            if shape not in self._held:
+                return None
+            self._held.move_to_end(shape)
+            result, _config, version = self._held[shape]
+            return result if version == self.version else None
+
+    def held_configs(self) -> List["MatchConfig"]:
+        """The configs of the held results, least recently used first."""
+        with self._lock:
+            return [config for _result, config, _version in self._held.values()]
 
     # -- cache lifecycle ------------------------------------------------- #
 
@@ -265,13 +301,15 @@ class SessionArtifacts:
     def reset(self) -> None:
         """Drop every cached artifact (e.g. after a key-set change).
 
-        The seed and the incremental-run counters are reset alongside: a
-        manual invalidation severs the delta chain (the next incremental run
-        falls back to a full one), so the per-delta accounting restarts too.
+        The seed, the held results and the incremental-run counters are
+        reset alongside: a manual invalidation severs the delta chain (the
+        next incremental run falls back to a full one), so the per-delta
+        accounting restarts too.
         """
         with self._lock:
             self._drop_all()
             self._seed = None
+            self._held.clear()
             self.version = self.graph.version
             self._counts["invalidations"] += 1
             for name in ("incremental_runs", "pairs_rechecked", "pairs_skipped"):
@@ -299,9 +337,10 @@ class SessionArtifacts:
 
         The blocking index is dropped outright: its per-type signature
         schemes derive from the keys and it rebuilds in one pass on next
-        use, and so is the seed — a fixpoint under different keys seeds
-        nothing.  An empty return means the key lists are identical and
-        every cached artifact, the seed included, is still exact.
+        use, and so are the seed and the held results — a fixpoint under
+        different keys seeds nothing and answers nothing.  An empty return
+        means the key lists are identical and every cached artifact, the
+        seed included, is still exact.
         """
         with self._lock:
             old_by_type = self._keyed_types
@@ -327,6 +366,7 @@ class SessionArtifacts:
             self._blocked_pairs = None
             self._placements.clear()  # exact, but holding the old keys' pairs
             self._seed = None
+            self._held.clear()
             self._counts["invalidations"] += 1
             self._counts["key_rebases"] += 1
             return changed

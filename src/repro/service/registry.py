@@ -2,21 +2,20 @@
 
 A :class:`GraphRegistry` maps tenant-facing *names* to registered graphs.
 Registration builds exactly one thread-safe
-:class:`~repro.matching.artifacts.SessionArtifacts` cache per name, and every
-request against that name — match, ingest window, WAL recovery — runs on one
-of a small bounded table of **persistent**
-:class:`~repro.api.session.MatchSession` objects, one per run shape
-(:meth:`~repro.api.config.MatchConfig.run_shape`), all **sharing** that
-cache, so:
+:class:`~repro.matching.artifacts.SessionArtifacts` cache per name, the one
+home of that graph's state, and every request against that name — match,
+ingest window, WAL recovery — runs on a request-private
+:class:`~repro.api.session.MatchSession` view over it, so:
 
 * the cache holds the graph's one fixpoint — the last finished run's,
-  whichever shape ran it — and ``chase(G, Σ)`` is a function of ``(G, Σ)``
-  alone: a read under a shape that already answered at this graph version
-  (the shape the last ingest window ran under included) returns that
-  shape's held result (``reused``), every other read is a delta re-run
-  seeded from the cache's fixpoint (``incremental`` — an empty window when
-  a sibling shape already moved the cache on), and only the graph's very
-  first run is a full one;
+  whichever run shape (:meth:`~repro.api.config.MatchConfig.run_shape`) ran
+  it — beside the last results of the most recently run shapes, and
+  ``chase(G, Σ)`` is a function of ``(G, Σ)`` alone: a read under a shape
+  that already answered at this graph version (the shape the last ingest
+  window ran under included) returns that shape's held result
+  (``reused``), every other read is a delta re-run seeded from the cache's
+  fixpoint (``incremental`` — an empty window when another shape already
+  moved the cache on), and only the graph's very first run is a full one;
 * requests for different graphs run in parallel, and the artifacts'
   build-once locks guarantee each expensive artifact — snapshot,
   neighbourhood index, candidates, product graph — is built exactly once per
@@ -31,10 +30,11 @@ cache, so:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Union
 
@@ -53,15 +53,10 @@ from ..storage.store import SnapshotStore, as_snapshot_store
 #: staleness samples kept per graph for the /metrics percentiles
 STALENESS_WINDOW = 2048
 
-#: persistent per-shape sessions kept per graph.  A session holds only its
-#: shape's last result object; one shape past the bound evicts the least
-#: recently used, whose next read re-dispatches on the cache's fixpoint
-MAX_SESSIONS = 4
-
 
 class ServedRead(NamedTuple):
-    """One served match: everything read off the shared session while the
-    graph's ingest lock was still held."""
+    """One served match: the result, its provenance and the graph cache's
+    phase timings, read while the graph's ingest lock was still held."""
 
     result: EMResult
     #: how the read was answered (``reused`` / ``incremental`` / ``full``)
@@ -95,10 +90,6 @@ class RegisteredGraph:
         #: ingests of one name interleave whole batches, never individual
         #: mutations, and a read sees the graph at a window boundary
         self._ingest_lock = threading.Lock()
-        #: run shape → the persistent session holding that shape's last
-        #: fixpoint, least recently used first (guarded by ``_lock``)
-        self._sessions: "OrderedDict[tuple, MatchSession]" = OrderedDict()
-        self._session_evictions = 0
         #: served reads by how they were answered
         self._reads_by_mode = {"reused": 0, "incremental": 0, "full": 0}
         self.ingested_ops = 0
@@ -116,41 +107,18 @@ class RegisteredGraph:
         #: recent per-mutation staleness samples (seconds), for /metrics
         self._staleness = deque(maxlen=STALENESS_WINDOW)
 
-    def session_for(self, config: Optional[MatchConfig] = None) -> MatchSession:
-        """The persistent session for *config*'s run shape (created on first
-        use, sharing this graph's artifacts).
-
-        Configs that differ only in how a run executes (``incremental``,
-        the snapshot store) share a session.  The table holds at most
-        :data:`MAX_SESSIONS` shapes; a new one past that evicts the least
-        recently used.  Eviction drops a result object, never a fixpoint:
-        the seed lives in the shared cache, so an evicted (or brand-new)
-        shape's next run is seeded like any other.
-        """
-        config = config or MatchConfig()
-        shape = config.run_shape()
-        with self._lock:
-            session = self._sessions.get(shape)
-            if session is not None:
-                self._sessions.move_to_end(shape)
-                return session
-            session = MatchSession(
-                self.graph, self.keys, config, artifacts=self.artifacts
-            )
-            self._sessions[shape] = session
-            if len(self._sessions) > MAX_SESSIONS:
-                self._sessions.popitem(last=False)
-                self._session_evictions += 1
-            return session
+    def _session(self, config: Optional[MatchConfig]) -> MatchSession:
+        """A request-private view of *config* over the graph's cache."""
+        return MatchSession(self.graph, self.keys, config, artifacts=self.artifacts)
 
     def match(
         self,
         config: Optional[MatchConfig] = None,
         observer: Optional[ProgressObserver] = None,
     ) -> ServedRead:
-        """Serve one match as a delta re-run of the shape's session.
+        """Serve one match as a delta re-run over the graph's cache.
 
-        ``reused`` when this shape already answered at the current graph
+        ``reused`` when this run shape already answered at the current graph
         version, otherwise ``incremental`` from the fixpoint the shared
         cache holds — whichever shape's read or window put it there —
         and ``full`` only for the first run this graph ever sees (or once
@@ -158,25 +126,17 @@ class RegisteredGraph:
 
         The run holds the ingest lock, so a read never refreshes artifacts
         from a graph that a concurrent ingest window is still mutating: it
-        sees the graph at a window boundary.  The session is shared with
-        every other request of its shape, so *observer* is attached for this
-        call only and the result's provenance is read before the lock is
-        released.  Lock order, the same as :meth:`ingest`: ingest lock →
-        session run lock → artifact-cache lock → snapshot-store fingerprint
-        lock.
+        sees the graph at a window boundary.  The session is this request's
+        own view over the cache, so *observer* sees this run's events only.
+        Lock order, the same as :meth:`ingest`: ingest lock → artifact-cache
+        lock → snapshot-store fingerprint lock.
         """
         with self._ingest_lock:
-            session = self.session_for(config)
+            session = self._session(config)
             if observer is not None:
                 session.on_progress(observer)
-            try:
-                result = session.rerun()
-                read = ServedRead(
-                    result, session.last_delta(), session.phase_timings()
-                )
-            finally:
-                if observer is not None:
-                    session.remove_observer(observer)
+            result = session.rerun()
+            read = ServedRead(result, session.last_delta(), session.phase_timings())
         with self._lock:
             self.runs += 1
             self._reads_by_mode[read.delta.mode] += 1
@@ -213,12 +173,11 @@ class RegisteredGraph:
 
         Returns ``(report, result)`` — the window's
         :class:`~repro.service.ingest.IngestReport` and the final (exact)
-        ``EMResult`` covering every applied mutation.  The window runs on
-        the persistent session of *config*'s run shape
-        (:meth:`session_for`).  Every flush seeds from the fixpoint the
-        shared cache holds, so successive windows stay incremental whichever
-        shapes they — and the reads between them — run under: a window
-        under another shape than the last plans its ops against that
+        ``EMResult`` covering every applied mutation.  The window runs on a
+        session of *config* over the graph's cache.  Every flush seeds from
+        the fixpoint the cache holds, so successive windows stay incremental
+        whichever shapes they — and the reads between them — run under: a
+        window under another shape than the last plans its ops against that
         shape's fixpoint and dispatches its own backend on the result.
 
         Flow control: with a pending-window bound (per-request
@@ -250,7 +209,7 @@ class RegisteredGraph:
         window_started = time.monotonic()
         try:
             with self._ingest_lock:
-                session = self.session_for(config)
+                session = self._session(config)
                 pipeline = IngestPipeline(
                     session,
                     latency_budget=latency_budget,
@@ -287,8 +246,8 @@ class RegisteredGraph:
                 self._inflight_ops -= len(ops)
 
     def recover(self, config: Optional[MatchConfig] = None) -> Dict[str, object]:
-        """Replay this graph's WAL and solve once, on the session of
-        *config*'s shape.
+        """Replay this graph's WAL and solve once, on a session of *config*
+        over the graph's cache.
 
         Called by the registry right after registration when the attached
         journal holds records.  The recovered fixpoint is the cache's seed,
@@ -304,7 +263,7 @@ class RegisteredGraph:
         if self.wal is None:
             raise ServiceError(f"graph {self.name!r} has no WAL attached")
         with self._ingest_lock:
-            session = self.session_for(config)
+            session = self._session(config)
             report = replay(self.wal, session)
             with self._lock:
                 self.ingested_ops += report.ops_replayed
@@ -345,16 +304,18 @@ class RegisteredGraph:
     def describe(self) -> Dict[str, object]:
         """The ``GET /graphs`` wire entry for this registration."""
         info = self.artifacts.cache_info()
+        sessions = {
+            # the run shapes holding a result, least recently used first
+            "shapes": [
+                dataclasses.replace(config, incremental=False).describe()
+                for config in self.artifacts.held_configs()
+            ],
+            "evictions": info.held_evictions,
+            # the graph version the cache's fixpoint is at
+            "seed_version": self.artifacts.seed_version,
+        }
         with self._lock:
             reads_by_mode = dict(self._reads_by_mode)
-            sessions = {
-                "shapes": [
-                    session.config.describe() for session in self._sessions.values()
-                ],
-                "evictions": self._session_evictions,
-                # the graph version the cache's fixpoint is at
-                "seed_version": self.artifacts.seed_version,
-            }
         return {
             "name": self.name,
             "source": self.source,
@@ -449,6 +410,10 @@ class GraphRegistry:
             raise ServiceError(
                 f"graph names must be non-empty and slash-free, got {name!r}"
             )
+        # refused before the journal opens: a live name's WAL directory is
+        # the live entry's, and recovery would write to it
+        with self._lock:
+            self._refuse_live(name, replace)
         entry = RegisteredGraph(
             name, graph, keys, store=self.store, source=source
         )
@@ -466,12 +431,11 @@ class GraphRegistry:
             if entry.wal.has_records():
                 entry.recover()
         with self._lock:
-            if not replace and name in self._graphs:
+            try:  # a racing registration may have published the name since
+                self._refuse_live(name, replace)
+            except ServiceError:
                 entry.close_ingest()
-                raise ServiceError(
-                    f"graph {name!r} is already registered "
-                    f"(pass replace=true to swap it)"
-                )
+                raise
             previous = self._graphs.get(name)
             self._graphs[name] = entry
         if previous is not None and previous.wal is not None:
@@ -482,12 +446,21 @@ class GraphRegistry:
             entry.warm()
         return entry
 
+    def _refuse_live(self, name: str, replace: bool) -> None:
+        """Raise unless *name* is free or *replace* is set; caller holds
+        ``self._lock``."""
+        if not replace and name in self._graphs:
+            raise ServiceError(
+                f"graph {name!r} is already registered "
+                f"(pass replace=true to swap it)"
+            )
+
     def get(self, name: str) -> RegisteredGraph:
         with self._lock:
             entry = self._graphs.get(name)
-        if entry is None:
-            known = ", ".join(sorted(self._graphs)) or "none registered"
-            raise UnknownGraphError(f"unknown graph {name!r} (known: {known})")
+            if entry is None:
+                known = ", ".join(sorted(self._graphs)) or "none registered"
+                raise UnknownGraphError(f"unknown graph {name!r} (known: {known})")
         return entry
 
     def unregister(self, name: str) -> None:

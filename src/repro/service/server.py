@@ -27,14 +27,14 @@ request → 404, result-not-ready → 409, admission rejection → 429.  Every
 
 Threading model: one HTTP thread per connection (stdlib), submissions hop
 onto the admission controller's fixed worker pool, and each worker re-runs
-the named graph's persistent :class:`~repro.api.session.MatchSession` for
-the request's run shape (:meth:`RegisteredGraph.match`), which shares the
-graph's :class:`~repro.matching.artifacts.SessionArtifacts` — the graph's
-one fixpoint included — and keeps its last result: request concurrency is
-bounded by ``max_inflight`` regardless of connection count, no graph's
-artifacts are ever built twice, a read at a graph version the service has
-already answered under that shape returns the held result, and every other
-read after the graph's first is seeded from the cache's fixpoint.
+a request-private :class:`~repro.api.session.MatchSession` over the named
+graph's :class:`~repro.matching.artifacts.SessionArtifacts`
+(:meth:`RegisteredGraph.match`) — the cache that holds the graph's one
+fixpoint and its run shapes' last results: request concurrency is bounded
+by ``max_inflight`` regardless of connection count, no graph's artifacts
+are ever built twice, a read at a graph version the service has already
+answered under that shape returns the held result, and every other read
+after the graph's first is seeded from the cache's fixpoint.
 """
 
 from __future__ import annotations

@@ -413,3 +413,42 @@ class TestSharedSeed:
         assert session.seed_version == graph.version
         session.invalidate()
         assert session.seed_version is None
+
+
+class TestHeldResults:
+    """Each run shape's last result lives in the cache beside the seed, so
+    any session on that cache answers a shape held at this version."""
+
+    def test_alternating_shapes_each_get_their_held_result(self):
+        session = MatchSession(album_graph()).with_keys(parse_keys(ALBUM_KEYS))
+        first = session.run("EMOptMR", incremental=True)
+        assert session.last_delta().mode == "full"
+        session.run("EMOptVC", incremental=True)
+        assert session.last_delta().mode == "incremental"
+        assert session.run("EMOptMR", incremental=True) is first
+        assert session.last_delta().mode == "reused"
+
+    def test_a_same_shape_sibling_session_gets_the_held_result(self):
+        from repro.matching.artifacts import SessionArtifacts
+
+        graph = album_graph()
+        artifacts = SessionArtifacts(graph, parse_keys(ALBUM_KEYS))
+        first = MatchSession(graph, artifacts=artifacts).using("EMOptVC").rerun()
+        sibling = MatchSession(graph, artifacts=artifacts).using("EMOptVC")
+        assert sibling.rerun() is first
+        assert sibling.last_delta().mode == "reused"
+
+    def test_one_shape_past_the_bound_evicts_the_least_recently_used(self):
+        from repro.matching.artifacts import SessionArtifacts
+
+        session = MatchSession(album_graph()).with_keys(parse_keys(ALBUM_KEYS))
+        shapes = range(1, SessionArtifacts.MAX_HELD_SHAPES + 2)
+        for processors in shapes:
+            session.run("EMOptVC", incremental=True, processors=processors)
+        assert session.cache_info().held_evictions == 1
+        session.run("EMOptVC", incremental=True, processors=shapes[1])
+        assert session.last_delta().mode == "reused"
+        # the first shape's result went; the fixpoint did not
+        session.run("EMOptVC", incremental=True, processors=shapes[0])
+        assert session.last_delta().mode == "incremental"
+        assert session.cache_info().held_evictions == 2

@@ -570,7 +570,7 @@ class TestSessionIntegration:
 
         registry = GraphRegistry()
         entry = registry.register("g", flat_graph(), flat_key())
-        entry.session_for(MatchConfig(algorithm="EMOptMR", blocking="auto")).run()
+        entry.match(MatchConfig(algorithm="EMOptMR", blocking="auto"))
         cache = entry.describe()["cache"]
         assert cache["blocking_index_builds"] == 1
         assert cache["blocking_pairs_pruned"] > 0

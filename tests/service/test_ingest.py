@@ -583,8 +583,8 @@ class TestMatchDuringIngest:
         reads, failures = [], []
         done = threading.Event()
 
-        # two shapes: one shares the writer's persistent session, the other
-        # lags the shared cache after every window and re-solves
+        # two shapes: one is the writer's (its window's result is held), the
+        # other lags the shared cache after every window and re-solves
         shapes = (config, MatchConfig(algorithm="EMOptMR"))
 
         def reader(shape):

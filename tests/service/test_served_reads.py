@@ -8,13 +8,14 @@ served classes must equal ``chase(twin, keys)`` on a twin graph mutated by
 the same ops, and the step's ``delta.mode`` must be the one the model
 dictates.  The model is two facts: *does the cache hold a fixpoint* (it does
 after the graph's very first run, whichever shape ran it), and *which shapes
-hold a result for the current graph version* (the bounded session table):
+hold a result for the current graph version* (the cache's bounded
+held-result table):
 
 * ``reused`` when the shape already answered at this version — a second
   read, or a read under the shape the last window ran under (straight off
   the window's own result);
 * ``incremental`` for everything else the cache can seed: the shape that
-  lags the window another shape flushed, a shape the session table evicted,
+  lags the window another shape flushed, a shape the held table evicted,
   a shape never seen before, a window under another shape than the last,
   the read after a failed flush;
 * ``full`` for the first run the graph ever sees, and for nothing after it.
@@ -37,8 +38,9 @@ import pytest
 
 from repro.api.config import MatchConfig
 from repro.core.chase import chase
+from repro.api.session import MatchSession
 from repro.datasets.synthetic import synthetic_dataset
-from repro.service import registry as registry_module
+from repro.matching.artifacts import SessionArtifacts
 from repro.service.ingest import apply_mutation
 from repro.service.registry import GraphRegistry
 
@@ -70,7 +72,7 @@ def classes(eq):
 
 class Harness:
     """The registered graph, its twin, and the model: whether the cache
-    holds a fixpoint, and which shapes' sessions hold a result for the
+    holds a fixpoint, and which shapes it holds a result of for the
     current graph version."""
 
     def __init__(self, entry, keys, *, seeded=False):
@@ -79,18 +81,18 @@ class Harness:
         self.twin = entry.graph.copy()
         #: has any run finished on this graph (the cache holds its fixpoint)?
         self.seeded = seeded
-        #: the session table, least recently used first: run shape -> does
-        #: its session hold the answer for this version?
+        #: the held-result table, least recently used first: run shape ->
+        #: does the cache hold its answer for this version?
         self.in_step = OrderedDict()
 
     def expected(self):
         return classes(chase(self.twin, self.keys).eq)
 
     def _use(self, shape):
-        """The shape's row of the model's session table (bounded, LRU)."""
+        """The shape's row of the model's held-result table (bounded, LRU)."""
         answered = self.in_step.pop(shape, False)
         self.in_step[shape] = answered
-        if len(self.in_step) > registry_module.MAX_SESSIONS:
+        if len(self.in_step) > SessionArtifacts.MAX_HELD_SHAPES:
             self.in_step.popitem(last=False)
         return answered
 
@@ -256,8 +258,7 @@ def test_any_shape_reads_and_writes_from_the_fixpoint_any_other_left(seed):
     assert modes["full"] == 0 and modes["incremental"] and modes["reused"]
     assert entry.describe()["sessions"]["evictions"] > 0
     # the blocked flavours shared one collision pass per graph version
-    timings = entry.session_for(VC).phase_timings()
-    assert timings["blocking_collision"] > 0.0
+    assert entry.artifacts.timings["blocking_collision"] > 0.0
 
 
 def test_one_shape_past_the_bound_evicts_a_result_not_the_fixpoint():
@@ -268,13 +269,13 @@ def test_one_shape_past_the_bound_evicts_a_result_not_the_fixpoint():
     harness.read(MR)  # VC is now the least recently used
     extra = [
         MatchConfig(algorithm="EMOptVC", processors=5 + n)
-        for n in range(registry_module.MAX_SESSIONS - 1)
+        for n in range(SessionArtifacts.MAX_HELD_SHAPES - 1)
     ]
     for config in extra:
         harness.read(config)  # never seen, seeded all the same
     sessions = entry.describe()["sessions"]
     assert sessions["evictions"] == 1
-    assert len(sessions["shapes"]) == registry_module.MAX_SESSIONS
+    assert len(sessions["shapes"]) == SessionArtifacts.MAX_HELD_SHAPES
     assert VC.describe() not in sessions["shapes"]
     assert sessions["shapes"][0] == MR.describe()
 
@@ -306,16 +307,16 @@ def test_wal_recovery_leaves_the_recovered_session_in_the_table(tmp_path):
     assert recovered.last_recovery["checkpoints_verified"] == 3
     assert recovered.last_recovery["batches"] == 1  # solves, not windows
     assert recovered.describe()["sessions"]["shapes"] == [VC.describe()]
-    session = recovered.session_for(VC)
-    assert len(session.history) == 1
+    replayed = recovered.artifacts.held(VC)
+    assert replayed is not None  # the replay's result, at this version
 
     after = Harness(recovered, rebuilt.keys, seeded=True)
     assert after.expected() == harness.expected()
     after.in_step[VC.run_shape()] = True  # the replay's fixpoint answers
-    assert after.read(VC).result is session.history[-1][1]
+    assert after.read(VC).result is replayed
     after.read(MR)  # a shape recovery never ran: seeded from the replay's
     after.read(MR)
-    assert recovered.session_for(VC) is session
+    after.check_session_table()
     assert recovered.describe()["reads_by_mode"]["full"] == 0
     registry2.close()
 
@@ -338,8 +339,7 @@ def test_a_read_after_a_failed_flush_plans_the_delta_itself(monkeypatch):
         {"op": "set_value", "subject": "aux_0_2_1_1", "predicate": "locator_of",
          "value": "loc_0_2_2"},
     ]
-    session = entry.session_for(VC)
-    monkeypatch.setattr(session, "rerun", lambda **_: 1 / 0)
+    monkeypatch.setattr(MatchSession, "rerun", lambda self, **_: 1 / 0)
     with pytest.raises(IngestFlushError):
         entry.ingest(ops, config=VC, latency_budget=60.0)
     monkeypatch.undo()

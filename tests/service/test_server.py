@@ -656,7 +656,7 @@ class TestDrain:
 
 
 class TestIngestBackpressureOverHttp:
-    def test_failed_flush_then_429_then_recovery(self, live):
+    def test_failed_flush_then_429_then_recovery(self, live, monkeypatch):
         """A failed flush 500s with the partial report, leaves the backlog
         counted, and the next over-limit window is refused with 429 + a
         measured Retry-After; a healthy flush clears the backlog."""
@@ -680,14 +680,10 @@ class TestIngestBackpressureOverHttp:
         )
         assert status == 200, payload
 
-        entry = service.registry.get("g")
-        session = entry.session_for()
-        original_rerun = session.rerun
-
-        def broken_rerun(**options):
+        def broken_rerun(self, **options):
             raise RuntimeError("induced flush failure")
 
-        session.rerun = broken_rerun
+        monkeypatch.setattr(MatchSession, "rerun", broken_rerun)
         try:
             status, payload, _ = client.post(
                 "/graphs/g/ingest", {"ops": window(2, "b")}
@@ -696,7 +692,7 @@ class TestIngestBackpressureOverHttp:
             assert payload["recoverable"] is True
             assert payload["report"]["ops_unflushed"] == 2
         finally:
-            session.rerun = original_rerun
+            monkeypatch.undo()
 
         # the uncovered backlog (2 ops) + this window (3) exceeds the bound
         status, payload, headers = client.post(
@@ -716,6 +712,28 @@ class TestIngestBackpressureOverHttp:
 
 
 class TestErrorMapping:
+    def test_an_unknown_graph_lists_the_known_names_under_the_registry_lock(
+        self, music
+    ):
+        from repro.exceptions import UnknownGraphError
+        from repro.service.registry import GraphRegistry
+
+        registry = GraphRegistry()
+
+        class LockedNames(dict):
+            """A name table that may be iterated only under the lock: a
+            concurrent register would otherwise resize it mid-iteration."""
+
+            def __iter__(self):
+                assert registry._lock.locked()
+                return super().__iter__()
+
+        registry._graphs = LockedNames()
+        graph, keys, _expected = music
+        registry.register("music", graph, keys)
+        with pytest.raises(UnknownGraphError, match=r"\(known: music\)"):
+            registry.get("nope")
+
     def test_unknown_graph_is_404(self, live):
         _service, client = live
         status, data, _ = client.post(

@@ -638,6 +638,33 @@ def Path_src():
 
 
 class TestServiceRestartRecovery:
+    def test_a_refused_duplicate_registration_leaves_the_live_journal_alone(
+        self, tmp_path
+    ):
+        """Registering a live name without ``replace`` is refused before the
+        journal opens: no repair scan, no replay, no recovery checkpoint on
+        the live entry's journal, and the refusal names the real reason
+        whether or not the journal describes the newcomer's graph."""
+        from repro.exceptions import ServiceError
+        from repro.service.registry import GraphRegistry
+
+        def journal_bytes():
+            return {path.name: path.read_bytes() for path in (tmp_path / "wal" / "g").iterdir()}
+
+        dataset = small_dataset()
+        registry = GraphRegistry(wal_root=tmp_path / "wal")
+        live = registry.register("g", dataset.graph, dataset.keys)
+        live.ingest(mutation_ops(dataset.graph), latency_budget=60.0)
+        journal = journal_bytes()
+        # the live graph's base content (the journal replays onto it), and
+        # another graph (the journal does not describe it)
+        for other in (small_dataset(), small_dataset(seed=4)):
+            with pytest.raises(ServiceError, match="already registered"):
+                registry.register("g", other.graph, other.keys)
+            assert journal_bytes() == journal
+            assert registry.get("g") is live
+        registry.close()
+
     def test_registry_reopen_replays_the_journal(self, tmp_path):
         """Restart semantics at the service layer: a registry reopened on
         the same wal_root replays each graph's journal at register time."""
@@ -695,12 +722,14 @@ class TestServiceRestartRecovery:
         assert info.blocking_index_builds == 1
         flavours = set(entry.artifacts.cached("candidates"))
         assert flavours and all(blocked for _f, _r, blocked in flavours)
-        recovered = entry.session_for()
-        assert recovered.config.blocking == "auto"
-        assert recovered.history  # the replay ran on it
+        shapes = ["EMOptVC(p=4, blocking=auto)"]
+        assert entry.describe()["sessions"]["shapes"] == shapes
+        recovered = entry.artifacts.held(MatchConfig())
+        assert recovered is not None  # the replay ran under that shape
         for config in (None, MatchConfig(blocking="auto")):
             _report, result = entry.ingest([], config=config)
-            assert entry.session_for(config) is recovered
+            assert result is recovered  # reused: the recovered shape's result
+            assert entry.describe()["sessions"]["shapes"] == shapes
             assert result.pairs() == chase(rebuilt.graph, rebuilt.keys).pairs()
         assert entry.artifacts.cache_info().blocking_index_builds == 1
         registry2.close()
