@@ -34,10 +34,11 @@ class MatchConfig:
     ``processors`` is the *simulated* cluster size ``p`` observed by the cost
     models; ``executor`` / ``workers`` select the *real* execution runtime
     (``"serial"`` / ``"thread"`` / ``"process"`` pools of ``workers`` real
-    workers; ``None`` keeps the classic in-process execution).  Executor
-    support is validated per backend at :meth:`resolve` time against the
-    ``"executors"`` capability of the chosen
-    :class:`~repro.api.registry.AlgorithmSpec`.
+    workers).  ``None`` creates no pool: the MapReduce rounds run on an
+    in-process serial executor and the vertex-centric engine runs its
+    classic single-process drain.  Executor support is validated per
+    backend at :meth:`resolve` time by
+    :meth:`~repro.api.registry.AlgorithmSpec.validate_request`.
     """
 
     algorithm: str = DEFAULT_ALGORITHM
@@ -197,22 +198,18 @@ class MatchConfig:
 
         Raises :class:`~repro.exceptions.MatchingError` for unknown algorithm
         names and :class:`~repro.exceptions.ConfigError` for options the
-        backend does not accept (or of the wrong type), or when an executor
-        is requested from a backend without the ``"executors"`` capability.
+        backend does not accept (or of the wrong type or range), or for a
+        runtime its capabilities do not admit
+        (:meth:`~repro.api.registry.AlgorithmSpec.validate_request`).
         """
         # explicit None-check: an empty registry is falsy (it has __len__)
         spec = (REGISTRY if registry is None else registry).get(self.algorithm)
-        if self.executor is not None and "executors" not in spec.capabilities:
-            raise ConfigError(
-                f"algorithm {spec.name!r} does not support executor selection "
-                f"(requested executor={self.executor!r})"
-            )
-        if self.blocking == "force" and "blocking" not in spec.capabilities:
-            raise ConfigError(
-                f"algorithm {spec.name!r} does not support blocked candidate "
-                f"generation (requested blocking={self.blocking!r})"
-            )
-        return spec, spec.validate_options(self.options)
+        return spec, spec.validate_request(
+            self.options,
+            executor=self.executor,
+            workers=self.workers,
+            blocking=self.blocking,
+        )
 
     def validated(self, registry: Optional[AlgorithmRegistry] = None) -> "MatchConfig":
         """Validate and return self (fluent form of :meth:`resolve`)."""

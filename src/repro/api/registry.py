@@ -30,9 +30,11 @@ class OptionSpec:
     type: type = object
     default: object = None
     description: str = ""
+    #: the smallest accepted value of a numeric knob (None: unbounded)
+    minimum: Optional[float] = None
 
     def validate(self, value: object) -> object:
-        """Type-check *value*, returning the (possibly coerced) value."""
+        """Type- and range-check *value*, returning the (possibly coerced) value."""
         if self.type is object:
             return value
         # bool is an int subclass; an int-typed knob must not accept True.
@@ -40,14 +42,18 @@ class OptionSpec:
             raise ConfigError(
                 f"option {self.name!r} expects {self.type.__name__}, got bool {value!r}"
             )
-        if isinstance(value, self.type):
-            return value
         if self.type is float and isinstance(value, int):
-            return float(value)
-        raise ConfigError(
-            f"option {self.name!r} expects {self.type.__name__}, "
-            f"got {type(value).__name__} {value!r}"
-        )
+            value = float(value)
+        if not isinstance(value, self.type):
+            raise ConfigError(
+                f"option {self.name!r} expects {self.type.__name__}, "
+                f"got {type(value).__name__} {value!r}"
+            )
+        if self.minimum is not None and value < self.minimum:  # type: ignore[operator]
+            raise ConfigError(
+                f"option {self.name!r} must be >= {self.minimum}, got {value!r}"
+            )
+        return value
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,12 @@ class AlgorithmSpec:
     """A registered matching backend: identity, knobs, and how to run it.
 
     ``runner`` is called as ``runner(graph, keys, processors=..., artifacts=...,
-    observer=..., **options)`` and must return an
+    observer=..., **runtime, **options)`` and must return an
     :class:`~repro.matching.result.EMResult`.  ``artifacts`` is the per-session
     cache of precomputed indexes (``None`` for one-shot runs) and ``observer``
-    an optional per-round progress callback.
+    an optional per-round progress callback; ``runtime`` carries only what
+    the capabilities admit (see :meth:`run`).  A built-in backend's runner is
+    its ``EntityMatcher`` class's ``solve``; a plugin's may be any function.
     """
 
     name: str
@@ -91,6 +99,35 @@ class AlgorithmSpec:
             validated[name] = spec.validate(value)
         return validated
 
+    def validate_request(
+        self,
+        options: Mapping[str, object],
+        *,
+        executor: Optional[str] = None,
+        workers: Optional[int] = None,
+        blocking: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """Check a run request against the capabilities, then validate the
+        options: ``workers`` needs an ``executor``, an executor needs the
+        ``"executors"`` capability and ``blocking="force"`` the
+        ``"blocking"`` one (``"auto"`` falls back where it cannot block)."""
+        if workers is not None and executor is None:
+            raise ConfigError(
+                f"algorithm {self.name!r}: workers requires an executor "
+                f"(e.g. executor='process')"
+            )
+        if executor is not None and "executors" not in self.capabilities:
+            raise ConfigError(
+                f"algorithm {self.name!r} does not support executor selection "
+                f"(requested executor={executor!r})"
+            )
+        if blocking == "force" and "blocking" not in self.capabilities:
+            raise ConfigError(
+                f"algorithm {self.name!r} does not support blocked "
+                f"candidate generation (requested blocking={blocking!r})"
+            )
+        return self.validate_options(options)
+
     def run(
         self,
         graph: object,
@@ -106,32 +143,23 @@ class AlgorithmSpec:
         worklist: Optional[Sequence[Tuple[str, str]]] = None,
         blocking: Optional[str] = None,
     ) -> object:
-        """Validate *options* against this spec and invoke the runner.
+        """Validate the request (:meth:`validate_request`) and invoke the runner.
 
         ``executor`` / ``workers`` select the real execution runtime; they are
-        forwarded only to backends declaring the ``"executors"`` capability
-        (requesting them from any other backend raises ``ConfigError``).
+        forwarded only to backends declaring the ``"executors"`` capability.
         ``seed_pairs`` / ``worklist`` are the incremental re-matching inputs
         (a previous run's surviving merges and the affected pairs to
         re-chase); they require the ``"incremental"`` capability.
         ``blocking`` (``"auto"``/``"force"``) selects blocked candidate
         generation; a backend without the ``"blocking"`` capability keeps
         its own enumeration under ``"auto"`` (the public default — it falls
-        back wherever it cannot block) and raises under ``"force"``.
+        back wherever it cannot block).
         """
-        validated = self.validate_options(options or {})
+        validated = self.validate_request(
+            options or {}, executor=executor, workers=workers, blocking=blocking
+        )
         runtime_kwargs: Dict[str, object] = {}
-        if workers is not None and executor is None:
-            raise ConfigError(
-                f"algorithm {self.name!r}: workers requires an executor "
-                f"(e.g. executor='process')"
-            )
         if executor is not None:
-            if "executors" not in self.capabilities:
-                raise ConfigError(
-                    f"algorithm {self.name!r} does not support executor selection "
-                    f"(requested executor={executor!r})"
-                )
             runtime_kwargs["executor"] = executor
             runtime_kwargs["workers"] = workers
         if seed_pairs is not None or worklist is not None:
@@ -142,14 +170,8 @@ class AlgorithmSpec:
                 )
             runtime_kwargs["seed_pairs"] = seed_pairs
             runtime_kwargs["worklist"] = worklist
-        if blocking is not None and blocking != "off":
-            if "blocking" in self.capabilities:
-                runtime_kwargs["blocking"] = blocking
-            elif blocking == "force":
-                raise ConfigError(
-                    f"algorithm {self.name!r} does not support blocked "
-                    f"candidate generation (requested blocking={blocking!r})"
-                )
+        if blocking not in (None, "off") and "blocking" in self.capabilities:
+            runtime_kwargs["blocking"] = blocking
         return self.runner(
             graph,
             keys,
@@ -254,14 +276,15 @@ def register_algorithm(
     description: str = "",
     registry: Optional[AlgorithmRegistry] = None,
 ) -> Callable[[Callable[..., object]], Callable[..., object]]:
-    """Decorator registering a runner function as a matching backend.
+    """Decorator registering a runner as a matching backend.
 
-    Usage::
+    A built-in backend registers its matcher class's ``solve`` with the
+    class's ``options``; a plugin may register a plain function::
 
-        @register_algorithm("EMOptVC", family="vertex-centric",
-                            options=(OptionSpec("fanout", int, 4),))
+        @register_algorithm("Mine", family="custom",
+                            options=(OptionSpec("depth", int, 2, minimum=1),))
         def _run(graph, keys, *, processors=4, artifacts=None, observer=None,
-                 fanout=4):
+                 depth=2):
             ...
     """
 
@@ -278,7 +301,6 @@ def register_algorithm(
         # explicit None-check: an empty registry is falsy (it has __len__)
         target = REGISTRY if registry is None else registry
         target.register(spec)
-        runner.__algorithm_spec__ = spec  # type: ignore[attr-defined]
         return runner
 
     return decorator

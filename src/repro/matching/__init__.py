@@ -14,23 +14,24 @@ algorithm registry (:mod:`repro.api.registry`).  The built-in backends:
 ``EMOptVC``    ``EMVC`` + bounded messages and prioritized propagation
 =============  ==============================================================
 
-Each backend registers itself with
+Each backend is an :class:`~repro.matching.backend.EntityMatcher` subclass
+that registers its class's ``solve`` with
 :func:`~repro.api.registry.register_algorithm`; ``ALGORITHMS`` is the live
 view of the registered names.  Backend-specific knobs (e.g. ``EMOptVC``'s
-``fanout``) are forwarded as keyword options and validated per backend.
+``fanout``) are declared once on the class, forwarded as keyword options and
+validated per backend.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..api.events import ProgressEvent, notify
 from ..api.registry import ALGORITHMS, get_algorithm, register_algorithm
 from ..core.chase import chase
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import MatchingError
-from .artifacts import SessionArtifacts
+from .backend import EntityMatcher
 from .blocking import (
     BLOCKING_MODES,
     BlockingIndex,
@@ -105,49 +106,38 @@ def chase_as_result(
     )
 
 
-@register_algorithm(
+class ChaseMatcher(EntityMatcher):
+    """The sequential chase as a backend: the reference the others reproduce."""
+
+    algorithm_name = "chase"
+
+    def _solve(self, executor) -> EMResult:
+        worklist = self.worklist
+        if worklist is None and self.blocking != "off":
+            # the cache's enumeration of this graph version, in the order the
+            # chase itself would enumerate: same candidates, same checks, and
+            # one collision pass per graph version, not per run
+            worklist, _ = self.artifacts.blocked_pairs(self.blocking)
+        result = chase_as_result(
+            self.graph,
+            self.keys,
+            snapshot=self.artifacts.snapshot(),
+            index=self.artifacts.neighborhood_index(),
+            seed_pairs=self.seed_pairs,
+            worklist=worklist,
+        )
+        # the sequential chase has no rounds to report, but it honours the
+        # events contract every backend shares: a final "done" notification
+        self._notify("done", identified=result.stats.identified_pairs, pending=0)
+        return result
+
+
+register_algorithm(
     "chase",
     family="sequential",
     capabilities=("reference", "incremental", "blocking"),
     description="sequential chase, the reference implementation (Section 3)",
-)
-def _run_chase(
-    graph: Graph,
-    keys: KeySet,
-    *,
-    processors: int = 1,
-    artifacts: Optional[object] = None,
-    observer: Optional[Callable[[ProgressEvent], None]] = None,
-    seed_pairs: Optional[object] = None,
-    worklist: Optional[object] = None,
-    blocking: str = "off",
-) -> EMResult:
-    artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
-    if worklist is None and blocking != "off":
-        # the cache's enumeration of this graph version, in the order the
-        # chase itself would enumerate: same candidates, same checks, and
-        # one collision pass per graph version, not per run
-        worklist, _ = artifacts.blocked_pairs(blocking)
-    result = chase_as_result(
-        graph,
-        keys,
-        snapshot=artifacts.snapshot(),
-        index=artifacts.neighborhood_index(),
-        seed_pairs=seed_pairs,
-        worklist=worklist,
-    )
-    # the sequential chase has no rounds to report, but it honours the
-    # events contract every backend shares: a final "done" notification
-    notify(
-        observer,
-        ProgressEvent(
-            algorithm="chase",
-            stage="done",
-            identified=result.stats.identified_pairs,
-            pending=0,
-        ),
-    )
-    return result
+)(ChaseMatcher.solve)
 
 
 def match_entities(
@@ -193,12 +183,14 @@ __all__ = [
     "BlockingIndex",
     "BlockingStats",
     "CandidateSet",
+    "ChaseMatcher",
     "DEFAULT_FANOUT",
     "DeltaPlan",
     "DependencyArtifact",
     "DependencyWorklist",
     "EMResult",
     "EMStatistics",
+    "EntityMatcher",
     "EvalVCProgram",
     "IncrementalState",
     "MapReduceEntityMatcher",

@@ -15,23 +15,23 @@ then iterates MapReduce rounds until ``Eq`` stops changing:
 
 ``EMVF2MR`` is the same driver with the guided check replaced by full match
 enumeration (no early termination); ``EMOptMR`` (see
-:mod:`repro.matching.em_mr_opt`) adds the Section 4.2 optimizations.
+:mod:`repro.matching.em_mr_opt`) adds the Section 4.2 optimizations.  The
+driver is an :class:`~repro.matching.backend.EntityMatcher`: the base holds
+the run inputs and the executor, the driver loop is ``_solve``, and each
+variant registers its class's ``solve``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Type, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Type, Union
 
-from ..api.events import ProgressEvent, notify
 from ..api.registry import get_algorithm, register_algorithm
 from ..core.equivalence import EquivalenceFork, EquivalenceRelation, Pair, canonical_pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..mapreduce.runtime import MapReduceDriver, TaskContext
-from ..runtime import create_executor
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
-from .artifacts import SessionArtifacts
+from .backend import EntityMatcher
 from .candidates import CandidateSet
 from .checkers import EnumerationChecker, GuidedChecker, PairChecker
 from .result import EMResult, EMStatistics
@@ -146,46 +146,10 @@ class _ReduceEM:
         self.newly_identified.update(merges)
 
 
-class MapReduceEntityMatcher:
+class MapReduceEntityMatcher(EntityMatcher):
     """Base MapReduce entity matcher (= ``EMMR``)."""
 
     algorithm_name = "EMMR"
-
-    def __init__(
-        self,
-        graph: Graph,
-        keys: KeySet,
-        processors: int = 4,
-        *,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        artifacts: Optional[SessionArtifacts] = None,
-        observer: Optional[Callable[[ProgressEvent], None]] = None,
-        seed_pairs: Optional[Sequence[Pair]] = None,
-        worklist: Optional[Sequence[Pair]] = None,
-        blocking: str = "off",
-    ) -> None:
-        self.graph = graph
-        self.keys = keys
-        self.processors = processors
-        #: executor kind ("serial" / "thread" / "process") or None for serial
-        self.executor = executor
-        #: real worker count of the executor pool (None: processors, capped)
-        self.workers = workers
-        #: the artifact cache every input is read through: the session's, or
-        #: a throwaway one when the caller passed none
-        self.artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
-        self.observer = observer
-        #: incremental re-matching: pairs merged into ``Eq`` before round 1
-        #: (a previous run's surviving identifications) ...
-        self.seed_pairs = seed_pairs
-        #: ... and the candidate pairs to actually re-check (None: all)
-        self.worklist = worklist
-        #: candidate enumeration strategy ("off" / "auto" / "force")
-        self.blocking = blocking
-
-    def _notify(self, stage: str, **fields: object) -> None:
-        notify(self.observer, ProgressEvent(algorithm=self.algorithm_name, stage=stage, **fields))
 
     # -- extension points overridden by EMVF2MR / EMOptMR ---------------- #
 
@@ -212,18 +176,7 @@ class MapReduceEntityMatcher:
 
     # -- main driver loop ------------------------------------------------ #
 
-    def run(self) -> EMResult:
-        """Execute the algorithm and return its result."""
-        started = time.perf_counter()
-        executor = create_executor(self.executor, self.workers, processors=self.processors)
-        try:
-            result = self._run_with_executor(executor)
-        finally:
-            executor.close()
-        result.wall_seconds = time.perf_counter() - started
-        return result
-
-    def _run_with_executor(self, executor) -> EMResult:
+    def _solve(self, executor) -> EMResult:
         # the compiled read view shared by the driver and every worker
         snapshot = self.artifacts.snapshot()
         placement = self.artifacts.shuffle_placement(self.processors)
@@ -253,11 +206,7 @@ class MapReduceEntityMatcher:
             eq.merge(e1, e2)
         seed_merges = eq.merge_count
 
-        if self.worklist is None:
-            worklist_pairs = list(candidates.pairs)
-        else:
-            members = set(self.worklist)
-            worklist_pairs = [pair for pair in candidates.pairs if pair in members]
+        worklist_pairs = self._activated(candidates.pairs)
 
         stats = EMStatistics(
             candidate_pairs=candidates.unfiltered_size,
@@ -324,72 +273,21 @@ class VF2MapReduceEntityMatcher(MapReduceEntityMatcher):
         return EnumerationChecker
 
 
-@register_algorithm(
+register_algorithm(
     "EMMR",
     family="mapreduce",
     capabilities=(
         "parallel", "rounds", "incremental-eq", "executors", "incremental", "blocking",
     ),
     description="MapReduce algorithm with the guided EvalMR check (Fig. 4)",
-)
-def _run_em_mr(
-    graph: Graph,
-    keys: KeySet,
-    *,
-    processors: int = 4,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    artifacts: Optional[SessionArtifacts] = None,
-    observer: Optional[Callable[[ProgressEvent], None]] = None,
-    seed_pairs: Optional[Sequence[Pair]] = None,
-    worklist: Optional[Sequence[Pair]] = None,
-    blocking: str = "off",
-) -> EMResult:
-    return MapReduceEntityMatcher(
-        graph,
-        keys,
-        processors,
-        executor=executor,
-        workers=workers,
-        artifacts=artifacts,
-        observer=observer,
-        seed_pairs=seed_pairs,
-        worklist=worklist,
-        blocking=blocking,
-    ).run()
+)(MapReduceEntityMatcher.solve)
 
-
-@register_algorithm(
+register_algorithm(
     "EMVF2MR",
     family="mapreduce",
     capabilities=("parallel", "rounds", "executors", "incremental", "blocking"),
     description="MapReduce baseline enumerating all matches (no early exit)",
-)
-def _run_em_vf2_mr(
-    graph: Graph,
-    keys: KeySet,
-    *,
-    processors: int = 4,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    artifacts: Optional[SessionArtifacts] = None,
-    observer: Optional[Callable[[ProgressEvent], None]] = None,
-    seed_pairs: Optional[Sequence[Pair]] = None,
-    worklist: Optional[Sequence[Pair]] = None,
-    blocking: str = "off",
-) -> EMResult:
-    return VF2MapReduceEntityMatcher(
-        graph,
-        keys,
-        processors,
-        executor=executor,
-        workers=workers,
-        artifacts=artifacts,
-        observer=observer,
-        seed_pairs=seed_pairs,
-        worklist=worklist,
-        blocking=blocking,
-    ).run()
+)(VF2MapReduceEntityMatcher.solve)
 
 
 def em_mr(graph: Graph, keys: KeySet, processors: int = 4) -> EMResult:

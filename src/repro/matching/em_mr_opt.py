@@ -12,18 +12,18 @@ Three optimizations on top of :class:`~repro.matching.em_mr.MapReduceEntityMatch
    depends on was newly identified in the previous round; otherwise the mapper
    forwards it unchanged.  This removes the redundant per-round re-checking of
    the base algorithm while preserving the fixpoint.
+
+``reduce_neighborhoods`` is the class's one declared option.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
-from ..api.events import ProgressEvent
 from ..api.registry import OptionSpec, get_algorithm, register_algorithm
 from ..core.equivalence import Pair
 from ..core.graph import Graph
 from ..core.key import KeySet
-from .artifacts import SessionArtifacts
 from .candidates import CandidateSet
 from .em_mr import MapReduceEntityMatcher
 from .incremental import DependencyWorklist
@@ -35,36 +35,15 @@ class OptimizedMapReduceEntityMatcher(MapReduceEntityMatcher):
     dependency-driven incremental checking."""
 
     algorithm_name = "EMOptMR"
-
-    def __init__(
-        self,
-        graph: Graph,
-        keys: KeySet,
-        processors: int = 4,
-        *,
-        reduce_neighborhoods: bool = True,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        artifacts: Optional[SessionArtifacts] = None,
-        observer: Optional[Callable[[ProgressEvent], None]] = None,
-        seed_pairs: Optional[Sequence[Pair]] = None,
-        worklist: Optional[Sequence[Pair]] = None,
-        blocking: str = "off",
-    ) -> None:
-        super().__init__(
-            graph,
-            keys,
-            processors,
-            executor=executor,
-            workers=workers,
-            artifacts=artifacts,
-            observer=observer,
-            seed_pairs=seed_pairs,
-            worklist=worklist,
-            blocking=blocking,
-        )
-        self.reduce_neighborhoods = reduce_neighborhoods
-        self._dependents: Optional[DependencyWorklist] = None
+    options = (
+        OptionSpec(
+            "reduce_neighborhoods",
+            bool,
+            True,
+            "shrink d-neighbourhoods to pairing-supported nodes (Section 4.2)",
+        ),
+    )
+    _dependents: Optional[DependencyWorklist] = None
 
     def _candidates(self) -> CandidateSet:
         flavour = dict(
@@ -90,17 +69,10 @@ class OptimizedMapReduceEntityMatcher(MapReduceEntityMatcher):
         return self._dependents.affected_by(newly_identified)
 
 
-@register_algorithm(
+register_algorithm(
     "EMOptMR",
     family="mapreduce",
-    options=(
-        OptionSpec(
-            "reduce_neighborhoods",
-            bool,
-            True,
-            "shrink d-neighbourhoods to pairing-supported nodes (Section 4.2)",
-        ),
-    ),
+    options=OptimizedMapReduceEntityMatcher.options,
     capabilities=(
         "parallel",
         "rounds",
@@ -111,34 +83,7 @@ class OptimizedMapReduceEntityMatcher(MapReduceEntityMatcher):
         "blocking",
     ),
     description="EMMR + pairing filter, reduced neighbourhoods, incremental checking",
-)
-def _run_em_mr_opt(
-    graph: Graph,
-    keys: KeySet,
-    *,
-    processors: int = 4,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    artifacts: Optional[SessionArtifacts] = None,
-    observer: Optional[Callable[[ProgressEvent], None]] = None,
-    reduce_neighborhoods: bool = True,
-    seed_pairs: Optional[Sequence[Pair]] = None,
-    worklist: Optional[Sequence[Pair]] = None,
-    blocking: str = "off",
-) -> EMResult:
-    return OptimizedMapReduceEntityMatcher(
-        graph,
-        keys,
-        processors,
-        reduce_neighborhoods=reduce_neighborhoods,
-        executor=executor,
-        workers=workers,
-        artifacts=artifacts,
-        observer=observer,
-        seed_pairs=seed_pairs,
-        worklist=worklist,
-        blocking=blocking,
-    ).run()
+)(OptimizedMapReduceEntityMatcher.solve)
 
 
 def em_mr_opt(graph: Graph, keys: KeySet, processors: int = 4) -> EMResult:

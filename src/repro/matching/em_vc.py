@@ -9,22 +9,22 @@ equivalence closure of the flags set by the vertex program.
 
 ``EMOptVC`` is the same driver with the two optimizations of Section 5.2
 enabled: bounded messages (fan-out budget ``k``, default 4) and prioritized
-propagation.
+propagation.  Both are :class:`~repro.matching.backend.EntityMatcher`
+subclasses: each declares its knobs once in ``options`` and registers its
+class's ``solve``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
-from ..api.events import ProgressEvent, notify
 from ..api.registry import OptionSpec, get_algorithm, register_algorithm
-from ..core.equivalence import EquivalenceRelation, Pair
+from ..core.equivalence import EquivalenceRelation
 from ..core.graph import Graph
 from ..core.key import KeySet
-from ..runtime import create_executor, create_partitioner
+from ..runtime import create_partitioner
 from ..vertexcentric.engine import VertexCentricEngine
-from .artifacts import SessionArtifacts
+from .backend import EntityMatcher
 from .eval_vc import Activate, EvalVCProgram, PairState
 from .result import EMResult, EMStatistics
 
@@ -34,72 +34,29 @@ DEFAULT_FANOUT = 4
 #: Safety valve: the engine aborts if a run exceeds this many messages.
 MAX_MESSAGES = 5_000_000
 
+#: The partitioning-strategy knob shared by the vertex-centric backends.
+PARTITIONER_OPTION = OptionSpec(
+    "partitioner",
+    str,
+    "hash",
+    "vertex partitioning strategy for partitioned execution (hash/chunk/fragment)",
+)
 
-class VertexCentricEntityMatcher:
-    """Base vertex-centric entity matcher (= ``EMVC``)."""
+
+class VertexCentricEntityMatcher(EntityMatcher):
+    """Base vertex-centric entity matcher (= ``EMVC``).
+
+    Without an executor the engine runs the classic single-process drain;
+    with one it runs partitioned supersteps over ``partitioner``'s split.
+    """
 
     algorithm_name = "EMVC"
-    max_fanout: Optional[int] = None
+    options = (PARTITIONER_OPTION,)
+    #: EMVC's unbounded, unprioritized messages; EMOptVC declares both knobs
+    fanout: Optional[int] = None
     prioritize: bool = False
 
-    def __init__(
-        self,
-        graph: Graph,
-        keys: KeySet,
-        processors: int = 4,
-        *,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        partitioner: str = "hash",
-        artifacts: Optional[SessionArtifacts] = None,
-        observer: Optional[Callable[[ProgressEvent], None]] = None,
-        seed_pairs: Optional[Sequence[Pair]] = None,
-        worklist: Optional[Sequence[Pair]] = None,
-        blocking: str = "off",
-    ) -> None:
-        self.graph = graph
-        self.keys = keys
-        self.processors = processors
-        #: executor kind ("serial" / "thread" / "process") or None for the
-        #: classic single-process drain
-        self.executor = executor
-        #: real worker count of the executor pool (None: processors, capped)
-        self.workers = workers
-        #: vertex partitioning strategy for partitioned execution
-        self.partitioner = partitioner
-        #: the artifact cache every input is read through: the session's, or
-        #: a throwaway one when the caller passed none
-        self.artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
-        self.observer = observer
-        #: incremental re-matching: merges seeding ``live_eq`` (and flagging
-        #: the corresponding product-graph vertices) before the engine drains
-        self.seed_pairs = seed_pairs
-        #: ... and the candidate pairs that receive an initial activation
-        #: (None: every candidate pair)
-        self.worklist = worklist
-        #: candidate enumeration strategy ("off" / "auto" / "force")
-        self.blocking = blocking
-
-    def _notify(self, stage: str, **fields: object) -> None:
-        notify(self.observer, ProgressEvent(algorithm=self.algorithm_name, stage=stage, **fields))
-
-    def run(self) -> EMResult:
-        """Execute the algorithm and return its result."""
-        started = time.perf_counter()
-        executor = None
-        if self.executor is not None:
-            executor = create_executor(
-                self.executor, self.workers, processors=self.processors
-            )
-        try:
-            result = self._run_with_executor(executor)
-        finally:
-            if executor is not None:
-                executor.close()
-        result.wall_seconds = time.perf_counter() - started
-        return result
-
-    def _run_with_executor(self, executor) -> EMResult:
+    def _solve(self, executor) -> EMResult:
         # the compiled read view shared by the driver and every replica
         snapshot = self.artifacts.snapshot()
         # the product graph only contains pairs that can be paired (Prop. 9);
@@ -117,7 +74,7 @@ class VertexCentricEntityMatcher:
             snapshot,
             self.keys,
             product_graph,
-            max_fanout=self.max_fanout,
+            max_fanout=self.fanout,
             prioritize=self.prioritize,
             seed_pairs=self.seed_pairs,
         )
@@ -149,11 +106,7 @@ class VertexCentricEntityMatcher:
             state.is_candidate = True
             state.flag = state.flag or identified(*pair)
 
-        if self.worklist is None:
-            activations = list(candidates.pairs)
-        else:
-            members = set(self.worklist)
-            activations = [pair for pair in candidates.pairs if pair in members]
+        activations = self._activated(candidates.pairs)
         for pair in activations:
             engine.post(pair, Activate(prerequisite=None))
         self._notify("engine", pending=len(activations))
@@ -202,94 +155,31 @@ class OptimizedVertexCentricEntityMatcher(VertexCentricEntityMatcher):
     """``EMOptVC`` = ``EMVC`` + bounded messages + prioritized propagation."""
 
     algorithm_name = "EMOptVC"
-
-    def __init__(
-        self,
-        graph: Graph,
-        keys: KeySet,
-        processors: int = 4,
-        fanout: int = DEFAULT_FANOUT,
-        *,
-        prioritize: bool = True,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
-        partitioner: str = "hash",
-        artifacts: Optional[SessionArtifacts] = None,
-        observer: Optional[Callable[[ProgressEvent], None]] = None,
-        seed_pairs: Optional[Sequence[Pair]] = None,
-        worklist: Optional[Sequence[Pair]] = None,
-        blocking: str = "off",
-    ) -> None:
-        super().__init__(
-            graph,
-            keys,
-            processors,
-            executor=executor,
-            workers=workers,
-            partitioner=partitioner,
-            artifacts=artifacts,
-            observer=observer,
-            seed_pairs=seed_pairs,
-            worklist=worklist,
-            blocking=blocking,
-        )
-        self.max_fanout = fanout
-        self.prioritize = prioritize
-
-
-#: The partitioning-strategy knob shared by the vertex-centric backends.
-PARTITIONER_OPTION = OptionSpec(
-    "partitioner",
-    str,
-    "hash",
-    "vertex partitioning strategy for partitioned execution (hash/chunk/fragment)",
-)
-
-
-@register_algorithm(
-    "EMVC",
-    family="vertex-centric",
-    options=(PARTITIONER_OPTION,),
-    capabilities=("parallel", "asynchronous", "executors", "incremental", "blocking"),
-    description="vertex-centric asynchronous algorithm over the product graph",
-)
-def _run_em_vc(
-    graph: Graph,
-    keys: KeySet,
-    *,
-    processors: int = 4,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    artifacts: Optional[SessionArtifacts] = None,
-    observer: Optional[Callable[[ProgressEvent], None]] = None,
-    partitioner: str = "hash",
-    seed_pairs: Optional[Sequence[Pair]] = None,
-    worklist: Optional[Sequence[Pair]] = None,
-    blocking: str = "off",
-) -> EMResult:
-    return VertexCentricEntityMatcher(
-        graph,
-        keys,
-        processors,
-        executor=executor,
-        workers=workers,
-        partitioner=partitioner,
-        artifacts=artifacts,
-        observer=observer,
-        seed_pairs=seed_pairs,
-        worklist=worklist,
-        blocking=blocking,
-    ).run()
-
-
-@register_algorithm(
-    "EMOptVC",
-    family="vertex-centric",
-    options=(
-        OptionSpec("fanout", int, DEFAULT_FANOUT, "bounded-message fan-out budget k (Section 5.2)"),
+    options = (
+        OptionSpec(
+            "fanout",
+            int,
+            DEFAULT_FANOUT,
+            "bounded-message fan-out budget k (Section 5.2)",
+            minimum=1,
+        ),
         OptionSpec("prioritize", bool, True, "prioritized propagation of flag messages"),
         PARTITIONER_OPTION,
-    ),
+    )
+
+
+register_algorithm(
+    "EMVC",
+    family="vertex-centric",
+    options=VertexCentricEntityMatcher.options,
+    capabilities=("parallel", "asynchronous", "executors", "incremental", "blocking"),
+    description="vertex-centric asynchronous algorithm over the product graph",
+)(VertexCentricEntityMatcher.solve)
+
+register_algorithm(
+    "EMOptVC",
+    family="vertex-centric",
+    options=OptimizedVertexCentricEntityMatcher.options,
     capabilities=(
         "parallel",
         "asynchronous",
@@ -300,38 +190,7 @@ def _run_em_vc(
         "blocking",
     ),
     description="EMVC + bounded messages and prioritized propagation",
-)
-def _run_em_vc_opt(
-    graph: Graph,
-    keys: KeySet,
-    *,
-    processors: int = 4,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-    artifacts: Optional[SessionArtifacts] = None,
-    observer: Optional[Callable[[ProgressEvent], None]] = None,
-    fanout: int = DEFAULT_FANOUT,
-    prioritize: bool = True,
-    partitioner: str = "hash",
-    seed_pairs: Optional[Sequence[Pair]] = None,
-    worklist: Optional[Sequence[Pair]] = None,
-    blocking: str = "off",
-) -> EMResult:
-    return OptimizedVertexCentricEntityMatcher(
-        graph,
-        keys,
-        processors,
-        fanout=fanout,
-        prioritize=prioritize,
-        executor=executor,
-        workers=workers,
-        partitioner=partitioner,
-        artifacts=artifacts,
-        observer=observer,
-        seed_pairs=seed_pairs,
-        worklist=worklist,
-        blocking=blocking,
-    ).run()
+)(OptimizedVertexCentricEntityMatcher.solve)
 
 
 def em_vc(graph: Graph, keys: KeySet, processors: int = 4) -> EMResult:

@@ -124,9 +124,11 @@ def test_vertex_partitioner_strategies_preserve_results(dataset, strategy):
     assert result.pairs() == classic.pairs()
 
 
-def test_wall_seconds_are_measured(dataset):
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_wall_seconds_are_measured(dataset, name):
     session = MatchSession(dataset.graph).with_keys(dataset.keys)
-    result = session.run("EMOptMR", processors=4, executor="serial")
+    executor = "serial" if "executors" in get_algorithm(name).capabilities else None
+    result = session.run(name, processors=4, executor=executor)
     assert result.wall_seconds > 0
     assert result.summary()["wall_seconds"] == pytest.approx(result.wall_seconds, abs=1e-3)
 

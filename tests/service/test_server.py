@@ -24,6 +24,7 @@ from repro.datasets.business import business_dataset
 from repro.datasets.music import music_dataset
 from repro.matching.result import EMResult
 from repro.service import MatchingService, make_http_server
+from tests.test_cli import PINNED_ALGORITHM_CATALOG
 
 
 class ServiceClient:
@@ -111,10 +112,7 @@ class TestBasicEndpoints:
         _service, client = live
         status, data, _ = client.get("/algorithms")
         assert status == 200
-        names = {entry["name"] for entry in data["algorithms"]}
-        assert names == set(ALGORITHMS)
-        for entry in data["algorithms"]:
-            assert {"name", "family", "description", "capabilities", "options"} <= set(entry)
+        assert data == {"algorithms": PINNED_ALGORITHM_CATALOG}
 
     def test_register_list_and_unregister(self, live):
         _service, client = live
@@ -761,6 +759,21 @@ class TestErrorMapping:
             "/match", {"graph": "music", "algorithm": "EMNoSuch"}
         )
         assert status == 400
+
+    def test_out_of_range_option_is_400_on_match_and_ingest(self, live):
+        """A backend option below its declared bound is refused at parse
+        time on both endpoints: nothing is admitted, nothing fails."""
+        _service, client = live
+        register_music(client)
+        _, before, _ = client.get("/metrics")
+        bad = {"algorithm": "EMOptVC", "options": {"fanout": 0}}
+        status, data, _ = client.post("/match", {"graph": "music", "wait": True, **bad})
+        assert status == 400 and "'fanout' must be >= 1" in data["error"]
+        status, data, _ = client.post("/graphs/music/ingest", {"ops": [], **bad})
+        assert status == 400 and "'fanout' must be >= 1" in data["error"]
+        _, after, _ = client.get("/metrics")
+        for counter in ("accepted", "failed"):
+            assert after["admission"][counter] == before["admission"][counter]
 
     def test_service_owned_fields_are_rejected(self, live):
         _service, client = live
