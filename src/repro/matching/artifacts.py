@@ -41,7 +41,7 @@ from ..mapreduce.runtime import ShufflePlacement
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.neighborhoods import radius_per_type
 from ..storage.store import SnapshotStore
-from .blocking import BlockingIndex, BlockingStats
+from .blocking import BlockingIndex, BlockingStats, quadratic_pairs_touching
 from .candidates import CandidateSet, build_candidates, build_filtered_candidates
 from .incremental import DependencyArtifact, IncrementalState, rebase_filtered_candidates
 from .product_graph import ProductGraph
@@ -95,9 +95,11 @@ class SessionCacheInfo:
     pairs_rechecked: int = 0
     pairs_skipped: int = 0
     #: blocking-layer observability: signature index builds / journal-delta
-    #: rebases, blocks enumerated, and candidate pairs pruned vs. the
-    #: quadratic baseline (cumulative across collision passes: one per graph
-    #: version that ran blocked, see :meth:`SessionArtifacts.blocked_pairs`)
+    #: rebases, blocks a collision pass read (every multi-member block on a
+    #: full pass, only the re-collided entities' on a rebased index), and
+    #: candidate pairs pruned vs. the quadratic baseline (cumulative across
+    #: collision passes: one per graph version that ran blocked, see
+    #: :meth:`SessionArtifacts.blocked_pairs`)
     blocking_index_builds: int = 0
     blocking_index_rebases: int = 0
     blocking_blocks_touched: int = 0
@@ -391,8 +393,9 @@ class SessionArtifacts:
         next access re-runs the pairing fixpoint only for the pairs it
         names, and the blocking index re-derives its signatures — which
         every entity of a certified type has, cached neighbourhood or not.
-        A window that compacts instead drops the blocking index: its tokens
-        are literal ids, which the recompiled snapshot assigns afresh.
+        A window that compacts instead drops the blocking index, with the
+        enumeration state it carries: its tokens are literal ids, which the
+        recompiled snapshot assigns afresh.
 
         The set is returned even when nothing was cached to rebase and the
         cache was dropped, since the planner needs it whatever is cached.
@@ -429,16 +432,23 @@ class SessionArtifacts:
 
     def _touched_ball(self, touched: set) -> set:
         """The entities within the largest key radius of a *touched* node,
-        by one BFS per touched node over the current snapshot (a node the
-        window removed is no root: deleting its edges touched its
-        neighbours)."""
+        by one BFS from all of them at once over the current snapshot (a
+        node the window removed is no root: deleting its edges touched its
+        neighbours).  A node is in the union of the per-root balls exactly
+        when its distance to the nearest root is within the radius."""
         snapshot = self.snapshot()
         radius = max(radius_per_type(self.keys).values(), default=0)
-        seen: set = set()
-        for node in touched:
-            root = snapshot.id_of(node)
-            if root is not None:
-                seen.update(snapshot.neighborhood_ids(root, radius))
+        frontier = [root for root in map(snapshot.id_of, touched) if root is not None]
+        seen = set(frontier)
+        adjacency = snapshot.adjacency
+        for _ in range(radius):
+            reached = []
+            for node in frontier:
+                for neighbour in adjacency(node):
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        reached.append(neighbour)
+            frontier = reached
         return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
 
     def _park(self, affected: set) -> None:
@@ -667,12 +677,19 @@ class SessionArtifacts:
                 )
 
             def rebase(old: CandidateSet, affected: set) -> CandidateSet:
+                if blocking == "off":
+                    touching = quadratic_pairs_touching(
+                        inputs["snapshot"], self.keys.target_types(), affected
+                    )
+                else:
+                    touching = self.blocking_index().pairs_touching(affected)
                 return charged(
                     rebase_filtered_candidates(
                         old,
                         self.graph,
                         self.keys,
                         affected_entities=affected,
+                        touching=touching,
                         reduce_neighborhoods=reduce_neighborhoods,
                         **inputs,
                     )

@@ -20,6 +20,7 @@ from ..core.key import KeySet
 from ..exceptions import ConfigError
 from ..runtime import create_executor
 from .artifacts import SessionArtifacts
+from .candidates import CandidateSet
 from .result import EMResult
 
 
@@ -96,10 +97,14 @@ class EntityMatcher:
     def _notify(self, stage: str, **fields: object) -> None:
         notify(self.observer, ProgressEvent(algorithm=self.algorithm_name, stage=stage, **fields))
 
-    def _activated(self, pairs: Sequence[Pair]) -> List[Pair]:
+    def _activated(self, candidates: CandidateSet) -> List[Pair]:
         """The candidate pairs this run checks, in candidate order: all of
-        them, or the worklist's members."""
+        them, or the worklist's members.  A filtered set answers membership
+        itself, so a delta run sorts its worklist instead of scanning ``L``."""
         if self.worklist is None:
-            return list(pairs)
+            return list(candidates.pairs)
+        universe = candidates.pair_supports
+        if universe is not None:
+            return candidates.in_order({pair for pair in self.worklist if pair in universe})
         members = set(self.worklist)
-        return [pair for pair in pairs if pair in members]
+        return [pair for pair in candidates.pairs if pair in members]

@@ -50,9 +50,10 @@ within the type.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import Pair
@@ -122,7 +123,8 @@ class BlockingStats:
     quadratic_pairs: int = 0
     #: pairs actually emitted.
     enumerated_pairs: int = 0
-    #: anchor blocks (>= 2 members) whose pairs were enumerated.
+    #: anchor blocks (>= 2 members) the collision pass read: all of them on
+    #: a full pass, the re-collided entities' on a rebased index.
     blocks_touched: int = 0
     index_seconds: float = 0.0
     collision_seconds: float = 0.0
@@ -137,6 +139,42 @@ class BlockingStats:
 
 #: entity -> non-empty literal-id set; entities with empty signatures are absent.
 _PathSignatures = Dict[str, FrozenSet[int]]
+#: literal id -> the entities whose anchor-path signature holds it
+_TokenMembers = Dict[int, FrozenSet[str]]
+
+
+def _token_members(signatures: _PathSignatures) -> _TokenMembers:
+    """The token -> members map of one path's *signatures* (one full pass)."""
+    grouped: Dict[int, Set[str]] = {}
+    for entity, tokens in signatures.items():
+        for token in tokens:
+            grouped.setdefault(token, set()).add(entity)
+    return {token: frozenset(members) for token, members in grouped.items()}
+
+
+def _moved_tokens(
+    members: _TokenMembers,
+    old: _PathSignatures,
+    new: _PathSignatures,
+    entities: Iterable[str],
+) -> _TokenMembers:
+    """*members* (over *old*) carried onto *new*: a C-level copy, then only
+    the tokens of *entities* whose signature changed are rewritten."""
+    moved = dict(members)
+    for entity in entities:
+        before = old.get(entity, frozenset())
+        after = new.get(entity, frozenset())
+        if before == after:
+            continue
+        for token in before - after:
+            rest = moved[token] - {entity}
+            if rest:
+                moved[token] = rest
+            else:
+                del moved[token]
+        for token in after - before:
+            moved[token] = moved.get(token, frozenset()) | {entity}
+    return moved
 
 
 class BlockingIndex:
@@ -155,6 +193,10 @@ class BlockingIndex:
         "_schemes",
         "_signatures",
         "build_seconds",
+        "_tokens",
+        "_enumerated",
+        "_carried",
+        "_stats",
     )
 
     def __init__(
@@ -168,6 +210,15 @@ class BlockingIndex:
         self._schemes = schemes
         self._signatures = signatures
         self.build_seconds = build_seconds
+        #: scheme index -> anchor-path token -> members; built at the first
+        #: rebase, so a cold build never holds it
+        self._tokens: Optional[Dict[int, _TokenMembers]] = None
+        #: the certified enumeration at this version, once collided
+        self._enumerated: Optional[_PairState] = None
+        #: an ancestor's enumeration and the entities rewritten since
+        self._carried: Optional[Tuple[_PairState, Set[str]]] = None
+        #: the stats of the collision pass that produced ``_enumerated``
+        self._stats: Optional[BlockingStats] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -207,46 +258,85 @@ class BlockingIndex:
     def rebased(
         self, snapshot: GraphSnapshot, affected_entities: Iterable[str] = ()
     ) -> "BlockingIndex":
-        """A new index over *snapshot*, the next graph version, reusing
-        signatures.
+        """A new index over *snapshot*, the next graph version, carried from
+        this one by delta.
 
-        Only *affected_entities* (and entities new since the previous
-        version) are recomputed; everything else is copied.  The caller must
-        pass a superset of the entities whose radius ball a delta touched —
-        the session passes the journal window's radius ball, which is
-        exactly that set.  *snapshot* must be of this index's lineage, or
-        the copied literal ids would name other literals: ``ValueError``.
+        Each path's signatures start as a C-level copy of this index's;
+        only the *affected_entities* of a certified type, the entities new to
+        the type and the entities that left it are rewritten or deleted, so
+        the Python-level work is the delta's, never the bucket's.  The caller
+        must pass a superset of the entities whose radius ball a delta
+        touched — the session passes the journal window's radius ball, which
+        is exactly that set (an entity new to a type was touched, so it is
+        in it too).  *snapshot* must be of this index's lineage, or the
+        copied literal ids would name other literals: ``ValueError``.
+
+        The blocked enumeration rides along: once this index (or an ancestor
+        since its last enumeration) has enumerated, the new index's
+        :meth:`candidate_pairs` drops the pairs of every rewritten entity and
+        re-collides only those entities, against each scheme's anchor-path
+        token map (built at the first rebase, then carried like the
+        signatures).  A pair is kept exactly when its signatures intersect on
+        every path of some key, whichever path anchors the collision, so the
+        result equals a full collision pair for pair; only ``blocks_touched``
+        differs, counting the blocks the re-collision read.
         """
         if snapshot.lineage is not self._snapshot.lineage:
             raise ValueError("a blocking index rebases only within its snapshot lineage")
         started = time.perf_counter()
-        affected = set(affected_entities)
+        affected = _ids_of(snapshot, affected_entities)
         signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
+        tokens: Dict[int, _TokenMembers] = {}
+        dirty: Set[str] = set()
         for index, scheme in enumerate(self._schemes):
             if not scheme.certified:
                 continue
-            # ids never move within a lineage: an id the old bucket lacks is
-            # an entity new to the type since the previous version
-            old_ids = self._snapshot.type_ids(scheme.target_type)
-            bucket = snapshot.type_ids(scheme.target_type).items()
+            etype = scheme.target_type
+            # ids never move within a lineage, so the membership change of a
+            # type is the difference of its two buckets (C-level, and only
+            # when the patch regrouped the type)
+            old_ids = self._snapshot.type_ids(etype)
+            new_ids = snapshot.type_ids(etype)
+            rewrite = {new_ids[i] for i in new_ids.keys() & affected.keys()}
+            left: List[str] = []
+            if new_ids is not old_ids:
+                rewrite.update(new_ids[i] for i in new_ids.keys() - old_ids.keys())
+                left = [old_ids[i] for i in old_ids.keys() - new_ids.keys()]
+            dirty.update(rewrite)
+            dirty.update(left)
             per_path: List[_PathSignatures] = []
             for path, old in zip(scheme.paths, self._signatures[index]):
-                fresh: _PathSignatures = {}
-                for node_id, entity in bucket:
-                    if entity in affected or node_id not in old_ids:
-                        tokens = _entity_signature(snapshot, entity, path)
-                    else:
-                        tokens = old.get(entity)
-                    if tokens:
-                        fresh[entity] = tokens
+                fresh = dict(old)
+                for entity in left:
+                    fresh.pop(entity, None)
+                found = _entity_signatures(snapshot, rewrite, path)
+                for entity in rewrite:
+                    if entity not in found:
+                        fresh.pop(entity, None)
+                fresh.update(found)
                 per_path.append(fresh)
             signatures[index] = tuple(per_path)
-        return BlockingIndex(
+            anchor_old, anchor_new = self._signatures[index][0], per_path[0]
+            members = None if self._tokens is None else self._tokens.get(index)
+            if members is None:
+                tokens[index] = _token_members(anchor_new)
+            else:
+                tokens[index] = _moved_tokens(
+                    members, anchor_old, anchor_new, itertools.chain(left, rewrite)
+                )
+        twin = BlockingIndex(
             snapshot=snapshot,
             schemes=self._schemes,
             signatures=signatures,
             build_seconds=time.perf_counter() - started,
         )
+        twin._tokens = tokens
+        if self._enumerated is not None:
+            twin._carried = (self._enumerated, dirty)
+        elif self._carried is not None:
+            state, earlier = self._carried
+            twin._carried = (state, earlier | dirty)
+        return twin
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -280,35 +370,82 @@ class BlockingIndex:
 
         The result is a subset of the quadratic enumeration in the same
         order: per sorted target type, canonically ordered pairs sorted
-        within each type.
+        within each type.  The certified types are collided once per index:
+        in full on a built index, by delta on a rebased one (see
+        :meth:`rebased`); a repeated call re-reads that pass.
         """
         validate_blocking_mode(mode)
         if mode == "off":
             raise ConfigError("BlockingIndex.candidate_pairs requires mode 'auto' or 'force'")
         if mode == "force":
             self.require_certified()
-        started = time.perf_counter()
-        stats = BlockingStats(mode=mode, index_seconds=self.build_seconds)
+        enumerated = self._collided()
+        stats = replace(self._stats, mode=mode)  # the pass's blocks and seconds
         pairs: List[Pair] = []
-        target_types = sorted({s.target_type for s in self._schemes})
-        for etype in target_types:
+        for etype in sorted({s.target_type for s in self._schemes}):
             bucket = self._snapshot.entities_of_type(etype)  # sorted entity ids
             count = len(bucket)
             stats.quadratic_pairs += count * (count - 1) // 2
-            type_schemes = [
-                (index, scheme)
-                for index, scheme in enumerate(self._schemes)
-                if scheme.target_type == etype
-            ]
-            if any(not scheme.certified for _, scheme in type_schemes):
+            certified = enumerated.lists.get(etype)
+            if certified is None:
                 # one uncertified key makes its necessary condition trivially
                 # true for the whole bucket: fall back to full enumeration
                 stats.fallback_types += 1
                 pairs.extend(itertools.combinations(bucket, 2))
-                continue
-            stats.certified_types += 1
+            else:
+                stats.certified_types += 1
+                pairs.extend(certified)
+        stats.enumerated_pairs = len(pairs)
+        return pairs, stats
+
+    def pairs_touching(self, entities: Iterable[str]) -> Set[Pair]:
+        """The pairs of :meth:`candidate_pairs` with an entity in *entities*,
+        read off the per-entity pair index (and, for a fallback type, the
+        entity's bucket): work for the entities, not for ``L``."""
+        by_entity = self._collided().index()
+        entities = list(entities)
+        found: Set[Pair] = set()
+        for entity in entities:
+            found.update(by_entity.get(entity, ()))
+        fallback = {s.target_type for s in self._schemes} - self._enumerated.lists.keys()
+        if fallback:
+            found |= quadratic_pairs_touching(self._snapshot, fallback, entities)
+        return found
+
+    def _collided(self) -> "_PairState":
+        """The certified enumeration at this version, collided on first use:
+        in full, or by delta from a carried ancestor's."""
+        if self._enumerated is None:
+            started = time.perf_counter()
+            stats = BlockingStats(mode="auto", index_seconds=self.build_seconds)
+            if self._carried is None:
+                self._enumerated = self._collide(stats)
+            else:
+                self._enumerated = self._recollide(*self._carried, stats)
+                self._carried = None
+            stats.collision_seconds = time.perf_counter() - started
+            self._stats = stats
+        return self._enumerated
+
+    def _type_schemes(self) -> Dict[str, List[int]]:
+        """Certified type -> its schemes' indices (a type with an uncertified
+        key is absent: it falls back to full enumeration)."""
+        by_type: Dict[str, List[int]] = {}
+        fallback: Set[str] = set()
+        for index, scheme in enumerate(self._schemes):
+            if scheme.certified:
+                by_type.setdefault(scheme.target_type, []).append(index)
+            else:
+                fallback.add(scheme.target_type)
+        return {etype: found for etype, found in by_type.items() if etype not in fallback}
+
+    def _collide(self, stats: BlockingStats) -> "_PairState":
+        """Every certified type's pairs, by one full collision pass."""
+        lists: Dict[str, List[Pair]] = {}
+        for etype, indices in self._type_schemes().items():
+            bucket = self._snapshot.entities_of_type(etype)  # sorted entity ids
             type_pairs: Set[Pair] = set()
-            for index, scheme in type_schemes:
+            for index in indices:
                 per_path = self._signatures[index]
                 participants = [
                     entity
@@ -337,10 +474,136 @@ class BlockingIndex:
                             not sigs[e1].isdisjoint(sigs[e2]) for sigs in others
                         ):
                             type_pairs.add((e1, e2))
-            pairs.extend(sorted(type_pairs))
-        stats.enumerated_pairs = len(pairs)
-        stats.collision_seconds = time.perf_counter() - started
-        return pairs, stats
+            lists[etype] = sorted(type_pairs)
+        return _PairState(lists)
+
+    def _recollide(
+        self, state: "_PairState", dirty: Set[str], stats: BlockingStats
+    ) -> "_PairState":
+        """*state*, an ancestor's enumeration, carried onto this index: the
+        pairs of every *dirty* entity are dropped, and the dirty entities
+        still in a certified type are collided again against the anchor
+        path's token map.  *state* is left as it was (copy-on-write)."""
+        snapshot = self._snapshot
+        old_by_entity = state.index()
+        lists = dict(state.lists)
+        by_entity = dict(old_by_entity)
+        owned: Set[str] = set()  # types whose list is the new state's own
+
+        def own(etype: str) -> List[Pair]:
+            if etype not in owned:
+                lists[etype] = lists[etype][:]
+                owned.add(etype)
+            return lists[etype]
+
+        # drop: every pair of a dirty entity, out of its type's sorted list
+        gone: Set[Pair] = set()
+        for entity in dirty:
+            gone.update(by_entity.pop(entity, ()))
+        for entity in {entity for pair in gone for entity in pair}.difference(dirty):
+            rest = by_entity[entity] - gone
+            if rest:
+                by_entity[entity] = rest
+            else:
+                del by_entity[entity]
+        for pair in gone:
+            for etype, kept in lists.items():
+                at = bisect.bisect_left(kept, pair)
+                if at < len(kept) and kept[at] == pair:
+                    del own(etype)[at]
+                    break
+        # re-collide the dirty entities by their type on this version
+        dirty_ids = _ids_of(snapshot, dirty)
+        blocks: Set[Tuple[int, int]] = set()
+        for etype, indices in self._type_schemes().items():
+            bucket = snapshot.type_ids(etype)
+            entities = [bucket[i] for i in bucket.keys() & dirty_ids.keys()]
+            found: Set[Pair] = set()
+            for index in indices:
+                anchor, *others = self._signatures[index]
+                members_of = self._tokens[index]
+                for entity in entities:
+                    tokens = anchor.get(entity)
+                    if tokens is None or not all(entity in sigs for sigs in others):
+                        continue
+                    for token in tokens:
+                        members = members_of[token]
+                        if len(members) < 2:
+                            continue
+                        blocks.add((index, token))
+                        for other in members:
+                            if other == entity:
+                                continue
+                            pair = (entity, other) if entity < other else (other, entity)
+                            if pair not in found and all(
+                                other in sigs and not sigs[entity].isdisjoint(sigs[other])
+                                for sigs in others
+                            ):
+                                found.add(pair)
+            if not found:
+                continue
+            kept = own(etype)
+            for pair in found:
+                bisect.insort(kept, pair)
+                for entity in pair:
+                    by_entity[entity] = by_entity.get(entity, frozenset()) | {pair}
+        stats.blocks_touched = len(blocks)
+        return _PairState(lists, by_entity)
+
+
+class _PairState:
+    """The certified part of one blocked enumeration: per type, its pairs in
+    emission order, and (built on first use) each entity's pairs."""
+
+    __slots__ = ("lists", "_by_entity")
+
+    def __init__(
+        self,
+        lists: Dict[str, List[Pair]],
+        by_entity: Optional[Dict[str, FrozenSet[Pair]]] = None,
+    ) -> None:
+        self.lists = lists
+        self._by_entity = by_entity
+
+    def index(self) -> Dict[str, FrozenSet[Pair]]:
+        """Entity -> its pairs (never mutated once built)."""
+        if self._by_entity is None:
+            grouped: Dict[str, Set[Pair]] = {}
+            for pairs in self.lists.values():
+                for pair in pairs:
+                    grouped.setdefault(pair[0], set()).add(pair)
+                    grouped.setdefault(pair[1], set()).add(pair)
+            self._by_entity = {e: frozenset(p) for e, p in grouped.items()}
+        return self._by_entity
+
+
+def _ids_of(snapshot: GraphSnapshot, entities: Iterable[str]) -> Dict[int, str]:
+    """Interned id -> entity, for the *entities* the snapshot holds, so a
+    type bucket meets them in one C-level key intersection."""
+    found: Dict[int, str] = {}
+    for entity in entities:
+        node_id = snapshot.id_of(entity)
+        if node_id is not None:
+            found[node_id] = entity
+    return found
+
+
+def quadratic_pairs_touching(
+    snapshot: GraphSnapshot, target_types: Iterable[str], entities: Iterable[str]
+) -> Set[Pair]:
+    """The quadratic enumeration's pairs with an entity in *entities*: each
+    entity of one of *target_types* with every other member of its bucket."""
+    keyed = set(target_types)
+    found: Set[Pair] = set()
+    for entity in entities:
+        if not snapshot.has_entity(entity):
+            continue
+        etype = snapshot.entity_type(entity)
+        if etype in keyed:
+            for other in snapshot.type_ids(etype).values():
+                if other != entity:
+                    found.add((entity, other) if entity < other else (other, entity))
+    return found
 
 
 def _most_selective_path(
@@ -373,12 +636,7 @@ def _path_signatures(
     fast = _snapshot_signatures(snapshot, etype, path)
     if fast is not None:
         return fast
-    result: _PathSignatures = {}
-    for entity in snapshot.entities_of_type(etype):
-        tokens = _entity_signature(snapshot, entity, path)
-        if tokens:
-            result[entity] = tokens
-    return result
+    return _entity_signatures(snapshot, snapshot.entities_of_type(etype), path)
 
 
 class _LiteralIds:
@@ -450,31 +708,40 @@ def _snapshot_signatures(
     return {node_at(node): frozenset(found) for node, found in reach.items()}
 
 
-def _entity_signature(
-    snapshot: GraphSnapshot, entity: str, path: SignaturePath
-) -> FrozenSet[int]:
-    """The signature of one entity: ids of the literals reachable along *path*."""
-    root = snapshot.id_of(entity)
-    if root is None:
-        return frozenset()
-    frontier: Set[int] = {root}
+def _entity_signatures(
+    snapshot: GraphSnapshot, entities: Iterable[str], path: SignaturePath
+) -> _PathSignatures:
+    """The non-empty signatures of *entities* along *path*: the ids of the
+    literals each reaches, one walk per entity with the path's predicate ids
+    and level buckets looked up once."""
+    steps = []
     for step in path.steps:
         pid = snapshot.pred_id(step.predicate)
-        if pid < 0 or not frontier:
-            return frozenset()
-        reached: Set[int] = set()
-        if step.forward:
-            for node in frontier:
-                reached.update(snapshot.out_ids(node, pid))
-        else:
-            for node in frontier:
-                reached.update(snapshot.in_ids(node, pid))
-        level = _level(snapshot, step.etype)
-        frontier = {i for i in reached if i in level}
+        if pid < 0:
+            return {}
+        read = snapshot.out_ids if step.forward else snapshot.in_ids
+        steps.append((read, pid, _level(snapshot, step.etype)))
+    want: Optional[Set[int]] = None
     if path.constant is not None:
-        frontier &= {snapshot.id_of(path.constant)}
-    return frozenset(frontier)
-
+        want = {snapshot.id_of(path.constant)}
+    found: _PathSignatures = {}
+    for entity in entities:
+        root = snapshot.id_of(entity)
+        if root is None:
+            continue
+        frontier: Set[int] = {root}
+        for read, pid, level in steps:
+            reached: Set[int] = set()
+            for node in frontier:
+                reached.update(read(node, pid))
+            frontier = {i for i in reached if i in level}
+            if not frontier:
+                break
+        if want is not None:
+            frontier &= want
+        if frontier:
+            found[entity] = frozenset(frontier)
+    return found
 
 def blocked_candidate_pairs(
     graph: Graph,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.chase import candidate_pairs
 from ..core.equivalence import Pair
@@ -53,6 +53,21 @@ class CandidateSet:
     #: observability of the blocked enumeration (``None`` when the pairs came
     #: from the classic quadratic path).
     blocking: Optional[BlockingStats] = None
+    #: filtered sets: the judged pairs by entity and the survivors by type
+    #: (:class:`PairIndex`).  Built on first use (:meth:`pair_index`), then
+    #: carried by every rebase, so the delta path reads a window's pairs by
+    #: entity and keeps the order without a pass over the set.
+    index: Optional["PairIndex"] = None
+    #: rebased filtered sets: the pairs this rebase re-paired that survived,
+    #: each with its product-graph nodes (itself plus every node pair of its
+    #: pairing relations, Prop. 9), so the product graph's rebase reads them
+    #: instead of running the same fixpoint again
+    repaired: Optional[Dict[Pair, Set[Tuple[GraphNode, GraphNode]]]] = None
+
+    # A candidate set travels to process-pool workers inside the product
+    # graph; what only a rebase reads stays behind (rebuilt on first use).
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "index": None, "repaired": None}
 
     @property
     def size(self) -> int:
@@ -64,12 +79,56 @@ class CandidateSet:
             return 0.0
         return 1.0 - (len(self.pairs) / self.unfiltered_size)
 
+    def pair_index(self) -> "PairIndex":
+        """The :class:`PairIndex` of a filtered set (one pass on first use)."""
+        if self.index is None:
+            grouped: Dict[str, Set[Pair]] = {}
+            for judged in (self.pair_supports, self.rejected_pairs):
+                for pair in judged:
+                    grouped.setdefault(pair[0], set()).add(pair)
+                    grouped.setdefault(pair[1], set()).add(pair)
+            entity_type = self.neighborhoods.snapshot.entity_type
+            by_type: Dict[str, List[Pair]] = {}
+            for pair in self.pairs:  # already in order
+                by_type.setdefault(entity_type(pair[0]), []).append(pair)
+            self.index = PairIndex(
+                {e: frozenset(p) for e, p in grouped.items()}, by_type
+            )
+        return self.index
+
+    def pairs_touching(self, entities: Iterable[str]) -> Set[Pair]:
+        """The surviving pairs of a filtered set with an entity in *entities*."""
+        judged, supports = self.pair_index().judged, self.pair_supports
+        return {
+            pair
+            for entity in entities
+            for pair in judged.get(entity, ())
+            if pair in supports
+        }
+
+    def in_order(self, pairs: Iterable[Pair]) -> List[Pair]:
+        """*pairs* in the set's enumeration order: by sorted type, then
+        canonically ordered pairs sorted within each type."""
+        entity_type = self.neighborhoods.snapshot.entity_type
+        return sorted(pairs, key=lambda pair: (entity_type(pair[0]), pair))
+
     def neighborhood_reduction_factor(self) -> float:
         """How many times smaller the reduced neighbourhoods are."""
         reduced = self.neighborhoods.total_size()
         if reduced == 0:
             return 1.0
         return self.unreduced_neighborhood_total / reduced
+
+
+@dataclass(frozen=True)
+class PairIndex:
+    """A filtered candidate set read by entity and by type.  Never mutated:
+    a rebase copies the maps and replaces the entries it changes."""
+
+    #: entity -> the judged pairs (surviving or rejected) it is in
+    judged: Dict[str, FrozenSet[Pair]]
+    #: type -> its surviving pairs, sorted (the set's order, type by type)
+    by_type: Dict[str, List[Pair]]
 
 
 def build_candidates(

@@ -206,7 +206,7 @@ class MapReduceEntityMatcher(EntityMatcher):
             eq.merge(e1, e2)
         seed_merges = eq.merge_count
 
-        worklist_pairs = self._activated(candidates.pairs)
+        worklist_pairs = self._activated(candidates)
 
         stats = EMStatistics(
             candidate_pairs=candidates.unfiltered_size,

@@ -95,18 +95,29 @@ class VertexCentricEntityMatcher(EntityMatcher):
         )
         engine.cost_model.add_setup_work(product_graph.construction_work)
 
-        # identity pairs and equal-value pairs are trivially identified
-        for node in product_graph.nodes():
-            engine.add_vertex(node, PairState(flag=node[0] == node[1]))
-        # every candidate pair is a node of Gp; seeded ones (incremental
-        # re-matching) start flagged
-        identified = program.live_eq.identified
-        for pair in candidates.pairs:
-            state = engine.vertex_state(pair)
-            state.is_candidate = True
-            state.flag = state.flag or identified(*pair)
+        # identity pairs and equal-value pairs are trivially identified;
+        # every candidate pair is a node of Gp, and seeded ones (incremental
+        # re-matching) start flagged.  A state may be made mid-run, so the
+        # seed's classes are read now, before the run merges anything
+        is_candidate = product_graph.is_candidate
+        seed_class = {
+            member: index
+            for index, members in enumerate(program.live_eq.nontrivial_classes())
+            for member in members
+        }
 
-        activations = self._activated(candidates.pairs)
+        def initial_state(node) -> PairState:
+            if not is_candidate(node):
+                return PairState(flag=node[0] == node[1])
+            seeded = seed_class.get(node[0])
+            return PairState(
+                flag=seeded is not None and seeded == seed_class.get(node[1]),
+                is_candidate=True,
+            )
+
+        engine.host(product_graph.node_set(), initial_state)
+
+        activations = self._activated(candidates)
         for pair in activations:
             engine.post(pair, Activate(prerequisite=None))
         self._notify("engine", pending=len(activations))

@@ -39,7 +39,9 @@ run when the journal window expired or the cache holds no fixpoint yet).
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -50,8 +52,8 @@ from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from .candidates import (
     CandidateSet,
+    PairIndex,
     apply_support_restrictions,
-    build_candidates,
     candidate_pairs_by_type,
     depends_on_types_by_target,
     pair_prerequisites,
@@ -175,6 +177,7 @@ def plan_delta(
     old_pair_supports: Optional[Mapping[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None,
     extra_identified: Sequence[Pair] = (),
     extra_dependents: Optional[Mapping[Pair, Set[Pair]]] = None,
+    candidates: Optional[CandidateSet] = None,
 ) -> DeltaPlan:
     """Compute the seed/worklist split for a journal delta.
 
@@ -221,12 +224,27 @@ def plan_delta(
         Dependency edges (prerequisite → dependents) for *extra_identified*
         pairs, which the *dependents* map (keyed on the new universe) cannot
         contain.
+    candidates:
+        The pairing-filtered :class:`CandidateSet` whose ``pairs`` are
+        *candidate_pairs*, when there is one.  The sweep then reads only the
+        pairs of *affected_entities* off its per-entity index, and the
+        worklist is sorted into candidate order rather than filtered out of
+        it.  Nothing else can be marked: a pair with no affected entity has
+        no touched entity and was a candidate before (a new or retyped
+        entity is touched), and its support set lies inside its two old
+        d-neighbourhoods, so a support that meets a touched node puts an
+        entity of the pair in the window's radius ball.
     """
     affected: Set[Pair] = set()
     supports = old_pair_supports or {}
     use_supports = old_pair_supports is not None
     eq = state.eq
-    for pair in candidate_pairs:
+    swept = (
+        candidate_pairs
+        if candidates is None
+        else candidates.pairs_touching(affected_entities)
+    )
+    for pair in swept:
         e1, e2 = pair
         if e1 in touched or e2 in touched or not state.was_candidate(pair):
             affected.add(pair)
@@ -264,9 +282,17 @@ def plan_delta(
             anchor = members[0]
             seed.extend((anchor, other) for other in members[1:])
 
-    worklist = tuple(
-        pair for pair in candidate_pairs if pair in affected or pair in dropped_pairs
-    )
+    if candidates is None:
+        worklist = tuple(
+            pair for pair in candidate_pairs if pair in affected or pair in dropped_pairs
+        )
+    else:
+        universe = candidates.pair_supports
+        worklist = tuple(
+            candidates.in_order(
+                pair for pair in affected | dropped_pairs if pair in universe
+            )
+        )
     return DeltaPlan(
         worklist=worklist,
         seed=tuple(seed),
@@ -301,13 +327,18 @@ def plan_session_delta(
     blocked = blocking != "off"
     # the one read before the refresh: the rebase recomputes the supports of
     # affected pairs, but plan_delta judges the *old* chase witness, which
-    # lives inside the *old* support set
-    old_supports: Optional[Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None
+    # lives inside the *old* support set.  A rebase copies before it writes,
+    # so the cached sets' own maps stay the old ones; every flavour records
+    # the same support for a pair (pairing reads unreduced neighbourhoods)
+    old_supports: Optional[Mapping[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None
     if blocked:
-        old_supports = {}
-        for cached in artifacts.cached("candidates").values():
-            if cached.pair_supports:
-                old_supports.update(cached.pair_supports)
+        old_supports = ChainMap(
+            *(
+                cached.pair_supports
+                for cached in artifacts.cached("candidates").values()
+                if cached.pair_supports
+            )
+        )
     affected_entities = artifacts.refresh()
     # classic planning is quadratic: every candidate pair of the new graph is
     # in the universe, so vanished pairs and support-level refinements never
@@ -323,13 +354,14 @@ def plan_session_delta(
     dependents = artifacts.dependency_map(filtered=blocked, blocking=blocking)
     extras: List[Pair] = []
     if blocked:
+        universe = candidates.pair_supports
         extras = sorted(
             {
                 pair
                 for cls in state.eq.nontrivial_classes()
                 for pair in itertools.combinations(sorted(cls), 2)
+                if pair not in universe
             }
-            - set(candidates.pairs)
         )
     return plan_delta(
         candidate_pairs=candidates.pairs,
@@ -342,6 +374,7 @@ def plan_session_delta(
         extra_dependents=extra_dependency_edges(
             artifacts.snapshot(), artifacts.keys, candidates, extras
         ),
+        candidates=candidates if blocked else None,
     )
 
 
@@ -400,66 +433,80 @@ def rebase_filtered_candidates(
     snapshot: GraphSnapshot,
     index: SnapshotNeighborhoodIndex,
     affected_entities: Set[str],
+    touching: Set[Pair],
     reduce_neighborhoods: bool,
     blocking: str = "off",
     blocked=None,
 ) -> CandidateSet:
-    """Rebuild a pairing-filtered :class:`CandidateSet` after a journal delta,
-    re-running the pairing fixpoint only for pairs the delta could have
-    affected.
+    """A pairing-filtered :class:`CandidateSet` carried across a journal
+    delta, re-running the pairing fixpoint only for the pairs the delta could
+    have affected.
 
     A pair's pairing outcome (and its support nodes) depends only on its two
-    d-neighbourhoods, so pairs whose entities are outside *affected_entities*
-    keep the cached verdict from *old* (``pair_supports`` / ``rejected_pairs``).
-    The result is bit-identical to :func:`build_filtered_candidates` on the
-    new graph — the equivalence the mutation-fuzz suite enforces.  With
+    d-neighbourhoods, so a pair with no entity in *affected_entities* keeps
+    the verdict *old* holds for it, and its entities' neighbourhoods are
+    still cached.  Such a pair was in the old universe too: a pair enters or
+    leaves the universe only through an entity whose signatures, type or
+    keys the delta changed, and every such entity is affected.  So the
+    verdicts, the surviving order and the per-entity index are carried as
+    C-level copies, and Python-level work is spent on *touching* — the new
+    universe's pairs with an affected entity (the caller reads them off the
+    blocking index, or the type buckets when unblocked) — and on the old
+    verdicts naming an affected entity, which are dropped first.  A reduced
+    flavour still re-applies its restrictions over every support.  The
+    result is bit-identical to :func:`build_filtered_candidates` on the new
+    graph — the equivalence the mutation-fuzz suites enforce.  With
     *blocking*, pass the session cache's *blocked* enumeration of the new
-    version (:meth:`SessionArtifacts.blocked_pairs`, off the already-rebased
-    blocking index), so no signature is re-derived and flavours rebased in
-    the same window share one collision pass.
+    version (:meth:`SessionArtifacts.blocked_pairs`): its stats ride along
+    and its length is the unfiltered size.
     """
-    base = build_candidates(
-        graph,
-        keys,
-        index=index,
-        snapshot=snapshot,
-        blocking=blocking,
-        blocked=blocked,
-    )
-    neighborhoods = base.neighborhoods
-    if reduce_neighborhoods:
-        neighborhoods = index.clone()
+    if blocked is not None:
+        universe_size, stats = len(blocked[0]), blocked[1]
+    else:
+        universe_size, stats = 0, None
+        for etype in keys.target_types():
+            count = len(snapshot.type_ids(etype))
+            universe_size += count * (count - 1) // 2
+    old_index = old.pair_index()
+    old_judged = old_index.judged
+    stale = {pair for entity in affected_entities for pair in old_judged.get(entity, ())}
+    index.precompute({entity for pair in touching for entity in pair})
+    neighborhoods = index.clone() if reduce_neighborhoods else index
     keys_by_type: Dict[str, List[Key]] = {
         etype: keys.keys_for_type(etype) for etype in keys.target_types()
     }
-    old_supports = old.pair_supports or {}
-    old_rejected = old.rejected_pairs or set()
+    old_supports = old.pair_supports
+    supports = dict(old_supports)
+    rejected = set(old.rejected_pairs)
+    by_type = dict(old_index.by_type)
+    owned: Set[str] = set()  # types whose survivor list is this set's own
 
-    surviving: List[Pair] = []
-    supports: Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]] = {}
-    rejected: Set[Pair] = set()
-    recomputed_entities: Set[str] = set()
-    for pair in base.pairs:
+    def own(etype: str) -> List[Pair]:
+        if etype not in owned:
+            by_type[etype] = list(by_type.get(etype, ()))
+            owned.add(etype)
+        return by_type[etype]
+
+    for pair in stale:
+        supports.pop(pair, None)
+        rejected.discard(pair)
+        if pair in old_supports:  # a survivor: out of its type's sorted list
+            for etype, kept in by_type.items():
+                at = bisect.bisect_left(kept, pair)
+                if at < len(kept) and kept[at] == pair:
+                    del own(etype)[at]
+                    break
+    repaired: Dict[Pair, Set[Tuple[GraphNode, GraphNode]]] = {}
+    for pair in sorted(touching):
         e1, e2 = pair
-        fresh = (
-            e1 in affected_entities
-            or e2 in affected_entities
-            or (pair not in old_supports and pair not in old_rejected)
-        )
-        if not fresh:
-            if pair in old_rejected:
-                rejected.add(pair)
-            else:
-                supports[pair] = old_supports[pair]
-                surviving.append(pair)
-            continue
-        recomputed_entities.update(pair)
+        etype = snapshot.entity_type(e1)
         side1: Set[GraphNode] = set()
         side2: Set[GraphNode] = set()
         paired = False
         nbhd1 = neighborhoods.nodes(e1)
         nbhd2 = neighborhoods.nodes(e2)
-        for key in keys_by_type.get(snapshot.entity_type(e1), ()):
+        nodes = {pair}
+        for key in keys_by_type.get(etype, ()):
             relation = pairing_relation(snapshot, key, e1, e2, nbhd1, nbhd2)
             if relation is None:
                 continue
@@ -467,11 +514,28 @@ def rebase_filtered_candidates(
             support1, support2 = pairing_support_nodes(relation)
             side1 |= support1
             side2 |= support2
+            for node_pairs in relation.values():
+                nodes.update(node_pairs)
         if paired:
-            surviving.append(pair)
             supports[pair] = (side1, side2)
+            bisect.insort(own(etype), pair)
+            repaired[pair] = nodes
         else:
             rejected.add(pair)
+    surviving = list(itertools.chain.from_iterable(by_type[t] for t in sorted(by_type)))
+
+    # the per-entity index: (old pairs - stale) + touching, per changed entity
+    judged = dict(old_judged)
+    touching_of: Dict[str, Set[Pair]] = {}
+    for pair in touching:
+        touching_of.setdefault(pair[0], set()).add(pair)
+        touching_of.setdefault(pair[1], set()).add(pair)
+    for entity in {e for pair in stale for e in pair} | touching_of.keys():
+        pairs = (old_judged.get(entity, frozenset()) - stale) | touching_of.get(entity, set())
+        if pairs:
+            judged[entity] = frozenset(pairs)
+        else:
+            judged.pop(entity, None)
 
     drift: Optional[Set[str]] = None
     if reduce_neighborhoods:
@@ -480,13 +544,13 @@ def rebase_filtered_candidates(
         # can still change when a pair it shares with an affected partner
         # had its support recomputed (or vanished); detect it so consumers
         # of restricted neighbourhoods widen their affected sets
-        new_pair_set = {pair for pair in base.pairs}
-        for pair in old_supports:
-            if pair not in new_pair_set:
-                recomputed_entities.update(pair)
+        recomputed = set(touching_of)
+        for pair in stale:
+            if pair in old_supports and pair not in touching:
+                recomputed.update(pair)
         drift = {
             entity
-            for entity in recomputed_entities
+            for entity in recomputed
             if entity not in affected_entities
             and neighborhoods.nodes(entity) != old.neighborhoods.nodes(entity)
         }
@@ -494,12 +558,14 @@ def rebase_filtered_candidates(
     return CandidateSet(
         pairs=surviving,
         neighborhoods=neighborhoods,
-        unfiltered_size=base.unfiltered_size,
-        unreduced_neighborhood_total=base.unreduced_neighborhood_total,
+        unfiltered_size=universe_size,
+        unreduced_neighborhood_total=index.total_size(),
         pair_supports=supports,
         rejected_pairs=rejected,
         restriction_drift=drift,
-        blocking=base.blocking,
+        blocking=stats,
+        index=PairIndex(judged, by_type),
+        repaired=None if reduce_neighborhoods else repaired,
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.equivalence import Pair
 from ..core.graph import Graph
@@ -64,6 +64,11 @@ class ProductGraph:
         #: pairing-relation nodes); :meth:`rebased` reuses the entries of
         #: pairs a journal delta cannot have affected.
         self._nodes_by_pair: Dict[Pair, Set[ProductNode]] = {}
+        #: node -> how many candidate pairs contribute it, and entity -> the
+        #: entity-pair nodes holding it; both built at the first rebase
+        #: (:meth:`_indexes`), so a built graph never pays for them
+        self._refs: Optional[Dict[ProductNode, int]] = None
+        self._entity_nodes: Optional[Dict[str, FrozenSet[ProductNode]]] = None
         #: work units spent building the product graph (charged as setup cost)
         self.construction_work = 0
         self._forget_derived()
@@ -83,6 +88,8 @@ class ProductGraph:
         #: :meth:`rebased` carries the rows a delta cannot have moved.
         self._forward: Dict[ProductNode, Dict[str, List[ProductNode]]] = {}
         self._backward: Dict[ProductNode, Dict[str, List[ProductNode]]] = {}
+        #: the nodes with a backward row that are not entity pairs
+        self._value_rows: Set[ProductNode] = set()
         #: (node, predicate, forward) -> the list in EMOptVC's send order.  It
         #: reads the degrees of the *neighbours*, which a delta moves without
         #: touching the node, so it lives for one graph version only.
@@ -95,11 +102,15 @@ class ProductGraph:
     # Product graphs travel to process-pool workers inside the vertex program:
     # what is remembered stays behind (a worker recomputes the rows it reads).
     def __getstate__(self) -> Dict[str, object]:
-        derived = ("_forward", "_backward", "_send_order", "_placements", "_edge_count")
+        derived = (
+            "_forward", "_backward", "_value_rows", "_send_order", "_placements",
+            "_edge_count", "_refs", "_entity_nodes",
+        )
         return {name: value for name, value in self.__dict__.items() if name not in derived}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
+        self._refs = self._entity_nodes = None
         self._forget_derived()
 
     # ------------------------------------------------------------------ #
@@ -107,19 +118,24 @@ class ProductGraph:
     # ------------------------------------------------------------------ #
 
     def _pair_nodes(self, pair: Pair) -> Set[ProductNode]:
-        """The product nodes contributed by one candidate pair (Prop. 9)."""
+        """The product nodes contributed by one candidate pair (Prop. 9):
+        the ones a rebase of the candidates just derived, if it re-paired
+        the pair over the same neighbourhoods, else computed here."""
         e1, e2 = pair
         neighborhoods = self._candidates.neighborhoods
         nbhd1 = neighborhoods.nodes(e1)
+        keys = self._keys.keys_for_type(self._graph.entity_type(e1))
+        self.construction_work += sum(key.size for key in keys) * max(1, len(nbhd1))
+        repaired = self._candidates.repaired
+        if repaired is not None and pair in repaired:
+            return repaired[pair]
         nbhd2 = neighborhoods.nodes(e2)
         contributed: Set[ProductNode] = {pair}
-        for key in self._keys.keys_for_type(self._graph.entity_type(e1)):
+        for key in keys:
             relation = pairing_relation(self._graph, key, e1, e2, nbhd1, nbhd2)
-            self.construction_work += key.size * max(1, len(nbhd1))
-            if relation is None:
-                continue
-            for pairs in relation.values():
-                contributed.update(pairs)
+            if relation is not None:
+                for pairs in relation.values():
+                    contributed.update(pairs)
         return contributed
 
     def _register_pair(self, pair: Pair, contributed: Set[ProductNode]) -> None:
@@ -127,6 +143,23 @@ class ProductGraph:
         self._nodes |= contributed
         self._pairs_by_entity[pair[0]].add(pair)
         self._pairs_by_entity[pair[1]].add(pair)
+
+    def _indexes(self) -> Tuple[Dict[ProductNode, int], Dict[str, FrozenSet[ProductNode]]]:
+        """The contribution counts and the entity -> entity-pair node index,
+        built in one pass over the pairs and nodes on first use."""
+        if self._refs is None:
+            refs: Dict[ProductNode, int] = {}
+            for contributed in self._nodes_by_pair.values():
+                for node in contributed:
+                    refs[node] = refs.get(node, 0) + 1
+            grouped: Dict[str, Set[ProductNode]] = {}
+            for node in self._nodes:
+                if is_entity_ref(node[0]) and is_entity_ref(node[1]):
+                    grouped.setdefault(node[0], set()).add(node)
+                    grouped.setdefault(node[1], set()).add(node)
+            self._refs = refs
+            self._entity_nodes = {e: frozenset(nodes) for e, nodes in grouped.items()}
+        return self._refs, self._entity_nodes
 
     def rebased(
         self,
@@ -136,13 +169,19 @@ class ProductGraph:
         dependents: Optional[Dict[Pair, Set[Pair]]] = None,
         keys=None,
     ) -> "ProductGraph":
-        """This product graph rebuilt over *graph* after a journal delta.
+        """This product graph carried over *graph*, the pairing-filtered
+        *candidates* of the next version, after a journal delta.
 
         Pairing relations are recomputed only for candidate pairs with an
-        entity in *affected_entities* (or pairs new since the old build);
-        every other pair's contributed nodes are carried over unchanged —
-        sound because a pairing relation only reads the pair's two
-        d-neighbourhoods.  The ``dep`` edges are recomputed from the new
+        entity in *affected_entities*; every other pair's contributed nodes
+        are carried over unchanged — sound because a pairing relation only
+        reads the pair's two d-neighbourhoods, and a pair joins or leaves the
+        candidates only through an affected entity.  The carrying is by
+        difference: the node set, the contribution counts and the indexes
+        start as C-level copies, the old pairs of the affected entities are
+        withdrawn (a node goes when its count reaches zero) and the new ones
+        registered, so the Python-level work is the window's pairs.  The
+        ``dep`` edges are the given (or recomputed) map over the new
         candidates.  The result is bit-identical to ``ProductGraph(graph,
         keys, candidates)``.  Pass *keys* when the key set changed since the
         old build (a session ``rekeyed`` delta): affected pairs then
@@ -151,52 +190,128 @@ class ProductGraph:
         window: a mutated triple touches its subject), which is also what
         lets the adjacency rows of untouched nodes carry over.
         """
+        old_refs, old_entity_nodes = self._indexes()
         twin = object.__new__(ProductGraph)
-        twin._start(graph, self._keys if keys is None else keys, candidates)
-        for pair in candidates.pairs:
-            cached = self._nodes_by_pair.get(pair)
-            if cached is not None and not affected_entities.intersection(pair):
-                twin._register_pair(pair, cached)
-            else:
-                twin._register_pair(pair, twin._pair_nodes(pair))
-        twin._finish(dependents)
-        self._carry_derived(twin, affected_entities)
+        twin._graph = graph
+        twin._keys = self._keys if keys is None else keys
+        twin._candidates = candidates
+        twin._candidate_nodes = list(candidates.pairs)
+        twin.construction_work = 0
+        twin._forget_derived()
+        nodes = twin._nodes = set(self._nodes)
+        nodes_by_pair = twin._nodes_by_pair = dict(self._nodes_by_pair)
+        refs = twin._refs = dict(old_refs)
+        pairs_by_entity = twin._pairs_by_entity = defaultdict(set, self._pairs_by_entity)
+        withdrawn = {
+            pair for entity in affected_entities for pair in self._pairs_by_entity.get(entity, ())
+        }
+        arriving = candidates.pairs_touching(affected_entities)
+        owned: Set[str] = set()  # entities whose pair set is the twin's own
+
+        def own(entity: str) -> Set[Pair]:
+            if entity not in owned:
+                pairs_by_entity[entity] = set(pairs_by_entity.get(entity, ()))
+                owned.add(entity)
+            return pairs_by_entity[entity]
+
+        counted: Set[ProductNode] = set()  # nodes whose count moved
+        for pair in withdrawn:
+            for node in nodes_by_pair.pop(pair):
+                refs[node] -= 1
+                counted.add(node)
+            own(pair[0]).discard(pair)
+            own(pair[1]).discard(pair)
+        for pair in sorted(arriving):
+            contributed = twin._pair_nodes(pair)
+            own(pair[0])
+            own(pair[1])
+            twin._register_pair(pair, contributed)
+            for node in contributed:
+                refs[node] = refs.get(node, 0) + 1
+                counted.add(node)
+        for entity in owned:
+            if not pairs_by_entity[entity]:
+                del pairs_by_entity[entity]
+        flipped: Set[ProductNode] = set()  # nodes that joined or left Gp
+        for node in counted:
+            if not refs[node]:
+                del refs[node]
+                nodes.discard(node)
+            if (node in nodes) != (node in self._nodes):
+                flipped.add(node)
+        entity_nodes = twin._entity_nodes = dict(old_entity_nodes)
+        for node in flipped:
+            if is_entity_ref(node[0]) and is_entity_ref(node[1]):
+                for entity in set(node):
+                    held = entity_nodes.get(entity, frozenset())
+                    held = held | {node} if node in nodes else held - {node}
+                    if held:
+                        entity_nodes[entity] = held
+                    else:
+                        entity_nodes.pop(entity, None)
+        twin._dependents = (
+            dependents
+            if dependents is not None
+            else dependency_map(graph, twin._keys, candidates)
+        )
+        twin.construction_work += len(nodes)
+        self._carry_derived(twin, affected_entities, flipped)
         return twin
 
-    def _carry_derived(self, twin: "ProductGraph", affected_entities: Set[str]) -> None:
+    def _carry_derived(
+        self, twin: "ProductGraph", affected_entities: Set[str], flipped: Set[ProductNode]
+    ) -> None:
         """Hand *twin* the adjacency rows and placements still exact on it.
 
         A forward row reads its node's two out-rows and the membership of its
         successor pairs in ``Gp``.  The rows are unchanged when neither
-        component was touched; the successors that changed membership are the
-        symmetric difference of the two node sets, and a node with untouched
-        rows reaches them through in-edges the new graph still holds.  A
-        backward row is the mirror image (in-rows, predecessors, out-edges),
-        but only for entity pairs: a literal's in-row moves with a value
-        triple, and *affected_entities* never names a literal.
+        component was touched; the successors that changed membership are
+        the *flipped* nodes (the symmetric difference of the two node sets),
+        and a node with untouched rows reaches them through in-edges the new
+        graph still holds.  A backward row is the mirror image (in-rows,
+        predecessors, out-edges), but only for entity pairs: a literal's
+        in-row moves with a value triple, and *affected_entities* never
+        names a literal, so the other backward rows all go.  Rows are copied
+        and the stale ones deleted; when this graph's edges were counted,
+        the twin's count is kept current by subtracting the deleted forward
+        rows and adding the recomputed ones.
         """
         graph, nodes = twin._graph, twin._nodes
         moved: Set[ProductNode] = set()  # a neighbour changed membership
-        for n1, n2 in self._nodes ^ nodes:
+        for n1, n2 in flipped:
             for s1, predicate, _ in graph.in_triples(n1):
                 moved.update((s1, s2) for s2 in graph.subjects(predicate, n2))
             if is_entity_ref(n1) and is_entity_ref(n2):
                 for _, predicate, o1 in graph.out_triples(n1):
                     moved.update((o1, o2) for o2 in graph.objects(n2, predicate))
-
-        def carried(rows: Dict[ProductNode, dict]) -> Dict[ProductNode, dict]:
-            return {
-                node: row
-                for node, row in rows.items()
-                if node in nodes and node not in moved
-                and is_entity_ref(node[0]) and is_entity_ref(node[1])
-                and node[0] not in affected_entities and node[1] not in affected_entities
-            }
-
-        twin._forward, twin._backward = carried(self._forward), carried(self._backward)
+        stale = set(flipped) | moved
+        for entity in affected_entities:
+            stale.update(self._entity_nodes.get(entity, ()))
+        forward, backward = dict(self._forward), dict(self._backward)
+        dropped = 0
+        for node in stale:
+            row = forward.pop(node, None)
+            if row is not None:
+                dropped += sum(map(len, row.values()))
+            backward.pop(node, None)
+        for node in self._value_rows:
+            backward.pop(node, None)
+        twin._forward, twin._backward = forward, backward
+        if self._edge_count is not None:
+            # every entity-pair node of a counted graph holds its forward row
+            recounted = sum(
+                len(found)
+                for node in stale
+                if node in nodes
+                for found in twin._forward_row(node).values()
+            )
+            twin._edge_count = self._edge_count - dropped + recounted
         for processors, placement in self._placements.items():
             kept = twin._placements[processors] = Placement(processors)
-            kept.update((node, worker) for node, worker in placement.items() if node in nodes)
+            kept.update(placement)
+            for node in flipped:
+                if node not in nodes:
+                    kept.pop(node, None)
 
     # ------------------------------------------------------------------ #
     # structure queries
@@ -217,8 +332,17 @@ class ProductGraph:
         """The candidate entity pairs (the vertices on which keys are evaluated)."""
         return list(self._candidate_nodes)
 
+    def node_set(self) -> Set[ProductNode]:
+        """The node set itself (read-only for the caller): what a vertex
+        engine hosts, tested with ``in`` and iterated in node order."""
+        return self._nodes
+
     def has_node(self, node: ProductNode) -> bool:
         return node in self._nodes
+
+    def is_candidate(self, node: ProductNode) -> bool:
+        """Whether *node* is one of the candidate pairs."""
+        return node in self._nodes_by_pair
 
     def dependents_of(self, pair: Pair) -> Set[Pair]:
         """Candidate pairs that depend on *pair* (``dep`` edges out of it)."""
@@ -253,7 +377,11 @@ class ProductGraph:
             return found
         if forward:
             return self._forward_row(node).get(predicate) or []
-        row = self._backward.setdefault(node, {})
+        row = self._backward.get(node)
+        if row is None:
+            row = self._backward[node] = {}
+            if not (is_entity_ref(node[0]) and is_entity_ref(node[1])):
+                self._value_rows.add(node)
         found = row.get(predicate)
         if found is None:
             found = row[predicate] = self._pairs_in_gp(

@@ -41,6 +41,7 @@ without limit).
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -187,10 +188,12 @@ class IngestReport:
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
+    """The nearest-rank *fraction*-quantile of *sorted_values* (0.0 when
+    empty): the value at rank ``ceil(fraction * n)``, counting from 1."""
     if not sorted_values:
         return 0.0
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 _END = object()

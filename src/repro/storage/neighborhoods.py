@@ -55,6 +55,16 @@ class SnapshotNeighborhoodIndex:
         self._cache: Dict[str, Set[GraphNode]] = {}
         # entries arriving through pickle stay id-encoded until first use
         self._encoded: Dict[str, object] = {}
+        # entry size -> number of entries of that size (cached or encoded),
+        # so the accounting below costs the distinct sizes, not the entries
+        self._sizes: Dict[int, int] = {}
+
+    def _counted(self, size: int, step: int) -> None:
+        left = self._sizes.get(size, 0) + step
+        if left:
+            self._sizes[size] = left
+        else:
+            del self._sizes[size]
 
     @property
     def snapshot(self) -> GraphSnapshot:
@@ -74,11 +84,12 @@ class SnapshotNeighborhoodIndex:
         if cached is None:
             encoded = self._encoded.pop(entity, None)
             if encoded is not None:
-                cached = self._snapshot.decode_ids(encoded)
+                cached = self._snapshot.decode_ids(encoded)  # as many as encoded
             else:
                 cached = self._snapshot.neighborhood_nodes(
                     entity, self.radius_for(entity)
                 )
+                self._counted(len(cached), 1)
             self._cache[entity] = cached
         return cached
 
@@ -89,8 +100,10 @@ class SnapshotNeighborhoodIndex:
 
     def evict(self, entity: str) -> None:
         """Drop the cached neighbourhood of *entity* (recomputed on demand)."""
-        self._cache.pop(entity, None)
-        self._encoded.pop(entity, None)
+        for entries in (self._cache, self._encoded):
+            dropped = entries.pop(entity, None)
+            if dropped is not None:
+                self._counted(len(dropped), -1)
 
     def restrict(self, entity: str, allowed: Set[GraphNode]) -> None:
         """Shrink the cached neighbourhood of *entity* to ``allowed`` nodes.
@@ -100,8 +113,9 @@ class SnapshotNeighborhoodIndex:
         itself is always kept.
         """
         current = self.nodes(entity)
-        self._cache[entity] = (current & allowed) | {entity}
-        self._encoded.pop(entity, None)
+        restricted = self._cache[entity] = (current & allowed) | {entity}
+        self._counted(len(current), -1)
+        self._counted(len(restricted), 1)
 
     def clone(self) -> "SnapshotNeighborhoodIndex":
         """A copy sharing the already-computed node sets.
@@ -117,6 +131,7 @@ class SnapshotNeighborhoodIndex:
         twin._radius = dict(self._radius)
         twin._cache = dict(self._cache)
         twin._encoded = dict(self._encoded)
+        twin._sizes = dict(self._sizes)
         return twin
 
     def rebased(
@@ -160,15 +175,11 @@ class SnapshotNeighborhoodIndex:
 
     def total_size(self) -> int:
         """Total number of nodes over all cached neighbourhoods."""
-        return sum(len(nodes) for nodes in self._cache.values()) + sum(
-            len(ids) for ids in self._encoded.values()
-        )
+        return sum(size * count for size, count in self._sizes.items())
 
     def max_size(self) -> int:
         """Size of the largest cached neighbourhood (``|G^d_m|``)."""
-        sizes = [len(nodes) for nodes in self._cache.values()]
-        sizes.extend(len(ids) for ids in self._encoded.values())
-        return max(sizes, default=0)
+        return max(self._sizes, default=0)
 
     def cached_entities(self) -> Set[str]:
         return set(self._cache.keys()) | set(self._encoded.keys())
@@ -192,3 +203,6 @@ class SnapshotNeighborhoodIndex:
         self._radius = radius
         self._cache = {}
         self._encoded = encoded
+        self._sizes = {}
+        for ids in encoded.values():
+            self._counted(len(ids), 1)

@@ -18,7 +18,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Protocol, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Container,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from ..exceptions import VertexCentricError
 from ..runtime import Executor, Partitioner, WorkAccount
@@ -43,6 +54,7 @@ class VertexContext(WorkAccount):
         super().__init__()
         self._engine = engine
         self._vertices = engine._vertices
+        self._hosted = engine._hosted
         self.vertex_id = vertex_id
 
     def state(self, vertex_id: Optional[VertexId] = None) -> object:
@@ -68,7 +80,7 @@ class VertexContext(WorkAccount):
         self._engine._send((priority, next_sequence(), target, self.vertex_id, payload))
 
     def has_vertex(self, vertex_id: VertexId) -> bool:
-        return vertex_id in self._vertices
+        return vertex_id in self._hosted
 
 
 class VertexProgram(Protocol):
@@ -86,6 +98,25 @@ class EngineStats:
     messages_sent: int = 0
     messages_processed: int = 0
     messages_dropped: int = 0
+
+
+class _LazyStates(dict):
+    """Vertex -> state, a state made on first lookup for a hosted vertex."""
+
+    __slots__ = ("_universe", "_make_state")
+
+    def __init__(
+        self, universe: Collection[VertexId], make_state: Callable[[VertexId], object]
+    ) -> None:
+        super().__init__()
+        self._universe = universe
+        self._make_state = make_state
+
+    def __missing__(self, vertex_id: VertexId) -> object:
+        if vertex_id not in self._universe:
+            raise KeyError(vertex_id)
+        state = self[vertex_id] = self._make_state(vertex_id)
+        return state
 
 
 class VertexCentricEngine:
@@ -114,6 +145,9 @@ class VertexCentricEngine:
         self._program = program
         self._processors = processors
         self._vertices: Dict[VertexId, object] = {}
+        #: what ``in`` tests to decide whether a vertex exists: the state
+        #: table itself, or the universe :meth:`host` was given
+        self._hosted: Container[VertexId] = self._vertices
         self.cost_model = VertexCentricCostModel(processors=processors)
         self._worker_of = placement
         self._scheduler = AsyncScheduler(processors, self._worker_of.__getitem__)
@@ -153,8 +187,29 @@ class VertexCentricEngine:
         self._vertices[vertex_id] = state
         self.stats.vertices = len(self._vertices)
 
+    def host(
+        self, universe: Collection[VertexId], make_state: Callable[[VertexId], object]
+    ) -> None:
+        """Register every vertex of *universe*, each with the initial state
+        ``make_state(vertex)``.
+
+        The classic drain creates a state on the vertex's first delivery (or
+        first read by the program), so a run pays for the vertices its
+        messages reach, not for every vertex it hosts; *make_state* must
+        therefore not depend on when it is called.  A partitioned run splits
+        and flags every vertex up front, so it registers them all here, in
+        *universe*'s iteration order.
+        """
+        if self._executor is not None:
+            for vertex in universe:
+                self.add_vertex(vertex, make_state(vertex))
+            return
+        self._vertices = _LazyStates(universe, make_state)
+        self._hosted = universe
+        self.stats.vertices = len(universe)
+
     def has_vertex(self, vertex_id: VertexId) -> bool:
-        return vertex_id in self._vertices
+        return vertex_id in self._hosted
 
     def vertex_state(self, vertex_id: VertexId) -> object:
         try:
@@ -174,7 +229,7 @@ class VertexCentricEngine:
     # ------------------------------------------------------------------ #
 
     def _send(self, message: Message) -> None:
-        if message[2] not in self._vertices:
+        if message[2] not in self._hosted:
             # messages to non-existent product-graph nodes are silently dropped,
             # like messages to filtered-out candidate pairs in the paper
             self.stats.messages_dropped += 1
@@ -186,7 +241,7 @@ class VertexCentricEngine:
     def post(self, target: VertexId, payload: object, priority: int = 0) -> None:
         """Inject an initial message from outside the engine (the driver)."""
         if self._executor is not None:
-            if target not in self._vertices:
+            if target not in self._hosted:
                 self.stats.messages_dropped += 1
                 return
             self._pending_posts.append((priority, target, None, payload))

@@ -2,11 +2,15 @@
 
 An ingest window pays for its delta.  It may not pay for the quadratic
 candidate universe ``L`` (which a blocked session never materialises), nor
+for the blocked ``L``, the signature index or the product graph, nor
 recount the product graph's edges from scratch.  These tests wrap the
 primitives such a regression would go through — ``candidate_pairs``,
-``itertools.combinations`` inside the delta planner, ``objects()`` under
-``ProductGraph.count_edges`` — in call counters and bound the counts by the
-work the window reports.
+``itertools.combinations`` inside the delta planner and the blocking layer,
+the signature walk, the pairing fixpoint, the product graph's row and pair
+registrations, ``objects()`` under ``ProductGraph.count_edges``, the vertex
+states a run creates — in call counters, and bound the counts by the work
+the window reports or require them to be the same on a graph four times the
+size.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from repro.core.chase import candidate_pairs, chase
 from repro.core.equivalence import EquivalenceRelation, canonical_pair
 from repro.core.graph import Graph
 from repro.core.parser import parse_keys
-from repro.core.triples import is_entity_ref
+from repro.core.triples import Literal, Triple, is_entity_ref
 from repro.datasets.synthetic import synthetic_dataset
+from repro.matching import blocking as blocking_module
 from repro.matching import candidates as candidates_module
 from repro.matching import incremental as incremental_module
+from repro.matching import product_graph as product_graph_module
 from repro.matching.artifacts import SessionArtifacts
 from repro.matching.incremental import IncrementalState
 from repro.matching.product_graph import ProductGraph
@@ -36,8 +42,9 @@ from repro.storage.snapshot import GraphSnapshot
 
 from test_incremental_equivalence import apply_random_mutation, fuzz_dataset
 
-#: the module (``repro.core`` re-exports the function under the same name)
+#: the modules (their packages re-export functions under the same names)
 chase_module = importlib.import_module("repro.core.chase")
+em_vc_module = importlib.import_module("repro.matching.em_vc")
 
 
 def _scale4_dataset():
@@ -244,3 +251,174 @@ def test_rebased_edge_count_equals_a_fresh_count_and_reads_rows_not_predicates(
         fresh_reads += fresh_calls
     # untouched nodes carried their counts: the stream read fewer rows
     assert rebased_reads < fresh_reads
+
+
+# --------------------------------------------------------------------------- #
+# a window's work does not grow with the graph
+# --------------------------------------------------------------------------- #
+
+
+def _relabelled(graph: Graph, prefix: str):
+    """*graph*'s entities and triples with every entity id and every value
+    renamed under *prefix*: a copy that shares no node with the original."""
+
+    def node(value):
+        if is_entity_ref(value):
+            return prefix + value
+        return Literal(f"{prefix}{value.value}")
+
+    entities = [(prefix + e.eid, e.etype) for e in graph.entities()]
+    triples = [
+        Triple(prefix + t.subject, t.predicate, node(t.obj)) for t in graph.triples()
+    ]
+    return entities, triples
+
+
+def _four_times(graph: Graph) -> Graph:
+    """*graph* beside three relabelled copies of itself: four times the
+    entities, every one of *graph*'s among them, and no node shared."""
+    grown = graph.copy()
+    for copy in range(1, 4):
+        entities, triples = _relabelled(graph, f"far{copy}_")
+        for eid, etype in entities:
+            grown.add_entity(eid, etype)
+        for triple in triples:
+            grown.add_triple(triple)
+    return grown
+
+
+def _windows(graph: Graph, count: int) -> list:
+    """*count* journal windows over *graph*'s own entities: new values,
+    key-relevant renames (matches appear and vanish), a new entity wired to
+    an old one, and a retype."""
+    rng = random.Random(5)
+    entities = sorted(graph.entity_ids())
+    names = sorted(t.obj.value for t in graph.triples() if t.predicate == "name_of")
+    types = sorted(graph.types())
+    windows = []
+    for window in range(count):
+        ops = [("add_value", rng.choice(entities), "tag", f"w{window}_{n}") for n in range(6)]
+        ops.append(("set_value", rng.choice(entities), "name_of", rng.choice(names)))
+        twin = rng.choice(entities)
+        ops.append(("add_entity", f"new_{window}", graph.entity_type(twin)))
+        ops.append(("add_value", f"new_{window}", "name_of", rng.choice(names)))
+        ops.append(("add_edge", twin, "noise_0", f"new_{window}"))
+        ops.append(("retype_entity", rng.choice(entities), rng.choice(types)))
+        windows.append(ops)
+    return windows
+
+
+class _WorkCounts:
+    """Per-element counts of the work a flush does, by primitive."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.counts = dict.fromkeys(
+            (
+                "signature entries",
+                "pairing relations",
+                "registered pairs",
+                "forward rows",
+                "was_candidate",
+                "vertex states",
+            ),
+            0,
+        )
+        self.combinations = _CountingItertools()
+        monkeypatch.setattr(blocking_module, "itertools", self.combinations)
+        walk = blocking_module._entity_signatures
+
+        def signatures(snapshot, entities, path):
+            entities = list(entities)
+            self.counts["signature entries"] += len(entities)
+            return walk(snapshot, entities, path)
+
+        monkeypatch.setattr(blocking_module, "_entity_signatures", signatures)
+        pairing = incremental_module.pairing_relation
+
+        def relation(*args):
+            self.counts["pairing relations"] += 1
+            return pairing(*args)
+
+        for module in (incremental_module, candidates_module, product_graph_module):
+            monkeypatch.setattr(module, "pairing_relation", relation)
+        register = ProductGraph._register_pair
+
+        def registered(graph, pair, contributed):
+            self.counts["registered pairs"] += 1
+            return register(graph, pair, contributed)
+
+        monkeypatch.setattr(ProductGraph, "_register_pair", registered)
+        row = ProductGraph._forward_row
+
+        def forward_row(graph, node):
+            if node not in graph._forward:
+                self.counts["forward rows"] += 1
+            return row(graph, node)
+
+        monkeypatch.setattr(ProductGraph, "_forward_row", forward_row)
+        was_candidate = IncrementalState.was_candidate
+
+        def asked(state, pair):
+            self.counts["was_candidate"] += 1
+            return was_candidate(state, pair)
+
+        monkeypatch.setattr(IncrementalState, "was_candidate", asked)
+        state = em_vc_module.PairState
+
+        def made(*args, **kwargs):
+            self.counts["vertex states"] += 1
+            return state(*args, **kwargs)
+
+        monkeypatch.setattr(em_vc_module, "PairState", made)
+
+    def snapshot(self) -> dict:
+        return {**self.counts, "combinations": list(self.combinations.sizes)}
+
+
+def _flush_work(graph: Graph, keys, windows, monkeypatch):
+    """Warm a blocked EMOptVC session up with the first window, then count
+    the work of the others; returns (counts, affected-set sizes)."""
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking="auto")
+    session.run()
+    affected = []
+    refresh = SessionArtifacts.refresh
+
+    def recorded(artifacts):
+        found = refresh(artifacts)
+        affected.append(len(found))
+        return found
+
+    def apply(ops):
+        for op, *args in ops:
+            getattr(graph, op)(*args)
+
+    apply(windows[0])
+    session.rerun()  # the first rebase builds the carried indexes
+    with monkeypatch.context() as patch:
+        patch.setattr(SessionArtifacts, "refresh", recorded)
+        work = _WorkCounts(patch)
+        for ops in windows[1:]:
+            apply(ops)
+            result = session.rerun()
+            assert session.last_delta().mode == "incremental"
+        counts = work.snapshot()
+    assert session.cache_info().snapshot_compactions == 0
+    assert result.pairs() == chase(graph, keys, blocking="auto").pairs()
+    return counts, affected
+
+
+def test_a_window_costs_the_same_on_a_graph_four_times_the_size(monkeypatch):
+    small = _scale4_dataset()
+    windows = _windows(small.graph, 4)
+    grown = _four_times(small.graph)
+    assert grown.num_entities == 4 * small.graph.num_entities
+    small_work, small_affected = _flush_work(
+        small.graph.copy(), small.keys, windows, monkeypatch
+    )
+    grown_work, grown_affected = _flush_work(grown, small.keys, windows, monkeypatch)
+    assert small_affected == grown_affected
+    for name in (
+        "signature entries", "pairing relations", "registered pairs", "was_candidate", "vertex states"
+    ):
+        assert small_work[name] > 0, name
+    assert grown_work == small_work

@@ -25,7 +25,7 @@ from repro.core.chase import candidate_pairs, chase
 from repro.core.triples import Literal, is_entity_ref
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.blocking import (
-    _entity_signature,
+    _entity_signatures,
     _path_signatures,
     blocked_candidate_pairs,
     compile_blocking_scheme,
@@ -181,7 +181,10 @@ def test_bucket_signatures_equal_per_entity_walks(seed):
             }
             for walk in (
                 lambda entity: frozenset(
-                    map(snapshot.node_at, _entity_signature(snapshot, entity, path))
+                    map(
+                        snapshot.node_at,
+                        _entity_signatures(snapshot, [entity], path).get(entity, ()),
+                    )
                 ),
                 lambda entity: reference_signature(graph, entity, path),
             ):

@@ -24,6 +24,7 @@ from repro.service.ingest import (
     IngestError,
     IngestFlushError,
     IngestPipeline,
+    _percentile,
     apply_mutation,
     ingest_stream,
     iter_jsonl,
@@ -98,6 +99,24 @@ class TestIterJsonl:
     def test_non_object_rejected(self):
         with pytest.raises(IngestError, match="JSON object"):
             list(iter_jsonl(io.StringIO("[1, 2]\n")))
+
+
+class TestPercentile:
+    """Nearest rank: the value at rank ``ceil(q * n)``, counting from 1."""
+
+    def test_twenty_samples(self):
+        samples = [float(v) for v in range(1, 21)]
+        assert _percentile(samples, 0.50) == 10.0
+        assert _percentile(samples, 0.95) == 19.0
+
+    def test_four_samples_median_is_the_second(self):
+        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.50) == 2.0
+
+    def test_one_sample_is_every_percentile(self):
+        assert _percentile([7.0], 0.50) == _percentile([7.0], 0.95) == 7.0
+
+    def test_no_samples_read_zero(self):
+        assert _percentile([], 0.50) == _percentile([], 0.95) == 0.0
 
 
 class TestIngestPipeline:

@@ -53,6 +53,29 @@ class TestEngine:
         engine.run()
         assert engine.stats.messages_dropped == 1
 
+    def test_hosted_states_are_made_on_first_delivery(self):
+        """The serial drain makes a hosted vertex's state when a message first
+        reaches it; a vertex no message reaches never gets one, and a message
+        to a vertex outside the universe is dropped as before."""
+        made = []
+
+        def make_state(vertex):
+            made.append(vertex)
+            return CounterState()
+
+        links = {"a": "b", "b": "ghost"}
+        engine = VertexCentricEngine(PropagateProgram(links), processors=2)
+        engine.host({"a", "b", "c"}, make_state)
+        assert engine.has_vertex("c") and not engine.has_vertex("ghost")
+        engine.post("a", 1)
+        engine.run()
+        assert made == ["a", "b"]
+        assert engine.vertex_state("b").value == 2
+        assert engine.stats.messages_dropped == 1
+        assert engine.vertex_state("c").value == 0 and made[-1] == "c"
+        with pytest.raises(VertexCentricError):
+            engine.vertex_state("ghost")
+
     def test_duplicate_vertex_rejected(self):
         engine = VertexCentricEngine(PropagateProgram({}), processors=1)
         engine.add_vertex("a", CounterState())
