@@ -443,9 +443,7 @@ class MatchSession:
             # an empty window under a shape holding no result at this version
             # (another shape moved the cache and the seed on) plans against
             # that shape's fixpoint
-            plan = plan_session_delta(
-                artifacts, state, touched, blocking=config.blocking
-            )
+            plan = plan_session_delta(artifacts, state, blocking=config.blocking)
             artifacts.count(
                 incremental_runs=1,
                 pairs_rechecked=plan.pairs_rechecked,

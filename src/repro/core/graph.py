@@ -112,10 +112,11 @@ class Graph:
             if existing.etype != etype:
                 raise DuplicateEntityError(eid, existing.etype, etype)
             return existing
+        term = entity_term(eid, etype)  # before any write: it may raise
         entity = Entity(eid, etype)
         self._entities[eid] = entity
         self._by_type[etype].add(eid)
-        self._fp_acc = (self._fp_acc + entity_term(eid, etype)) % _FP_MOD
+        self._fp_acc = (self._fp_acc + term) % _FP_MOD
         self._record_mutation((eid,))
         return entity
 
@@ -127,6 +128,7 @@ class Graph:
             raise UnknownEntityError(str(triple.obj))
         if triple in self._triples:
             return
+        term = triple_term(triple.subject, triple.predicate, triple.obj)
         self._triples.add(triple)
         self._out[triple.subject].add(triple)
         self._in[triple.obj].add(triple)
@@ -135,9 +137,7 @@ class Graph:
         self._undirected[triple.subject].add(triple.obj)
         self._undirected[triple.obj].add(triple.subject)
         self._pred_counts[triple.predicate] = self._pred_counts.get(triple.predicate, 0) + 1
-        self._fp_acc = (
-            self._fp_acc + triple_term(triple.subject, triple.predicate, triple.obj)
-        ) % _FP_MOD
+        self._fp_acc = (self._fp_acc + term) % _FP_MOD
         self._record_mutation((triple.subject, triple.obj))
 
     def _record_mutation(self, nodes: Tuple[GraphNode, ...]) -> None:
@@ -228,6 +228,7 @@ class Graph:
         """
         if triple not in self._triples:
             return
+        term = triple_term(triple.subject, triple.predicate, triple.obj)
         self._triples.discard(triple)
         self._discard_index(self._out, triple.subject, triple)
         self._discard_index(self._in, triple.obj, triple)
@@ -243,9 +244,7 @@ class Graph:
             self._pred_counts[triple.predicate] = remaining
         else:
             self._pred_counts.pop(triple.predicate, None)
-        self._fp_acc = (
-            self._fp_acc - triple_term(triple.subject, triple.predicate, triple.obj)
-        ) % _FP_MOD
+        self._fp_acc = (self._fp_acc - term) % _FP_MOD
         self._record_mutation((triple.subject, triple.obj))
 
     @staticmethod
@@ -298,13 +297,12 @@ class Graph:
         existing = self.entity(eid)
         if existing.etype == etype:
             return existing
+        term = entity_term(eid, etype) - entity_term(eid, existing.etype)
         self._discard_index(self._by_type, existing.etype, eid)
         entity = Entity(eid, etype)
         self._entities[eid] = entity
         self._by_type[etype].add(eid)
-        self._fp_acc = (
-            self._fp_acc - entity_term(eid, existing.etype) + entity_term(eid, etype)
-        ) % _FP_MOD
+        self._fp_acc = (self._fp_acc + term) % _FP_MOD
         self._record_mutation((eid,))
         return entity
 
@@ -477,20 +475,6 @@ class Graph:
             merged.add_triple(triple)
         return merged
 
-    def is_tree(self) -> bool:
-        """Return True when the undirected graph is connected and acyclic.
-
-        Used by the PTIME tree-case analysis (Proposition 5 of the paper).
-        An empty graph is considered a (trivial) tree.
-        """
-        nodes = set(self._undirected.keys()) | set(self._entities.keys())
-        if not nodes:
-            return True
-        edge_count = len(self._triples)
-        if edge_count != len(nodes) - 1:
-            return False
-        return self.is_connected()
-
     def is_connected(self) -> bool:
         """Return True when the undirected graph is connected (or empty)."""
         nodes = set(self._undirected.keys()) | set(self._entities.keys())
@@ -506,25 +490,6 @@ class Graph:
                     seen.add(nbr)
                     frontier.append(nbr)
         return seen >= nodes
-
-    def connected_components(self) -> List[Set[GraphNode]]:
-        """Return the undirected connected components (as node sets)."""
-        nodes = set(self._undirected.keys()) | set(self._entities.keys())
-        components: List[Set[GraphNode]] = []
-        unseen = set(nodes)
-        while unseen:
-            start = unseen.pop()
-            component = {start}
-            frontier = [start]
-            while frontier:
-                node = frontier.pop()
-                for nbr in self._undirected.get(node, ()):
-                    if nbr not in component:
-                        component.add(nbr)
-                        unseen.discard(nbr)
-                        frontier.append(nbr)
-            components.append(component)
-        return components
 
     # ------------------------------------------------------------------ #
     # dunder helpers

@@ -452,9 +452,6 @@ class GraphPattern:
         """The (recursive) entity variables ``y`` of the pattern, excluding ``x``."""
         return [n for n in self._nodes.values() if n.is_entity_variable]
 
-    def value_variables(self) -> List[PatternNode]:
-        return [n for n in self._nodes.values() if n.is_value_variable]
-
     def wildcards(self) -> List[PatternNode]:
         return [n for n in self._nodes.values() if n.is_wildcard]
 

@@ -111,6 +111,18 @@ class SessionCacheInfo:
     held_evictions: int = 0
 
 
+@dataclass(frozen=True)
+class WindowSets:
+    """The affected entities of one journal window (:meth:`SessionArtifacts.refresh`)."""
+
+    #: every entity within key radius of a touched node
+    ball: set
+    #: the touched nodes whose key triples, entity type or existence changed
+    key_roots: set
+    #: every entity within key radius of a key-root (a subset of :attr:`ball`)
+    key_ball: set
+
+
 #: slot kind → the counters its build / rebase bump (dependency maps are
 #: timed like the other kinds but have never been counted)
 _SLOT_COUNTERS = {
@@ -188,10 +200,10 @@ class SessionArtifacts:
         # least recently used first; cleared wherever the seed is dropped
         self._held: "OrderedDict[tuple, tuple]" = OrderedDict()
         # the slot table: artifacts valid at self.version, and artifacts a
-        # mutation staled, parked with the union of delta-affected entities
-        # until their next access rebases them
+        # mutation staled, parked with the unions of the windows' key balls
+        # and full balls until their next access rebases them
         self._fresh: Dict[Tuple[str, Flavour], object] = {}
-        self._stale: Dict[Tuple[str, Flavour], Tuple[object, set]] = {}
+        self._stale: Dict[Tuple[str, Flavour], Tuple[object, set, set]] = {}
         self._counts = dict.fromkeys((f.name for f in fields(SessionCacheInfo)), 0)
         #: cumulative seconds spent building each artifact kind (CLI --profile)
         self.timings: Dict[str, float] = {}
@@ -361,7 +373,7 @@ class SessionArtifacts:
             affected = set() if snapshot is None else {
                 entity for etype in changed for entity in snapshot.entities_of_type(etype)
             }
-            self._park(affected)
+            self._park(affected, affected)
             if self._index is not None:
                 self._index = self._index.rekeyed(keys, evict=affected)
             self._blocking_index = None
@@ -373,62 +385,105 @@ class SessionArtifacts:
             self._counts["key_rebases"] += 1
             return changed
 
-    def refresh(self) -> Optional[set]:
+    def refresh(self) -> Optional[WindowSets]:
         """Reconcile the cache with the graph mutations since the last run,
-        and return the entities the journal window affected.
+        and return the window's affected sets (:class:`WindowSets`).
 
         The snapshot goes first: while the journal covers the delta it is
         *patched* — the touched rows recomputed into an overlay that reads
         exactly as a recompile does (:meth:`_patched_snapshot`).  Then the
-        window's affected set is taken, once: every entity within key radius
-        (the key set's largest) of a touched node, over the *new* snapshot
-        (:meth:`_touched_ball`).  The locality argument of
-        :mod:`repro.matching.incremental` makes it exact in both directions:
-        a removed edge journals both endpoints, so every entity whose old
-        d-neighbourhood held a touched node is in the ball, and an added
-        edge journals its endpoints too, so every entity in the ball had a
-        touched node within the ball's radius on the old graph already.
-        Every consumer reads that one set: the neighbourhood index evicts
-        it, the slot table is parked with it (:meth:`_park`) so each slot's
-        next access re-runs the pairing fixpoint only for the pairs it
-        names, and the blocking index re-derives its signatures — which
-        every entity of a certified type has, cached neighbourhood or not.
-        A window that compacts instead drops the blocking index, with the
-        enumeration state it carries: its tokens are literal ids, which the
-        recompiled snapshot assigns afresh.
+        window is split in two, over the *new* snapshot, by one BFS each
+        (:meth:`_touched_ball`): the **ball**, every entity within key
+        radius (the key set's largest) of a touched node, and the **key
+        ball**, every entity within key radius of a *key-root* — a touched
+        node whose key triples, entity type or existence the window changed
+        (:meth:`_key_roots`).
 
-        The set is returned even when nothing was cached to rebase and the
-        cache was dropped, since the planner needs it whatever is cached.
-        An empty window returns an empty set; an expired journal window
-        drops everything and returns ``None``.
+        The key ball is sound for everything that reads key triples only —
+        a pair's pairing verdict and supports, its blocking signatures, its
+        chase verdict.  A matched node is reachable from the designated
+        entity by key triples within the key radius, so a non-key triple
+        never enters a match, a pairing, a support or a signature.  An added
+        or removed key triple journals both of its endpoints, and the diff
+        sees the change at both of them, so along any path of key triples,
+        old or new, the stretch up to its first key-root is on both sides of
+        the delta: every entity whose key-triple neighbourhood changed lies
+        in the key ball, and the two-sided argument of the full ball carries
+        over unchanged.  The full ball stays with what reads raw
+        d-neighbourhoods: the neighbourhood index evicts it (its sizes feed
+        the stats and the cost model), and the dependency rows and the
+        product graph's adjacency rows are recomputed over it.  The slot
+        table is parked with both (:meth:`_park`); the blocking index
+        re-derives the signatures of the key ball — which every entity of a
+        certified type has, cached neighbourhood or not.  A window that
+        compacts instead drops the blocking index, with the enumeration
+        state it carries: its tokens are literal ids, which the recompiled
+        snapshot assigns afresh.
+
+        The sets are returned even when nothing was cached to rebase and the
+        cache was dropped, since the planner needs them whatever is cached.
+        An empty window returns empty sets; an expired journal window drops
+        everything and returns ``None``.
         """
         with self._lock:
             version = self.graph.version
             if version == self.version:
-                return set()
+                return WindowSets(set(), set(), set())
             touched = self.graph.touched_since(self.version)
+            old = self._snapshot
             if touched is None or self._index is None:
                 self._drop_all()
             else:
-                self._snapshot = self._patched_snapshot(self._snapshot, touched)
+                self._snapshot = self._patched_snapshot(old, touched)
                 self._placements.clear()
                 if self._snapshot is None:  # a rebuild starts a new id lineage
                     self._blocking_index = None
-            affected = None if touched is None else self._touched_ball(touched)
+            window = None
+            if touched is not None:
+                roots = self._key_roots(old, touched)
+                window = WindowSets(
+                    self._touched_ball(touched), roots, self._touched_ball(roots)
+                )
             if self._index is not None:
-                self._park(affected)
+                self._park(window.key_ball, window.ball)
                 self._blocked_pairs = None
-                self._index = self._index.rebased(self.snapshot(), evict=affected)
+                self._index = self._index.rebased(self.snapshot(), evict=window.ball)
                 old_blocking = self._blocking_index
                 if old_blocking is not None:
                     self._blocking_index = self._timed(
                         "blocking_index_rebase",
-                        lambda: old_blocking.rebased(self.snapshot(), affected),
+                        lambda: old_blocking.rebased(self.snapshot(), window.key_ball),
                     )
                     self._counts["blocking_index_rebases"] += 1
             self.version = version
             self._counts["invalidations"] += 1
-            return affected
+            return window
+
+    def _key_roots(self, old: Optional[GraphSnapshot], touched: set) -> set:
+        """The *touched* nodes the window changed as keys see them: their key
+        triples (forward or backward; a key triple is one whose predicate
+        some key pattern names), their entity type, or their existence as an
+        entity — a diff of *old*, the snapshot at :attr:`version`, against
+        the current one in id space.  A value node has no type and is seen
+        only through its key triples.  Ids name the same nodes within one
+        lineage only, so after a rebuild or a compaction every touched node
+        is a key-root."""
+        new = self.snapshot()
+        if old is None or old.version != self.version or old.lineage is not new.lineage:
+            return set(touched)
+        preds = {new.pred_id(p) for key in self.keys for p in key.pattern.predicates()}
+
+        def keyed(snapshot: GraphSnapshot, node) -> tuple:
+            node_id = snapshot.id_of(node)
+            if node_id is None:
+                return None, [], []
+            return (
+                snapshot.entity_type(node) if is_entity_ref(node) else None,
+                [pair for pair in snapshot.row_pairs(node_id, True) if pair[0] in preds],
+                [pair for pair in snapshot.row_pairs(node_id, False) if pair[0] in preds],
+            )
+
+        return {node for node in touched if keyed(old, node) != keyed(new, node)}
 
     def _touched_ball(self, touched: set) -> set:
         """The entities within the largest key radius of a *touched* node,
@@ -451,20 +506,22 @@ class SessionArtifacts:
             frontier = reached
         return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
 
-    def _park(self, affected: set) -> None:
-        """Park every fresh slot for delta rebasing with *affected* entities.
+    def _park(self, key_ball: set, ball: set) -> None:
+        """Park every fresh slot for delta rebasing with a window's key ball
+        and full ball (:meth:`refresh`); each kind's rebase reads the one
+        its artifact needs.
 
         Slots parked by an earlier delta and never re-accessed stay parked
-        with their affected set widened to the union of both windows (each
-        window's set stays sound for its own delta).
+        with each set widened to the union over the windows (each window's
+        sets stay sound for its own delta).
         Unfiltered candidate sets carry no pairing verdicts worth migrating
         and are dropped, so their next access is a plain build.
         """
-        for slot, (artifact, previous) in self._stale.items():
-            self._stale[slot] = (artifact, previous | affected)
+        for slot, (artifact, keyed, touched) in self._stale.items():
+            self._stale[slot] = (artifact, keyed | key_ball, touched | ball)
         for slot, artifact in self._fresh.items():
             if slot[0] != "candidates" or artifact.pair_supports is not None:
-                self._stale[slot] = (artifact, set(affected))
+                self._stale[slot] = (artifact, set(key_ball), set(ball))
         self._fresh.clear()
 
     def _patched_snapshot(
@@ -521,12 +578,13 @@ class SessionArtifacts:
         kind: str,
         flavour: Flavour,
         build: Callable[[], object],
-        rebase: Callable[[object, set], object],
+        rebase: Callable[[object, set, set], object],
     ):
         """The one rule every per-flavour artifact follows (lock held).
 
-        Fresh: return it.  Parked by a mutation: ``rebase(old, affected)``
-        with the union of the entities every un-accessed delta affected.
+        Fresh: return it.  Parked by a mutation: ``rebase(old, key_ball,
+        ball)`` with the unions of the sets every un-accessed delta affected
+        (:meth:`refresh`).
         Missing: ``build()``.  Either way the work is charged to the phase
         ``{kind}_build`` / ``{kind}_rebase`` and to the kind's counter.
         """
@@ -676,19 +734,19 @@ class SessionArtifacts:
                     )
                 )
 
-            def rebase(old: CandidateSet, affected: set) -> CandidateSet:
+            def rebase(old: CandidateSet, key_ball: set, _ball: set) -> CandidateSet:
                 if blocking == "off":
                     touching = quadratic_pairs_touching(
-                        inputs["snapshot"], self.keys.target_types(), affected
+                        inputs["snapshot"], self.keys.target_types(), key_ball
                     )
                 else:
-                    touching = self.blocking_index().pairs_touching(affected)
+                    touching = self.blocking_index().pairs_touching(key_ball)
                 return charged(
                     rebase_filtered_candidates(
                         old,
                         self.graph,
                         self.keys,
-                        affected_entities=affected,
+                        affected_entities=key_ball,
                         touching=touching,
                         reduce_neighborhoods=reduce_neighborhoods,
                         **inputs,
@@ -720,8 +778,8 @@ class SessionArtifacts:
                 "dependency_map",
                 (filtered, reduce_neighborhoods, blocking != "off"),
                 lambda: DependencyArtifact.build(snapshot, self.keys, candidates),
-                lambda old, affected: old.rebased(
-                    snapshot, self.keys, candidates, affected | drift
+                lambda old, _key_ball, ball: old.rebased(
+                    snapshot, self.keys, candidates, ball | drift
                 ),
             ).forward
 
@@ -748,10 +806,11 @@ class SessionArtifacts:
                 lambda: ProductGraph(
                     snapshot, self.keys, candidates, dependents=dependents
                 ),
-                lambda old, affected: old.rebased(
+                lambda old, key_ball, ball: old.rebased(
                     snapshot,
                     candidates,
-                    affected | drift,
+                    key_ball | drift,
+                    rows=ball,
                     dependents=dependents,
                     keys=self.keys,
                 ),

@@ -16,18 +16,23 @@ that set under the dependency map, and splits the previous result into
   class, which are re-chased from scratch.
 
 Soundness sketch (the invariant the differential mutation-fuzz suite checks
-empirically): a pair outside the affected closure has (a) untouched
-d-neighbourhoods in both the old and the new graph, and (b) only
-prerequisites outside the closure — so its direct-derivability is unchanged
-by the delta.  Classes built exclusively from such pairs survive verbatim;
-every other previously identified pair is re-derived or dropped.  (a) is one
-set per window: the entities within key radius of a touched node on the
-*new* graph, which :meth:`SessionArtifacts.refresh` takes once.  Every edit
-journals the endpoints of the triple it adds or removes, so along any path,
-old or new, the stretch up to its first touched node is on both sides of
-the delta: a removed edge cannot hide an entity whose old neighbourhood held
-a touched node from the new ball, and an added edge cannot put an entity in
-the new ball whose old neighbourhood, at that radius, held none.
+empirically): a pair outside the affected closure has (a) key-triple
+neighbourhoods the delta left alone, in both the old and the new graph, and
+(b) only prerequisites outside the closure — so its direct-derivability is
+unchanged by the delta.  Classes built exclusively from such pairs survive
+verbatim; every other previously identified pair is re-derived or dropped.
+(a) is one set per window: the *key ball*, the entities within key radius,
+on the *new* graph, of a *key-root* — a touched node whose key triples,
+entity type or existence the window changed — which
+:meth:`SessionArtifacts.refresh` takes once.  A key pattern reaches its
+nodes from the designated entity over key triples within the key radius,
+so a triple no key names never enters a match.  Every edit journals the
+endpoints of the triple it adds or removes, and a changed key triple makes
+both of them key-roots, so along any key-triple path, old or new, the
+stretch up to its first key-root is on both sides of the delta: a removed
+key triple cannot hide an entity whose old neighbourhood held a key-root
+from the new ball, and an added one cannot put an entity in the new ball
+whose old neighbourhood, at that radius, held none.
 
 All six backends consume the same plan through their ``seed_pairs`` /
 ``worklist`` entry points; :func:`plan_session_delta` reads a session's
@@ -171,7 +176,7 @@ def plan_delta(
     *,
     candidate_pairs: Sequence[Pair],
     dependents: Mapping[Pair, Set[Pair]],
-    touched: Set[GraphNode],
+    key_roots: Set[GraphNode],
     affected_entities: Set[str],
     state: IncrementalState,
     old_pair_supports: Optional[Mapping[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None,
@@ -180,6 +185,18 @@ def plan_delta(
     candidates: Optional[CandidateSet] = None,
 ) -> DeltaPlan:
     """Compute the seed/worklist split for a journal delta.
+
+    The delta is read through what keys see of it.  A matched node is
+    reachable from the designated entity by key triples (triples whose
+    predicate some key pattern names) within the key radius, so a non-key
+    triple never enters a match, a pairing, a support or a signature, and a
+    touched node counts only when it is a *key-root*: its key triples, its
+    entity type or its existence changed.  An added or removed key triple
+    journals both of its endpoints, and the pre/post diff sees the change
+    at both of them, so every entity whose key-triple neighbourhood changed
+    lies in the key-roots' radius ball — on the new graph, by the two-sided
+    argument of the module docstring.  A window that reaches no key triple
+    has no key-root and affects nothing: the old result stands.
 
     Parameters
     ----------
@@ -192,13 +209,14 @@ def plan_delta(
     dependents:
         The dependency map over *candidate_pairs* (prerequisite → dependents),
         built on the new graph with full (unreduced) neighbourhoods.
-    touched:
-        The journal's touched node set since ``state.version``.
+    key_roots:
+        The window's key-roots since ``state.version``
+        (:attr:`~repro.matching.artifacts.WindowSets.key_roots`).
     affected_entities:
-        The window's one affected set: the entities within key radius of a
-        touched node on the new graph (what
-        :meth:`SessionArtifacts.refresh` returns; the module docstring says
-        why it covers both sides of the delta).
+        The window's key ball: the entities within key radius of a key-root
+        on the new graph (what :meth:`SessionArtifacts.refresh` returns as
+        ``key_ball``; the module docstring says why it covers both sides of
+        the delta).
     state:
         The seed fixpoint (:class:`IncrementalState`) the delta is planned
         against.
@@ -211,9 +229,9 @@ def plan_delta(
         identification witness is contained in the maximal pairing), so an
         untouched support means the witness survived verbatim, and a
         prerequisite that stopped holding reaches the pair through the
-        dependency closure instead.  Unidentified pairs always get the full
-        d-neighbourhood test — a fresh witness can appear anywhere in the
-        ball.
+        dependency closure instead.  ("Untouched" means "holding no
+        key-root".)  Unidentified pairs always get the key-ball test — a
+        fresh witness can appear anywhere within key radius.
     extra_identified:
         Previously identified pairs that are *absent* from the new candidate
         universe (their signatures stopped colliding, their pairing broke, or
@@ -230,10 +248,10 @@ def plan_delta(
         pairs of *affected_entities* off its per-entity index, and the
         worklist is sorted into candidate order rather than filtered out of
         it.  Nothing else can be marked: a pair with no affected entity has
-        no touched entity and was a candidate before (a new or retyped
-        entity is touched), and its support set lies inside its two old
-        d-neighbourhoods, so a support that meets a touched node puts an
-        entity of the pair in the window's radius ball.
+        no key-root entity and was a candidate before (a new or retyped
+        entity is a key-root), and its support set lies within key radius of
+        it over old key triples, so a support that holds a key-root puts an
+        entity of the pair in the key ball.
     """
     affected: Set[Pair] = set()
     supports = old_pair_supports or {}
@@ -246,13 +264,13 @@ def plan_delta(
     )
     for pair in swept:
         e1, e2 = pair
-        if e1 in touched or e2 in touched or not state.was_candidate(pair):
+        if e1 in key_roots or e2 in key_roots or not state.was_candidate(pair):
             affected.add(pair)
             continue
         if use_supports and eq.identified(e1, e2):
             support = supports.get(pair)
             if support is not None:
-                if touched & support[0] or touched & support[1]:
+                if key_roots & support[0] or key_roots & support[1]:
                     affected.add(pair)
                 continue
         if e1 in affected_entities or e2 in affected_entities:
@@ -266,9 +284,9 @@ def plan_delta(
     affected = DependencyWorklist(dependents).close(affected)
 
     # every entity the delta implicates: members of affected pairs plus every
-    # touched entity (covers candidate pairs that *vanished*, e.g. a retype)
+    # key-root entity (covers candidate pairs that *vanished*, e.g. a retype)
     implicated: Set[str] = {entity for pair in affected for entity in pair}
-    implicated |= touched & affected_entities
+    implicated |= key_roots & affected_entities
 
     seed: List[Pair] = []
     dropped_pairs: Set[Pair] = set()
@@ -304,7 +322,6 @@ def plan_delta(
 def plan_session_delta(
     artifacts,
     state: IncrementalState,
-    touched: Set[GraphNode],
     *,
     blocking: str,
 ) -> DeltaPlan:
@@ -314,15 +331,16 @@ def plan_session_delta(
     *artifacts* is the session's
     :class:`~repro.matching.artifacts.SessionArtifacts`, still at
     ``state.version`` (*state* is the seed it holds); it leaves here
-    reconciled with the live graph.  The window's affected entities are the
-    set the refresh returns: the touched nodes' radius ball over the new
-    snapshot, which holds every entity whose old or new d-neighbourhood a
-    touched node entered (a removed edge journals both endpoints, and so
-    does an added one) — cached or not, so a seed a blocked sibling left,
-    or an entity that never collided, needs no case of its own.  An empty
-    *touched* — a sibling run shape already moved the cache and the seed to
-    the live version — plans against that shape's fixpoint: nothing is
-    affected, and only this flavour's parked slots are rebased.
+    reconciled with the live graph.  The plan reads the window's key-roots
+    and key ball off the refresh: the key-roots' radius ball over the new
+    snapshot, which holds every entity whose old or new key-triple
+    neighbourhood a key-root entered (a removed key triple makes both
+    endpoints key-roots, and so does an added one) — cached or not, so a
+    seed a blocked sibling left, or an entity that never collided, needs no
+    case of its own.  An empty window — a sibling run shape already moved
+    the cache and the seed to the live version — plans against that shape's
+    fixpoint: nothing is affected, and only this flavour's parked slots are
+    rebased.
     """
     blocked = blocking != "off"
     # the one read before the refresh: the rebase recomputes the supports of
@@ -339,7 +357,7 @@ def plan_session_delta(
                 if cached.pair_supports
             )
         )
-    affected_entities = artifacts.refresh()
+    window = artifacts.refresh()
     # classic planning is quadratic: every candidate pair of the new graph is
     # in the universe, so vanished pairs and support-level refinements never
     # arise.  A blocked session plans over the sub-quadratic blocked
@@ -366,8 +384,8 @@ def plan_session_delta(
     return plan_delta(
         candidate_pairs=candidates.pairs,
         dependents=dependents,
-        touched=touched,
-        affected_entities=affected_entities,
+        key_roots=window.key_roots,
+        affected_entities=window.key_ball,
         state=state,
         old_pair_supports=old_supports,
         extra_identified=extras,
@@ -442,10 +460,10 @@ def rebase_filtered_candidates(
     delta, re-running the pairing fixpoint only for the pairs the delta could
     have affected.
 
-    A pair's pairing outcome (and its support nodes) depends only on its two
-    d-neighbourhoods, so a pair with no entity in *affected_entities* keeps
-    the verdict *old* holds for it, and its entities' neighbourhoods are
-    still cached.  Such a pair was in the old universe too: a pair enters or
+    A pair's pairing outcome (and its support nodes) reads only the key
+    triples within key radius of its two entities, so a pair with no entity
+    in *affected_entities* — the window's key ball — keeps the verdict *old*
+    holds for it.  Such a pair was in the old universe too: a pair enters or
     leaves the universe only through an entity whose signatures, type or
     keys the delta changed, and every such entity is affected.  So the
     verdicts, the surviving order and the per-entity index are carried as

@@ -166,6 +166,7 @@ class ProductGraph:
         graph: Graph,
         candidates: CandidateSet,
         affected_entities: Set[str],
+        rows: Set[str],
         dependents: Optional[Dict[Pair, Set[Pair]]] = None,
         keys=None,
     ) -> "ProductGraph":
@@ -175,8 +176,9 @@ class ProductGraph:
         Pairing relations are recomputed only for candidate pairs with an
         entity in *affected_entities*; every other pair's contributed nodes
         are carried over unchanged — sound because a pairing relation only
-        reads the pair's two d-neighbourhoods, and a pair joins or leaves the
-        candidates only through an affected entity.  The carrying is by
+        reads the key triples within key radius of the pair, and a pair
+        joins or leaves the candidates only through an affected entity (the
+        session passes the window's key ball).  The carrying is by
         difference: the node set, the contribution counts and the indexes
         start as C-level copies, the old pairs of the affected entities are
         withdrawn (a node goes when its count reaches zero) and the new ones
@@ -185,10 +187,11 @@ class ProductGraph:
         candidates.  The result is bit-identical to ``ProductGraph(graph,
         keys, candidates)``.  Pass *keys* when the key set changed since the
         old build (a session ``rekeyed`` delta): affected pairs then
-        recompute their relations under the new keys.  *affected_entities*
-        must hold every entity the delta touched (it does for every journal
-        window: a mutated triple touches its subject), which is also what
-        lets the adjacency rows of untouched nodes carry over.
+        recompute their relations under the new keys.  *rows* must hold
+        every entity the delta touched (the session passes the window's
+        full ball; a mutated triple touches its subject): an adjacency row
+        lists every predicate of its node's out-row, key or not, so the
+        rows of the product nodes holding a touched entity are recomputed.
         """
         old_refs, old_entity_nodes = self._indexes()
         twin = object.__new__(ProductGraph)
@@ -255,11 +258,11 @@ class ProductGraph:
             else dependency_map(graph, twin._keys, candidates)
         )
         twin.construction_work += len(nodes)
-        self._carry_derived(twin, affected_entities, flipped)
+        self._carry_derived(twin, rows, flipped)
         return twin
 
     def _carry_derived(
-        self, twin: "ProductGraph", affected_entities: Set[str], flipped: Set[ProductNode]
+        self, twin: "ProductGraph", rows: Set[str], flipped: Set[ProductNode]
     ) -> None:
         """Hand *twin* the adjacency rows and placements still exact on it.
 
@@ -270,8 +273,8 @@ class ProductGraph:
         and a node with untouched rows reaches them through in-edges the new
         graph still holds.  A backward row is the mirror image (in-rows,
         predecessors, out-edges), but only for entity pairs: a literal's
-        in-row moves with a value triple, and *affected_entities* never
-        names a literal, so the other backward rows all go.  Rows are copied
+        in-row moves with a value triple, and *rows* never names a literal,
+        so the other backward rows all go.  Rows are copied
         and the stale ones deleted; when this graph's edges were counted,
         the twin's count is kept current by subtracting the deleted forward
         rows and adding the recomputed ones.
@@ -285,7 +288,7 @@ class ProductGraph:
                 for _, predicate, o1 in graph.out_triples(n1):
                     moved.update((o1, o2) for o2 in graph.objects(n2, predicate))
         stale = set(flipped) | moved
-        for entity in affected_entities:
+        for entity in rows:
             stale.update(self._entity_nodes.get(entity, ()))
         forward, backward = dict(self._forward), dict(self._backward)
         dropped = 0

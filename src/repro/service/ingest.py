@@ -82,6 +82,8 @@ OP_FIELDS: Dict[str, tuple] = {
     "set_value": ("subject", "predicate", "value"),
     "remove_value": ("subject", "predicate", "value"),
 }
+#: the fields that name an entity, a type or a predicate: strings, always
+_NAME_FIELDS = frozenset(("id", "type", "subject", "predicate", "object"))
 
 
 def apply_mutation(graph, op: Mapping) -> str:
@@ -99,6 +101,9 @@ def apply_mutation(graph, op: Mapping) -> str:
     missing = [name for name in OP_FIELDS[kind] if name not in op]
     if missing:
         raise IngestError(f"ingest op {kind!r} is missing field(s): {missing}")
+    named = [name for name in OP_FIELDS[kind] if name in _NAME_FIELDS]
+    if not all(isinstance(op[name], str) for name in named):
+        raise IngestError(f"ingest op {kind!r} needs string field(s) {named}: {op!r}")
     try:
         if kind == "add_entity":
             graph.add_entity(op["id"], op["type"])

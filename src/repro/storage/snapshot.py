@@ -756,9 +756,9 @@ class GraphSnapshot:
         end = bisect_right(preds, pred_id, start, hi)
         return list(subjs[start:end])
 
-    def _row_pairs(self, node_id: int, forward: bool):
+    def row_pairs(self, node_id: int, forward: bool):
         """The ``(pred id, other endpoint id)`` pairs of one forward /
-        backward row, overlay first."""
+        backward row, overlay first, sorted by ``(pred id, other id)``."""
         overlay = self._overlay
         if overlay is not None and (row := overlay.rows.get(node_id)) is not None:
             return _row_pairs(row, forward)
@@ -1002,7 +1002,7 @@ class GraphSnapshot:
             node_at, pred_at = self.node_at, self._pred_at
             for sid in self._live_ids(True):
                 subject = node_at(sid)
-                for pid, oid in self._row_pairs(sid, True):
+                for pid, oid in self.row_pairs(sid, True):
                     yield Triple(subject, pred_at(pid), node_at(oid))
             return
         node_of, pred_of = self._node_of, self._pred_of
@@ -1037,7 +1037,7 @@ class GraphSnapshot:
             if index is None:
                 return _NO_ROW
             node_at, pred_at = self.node_at, self._pred_at
-            for pid, other in self._row_pairs(index, forward):
+            for pid, other in self.row_pairs(index, forward):
                 per_pred.setdefault(pred_at(pid), []).append(node_at(other))
         else:
             index = self._id_of.get(node)

@@ -220,10 +220,6 @@ class VertexCentricEngine:
     def vertices(self) -> Iterable[VertexId]:
         return self._vertices.keys()
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self._vertices)
-
     # ------------------------------------------------------------------ #
     # messaging & execution
     # ------------------------------------------------------------------ #

@@ -189,8 +189,11 @@ class TestCounterInvariants:
         session = MatchSession(graph).with_keys(keys).using("EMOptVC")
         session.run()
         built = session.cache_info()
-        graph.add_value("e0_1_0", "extra_tag", "x")
+        # a key-relevant edit (a value no key names would be answered
+        # "reused" without touching a slot): e0_1_0 takes e0_1_1's name
+        graph.set_value("e0_1_0", "name_of", "name_0_1_1")
         session.rerun()
+        assert session.last_delta().mode == "incremental"
         info = session.cache_info()
         # the filtered candidates and the product graph were rebased, not rebuilt
         assert info.candidate_rebases >= 1
@@ -334,7 +337,7 @@ class TestReuseGuards:
         session = primed_session(graph)
         graph.add_value("alb2", "release_year", "1996")
 
-        def refresh_then_die(artifacts, state, touched, *, blocking):
+        def refresh_then_die(artifacts, state, *, blocking):
             artifacts.refresh()
             raise RuntimeError("died planning")
 

@@ -126,21 +126,8 @@ class TestStructure:
         assert graph.is_connected()
         graph.add_entity("lonely", "album")
         assert not graph.is_connected()
-        assert len(graph.connected_components()) == 2
 
-    def test_is_tree(self):
-        tree = Graph()
-        tree.add_entity("root", "t")
-        tree.add_entity("child", "t")
-        tree.add_edge("root", "p", "child")
-        assert tree.is_tree()
-        tree.add_entity("grand", "t")
-        tree.add_edge("child", "p", "grand")
-        tree.add_edge("root", "q", "grand")  # creates a cycle
-        assert not tree.is_tree()
-
-    def test_empty_graph_is_trivially_tree_and_connected(self):
-        assert Graph().is_tree()
+    def test_empty_graph_is_trivially_connected(self):
         assert Graph().is_connected()
 
 
@@ -227,6 +214,24 @@ class TestNonMonotoneMutations:
         version = graph.version
         graph.retype_entity("a", "album")
         assert graph.version == version
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_entity("zz", 5),
+            lambda g: g.add_entity(5, "album"),
+            lambda g: g.add_triple(Triple("a", 7, Literal("v"))),
+            lambda g: g.add_edge("a", None, "b"),
+            lambda g: g.retype_entity("a", 5),
+        ],
+    )
+    def test_a_non_string_name_leaves_the_graph_as_it_was(self, graph: Graph, mutate):
+        """Each mutator computes its fingerprint term before its first
+        write, so a name that cannot be encoded raises with nothing moved."""
+        before = graph.copy(), graph.version, graph.content_fingerprint()
+        with pytest.raises((AttributeError, TypeError)):
+            mutate(graph)
+        assert (graph, graph.version, graph.content_fingerprint()) == before
 
     def test_retype_unknown_entity_raises(self, graph: Graph):
         with pytest.raises(UnknownEntityError):

@@ -35,6 +35,7 @@ from repro.matching import candidates as candidates_module
 from repro.matching import incremental as incremental_module
 from repro.matching import product_graph as product_graph_module
 from repro.matching.artifacts import SessionArtifacts
+from repro.matching.backend import EntityMatcher
 from repro.matching.incremental import IncrementalState
 from repro.matching.product_graph import ProductGraph
 from repro.storage import SnapshotNeighborhoodIndex
@@ -112,12 +113,13 @@ def test_blocked_stream_never_enumerates_the_quadratic_universe(monkeypatch):
 
 
 @pytest.mark.parametrize("blocking", ["auto", "off"])
-def test_a_window_takes_one_radius_ball_and_sweeps_no_cached_neighbourhood(
+def test_a_window_takes_two_radius_balls_and_sweeps_no_cached_neighbourhood(
     blocking, monkeypatch
 ):
-    """One affected set per journal window: the blocking-index rebase, the
-    eviction, the parked slots and the plan all read the one radius ball
-    ``refresh()`` takes, and nothing walks the cached neighbourhoods."""
+    """Two affected sets per journal window, one BFS each: the eviction and
+    the row rebases read the touched nodes' radius ball, the blocking-index
+    rebase, the pair re-registrations and the plan read the key-roots' one,
+    and nothing walks the cached neighbourhoods."""
     dataset = fuzz_dataset(7)
     graph, keys = dataset.graph, dataset.keys
     session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking=blocking)
@@ -143,7 +145,7 @@ def test_a_window_takes_one_radius_ball_and_sweeps_no_cached_neighbourhood(
         calls.update(balls=0, sweeps=0)
         session.rerun()
         assert session.last_delta().mode in ("incremental", "reused")
-        assert calls == {"balls": 1, "sweeps": 0}, (window, calls)
+        assert calls == {"balls": 2, "sweeps": 0}, (window, calls)
     rebases = session.cache_info().blocking_index_rebases
     assert rebases == (4 if blocking == "auto" else 0)
 
@@ -287,18 +289,26 @@ def _four_times(graph: Graph) -> Graph:
     return grown
 
 
-def _windows(graph: Graph, count: int) -> list:
+def _windows(graph: Graph, keys, count: int) -> list:
     """*count* journal windows over *graph*'s own entities: new values,
-    key-relevant renames (matches appear and vanish), a new entity wired to
-    an old one, and a retype."""
+    key-relevant renames (matches appear and vanish; one entity of a pair no
+    other pair depends on loses its name, so a class drops in every window
+    and none is answered ``"reused"``), a new entity wired to an old one,
+    and a retype."""
     rng = random.Random(5)
     entities = sorted(graph.entity_ids())
     names = sorted(t.obj.value for t in graph.triples() if t.predicate == "name_of")
     types = sorted(graph.types())
+    prerequisite_types = {t for key in keys for t in key.depends_on_types()}
+    unnamed = list(dict.fromkeys(
+        e1 for e1, _ in sorted(chase(graph, keys).pairs())
+        if graph.entity_type(e1) not in prerequisite_types
+    ))
     windows = []
     for window in range(count):
         ops = [("add_value", rng.choice(entities), "tag", f"w{window}_{n}") for n in range(6)]
         ops.append(("set_value", rng.choice(entities), "name_of", rng.choice(names)))
+        ops.append(("set_value", unnamed[window], "name_of", f"unnamed_{window}"))
         twin = rng.choice(entities)
         ops.append(("add_entity", f"new_{window}", graph.entity_type(twin)))
         ops.append(("add_value", f"new_{window}", "name_of", rng.choice(names)))
@@ -377,7 +387,8 @@ class _WorkCounts:
 
 def _flush_work(graph: Graph, keys, windows, monkeypatch):
     """Warm a blocked EMOptVC session up with the first window, then count
-    the work of the others; returns (counts, affected-set sizes)."""
+    the work of the others; returns (counts, affected-set sizes: the ball,
+    the key-roots and the key ball of each window)."""
     session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking="auto")
     session.run()
     affected = []
@@ -385,7 +396,7 @@ def _flush_work(graph: Graph, keys, windows, monkeypatch):
 
     def recorded(artifacts):
         found = refresh(artifacts)
-        affected.append(len(found))
+        affected.append((len(found.ball), len(found.key_roots), len(found.key_ball)))
         return found
 
     def apply(ops):
@@ -409,7 +420,7 @@ def _flush_work(graph: Graph, keys, windows, monkeypatch):
 
 def test_a_window_costs_the_same_on_a_graph_four_times_the_size(monkeypatch):
     small = _scale4_dataset()
-    windows = _windows(small.graph, 4)
+    windows = _windows(small.graph, small.keys, 4)
     grown = _four_times(small.graph)
     assert grown.num_entities == 4 * small.graph.num_entities
     small_work, small_affected = _flush_work(
@@ -417,8 +428,40 @@ def test_a_window_costs_the_same_on_a_graph_four_times_the_size(monkeypatch):
     )
     grown_work, grown_affected = _flush_work(grown, small.keys, windows, monkeypatch)
     assert small_affected == grown_affected
+    # every window holds key-relevant edits, so the guard counts real work
+    assert all(key_roots for _ball, key_roots, _key_ball in small_affected)
     for name in (
         "signature entries", "pairing relations", "registered pairs", "was_candidate", "vertex states"
     ):
         assert small_work[name] > 0, name
     assert grown_work == small_work
+
+
+@pytest.mark.parametrize("blocking", ["auto", "off"])
+def test_a_window_of_non_key_values_is_answered_reused_with_no_work(
+    blocking, monkeypatch
+):
+    """A window whose only edit is a value under a predicate no key names,
+    on an entity of an identified candidate pair, reaches no key triple: it
+    has no key-root, so it is answered ``"reused"`` with no pairing
+    relation computed, no signature rewritten and no solve dispatched."""
+    dataset = _scale4_dataset()
+    graph, keys = dataset.graph, dataset.keys
+    session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking=blocking)
+    held = session.run()
+    entity = sorted(held.pairs())[0][0]
+    with monkeypatch.context() as patch:
+        work = _WorkCounts(patch)
+        solves = []
+        solve = EntityMatcher.run
+        patch.setattr(EntityMatcher, "run", lambda matcher: solves.append(1) or solve(matcher))
+        graph.add_value(entity, "untracked_tag", "a value no key reads")
+        result = session.rerun()
+        counts = work.snapshot()
+    delta = session.last_delta()
+    assert delta.mode == "reused", delta
+    assert (delta.pairs_rechecked, delta.dropped_classes) == (0, 0), delta
+    assert result is held
+    assert solves == []
+    assert counts["pairing relations"] == counts["signature entries"] == 0, counts
+    assert result.pairs() == chase(graph, keys, blocking=blocking).pairs()

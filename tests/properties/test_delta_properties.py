@@ -745,7 +745,7 @@ def test_untouched_delta_rechecks_nothing_on_blocked_runs():
 
 
 # --------------------------------------------------------------------------- #
-# one affected set per window: the new-snapshot ball holds the old sweep
+# two affected sets per window: the new-snapshot balls hold the old sweeps
 # --------------------------------------------------------------------------- #
 
 
@@ -759,6 +759,41 @@ def cached_neighbourhood_sweep(neighborhoods, touched):
     }
 
 
+def key_vocabulary(keys):
+    return {predicate for key in keys for predicate in key.pattern.predicates()}
+
+
+def naive_key_view(graph, node, vocabulary):
+    """What keys read of *node*: its entity type (``None`` for a value or an
+    absent entity) and its key triples, both directions."""
+    triples = graph.out_triples(node) if is_entity_ref(node) else set()
+    triples = {t for t in triples | graph.in_triples(node) if t.predicate in vocabulary}
+    etype = graph.entity_type(node) if is_entity_ref(node) and graph.has_entity(node) else None
+    return etype, triples
+
+
+def naive_key_neighborhoods(graph, keys, vocabulary):
+    """Every keyed entity's d-neighbourhood over key triples only."""
+    radius = radius_per_type(keys)
+    found = {}
+    for entity in graph.entity_ids():
+        if graph.entity_type(entity) not in radius:
+            continue
+        seen, frontier = {entity}, [entity]
+        for _ in range(radius[graph.entity_type(entity)]):
+            reached = []
+            for node in frontier:
+                triples = graph.out_triples(node) if is_entity_ref(node) else set()
+                for t in triples | graph.in_triples(node):
+                    other = t.obj if t.subject == node else t.subject
+                    if t.predicate in vocabulary and other not in seen:
+                        seen.add(other)
+                        reached.append(other)
+            frontier = reached
+        found[entity] = seen
+    return found
+
+
 @pytest.mark.parametrize("blocking", ["auto", "off"])
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
@@ -767,12 +802,17 @@ def cached_neighbourhood_sweep(neighborhoods, touched):
 @settings(max_examples=15, deadline=None)
 def test_the_window_ball_holds_the_cached_neighbourhood_sweep(blocking, seed, rounds):
     """Over multi-op fuzz windows (triples added and removed, entities added
-    and retyped, literals edited) the set ``refresh()`` returns — the touched
-    nodes' radius ball over the new snapshot — contains every entity the
-    pre-window sweep marks, and names exactly those among the entities
-    cached when the window opened: a removed edge journals both endpoints,
-    and so does an added one.  The same holds over every keyed entity's
-    pre-window neighbourhood, cached by the session or not."""
+    and retyped, literals edited, key predicates or not) the full ball
+    ``refresh()`` returns — the touched nodes' radius ball over the new
+    snapshot — contains every entity the pre-window sweep marks, and names
+    exactly those among the entities cached when the window opened: a
+    removed edge journals both endpoints, and so does an added one.  The
+    same holds over every keyed entity's pre-window neighbourhood, cached by
+    the session or not.  The key-roots are exactly the touched nodes whose
+    type or key triples (either direction) a reference diff of the two
+    graphs sees change (every touched node, on a compacting window), and
+    the key ball holds every keyed entity whose key-triple neighbourhood,
+    before or after the window, holds one."""
     dataset = fuzz_dataset(seed)
     graph, keys = dataset.graph, dataset.keys
     # one radius for every keyed type, so the ball and the sweep see as far
@@ -788,8 +828,10 @@ def test_the_window_ball_holds_the_cached_neighbourhood_sweep(blocking, seed, ro
 
     arts.refresh = recording_refresh
     rng = random.Random(seed)
+    vocabulary = key_vocabulary(keys)
     for count in rounds:
         base_version = graph.version
+        before = graph.copy()
         cached_index = arts.neighborhood_index()
         by_session = {e: cached_index.nodes(e) for e in cached_index.cached_entities()}
         everyone = naive_neighborhoods(
@@ -803,13 +845,30 @@ def test_the_window_ball_holds_the_cached_neighbourhood_sweep(blocking, seed, ro
         sweeps = [(set(cached), cached_neighbourhood_sweep(cached, touched))
                   for cached in (by_session, everyone)]
         returned.clear()
+        compactions = arts.cache_info().snapshot_compactions
         session.rerun()
         if not touched:
             continue
-        (ball,) = returned
+        (window,) = returned
         for cached, swept in sweeps:
-            assert swept <= ball, swept - ball
-            assert ball & cached == swept, (ball & cached) ^ swept
+            assert swept <= window.ball, swept - window.ball
+            assert window.ball & cached == swept, (window.ball & cached) ^ swept
+        roots = {
+            node
+            for node in touched
+            if naive_key_view(before, node, vocabulary)
+            != naive_key_view(graph, node, vocabulary)
+        }
+        if arts.cache_info().snapshot_compactions != compactions:
+            # a new id lineage: nothing to diff against, every touch counts
+            assert window.key_roots == touched
+        else:
+            assert window.key_roots == roots, window.key_roots ^ roots
+        assert window.key_ball <= window.ball
+        for side in (before, graph):
+            neighborhoods = naive_key_neighborhoods(side, keys, vocabulary)
+            swept = cached_neighbourhood_sweep(neighborhoods, roots)
+            assert swept <= window.key_ball, swept - window.key_ball
 
 
 # --------------------------------------------------------------------------- #

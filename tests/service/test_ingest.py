@@ -52,6 +52,16 @@ def mutation_ops(graph, count=6):
     return ops
 
 
+def renaming_ops(graph, keys):
+    """Two key-relevant ops on one entity of an identified pair: a rename
+    that drops its class, then the rename back.  (An op on a predicate no
+    key names is answered ``"reused"``, with no re-chase.)"""
+    entity = sorted(chase(graph, keys).pairs())[0][0]
+    (name,) = graph.objects(entity, "name_of")
+    rename = {"op": "set_value", "subject": entity, "predicate": "name_of"}
+    return [dict(rename, value="renamed"), dict(rename, value=name.value)]
+
+
 class TestApplyMutation:
     def test_dispatches_every_op_kind(self):
         dataset = small_dataset()
@@ -85,6 +95,26 @@ class TestApplyMutation:
                 small_dataset().graph,
                 {"op": "add_edge", "subject": "nope", "predicate": "p", "object": "nope2"},
             )
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "add_entity", "id": "zz", "type": 5},
+            {"op": "add_entity", "id": 5, "type": "T0_1"},
+            {"op": "retype_entity", "id": "e0_1_0", "type": ["T0_2"]},
+            {"op": "add_value", "subject": "e0_1_0", "predicate": 7, "value": "v"},
+            {"op": "add_edge", "subject": "e0_1_0", "predicate": None, "object": "e0_1_1"},
+            {"op": "add_edge", "subject": "e0_1_0", "predicate": "p", "object": 3},
+            {"op": "set_value", "subject": {"id": "e0_1_0"}, "predicate": "p", "value": "v"},
+        ],
+        ids=lambda op: f"{op['op']}",
+    )
+    def test_a_non_string_name_is_refused_before_the_graph_moves(self, op):
+        graph = small_dataset().graph
+        before = graph.copy(), graph.version, graph.content_fingerprint()
+        with pytest.raises(IngestError, match="string"):
+            apply_mutation(graph, op)
+        assert (graph, graph.version, graph.content_fingerprint()) == before
 
 
 class TestIterJsonl:
@@ -137,7 +167,9 @@ class TestIngestPipeline:
         session = MatchSession(dataset.graph).with_keys(dataset.keys)
         session.run("EMOptVC")
         pipeline = IngestPipeline(session, latency_budget=60.0, max_batch_ops=2)
-        report = pipeline.run(iter(mutation_ops(dataset.graph, count=4)))
+        ops = mutation_ops(dataset.graph, count=4)
+        ops.append(renaming_ops(dataset.graph, dataset.keys)[0])
+        report = pipeline.run(iter(ops))
         assert report.delta_modes.get("incremental", 0) >= 1
         assert "full" not in report.delta_modes
         info = session.cache_info()
@@ -499,14 +531,10 @@ class TestIngestEndpoint:
         """The persistent per-graph ingest session seeds across windows."""
         service, client = live
         dataset = small_dataset(seed=9)
+        rename, rename_back = renaming_ops(dataset.graph, dataset.keys)
         service.register_graph("g", dataset.graph, dataset.keys)
-        entity = sorted(dataset.graph.entity_ids())[0]
-        op = {"op": "add_value", "subject": entity, "predicate": "w", "value": "1"}
-        client.post("/graphs/g/ingest", {"ops": [op]})
-        status, payload, _ = client.post(
-            "/graphs/g/ingest",
-            {"ops": [dict(op, value="2")]},
-        )
+        client.post("/graphs/g/ingest", {"ops": [rename]})
+        status, payload, _ = client.post("/graphs/g/ingest", {"ops": [rename_back]})
         assert status == 200
         assert payload["report"]["delta_modes"] == {"incremental": 1}
         status, graphs, _ = client.get("/graphs")
@@ -527,6 +555,47 @@ class TestIngestEndpoint:
         assert status == 400
         status, payload, _ = client.post("/graphs/g/ingest", {"ops": [], "wat": 1})
         assert status == 400
+
+    def test_a_non_string_field_is_a_400_and_leaves_the_journal_recoverable(
+        self, tmp_path
+    ):
+        """A WAL-backed service answers a non-string type with 400 (the WAL
+        marks the op failed), the next valid window with 200, and a restart
+        on that journal recovers the graph the valid window left."""
+        import threading
+
+        from repro.service import MatchingService, make_http_server
+        from repro.service.registry import GraphRegistry
+        from test_server import ServiceClient
+
+        dataset = small_dataset()
+        service = MatchingService(max_inflight=2, max_queued=8, wal_root=tmp_path / "wal")
+        server = make_http_server(service, host="127.0.0.1", port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        client = ServiceClient(*server.server_address)
+        try:
+            service.register_graph("g", dataset.graph, dataset.keys)
+            before = (dataset.graph.version, dataset.graph.content_fingerprint())
+            bad = {"op": "add_entity", "id": "zz", "type": 5}
+            status, payload, _ = client.post("/graphs/g/ingest", {"ops": [bad]})
+            assert status == 400 and "string" in payload["error"], payload
+            assert not dataset.graph.has_entity("zz")
+            assert (dataset.graph.version, dataset.graph.content_fingerprint()) == before
+            good = {"op": "add_entity", "id": "zz", "type": "T0_1"}
+            status, payload, _ = client.post("/graphs/g/ingest", {"ops": [good]})
+            assert status == 200, payload
+            final = dataset.graph.content_fingerprint()
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+        rebuilt = small_dataset()
+        registry = GraphRegistry(wal_root=tmp_path / "wal")
+        registry.register("g", rebuilt.graph, rebuilt.keys)
+        assert registry.get("g").last_recovery["ops_replayed"] == 1
+        assert rebuilt.graph.entity_type("zz") == "T0_1"
+        assert rebuilt.graph.content_fingerprint() == final
+        registry.close()
 
     def test_empty_window_answers_with_an_exact_result(self, live):
         service, client = live
