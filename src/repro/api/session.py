@@ -421,28 +421,26 @@ class MatchSession:
         not requested)."""
         state = touched = plan = delta = None
         if config.incremental:
-            state, touched, fallback = self._journal_window(spec, artifacts)
+            held = held_result(config, artifacts)
+            if held is not None:
+                # the held fixpoint *is* the answer — nothing to refresh,
+                # plan or re-chase.  The universe is read off the (in step,
+                # so cached) candidate slot the planner would have walked
+                blocked = config.blocking != "off"
+                universe = len(
+                    artifacts.candidates(filtered=blocked, blocking=config.blocking).pairs
+                )
+                artifacts.count(incremental_runs=1, pairs_skipped=universe)
+                return held, DeltaProvenance(mode="reused", pairs_skipped=universe)
+            state, touched, fallback = _journal_window(spec, artifacts)
             delta = DeltaProvenance(mode="full", reason=fallback)
-        # the held result answers when it was computed under this run shape
-        # at the seed's version: chase(G, Σ) is a function of (G, Σ)
-        held = None if touched is None else artifacts.held(config)
         if touched is None:
             artifacts.refresh()
-        elif not touched and held is not None:
-            # an empty journal window under the run shape that produced the
-            # held result: the held fixpoint *is* the answer — nothing to
-            # refresh, plan or re-chase.  The universe is read off the (in
-            # step, so cached) candidate slot the planner would have walked
-            blocked = config.blocking != "off"
-            universe = len(
-                artifacts.candidates(filtered=blocked, blocking=config.blocking).pairs
-            )
-            artifacts.count(incremental_runs=1, pairs_skipped=universe)
-            return held, DeltaProvenance(mode="reused", pairs_skipped=universe)
         else:
-            # an empty window under a shape holding no result at this version
-            # (another shape moved the cache and the seed on) plans against
-            # that shape's fixpoint
+            # a non-empty window, or an empty one under a shape holding no
+            # result at this version (another shape moved the cache and the
+            # seed on), plans against the cache's fixpoint
+            held = artifacts.held(config)
             plan = plan_session_delta(artifacts, state, blocking=config.blocking)
             artifacts.count(
                 incremental_runs=1,
@@ -483,31 +481,6 @@ class MatchSession:
             # across backends
             result.stats.candidate_pairs = plan.candidate_count
         return result, delta
-
-    def _journal_window(
-        self,
-        spec: AlgorithmSpec,
-        artifacts: SessionArtifacts,
-    ) -> Tuple[Optional[IncrementalState], Optional[set], Optional[str]]:
-        """``(seed, touched, None)`` — the cache's fixpoint and the
-        touched-node window an incremental run can plan over from it — or
-        ``(None, None, reason)`` when the request must fall back to a full
-        run."""
-        if "incremental" not in spec.capabilities:
-            return None, None, (
-                f"algorithm {spec.name!r} lacks the incremental capability"
-            )
-        state = artifacts.seed()
-        if state is None:
-            # the first run on this graph (or after the keys changed)
-            return None, None, "no previous result to seed from"
-        if artifacts.version != state.version:
-            # only a run that failed after refresh() moved the cache gets here
-            return None, None, "artifact cache out of step with the previous result"
-        touched = self._graph.touched_since(state.version)
-        if touched is None:
-            return None, None, "journal window expired"
-        return state, touched, None
 
     def run_async(
         self, algorithm: Optional[str] = None, **settings: object
@@ -631,6 +604,44 @@ class MatchSession:
             f"MatchSession({self._graph.num_entities} entities, {keys}, "
             f"default={self._config.describe()}, runs={len(self._history)})"
         )
+
+
+def _journal_window(
+    spec: AlgorithmSpec, artifacts: SessionArtifacts
+) -> Tuple[Optional[IncrementalState], Optional[set], Optional[str]]:
+    """``(seed, touched, None)`` — the cache's fixpoint and the touched-node
+    window an incremental run can plan over from it — or ``(None, None,
+    reason)`` when the request must fall back to a full run."""
+    if "incremental" not in spec.capabilities:
+        return None, None, f"algorithm {spec.name!r} lacks the incremental capability"
+    state = artifacts.seed()
+    if state is None:
+        # the first run on this graph (or after the keys changed)
+        return None, None, "no previous result to seed from"
+    if artifacts.version != state.version:
+        # only a run that failed after refresh() moved the cache gets here
+        return None, None, "artifact cache out of step with the previous result"
+    touched = artifacts.graph.touched_since(state.version)
+    if touched is None:
+        return None, None, "journal window expired"
+    return state, touched, None
+
+
+def held_result(config: MatchConfig, artifacts: SessionArtifacts) -> Optional[EMResult]:
+    """The reuse rule: the result *artifacts* holds for *config*'s run
+    shape, when it answers an incremental run at the current graph as-is.
+
+    ``chase(G, Σ)`` is a function of ``(G, Σ)``: the result answers when
+    this shape last ran at the cache's version, the backend can run
+    incrementally, the seed is at that version and the journal window
+    behind it is empty.  :meth:`MatchSession.run` and the service's
+    admission path both decide reuse here; the caller holds the graph still.
+    """
+    held = artifacts.held(config)  # None for a shape that never ran
+    if held is None:
+        return None
+    _state, touched, _reason = _journal_window(get_algorithm(config.algorithm), artifacts)
+    return held if touched == set() else None
 
 
 #: Short alias used in the quickstart: ``Session(graph).with_keys(...)``.

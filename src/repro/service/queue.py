@@ -15,7 +15,9 @@ provenance).  Cancellation is pre-start only: a matching backend cannot be
 interrupted once dispatched, so cancelling a running request returns
 ``False`` and the run completes (its result is kept).  Per-request timeouts
 bound the *queue wait*: a request dequeued after its deadline is marked
-``timeout`` and never dispatched.
+``timeout`` and never dispatched.  A cache hit answered at admission
+(:meth:`AdmissionController.answered`) is accepted and completed, never
+queued.
 """
 
 from __future__ import annotations
@@ -189,6 +191,9 @@ class AdmissionController:
         self.cancelled = 0
         self.timed_out = 0
         self.inflight = 0
+        #: accepted requests answered on the submitting thread (a cache
+        #: hit): counted in ``accepted`` and ``completed``, never queued
+        self.answered_at_admission = 0
         self.max_queue_depth_seen = 0
         self.total_queue_wait = 0.0
         # measured service time, feeding Retry-After derivation
@@ -225,6 +230,20 @@ class AdmissionController:
             self.max_queue_depth_seen = max(
                 self.max_queue_depth_seen, self._queue.qsize()
             )
+        return request
+
+    def answered(self, request: MatchRequest) -> MatchRequest:
+        """Count *request*, answered on its submitting thread, as accepted
+        and done (refused, like :meth:`submit`, once shut down).  It was
+        never queued or in flight, so it stays out of the figures that
+        ``Retry-After`` derives the worker backlog from."""
+        with self._lock:
+            if self._closed:
+                raise ServiceError("admission controller is shut down")
+            request._transition("done")
+            self.accepted += 1
+            self.completed += 1
+            self.answered_at_admission += 1
         return request
 
     def _ensure_workers(self) -> None:
@@ -329,9 +348,8 @@ class AdmissionController:
 
     def metrics(self) -> Dict[str, object]:
         with self._lock:
-            mean_wait = (
-                self.total_queue_wait / self.accepted if self.accepted else 0.0
-            )
+            queued = self.accepted - self.answered_at_admission
+            mean_wait = self.total_queue_wait / queued if queued else 0.0
             mean_run = (
                 self.total_run_seconds / self.runs_measured
                 if self.runs_measured
@@ -345,6 +363,7 @@ class AdmissionController:
                 "accepted": self.accepted,
                 "rejected": self.rejected,
                 "completed": self.completed,
+                "answered_at_admission": self.answered_at_admission,
                 "failed": self.failed,
                 "cancelled": self.cancelled,
                 "timed_out": self.timed_out,

@@ -42,11 +42,11 @@ import os
 
 from ..api.config import MatchConfig
 from ..api.events import ProgressObserver
-from ..api.session import DeltaProvenance, MatchSession
+from ..api.session import DeltaProvenance, MatchSession, held_result
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import AdmissionError, ServiceError, UnknownGraphError
-from ..matching.artifacts import SessionArtifacts
+from ..matching.artifacts import SessionArtifacts, SessionCacheInfo
 from ..matching.result import EMResult
 from ..storage.store import SnapshotStore, as_snapshot_store
 
@@ -56,12 +56,15 @@ STALENESS_WINDOW = 2048
 
 class ServedRead(NamedTuple):
     """One served match: the result, its provenance and the graph cache's
-    phase timings, read while the graph's ingest lock was still held."""
+    phase timings and counters, read under the graph's ingest lock."""
 
     result: EMResult
     #: how the read was answered (``reused`` / ``incremental`` / ``full``)
     delta: DeltaProvenance
     phase_timings: Dict[str, float]
+    #: the cache's counters before and after the run
+    cache_before: SessionCacheInfo
+    cache_after: SessionCacheInfo
 
 
 class RegisteredGraph:
@@ -132,11 +135,34 @@ class RegisteredGraph:
         lock → snapshot-store fingerprint lock.
         """
         with self._ingest_lock:
-            session = self._session(config)
-            if observer is not None:
-                session.on_progress(observer)
-            result = session.rerun()
-            read = ServedRead(result, session.last_delta(), session.phase_timings())
+            return self._read(self._session(config), observer)
+
+    def held_read(
+        self, config: MatchConfig, observer: Optional[ProgressObserver] = None
+    ) -> Optional[ServedRead]:
+        """:meth:`match`'s ``reused`` answer, checked and given under one
+        non-blocking hold of the ingest lock; ``None`` when that lock is
+        busy or the reuse rule (:func:`~repro.api.session.held_result`) does
+        not hold.  The caller never waits on a window and never solves."""
+        if not self._ingest_lock.acquire(blocking=False):
+            return None
+        try:
+            if held_result(config, self.artifacts) is None:
+                return None
+            return self._read(self._session(config), observer)
+        finally:
+            self._ingest_lock.release()
+
+    def _read(
+        self, session: MatchSession, observer: Optional[ProgressObserver]
+    ) -> ServedRead:
+        """:meth:`match`'s body; the caller holds the ingest lock."""
+        if observer is not None:
+            session.on_progress(observer)
+        before = self.artifacts.cache_info()
+        result = session.rerun()
+        after = self.artifacts.cache_info()
+        read = ServedRead(result, session.last_delta(), session.phase_timings(), before, after)
         with self._lock:
             self.runs += 1
             self._reads_by_mode[read.delta.mode] += 1

@@ -21,20 +21,25 @@ Endpoints::
     GET    /requests/<id>/events?cursor=N   poll the progress-event stream
     DELETE /requests/<id>                cancel (pre-start only)
 
-Error mapping: :class:`~repro.exceptions.WireError` → 400, unknown graph /
+Error mapping: :class:`~repro.exceptions.WireError` (including a body with
+``NaN`` or ``±Infinity``) → 400, unknown graph /
 request → 404, result-not-ready → 409, admission rejection → 429.  Every
 429 carries a ``Retry-After`` header.
 
-Threading model: one HTTP thread per connection (stdlib), submissions hop
-onto the admission controller's fixed worker pool, and each worker re-runs
-a request-private :class:`~repro.api.session.MatchSession` over the named
-graph's :class:`~repro.matching.artifacts.SessionArtifacts`
+Threading model: one HTTP thread per connection (stdlib).  A read at a
+graph version the service has already answered under its run shape is
+answered on that thread at admission, with the held result
+(:meth:`RegisteredGraph.held_read`: one non-blocking hold of the graph's
+ingest lock, so the thread never waits on a window and never solves).
+Every other submission hops onto the admission controller's fixed worker
+pool, and each worker re-runs a request-private
+:class:`~repro.api.session.MatchSession` over the named graph's
+:class:`~repro.matching.artifacts.SessionArtifacts`
 (:meth:`RegisteredGraph.match`) — the cache that holds the graph's one
-fixpoint and its run shapes' last results: request concurrency is bounded
-by ``max_inflight`` regardless of connection count, no graph's artifacts
-are ever built twice, a read at a graph version the service has already
-answered under that shape returns the held result, and every other read
-after the graph's first is seeded from the cache's fixpoint.
+fixpoint and its run shapes' last results: solves are bounded by
+``max_inflight`` regardless of connection count, no graph's artifacts are
+ever built twice, and every read after the graph's first is seeded from
+the cache's fixpoint.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from ..exceptions import (
 from ..storage.store import SnapshotStore
 from .ingest import IngestError, IngestFlushError
 from .queue import AdmissionController, MatchRequest
-from .registry import GraphRegistry, RegisteredGraph
+from .registry import GraphRegistry, RegisteredGraph, ServedRead
 from . import wire
 
 
@@ -138,7 +143,8 @@ class MatchingService:
         *,
         timeout: Optional[float] = None,
     ) -> MatchRequest:
-        """Admit one match request; raises
+        """Admit one match request — answered before returning when the held
+        fixpoint answers it, else queued; raises
         :class:`~repro.exceptions.AdmissionError` when the queue is full and
         :class:`~repro.exceptions.UnknownGraphError` for unknown names."""
         self._check_admitting()
@@ -149,12 +155,15 @@ class MatchingService:
             describe=config.describe(),
             timeout=self.default_timeout if timeout is None else timeout,
         )
+        read = entry.held_read(config, observer=request.record_event)
         self._remember(request)
-
-        def work(req: MatchRequest) -> None:
-            self._execute(entry, config, req)
-
-        return self.controller.submit(request, work)
+        if read is None:
+            return self.controller.submit(
+                request, lambda req: self._execute(entry, config, req)
+            )
+        request.started_at, request.queue_wait = request.submitted_at, 0.0
+        self._record(entry, request, read)
+        return self.controller.answered(request)
 
     def _check_admitting(self) -> None:
         """Refuse new work while shut down or draining."""
@@ -201,10 +210,14 @@ class MatchingService:
         request: MatchRequest,
     ) -> None:
         """Run one admitted request on a worker thread."""
-        before = entry.artifacts.cache_info()
-        read = entry.match(config, observer=request.record_event)
+        self._record(entry, request, entry.match(config, observer=request.record_event))
+
+    def _record(
+        self, entry: RegisteredGraph, request: MatchRequest, read: ServedRead
+    ) -> None:
+        """Attach *read*'s result and the request's provenance."""
         request.result = read.result
-        after = entry.artifacts.cache_info()
+        before, after = read.cache_before, read.cache_after
         store = self.registry.store
         request.provenance = {
             "request_id": request.id,
@@ -214,10 +227,8 @@ class MatchingService:
                 request.deadline is not None and time.time() > request.deadline
             ),
             "phase_timings": read.phase_timings,
-            # per-request build/hit deltas: under concurrency a racing
-            # request may be the one paying a build this request benefits
-            # from, so interpret these as "builds charged while this request
-            # ran" — the per-graph cumulative counters are exact
+            # per-request build deltas: the builds charged while this
+            # request's run held the graph's ingest lock
             "builds_during_request": {
                 "snapshot": after.snapshot_builds - before.snapshot_builds,
                 "neighborhood_index": (
@@ -270,8 +281,10 @@ class MatchingService:
     # -- observability / lifecycle ------------------------------------------ #
 
     def metrics(self) -> Dict[str, object]:
+        # one snapshot of the table: tracked always equals sum(by_status)
+        requests = self.requests()
         by_status: Dict[str, int] = {}
-        for request in self.requests():
+        for request in requests:
             by_status[request.status] = by_status.get(request.status, 0) + 1
         with self._state_lock:
             lifecycle = {
@@ -286,7 +299,7 @@ class MatchingService:
             "admission": self.controller.metrics(),
             "registry": self.registry.metrics(),
             "requests": {
-                "tracked": len(self._requests),
+                "tracked": len(requests),
                 "by_status": by_status,
             },
         }
@@ -431,7 +444,7 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         self._body_remaining = 0
         try:
-            payload = json.loads(raw)
+            payload = json.loads(raw, parse_constant=_refuse_constant)
         except ValueError as error:
             raise WireError(f"unparseable JSON body: {error}") from error
         if not isinstance(payload, dict):
@@ -598,9 +611,9 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
                 )
                 request = service.submit(graph_name, config, timeout=timeout)
                 if wait:
-                    # a synchronous waiter never parks an HTTP thread forever:
-                    # on expiry the 200 carries the live status for polling
-                    request.wait(600.0 if timeout is None else timeout)
+                    # a synchronous waiter parks an HTTP thread for at most
+                    # 600 s: on expiry the 200 carries the live status
+                    request.wait(min(timeout or 600.0, 600.0))
                     self._send(
                         200, wire.request_payload(request, include_result=True)
                     )
@@ -636,6 +649,11 @@ class ServiceHTTPHandler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802
         self._route("DELETE")
+
+
+def _refuse_constant(name: str) -> float:
+    """``json.loads`` hook: ``NaN`` and ``±Infinity`` are not JSON."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _query_int(query: str, name: str, default: int) -> int:

@@ -3,7 +3,10 @@
 Everything on the wire is plain JSON.  Parsing is strict — unknown fields,
 ill-typed values and missing requirements raise
 :class:`~repro.exceptions.WireError` (HTTP 400) with a message naming the
-offending field, so clients get actionable errors instead of 500s.
+offending field, so clients get actionable errors instead of 500s.  The
+non-standard constants ``NaN``, ``Infinity`` and ``-Infinity`` that
+Python's ``json`` accepts are refused before a body reaches these parsers
+(400 on every endpoint), so no field is ever non-finite.
 
 Request bodies
 --------------

@@ -4,9 +4,15 @@ cache holds.
 A seeded differential test.  One registered graph, several run shapes —
 ``EMOptVC`` / ``EMOptMR`` / ``chase`` / ``EMMR`` / ``EMVC``, blocked and
 unblocked — reads interleaved with ingest windows.  After every step the
-served classes must equal ``chase(twin, keys)`` on a twin graph mutated by
-the same ops, and the step's ``delta.mode`` must be the one the model
-dictates.  The model is two facts: *does the cache hold a fixpoint* (it does
+served classes must equal the naive fixpoint of a twin graph mutated by the
+same ops (``tests/naive_semantics.reference_fixpoint``, Section 2 read
+literally, sharing no code with the matchers), and the step's
+``delta.mode`` must be the one the model dictates.  Reads go either
+straight to the graph's entry or through ``MatchingService.submit``, where a
+held shape is answered at admission and every other read is queued.  The
+oracle bounds the graphs to ~40 entities (the 36-entity synthetic graph,
+the 8-node locator graph); there the whole suite runs in under 4 s on one
+CPU.  The model is two facts: *does the cache hold a fixpoint* (it does
 after the graph's very first run, whichever shape ran it), and *which shapes
 hold a result for the current graph version* (the cache's bounded
 held-result table):
@@ -37,12 +43,13 @@ from collections import OrderedDict
 import pytest
 
 from repro.api.config import MatchConfig
-from repro.core.chase import chase
 from repro.api.session import MatchSession
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.artifacts import SessionArtifacts
 from repro.service.ingest import apply_mutation
 from repro.service.registry import GraphRegistry
+from repro.service.server import MatchingService
+from tests.naive_semantics import reference_fixpoint
 
 VC = MatchConfig(algorithm="EMOptVC")
 MR = MatchConfig(algorithm="EMOptMR")
@@ -70,6 +77,17 @@ def classes(eq):
     return sorted(sorted(members) for members in eq.nontrivial_classes())
 
 
+def pair_classes(pairs):
+    """The non-trivial classes of an equivalence given as all its
+    ``(smaller, larger)`` pairs: each class hangs off its smallest member."""
+    larger = {b for _a, b in pairs}
+    groups = {}
+    for a, b in pairs:
+        if a not in larger:
+            groups.setdefault(a, [a]).append(b)
+    return sorted(sorted(group) for group in groups.values())
+
+
 class Harness:
     """The registered graph, its twin, and the model: whether the cache
     holds a fixpoint, and which shapes it holds a result of for the
@@ -86,7 +104,7 @@ class Harness:
         self.in_step = OrderedDict()
 
     def expected(self):
-        return classes(chase(self.twin, self.keys).eq)
+        return pair_classes(reference_fixpoint(self.twin, self.keys))
 
     def _use(self, shape):
         """The shape's row of the model's held-result table (bounded, LRU)."""
@@ -97,19 +115,37 @@ class Harness:
         return answered
 
     def read(self, config):
-        shape = config.run_shape()
-        answered = self._use(shape)
+        answered = self._use(config.run_shape())
         read = self.entry.match(config)
-        assert classes(read.result.eq) == self.expected(), (config, read.delta)
-        assert read.result.algorithm == config.algorithm
-        if answered:
-            assert read.delta.mode == "reused", (config, read.delta)
-        elif self.seeded:
-            assert read.delta.mode == "incremental", (config, read.delta)
-        else:
-            assert (read.delta.mode, read.delta.reason) == ("full", NO_SEED)
-        self.seeded = self.in_step[shape] = True
+        self._check(config, answered, read.result, read.delta.mode, read.delta.reason)
         return read
+
+    def served_read(self, service, config):
+        """A read through ``MatchingService.submit``: a held shape is
+        answered at admission, on this thread; every other read queues."""
+        answered = self._use(config.run_shape())
+        at_admission = service.controller.answered_at_admission
+        request = service.submit(self.entry.name, config)
+        hit = service.controller.answered_at_admission - at_admission
+        assert hit == (1 if answered else 0), (config, request.status)
+        if answered:
+            assert request.status == "done" and request.queue_wait == 0.0
+        assert request.wait(60.0) and request.status == "done", request.error
+        delta = request.provenance["delta"]
+        self._check(config, answered, request.result, delta["mode"], delta["reason"])
+        return request
+
+    def _check(self, config, answered, result, mode, reason):
+        """The step's classes against the oracle, its mode against the model."""
+        assert classes(result.eq) == self.expected(), (config, mode)
+        assert result.algorithm == config.algorithm
+        if answered:
+            assert mode == "reused", (config, mode)
+        elif self.seeded:
+            assert mode == "incremental", (config, mode)
+        else:
+            assert (mode, reason) == ("full", NO_SEED)
+        self.seeded = self.in_step[config.run_shape()] = True
 
     def window(self, config, ops):
         shape = config.run_shape()
@@ -241,7 +277,8 @@ def test_any_shape_reads_and_writes_from_the_fixpoint_any_other_left(seed):
     or never seen — is seeded from it, and exact."""
     rng = random.Random(seed)
     data = dataset()
-    entry = GraphRegistry().register("g", data.graph, data.keys)
+    service = MatchingService(max_inflight=2)
+    entry = service.register_graph("g", data.graph, data.keys)
     harness = Harness(entry, data.keys)
     harness.read(rng.choice((VC, MR)))  # the one full run
     quiet = quiet_entities(entry)  # before an unblocked shape caches them all
@@ -250,12 +287,20 @@ def test_any_shape_reads_and_writes_from_the_fixpoint_any_other_left(seed):
     modes = {"reused": 0, "incremental": 0, "full": 0}
     for serial in range(40):
         config = rng.choice(SHAPES)
-        if rng.random() < 0.35:
+        draw = rng.random()
+        if draw < 0.35:
             harness.window(config, radius_local_ops(rng, harness.twin, quiet, serial))
+        elif draw < 0.65:
+            request = harness.served_read(service, config)
+            modes[request.provenance["delta"]["mode"]] += 1
         else:
             modes[harness.read(config).delta.mode] += 1
         harness.check_session_table()
     assert modes["full"] == 0 and modes["incremental"] and modes["reused"]
+    admission = service.controller.metrics()
+    assert admission["answered_at_admission"] > 0
+    assert admission["completed"] > admission["answered_at_admission"]
+    service.close()
     assert entry.describe()["sessions"]["evictions"] > 0
     # the blocked flavours shared one collision pass per graph version
     assert entry.artifacts.timings["blocking_collision"] > 0.0

@@ -802,3 +802,63 @@ class TestErrorMapping:
         _service, client = live
         status, data, _ = client.get("/no/such/route")
         assert status == 404 and "no route" in data["error"]
+
+    def test_non_finite_and_huge_timeouts_on_one_keep_alive_connection(self, live):
+        """``NaN`` and ``±Infinity`` are not JSON: refused with a 400 on
+        every endpoint.  A finite huge ``timeout`` parks the waiter for at
+        most 600 s, and is answered.  Every reply is strict JSON, and the
+        connection survives all four."""
+        _service, client = live
+        register_music(client)
+
+        def strict(raw):
+            def refuse(name):
+                raise AssertionError(f"reply carries {name}")
+
+            return json.loads(raw, parse_constant=refuse)
+
+        bodies = [
+            ("/match", '{"graph": "music", "wait": true, "timeout": Infinity}', 400),
+            ("/match", '{"graph": "music", "wait": true, "timeout": NaN}', 400),
+            ("/graphs/music/ingest", '{"ops": [], "latency_budget": NaN}', 400),
+            ("/match", '{"graph": "music", "wait": true, "timeout": 1e300}', 200),
+        ]
+        connection = http.client.HTTPConnection(client.host, client.port, timeout=60.0)
+        try:
+            for path, body, expected in bodies:
+                connection.request(
+                    "POST", path, body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                data = strict(response.read())
+                assert response.status == expected, (body, data)
+                if expected == 400:
+                    assert "non-standard JSON constant" in data["error"], data
+            assert data["status"] == "done" and data["timeout"] == 1e300
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
+
+class TestMetrics:
+    def test_tracked_and_by_status_come_from_one_snapshot(self, music):
+        """A submit landing between the request-table snapshot and the
+        ``tracked`` count must not make the two disagree."""
+        service = MatchingService(max_inflight=1, max_queued=4)
+        graph, keys, _expected = music
+        service.register_graph("music", graph, keys)
+        snapshot = service.requests
+
+        def requests_then_one_more():
+            taken = snapshot()
+            service.submit("music").wait(30.0)
+            return taken
+
+        try:
+            service.submit("music").wait(30.0)
+            service.requests = requests_then_one_more
+            counted = service.metrics()["requests"]
+            assert counted["tracked"] == sum(counted["by_status"].values()) == 1
+        finally:
+            service.close()
