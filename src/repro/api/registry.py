@@ -139,7 +139,7 @@ class AlgorithmSpec:
         observer: Optional[Callable[[object], None]] = None,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        seed_pairs: Optional[Sequence[Tuple[str, str]]] = None,
+        seed: Optional[object] = None,
         worklist: Optional[Sequence[Tuple[str, str]]] = None,
         blocking: Optional[str] = None,
     ) -> object:
@@ -147,9 +147,10 @@ class AlgorithmSpec:
 
         ``executor`` / ``workers`` select the real execution runtime; they are
         forwarded only to backends declaring the ``"executors"`` capability.
-        ``seed_pairs`` / ``worklist`` are the incremental re-matching inputs
-        (a previous run's surviving merges and the affected pairs to
-        re-chase); they require the ``"incremental"`` capability.
+        ``seed`` / ``worklist`` are the incremental re-matching inputs (the
+        ``Eq`` to start from and merge into — a fork of a previous run's
+        fixpoint — and the affected pairs to re-chase); they require the
+        ``"incremental"`` capability.
         ``blocking`` (``"auto"``/``"force"``) selects blocked candidate
         generation; a backend without the ``"blocking"`` capability keeps
         its own enumeration under ``"auto"`` (the public default — it falls
@@ -162,13 +163,13 @@ class AlgorithmSpec:
         if executor is not None:
             runtime_kwargs["executor"] = executor
             runtime_kwargs["workers"] = workers
-        if seed_pairs is not None or worklist is not None:
+        if seed is not None or worklist is not None:
             if "incremental" not in self.capabilities:
                 raise ConfigError(
                     f"algorithm {self.name!r} does not support incremental "
-                    f"re-matching (seed_pairs/worklist)"
+                    f"re-matching (seed/worklist)"
                 )
-            runtime_kwargs["seed_pairs"] = seed_pairs
+            runtime_kwargs["seed"] = seed
             runtime_kwargs["worklist"] = worklist
         if blocking not in (None, "off") and "blocking" in self.capabilities:
             runtime_kwargs["blocking"] = blocking

@@ -309,9 +309,10 @@ class MatchSession:
 
         Keys: ``snapshot_build``, ``neighborhood_index_build``,
         ``candidates_build``, ``product_graph_build`` (present once the
-        corresponding artifact has been built), ``snapshot_patch`` /
-        ``snapshot_store_patch`` when a mutation delta was applied by
-        patching instead of recompiling, plus the blocking-layer
+        corresponding artifact has been built), ``snapshot_patch`` when a
+        mutation delta was applied by patching instead of recompiling and
+        ``snapshot_store_patch`` once that patch was written to the store
+        (:meth:`write_owed_snapshot`, outside :meth:`run`), plus the blocking-layer
         phase split ``blocking_index_build`` / ``blocking_index_rebase`` /
         ``blocking_collision`` / ``blocking_pairing_filter`` when blocked
         enumeration ran.  Consumed by the CLI's ``--profile`` report.
@@ -319,6 +320,13 @@ class MatchSession:
         if self._artifacts is None:
             return {}
         return dict(self._artifacts.timings)
+
+    def write_owed_snapshot(self) -> None:
+        """Write the patched snapshot the session's store is owed, if any
+        (:meth:`SessionArtifacts.write_owed_snapshot`): a writer calls it
+        once a result is published, and the next run does it first."""
+        if self._artifacts is not None:
+            self._artifacts.write_owed_snapshot()
 
     def invalidate(self) -> "MatchSession":
         """Manually drop every cached artifact.
@@ -453,7 +461,7 @@ class MatchSession:
                 pairs_rechecked=plan.pairs_rechecked,
                 pairs_skipped=plan.pairs_skipped,
                 dropped_classes=plan.dropped_classes,
-                seed_merges=len(plan.seed),
+                seed_merges=plan.seed_merges,
             )
             if plan.result_reusable and held is not None:
                 # the delta implicates nothing and the same run shape
@@ -471,7 +479,7 @@ class MatchSession:
             observer=self._dispatch_event if self._observers else None,
             executor=config.executor,
             workers=config.workers,
-            seed_pairs=None if plan is None else plan.seed,
+            seed=None if plan is None else plan.seed,
             worklist=None if plan is None else plan.worklist,
             blocking=config.blocking,
         )

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import MatchingError
-from .equivalence import EquivalenceRelation, Pair, canonical_pair
+from .equivalence import EquivalenceFork, EquivalenceRelation, Pair, canonical_pair
 from .eval_guided import EvalStatistics, GuidedPairEvaluator
 from .graph import Graph
 from .key import Key, KeySet
@@ -125,7 +125,7 @@ def chase(
     record_provenance: bool = True,
     snapshot: Optional[GraphSnapshot] = None,
     index: Optional[SnapshotNeighborhoodIndex] = None,
-    seed: Optional[Iterable[Pair]] = None,
+    seed: Optional[EquivalenceFork] = None,
     blocking: str = "off",
 ) -> ChaseResult:
     """Compute ``chase(G, Σ)`` sequentially.
@@ -157,11 +157,12 @@ def chase(
         BFS results across runs; it is extended in place with any missing
         entities.
     seed:
-        Optional pairs merged into ``Eq`` *before* any chase step — the
-        incremental-matching entry point: a previous run's surviving
-        identifications seed the relation, and ``pair_order`` restricts the
-        worklist to the pairs a delta could have affected.  Seed merges are
-        not recorded as chase steps and do not count as checks.
+        Optional relation the chase starts from and merges into — the
+        incremental-matching entry point: a fork of a previous run's
+        fixpoint holding its surviving identifications, while
+        ``pair_order`` restricts the worklist to the pairs a delta could
+        have affected.  What the seed holds is neither a chase step nor a
+        check.
     blocking:
         Candidate-enumeration strategy when *pair_order* is not given:
         ``"off"`` (default) is the quadratic :func:`candidate_pairs` scan,
@@ -169,10 +170,8 @@ def chase(
         :mod:`repro.matching.blocking`, which is sound (no false negatives)
         and so yields the same chase result.
     """
+    eq = EquivalenceRelation() if seed is None else seed
     if len(keys) == 0:
-        eq = EquivalenceRelation()
-        for e1, e2 in seed or ():
-            eq.merge(e1, e2)
         return ChaseResult(eq=eq, candidates=0)
 
     # lazy: both packages import repro.core, which imports this module
@@ -182,9 +181,6 @@ def chase(
 
     snapshot = snapshot_of(graph, snapshot)
     evaluator = GuidedPairEvaluator(snapshot)
-    eq = EquivalenceRelation()
-    for e1, e2 in seed or ():
-        eq.merge(e1, e2)
     neighborhoods = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
 
     if pair_order is not None:

@@ -71,13 +71,13 @@ def chase_as_result(
     keys: KeySet,
     snapshot: Optional[object] = None,
     index: Optional[object] = None,
-    seed_pairs: Optional[object] = None,
+    seed: Optional[object] = None,
     worklist: Optional[object] = None,
 ) -> EMResult:
     """Run the sequential chase and wrap it in an :class:`EMResult`.
 
-    ``seed_pairs`` / ``worklist`` are the incremental re-matching hooks: the
-    seed is merged into ``Eq`` before any chase step and the worklist (when
+    ``seed`` / ``worklist`` are the incremental re-matching hooks: the chase
+    starts from (and merges into) the seed relation, and the worklist (when
     given) replaces the full candidate enumeration as the pending pair list.
     """
     outcome = chase(
@@ -85,7 +85,7 @@ def chase_as_result(
         keys,
         snapshot=snapshot,
         index=index,
-        seed=seed_pairs,
+        seed=seed,
         pair_order=worklist,
     )
     stats = EMStatistics(
@@ -123,7 +123,7 @@ class ChaseMatcher(EntityMatcher):
             self.keys,
             snapshot=self.artifacts.snapshot(),
             index=self.artifacts.neighborhood_index(),
-            seed_pairs=self.seed_pairs,
+            seed=self.seed,
             worklist=worklist,
         )
         # the sequential chase has no rounds to report, but it honours the

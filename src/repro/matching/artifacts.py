@@ -32,14 +32,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..core.equivalence import Pair
+from ..core.equivalence import MAX_FORK_DEPTH, Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.triples import is_entity_ref
 from ..exceptions import SnapshotPatchError, StoreError
 from ..mapreduce.runtime import ShufflePlacement
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
-from ..storage.neighborhoods import radius_per_type
+from ..storage.neighborhoods import entities_within, radius_per_type
 from ..storage.store import SnapshotStore
 from .blocking import BlockingIndex, BlockingStats, quadratic_pairs_touching
 from .candidates import CandidateSet, build_candidates, build_filtered_candidates
@@ -187,6 +187,9 @@ class SessionArtifacts:
         #: the :attr:`Graph.version` the cached artifacts describe
         self.version = graph.version
         self._snapshot: Optional[GraphSnapshot] = None
+        # (patched snapshot, its base, the graph's fingerprint there): the
+        # delta file the snapshot store is owed (:meth:`write_owed_snapshot`)
+        self._owed: Optional[Tuple[GraphSnapshot, GraphSnapshot, str]] = None
         # processors → MR shuffle placement over _snapshot; cleared with it
         self._placements: Dict[int, ShufflePlacement] = {}
         self._index: Optional[SnapshotNeighborhoodIndex] = None
@@ -264,17 +267,24 @@ class SessionArtifacts:
         """Hold *result* as *config*'s run shape's answer at :attr:`version`
         and its ``Eq`` as the fixpoint there (every finished run calls this).
 
-        The fixpoint is a function of the graph version and the keys, so a
-        seed already at this version *is* this relation and stays:
-        recording costs one ``Eq`` copy per graph version, however many run
-        shapes solve at it.  The run's immutable snapshot rides along — it
-        is all the planner reads of the old graph.
+        The result's ``Eq`` is frozen in place, so no holder of the result
+        can change the seed through it.  The fixpoint is a function of the
+        graph version and the keys, so a seed already at this version *is*
+        this relation and stays.  Recording copies nothing: a delta run's
+        ``Eq`` is a fork of the previous seed, and a chain of them deeper
+        than :data:`~repro.core.equivalence.MAX_FORK_DEPTH` is folded into
+        one fork (:meth:`EquivalenceFork.flattened`, which costs what the
+        chain changed).  The run's immutable snapshot rides along — it is
+        all the planner reads of the old graph.
         """
         with self._lock:
+            eq = result.eq.freeze()
             if self._seed is None or self._seed.version != self.version:
+                if eq.depth > MAX_FORK_DEPTH:
+                    eq = eq.flattened()
                 self._seed = IncrementalState(
                     version=self.version,
-                    eq=result.eq.copy(),
+                    eq=eq,
                     snapshot=self.snapshot(),
                     keys=self.keys,
                 )
@@ -321,6 +331,7 @@ class SessionArtifacts:
         accounting restarts too.
         """
         with self._lock:
+            self.write_owed_snapshot()
             self._drop_all()
             self._seed = None
             self._held.clear()
@@ -423,9 +434,11 @@ class SessionArtifacts:
         The sets are returned even when nothing was cached to rebase and the
         cache was dropped, since the planner needs them whatever is cached.
         An empty window returns empty sets; an expired journal window drops
-        everything and returns ``None``.
+        everything and returns ``None``.  A snapshot the store is still owed
+        is written first, so every patched version reaches the store.
         """
         with self._lock:
+            self.write_owed_snapshot()
             version = self.graph.version
             if version == self.version:
                 return WindowSets(set(), set(), set())
@@ -491,20 +504,8 @@ class SessionArtifacts:
         node the window removed is no root: deleting its edges touched its
         neighbours).  A node is in the union of the per-root balls exactly
         when its distance to the nearest root is within the radius."""
-        snapshot = self.snapshot()
         radius = max(radius_per_type(self.keys).values(), default=0)
-        frontier = [root for root in map(snapshot.id_of, touched) if root is not None]
-        seen = set(frontier)
-        adjacency = snapshot.adjacency
-        for _ in range(radius):
-            reached = []
-            for node in frontier:
-                for neighbour in adjacency(node):
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        reached.append(neighbour)
-            frontier = reached
-        return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
+        return entities_within(self.snapshot(), touched, radius)
 
     def _park(self, key_ball: set, ball: set) -> None:
         """Park every fresh slot for delta rebasing with a window's key ball
@@ -538,9 +539,9 @@ class SessionArtifacts:
         rebuild is the documented one, a window that does not cover the
         delta (:class:`~repro.exceptions.SnapshotPatchError`); it is
         counted, and anything else is a defect and propagates.  A successful
-        patch is written through to the configured snapshot store as a delta
-        file (:meth:`SnapshotStore.patch`); a failed write is counted and
-        the run goes on.
+        patch is *owed* to the configured snapshot store as a delta file,
+        and written by :meth:`write_owed_snapshot` — after the run that
+        reads it has published, off the refresh's path.
         """
         if old is None:
             return None
@@ -556,20 +557,34 @@ class SessionArtifacts:
             self._counts["snapshot_patch_fallbacks"] += 1
             return None
         self._counts["snapshot_patches"] += 1
-        store = self.snapshot_store
-        if store is not None:
+        if self.snapshot_store is not None:
+            self._owed = (patched, old, self.graph.content_fingerprint())
+        return patched
+
+    def write_owed_snapshot(self) -> None:
+        """Write the patched snapshot the store is owed, if any, as a delta
+        file (:meth:`SnapshotStore.patch`).
+
+        A patch is owed from the refresh that made it until this call: the
+        ingest pipeline makes it right after it publishes a flush, recovery
+        after its solve, and the next :meth:`refresh` before anything else,
+        so every patched version reaches the store.  A failed write is
+        counted (``store_write_failures``) and the snapshot is no longer
+        owed.
+        """
+        with self._lock:
+            owed, self._owed = self._owed, None
+            if owed is None:
+                return
+            patched, base, fingerprint = owed
+            store = self.snapshot_store
             try:
                 self._timed(
                     "snapshot_store_patch",
-                    lambda: store.patch(
-                        patched,
-                        base=old,
-                        fingerprint=self.graph.content_fingerprint(),
-                    ),
+                    lambda: store.patch(patched, base=base, fingerprint=fingerprint),
                 )
             except (StoreError, OSError):
                 self._counts["store_write_failures"] += 1
-        return patched
 
     # -- the slot rule ------------------------------------------------------ #
 

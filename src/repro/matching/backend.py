@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..api.events import ProgressEvent, notify
 from ..api.registry import OptionSpec
-from ..core.equivalence import Pair
+from ..core.equivalence import EquivalenceFork, EquivalenceRelation, Pair, Relation
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..exceptions import ConfigError
@@ -42,7 +42,7 @@ class EntityMatcher:
         workers: Optional[int] = None,
         artifacts: Optional[SessionArtifacts] = None,
         observer: Optional[Callable[[ProgressEvent], None]] = None,
-        seed_pairs: Optional[Sequence[Pair]] = None,
+        seed: Optional[EquivalenceFork] = None,
         worklist: Optional[Sequence[Pair]] = None,
         blocking: str = "off",
         **options: object,
@@ -59,9 +59,9 @@ class EntityMatcher:
         #: a throwaway one when the caller passed none
         self.artifacts = SessionArtifacts(graph, keys) if artifacts is None else artifacts
         self.observer = observer
-        #: incremental re-matching: pairs merged into ``Eq`` before the solve
-        #: (a previous run's surviving identifications) ...
-        self.seed_pairs = seed_pairs
+        #: incremental re-matching: the ``Eq`` the solve starts from and
+        #: merges into (a fork of a previous run's fixpoint) ...
+        self.seed = seed
         #: ... and the candidate pairs to actually re-check (None: all)
         self.worklist = worklist
         #: candidate enumeration strategy ("off" / "auto" / "force")
@@ -93,6 +93,10 @@ class EntityMatcher:
     def _solve(self, executor) -> EMResult:
         """Compute ``chase(G, Σ)``; *executor* is the requested pool, or None."""
         raise NotImplementedError
+
+    def _start_eq(self) -> Relation:
+        """The relation this run merges into: the seed fork, or ``Eq0``."""
+        return EquivalenceRelation() if self.seed is None else self.seed
 
     def _notify(self, stage: str, **fields: object) -> None:
         notify(self.observer, ProgressEvent(algorithm=self.algorithm_name, stage=stage, **fields))

@@ -19,6 +19,7 @@ from ..core.key import Key, KeySet
 from ..core.pairing import pairing_relation, pairing_support_nodes
 from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
+from ..storage.neighborhoods import entities_within, radius_per_type
 from ..storage.snapshot import snapshot_of
 from .blocking import BlockingIndex, BlockingStats, blocked_candidate_pairs
 
@@ -53,10 +54,11 @@ class CandidateSet:
     #: observability of the blocked enumeration (``None`` when the pairs came
     #: from the classic quadratic path).
     blocking: Optional[BlockingStats] = None
-    #: filtered sets: the judged pairs by entity and the survivors by type
+    #: the judged pairs by entity and the survivors by type
     #: (:class:`PairIndex`).  Built on first use (:meth:`pair_index`), then
-    #: carried by every rebase, so the delta path reads a window's pairs by
-    #: entity and keeps the order without a pass over the set.
+    #: carried by every rebase of a filtered set, so the delta path reads a
+    #: window's pairs by entity and keeps the order without a pass over the
+    #: set.
     index: Optional["PairIndex"] = None
     #: rebased filtered sets: the pairs this rebase re-paired that survived,
     #: each with its product-graph nodes (itself plus every node pair of its
@@ -80,10 +82,12 @@ class CandidateSet:
         return 1.0 - (len(self.pairs) / self.unfiltered_size)
 
     def pair_index(self) -> "PairIndex":
-        """The :class:`PairIndex` of a filtered set (one pass on first use)."""
+        """The :class:`PairIndex` of the set (one pass on first use); an
+        unfiltered set judges exactly its pairs."""
         if self.index is None:
             grouped: Dict[str, Set[Pair]] = {}
-            for judged in (self.pair_supports, self.rejected_pairs):
+            filtered = self.pair_supports is not None
+            for judged in (self.pair_supports, self.rejected_pairs) if filtered else (self.pairs,):
                 for pair in judged:
                     grouped.setdefault(pair[0], set()).add(pair)
                     grouped.setdefault(pair[1], set()).add(pair)
@@ -96,15 +100,24 @@ class CandidateSet:
             )
         return self.index
 
-    def pairs_touching(self, entities: Iterable[str]) -> Set[Pair]:
-        """The surviving pairs of a filtered set with an entity in *entities*."""
+    def pairs_touching(self, entities: Iterable[GraphNode]) -> Set[Pair]:
+        """The pairs of the set with an entity in *entities* (other nodes
+        hold no pair), read off the per-entity index."""
         judged, supports = self.pair_index().judged, self.pair_supports
+        if supports is None:
+            return {pair for entity in entities for pair in judged.get(entity, ())}
         return {
             pair
             for entity in entities
             for pair in judged.get(entity, ())
             if pair in supports
         }
+
+    def holds(self, pair: Pair) -> bool:
+        """Whether *pair* is one of the set's pairs (an index lookup)."""
+        if self.pair_supports is not None:
+            return pair in self.pair_supports
+        return pair in self.pair_index().judged.get(pair[0], ())
 
     def in_order(self, pairs: Iterable[Pair]) -> List[Pair]:
         """*pairs* in the set's enumeration order: by sorted type, then
@@ -293,35 +306,66 @@ def depends_on_types_by_target(keys: KeySet) -> Dict[str, Set[str]]:
     return depends_on_types
 
 
-def candidate_pairs_by_type(graph: Graph, pairs: List[Pair]) -> Dict[str, List[Pair]]:
-    """Candidate pairs bucketed by entity type, preserving pair order."""
-    candidate_index: Dict[str, List[Pair]] = {}
-    for pair in pairs:
-        etype = graph.entity_type(pair[0])
-        candidate_index.setdefault(etype, []).append(pair)
-    return candidate_index
-
-
-def pair_prerequisites(
-    dependent: Pair,
-    wanted_types: Set[str],
-    candidate_index: Dict[str, List[Pair]],
-    neighborhoods: SnapshotNeighborhoodIndex,
+def probe_prerequisites(
+    dependent: Pair, wanted_types: Set[str], candidates: CandidateSet
 ) -> Set[Pair]:
-    """The candidate pairs *dependent* depends on (its ``dep`` in-edges)."""
+    """The pairs of *candidates* that *dependent* depends on (its ``dep``
+    in-edges): those of a wanted type with an entity in one of the
+    dependent's two neighbourhoods, read off the per-entity index from the
+    neighbourhoods — work for the neighbourhoods, not for the wanted types'
+    pairs."""
     if not wanted_types:
         return set()
     e1, e2 = dependent
-    nbhd = neighborhoods.nodes(e1) | neighborhoods.nodes(e2)
-    prerequisites: Set[Pair] = set()
-    for wanted in wanted_types:
-        for prerequisite in candidate_index.get(wanted, ()):
-            if prerequisite == dependent:
-                continue
-            p1, p2 = prerequisite
-            if p1 in nbhd or p2 in nbhd:
-                prerequisites.add(prerequisite)
-    return prerequisites
+    neighborhoods = candidates.neighborhoods
+    entity_type = neighborhoods.snapshot.entity_type
+    return {
+        pair
+        for pair in candidates.pairs_touching(neighborhoods.nodes(e1) | neighborhoods.nodes(e2))
+        if pair != dependent and entity_type(pair[0]) in wanted_types
+    }
+
+
+def dependents_reaching(
+    keys: KeySet,
+    candidates: CandidateSet,
+    prerequisites: Iterable[Pair],
+    skip: Set[Pair] = frozenset(),
+) -> Dict[Pair, Set[Pair]]:
+    """Prerequisite → the pairs of *candidates* (outside *skip*) that
+    depend on it, for each of *prerequisites*, probed from their radius
+    ball.
+
+    A pair depends on a prerequisite when one of the prerequisite's
+    entities lies in one of the pair's two neighbourhoods, and a
+    neighbourhood is a radius ball (or a restriction of one), so every
+    dependent has an entity within the key set's largest radius of the
+    prerequisite: one BFS from the prerequisites' entities finds them all,
+    and the pairs read are those of the entities it reaches.
+    """
+    neighborhoods = candidates.neighborhoods
+    snapshot = neighborhoods.snapshot
+    by_entity: Dict[str, List[Pair]] = {}
+    for pair in prerequisites:
+        for entity in dict.fromkeys(pair):
+            by_entity.setdefault(entity, []).append(pair)
+    edges: Dict[Pair, Set[Pair]] = {}
+    if not by_entity:
+        return edges
+    depends_on_types = depends_on_types_by_target(keys)
+    radius = max(radius_per_type(keys).values(), default=0)
+    for entity in entities_within(snapshot, by_entity, radius):
+        dependents = candidates.pairs_touching((entity,)) - skip
+        wanted = depends_on_types.get(snapshot.entity_type(entity))
+        if not dependents or not wanted:
+            continue
+        for reached in neighborhoods.nodes(entity) & by_entity.keys():
+            for prerequisite in by_entity[reached]:
+                if snapshot.entity_type(prerequisite[0]) in wanted:
+                    found = edges.setdefault(prerequisite, set())
+                    found.update(dependents)
+                    found.discard(prerequisite)
+    return {prerequisite: found for prerequisite, found in edges.items() if found}
 
 
 def dependency_map(
@@ -338,13 +382,9 @@ def dependency_map(
     notifications flow in (``dep`` edges of the product graph).
     """
     depends_on_types = depends_on_types_by_target(keys)
-    candidate_index = candidate_pairs_by_type(graph, candidates.pairs)
-
     by_pair: Dict[Pair, Set[Pair]] = {pair: set() for pair in candidates.pairs}
     for dependent in candidates.pairs:
         wanted_types = depends_on_types.get(graph.entity_type(dependent[0]), set())
-        for prerequisite in pair_prerequisites(
-            dependent, wanted_types, candidate_index, candidates.neighborhoods
-        ):
-            by_pair.setdefault(prerequisite, set()).add(dependent)
+        for prerequisite in probe_prerequisites(dependent, wanted_types, candidates):
+            by_pair[prerequisite].add(dependent)
     return by_pair

@@ -201,9 +201,7 @@ class MapReduceEntityMatcher(EntityMatcher):
         driver.cache.put("keys", self.keys, records=self.keys.size)
         driver.cache.put("snapshot", snapshot, records=0)
 
-        eq = EquivalenceRelation()
-        for e1, e2 in self.seed_pairs or ():
-            eq.merge(e1, e2)
+        eq = self._start_eq()
         seed_merges = eq.merge_count
 
         worklist_pairs = self._activated(candidates)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..api.registry import OptionSpec, get_algorithm, register_algorithm
-from ..core.equivalence import EquivalenceRelation
 from ..core.graph import Graph
 from ..core.key import KeySet
 from ..runtime import create_partitioner
@@ -76,7 +75,7 @@ class VertexCentricEntityMatcher(EntityMatcher):
             product_graph,
             max_fanout=self.fanout,
             prioritize=self.prioritize,
-            seed_pairs=self.seed_pairs,
+            seed=self.seed,
         )
         partitioner = (
             create_partitioner(
@@ -97,23 +96,15 @@ class VertexCentricEntityMatcher(EntityMatcher):
 
         # identity pairs and equal-value pairs are trivially identified;
         # every candidate pair is a node of Gp, and seeded ones (incremental
-        # re-matching) start flagged.  A state may be made mid-run, so the
-        # seed's classes are read now, before the run merges anything
+        # re-matching) start flagged.  A state may be made mid-run, so it
+        # reads what the seed identifies, never what the run merged since
         is_candidate = product_graph.is_candidate
-        seed_class = {
-            member: index
-            for index, members in enumerate(program.live_eq.nontrivial_classes())
-            for member in members
-        }
+        seeded = program.seeded
 
         def initial_state(node) -> PairState:
             if not is_candidate(node):
                 return PairState(flag=node[0] == node[1])
-            seeded = seed_class.get(node[0])
-            return PairState(
-                flag=seeded is not None and seeded == seed_class.get(node[1]),
-                is_candidate=True,
-            )
+            return PairState(flag=seeded(node[0], node[1]), is_candidate=True)
 
         engine.host(product_graph.node_set(), initial_state)
 
@@ -123,10 +114,7 @@ class VertexCentricEntityMatcher(EntityMatcher):
         self._notify("engine", pending=len(activations))
         engine.run()
 
-        eq = EquivalenceRelation()
-        for anchor, *others in program.live_eq.nontrivial_classes():
-            for other in others:
-                eq.merge(anchor, other)
+        eq = program.live_eq
 
         stats = EMStatistics(
             candidate_pairs=candidates.unfiltered_size,

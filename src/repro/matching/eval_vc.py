@@ -24,9 +24,9 @@ Differences from the paper, noted for reviewers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.equivalence import EquivalenceRelation, Pair
+from ..core.equivalence import EquivalenceFork, EquivalenceRelation, Pair, Relation
 from ..core.key import KeySet
 from ..core.graph import Graph
 from ..core.pattern import NodeKind, TourStep
@@ -97,7 +97,7 @@ class EvalVCProgram:
         product_graph: ProductGraph,
         max_fanout: Optional[int] = None,
         prioritize: bool = False,
-        seed_pairs: Optional[Sequence[Pair]] = None,
+        seed: Optional[EquivalenceFork] = None,
     ) -> None:
         if max_fanout is not None and max_fanout < 1:
             raise ValueError(f"max_fanout must be >= 1 or None, got {max_fanout}")
@@ -117,13 +117,12 @@ class EvalVCProgram:
             self._starts.setdefault(key.target_type, []).append(
                 (key.name, key.is_recursive, (None,) * x, (None,) * (len(names) - x - 1))
             )
-        self.live_eq = EquivalenceRelation()
-        #: incremental re-matching: a previous run's surviving merges, applied
-        #: to ``live_eq`` up front and prepended to the canonical merge
-        #: history so partitioned replicas reconstruct the same seeded state
-        self._seed_merges: Tuple[Pair, ...] = tuple(seed_pairs or ())
-        for e1, e2 in self._seed_merges:
-            self.live_eq.merge(e1, e2)
+        #: incremental re-matching: the seed fork the run merges into.  It
+        #: travels with the program, so a partitioned replica restarts from
+        #: it (:meth:`replica_relation`) and the canonical merge history
+        #: holds this run's merges only
+        self._seed = seed
+        self.live_eq = self.replica_relation()
         self.counters = EvalVCCounters()
         # Replica-mode bookkeeping (partitioned execution only, see
         # repro.vertexcentric.parallel): which vertices this replica believes
@@ -149,18 +148,26 @@ class EvalVCProgram:
     # deltas it produced can always be merged back — the CRDT-style property
     # the superstep loop relies on.
 
+    def replica_relation(self) -> Relation:
+        """The relation before any merge of this run: the seed, or ``Eq0``."""
+        return EquivalenceRelation() if self._seed is None else self._seed.restarted()
+
+    def seeded(self, e1: str, e2: str) -> bool:
+        """Whether the seed identifies *e1* and *e2* (whatever the run merged)."""
+        return self._seed is not None and self._seed.inherited(e1, e2)
+
     def replica_canonical(
         self, vertices: Dict[ProductNode, object]
     ) -> Tuple[tuple, tuple, int]:
-        """The initial canonical state: flagged vertices, seed merges, epoch 0."""
+        """The initial canonical state: flagged vertices, no merges, epoch 0."""
         flagged = tuple(
             vertex for vertex, state in vertices.items() if getattr(state, "flag", False)
         )
         self._replica_flagged = set(flagged)
         self._replica_epoch = 0
         self._replica_flag_count = len(flagged)
-        self._replica_merge_count = len(self._seed_merges)
-        return (flagged, self._seed_merges, 0)
+        self._replica_merge_count = 0
+        return (flagged, (), 0)
 
     def replica_sync(
         self, vertices: Dict[ProductNode, object], canonical: Tuple[tuple, tuple, int]
@@ -202,7 +209,7 @@ class EvalVCProgram:
             for vertex in flagged_set - self._replica_flagged:
                 vertices[vertex].flag = True  # type: ignore[attr-defined]
             self._replica_flagged = flagged_set
-            eq = EquivalenceRelation()
+            eq = self.replica_relation()
             for e1, e2 in merges:
                 eq.merge(e1, e2)
             self.live_eq = eq

@@ -10,8 +10,8 @@ computes which candidate pairs a delta could possibly have affected, closes
 that set under the dependency map, and splits the previous result into
 
 * a **seed** — the equivalence classes no affected pair touches, which are
-  provably still part of the new fixpoint and are merged into ``Eq`` before
-  any check runs, and
+  provably still part of the new fixpoint: a fork of the frozen old ``Eq``
+  that detaches every other class, which the run then merges into, and
 * a **worklist** — the affected pairs plus the members of every dropped
   class, which are re-chased from scratch.
 
@@ -34,7 +34,7 @@ key triple cannot hide an entity whose old neighbourhood held a key-root
 from the new ball, and an added one cannot put an entity in the new ball
 whose old neighbourhood, at that radius, held none.
 
-All six backends consume the same plan through their ``seed_pairs`` /
+All six backends consume the same plan through their ``seed`` /
 ``worklist`` entry points; :func:`plan_session_delta` reads a session's
 artifact cache — which also holds the seed, so every session sharing the
 cache plans from the same fixpoint — across the window, and
@@ -50,7 +50,7 @@ from collections import ChainMap
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.equivalence import EquivalenceRelation, Pair
+from ..core.equivalence import EquivalenceFork, Pair, Relation
 from ..core.key import Key, KeySet
 from ..core.pairing import pairing_relation, pairing_support_nodes
 from ..core.triples import GraphNode
@@ -59,9 +59,9 @@ from .candidates import (
     CandidateSet,
     PairIndex,
     apply_support_restrictions,
-    candidate_pairs_by_type,
+    dependents_reaching,
     depends_on_types_by_target,
-    pair_prerequisites,
+    probe_prerequisites,
 )
 
 
@@ -107,10 +107,11 @@ class IncrementalState:
     no trace of the run that computed it — no result object, no
     configuration — and one state per graph version, held by the shared
     :class:`~repro.matching.artifacts.SessionArtifacts`, seeds every run
-    shape.  Recording it costs an ``Eq`` copy: the candidate set ``L`` at
-    ``version`` is never materialised.  Membership in it is a property of
-    the pair alone (:meth:`was_candidate`), read off the run's immutable
-    snapshot.
+    shape.  Recording it costs O(1): the run's ``Eq`` is frozen in place,
+    never copied, and the next run forks it (:meth:`EquivalenceRelation.fork`).
+    The candidate set ``L`` at ``version`` is never materialised either.
+    Membership in it is a property of the pair alone
+    (:meth:`was_candidate`), read off the run's immutable snapshot.
     """
 
     __slots__ = ("version", "eq", "_snapshot", "_types")
@@ -118,14 +119,14 @@ class IncrementalState:
     def __init__(
         self,
         version: int,
-        eq: EquivalenceRelation,
+        eq: Relation,
         snapshot,
         keys: KeySet,
     ) -> None:
         #: :attr:`Graph.version` the fixpoint corresponds to.
         self.version = version
-        #: the computed fixpoint (an independent copy, never mutated).
-        self.eq = eq
+        #: the computed fixpoint, frozen: a run forks it, never writes it.
+        self.eq = eq.freeze()
         self._snapshot = snapshot
         self._types = frozenset(keys.target_types())
 
@@ -151,8 +152,9 @@ class DeltaPlan:
 
     #: pairs to re-chase, in deterministic candidate order.
     worklist: Tuple[Pair, ...]
-    #: merges seeding ``Eq`` (spanning edges of every surviving class).
-    seed: Tuple[Pair, ...]
+    #: the ``Eq`` the run starts from and merges into: a fork of the seed
+    #: fixpoint with every dropped class detached.
+    seed: EquivalenceFork
     #: previous equivalence classes dropped for re-derivation.
     dropped_classes: int
     #: |L| of the new graph (the invariant denominators).
@@ -161,6 +163,11 @@ class DeltaPlan:
     @property
     def pairs_rechecked(self) -> int:
         return len(self.worklist)
+
+    @property
+    def seed_merges(self) -> int:
+        """The merges the surviving classes stand for (their spanning edges)."""
+        return self.seed.span()
 
     @property
     def pairs_skipped(self) -> int:
@@ -288,17 +295,12 @@ def plan_delta(
     implicated: Set[str] = {entity for pair in affected for entity in pair}
     implicated |= key_roots & affected_entities
 
-    seed: List[Pair] = []
+    # the classes to drop, found from their implicated members: the seed
+    # minus them is a fork that detaches their members
+    dropped = _classes_of(eq, implicated)
     dropped_pairs: Set[Pair] = set()
-    dropped_classes = 0
-    for cls in state.eq.nontrivial_classes():
-        members = sorted(cls)
-        if implicated.intersection(cls):
-            dropped_classes += 1
-            dropped_pairs.update(itertools.combinations(members, 2))
-        else:
-            anchor = members[0]
-            seed.extend((anchor, other) for other in members[1:])
+    for root in dropped:
+        dropped_pairs.update(itertools.combinations(sorted(eq.class_members(root)), 2))
 
     if candidates is None:
         worklist = tuple(
@@ -313,10 +315,18 @@ def plan_delta(
         )
     return DeltaPlan(
         worklist=worklist,
-        seed=tuple(seed),
-        dropped_classes=dropped_classes,
+        seed=eq.fork(drop=dropped),
+        dropped_classes=len(dropped),
         candidate_count=len(candidate_pairs),
     )
+
+
+def _classes_of(eq: Relation, entities: Iterable[str]) -> List[str]:
+    """The representatives of the classes of size ≥ 2 holding one of
+    *entities*, in a salt-free order (found by ``root``: the classes
+    themselves are never walked)."""
+    roots = {eq.root(entity) for entity in entities}
+    return sorted(root for root in roots if eq.class_size(root) > 1)
 
 
 def plan_session_delta(
@@ -372,12 +382,16 @@ def plan_session_delta(
     dependents = artifacts.dependency_map(filtered=blocked, blocking=blocking)
     extras: List[Pair] = []
     if blocked:
+        # an identified pair outside the universe matters only when it left
+        # the universe in this window, and a pair enters or leaves it only
+        # through a key-ball entity: its class has a member there
         universe = candidates.pair_supports
+        eq = state.eq
         extras = sorted(
             {
                 pair
-                for cls in state.eq.nontrivial_classes()
-                for pair in itertools.combinations(sorted(cls), 2)
+                for root in _classes_of(eq, window.key_ball)
+                for pair in itertools.combinations(sorted(eq.class_members(root)), 2)
                 if pair not in universe
             }
         )
@@ -406,12 +420,12 @@ def extra_dependency_edges(
 
     *extra_pairs* are previously identified pairs that fell out of the new
     candidate universe, so the session's cached dependency map has no row for
-    them; this probes every candidate whose keys recurse into an extra pair's
-    type and returns the prerequisite → dependents edges the delta closure
-    needs.  Cost is proportional to the candidates of the implicated types
-    (zero when *extra_pairs* is empty), never to the full universe.
+    them; this probes the candidates within key radius of an extra pair's
+    entities (:func:`~repro.matching.candidates.dependents_reaching`) and
+    returns the prerequisite → dependents edges the delta closure needs.
+    Cost is proportional to the extras' radius balls (zero when
+    *extra_pairs* is empty), never to the universe.
     """
-    edges: Dict[Pair, Set[Pair]] = {}
     # extras with a removed or retyped entity need no probing: that entity
     # was journal-touched, and it is a witness node of every dependent (a
     # prerequisite's entities are matched by the dependent's key pattern),
@@ -422,20 +436,7 @@ def extra_dependency_edges(
         if graph.has_entity(pair[0]) and graph.has_entity(pair[1])
         and graph.entity_type(pair[0]) == graph.entity_type(pair[1])
     ]
-    if not probeable:
-        return edges
-    depends_on_types = depends_on_types_by_target(keys)
-    extras_by_type = candidate_pairs_by_type(graph, probeable)
-    extra_types = set(extras_by_type)
-    for dependent in candidates.pairs:
-        wanted = depends_on_types.get(graph.entity_type(dependent[0]), set())
-        if not wanted & extra_types:
-            continue
-        for prerequisite in pair_prerequisites(
-            dependent, wanted & extra_types, extras_by_type, candidates.neighborhoods
-        ):
-            edges.setdefault(prerequisite, set()).add(dependent)
-    return edges
+    return dependents_reaching(keys, candidates, probeable)
 
 
 # --------------------------------------------------------------------------- #
@@ -593,18 +594,26 @@ class DependencyArtifact:
     ``forward`` is the consumer-facing prerequisite → dependents mapping
     (exactly :func:`~repro.matching.candidates.dependency_map`); ``rows`` is
     its inverse (dependent → prerequisites), kept so :meth:`rebased` can
-    patch only delta-affected rows instead of re-deriving every edge.  Set
-    objects are shared between generations and privatized on first write, so
-    a rebase costs work proportional to the delta, not to ``|L|``.
+    patch only delta-affected rows instead of re-deriving every edge; and
+    ``candidates`` is the candidate set both are over, whose per-entity
+    index tells a rebase which of its pairs a window can reach.  The two maps
+    start a rebase as C-level copies, their set objects are shared between
+    generations and privatized on first write, and every pair a rebase reads
+    comes off a per-entity index, so its Python-level work is the delta's,
+    not ``|L|``'s.
     """
 
-    __slots__ = ("forward", "rows")
+    __slots__ = ("forward", "rows", "candidates")
 
     def __init__(
-        self, forward: Dict[Pair, Set[Pair]], rows: Dict[Pair, Set[Pair]]
+        self,
+        forward: Dict[Pair, Set[Pair]],
+        rows: Dict[Pair, Set[Pair]],
+        candidates: CandidateSet,
     ) -> None:
         self.forward = forward
         self.rows = rows
+        self.candidates = candidates
 
     @classmethod
     def build(cls, graph, keys: KeySet, candidates: CandidateSet) -> "DependencyArtifact":
@@ -615,7 +624,7 @@ class DependencyArtifact:
         for prerequisite, dependents in forward.items():
             for dependent in dependents:
                 rows[dependent].add(prerequisite)
-        return cls(forward, rows)
+        return cls(forward, rows, candidates)
 
     def rebased(
         self,
@@ -626,16 +635,21 @@ class DependencyArtifact:
     ) -> "DependencyArtifact":
         """This artifact migrated onto the new graph version after a delta.
 
-        Rows are recomputed only for dependents with an entity in
-        *affected_entities* (which covers every pair new since the old
-        build); removed pairs are unlinked edge by edge; pairs new as
-        *prerequisites* are probed against the unaffected dependents whose
-        keys recurse into their type.  ``forward`` is bit-identical (as a
-        mapping of sets) to a from-scratch build on the new graph.
+        A pair enters or leaves the candidates only through an entity in
+        *affected_entities*, so the removed pairs are the old pairs of those
+        entities that the new set no longer holds, and the new pairs are
+        among its pairs of them; both are read off the two sets' per-entity
+        indexes.  Removed pairs are unlinked edge by edge; the rows of the
+        dependents with an affected entity (the new pairs among them) are
+        recomputed from their neighbourhoods
+        (:func:`~repro.matching.candidates.probe_prerequisites`); and the
+        new pairs are probed as *prerequisites* of the other dependents
+        within key radius of them
+        (:func:`~repro.matching.candidates.dependents_reaching`).
+        ``forward`` is bit-identical (as a mapping of sets) to a
+        from-scratch build on the new graph.
         """
         depends_on_types = depends_on_types_by_target(keys)
-        new_pairs = candidates.pairs
-        new_set = set(new_pairs)
         old_forward, old_rows = self.forward, self.rows
         forward: Dict[Pair, Set[Pair]] = dict(old_forward)
         rows: Dict[Pair, Set[Pair]] = dict(old_rows)
@@ -655,13 +669,18 @@ class DependencyArtifact:
             return rows[pair]
 
         # 1) unlink pairs that stopped being candidates
-        removed = [pair for pair in old_forward if pair not in new_set]
+        holds = candidates.holds
+        removed = [
+            pair
+            for pair in self.candidates.pairs_touching(affected_entities)
+            if not holds(pair)
+        ]
         for pair in removed:
             for prerequisite in old_rows.get(pair, ()):
-                if prerequisite in new_set:
+                if holds(prerequisite):
                     own_forward(prerequisite).discard(pair)
             for dependent in old_forward.get(pair, ()):
-                if dependent in new_set:
+                if holds(dependent):
                     own_row(dependent).discard(pair)
             forward.pop(pair, None)
             rows.pop(pair, None)
@@ -669,22 +688,12 @@ class DependencyArtifact:
             owned_rows.discard(pair)
 
         # 2) recompute the rows of affected dependents (covers new pairs too)
-        affected_dependents = [
-            pair
-            for pair in new_pairs
-            if pair[0] in affected_entities or pair[1] in affected_entities
-        ]
-        fresh = [pair for pair in new_pairs if pair not in old_forward]
-        candidate_index = (
-            candidate_pairs_by_type(graph, list(new_pairs))
-            if affected_dependents
-            else {}
-        )
+        affected_dependents = candidates.pairs_touching(affected_entities)
+        fresh = [pair for pair in affected_dependents if pair not in old_forward]
+        entity_type = candidates.neighborhoods.snapshot.entity_type
         for dependent in affected_dependents:
-            wanted = depends_on_types.get(graph.entity_type(dependent[0]), set())
-            new_row = pair_prerequisites(
-                dependent, wanted, candidate_index, candidates.neighborhoods
-            )
+            wanted = depends_on_types.get(entity_type(dependent[0]), set())
+            new_row = probe_prerequisites(dependent, wanted, candidates)
             old_row = rows.get(dependent, set())
             for prerequisite in old_row - new_row:
                 own_forward(prerequisite).discard(dependent)
@@ -694,26 +703,14 @@ class DependencyArtifact:
             owned_rows.add(dependent)
 
         # 3) probe fresh pairs as prerequisites of *unaffected* dependents
-        if fresh:
-            fresh_by_type = candidate_pairs_by_type(graph, fresh)
-            fresh_types = set(fresh_by_type)
-            recomputed = set(affected_dependents)
-            for dependent in new_pairs:
-                if dependent in recomputed:
-                    continue
-                wanted = depends_on_types.get(graph.entity_type(dependent[0]), set())
-                if not wanted & fresh_types:
-                    continue
-                added = pair_prerequisites(
-                    dependent, wanted, fresh_by_type, candidates.neighborhoods
-                )
-                if added:
-                    own_row(dependent).update(added)
-                    for prerequisite in added:
-                        own_forward(prerequisite).add(dependent)
+        reached = dependents_reaching(keys, candidates, fresh, skip=affected_dependents)
+        for prerequisite, dependents in reached.items():
+            own_forward(prerequisite).update(dependents)
+            for dependent in dependents:
+                own_row(dependent).add(prerequisite)
 
         # every candidate pair is a forward/rows key, exactly like build()
         for pair in fresh:
             forward.setdefault(pair, set())
             rows.setdefault(pair, set())
-        return DependencyArtifact(forward, rows)
+        return DependencyArtifact(forward, rows, candidates)

@@ -340,9 +340,6 @@ class ProductGraph:
         engine hosts, tested with ``in`` and iterated in node order."""
         return self._nodes
 
-    def has_node(self, node: ProductNode) -> bool:
-        return node in self._nodes
-
     def is_candidate(self, node: ProductNode) -> bool:
         """Whether *node* is one of the candidate pairs."""
         return node in self._nodes_by_pair
@@ -362,8 +359,10 @@ class ProductGraph:
     def neighbors(
         self, node: ProductNode, predicate: str, forward: bool = True, prioritized: bool = False
     ) -> List[ProductNode]:
-        """The remembered :meth:`forward_neighbors` (or backward) list of
-        *node*; the caller must not change it.
+        """The remembered forward list of *node* — the targets ``(o1, o2) ∈
+        Gp`` with ``(s1, p, o1)`` and ``(s2, p, o2)`` in ``G`` — or, not
+        *forward*, the backward list of sources; the caller must not change
+        it.
 
         Sorted by ``repr``, or — *prioritized* — in the order of EMOptVC's
         prioritized propagation: identity pairs first, then well-connected
@@ -391,14 +390,6 @@ class ProductGraph:
                 self._graph.subjects(predicate, node[0]), self._graph.subjects(predicate, node[1])
             )
         return found
-
-    def forward_neighbors(self, node: ProductNode, predicate: str) -> List[ProductNode]:
-        """Targets ``(o1, o2) ∈ Gp`` with ``(s1, p, o1)`` and ``(s2, p, o2)`` in ``G``."""
-        return self.neighbors(node, predicate, True)
-
-    def backward_neighbors(self, node: ProductNode, predicate: str) -> List[ProductNode]:
-        """Sources ``(s1, s2) ∈ Gp`` with ``(s1, p, o1)`` and ``(s2, p, o2)`` in ``G``."""
-        return self.neighbors(node, predicate, False)
 
     def _pairs_in_gp(self, firsts, seconds) -> List[ProductNode]:
         nodes = self._nodes

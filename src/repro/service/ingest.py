@@ -338,8 +338,10 @@ class IngestPipeline:
                 report.delta_modes.get(delta.mode, 0) + 1
             )
             report.pairs_rechecked += delta.pairs_rechecked
+        # published: now the journal and the snapshot store catch up
         if self.wal is not None:
             self.wal.checkpoint(fingerprint_of(self.session.graph))
+        self.session.write_owed_snapshot()
         if self.on_batch is not None:
             self.on_batch(result, report)
 

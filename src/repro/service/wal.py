@@ -40,6 +40,13 @@ not OS crash).  A torn final line (the crash interrupted ``write``) is
 repaired on open by truncating to the last complete record; torn records
 anywhere else are corruption and raise :class:`~repro.exceptions.WalError`.
 
+A write fault (``write``, ``flush`` or ``fsync`` raising ``OSError``, e.g.
+``ENOSPC``) is fail-stop: it surfaces as :class:`~repro.exceptions.WalError`,
+and the log refuses every later record until it is reopened — reopening
+repairs the torn tail the fault may have left, so no record ever lands
+after a torn one.  An op whose append failed was never journalled, and the
+ingest path never applies it.
+
 Retention: ``retain="all"`` (default) keeps every segment, so recovery can
 replay from the graph's *registration-time* base state.  ``retain="window"``
 deletes fully-checkpointed segments when the current one rolls over
@@ -161,6 +168,8 @@ class WriteAheadLog:
         self._lock = threading.RLock()
         self._handle = None
         self._closed = False
+        # the write fault that stopped this log (it refuses records until reopened)
+        self._fault: Optional[OSError] = None
         # metrics
         self.appends = 0
         self.checkpoints_written = 0
@@ -220,7 +229,7 @@ class WriteAheadLog:
         if self._current_seq == 0 or not self._segment_path(self._current_seq).exists():
             self._current_seq += 1
             path = self._segment_path(self._current_seq)
-            self._handle = open(path, "a", encoding="utf-8")
+            self._handle = open(path, "ab")
             header = {
                 "wal": _FORMAT_VERSION,
                 "segment": self._current_seq,
@@ -230,16 +239,14 @@ class WriteAheadLog:
             self.segments_created += 1
             self._fsync_dir()
         else:
-            self._handle = open(
-                self._segment_path(self._current_seq), "a", encoding="utf-8"
-            )
+            self._handle = open(self._segment_path(self._current_seq), "ab")
 
     def _write_record(self, record: Dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         self._handle.write(line)
         self._handle.flush()
-        self._current_bytes += len(line.encode("utf-8"))
-        self.bytes_written += len(line.encode("utf-8"))
+        self._current_bytes += len(line)
+        self.bytes_written += len(line)
 
     def _fsync_file(self) -> None:
         os.fsync(self._handle.fileno())
@@ -256,7 +263,7 @@ class WriteAheadLog:
         closed_seq = self._current_seq
         self._current_seq += 1
         path = self._segment_path(self._current_seq)
-        self._handle = open(path, "a", encoding="utf-8")
+        self._handle = open(path, "ab")
         self._current_bytes = 0
         self._write_record(
             {
@@ -275,14 +282,40 @@ class WriteAheadLog:
 
     # -- the write side ----------------------------------------------------- #
 
+    def _durable(self, record: Dict, fsync: bool) -> None:
+        """Write *record* (and fsync it when *fsync*), fail-stop."""
+
+        def write() -> None:
+            self._open_segment()
+            self._write_record(record)
+            if fsync:
+                self._fsync_file()
+
+        self._guarded(write)
+
+    def _guarded(self, write: Callable[[], None]) -> None:
+        """Run *write*, fail-stop: an ``OSError`` from an open, a write, a
+        flush or an fsync stops the log and surfaces as :class:`WalError`."""
+        try:
+            write()
+        except OSError as error:
+            self._fault = error
+            handle, self._handle = self._handle, None
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError:
+                    pass
+            raise WalError(
+                f"write-ahead log at {self.root} failed to write a record ({error}); "
+                f"it refuses further records until reopened"
+            ) from error
+
     def append(self, op: Mapping) -> None:
         """Journal one ingest op (call *before* applying it to the graph)."""
         with self._lock:
             self._check_open()
-            self._open_segment()
-            self._write_record(dict(op))
-            if self.fsync_policy == "always":
-                self._fsync_file()
+            self._durable(dict(op), self.fsync_policy == "always")
             self.appends += 1
             self._pending += 1
 
@@ -293,10 +326,7 @@ class WriteAheadLog:
             self._check_open()
             if self._pending < 1:
                 raise WalError("mark_failed with no pending op to disown")
-            self._open_segment()
-            self._write_record({"failed": 1})
-            if self.fsync_policy == "always":
-                self._fsync_file()
+            self._durable({"failed": 1}, self.fsync_policy == "always")
             self._pending -= 1
 
     def checkpoint(self, fingerprint: str, *, note: str = "") -> int:
@@ -305,19 +335,16 @@ class WriteAheadLog:
         number of ops the checkpoint newly covers."""
         with self._lock:
             self._check_open()
-            self._open_segment()
             record: Dict[str, object] = {"checkpoint": fingerprint, "ops": self._pending}
             if note:
                 record["note"] = note
-            self._write_record(record)
-            if self.fsync_policy in ("always", "batch"):
-                self._fsync_file()
+            self._durable(record, self.fsync_policy in ("always", "batch"))
             covered = self._pending
             self._pending = 0
             self._last_fingerprint = fingerprint
             self.checkpoints_written += 1
             if self._current_bytes >= self.segment_max_bytes:
-                self._roll_segment()
+                self._guarded(self._roll_segment)
             return covered
 
     def close(self) -> None:
@@ -333,6 +360,11 @@ class WriteAheadLog:
     def _check_open(self) -> None:
         if self._closed:
             raise WalError(f"write-ahead log at {self.root} is closed")
+        if self._fault is not None:
+            raise WalError(
+                f"write-ahead log at {self.root} stopped at a write fault "
+                f"({self._fault}); reopen it to repair the journal"
+            )
 
     # -- the read / recovery side ------------------------------------------- #
 
@@ -568,6 +600,7 @@ def replay(
         rerun_started = time.monotonic()
         result = session.rerun()
         report.rerun_seconds = time.monotonic() - rerun_started
+        session.write_owed_snapshot()
         report.batches = 1
         if on_batch is not None:
             on_batch(result, report)

@@ -26,8 +26,28 @@ from __future__ import annotations
 from typing import Dict, Iterable, Set
 
 from ..core.key import KeySet
-from ..core.triples import GraphNode
+from ..core.triples import GraphNode, is_entity_ref
 from .snapshot import GraphSnapshot
+
+
+def entities_within(snapshot: GraphSnapshot, roots: Iterable[GraphNode], radius: int) -> Set[str]:
+    """The entities within *radius* undirected hops of a node of *roots*,
+    by one BFS from all of them at once over *snapshot* (a root the
+    snapshot does not hold is skipped).  A node is in the union of the
+    per-root balls exactly when its distance to the nearest root is within
+    the radius."""
+    frontier = [root for root in map(snapshot.id_of, roots) if root is not None]
+    seen = set(frontier)
+    adjacency = snapshot.adjacency
+    for _ in range(radius):
+        reached = []
+        for node in frontier:
+            for neighbour in adjacency(node):
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    reached.append(neighbour)
+        frontier = reached
+    return set(filter(is_entity_ref, snapshot.decode_ids(seen)))
 
 
 def radius_per_type(keys: KeySet) -> Dict[str, int]:

@@ -48,6 +48,7 @@ MailboxEntry = Tuple[int, VertexId, Optional[VertexId], object]
 
 #: The hooks a vertex program must provide for partitioned execution.
 REPLICA_PROTOCOL = (
+    "replica_relation",
     "replica_canonical",
     "replica_sync",
     "replica_delta",
@@ -207,17 +208,16 @@ class PartitionedRun:
         # canonical run state, kept on the driver and re-broadcast per task;
         # the epoch (superstep number) lets replicas apply list tails
         # incrementally once their own deltas are known to be absorbed
-        flags, seed_merges, _ = program.replica_canonical(engine._vertices)
+        flags, merges, _ = program.replica_canonical(engine._vertices)
         flag_list: List[object] = list(flags)
         flag_set = set(flags)
-        # the canonical merge history starts with the program's seed merges
-        # (incremental re-matching), so every replica reconstructs the same
-        # seeded equivalence relation from the history alone
-        merge_list: List[Tuple[str, str]] = list(seed_merges)
-        from ..core.equivalence import EquivalenceRelation
-
-        novelty_eq = EquivalenceRelation()
-        for e1, e2 in seed_merges:
+        # the canonical merge history holds the run's merges; every replica
+        # replays it onto the relation the program starts from (a seed it
+        # carries, under incremental re-matching), and so does the novelty
+        # check
+        merge_list: List[Tuple[str, str]] = list(merges)
+        novelty_eq = program.replica_relation()
+        for e1, e2 in merges:
             novelty_eq.merge(e1, e2)
         counter_totals: Dict[str, int] = {}
         total_processed = 0

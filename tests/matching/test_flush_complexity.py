@@ -8,9 +8,10 @@ primitives such a regression would go through — ``candidate_pairs``,
 ``itertools.combinations`` inside the delta planner and the blocking layer,
 the signature walk, the pairing fixpoint, the product graph's row and pair
 registrations, ``objects()`` under ``ProductGraph.count_edges``, the vertex
-states a run creates — in call counters, and bound the counts by the work
-the window reports or require them to be the same on a graph four times the
-size.
+states a run creates, the ``Eq`` a window copies, merges into or walks, the
+candidate pairs the dependency rebase reads — in call counters, and bound
+the counts by the work the window reports or require them to be the same
+on a graph four times the size.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.api.session import MatchSession
 from repro.core.chase import candidate_pairs, chase
-from repro.core.equivalence import EquivalenceRelation, canonical_pair
+from repro.core.equivalence import EquivalenceFork, EquivalenceRelation, canonical_pair
 from repro.core.graph import Graph
 from repro.core.parser import parse_keys
 from repro.core.triples import Literal, Triple, is_entity_ref
@@ -36,6 +37,7 @@ from repro.matching import incremental as incremental_module
 from repro.matching import product_graph as product_graph_module
 from repro.matching.artifacts import SessionArtifacts
 from repro.matching.backend import EntityMatcher
+from repro.matching.candidates import CandidateSet
 from repro.matching.incremental import IncrementalState
 from repro.matching.product_graph import ProductGraph
 from repro.storage import SnapshotNeighborhoodIndex
@@ -381,6 +383,78 @@ class _WorkCounts:
 
         monkeypatch.setattr(em_vc_module, "PairState", made)
 
+        self._count_fixpoint_work(monkeypatch)
+        self._count_dependency_scans(monkeypatch)
+
+    def _count_fixpoint_work(self, monkeypatch) -> None:
+        """What a window may not pay for the fixpoint it starts from: a copy
+        of ``Eq``, a replay of its merges, a walk over its classes."""
+        self.counts.update({"Eq entries copied": 0, "Eq merges": 0, "classes walked": 0})
+
+        def copied(copy):
+            def counted(eq):
+                self.counts["Eq entries copied"] += sum(1 for _ in eq.members())
+                return copy(eq)
+            return counted
+
+        def merged(merge):
+            def counted(eq, e1, e2):
+                self.counts["Eq merges"] += 1
+                return merge(eq, e1, e2)
+            return counted
+
+        def walked(classes):
+            def counted(eq):
+                found = classes(eq)
+                self.counts["classes walked"] += len(found)
+                return found
+            return counted
+
+        for relation in (EquivalenceRelation, EquivalenceFork):
+            for name, wrap in (
+                ("copy", copied), ("merge", merged), ("nontrivial_classes", walked)
+            ):
+                monkeypatch.setattr(relation, name, wrap(vars(relation)[name]))
+
+    def _count_dependency_scans(self, monkeypatch) -> None:
+        """The candidate pairs the dependency rebase and the extras' probe
+        read: off a per-entity index, or in a pass over ``L`` itself."""
+        self.counts["dependency pairs scanned"] = 0
+        touching = CandidateSet.pairs_touching
+
+        def read(candidates, entities):
+            found = touching(candidates, entities)
+            self.counts["dependency pairs scanned"] += len(found)
+            return found
+
+        monkeypatch.setattr(CandidateSet, "pairs_touching", read)
+        counts = self.counts
+
+        class CountedPairs(list):
+            def __iter__(self):
+                counts["dependency pairs scanned"] += len(self)
+                return super().__iter__()
+
+        def passes_counted(function, at):
+            def counted(*args):
+                candidates = args[at]
+                pairs = candidates.pairs
+                candidates.pairs = CountedPairs(pairs)
+                try:
+                    return function(*args)
+                finally:
+                    candidates.pairs = pairs
+            return counted
+
+        monkeypatch.setattr(
+            incremental_module.DependencyArtifact, "rebased",
+            passes_counted(incremental_module.DependencyArtifact.rebased, 3),
+        )
+        monkeypatch.setattr(
+            incremental_module, "extra_dependency_edges",
+            passes_counted(incremental_module.extra_dependency_edges, 2),
+        )
+
     def snapshot(self) -> dict:
         return {**self.counts, "combinations": list(self.combinations.sizes)}
 
@@ -431,9 +505,13 @@ def test_a_window_costs_the_same_on_a_graph_four_times_the_size(monkeypatch):
     # every window holds key-relevant edits, so the guard counts real work
     assert all(key_roots for _ball, key_roots, _key_ball in small_affected)
     for name in (
-        "signature entries", "pairing relations", "registered pairs", "was_candidate", "vertex states"
+        "signature entries", "pairing relations", "registered pairs", "was_candidate",
+        "vertex states", "Eq merges", "dependency pairs scanned",
     ):
         assert small_work[name] > 0, name
+    # the fixpoint a window starts from is forked, never copied, replayed
+    # or walked: |Eq| is four times larger on the grown graph
+    assert small_work["Eq entries copied"] == small_work["classes walked"] == 0
     assert grown_work == small_work
 
 

@@ -23,7 +23,7 @@ class TestProductGraph:
     def test_candidate_pairs_are_nodes(self, music):
         graph, keys, _ = music
         product = build_product_graph(graph, keys)
-        assert product.has_node(("alb1", "alb2"))
+        assert ("alb1", "alb2") in product.node_set()
         assert ("alb1", "alb2") in product.candidate_nodes()
 
     def test_value_pairs_become_nodes(self, music):
@@ -31,14 +31,14 @@ class TestProductGraph:
         product = build_product_graph(graph, keys)
         from repro.core.triples import Literal
 
-        assert product.has_node((Literal("Anthology 2"), Literal("Anthology 2")))
+        assert (Literal("Anthology 2"), Literal("Anthology 2")) in product.node_set()
 
     def test_forward_and_backward_neighbors(self, music):
         graph, keys, _ = music
         product = build_product_graph(graph, keys)
-        forward = product.forward_neighbors(("alb1", "alb2"), "recorded_by")
+        forward = product.neighbors(("alb1", "alb2"), "recorded_by", True)
         assert ("art1", "art2") in forward
-        backward = product.backward_neighbors(("art1", "art2"), "recorded_by")
+        backward = product.neighbors(("art1", "art2"), "recorded_by", False)
         assert ("alb1", "alb2") in backward
 
     def test_dependents_follow_recursive_keys(self, music):

@@ -425,6 +425,7 @@ def test_delta_without_its_ancestor_is_a_typed_miss_and_the_session_rebuilds(dam
     ancestor = store.path_for(graph.content_fingerprint())
     apply_random_mutation(graph, random.Random(4))
     session.rerun()
+    session.write_owed_snapshot()
     assert snapshot_info(store.path_for(graph.content_fingerprint()))["kind"] == "delta"
     assert store.load(graph).overlay_rows > 0  # loads while the ancestor is there
 
@@ -918,8 +919,8 @@ def _remembered_rows(product_graph):
 def _read_every_row(product_graph, predicates):
     for node in list(product_graph.nodes()):
         for predicate in predicates:
-            product_graph.forward_neighbors(node, predicate)
-            product_graph.backward_neighbors(node, predicate)
+            product_graph.neighbors(node, predicate, True)
+            product_graph.neighbors(node, predicate, False)
 
 
 @pytest.mark.parametrize("blocking", ["off", "auto"])
@@ -959,8 +960,7 @@ def test_remembered_adjacency_equals_a_fresh_product_graph_after_every_window(se
         predicates = sorted(graph.predicates())
 
         def expected(node, predicate, forward):
-            neighbors = fresh.forward_neighbors if forward else fresh.backward_neighbors
-            return neighbors(node, predicate)
+            return fresh.neighbors(node, predicate, forward)
 
         carried = _remembered_rows(rebased)
         carried_total += len(carried)

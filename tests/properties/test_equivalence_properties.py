@@ -5,10 +5,11 @@ from __future__ import annotations
 import pickle
 from typing import List, Set, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.equivalence import EquivalenceRelation
+from repro.core.equivalence import MAX_FORK_DEPTH, EquivalenceRelation
 
 members = st.sampled_from([f"e{i}" for i in range(8)])
 merge_lists = st.lists(st.tuples(members, members), max_size=25)
@@ -269,3 +270,117 @@ def test_forks_on_threads_leave_their_shared_parent_untouched():
             parent.merge(e1, e2)
     assert parent.merge_count == merges + blocks
     assert all(parent.identified(f"e{8 * k}", f"e{8 * k + 7}") for k in range(blocks))
+
+
+# ---------------------------------------------------------------------- #
+# seed forks: what a delta run starts from
+# ---------------------------------------------------------------------- #
+
+windows = st.lists(
+    st.tuples(st.lists(universe_members, max_size=3), universe_merges), max_size=12
+)
+
+
+def assert_partition(relation, model: NaivePartition) -> None:
+    """*relation* holds *model*'s partition, read every way a run reads it."""
+    nontrivial = {frozenset(block) for block in model.blocks if len(block) > 1}
+    assert {frozenset(cls) for cls in relation.nontrivial_classes()} == nontrivial
+    assert len(relation.nontrivial_classes()) == len(nontrivial)
+    assert relation.pairs() == model.pairs()
+    assert relation.pair_count() == len(model.pairs())
+    assert relation.span() == sum(len(block) - 1 for block in nontrivial)
+    assert_identifies_as(relation, model)
+    for member in UNIVERSE:
+        assert relation.class_of(member) == model.block(member)
+    rebuilt = EquivalenceRelation()
+    for block in nontrivial:
+        anchor, *others = sorted(block)
+        for other in others:
+            rebuilt.merge(anchor, other)
+    assert relation == rebuilt and rebuilt == relation
+
+
+@given(first=universe_merges, steps=windows)
+@settings(max_examples=150, deadline=None)
+def test_a_fork_chain_detaches_whole_classes_and_flattens_to_the_same_partition(
+    first, steps
+):
+    """Each window freezes the relation, forks it with the classes of a few
+    members dropped (they read as singletons) and merges into the fork, as
+    a delta run does; a chain past the depth bound folds into one fork."""
+    eq, model = EquivalenceRelation(), NaivePartition()
+    for e1, e2 in first:
+        eq.merge(e1, e2)
+        model.merge(e1, e2)
+    for dropped, merges in steps:
+        frozen = eq.freeze()
+        before = pickle.dumps(frozen)
+        with pytest.raises(TypeError):
+            frozen.merge(UNIVERSE[0], UNIVERSE[1])
+        roots = sorted(
+            {frozen.root(m) for m in dropped if frozen.class_size(frozen.root(m)) > 1}
+        )
+        survivors = NaivePartition()
+        for block in model.blocks:
+            if not block & set(dropped):
+                survivors.blocks.append(set(block))
+        fork = frozen.fork(drop=roots)
+        assert fork.span() == sum(len(b) - 1 for b in survivors.blocks)
+        for a in UNIVERSE:
+            for b in UNIVERSE:
+                assert fork.inherited(a, b) == (
+                    a == b or any(a in blk and b in blk for blk in survivors.blocks)
+                )
+        model = survivors.copy()
+        for e1, e2 in merges:
+            assert fork.merge(e1, e2) == model.merge(e1, e2)
+        assert fork.merge_count == len(fork.log) == model.merges
+        assert_partition(fork, model)
+        assert_partition(fork.restarted(), survivors)
+        assert_partition(pickle.loads(pickle.dumps(fork)), model)
+        assert pickle.dumps(frozen) == before  # the base did not move
+        eq = fork.freeze()
+        if eq.depth > MAX_FORK_DEPTH:
+            eq = eq.flattened()
+            assert eq.depth <= 1
+        assert_partition(eq, model)
+        assert_partition(eq.copy(), model)
+
+
+@pytest.mark.parametrize(
+    "dropped, folded", [(1, "FrozenEquivalenceFork"), (12, "FrozenEquivalenceRelation")]
+)
+def test_a_long_chain_folds_into_one_fork_or_one_relation(dropped, folded):
+    """Past the depth bound a chain folds into one fork over its bottom
+    while what it changed is small beside the bottom, and into a plain
+    relation once that overlay outgrows it; either reads as the chain did."""
+    import random
+
+    rng = random.Random(dropped)
+    ids = [f"e{i}" for i in range(300)]
+    eq, model = EquivalenceRelation(), NaivePartition()
+    for i in range(0, 300, 3):  # a hundred classes of three
+        for a, b in ((ids[i], ids[i + 1]), (ids[i], ids[i + 2])):
+            eq.merge(a, b)
+            model.merge(a, b)
+    kinds = set()
+    for _ in range(3 * MAX_FORK_DEPTH):
+        frozen = eq.freeze()
+        members = rng.sample(ids, dropped)
+        roots = sorted(
+            {frozen.root(m) for m in members if frozen.class_size(frozen.root(m)) > 1}
+        )
+        gone = {m for root in roots for m in frozen.class_members(root)}
+        survivors = NaivePartition()
+        survivors.blocks = [set(block) for block in model.blocks if not block & gone]
+        fork, model = frozen.fork(drop=roots), survivors
+        for _ in range(2):
+            a, b = rng.sample(ids, 2)
+            assert fork.merge(a, b) == model.merge(a, b)
+        eq = fork.freeze()
+        if eq.depth > MAX_FORK_DEPTH:
+            eq = eq.flattened()
+            kinds.add(type(eq).__name__)
+            assert eq.depth <= 1
+        assert eq.pairs() == model.pairs() and eq.pair_count() == len(model.pairs())
+    assert kinds == {folded}

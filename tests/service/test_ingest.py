@@ -254,6 +254,47 @@ class TestIngestPipeline:
         )
 
 
+class TestStoreAfterPublication:
+    """The snapshot store is written after a flush publishes, beside the WAL
+    checkpoint, never inside the flush's ``rerun()``."""
+
+    def test_each_version_is_published_then_stored_and_a_restart_hits_the_store(
+        self, tmp_path
+    ):
+        from repro.core.fingerprint import fingerprint_of
+        from repro.storage.store import SnapshotStore
+
+        published = []  # (fingerprint, result) in publication order
+        stored = []  # (fingerprint, pipeline.last_result) when each patch ran
+
+        class WatchedStore(SnapshotStore):
+            def patch(self, snapshot, *, base, fingerprint):
+                stored.append((fingerprint, pipeline.last_result))
+                return super().patch(snapshot, base=base, fingerprint=fingerprint)
+
+        dataset = small_dataset()
+        graph = dataset.graph
+        store = WatchedStore(tmp_path / "store")
+        session = MatchSession(graph, snapshot_store=store).with_keys(dataset.keys)
+        session.using("EMOptVC").run()
+        pipeline = IngestPipeline(
+            session, latency_budget=60.0, max_batch_ops=3, deadline_flush=False,
+            on_batch=lambda result, _report: published.append((fingerprint_of(graph), result)),
+        )
+        ops = mutation_ops(graph)
+        pipeline.run(iter(ops))
+        # every patch found the result of its own version already published
+        assert len(published) == len(stored) == -(-len(ops) // 3)
+        assert [(fp, id(r)) for fp, r in stored] == [(fp, id(r)) for fp, r in published]
+        assert all(store.contains(fingerprint) for fingerprint, _ in published)
+        assert session.cache_info().store_write_failures == 0
+
+        final = graph.copy()
+        restarted = MatchSession(final, snapshot_store=store).with_keys(dataset.keys)
+        assert restarted.run("EMOptVC").pairs() == pipeline.last_result.pairs()
+        assert restarted.cache_info().store_hits == 1
+
+
 class TestDeadlineFlush:
     def test_stalled_stream_flushes_on_deadline(self):
         """The documented promise: a flush starts at most latency_budget

@@ -119,6 +119,9 @@ class TestSessionFallback:
         assert len(store) == 1
         graph.add_value("alb1", "bonus_of", "extra")
         session.run("EMOptVC")
+        # the patch is owed to the store until the writer settles it
+        assert len(store) == 1
+        session.write_owed_snapshot()
         assert len(store) == 2
         assert store.contains(graph_fingerprint(graph))
         info = session.cache_info()
