@@ -10,8 +10,9 @@ without a session constructs a throwaway cache and reads through it.
 
 The per-flavour artifacts live in one slot table keyed ``(kind, flavour)``
 with one rule (:meth:`SessionArtifacts._slot`): a fresh slot is returned as
-is, a slot parked by a mutation is rebased onto the new graph version with
-the entities the delta(s) affected, and a missing slot is built.  The
+is, and any other gets its kind's one construction rule — applied to the
+artifact a mutation parked, with the entities the delta(s) affected, or to
+the empty artifact when the slot is missing (a cold build).  The
 singletons every flavour shares — compiled snapshot, neighbourhood index,
 blocking index — are reconciled eagerly by
 :meth:`SessionArtifacts.refresh`; the blocked collision result
@@ -592,25 +593,24 @@ class SessionArtifacts:
         self,
         kind: str,
         flavour: Flavour,
-        build: Callable[[], object],
-        rebase: Callable[[object, set, set], object],
+        apply: Callable[[Optional[object], Optional[set], Optional[set]], object],
     ):
         """The one rule every per-flavour artifact follows (lock held).
 
-        Fresh: return it.  Parked by a mutation: ``rebase(old, key_ball,
-        ball)`` with the unions of the sets every un-accessed delta affected
-        (:meth:`refresh`).
-        Missing: ``build()``.  Either way the work is charged to the phase
-        ``{kind}_build`` / ``{kind}_rebase`` and to the kind's counter.
+        Fresh: return it.  Otherwise ``apply(old, key_ball, ball)``, the
+        artifact's one construction rule: parked by a mutation, with the
+        parked artifact and the unions of the sets every un-accessed delta
+        affected (:meth:`refresh`); missing, with ``(None, None, None)``,
+        the empty artifact with every keyed entity affected.  Whether the
+        slot was parked decides the phase the work is charged to,
+        ``{kind}_build`` or ``{kind}_rebase``, and the kind's counter.
         """
         slot = (kind, flavour)
         value = self._fresh.get(slot)
         if value is None:
             parked = self._stale.pop(slot, None)
-            if parked is None:
-                value = self._timed(f"{kind}_build", build)
-            else:
-                value = self._timed(f"{kind}_rebase", lambda: rebase(*parked))
+            phase = "build" if parked is None else "rebase"
+            value = self._timed(f"{kind}_{phase}", lambda: apply(*(parked or (None,) * 3)))
             if kind in _SLOT_COUNTERS:
                 builds, rebases = _SLOT_COUNTERS[kind]
                 self._counts[builds if parked is None else rebases] += 1
@@ -737,19 +737,18 @@ class SessionArtifacts:
                     )
                 return candidates
 
-            def build() -> CandidateSet:
-                if not filtered:
+            def apply(old: Optional[CandidateSet], key_ball, _ball) -> CandidateSet:
+                if not filtered:  # never parked: see _park
                     return charged(build_candidates(self.graph, self.keys, **inputs))
-                return charged(
-                    build_filtered_candidates(
-                        self.graph,
-                        self.keys,
-                        reduce_neighborhoods=reduce_neighborhoods,
-                        **inputs,
+                if old is None:
+                    return charged(
+                        build_filtered_candidates(
+                            self.graph,
+                            self.keys,
+                            reduce_neighborhoods=reduce_neighborhoods,
+                            **inputs,
+                        )
                     )
-                )
-
-            def rebase(old: CandidateSet, key_ball: set, _ball: set) -> CandidateSet:
                 if blocking == "off":
                     touching = quadratic_pairs_touching(
                         inputs["snapshot"], self.keys.target_types(), key_ball
@@ -759,7 +758,6 @@ class SessionArtifacts:
                 return charged(
                     rebase_filtered_candidates(
                         old,
-                        self.graph,
                         self.keys,
                         affected_entities=key_ball,
                         touching=touching,
@@ -769,7 +767,7 @@ class SessionArtifacts:
                 )
 
             flavour = (filtered, reduce_neighborhoods, blocking != "off")
-            return self._slot("candidates", flavour, build, rebase)
+            return self._slot("candidates", flavour, apply)
 
     def dependency_map(
         self,
@@ -785,16 +783,16 @@ class SessionArtifacts:
                 reduce_neighborhoods=reduce_neighborhoods,
                 blocking=blocking,
             )
-            snapshot = self.snapshot()
             # reduced flavours: entities whose restriction drifted via an
             # affected partner pair count as affected for the row rebase
             drift = candidates.restriction_drift or set()
             return self._slot(
                 "dependency_map",
                 (filtered, reduce_neighborhoods, blocking != "off"),
-                lambda: DependencyArtifact.build(snapshot, self.keys, candidates),
-                lambda old, _key_ball, ball: old.rebased(
-                    snapshot, self.keys, candidates, ball | drift
+                lambda old, _key_ball, ball: (
+                    DependencyArtifact.build(self.keys, candidates)
+                    if old is None
+                    else old.rebased(self.keys, candidates, ball | drift)
                 ),
             ).forward
 
@@ -818,15 +816,16 @@ class SessionArtifacts:
             return self._slot(
                 "product_graph",
                 (filtered, reduce_neighborhoods, blocking != "off"),
-                lambda: ProductGraph(
-                    snapshot, self.keys, candidates, dependents=dependents
-                ),
-                lambda old, key_ball, ball: old.rebased(
-                    snapshot,
-                    candidates,
-                    key_ball | drift,
-                    rows=ball,
-                    dependents=dependents,
-                    keys=self.keys,
+                lambda old, key_ball, ball: (
+                    ProductGraph(snapshot, self.keys, candidates, dependents=dependents)
+                    if old is None
+                    else old.rebased(
+                        snapshot,
+                        self.keys,
+                        candidates,
+                        key_ball | drift,
+                        rows=ball,
+                        dependents=dependents,
+                    )
                 ),
             )

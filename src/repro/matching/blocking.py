@@ -139,53 +139,84 @@ class BlockingStats:
 
 #: entity -> non-empty literal-id set; entities with empty signatures are absent.
 _PathSignatures = Dict[str, FrozenSet[int]]
-#: literal id -> the entities whose anchor-path signature holds it
-_TokenMembers = Dict[int, FrozenSet[str]]
+#: literal id -> the participants whose anchor-path signature holds it (a
+#: list never changed once built: an apply moves a token to a new one)
+_TokenMembers = Dict[int, List[str]]
+_NO_TOKENS: FrozenSet[int] = frozenset()
 
 
-def _token_members(signatures: _PathSignatures) -> _TokenMembers:
-    """The token -> members map of one path's *signatures* (one full pass)."""
-    grouped: Dict[int, Set[str]] = {}
-    for entity, tokens in signatures.items():
-        for token in tokens:
-            grouped.setdefault(token, set()).add(entity)
-    return {token: frozenset(members) for token, members in grouped.items()}
+def _participants(per_path: Sequence[_PathSignatures], entities: Set[str]) -> Set[str]:
+    """The *entities* with a signature on every path of a scheme (C-level
+    key intersections, each over the smaller side)."""
+    for sigs in per_path:
+        entities = sigs.keys() & entities
+    return entities
 
 
 def _moved_tokens(
     members: _TokenMembers,
-    old: _PathSignatures,
-    new: _PathSignatures,
-    entities: Iterable[str],
+    old: Sequence[_PathSignatures],
+    new: Sequence[_PathSignatures],
+    anchor: int,
+    entities: Set[str],
 ) -> _TokenMembers:
-    """*members* (over *old*) carried onto *new*: a C-level copy, then only
-    the tokens of *entities* whose signature changed are rewritten."""
-    moved = dict(members)
-    for entity in entities:
-        before = old.get(entity, frozenset())
-        after = new.get(entity, frozenset())
+    """*members* (the anchor-path tokens of *old*'s participants) carried
+    onto *new*: only the tokens of the *entities* whose anchor tokens or
+    participation changed are rewritten, each token once, with the entities
+    it lost and gained grouped (a C-level copy of the map first, and none
+    when nothing moved)."""
+    was, now = _participants(old, entities), _participants(new, entities)
+    old_anchor, new_anchor = old[anchor], new[anchor]
+    lost: Dict[int, Set[str]] = {}
+    gained: Dict[int, List[str]] = {}
+    for entity in was | now:
+        before = old_anchor[entity] if entity in was else _NO_TOKENS
+        after = new_anchor[entity] if entity in now else _NO_TOKENS
         if before == after:
             continue
         for token in before - after:
-            rest = moved[token] - {entity}
-            if rest:
-                moved[token] = rest
-            else:
-                del moved[token]
+            lost.setdefault(token, set()).add(entity)
         for token in after - before:
-            moved[token] = moved.get(token, frozenset()) | {entity}
+            gained.setdefault(token, []).append(entity)
+    if not lost and not gained:
+        return members
+    moved = dict(members)
+    for token, gone in lost.items():
+        held = [entity for entity in moved[token] if entity not in gone]
+        if held:
+            moved[token] = held
+        else:
+            del moved[token]
+    for token, came in gained.items():
+        moved[token] = moved.get(token, []) + came
     return moved
 
 
-class BlockingIndex:
-    """Per-key signature index over one snapshot.
+def merge_sorted(kept: List, found: Iterable) -> None:
+    """Insert *found* into the sorted list *kept*: one by one by bisection,
+    or, when the batch is at least as long as the list (an apply from
+    empty, a window that rewrote most of a type), in bulk by one sort."""
+    found = sorted(found)
+    if len(found) >= len(kept):
+        kept.extend(found)
+        kept.sort()
+    else:
+        for item in found:
+            bisect.insort(kept, item)
 
-    Build with :meth:`build`; enumerate with :meth:`candidate_pairs`; carry
-    across journal deltas with :meth:`rebased`, which recomputes signatures
-    only for delta-affected entities (signature paths never leave a key's
-    radius ball, so the journal window's radius ball covers every possible
-    signature change).  Tokens are literal ids, which name the same literals
-    only within one :attr:`~repro.storage.GraphSnapshot.lineage`.
+
+class BlockingIndex:
+    """Per-key signature index over one snapshot, and the blocked
+    enumeration it collides.
+
+    One rule builds it, :meth:`rebased`: the index of a graph version is the
+    index of an older one with the signatures of the affected entities
+    rewritten, and :meth:`build` applies it to the empty index, where every
+    keyed entity is new to its type (signature paths never leave a key's
+    radius ball, so a journal window's radius ball covers every signature
+    change).  Enumerate with :meth:`candidate_pairs`.  Tokens are literal
+    ids, which name the same literals only within one
+    :attr:`~repro.storage.GraphSnapshot.lineage`.
     """
 
     __slots__ = (
@@ -201,22 +232,24 @@ class BlockingIndex:
 
     def __init__(
         self,
-        snapshot: GraphSnapshot,
+        snapshot: Optional[GraphSnapshot],
         schemes: Tuple[KeyBlockingScheme, ...],
         signatures: Dict[int, Tuple[_PathSignatures, ...]],
+        tokens: Dict[int, Tuple[int, _TokenMembers]],
         build_seconds: float,
     ) -> None:
+        #: ``None`` on the empty index, whose type buckets are all empty
         self._snapshot = snapshot
         self._schemes = schemes
         self._signatures = signatures
         self.build_seconds = build_seconds
-        #: scheme index -> anchor-path token -> members; built at the first
-        #: rebase, so a cold build never holds it
-        self._tokens: Optional[Dict[int, _TokenMembers]] = None
+        #: scheme index -> (anchor path, token -> its participants); the
+        #: anchor is the most selective path at the apply from empty
+        self._tokens = tokens
         #: the certified enumeration at this version, once collided
         self._enumerated: Optional[_PairState] = None
-        #: an ancestor's enumeration and the entities rewritten since
-        self._carried: Optional[Tuple[_PairState, Set[str]]] = None
+        #: an ancestor's enumeration and the entities rewritten since, by id
+        self._carried: Optional[Tuple[_PairState, Dict[int, str]]] = None
         #: the stats of the collision pass that produced ``_enumerated``
         self._stats: Optional[BlockingStats] = None
 
@@ -232,62 +265,62 @@ class BlockingIndex:
         *,
         snapshot: Optional[GraphSnapshot] = None,
     ) -> "BlockingIndex":
-        """Compile the schemes of *keys* and index every keyed entity.
-
-        Signatures are computed in integer space over the CSR arrays of
-        *snapshot* (built from *graph* here when not given); the last hop of
-        every path streams the snapshot's inverted value index in one pass.
-        """
+        """Compile the schemes of *keys* and index every keyed entity: the
+        :meth:`rebased` of the empty index onto *snapshot* (built from
+        *graph* here when not given)."""
         snapshot = snapshot_of(graph, snapshot)
-        started = time.perf_counter()
         schemes = compile_blocking_schemes(keys)
-        signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
-        for index, scheme in enumerate(schemes):
-            if scheme.certified:
-                signatures[index] = tuple(
-                    _path_signatures(snapshot, scheme.target_type, path)
-                    for path in scheme.paths
-                )
-        return cls(
-            snapshot=snapshot,
+        empty = cls(
+            snapshot=None,
             schemes=schemes,
-            signatures=signatures,
-            build_seconds=time.perf_counter() - started,
+            signatures={
+                index: tuple({} for _ in scheme.paths)
+                for index, scheme in enumerate(schemes)
+                if scheme.certified
+            },
+            tokens={},
+            build_seconds=0.0,
         )
+        empty._enumerated = _PairState({etype: [] for etype in empty._type_schemes()})
+        return empty.rebased(snapshot)
 
     def rebased(
         self, snapshot: GraphSnapshot, affected_entities: Iterable[str] = ()
     ) -> "BlockingIndex":
         """A new index over *snapshot*, the next graph version, carried from
-        this one by delta.
+        this one by delta: the one construction rule of the index.
 
         Each path's signatures start as a C-level copy of this index's;
         only the *affected_entities* of a certified type, the entities new to
         the type and the entities that left it are rewritten or deleted, so
-        the Python-level work is the delta's, never the bucket's.  The caller
-        must pass a superset of the entities whose radius ball a delta
-        touched — the session passes the journal window's radius ball, which
-        is exactly that set (an entity new to a type was touched, so it is
-        in it too).  *snapshot* must be of this index's lineage, or the
-        copied literal ids would name other literals: ``ValueError``.
+        the Python-level work is the delta's, never the bucket's.  When that
+        batch is a type's whole bucket (always, from the empty index) the
+        bucket is walked one integer-space pass per hop instead of entity by
+        entity.  The caller must pass a superset of the entities whose radius
+        ball a delta touched — the session passes the journal window's key
+        ball, which is exactly that set (an entity new to a type was
+        touched, so it is in it too).  *snapshot* must be of this index's
+        lineage, or the copied literal ids would name other literals:
+        ``ValueError``.
 
-        The blocked enumeration rides along: once this index (or an ancestor
-        since its last enumeration) has enumerated, the new index's
-        :meth:`candidate_pairs` drops the pairs of every rewritten entity and
-        re-collides only those entities, against each scheme's anchor-path
-        token map (built at the first rebase, then carried like the
-        signatures).  A pair is kept exactly when its signatures intersect on
-        every path of some key, whichever path anchors the collision, so the
-        result equals a full collision pair for pair; only ``blocks_touched``
-        differs, counting the blocks the re-collision read.
+        Each scheme keeps a token -> participants map over one anchor path,
+        moved token by token: the apply from empty picks the most selective
+        path (the fewest raw pairs in its blocks), and every later apply
+        keeps it.  The blocked enumeration rides along: the new index's
+        :meth:`candidate_pairs` drops the pairs of every rewritten entity
+        from the last enumeration an ancestor made (the empty one, from the
+        empty index) and collides only those entities against the token
+        maps.  A pair is kept exactly when its signatures intersect on every
+        path of some key, whichever path anchors the collision.
         """
-        if snapshot.lineage is not self._snapshot.lineage:
+        old_snapshot = self._snapshot
+        if old_snapshot is not None and snapshot.lineage is not old_snapshot.lineage:
             raise ValueError("a blocking index rebases only within its snapshot lineage")
         started = time.perf_counter()
         affected = _ids_of(snapshot, affected_entities)
         signatures: Dict[int, Tuple[_PathSignatures, ...]] = {}
-        tokens: Dict[int, _TokenMembers] = {}
-        dirty: Set[str] = set()
+        tokens: Dict[int, Tuple[int, _TokenMembers]] = {}
+        dirty: Dict[int, str] = {}  # id -> entity, rewritten or gone
         for index, scheme in enumerate(self._schemes):
             if not scheme.certified:
                 continue
@@ -295,47 +328,54 @@ class BlockingIndex:
             # ids never move within a lineage, so the membership change of a
             # type is the difference of its two buckets (C-level, and only
             # when the patch regrouped the type)
-            old_ids = self._snapshot.type_ids(etype)
+            old_ids = {} if old_snapshot is None else old_snapshot.type_ids(etype)
             new_ids = snapshot.type_ids(etype)
-            rewrite = {new_ids[i] for i in new_ids.keys() & affected.keys()}
-            left: List[str] = []
+            rewrite = {i: new_ids[i] for i in new_ids.keys() & affected.keys()}
+            left: Dict[int, str] = {}
             if new_ids is not old_ids:
-                rewrite.update(new_ids[i] for i in new_ids.keys() - old_ids.keys())
-                left = [old_ids[i] for i in old_ids.keys() - new_ids.keys()]
+                rewrite.update((i, new_ids[i]) for i in new_ids.keys() - old_ids.keys())
+                left = {i: old_ids[i] for i in old_ids.keys() - new_ids.keys()}
             dirty.update(rewrite)
             dirty.update(left)
+            old_paths = self._signatures[index]
             per_path: List[_PathSignatures] = []
-            for path, old in zip(scheme.paths, self._signatures[index]):
+            for path, old in zip(scheme.paths, old_paths):
+                if rewrite and len(rewrite) == len(new_ids):
+                    per_path.append(_path_signatures(snapshot, etype, path))
+                    continue
                 fresh = dict(old)
-                for entity in left:
+                for entity in left.values():
                     fresh.pop(entity, None)
-                found = _entity_signatures(snapshot, rewrite, path)
-                for entity in rewrite:
+                found = _entity_signatures(snapshot, rewrite.values(), path)
+                for entity in rewrite.values():
                     if entity not in found:
                         fresh.pop(entity, None)
                 fresh.update(found)
                 per_path.append(fresh)
-            signatures[index] = tuple(per_path)
-            anchor_old, anchor_new = self._signatures[index][0], per_path[0]
-            members = None if self._tokens is None else self._tokens.get(index)
-            if members is None:
-                tokens[index] = _token_members(anchor_new)
+            signatures[index] = new_paths = tuple(per_path)
+            carried = self._tokens.get(index)
+            if carried is None:  # the empty index: choose the anchor, group its path
+                tokens[index] = _most_selective_map(new_paths)
             else:
-                tokens[index] = _moved_tokens(
-                    members, anchor_old, anchor_new, itertools.chain(left, rewrite)
+                anchor, members = carried
+                tokens[index] = (
+                    anchor,
+                    _moved_tokens(
+                        members, old_paths, new_paths, anchor, {*rewrite.values(), *left.values()}
+                    ),
                 )
         twin = BlockingIndex(
             snapshot=snapshot,
             schemes=self._schemes,
             signatures=signatures,
+            tokens=tokens,
             build_seconds=time.perf_counter() - started,
         )
-        twin._tokens = tokens
         if self._enumerated is not None:
             twin._carried = (self._enumerated, dirty)
         elif self._carried is not None:
             state, earlier = self._carried
-            twin._carried = (state, earlier | dirty)
+            twin._carried = (state, {**earlier, **dirty})
         return twin
 
     # ------------------------------------------------------------------ #
@@ -370,9 +410,10 @@ class BlockingIndex:
 
         The result is a subset of the quadratic enumeration in the same
         order: per sorted target type, canonically ordered pairs sorted
-        within each type.  The certified types are collided once per index:
-        in full on a built index, by delta on a rebased one (see
-        :meth:`rebased`); a repeated call re-reads that pass.
+        within each type.  The certified types are collided once per index,
+        by delta from the enumeration it carries (see :meth:`rebased`; from
+        the empty one, on a built index, that is every pair); a repeated
+        call re-reads that pass.
         """
         validate_blocking_mode(mode)
         if mode == "off":
@@ -413,16 +454,13 @@ class BlockingIndex:
         return found
 
     def _collided(self) -> "_PairState":
-        """The certified enumeration at this version, collided on first use:
-        in full, or by delta from a carried ancestor's."""
+        """The certified enumeration at this version, collided on first use
+        by delta from the carried ancestor's (see :meth:`rebased`)."""
         if self._enumerated is None:
             started = time.perf_counter()
             stats = BlockingStats(mode="auto", index_seconds=self.build_seconds)
-            if self._carried is None:
-                self._enumerated = self._collide(stats)
-            else:
-                self._enumerated = self._recollide(*self._carried, stats)
-                self._carried = None
+            self._enumerated = self._recollide(*self._carried, stats)
+            self._carried = None
             stats.collision_seconds = time.perf_counter() - started
             self._stats = stats
         return self._enumerated
@@ -439,55 +477,26 @@ class BlockingIndex:
                 fallback.add(scheme.target_type)
         return {etype: found for etype, found in by_type.items() if etype not in fallback}
 
-    def _collide(self, stats: BlockingStats) -> "_PairState":
-        """Every certified type's pairs, by one full collision pass."""
-        lists: Dict[str, List[Pair]] = {}
-        for etype, indices in self._type_schemes().items():
-            bucket = self._snapshot.entities_of_type(etype)  # sorted entity ids
-            type_pairs: Set[Pair] = set()
-            for index in indices:
-                per_path = self._signatures[index]
-                participants = [
-                    entity
-                    for entity in bucket
-                    if all(entity in sigs for sigs in per_path)
-                ]
-                if len(participants) < 2:
-                    continue
-                anchor = _most_selective_path(per_path, participants)
-                blocks: Dict[int, List[str]] = {}
-                anchor_sigs = per_path[anchor]
-                for entity in participants:  # sorted, so blocks stay sorted
-                    for token in anchor_sigs[entity]:
-                        blocks.setdefault(token, []).append(entity)
-                others = [
-                    sigs for i, sigs in enumerate(per_path) if i != anchor
-                ]
-                for members in blocks.values():
-                    if len(members) < 2:
-                        continue
-                    stats.blocks_touched += 1
-                    for e1, e2 in itertools.combinations(members, 2):
-                        if (e1, e2) in type_pairs:
-                            continue
-                        if all(
-                            not sigs[e1].isdisjoint(sigs[e2]) for sigs in others
-                        ):
-                            type_pairs.add((e1, e2))
-            lists[etype] = sorted(type_pairs)
-        return _PairState(lists)
-
     def _recollide(
-        self, state: "_PairState", dirty: Set[str], stats: BlockingStats
+        self, state: "_PairState", dirty_ids: Dict[int, str], stats: BlockingStats
     ) -> "_PairState":
         """*state*, an ancestor's enumeration, carried onto this index: the
-        pairs of every *dirty* entity are dropped, and the dirty entities
-        still in a certified type are collided again against the anchor
-        path's token map.  *state* is left as it was (copy-on-write)."""
+        pairs of every dirty entity (*dirty_ids*: id -> entity, rewritten
+        since *state*) are dropped, and the dirty entities still in a
+        certified type are collided again against the anchor path's token
+        map.  *state* is left as it was (copy-on-write).
+
+        A block (a token of the anchor path) counts as touched when a dirty
+        participant holds it beside another participant: every block with
+        two participants on a pass from the empty state.  A pair of two
+        dirty entities is taken from its first entity's side only.  The
+        per-entity pair index is carried only when *state* held pairs (the
+        drop reads it); otherwise it is built on first use.
+        """
         snapshot = self._snapshot
-        old_by_entity = state.index()
+        dirty = set(dirty_ids.values())
         lists = dict(state.lists)
-        by_entity = dict(old_by_entity)
+        by_entity = dict(state.index()) if any(lists.values()) else None
         owned: Set[str] = set()  # types whose list is the new state's own
 
         def own(etype: str) -> List[Pair]:
@@ -496,57 +505,67 @@ class BlockingIndex:
                 owned.add(etype)
             return lists[etype]
 
-        # drop: every pair of a dirty entity, out of its type's sorted list
-        gone: Set[Pair] = set()
-        for entity in dirty:
-            gone.update(by_entity.pop(entity, ()))
-        for entity in {entity for pair in gone for entity in pair}.difference(dirty):
-            rest = by_entity[entity] - gone
-            if rest:
-                by_entity[entity] = rest
-            else:
-                del by_entity[entity]
-        for pair in gone:
-            for etype, kept in lists.items():
-                at = bisect.bisect_left(kept, pair)
-                if at < len(kept) and kept[at] == pair:
-                    del own(etype)[at]
-                    break
-        # re-collide the dirty entities by their type on this version
-        dirty_ids = _ids_of(snapshot, dirty)
+        if by_entity is not None:
+            # drop: every pair of a dirty entity, out of its type's sorted list
+            gone: Set[Pair] = set()
+            for entity in dirty:
+                gone.update(by_entity.pop(entity, ()))
+            for entity in {entity for pair in gone for entity in pair}.difference(dirty):
+                rest = by_entity[entity] - gone
+                if rest:
+                    by_entity[entity] = rest
+                else:
+                    del by_entity[entity]
+            for pair in gone:
+                for etype, kept in lists.items():
+                    at = bisect.bisect_left(kept, pair)
+                    if at < len(kept) and kept[at] == pair:
+                        del own(etype)[at]
+                        break
+        # re-collide the dirty entities by their type on this version, block
+        # by block: the anchor tokens the dirty participants hold
         blocks: Set[Tuple[int, int]] = set()
+        gained: Dict[str, List[Pair]] = {}
         for etype, indices in self._type_schemes().items():
             bucket = snapshot.type_ids(etype)
-            entities = [bucket[i] for i in bucket.keys() & dirty_ids.keys()]
+            entities = {bucket[i] for i in bucket.keys() & dirty_ids.keys()}
             found: Set[Pair] = set()
             for index in indices:
-                anchor, *others = self._signatures[index]
-                members_of = self._tokens[index]
-                for entity in entities:
-                    tokens = anchor.get(entity)
-                    if tokens is None or not all(entity in sigs for sigs in others):
+                per_path = self._signatures[index]
+                anchor, members_of = self._tokens[index]
+                others = [sigs for i, sigs in enumerate(per_path) if i != anchor]
+                mine = _participants(per_path, entities)
+                # the blocks the rewritten participants hold: read off their
+                # tokens, or, when they outnumber the blocks, off the map
+                held = (
+                    members_of.keys()
+                    if len(mine) >= len(members_of)
+                    else _NO_TOKENS.union(*map(per_path[anchor].__getitem__, mine))
+                )
+                for token in held:
+                    members = members_of[token]
+                    if len(members) < 2:
                         continue
-                    for token in tokens:
-                        members = members_of[token]
-                        if len(members) < 2:
+                    for entity in members:
+                        if entity not in mine:
                             continue
                         blocks.add((index, token))
                         for other in members:
-                            if other == entity:
+                            if other == entity or (other < entity and other in mine):
                                 continue
                             pair = (entity, other) if entity < other else (other, entity)
                             if pair not in found and all(
-                                other in sigs and not sigs[entity].isdisjoint(sigs[other])
-                                for sigs in others
+                                not sigs[entity].isdisjoint(sigs[other]) for sigs in others
                             ):
                                 found.add(pair)
-            if not found:
-                continue
-            kept = own(etype)
-            for pair in found:
-                bisect.insort(kept, pair)
-                for entity in pair:
-                    by_entity[entity] = by_entity.get(entity, frozenset()) | {pair}
+            if found:
+                merge_sorted(own(etype), found)
+                if by_entity is not None:
+                    for pair in found:
+                        gained.setdefault(pair[0], []).append(pair)
+                        gained.setdefault(pair[1], []).append(pair)
+        for entity, pairs in gained.items():
+            by_entity[entity] = by_entity.get(entity, frozenset()).union(pairs)
         stats.blocks_touched = len(blocks)
         return _PairState(lists, by_entity)
 
@@ -606,10 +625,12 @@ def quadratic_pairs_touching(
     return found
 
 
-def _most_selective_path(
-    per_path: Sequence[_PathSignatures], participants: Sequence[str]
-) -> int:
-    """The index of the path whose blocks enumerate the fewest raw pairs."""
+def _most_selective_map(per_path: Sequence[_PathSignatures]) -> Tuple[int, _TokenMembers]:
+    """A scheme's token map from nothing: the path whose blocks enumerate
+    the fewest raw pairs among the scheme's participants (the entities with
+    a signature on every path; the first such path on a tie), and its
+    participants grouped by token."""
+    participants = _participants(per_path, set(per_path[0]))
     best_index = 0
     best_cost: Optional[int] = None
     for index, sigs in enumerate(per_path):
@@ -621,7 +642,12 @@ def _most_selective_path(
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_index = index
-    return best_index
+    groups: Dict[int, List[str]] = {}
+    anchor_sigs = per_path[best_index]
+    for entity in participants:
+        for token in anchor_sigs[entity]:
+            groups.setdefault(token, []).append(entity)
+    return best_index, groups
 
 
 # ---------------------------------------------------------------------- #

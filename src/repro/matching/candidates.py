@@ -8,15 +8,13 @@ shrink the d-neighbourhoods to pairing-supported nodes at the same time.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.chase import candidate_pairs
 from ..core.equivalence import Pair
 from ..core.graph import Graph
-from ..core.key import Key, KeySet
-from ..core.pairing import pairing_relation, pairing_support_nodes
+from ..core.key import KeySet
 from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.neighborhoods import entities_within, radius_per_type
@@ -48,22 +46,23 @@ class CandidateSet:
     #: simulation, so a mutation entirely on the partner's side of a pair
     #: can grow/shrink this side's support union.  Consumers keyed on
     #: restricted neighbourhoods (the reduce-flavour dependency map) must
-    #: treat these entities as affected too.  ``None`` on built (non-rebased)
-    #: or unreduced sets.
+    #: treat these entities as affected too.  ``None`` on unreduced sets,
+    #: empty on a set applied from empty (every entity was affected).
     restriction_drift: Optional[Set[str]] = None
     #: observability of the blocked enumeration (``None`` when the pairs came
     #: from the classic quadratic path).
     blocking: Optional[BlockingStats] = None
     #: the judged pairs by entity and the survivors by type
     #: (:class:`PairIndex`).  Built on first use (:meth:`pair_index`), then
-    #: carried by every rebase of a filtered set, so the delta path reads a
+    #: carried by every later apply to the set, so the delta path reads a
     #: window's pairs by entity and keeps the order without a pass over the
     #: set.
     index: Optional["PairIndex"] = None
-    #: rebased filtered sets: the pairs this rebase re-paired that survived,
-    #: each with its product-graph nodes (itself plus every node pair of its
-    #: pairing relations, Prop. 9), so the product graph's rebase reads them
-    #: instead of running the same fixpoint again
+    #: unreduced filtered sets: the pairs the apply that made the set paired
+    #: and kept (every pair, from empty), each with its product-graph nodes
+    #: (itself plus every node pair of its pairing relations, Prop. 9), so
+    #: the product graph reads them instead of running the same fixpoint
+    #: again
     repaired: Optional[Dict[Pair, Set[Tuple[GraphNode, GraphNode]]]] = None
 
     # A candidate set travels to process-pool workers inside the product
@@ -144,6 +143,25 @@ class PairIndex:
     by_type: Dict[str, List[Pair]]
 
 
+def _universe(
+    graph: Graph,
+    keys: KeySet,
+    snapshot: GraphSnapshot,
+    blocking: str,
+    blocking_index: Optional[BlockingIndex],
+    blocked: Optional[Tuple[Sequence[Pair], BlockingStats]],
+) -> Tuple[Sequence[Pair], Optional[BlockingStats]]:
+    """The unfiltered ``L`` and the blocking stats (``None`` when quadratic)."""
+    if blocked is not None:
+        return blocked
+    if blocking != "off":
+        pairs, stats, _ = blocked_candidate_pairs(
+            graph, keys, mode=blocking, snapshot=snapshot, index=blocking_index
+        )
+        return pairs, stats
+    return candidate_pairs(snapshot, keys), None
+
+
 def build_candidates(
     graph: Graph,
     keys: KeySet,
@@ -175,15 +193,7 @@ def build_candidates(
     (ROADMAP item 4).
     """
     snapshot = snapshot_of(graph, snapshot)
-    stats: Optional[BlockingStats] = None
-    if blocked is not None:
-        pairs, stats = blocked
-    elif blocking != "off":
-        pairs, stats, _ = blocked_candidate_pairs(
-            graph, keys, mode=blocking, snapshot=snapshot, index=blocking_index
-        )
-    else:
-        pairs = candidate_pairs(snapshot, keys)
+    pairs, stats = _universe(graph, keys, snapshot, blocking, blocking_index, blocked)
     neighborhoods = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
     involved = {e for pair in pairs for e in pair}
     neighborhoods.precompute(involved)
@@ -208,7 +218,11 @@ def build_filtered_candidates(
     blocking_index: Optional[BlockingIndex] = None,
     blocked: Optional[Tuple[Sequence[Pair], BlockingStats]] = None,
 ) -> CandidateSet:
-    """The candidate set after the pairing filter of Section 4.2.
+    """The candidate set after the pairing filter of Section 4.2: the
+    filtered set's one rule,
+    :func:`~repro.matching.incremental.rebase_filtered_candidates`, applied
+    to the empty set with every keyed entity affected, so every pair of
+    ``L`` is paired.
 
     Pairs that cannot be paired by any key are dropped (Proposition 9(a));
     when *reduce_neighborhoods* is set, the d-neighbourhoods of surviving
@@ -216,63 +230,26 @@ def build_filtered_candidates(
     *index* is never reduced in place — the reduction happens on a clone, so
     the caller's cache stays valid for unreduced consumers.  Every read (type
     lookups, the pairing fixpoint) goes to *snapshot*, built from *graph*
-    here when not given.
+    here when not given; ``L`` is enumerated as :func:`build_candidates`
+    does.
     """
+    from .incremental import rebase_filtered_candidates  # it imports this module
+
     snapshot = snapshot_of(graph, snapshot)
-    base = build_candidates(
-        graph,
+    pairs, stats = _universe(graph, keys, snapshot, blocking, blocking_index, blocked)
+    index = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
+    empty = CandidateSet(pairs=(), neighborhoods=index, pair_supports={}, rejected_pairs=set())
+    return rebase_filtered_candidates(
+        empty,
         keys,
-        index=index,
         snapshot=snapshot,
-        blocking=blocking,
-        blocking_index=blocking_index,
-        blocked=blocked,
-    )
-    neighborhoods = base.neighborhoods
-    filter_started = time.perf_counter()
-    if reduce_neighborhoods and index is not None:
-        neighborhoods = index.clone()
-    keys_by_type: Dict[str, List[Key]] = {
-        etype: keys.keys_for_type(etype) for etype in keys.target_types()
-    }
-
-    surviving: List[Pair] = []
-    supports: Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]] = {}
-    rejected: Set[Pair] = set()
-    for e1, e2 in base.pairs:
-        etype = snapshot.entity_type(e1)
-        nbhd1 = neighborhoods.nodes(e1)
-        nbhd2 = neighborhoods.nodes(e2)
-        side1: Set[GraphNode] = set()
-        side2: Set[GraphNode] = set()
-        paired = False
-        for key in keys_by_type.get(etype, ()):
-            relation = pairing_relation(snapshot, key, e1, e2, nbhd1, nbhd2)
-            if relation is None:
-                continue
-            paired = True
-            support1, support2 = pairing_support_nodes(relation)
-            side1 |= support1
-            side2 |= support2
-        if not paired:
-            rejected.add((e1, e2))
-            continue
-        surviving.append((e1, e2))
-        supports[(e1, e2)] = (side1, side2)
-
-    if reduce_neighborhoods:
-        apply_support_restrictions(neighborhoods, supports)
-
-    if base.blocking is not None:
-        base.blocking.filter_seconds += time.perf_counter() - filter_started
-    return CandidateSet(
-        pairs=surviving,
-        neighborhoods=neighborhoods,
-        unfiltered_size=base.unfiltered_size,
-        unreduced_neighborhood_total=base.unreduced_neighborhood_total,
-        pair_supports=supports,
-        rejected_pairs=rejected,
-        blocking=base.blocking,
+        index=index,
+        affected_entities={
+            entity for etype in keys.target_types() for entity in snapshot.entities_of_type(etype)
+        },
+        touching=pairs,
+        reduce_neighborhoods=reduce_neighborhoods,
+        blocked=None if stats is None else (pairs, stats),
     )
 
 
@@ -368,23 +345,17 @@ def dependents_reaching(
     return {prerequisite: found for prerequisite, found in edges.items() if found}
 
 
-def dependency_map(
-    graph: Graph,
-    keys: KeySet,
-    candidates: CandidateSet,
-) -> Dict[Pair, Set[Pair]]:
+def dependency_map(keys: KeySet, candidates: CandidateSet) -> Dict[Pair, Set[Pair]]:
     """For each candidate pair, the candidate pairs that *depend on* it.
 
     ``(e1, e2)`` depends on ``(e'1, e'2)`` when the latter lies in the
     d-neighbourhoods of the former and has the type of an entity variable of a
     recursive key defined on ``(e1, e2)`` (Section 4.2).  The result maps each
     prerequisite pair to its dependents, which is the direction the
-    notifications flow in (``dep`` edges of the product graph).
+    notifications flow in (``dep`` edges of the product graph): the
+    ``forward`` map of :meth:`DependencyArtifact.build
+    <repro.matching.incremental.DependencyArtifact.build>`.
     """
-    depends_on_types = depends_on_types_by_target(keys)
-    by_pair: Dict[Pair, Set[Pair]] = {pair: set() for pair in candidates.pairs}
-    for dependent in candidates.pairs:
-        wanted_types = depends_on_types.get(graph.entity_type(dependent[0]), set())
-        for prerequisite in probe_prerequisites(dependent, wanted_types, candidates):
-            by_pair[prerequisite].add(dependent)
-    return by_pair
+    from .incremental import DependencyArtifact  # it imports this module
+
+    return DependencyArtifact.build(keys, candidates).forward

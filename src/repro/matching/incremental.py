@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import time
 from collections import ChainMap
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -55,6 +56,7 @@ from ..core.key import Key, KeySet
 from ..core.pairing import pairing_relation, pairing_support_nodes
 from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
+from .blocking import merge_sorted
 from .candidates import (
     CandidateSet,
     PairIndex,
@@ -446,20 +448,21 @@ def extra_dependency_edges(
 
 def rebase_filtered_candidates(
     old: CandidateSet,
-    graph,
     keys: KeySet,
     *,
     snapshot: GraphSnapshot,
     index: SnapshotNeighborhoodIndex,
     affected_entities: Set[str],
-    touching: Set[Pair],
+    touching: Iterable[Pair],
     reduce_neighborhoods: bool,
     blocking: str = "off",
     blocked=None,
 ) -> CandidateSet:
-    """A pairing-filtered :class:`CandidateSet` carried across a journal
-    delta, re-running the pairing fixpoint only for the pairs the delta could
-    have affected.
+    """The pairing-filtered :class:`CandidateSet` of a graph version, carried
+    from *old*, an earlier version's, by re-running the pairing fixpoint
+    only for the pairs the delta could have affected: the filtered set's one
+    construction rule (:func:`build_filtered_candidates` applies it to the
+    empty set, with every pair of ``L`` touching).
 
     A pair's pairing outcome (and its support nodes) reads only the key
     triples within key radius of its two entities, so a pair with no entity
@@ -471,10 +474,11 @@ def rebase_filtered_candidates(
     C-level copies, and Python-level work is spent on *touching* — the new
     universe's pairs with an affected entity (the caller reads them off the
     blocking index, or the type buckets when unblocked) — and on the old
-    verdicts naming an affected entity, which are dropped first.  A reduced
-    flavour still re-applies its restrictions over every support.  The
-    result is bit-identical to :func:`build_filtered_candidates` on the new
-    graph — the equivalence the mutation-fuzz suites enforce.  With
+    verdicts naming an affected entity, which are dropped first.  The
+    per-entity index is carried only when *old* has one or judged pairs (the
+    drop reads it); otherwise it is built on first use.  An unreduced set
+    carries the product-graph nodes of every pair it paired (``repaired``);
+    a reduced one re-applies its restrictions over every support.  With
     *blocking*, pass the session cache's *blocked* enumeration of the new
     version (:meth:`SessionArtifacts.blocked_pairs`): its stats ride along
     and its length is the unfiltered size.
@@ -486,18 +490,24 @@ def rebase_filtered_candidates(
         for etype in keys.target_types():
             count = len(snapshot.type_ids(etype))
             universe_size += count * (count - 1) // 2
-    old_index = old.pair_index()
-    old_judged = old_index.judged
-    stale = {pair for entity in affected_entities for pair in old_judged.get(entity, ())}
-    index.precompute({entity for pair in touching for entity in pair})
+    old_supports = old.pair_supports
+    old_index = old.index
+    if old_index is None and (old_supports or old.rejected_pairs):
+        old_index = old.pair_index()
+    stale: Set[Pair] = set()
+    if old_index is not None:
+        old_judged = old_index.judged
+        stale = {pair for entity in affected_entities for pair in old_judged.get(entity, ())}
+    involved = {entity for pair in touching for entity in pair}
+    index.precompute(involved)
+    started = time.perf_counter()  # the pairing filter's own clock
     neighborhoods = index.clone() if reduce_neighborhoods else index
     keys_by_type: Dict[str, List[Key]] = {
         etype: keys.keys_for_type(etype) for etype in keys.target_types()
     }
-    old_supports = old.pair_supports
     supports = dict(old_supports)
     rejected = set(old.rejected_pairs)
-    by_type = dict(old_index.by_type)
+    by_type = {} if old_index is None else dict(old_index.by_type)
     owned: Set[str] = set()  # types whose survivor list is this set's own
 
     def own(etype: str) -> List[Pair]:
@@ -516,6 +526,7 @@ def rebase_filtered_candidates(
                     del own(etype)[at]
                     break
     repaired: Dict[Pair, Set[Tuple[GraphNode, GraphNode]]] = {}
+    paired_by_type: Dict[str, List[Pair]] = {}
     for pair in sorted(touching):
         e1, e2 = pair
         etype = snapshot.entity_type(e1)
@@ -524,7 +535,7 @@ def rebase_filtered_candidates(
         paired = False
         nbhd1 = neighborhoods.nodes(e1)
         nbhd2 = neighborhoods.nodes(e2)
-        nodes = {pair}
+        nodes = None if reduce_neighborhoods else {pair}
         for key in keys_by_type.get(etype, ()):
             relation = pairing_relation(snapshot, key, e1, e2, nbhd1, nbhd2)
             if relation is None:
@@ -533,28 +544,35 @@ def rebase_filtered_candidates(
             support1, support2 = pairing_support_nodes(relation)
             side1 |= support1
             side2 |= support2
-            for node_pairs in relation.values():
-                nodes.update(node_pairs)
+            if nodes is not None:
+                for node_pairs in relation.values():
+                    nodes.update(node_pairs)
         if paired:
             supports[pair] = (side1, side2)
-            bisect.insort(own(etype), pair)
-            repaired[pair] = nodes
+            paired_by_type.setdefault(etype, []).append(pair)
+            if nodes is not None:
+                repaired[pair] = nodes
         else:
             rejected.add(pair)
+    for etype, found in paired_by_type.items():
+        merge_sorted(own(etype), found)
     surviving = list(itertools.chain.from_iterable(by_type[t] for t in sorted(by_type)))
 
-    # the per-entity index: (old pairs - stale) + touching, per changed entity
-    judged = dict(old_judged)
-    touching_of: Dict[str, Set[Pair]] = {}
-    for pair in touching:
-        touching_of.setdefault(pair[0], set()).add(pair)
-        touching_of.setdefault(pair[1], set()).add(pair)
-    for entity in {e for pair in stale for e in pair} | touching_of.keys():
-        pairs = (old_judged.get(entity, frozenset()) - stale) | touching_of.get(entity, set())
-        if pairs:
-            judged[entity] = frozenset(pairs)
-        else:
-            judged.pop(entity, None)
+    pair_index: Optional[PairIndex] = None
+    if old_index is not None:
+        # the per-entity index: (old pairs - stale) + touching, per changed entity
+        judged = dict(old_judged)
+        touching_of: Dict[str, Set[Pair]] = {}
+        for pair in touching:
+            touching_of.setdefault(pair[0], set()).add(pair)
+            touching_of.setdefault(pair[1], set()).add(pair)
+        for entity in {e for pair in stale for e in pair} | touching_of.keys():
+            pairs = (old_judged.get(entity, frozenset()) - stale) | touching_of.get(entity, set())
+            if pairs:
+                judged[entity] = frozenset(pairs)
+            else:
+                judged.pop(entity, None)
+        pair_index = PairIndex(judged, by_type)
 
     drift: Optional[Set[str]] = None
     if reduce_neighborhoods:
@@ -563,17 +581,18 @@ def rebase_filtered_candidates(
         # can still change when a pair it shares with an affected partner
         # had its support recomputed (or vanished); detect it so consumers
         # of restricted neighbourhoods widen their affected sets
-        recomputed = set(touching_of)
-        for pair in stale:
-            if pair in old_supports and pair not in touching:
+        recomputed = set(involved)
+        for pair in stale:  # an old survivor no pairing judged again
+            if pair in old_supports and pair not in supports and pair not in rejected:
                 recomputed.update(pair)
         drift = {
             entity
-            for entity in recomputed
-            if entity not in affected_entities
-            and neighborhoods.nodes(entity) != old.neighborhoods.nodes(entity)
+            for entity in recomputed - affected_entities
+            if neighborhoods.nodes(entity) != old.neighborhoods.nodes(entity)
         }
 
+    if stats is not None:
+        stats.filter_seconds += time.perf_counter() - started
     return CandidateSet(
         pairs=surviving,
         neighborhoods=neighborhoods,
@@ -583,7 +602,7 @@ def rebase_filtered_candidates(
         rejected_pairs=rejected,
         restriction_drift=drift,
         blocking=stats,
-        index=PairIndex(judged, by_type),
+        index=pair_index,
         repaired=None if reduce_neighborhoods else repaired,
     )
 
@@ -609,31 +628,26 @@ class DependencyArtifact:
         self,
         forward: Dict[Pair, Set[Pair]],
         rows: Dict[Pair, Set[Pair]],
-        candidates: CandidateSet,
+        candidates: Optional[CandidateSet],
     ) -> None:
         self.forward = forward
         self.rows = rows
         self.candidates = candidates
 
     @classmethod
-    def build(cls, graph, keys: KeySet, candidates: CandidateSet) -> "DependencyArtifact":
-        from .candidates import dependency_map  # local: avoid confusing reexport
-
-        forward = dependency_map(graph, keys, candidates)
-        rows: Dict[Pair, Set[Pair]] = {pair: set() for pair in forward}
-        for prerequisite, dependents in forward.items():
-            for dependent in dependents:
-                rows[dependent].add(prerequisite)
-        return cls(forward, rows, candidates)
+    def build(cls, keys: KeySet, candidates: CandidateSet) -> "DependencyArtifact":
+        """The map over *candidates*: :meth:`rebased` from the empty
+        artifact, which holds no row, so every candidate pair's is probed."""
+        return cls({}, {}, None).rebased(keys, candidates, set())
 
     def rebased(
         self,
-        graph,
         keys: KeySet,
         candidates: CandidateSet,
         affected_entities: Set[str],
     ) -> "DependencyArtifact":
-        """This artifact migrated onto the new graph version after a delta.
+        """This artifact migrated onto the new graph version after a delta:
+        the map's one construction rule.
 
         A pair enters or leaves the candidates only through an entity in
         *affected_entities*, so the removed pairs are the old pairs of those
@@ -642,12 +656,13 @@ class DependencyArtifact:
         indexes.  Removed pairs are unlinked edge by edge; the rows of the
         dependents with an affected entity (the new pairs among them) are
         recomputed from their neighbourhoods
-        (:func:`~repro.matching.candidates.probe_prerequisites`); and the
-        new pairs are probed as *prerequisites* of the other dependents
-        within key radius of them
-        (:func:`~repro.matching.candidates.dependents_reaching`).
-        ``forward`` is bit-identical (as a mapping of sets) to a
-        from-scratch build on the new graph.
+        (:func:`~repro.matching.candidates.probe_prerequisites`) — every
+        pair's, from the empty map, which holds no row to keep; and, when
+        some candidate pair is not such a dependent, the new pairs are
+        probed as *prerequisites* of the other dependents within key radius
+        of them (:func:`~repro.matching.candidates.dependents_reaching`).
+        ``forward`` is bit-identical (as a mapping of sets) whatever
+        artifact it started from.
         """
         depends_on_types = depends_on_types_by_target(keys)
         old_forward, old_rows = self.forward, self.rows
@@ -668,11 +683,12 @@ class DependencyArtifact:
                 owned_rows.add(pair)
             return rows[pair]
 
-        # 1) unlink pairs that stopped being candidates
+        # 1) unlink pairs that stopped being candidates (an empty old map
+        # holds none)
         holds = candidates.holds
         removed = [
             pair
-            for pair in self.candidates.pairs_touching(affected_entities)
+            for pair in (self.candidates.pairs_touching(affected_entities) if old_rows else ())
             if not holds(pair)
         ]
         for pair in removed:
@@ -687,30 +703,36 @@ class DependencyArtifact:
             owned_forward.discard(pair)
             owned_rows.discard(pair)
 
-        # 2) recompute the rows of affected dependents (covers new pairs too)
-        affected_dependents = candidates.pairs_touching(affected_entities)
-        fresh = [pair for pair in affected_dependents if pair not in old_forward]
+        # 2) recompute the rows of affected dependents (covers new pairs too;
+        # an empty old map holds no row, so every pair is one); every
+        # candidate pair is a forward key, a new one with no dependent yet too
+        if old_rows:
+            affected_dependents = candidates.pairs_touching(affected_entities)
+        else:
+            affected_dependents = set(candidates.pairs)
         entity_type = candidates.neighborhoods.snapshot.entity_type
         for dependent in affected_dependents:
+            if dependent not in forward:
+                forward[dependent] = set()
+                owned_forward.add(dependent)
             wanted = depends_on_types.get(entity_type(dependent[0]), set())
             new_row = probe_prerequisites(dependent, wanted, candidates)
-            old_row = rows.get(dependent, set())
-            for prerequisite in old_row - new_row:
-                own_forward(prerequisite).discard(dependent)
-            for prerequisite in new_row - old_row:
+            old_row = rows.get(dependent)
+            if old_row:
+                for prerequisite in old_row - new_row:
+                    own_forward(prerequisite).discard(dependent)
+            for prerequisite in new_row - old_row if old_row else new_row:
                 own_forward(prerequisite).add(dependent)
             rows[dependent] = new_row
             owned_rows.add(dependent)
 
-        # 3) probe fresh pairs as prerequisites of *unaffected* dependents
-        reached = dependents_reaching(keys, candidates, fresh, skip=affected_dependents)
-        for prerequisite, dependents in reached.items():
-            own_forward(prerequisite).update(dependents)
-            for dependent in dependents:
-                own_row(dependent).add(prerequisite)
-
-        # every candidate pair is a forward/rows key, exactly like build()
-        for pair in fresh:
-            forward.setdefault(pair, set())
-            rows.setdefault(pair, set())
+        # 3) probe fresh pairs as prerequisites of *unaffected* dependents,
+        # if there are any
+        if len(affected_dependents) < len(candidates.pairs):
+            fresh = [pair for pair in affected_dependents if pair not in old_forward]
+            reached = dependents_reaching(keys, candidates, fresh, skip=affected_dependents)
+            for prerequisite, dependents in reached.items():
+                own_forward(prerequisite).update(dependents)
+                for dependent in dependents:
+                    own_row(dependent).add(prerequisite)
         return DependencyArtifact(forward, rows, candidates)

@@ -20,8 +20,7 @@ EMOptVC's send order over them, and each node's simulated worker.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.equivalence import Pair
 from ..core.graph import Graph
@@ -45,41 +44,11 @@ class ProductGraph:
         candidates: CandidateSet,
         dependents: Optional[Dict[Pair, Set[Pair]]] = None,
     ) -> None:
-        """*dependents* is an optional precomputed dependency map (e.g. the
-        session cache's); it must equal ``dependency_map(graph, keys,
-        candidates)``."""
-        self._start(graph, keys, candidates)
-        for pair in candidates.pairs:
-            self._register_pair(pair, self._pair_nodes(pair))
-        self._finish(dependents)
-
-    def _start(self, graph: Graph, keys: KeySet, candidates: CandidateSet) -> None:
-        self._graph = graph
-        self._keys = keys
-        self._candidates = candidates
-        self._nodes: Set[ProductNode] = set()
-        self._candidate_nodes: List[Pair] = list(candidates.pairs)
-        self._pairs_by_entity: Dict[str, Set[Pair]] = defaultdict(set)
-        #: per-candidate-pair contributed nodes (the pair itself plus its
-        #: pairing-relation nodes); :meth:`rebased` reuses the entries of
-        #: pairs a journal delta cannot have affected.
-        self._nodes_by_pair: Dict[Pair, Set[ProductNode]] = {}
-        #: node -> how many candidate pairs contribute it, and entity -> the
-        #: entity-pair nodes holding it; both built at the first rebase
-        #: (:meth:`_indexes`), so a built graph never pays for them
-        self._refs: Optional[Dict[ProductNode, int]] = None
-        self._entity_nodes: Optional[Dict[str, FrozenSet[ProductNode]]] = None
-        #: work units spent building the product graph (charged as setup cost)
-        self.construction_work = 0
-        self._forget_derived()
-
-    def _finish(self, dependents: Optional[Dict[Pair, Set[Pair]]]) -> None:
-        self._dependents: Dict[Pair, Set[Pair]] = (
-            dependents
-            if dependents is not None
-            else dependency_map(self._graph, self._keys, self._candidates)
-        )
-        self.construction_work += len(self._nodes)
+        """``Gp`` over *candidates*: the empty product graph :meth:`rebased`
+        onto them, where every candidate pair arrives.  *dependents* is an
+        optional precomputed dependency map (e.g. the session cache's); it
+        must equal ``dependency_map(keys, candidates)``."""
+        vars(self).update(vars(_EMPTY.rebased(graph, keys, candidates, set(), set(), dependents)))
 
     def _forget_derived(self) -> None:
         #: node -> predicate -> sorted neighbour list.  A forward row is
@@ -100,7 +69,9 @@ class ProductGraph:
         self._edge_count: Optional[int] = None
 
     # Product graphs travel to process-pool workers inside the vertex program:
-    # what is remembered stays behind (a worker recomputes the rows it reads).
+    # what is remembered stays behind (a worker recomputes the rows it reads),
+    # and so do the contribution counts and the entity index, which only a
+    # rebase reads (a worker's copy is never rebased).
     def __getstate__(self) -> Dict[str, object]:
         derived = (
             "_forward", "_backward", "_value_rows", "_send_order", "_placements",
@@ -110,7 +81,6 @@ class ProductGraph:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
-        self._refs = self._entity_nodes = None
         self._forget_derived()
 
     # ------------------------------------------------------------------ #
@@ -119,8 +89,8 @@ class ProductGraph:
 
     def _pair_nodes(self, pair: Pair) -> Set[ProductNode]:
         """The product nodes contributed by one candidate pair (Prop. 9):
-        the ones a rebase of the candidates just derived, if it re-paired
-        the pair over the same neighbourhoods, else computed here."""
+        the ones the candidates' apply just derived, if it paired the pair
+        over the same (unreduced) neighbourhoods, else computed here."""
         e1, e2 = pair
         neighborhoods = self._candidates.neighborhoods
         nbhd1 = neighborhoods.nodes(e1)
@@ -144,37 +114,23 @@ class ProductGraph:
         self._pairs_by_entity[pair[0]].add(pair)
         self._pairs_by_entity[pair[1]].add(pair)
 
-    def _indexes(self) -> Tuple[Dict[ProductNode, int], Dict[str, FrozenSet[ProductNode]]]:
-        """The contribution counts and the entity -> entity-pair node index,
-        built in one pass over the pairs and nodes on first use."""
-        if self._refs is None:
-            refs: Dict[ProductNode, int] = {}
-            for contributed in self._nodes_by_pair.values():
-                for node in contributed:
-                    refs[node] = refs.get(node, 0) + 1
-            grouped: Dict[str, Set[ProductNode]] = {}
-            for node in self._nodes:
-                if is_entity_ref(node[0]) and is_entity_ref(node[1]):
-                    grouped.setdefault(node[0], set()).add(node)
-                    grouped.setdefault(node[1], set()).add(node)
-            self._refs = refs
-            self._entity_nodes = {e: frozenset(nodes) for e, nodes in grouped.items()}
-        return self._refs, self._entity_nodes
-
     def rebased(
         self,
         graph: Graph,
+        keys: KeySet,
         candidates: CandidateSet,
         affected_entities: Set[str],
         rows: Set[str],
         dependents: Optional[Dict[Pair, Set[Pair]]] = None,
-        keys=None,
     ) -> "ProductGraph":
         """This product graph carried over *graph*, the pairing-filtered
-        *candidates* of the next version, after a journal delta.
+        *candidates* of the next version, after a journal delta: the one
+        construction rule of ``Gp`` (a new one is this rule applied to the
+        empty graph).
 
         Pairing relations are recomputed only for candidate pairs with an
-        entity in *affected_entities*; every other pair's contributed nodes
+        entity in *affected_entities* (all of them, onto the empty graph,
+        which carries none); every other pair's contributed nodes
         are carried over unchanged — sound because a pairing relation only
         reads the key triples within key radius of the pair, and a pair
         joins or leaves the candidates only through an affected entity (the
@@ -184,31 +140,38 @@ class ProductGraph:
         withdrawn (a node goes when its count reaches zero) and the new ones
         registered, so the Python-level work is the window's pairs.  The
         ``dep`` edges are the given (or recomputed) map over the new
-        candidates.  The result is bit-identical to ``ProductGraph(graph,
-        keys, candidates)``.  Pass *keys* when the key set changed since the
-        old build (a session ``rekeyed`` delta): affected pairs then
-        recompute their relations under the new keys.  *rows* must hold
-        every entity the delta touched (the session passes the window's
-        full ball; a mutated triple touches its subject): an adjacency row
-        lists every predicate of its node's out-row, key or not, so the
-        rows of the product nodes holding a touched entity are recomputed.
+        candidates.  Affected pairs relate under *keys*, so a key-set change
+        (a session ``rekeyed`` delta) is applied with the changed types'
+        entities affected.  *rows* must hold every entity the delta touched
+        (the session passes the window's full ball; a mutated triple touches
+        its subject): an adjacency row lists every predicate of its node's
+        out-row, key or not, so the rows of the product nodes holding a
+        touched entity are recomputed.
         """
-        old_refs, old_entity_nodes = self._indexes()
         twin = object.__new__(ProductGraph)
         twin._graph = graph
-        twin._keys = self._keys if keys is None else keys
+        twin._keys = keys
         twin._candidates = candidates
         twin._candidate_nodes = list(candidates.pairs)
+        #: work units spent building the product graph (charged as setup cost)
         twin.construction_work = 0
         twin._forget_derived()
         nodes = twin._nodes = set(self._nodes)
+        #: per-candidate-pair contributed nodes (the pair itself plus its
+        #: pairing-relation nodes), carried for the pairs a delta cannot
+        #: have affected
         nodes_by_pair = twin._nodes_by_pair = dict(self._nodes_by_pair)
-        refs = twin._refs = dict(old_refs)
+        #: node -> how many candidate pairs contribute it
+        refs = twin._refs = dict(self._refs)
         pairs_by_entity = twin._pairs_by_entity = defaultdict(set, self._pairs_by_entity)
         withdrawn = {
             pair for entity in affected_entities for pair in self._pairs_by_entity.get(entity, ())
         }
-        arriving = candidates.pairs_touching(affected_entities)
+        # an empty graph carries no pair: every candidate pair arrives
+        if self._nodes_by_pair:
+            arriving = candidates.pairs_touching(affected_entities)
+        else:
+            arriving = candidates.pairs
         owned: Set[str] = set()  # entities whose pair set is the twin's own
 
         def own(entity: str) -> Set[Pair]:
@@ -231,7 +194,7 @@ class ProductGraph:
             twin._register_pair(pair, contributed)
             for node in contributed:
                 refs[node] = refs.get(node, 0) + 1
-                counted.add(node)
+            counted |= contributed
         for entity in owned:
             if not pairs_by_entity[entity]:
                 del pairs_by_entity[entity]
@@ -242,20 +205,24 @@ class ProductGraph:
                 nodes.discard(node)
             if (node in nodes) != (node in self._nodes):
                 flipped.add(node)
-        entity_nodes = twin._entity_nodes = dict(old_entity_nodes)
+        # entity -> the entity-pair nodes holding it, one set per entity moved
+        gained: Dict[str, List[ProductNode]] = {}
+        lost: Dict[str, List[ProductNode]] = {}
         for node in flipped:
             if is_entity_ref(node[0]) and is_entity_ref(node[1]):
+                moved = gained if node in nodes else lost
                 for entity in set(node):
-                    held = entity_nodes.get(entity, frozenset())
-                    held = held | {node} if node in nodes else held - {node}
-                    if held:
-                        entity_nodes[entity] = held
-                    else:
-                        entity_nodes.pop(entity, None)
+                    moved.setdefault(entity, []).append(node)
+        entity_nodes = twin._entity_nodes = dict(self._entity_nodes)
+        for entity in gained.keys() | lost.keys():
+            held = entity_nodes.get(entity, frozenset()).difference(lost.get(entity, ()))
+            held = held.union(gained.get(entity, ()))
+            if held:
+                entity_nodes[entity] = held
+            else:
+                entity_nodes.pop(entity, None)
         twin._dependents = (
-            dependents
-            if dependents is not None
-            else dependency_map(graph, twin._keys, candidates)
+            dependents if dependents is not None else dependency_map(keys, candidates)
         )
         twin.construction_work += len(nodes)
         self._carry_derived(twin, rows, flipped)
@@ -275,21 +242,22 @@ class ProductGraph:
         predecessors, out-edges), but only for entity pairs: a literal's
         in-row moves with a value triple, and *rows* never names a literal,
         so the other backward rows all go.  Rows are copied
-        and the stale ones deleted; when this graph's edges were counted,
-        the twin's count is kept current by subtracting the deleted forward
-        rows and adding the recomputed ones.
+        and the stale ones deleted (a graph that holds none has none to
+        judge); when this graph's edges were counted, the twin's count is
+        kept current by subtracting the deleted forward rows and adding the
+        recomputed ones.
         """
         graph, nodes = twin._graph, twin._nodes
-        moved: Set[ProductNode] = set()  # a neighbour changed membership
-        for n1, n2 in flipped:
-            for s1, predicate, _ in graph.in_triples(n1):
-                moved.update((s1, s2) for s2 in graph.subjects(predicate, n2))
-            if is_entity_ref(n1) and is_entity_ref(n2):
-                for _, predicate, o1 in graph.out_triples(n1):
-                    moved.update((o1, o2) for o2 in graph.objects(n2, predicate))
-        stale = set(flipped) | moved
-        for entity in rows:
-            stale.update(self._entity_nodes.get(entity, ()))
+        stale = set(flipped)
+        if self._forward or self._backward:
+            for n1, n2 in flipped:  # a neighbour changed membership
+                for s1, predicate, _ in graph.in_triples(n1):
+                    stale.update((s1, s2) for s2 in graph.subjects(predicate, n2))
+                if is_entity_ref(n1) and is_entity_ref(n2):
+                    for _, predicate, o1 in graph.out_triples(n1):
+                        stale.update((o1, o2) for o2 in graph.objects(n2, predicate))
+            for entity in rows:
+                stale.update(self._entity_nodes.get(entity, ()))
         forward, backward = dict(self._forward), dict(self._backward)
         dropped = 0
         for node in stale:
@@ -442,3 +410,9 @@ class ProductGraph:
             "dep_edges": sum(len(deps) for deps in self._dependents.values()),
             "construction_work": self.construction_work,
         }
+
+
+#: the product graph over no pair, which every new one is rebased from
+_EMPTY = object.__new__(ProductGraph)
+_EMPTY.__setstate__({"_nodes": set(), "_nodes_by_pair": {}, "_pairs_by_entity": {}})
+_EMPTY._refs, _EMPTY._entity_nodes = {}, {}

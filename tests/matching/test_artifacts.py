@@ -1,12 +1,16 @@
 """Tests of ``SessionArtifacts``: the slot rule, and the backends' one build path.
 
 Every per-flavour artifact (candidates, dependency map, product graph)
-follows one rule — fresh: return it; parked by a mutation: rebase with the
-union of the affected sets; missing: build — and every parallel backend
-reads its inputs through a cache, a throwaway one when it was given none.
+follows one rule — fresh: return it; parked by a mutation: apply the
+artifact's construction rule to it with the union of the affected sets;
+missing: apply it to the empty artifact — and every parallel backend reads
+its inputs through a cache, a throwaway one when it was given none.
 """
 
 from __future__ import annotations
+
+import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +25,12 @@ from repro.matching import (
     VertexCentricEntityMatcher,
     VF2MapReduceEntityMatcher,
 )
+from repro.matching import artifacts as artifacts_module
+from repro.matching import incremental as incremental_module
+from repro.matching import product_graph as product_graph_module
 from repro.matching.artifacts import SessionArtifacts
+
+from tests.matching.test_incremental_equivalence import apply_random_mutation, fuzz_dataset
 
 FLAVOUR = dict(filtered=True, reduce_neighborhoods=False, blocking="off")
 
@@ -94,6 +103,59 @@ MATCHERS = {
     "EMVC": VertexCentricEntityMatcher,
     "EMOptVC": OptimizedVertexCentricEntityMatcher,
 }
+
+
+def test_every_artifact_comes_out_of_its_one_apply(monkeypatch):
+    """A build is the artifact's one construction rule applied to the empty
+    artifact: over a session stream, the applies from empty are exactly the
+    slot's builds and the carried applies its rebases, kind by kind, so an
+    artifact made by a second construction path fails the counts."""
+    applies = Counter()
+    candidates_rule = incremental_module.rebase_filtered_candidates
+
+    def candidates(old, *args, **kwargs):
+        empty = not (old.pairs or old.rejected_pairs)
+        applies["candidates", "build" if empty else "rebase"] += 1
+        return candidates_rule(old, *args, **kwargs)
+
+    dependency_rule = incremental_module.DependencyArtifact.rebased
+
+    def dependency_map(old, *args):
+        applies["dependency_map", "build" if old.candidates is None else "rebase"] += 1
+        return dependency_rule(old, *args)
+
+    product_graph_rule = product_graph_module.ProductGraph.rebased
+
+    def product_graph(old, *args, **kwargs):
+        empty = old is product_graph_module._EMPTY
+        applies["product_graph", "build" if empty else "rebase"] += 1
+        return product_graph_rule(old, *args, **kwargs)
+
+    phases = Counter()
+    timed = SessionArtifacts._timed
+
+    def charged(artifacts, phase, build):
+        phases[phase] += 1
+        return timed(artifacts, phase, build)
+
+    for module in (incremental_module, artifacts_module):
+        monkeypatch.setattr(module, "rebase_filtered_candidates", candidates)
+    monkeypatch.setattr(incremental_module.DependencyArtifact, "rebased", dependency_map)
+    monkeypatch.setattr(product_graph_module.ProductGraph, "rebased", product_graph)
+    monkeypatch.setattr(SessionArtifacts, "_timed", charged)
+
+    dataset = fuzz_dataset(3)
+    graph, keys = dataset.graph, dataset.keys
+    session = MatchSession(graph).with_keys(keys)
+    rng = random.Random(3)
+    for window in range(4):
+        for _ in range(window and 2):
+            apply_random_mutation(graph, rng)
+        for backend in ("EMOptVC", "EMOptMR"):
+            session.run(backend, blocking="auto", incremental=window > 0)
+    for kind in COUNTERS:
+        for phase in ("build", "rebase"):
+            assert applies[kind, phase] == phases[f"{kind}_{phase}"] > 0, (kind, phase)
 
 
 @pytest.mark.parametrize("blocking", ["off", "auto"])

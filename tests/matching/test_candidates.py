@@ -50,18 +50,18 @@ class TestDependencyMap:
         """(art1, art2) depends on (alb1, alb2) through the recursive key Q3."""
         graph, keys, _ = music
         candidates = build_candidates(graph, keys)
-        dependents = dependency_map(graph, keys, candidates)
+        dependents = dependency_map(keys, candidates)
         assert ("art1", "art2") in dependents[("alb1", "alb2")]
 
     def test_value_based_only_keys_have_no_dependencies(self, address):
         graph, keys, _ = address
         candidates = build_candidates(graph, keys)
-        dependents = dependency_map(graph, keys, candidates)
+        dependents = dependency_map(keys, candidates)
         assert all(not deps for deps in dependents.values())
 
     def test_synthetic_chain_dependencies_point_upwards(self, small_synthetic):
         graph, keys = small_synthetic.graph, small_synthetic.keys
         candidates = build_candidates(graph, keys)
-        dependents = dependency_map(graph, keys, candidates)
+        dependents = dependency_map(keys, candidates)
         # at least one level-2 pair must have a level-1 dependent
         assert any(deps for deps in dependents.values())

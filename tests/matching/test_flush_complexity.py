@@ -351,7 +351,7 @@ class _WorkCounts:
             self.counts["pairing relations"] += 1
             return pairing(*args)
 
-        for module in (incremental_module, candidates_module, product_graph_module):
+        for module in (incremental_module, product_graph_module):
             monkeypatch.setattr(module, "pairing_relation", relation)
         register = ProductGraph._register_pair
 
@@ -448,7 +448,7 @@ class _WorkCounts:
 
         monkeypatch.setattr(
             incremental_module.DependencyArtifact, "rebased",
-            passes_counted(incremental_module.DependencyArtifact.rebased, 3),
+            passes_counted(incremental_module.DependencyArtifact.rebased, 2),
         )
         monkeypatch.setattr(
             incremental_module, "extra_dependency_edges",

@@ -284,7 +284,7 @@ def test_rebased_artifacts_equal_fresh_builds(backend, seed):
                     )
         for flavor, artifact in arts.cached("dependency_map").items():
             cached = arts.cached("candidates")[flavor]
-            assert artifact.forward == dependency_map(snapshot, keys, cached), flavor
+            assert artifact.forward == dependency_map(keys, cached), flavor
         for flavor, product_graph in arts.cached("product_graph").items():
             cached = arts.cached("candidates")[flavor]
             from repro.matching.product_graph import ProductGraph

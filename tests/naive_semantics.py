@@ -8,7 +8,10 @@ sends *every* pattern triple — self-loops included — to a member of
 ``set(graph.triples())``.  ``chase(G, Σ)`` is the least equivalence relation
 closed under "two entities with coinciding matches of a key are equal".
 :func:`naive_ball` is the d-neighbourhood of Section 4.1 read the same way:
-a breadth-first walk over ``Graph.neighbors``.  :func:`reference_fixpoint`
+a breadth-first walk over ``Graph.neighbors``, and
+:func:`reference_signature` a blocking signature read the same way: one
+path step at a time over ``Graph.objects`` / ``Graph.subjects``.
+:func:`reference_fixpoint`
 is :func:`naive_chase` memoised by graph content, for suites that ask for
 the fixpoint of one graph state many times.
 """
@@ -21,7 +24,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.key import Key
 from repro.core.pattern import GraphPattern, NodeKind, PatternNode
-from repro.core.triples import GraphNode, Literal, Triple
+from repro.core.triples import GraphNode, Literal, Triple, is_entity_ref
 
 Valuation = Dict[str, GraphNode]
 
@@ -162,3 +165,28 @@ def reference_fixpoint(graph, keys) -> FrozenSet[Tuple[str, str]]:
             _FIXPOINTS.clear()
         pairs = _FIXPOINTS[memo] = frozenset(naive_chase(graph, keys))
     return pairs
+
+
+def reference_signature(graph, entity, path):
+    """The literals *entity* reaches along *path*, walked over the ``Graph``
+    read methods one step at a time, filtered to the path's constant."""
+    frontier = {entity}
+    for step in path.steps:
+        reached = set()
+        for node in frontier:
+            if step.forward:
+                if is_entity_ref(node):
+                    reached.update(graph.objects(node, step.predicate))
+            else:
+                reached.update(graph.subjects(step.predicate, node))
+        if step.etype is None:
+            frontier = {n for n in reached if isinstance(n, Literal)}
+        else:
+            frontier = {
+                n
+                for n in reached
+                if is_entity_ref(n) and graph.has_entity(n) and graph.entity_type(n) == step.etype
+            }
+    if path.constant is not None:
+        frontier &= {path.constant}
+    return frozenset(frontier)

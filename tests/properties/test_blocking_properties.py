@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro import ALGORITHMS, MatchSession
 from repro.core.chase import candidate_pairs, chase
-from repro.core.triples import Literal, is_entity_ref
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.blocking import (
     _entity_signatures,
@@ -33,7 +32,7 @@ from repro.matching.blocking import (
 from repro.storage import GraphSnapshot
 
 from tests.matching.test_incremental_equivalence import apply_random_mutation
-from tests.naive_semantics import naive_chase
+from tests.naive_semantics import naive_chase, reference_signature
 from tests.properties.test_pairing_properties import SHAPED_KEYS, random_graph, random_key
 
 BACKENDS = tuple(ALGORITHMS)
@@ -134,31 +133,6 @@ def test_force_equals_auto_whenever_force_is_accepted(seed):
 # --------------------------------------------------------------------------- #
 # 2b. one bucket-wide pass per hop == one walk per entity
 # --------------------------------------------------------------------------- #
-
-
-def reference_signature(graph, entity, path):
-    """The literals *entity* reaches along *path*, walked over the ``Graph``
-    read methods one step at a time, filtered to the path's constant."""
-    frontier = {entity}
-    for step in path.steps:
-        reached = set()
-        for node in frontier:
-            if step.forward:
-                if is_entity_ref(node):
-                    reached.update(graph.objects(node, step.predicate))
-            else:
-                reached.update(graph.subjects(step.predicate, node))
-        if step.etype is None:
-            frontier = {n for n in reached if isinstance(n, Literal)}
-        else:
-            frontier = {
-                n
-                for n in reached
-                if is_entity_ref(n) and graph.has_entity(n) and graph.entity_type(n) == step.etype
-            }
-    if path.constant is not None:
-        frontier &= {path.constant}
-    return frozenset(frontier)
 
 
 @given(seed=st.integers(min_value=0, max_value=1_000_000))

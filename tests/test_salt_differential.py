@@ -8,7 +8,10 @@ written out as bytes, and the three transcripts must be identical:
   of the six backends on the serial path, and of ``EMOptVC`` on the thread
   and the process executors — all but ``wall_seconds``, a clock reading;
 * the run's ``DeltaProvenance``;
-* the shared cache's ``SessionCacheInfo``.
+* the shared cache's ``SessionCacheInfo``;
+* after every window, the phases ``phase_timings()`` has charged (their
+  names, not their clocks), and after the first window the cache's
+  counters as its cold builds left them.
 
 The first window runs every shape in full over the quadratic universe;
 later windows alternate between it and the blocked one.  Every run shape
@@ -117,6 +120,10 @@ def transcript() -> str:
                 },
                 sort_keys=True,
             ))
+        summary = {"window": window, "phases": sorted(session.phase_timings())}
+        if window == 0:
+            summary["cold_cache"] = dataclasses.asdict(session.cache_info())
+        lines.append(json.dumps(summary, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -134,7 +141,8 @@ def test_three_salts_write_the_same_bytes_after_every_window():
         assert done.returncode == 0, done.stderr.decode()
         outputs[salt] = done.stdout
     reference = outputs[SALTS[0]]
-    assert reference.count(b"\n") == (WINDOWS + 1) * len(SHAPES)
+    assert reference.count(b"\n") == (WINDOWS + 1) * (len(SHAPES) + 1)
+    assert b'"cold_cache"' in reference and b'"product_graph_build"' in reference
     assert b'"mode": "incremental"' in reference
     for salt, output in outputs.items():
         if output != reference:
