@@ -1,27 +1,31 @@
-"""In-memory property graph (triple store) with the indexes the matching
-algorithms need.
+"""In-memory property graph (triple store): two rows per node.
 
 The graph follows the paper's model (Section 2.1): a set of triples
 ``(s, p, o)`` where ``s`` is an entity, ``p`` a predicate and ``o`` an entity
-or a value.  The store maintains:
+or a value.  Every triple is held twice, factorised by node and predicate:
 
-* an entity table (id → type) and a type index (type → ids),
-* forward and backward adjacency indexes keyed by ``(node, predicate)``,
-* an undirected adjacency index used for d-neighbourhood extraction.
+* a forward row per subject, ``subject -> {predicate: set(objects)}``,
+* a backward row per object, ``object -> {predicate: set(subjects)}``.
 
-Values (:class:`~repro.core.triples.Literal`) are graph nodes too: two equal
+A removal drops any set or row it empties, so every other read is derived
+exactly from the two rows: ``triples()``, ``out_triples`` / ``in_triples``
+and ``neighbors`` build their answer on demand.  Beside the rows the graph
+keeps an entity table, a type index, triple counts (in all and per
+predicate), the mutation journal and the running content fingerprint.
+Values (:class:`~repro.core.triples.Literal`) are nodes too: two equal
 values are the same node, as in the paper.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import DuplicateEntityError, GraphError, UnknownEntityError
 from .fingerprint import _FP_MOD, entity_term, format_fingerprint, triple_term
-from .triples import Entity, GraphNode, Literal, Triple, is_entity_ref
+from .triples import Entity, GraphNode, Literal, Triple
 
 
 class Graph:
@@ -41,12 +45,9 @@ class Graph:
     __slots__ = (
         "_entities",
         "_by_type",
-        "_triples",
         "_out",
         "_in",
-        "_out_by_pred",
-        "_in_by_pred",
-        "_undirected",
+        "_num_triples",
         "_pred_counts",
         "_version",
         "_touched_versions",
@@ -71,24 +72,20 @@ class Graph:
     def __init__(self) -> None:
         self._entities: Dict[str, Entity] = {}
         self._by_type: Dict[str, Set[str]] = defaultdict(set)
-        self._triples: Set[Triple] = set()
-        # node -> list/set of triples with that node as subject / object
-        self._out: Dict[str, Set[Triple]] = defaultdict(set)
-        self._in: Dict[GraphNode, Set[Triple]] = defaultdict(set)
-        # (node, predicate) -> set of objects / subjects
-        self._out_by_pred: Dict[Tuple[str, str], Set[GraphNode]] = defaultdict(set)
-        self._in_by_pred: Dict[Tuple[GraphNode, str], Set[str]] = defaultdict(set)
-        # undirected adjacency (ignoring direction and predicate), for BFS
-        self._undirected: Dict[GraphNode, Set[GraphNode]] = defaultdict(set)
+        # the two rows of every node: subject -> predicate -> objects and
+        # object -> predicate -> subjects; no row, predicate or set is empty
+        self._out: Dict[str, Dict[str, Set[GraphNode]]] = {}
+        self._in: Dict[GraphNode, Dict[str, Set[str]]] = {}
+        self._num_triples: int = 0
         # predicate -> live triple count, so predicates() and the snapshot
         # patcher answer the predicate universe without an O(|G|) scan
         self._pred_counts: Dict[str, int] = {}
         # mutation journal: monotone version + the nodes each mutation touched,
         # so sessions can invalidate exactly the caches a mutation staled;
         # the log holds the entries for versions (_log_base_version, _version]
-        # as two parallel lists (versions strictly increasing, bisectable)
+        # as two parallel sequences (versions strictly increasing, bisectable)
         self._version: int = 0
-        self._touched_versions: List[int] = []
+        self._touched_versions = array("q")
         self._touched_nodes: List[GraphNode] = []
         self._log_base_version: int = 0
         self._journal_compactions: int = 0
@@ -122,23 +119,22 @@ class Graph:
 
     def add_triple(self, triple: Triple) -> None:
         """Add a triple; the subject (and an entity object) must be registered."""
-        if triple.subject not in self._entities:
-            raise UnknownEntityError(triple.subject)
-        if triple.object_is_entity() and triple.obj not in self._entities:
-            raise UnknownEntityError(str(triple.obj))
-        if triple in self._triples:
+        self._add(triple.subject, triple.predicate, triple.obj)
+
+    def _add(self, subject: str, predicate: str, obj: GraphNode) -> None:
+        if subject not in self._entities:
+            raise UnknownEntityError(subject)
+        if isinstance(obj, str) and obj not in self._entities:
+            raise UnknownEntityError(obj)
+        if self.has_triple(subject, predicate, obj):
             return
-        term = triple_term(triple.subject, triple.predicate, triple.obj)
-        self._triples.add(triple)
-        self._out[triple.subject].add(triple)
-        self._in[triple.obj].add(triple)
-        self._out_by_pred[(triple.subject, triple.predicate)].add(triple.obj)
-        self._in_by_pred[(triple.obj, triple.predicate)].add(triple.subject)
-        self._undirected[triple.subject].add(triple.obj)
-        self._undirected[triple.obj].add(triple.subject)
-        self._pred_counts[triple.predicate] = self._pred_counts.get(triple.predicate, 0) + 1
+        term = triple_term(subject, predicate, obj)  # before any write: it may raise
+        self._out.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
+        self._in.setdefault(obj, {}).setdefault(predicate, set()).add(subject)
+        self._num_triples += 1
+        self._pred_counts[predicate] = self._pred_counts.get(predicate, 0) + 1
         self._fp_acc = (self._fp_acc + term) % _FP_MOD
-        self._record_mutation((triple.subject, triple.obj))
+        self._record_mutation((subject, obj))
 
     def _record_mutation(self, nodes: Tuple[GraphNode, ...]) -> None:
         versions = self._touched_versions
@@ -161,12 +157,12 @@ class Graph:
             last[node] = version
         if len(last) > self.MUTATION_LOG_LIMIT:
             # more distinct nodes than the window holds: slide (old behavior)
-            self._touched_versions = []
+            self._touched_versions = array("q")
             self._touched_nodes = []
             self._log_base_version = self._version
             return
         entries = sorted(last.items(), key=lambda item: item[1])
-        self._touched_versions = [version for _, version in entries]
+        self._touched_versions = array("q", [version for _, version in entries])
         self._touched_nodes = [node for node, _ in entries]
         self._journal_compactions += 1
 
@@ -208,12 +204,11 @@ class Graph:
 
     def add_edge(self, subject: str, predicate: str, obj: str) -> None:
         """Add an entity-to-entity triple ``(subject, predicate, obj)``."""
-        self.add_triple(Triple(subject, predicate, obj))
+        self._add(subject, predicate, obj)
 
     def add_value(self, subject: str, predicate: str, value: object) -> None:
         """Add an entity-to-value triple; *value* is wrapped in a Literal."""
-        literal = value if isinstance(value, Literal) else Literal(value)
-        self.add_triple(Triple(subject, predicate, literal))
+        self._add(subject, predicate, value if isinstance(value, Literal) else Literal(value))
 
     # ------------------------------------------------------------------ #
     # non-monotone mutations (journalled like the additions above)
@@ -226,54 +221,30 @@ class Graph:
         :meth:`add_triple` does, so incremental consumers see deletions and
         insertions through the same ``touched_since`` window.
         """
-        if triple not in self._triples:
+        self._remove(triple.subject, triple.predicate, triple.obj)
+
+    def _remove(self, subject: str, predicate: str, obj: GraphNode) -> None:
+        if not self.has_triple(subject, predicate, obj):
             return
-        term = triple_term(triple.subject, triple.predicate, triple.obj)
-        self._triples.discard(triple)
-        self._discard_index(self._out, triple.subject, triple)
-        self._discard_index(self._in, triple.obj, triple)
-        self._discard_index(self._out_by_pred, (triple.subject, triple.predicate), triple.obj)
-        self._discard_index(self._in_by_pred, (triple.obj, triple.predicate), triple.subject)
-        # a parallel triple (other predicate / direction) may still connect
-        # the two endpoints; only drop the undirected edge when none does
-        if not self._still_adjacent(triple.subject, triple.obj):
-            self._discard_index(self._undirected, triple.subject, triple.obj)
-            self._discard_index(self._undirected, triple.obj, triple.subject)
-        remaining = self._pred_counts.get(triple.predicate, 0) - 1
+        term = triple_term(subject, predicate, obj)
+        _discard(self._out, subject, predicate, obj)
+        _discard(self._in, obj, predicate, subject)
+        self._num_triples -= 1
+        remaining = self._pred_counts[predicate] - 1
         if remaining > 0:
-            self._pred_counts[triple.predicate] = remaining
+            self._pred_counts[predicate] = remaining
         else:
-            self._pred_counts.pop(triple.predicate, None)
+            del self._pred_counts[predicate]
         self._fp_acc = (self._fp_acc - term) % _FP_MOD
-        self._record_mutation((triple.subject, triple.obj))
-
-    @staticmethod
-    def _discard_index(index: Dict, key: object, member: object) -> None:
-        members = index.get(key)
-        if members is None:
-            return
-        members.discard(member)
-        if not members:
-            del index[key]
-
-    def _still_adjacent(self, subject: str, obj: GraphNode) -> bool:
-        for triple in self._out.get(subject, ()):
-            if triple.obj == obj:
-                return True
-        if is_entity_ref(obj):
-            for triple in self._out.get(obj, ()):
-                if triple.obj == subject:
-                    return True
-        return False
+        self._record_mutation((subject, obj))
 
     def remove_edge(self, subject: str, predicate: str, obj: str) -> None:
         """Remove an entity-to-entity triple (absent edge: no-op)."""
-        self.remove_triple(Triple(subject, predicate, obj))
+        self._remove(subject, predicate, obj)
 
     def remove_value(self, subject: str, predicate: str, value: object) -> None:
         """Remove an entity-to-value triple (absent value: no-op)."""
-        literal = value if isinstance(value, Literal) else Literal(value)
-        self.remove_triple(Triple(subject, predicate, literal))
+        self._remove(subject, predicate, value if isinstance(value, Literal) else Literal(value))
 
     def set_value(self, subject: str, predicate: str, value: object) -> None:
         """Replace every value of ``(subject, predicate)`` with *value*.
@@ -285,8 +256,8 @@ class Graph:
         literal = value if isinstance(value, Literal) else Literal(value)
         for existing in list(self.objects(subject, predicate)):
             if isinstance(existing, Literal) and existing != literal:
-                self.remove_triple(Triple(subject, predicate, existing))
-        self.add_triple(Triple(subject, predicate, literal))
+                self._remove(subject, predicate, existing)
+        self._add(subject, predicate, literal)
 
     def retype_entity(self, eid: str, etype: str) -> Entity:
         """Change the type of entity *eid* to *etype* (same type: no-op).
@@ -298,7 +269,7 @@ class Graph:
         if existing.etype == etype:
             return existing
         term = entity_term(eid, etype) - entity_term(eid, existing.etype)
-        self._discard_index(self._by_type, existing.etype, eid)
+        self._by_type[existing.etype].discard(eid)  # types() skips an emptied bucket
         entity = Entity(eid, etype)
         self._entities[eid] = entity
         self._by_type[etype].add(eid)
@@ -319,12 +290,20 @@ class Graph:
         return graph
 
     def copy(self) -> "Graph":
-        """Return a deep (structural) copy of this graph."""
+        """Return a deep (structural) copy of this graph, row by row.
+
+        The copy starts at this graph's version with an empty journal:
+        ``touched_since`` answers ``None`` below it (nothing holds a seed of
+        a graph that did not exist yet)."""
         clone = Graph()
-        for entity in self._entities.values():
-            clone.add_entity(entity.eid, entity.etype)
-        for triple in self._triples:
-            clone.add_triple(triple)
+        clone._entities = dict(self._entities)
+        clone._by_type.update((etype, set(ids)) for etype, ids in self._by_type.items())
+        clone._out = {n: {p: set(m) for p, m in row.items()} for n, row in self._out.items()}
+        clone._in = {n: {p: set(m) for p, m in row.items()} for n, row in self._in.items()}
+        clone._num_triples = self._num_triples
+        clone._pred_counts = dict(self._pred_counts)
+        clone._fp_acc = self._fp_acc
+        clone._version = clone._log_base_version = self._version
         return clone
 
     # ------------------------------------------------------------------ #
@@ -339,7 +318,7 @@ class Graph:
     @property
     def num_triples(self) -> int:
         """Number of triples, i.e. ``|G|`` in the paper's notation."""
-        return len(self._triples)
+        return self._num_triples
 
     @property
     def num_nodes(self) -> int:
@@ -347,11 +326,11 @@ class Graph:
         return len(self._entities) + len(self.value_nodes())
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._num_triples
 
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Triple):
-            return item in self._triples
+            return self.has_triple(*item)
         if isinstance(item, str):
             return item in self._entities
         return False
@@ -396,46 +375,63 @@ class Graph:
         return set(self._pred_counts)
 
     def triples(self) -> Iterator[Triple]:
-        """Iterate over all triples."""
-        return iter(self._triples)
+        """Iterate over all triples (built from the forward rows)."""
+        for subject, row in self._out.items():
+            for predicate, objects in row.items():
+                for obj in objects:
+                    yield Triple(subject, predicate, obj)
 
     def has_triple(self, subject: str, predicate: str, obj: GraphNode) -> bool:
         """Return True when the triple ``(subject, predicate, obj)`` exists."""
-        return Triple(subject, predicate, obj) in self._triples
+        return obj in self._out.get(subject, _NO_ROW).get(predicate, ())
 
     # ------------------------------------------------------------------ #
     # adjacency queries
     # ------------------------------------------------------------------ #
 
+    def out_rows(self) -> Iterable[Tuple[str, Mapping[str, Set[GraphNode]]]]:
+        """Every forward row as ``(subject, {predicate: objects})`` (read
+        only): what a snapshot build compiles from."""
+        return self._out.items()
+
+    def out_row(self, subject: str) -> Mapping[str, Set[GraphNode]]:
+        """The forward row of *subject*, ``{predicate: objects}`` (read only)."""
+        return self._out.get(subject, _NO_ROW)
+
+    def in_row(self, obj: GraphNode) -> Mapping[str, Set[str]]:
+        """The backward row of *obj*, ``{predicate: subjects}`` (read only)."""
+        return self._in.get(obj, _NO_ROW)
+
     def out_triples(self, subject: str) -> Set[Triple]:
-        """All triples whose subject is *subject*."""
-        return self._out.get(subject, set())
+        """All triples whose subject is *subject* (a new set)."""
+        return {Triple(subject, p, o) for p, objects in self.out_row(subject).items() for o in objects}
 
     def in_triples(self, obj: GraphNode) -> Set[Triple]:
-        """All triples whose object is *obj*."""
-        return self._in.get(obj, set())
+        """All triples whose object is *obj* (a new set)."""
+        return {Triple(s, p, obj) for p, subjects in self.in_row(obj).items() for s in subjects}
 
     def objects(self, subject: str, predicate: str) -> Set[GraphNode]:
         """All objects ``o`` with ``(subject, predicate, o)`` in the graph."""
-        return self._out_by_pred.get((subject, predicate), set())
+        return self._out.get(subject, _NO_ROW).get(predicate, set())
 
     def subjects(self, predicate: str, obj: GraphNode) -> Set[str]:
         """All subjects ``s`` with ``(s, predicate, obj)`` in the graph."""
-        return self._in_by_pred.get((obj, predicate), set())
+        return self._in.get(obj, _NO_ROW).get(predicate, set())
 
     def neighbors(self, node: GraphNode) -> Set[GraphNode]:
-        """Undirected neighbours of *node* (ignoring predicates and direction)."""
-        return self._undirected.get(node, set())
+        """Undirected neighbours of *node*, whatever the predicate and the
+        direction (a new set)."""
+        return _adjacent(self._out.get(node, _NO_ROW), self._in.get(node, _NO_ROW))
 
     def degree(self, node: GraphNode) -> int:
         """Undirected degree of *node*."""
-        return len(self._undirected.get(node, ()))
+        return len(_adjacent(self._out.get(node, _NO_ROW), self._in.get(node, _NO_ROW)))
 
     def value_nodes(self) -> Set[Literal]:
         """Return the set of distinct value nodes.
 
-        Off the live in-edge index (an emptied entry is deleted), so a
-        literal whose last triple was removed disappears from the answer.
+        The literal keys of the backward rows (an emptied row is deleted),
+        so a literal whose last triple was removed disappears from the answer.
         """
         return {node for node in self._in if not isinstance(node, str)}
 
@@ -451,15 +447,12 @@ class Graph:
         """
         keep = set(nodes)
         sub = Graph()
-        for node in keep:
-            if is_entity_ref(node) and node in self._entities:
-                sub.add_entity(node, self._entities[node].etype)
-        for node in keep:
-            if not is_entity_ref(node):
-                continue
-            for triple in self._out.get(node, ()):
-                if triple.obj in keep:
-                    sub.add_triple(triple)
+        for node in keep & self._entities.keys():
+            sub.add_entity(node, self._entities[node].etype)
+        for node in keep & self._out.keys():
+            for predicate, objects in self._out[node].items():
+                for obj in objects & keep:
+                    sub._add(node, predicate, obj)
         return sub
 
     def union(self, other: "Graph") -> "Graph":
@@ -468,16 +461,11 @@ class Graph:
         Raises :class:`DuplicateEntityError` when the two graphs disagree on
         the type of a shared entity id.
         """
-        merged = self.copy()
-        for entity in other.entities():
-            merged.add_entity(entity.eid, entity.etype)
-        for triple in other.triples():
-            merged.add_triple(triple)
-        return merged
+        return merge_graphs((self, other))
 
     def is_connected(self) -> bool:
         """Return True when the undirected graph is connected (or empty)."""
-        nodes = set(self._undirected.keys()) | set(self._entities.keys())
+        nodes = set(self._entities) | self._in.keys()
         if not nodes:
             return True
         start = next(iter(nodes))
@@ -485,7 +473,7 @@ class Graph:
         frontier = [start]
         while frontier:
             node = frontier.pop()
-            for nbr in self._undirected.get(node, ()):
+            for nbr in self.neighbors(node):
                 if nbr not in seen:
                     seen.add(nbr)
                     frontier.append(nbr)
@@ -498,7 +486,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._entities == other._entities and self._triples == other._triples
+        return self._entities == other._entities and self._out == other._out
 
     def __hash__(self) -> int:  # graphs are mutable; identity hash
         return id(self)
@@ -523,6 +511,24 @@ class Graph:
             "types": len(self.types()),
             "predicates": len(self.predicates()),
         }
+
+
+#: the row of a node without one (never written)
+_NO_ROW: Dict[str, Set] = {}
+
+
+def _adjacent(out_row: Mapping[str, Set], in_row: Mapping[str, Set]) -> Set[GraphNode]:
+    return set().union(*out_row.values(), *in_row.values())
+
+
+def _discard(rows: Dict, node: GraphNode, predicate: str, other: GraphNode) -> None:
+    """Drop *other* from *node*'s row, and the set and the row it empties."""
+    row = rows[node]
+    row[predicate].discard(other)
+    if not row[predicate]:
+        del row[predicate]
+        if not row:
+            del rows[node]
 
 
 def merge_graphs(graphs: Sequence[Graph]) -> Graph:

@@ -408,8 +408,9 @@ class EvalVCProgram:
         newly_flagged: List[Pair] = [origin]
 
         # transitive closure: other candidate pairs implied by the merged class
-        for entity in self.live_eq.class_of(origin[0]):
-            for pair in self._product_graph.candidate_pairs_touching(entity):
+        # (sets walked in id order: the notifications' order is the schedule)
+        for entity in sorted(self.live_eq.class_of(origin[0])):
+            for pair in sorted(self._product_graph.candidate_pairs_touching(entity)):
                 if not context.has_vertex(pair):
                     continue
                 pair_state = context.state(pair)
@@ -422,7 +423,7 @@ class EvalVCProgram:
 
         # dependency notifications: restart dependents of every newly flagged pair
         for flagged in newly_flagged:
-            for dependent in self._product_graph.dependents_of(flagged):
+            for dependent in sorted(self._product_graph.dependents_of(flagged)):
                 if not context.has_vertex(dependent):
                     continue
                 if not context.state(dependent).flag:

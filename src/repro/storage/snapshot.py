@@ -293,7 +293,8 @@ class GraphSnapshot:
         # each CSR falls out of a sorted list by counting.  No per-node
         # container is allocated, and ints are invisible to the cycle
         # collector.  Rows come out sorted by (pred, other endpoint), the
-        # layout ``patched()`` and the store's segment reuse rely on.
+        # layout ``patched()`` and the store's segment reuse rely on.  Keys come
+        # off the forward rows: one id lookup per triple, not three.
         num_nodes = len(node_of)
         num_entities = snap._num_entities
         id_of = snap._id_of
@@ -303,16 +304,17 @@ class GraphSnapshot:
         row_shift = node_bits + pred_bits
         node_mask = (1 << node_bits) - 1
 
-        sids, pids, oids = _unpack(
-            sorted(
-                [
-                    (id_of[s] << row_shift) | (pred_ids[p] << node_bits) | id_of[o]
-                    for s, p, o in graph.triples()
-                ]
-            ),
-            node_bits,
-            pred_bits,
-        )
+        keys: List[int] = []
+        append = keys.append
+        for subject, row in graph.out_rows():
+            head = id_of[subject] << row_shift
+            for pred, objects in row.items():
+                run = head | (pred_ids[pred] << node_bits)
+                for obj in objects:
+                    append(run | id_of[obj])
+        keys.sort()
+        sids, pids, oids = _unpack(keys, node_bits, pred_bits)
+        del keys
         snap._num_triples = len(sids)
         snap._fwd_offsets = _offsets(sids, num_nodes)
         snap._fwd_preds = array(_ID, pids)
@@ -451,14 +453,15 @@ class GraphSnapshot:
             found = base_preds.get(pred)
             return extra_preds[pred] if found is None else found
 
+        def run(row) -> List[Tuple[int, int]]:
+            return sorted((pred_id(p), id_of(other)) for p, others in row.items() for other in others)
+
         etypes, etype_of, num_base_entities = overlay.etypes, self._etype_of, self._num_entities
         try:
             for node_id, node in survivors:
                 fwd: List[Tuple[int, int]] = []
                 if is_entity_ref(node):
-                    fwd = sorted(
-                        (pred_id(t.predicate), id_of(t.obj)) for t in graph.out_triples(node)
-                    )
+                    fwd = run(graph.out_row(node))
                     num_triples += len(fwd)
                     etype = graph.entity_type(node)
                     known = etypes.get(node_id)
@@ -467,14 +470,12 @@ class GraphSnapshot:
                     if etype != known:
                         etypes[node_id] = etype
                         regrouped.update((etype, known))
-                bwd = sorted(
-                    (pred_id(t.predicate), id_of(t.subject)) for t in graph.in_triples(node)
-                )
+                bwd = run(graph.in_row(node))
                 row = array(_ID, (len(fwd), len(bwd)))
-                for run in (fwd, bwd):
-                    row.extend([pred for pred, _ in run])
-                    row.extend([other for _, other in run])
-                row.extend(sorted(map(id_of, graph.neighbors(node))))
+                for pairs in (fwd, bwd):
+                    row.extend([pred for pred, _ in pairs])
+                    row.extend([other for _, other in pairs])
+                row.extend(sorted({other for _, other in chain(fwd, bwd)}))
                 rows[node_id] = row
         except KeyError as missing:
             raise SnapshotPatchError(
@@ -998,19 +999,10 @@ class GraphSnapshot:
         return self._value_node_set
 
     def triples(self) -> Iterator[Triple]:
-        if self._overlay is not None:
-            node_at, pred_at = self.node_at, self._pred_at
-            for sid in self._live_ids(True):
-                subject = node_at(sid)
-                for pid, oid in self.row_pairs(sid, True):
-                    yield Triple(subject, pred_at(pid), node_at(oid))
-            return
-        node_of, pred_of = self._node_of, self._pred_of
-        offsets, preds, objs = self._fwd_offsets, self._fwd_preds, self._fwd_objs
-        for sid in range(self._num_entities):
-            subject = node_of[sid]
-            for index in range(offsets[sid], offsets[sid + 1]):
-                yield Triple(subject, pred_of[preds[index]], node_of[objs[index]])
+        for subject, row in self.out_rows():
+            for pred, objects in row.items():
+                for obj in objects:
+                    yield Triple(subject, pred, obj)
 
     def to_graph(self) -> "Graph":
         """Reconstruct a mutable :class:`~repro.core.graph.Graph`.
@@ -1020,29 +1012,18 @@ class GraphSnapshot:
         the property WAL recovery relies on when the journal's base state
         lives in a snapshot store rather than in memory.
         """
-        graph = Graph()
-        for entity in self.entities():
-            graph.add_entity(entity.eid, entity.etype)
-        for triple in self.triples():
-            graph.add_triple(triple)
-        return graph
+        return Graph.from_triples({e.eid: e.etype for e in self.entities()}, self.triples())
 
     # -- decoded adjacency rows (one row per first read, per process) ---- #
 
-    def _decode_row(self, node: GraphNode, forward: bool) -> Dict[str, frozenset]:
-        """Decode and memoise one forward / backward row: ``pred -> node set``."""
+    def _row_at(self, index: int, forward: bool) -> Dict[str, List[GraphNode]]:
+        """One forward / backward row decoded, ``pred -> nodes``, not memoised."""
         per_pred: Dict[str, list] = {}
         if self._overlay is not None:
-            index = self.id_of(node)
-            if index is None:
-                return _NO_ROW
             node_at, pred_at = self.node_at, self._pred_at
             for pid, other in self.row_pairs(index, forward):
                 per_pred.setdefault(pred_at(pid), []).append(node_at(other))
         else:
-            index = self._id_of.get(node)
-            if index is None:
-                return _NO_ROW
             if forward:
                 offsets, preds, others = self._fwd_offsets, self._fwd_preds, self._fwd_objs
             else:
@@ -1050,9 +1031,25 @@ class GraphSnapshot:
             node_of, pred_of = self._node_of, self._pred_of
             for i in range(offsets[index], offsets[index + 1]):
                 per_pred.setdefault(pred_of[preds[i]], []).append(node_of[others[i]])
-        row = {pred: frozenset(found) for pred, found in per_pred.items()}
+        return per_pred
+
+    def _decode_row(self, node: GraphNode, forward: bool) -> Dict[str, frozenset]:
+        """Decode and memoise one forward / backward row: ``pred -> node set``."""
+        index = self._id_of.get(node) if self._overlay is None else self.id_of(node)
+        if index is None:
+            return _NO_ROW
+        row = {pred: frozenset(found) for pred, found in self._row_at(index, forward).items()}
         (self._obj_map if forward else self._subj_map)[node] = row
         return row
+
+    def out_rows(self) -> Iterator[Tuple[str, Dict[str, List[GraphNode]]]]:
+        """Every non-empty forward row as ``(subject, {pred: objects})``, not
+        memoised: :meth:`build` compiles a patched snapshot off these."""
+        live = range(self._num_entities) if self._overlay is None else self._live_ids(True)
+        for index in live:
+            row = self._row_at(index, True)
+            if row:
+                yield self.node_at(index), row
 
     def objects(self, subject: str, predicate: str) -> FrozenSet[GraphNode]:
         row = self._obj_map.get(subject)
@@ -1093,17 +1090,13 @@ class GraphSnapshot:
         row = self._obj_map.get(subject)
         if row is None:
             row = self._decode_row(subject, True)
-        return frozenset(
-            Triple(subject, pred, obj) for pred, objs in row.items() for obj in objs
-        )
+        return frozenset(Triple(subject, p, obj) for p, objs in row.items() for obj in objs)
 
     def in_triples(self, obj: GraphNode) -> FrozenSet[Triple]:
         row = self._subj_map.get(obj)
         if row is None:
             row = self._decode_row(obj, False)
-        return frozenset(
-            Triple(subj, pred, obj) for pred, subjs in row.items() for subj in subjs
-        )
+        return frozenset(Triple(subj, p, obj) for p, subjs in row.items() for subj in subjs)
 
     def stats(self) -> Dict[str, int]:
         """Summary counts; ``decoded_rows`` is what this process has read so far.

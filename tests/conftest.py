@@ -1,8 +1,10 @@
-"""Shared fixtures: the paper's examples and small generated workloads."""
+"""Shared fixtures: the paper's examples and small generated workloads,
+the hypothesis profiles and the reach tally of the fuzzed properties."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets.business import (
     EXPECTED_ADDRESS_PAIRS,
@@ -16,12 +18,56 @@ from repro.datasets.social import social_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.artifacts import SessionArtifacts
 
+from tests.reach import TALLY
+
+# Tier-1 replays the same examples on every run, so a reach count and any
+# failure reproduce exactly.  ``--hypothesis-profile=explore`` (its own CI
+# job) draws fresh examples instead, ten times as many per property.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None)
+settings.load_profile("tier1")
+EXPLORE_SCALE = 10
+
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "provokes_fallbacks: the test makes a snapshot patch or a store write fail on purpose",
     )
+    config.addinivalue_line(
+        "markers",
+        "reaches(label, at_least): the property's examples must reach the transition "
+        "*label* (tests.reach.reach) at least *at_least* times",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("hypothesis_profile", None) != "explore":
+        return
+    # once per test function: the items of a parametrized test share one
+    for test in {id(item.obj): item.obj for item in items if hasattr(item, "obj")}.values():
+        chosen = getattr(test, "_hypothesis_internal_use_settings", None)
+        if chosen is not None:
+            test._hypothesis_internal_use_settings = settings(
+                chosen, max_examples=EXPLORE_SCALE * chosen.max_examples
+            )
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_pyfunc_call(pyfuncitem):
+    """Fail a ``reaches``-marked test whose examples passed without reaching
+    the transitions it names often enough."""
+    targets = [mark.args for mark in pyfuncitem.iter_markers("reaches")]
+    TALLY.clear()
+    result = yield
+    for label, at_least in targets:
+        if TALLY[label] < at_least:
+            pytest.fail(
+                f"reached {label!r} {TALLY[label]} times, fewer than the {at_least} "
+                f"this property exists for",
+                pytrace=False,
+            )
+    return result
 
 
 @pytest.fixture(autouse=True)

@@ -23,6 +23,7 @@ import pytest
 from repro.api.session import MatchSession
 from repro.datasets.business import business_dataset
 from repro.datasets.music import music_dataset
+from repro.datasets.social import social_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching import ALGORITHMS
 
@@ -34,6 +35,13 @@ def _recursive():
         num_keys=6, chain_length=3, radius=2, entities_per_type=6, scale=2, seed=7
     )
     assert any(key.is_recursive for key in dataset.keys)
+    return dataset.graph, dataset.keys
+
+
+def _google():
+    """``benchmarks/conftest.py``'s Google+-like workload, whose VC message
+    counters once followed the hash salt."""
+    dataset = social_dataset(scale=0.8, chain_length=2, radius=2, seed=11)
     return dataset.graph, dataset.keys
 
 
@@ -51,6 +59,7 @@ SCENARIOS = {
     # EMOptVC (deferred forks, prioritized propagation) report different numbers
     "business": (business_dataset, "auto"),
     "synthetic_recursive": (_recursive, "auto"),
+    "google": (_google, "auto"),
     "synthetic_blocking_off": (_quadratic, "off"),
 }
 

@@ -3,9 +3,10 @@
 Blocking and the pairing filter are necessary conditions: a pair the chase
 identifies collides on the signatures of some key, and that key pairs it
 (Proposition 9).  So every pair of the fixpoint, computed here by
-:func:`naive_chase` straight from Section 2 with no ``src/`` matcher, must
-be in the blocked universe (:meth:`SessionArtifacts.blocked_pairs`) and in
-every pairing-filtered candidate set the session holds.  A cold build is
+:func:`reference_fixpoint` (the naive chase of Section 2, memoised by
+graph content) with no ``src/`` matcher, must be in the blocked universe
+(:meth:`SessionArtifacts.blocked_pairs`) and in every pairing-filtered
+candidate set the session holds.  A cold build is
 checked, and then every window of a fuzzer that mixes key and non-key
 predicates: the carried state — the enumeration re-collided by delta, the
 verdicts re-paired only over the window's key ball — is where a missed
@@ -17,19 +18,27 @@ retypes an entity; one window per example compacts the snapshot.  The
 graphs are :func:`fuzz_dataset`'s: 28 entities to start, at most 12 more
 added over an example (one per ``add_entity`` draw, at most 3 draws per
 window, 4 windows), so :func:`naive_chase` stays around 4 ms per call.
+
+A drawn window may also make an entity that collided with none of its type
+start colliding (:func:`collide_a_lonely_entity`): it takes on the rows of
+one that collides, so the chase identifies the two, and a rebase that skips
+it (a bug the blocking rebase once had) loses that pair from the blocked
+universe.  The property must reach that transition (:data:`STARTS_COLLIDING`).
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MatchSession
 
 from tests.matching.test_incremental_equivalence import apply_random_mutation, fuzz_dataset
-from tests.naive_semantics import naive_chase
+from tests.naive_semantics import reference_fixpoint
+from tests.properties.test_rebase_properties import STARTS_COLLIDING, collide_a_lonely_entity
 
 #: the run shapes each window re-runs: the product graph's flavour and the
 #: reduced one, both blocked
@@ -38,7 +47,7 @@ SHAPES = ("EMOptVC", "EMOptMR")
 
 def assert_no_false_negatives(session: MatchSession) -> None:
     arts = session._artifacts
-    expected = naive_chase(arts.graph, arts.keys)
+    expected = reference_fixpoint(arts.graph, arts.keys)
     blocked, _stats = arts.blocked_pairs("auto")
     assert expected <= set(blocked), expected - set(blocked)
     filtered = [
@@ -67,9 +76,12 @@ def non_key_edge_between_product_nodes(session: MatchSession, window: int) -> No
     graph.add_edge(s2, f"unkeyed_{window}", o2)
 
 
+@pytest.mark.reaches(STARTS_COLLIDING, 10)
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
-    windows=st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=4),
+    windows=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=3), st.booleans()), min_size=4, max_size=4
+    ),
     compact_at=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=20, deadline=None)
@@ -84,12 +96,14 @@ def test_the_fixpoint_survives_blocking_and_pairing_after_every_window(
     assert_no_false_negatives(session)
     rng = random.Random(seed)
     arts = session._artifacts
-    for window, mutations in enumerate(windows):
+    for window, (mutations, collide) in enumerate(windows):
         non_key_edge_between_product_nodes(session, window)
         for _ in range(mutations):
             apply_random_mutation(graph, rng)
         entities = sorted(graph.entity_ids())
         graph.retype_entity(rng.choice(entities), rng.choice(sorted(graph.types())))
+        if collide:
+            collide_a_lonely_entity(graph, keys, rng)
         compacting = window == compact_at
         if compacting:
             arts.SNAPSHOT_PATCH_MAX_FRACTION = 0.0  # this window recompiles
@@ -99,5 +113,5 @@ def test_the_fixpoint_survives_blocking_and_pairing_after_every_window(
         if compacting:
             assert arts.cache_info().snapshot_compactions == compactions + 1
             del arts.SNAPSHOT_PATCH_MAX_FRACTION
-        assert result.eq.pairs() == naive_chase(graph, keys)
+        assert result.eq.pairs() == reference_fixpoint(graph, keys)
         assert_no_false_negatives(session)

@@ -17,6 +17,12 @@ blocked pairs equal a naive enumeration over :func:`reference_signature`
 walks, and every run's ``Eq`` equals :func:`reference_fixpoint`.  The
 graphs are :func:`fuzz_dataset`'s (28 entities to start, a few more after
 the windows), so one example costs a few tens of milliseconds.
+
+A drawn window may end with :func:`collide_a_lonely_entity`: an entity that
+collides with no entity of its type takes on the rows of one that does, so
+it starts colliding.  That is the transition the blocking rebase once got
+wrong (it rewrote only the affected entities that collided before), and
+the property must reach it (:data:`STARTS_COLLIDING`).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +42,7 @@ from repro.matching.product_graph import ProductGraph
 
 from tests.matching.test_incremental_equivalence import apply_random_mutation, fuzz_dataset
 from tests.naive_semantics import reference_fixpoint, reference_signature
+from tests.reach import reach
 
 #: the run shapes each window re-runs: the product graph's flavour
 #: (EMOptVC) and the reduced one (EMOptMR), both blocked
@@ -61,6 +69,44 @@ def naive_blocked_pairs(graph, keys) -> list:
             ):
                 kept.append((e1, e2))
     return kept
+
+
+#: the reach target of this module and of ``test_no_false_negatives.py``
+STARTS_COLLIDING = "an entity that collided with none of its type starts colliding"
+
+
+def _collided(graph, keys) -> set:
+    return {entity for pair in naive_blocked_pairs(graph, keys) for entity in pair}
+
+
+def collide_a_lonely_entity(graph, keys, rng: random.Random) -> None:
+    """Copy the rows of an entity that collides onto a same-type entity that
+    collides with none, and :func:`reach` :data:`STARTS_COLLIDING` when the
+    lonely one now collides.  Its signatures then hold the other's on every
+    path (the in-rows too when the out-rows are not enough), so the two meet
+    on every path of the key the other collides under.  A no-op when no
+    keyed type has both."""
+    collided = _collided(graph, keys)
+    keyed = sorted({key.target_type for key in keys})
+    choices = []
+    for etype in keyed:
+        members = graph.entities_of_type(etype)
+        lonely = [e for e in members if e not in collided]
+        partners = [e for e in members if e in collided]
+        choices.extend((e, partners) for e in lonely if partners)
+    if not choices:
+        return
+    lonely, partners = rng.choice(choices)
+    donor = rng.choice(partners)
+    for triple in sorted(graph.out_triples(donor), key=repr):
+        if triple.obj != lonely:
+            graph.add_triple(triple._replace(subject=lonely))
+    if lonely not in _collided(graph, keys):  # a key path that starts backward
+        for triple in sorted(graph.in_triples(donor), key=repr):
+            if triple.subject != lonely:
+                graph.add_triple(triple._replace(obj=lonely))
+    if lonely in _collided(graph, keys):
+        reach(STARTS_COLLIDING)
 
 
 def assert_carried_equals_applied_from_empty(session: MatchSession) -> None:
@@ -116,9 +162,17 @@ def _fewer_keys(keys: KeySet, drop: int) -> KeySet:
     return KeySet(kept)
 
 
+#: a window: how many random mutations, and whether a lonely entity then
+#: starts colliding
+windows = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.booleans()), min_size=3, max_size=6
+)
+
+
+@pytest.mark.reaches(STARTS_COLLIDING, 10)
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
-    windows=st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=6),
+    windows=windows,
     compact_at=st.integers(min_value=0, max_value=5),
     rekey_at=st.integers(min_value=0, max_value=5),
 )
@@ -133,9 +187,11 @@ def test_rebased_artifacts_equal_rebuilt_ones_after_every_window(
         session.run(shape)
     rng = random.Random(seed)
     arts = session._artifacts
-    for window, mutations in enumerate(windows):
+    for window, (mutations, collide) in enumerate(windows):
         for _ in range(mutations):
             apply_random_mutation(graph, rng)
+        if collide:
+            collide_a_lonely_entity(graph, keys, rng)
         if window == compact_at % len(windows):
             # every row counts past the threshold: this window recompiles
             # (and it touches something, or there is nothing to refresh)

@@ -124,7 +124,9 @@ def test_a_window_costs_its_rows_at_any_graph_size(tmp_path, monkeypatch):
         tombstones = touched - survivors
         assert tombstones <= {old_value}
 
-        calls = {"out_triples": [], "in_triples": [], "neighbors": []}
+        calls = {
+            "out_row": [], "in_row": [], "out_triples": [], "in_triples": [], "neighbors": [],
+        }
         for method, seen in calls.items():
             original = getattr(type(graph), method)
 
@@ -137,10 +139,11 @@ def test_a_window_costs_its_rows_at_any_graph_size(tmp_path, monkeypatch):
         patched = parent.patched(graph, touched)
         monkeypatch.undo()
 
-        # the live graph is read once per touched surviving node, and no other
-        assert sorted(calls["in_triples"], key=repr) == sorted(survivors, key=repr)
-        assert sorted(calls["neighbors"], key=repr) == sorted(survivors, key=repr)
-        assert sorted(calls["out_triples"]) == sorted(n for n in survivors if isinstance(n, str))
+        # the live graph's two rows are read once per touched surviving node,
+        # and no other; no triple set or neighbour set is built
+        assert sorted(calls["in_row"], key=repr) == sorted(survivors, key=repr)
+        assert sorted(calls["out_row"]) == sorted(n for n in survivors if isinstance(n, str))
+        assert calls["out_triples"] == calls["in_triples"] == calls["neighbors"] == []
         assert patched.overlay_rows == len(survivors) + len(tombstones)
         # nothing of the parent was copied, and no id moved
         for slot in ("_node_of", "_id_of", "_etype_of", "_fwd_offsets", "_fwd_objs",
@@ -173,6 +176,9 @@ GRAPH_READS = (
     "has_entity",
     "out_triples",
     "in_triples",
+    "out_row",
+    "in_row",
+    "out_rows",
 )
 
 

@@ -22,18 +22,29 @@ base-plus-log classes, the planner's dropped classes and the rebased
 artifacts all feed the bytes.  Any byte
 that differs is a bug, with no list of suites to maintain.
 
-Run ``python tests/test_salt_differential.py`` to print one transcript.
+A second, session-less leg runs every backend at ``processors=4`` on the
+three workload factories of ``benchmarks/conftest.py`` and diffs the full
+``EMStatistics`` of each run.  The salts are chosen to split the ``google``
+VC message counters this leg was written for (80 under salts 0-5, 78 under
+6, 8, 9 and 11, before their sets were walked in id order); salts 1-3 alone
+never did.
+
+Run ``python tests/test_salt_differential.py`` to print one salt's two
+transcripts, the second after a ``# factories`` line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 #: (algorithm, executor) run shapes, in the order each window reruns them
 SHAPES = (
@@ -52,7 +63,10 @@ BLOCKING = ("off", "auto")
 #: one window per shape: each shape leads one window, planning it against
 #: the frozen seed, while the shapes after it reuse or extend its fixpoint
 WINDOWS = len(SHAPES)
-SALTS = ("1", "2", "3")
+SALTS = ("1", "6", "9")
+#: the line between the stream's transcript and the factory leg's
+SPLIT = b"# factories\n"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _windows(graph, count: int):
@@ -127,33 +141,77 @@ def transcript() -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_three_salts_write_the_same_bytes_after_every_window():
-    root = Path(__file__).resolve().parents[1]
+def factory_transcript() -> str:
+    """Every backend, session-less at ``processors=4``, on each workload of
+    ``benchmarks/conftest.py``: one JSON line of ``EMStatistics`` per run."""
+    from repro.api.registry import get_algorithm
+    from repro.matching import ALGORITHMS
+
+    path = ROOT / "benchmarks" / "conftest.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lines = []
+    for name, factory in sorted(workloads.FACTORIES.items()):
+        graph, keys = factory()
+        for algorithm in ALGORITHMS:
+            result = get_algorithm(algorithm).run(graph, keys, processors=4)
+            lines.append(json.dumps(
+                {"workload": name, "algorithm": algorithm, "stats": result.stats.as_dict()},
+                sort_keys=True,
+            ))
+    return "\n".join(lines) + "\n"
+
+
+
+@pytest.fixture(scope="module")
+def transcripts():
+    """Salt -> this file's two transcripts, ``(stream, factories)``."""
     outputs = {}
     for salt in SALTS:
         env = {**os.environ, "PYTHONHASHSEED": salt}
         env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
         )
         done = subprocess.run(
             [sys.executable, __file__], env=env, capture_output=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr.decode()
-        outputs[salt] = done.stdout
-    reference = outputs[SALTS[0]]
-    assert reference.count(b"\n") == (WINDOWS + 1) * (len(SHAPES) + 1)
-    assert b'"cold_cache"' in reference and b'"product_graph_build"' in reference
-    assert b'"mode": "incremental"' in reference
+        outputs[salt] = tuple(done.stdout.split(SPLIT))
+    return outputs
+
+
+def _assert_one_transcript(outputs) -> None:
+    (first_salt, reference), *_ = outputs.items()
     for salt, output in outputs.items():
         if output != reference:
             first = next(
                 (a, b) for a, b in zip(reference.splitlines(), output.splitlines()) if a != b
             )
             raise AssertionError(
-                f"PYTHONHASHSEED={salt} wrote other bytes than {SALTS[0]}:\n"
+                f"PYTHONHASHSEED={salt} wrote other bytes than {first_salt}:\n"
                 f"{first[0][:600]!r}\n{first[1][:600]!r}"
             )
 
 
+def test_three_salts_write_the_same_bytes_after_every_window(transcripts):
+    outputs = {salt: stream for salt, (stream, _) in transcripts.items()}
+    reference = outputs[SALTS[0]]
+    assert reference.count(b"\n") == (WINDOWS + 1) * (len(SHAPES) + 1)
+    assert b'"cold_cache"' in reference and b'"product_graph_build"' in reference
+    assert b'"mode": "incremental"' in reference
+    _assert_one_transcript(outputs)
+
+
+def test_session_less_runs_on_the_benchmark_workloads_count_the_same_under_three_salts(
+    transcripts,
+):
+    outputs = {salt: factories for salt, (_, factories) in transcripts.items()}
+    reference = outputs[SALTS[0]]
+    assert reference.count(b"\n") == 3 * 6
+    assert b'"workload": "google"' in reference and b'"messages_sent": 0' in reference
+    _assert_one_transcript(outputs)
+
+
 if __name__ == "__main__":
-    sys.stdout.write(transcript())
+    sys.stdout.write(transcript() + SPLIT.decode() + factory_transcript())
