@@ -407,7 +407,7 @@ class GraphSnapshot:
         regrouped: Set[Optional[str]] = set()  # types whose membership changes
         for node in touched:
             is_entity = is_entity_ref(node)
-            alive = graph.has_entity(node) if is_entity else graph.degree(node) > 0
+            alive = graph.has_entity(node) if is_entity else bool(graph.in_row(node))
             node_id = base_ids.get(node)
             if node_id is None:
                 node_id = extra_ids.get(node)
@@ -454,7 +454,11 @@ class GraphSnapshot:
             return extra_preds[pred] if found is None else found
 
         def run(row) -> List[Tuple[int, int]]:
-            return sorted((pred_id(p), id_of(other)) for p, others in row.items() for other in others)
+            pairs: List[Tuple[int, int]] = []
+            for pred, others in row.items():
+                pairs.extend(zip(repeat(pred_id(pred)), map(id_of, others)))
+            pairs.sort()
+            return pairs
 
         etypes, etype_of, num_base_entities = overlay.etypes, self._etype_of, self._num_entities
         try:

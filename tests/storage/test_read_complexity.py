@@ -139,9 +139,11 @@ def test_a_window_costs_its_rows_at_any_graph_size(tmp_path, monkeypatch):
         patched = parent.patched(graph, touched)
         monkeypatch.undo()
 
-        # the live graph's two rows are read once per touched surviving node,
+        # the live graph's two rows are read once per touched surviving node
+        # (and a touched literal's in-row once more, to see that it lives),
         # and no other; no triple set or neighbour set is built
-        assert sorted(calls["in_row"], key=repr) == sorted(survivors, key=repr)
+        literals = [n for n in touched if not isinstance(n, str)]
+        assert sorted(calls["in_row"], key=repr) == sorted([*survivors, *literals], key=repr)
         assert sorted(calls["out_row"]) == sorted(n for n in survivors if isinstance(n, str))
         assert calls["out_triples"] == calls["in_triples"] == calls["neighbors"] == []
         assert patched.overlay_rows == len(survivors) + len(tombstones)
