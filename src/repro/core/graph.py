@@ -21,6 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..exceptions import DuplicateEntityError, GraphError, UnknownEntityError
@@ -152,9 +153,7 @@ class Graph:
         # dropping superseded entries preserves every answer in the window.
         # Repeated set_value/add/remove churn on a bounded node set therefore
         # never slides the window, no matter how long ingest runs.
-        last: Dict[GraphNode, int] = {}
-        for version, node in zip(self._touched_versions, self._touched_nodes):
-            last[node] = version
+        last: Dict[GraphNode, int] = dict(zip(self._touched_nodes, self._touched_versions))
         if len(last) > self.MUTATION_LOG_LIMIT:
             # more distinct nodes than the window holds: slide (old behavior)
             self._touched_versions = array("q")
@@ -376,10 +375,11 @@ class Graph:
 
     def triples(self) -> Iterator[Triple]:
         """Iterate over all triples (built from the forward rows)."""
+        new = tuple.__new__  # a Triple without NamedTuple's Python-level __new__
         for subject, row in self._out.items():
             for predicate, objects in row.items():
                 for obj in objects:
-                    yield Triple(subject, predicate, obj)
+                    yield new(Triple, (subject, predicate, obj))
 
     def has_triple(self, subject: str, predicate: str, obj: GraphNode) -> bool:
         """Return True when the triple ``(subject, predicate, obj)`` exists."""
@@ -390,8 +390,7 @@ class Graph:
     # ------------------------------------------------------------------ #
 
     def out_rows(self) -> Iterable[Tuple[str, Mapping[str, Set[GraphNode]]]]:
-        """Every forward row as ``(subject, {predicate: objects})`` (read
-        only): what a snapshot build compiles from."""
+        """Every forward row, ``(subject, {predicate: objects})`` (read only)."""
         return self._out.items()
 
     def out_row(self, subject: str) -> Mapping[str, Set[GraphNode]]:
@@ -421,18 +420,15 @@ class Graph:
     def neighbors(self, node: GraphNode) -> Set[GraphNode]:
         """Undirected neighbours of *node*, whatever the predicate and the
         direction (a new set)."""
-        return _adjacent(self._out.get(node, _NO_ROW), self._in.get(node, _NO_ROW))
+        return set().union(*self.out_row(node).values(), *self.in_row(node).values())
 
     def degree(self, node: GraphNode) -> int:
         """Undirected degree of *node*."""
-        return len(_adjacent(self._out.get(node, _NO_ROW), self._in.get(node, _NO_ROW)))
+        return len(self.neighbors(node))
 
     def value_nodes(self) -> Set[Literal]:
-        """Return the set of distinct value nodes.
-
-        The literal keys of the backward rows (an emptied row is deleted),
-        so a literal whose last triple was removed disappears from the answer.
-        """
+        """Return the set of distinct value nodes: the literal keys of the
+        backward rows, so a literal whose last triple went is gone too."""
         return {node for node in self._in if not isinstance(node, str)}
 
     # ------------------------------------------------------------------ #
@@ -466,17 +462,12 @@ class Graph:
     def is_connected(self) -> bool:
         """Return True when the undirected graph is connected (or empty)."""
         nodes = set(self._entities) | self._in.keys()
-        if not nodes:
-            return True
-        start = next(iter(nodes))
-        seen = {start}
-        frontier = [start]
+        frontier = [next(iter(nodes))] if nodes else []
+        seen = set(frontier)
         while frontier:
-            node = frontier.pop()
-            for nbr in self.neighbors(node):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    frontier.append(nbr)
+            fresh = self.neighbors(frontier.pop()) - seen
+            seen |= fresh
+            frontier.extend(fresh)
         return seen >= nodes
 
     # ------------------------------------------------------------------ #
@@ -513,12 +504,8 @@ class Graph:
         }
 
 
-#: the row of a node without one (never written)
-_NO_ROW: Dict[str, Set] = {}
-
-
-def _adjacent(out_row: Mapping[str, Set], in_row: Mapping[str, Set]) -> Set[GraphNode]:
-    return set().union(*out_row.values(), *in_row.values())
+#: the row of a node without one (a read-only view: writing to it raises)
+_NO_ROW: Mapping[str, Set] = MappingProxyType({})
 
 
 def _discard(rows: Dict, node: GraphNode, predicate: str, other: GraphNode) -> None:

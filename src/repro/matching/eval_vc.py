@@ -408,9 +408,8 @@ class EvalVCProgram:
         newly_flagged: List[Pair] = [origin]
 
         # transitive closure: other candidate pairs implied by the merged class
-        # (sets walked in id order: the notifications' order is the schedule)
-        for entity in sorted(self.live_eq.class_of(origin[0])):
-            for pair in sorted(self._product_graph.candidate_pairs_touching(entity)):
+        for entity in self.live_eq.class_of(origin[0]):
+            for pair in self._product_graph.candidate_pairs_touching(entity):
                 if not context.has_vertex(pair):
                     continue
                 pair_state = context.state(pair)
@@ -421,7 +420,9 @@ class EvalVCProgram:
                     self.counters.tc_flags += 1
                     context.add_work(1)
 
-        # dependency notifications: restart dependents of every newly flagged pair
+        # dependency notifications: restart dependents of every newly flagged
+        # pair, pairs and sets walked in id order (the sends' order is the schedule)
+        newly_flagged[1:] = sorted(newly_flagged[1:])
         for flagged in newly_flagged:
             for dependent in sorted(self._product_graph.dependents_of(flagged)):
                 if not context.has_vertex(dependent):

@@ -49,16 +49,19 @@ rows it touches and never for the graph (``stats()["decoded_rows"]``).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
 from operator import itemgetter as _itemgetter
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -71,12 +74,14 @@ from ..exceptions import SnapshotPatchError, UnknownEntityError
 
 #: Array typecode for node/predicate ids and CSR offsets.
 _ID = "q"
+#: Which 4-byte half of an ``_ID`` item holds its low bits (worker payloads).
+_LOW = 0 if sys.byteorder == "little" else 1
 
 #: The empty candidate set returned for unknown (node, predicate) lookups.
 _EMPTY_IDS: FrozenSet[int] = frozenset()
 _EMPTY_NODES: FrozenSet[GraphNode] = frozenset()
 #: The decoded row of a node the graph does not hold (never memoised).
-_NO_ROW: Dict[str, frozenset] = {}
+_NO_ROW: Mapping[str, frozenset] = MappingProxyType({})
 
 
 def _offsets(rows: Sequence[int], num_rows: int) -> array:
@@ -304,14 +309,14 @@ class GraphSnapshot:
         row_shift = node_bits + pred_bits
         node_mask = (1 << node_bits) - 1
 
-        keys: List[int] = []
-        append = keys.append
-        for subject, row in graph.out_rows():
-            head = id_of[subject] << row_shift
-            for pred, objects in row.items():
-                run = head | (pred_ids[pred] << node_bits)
-                for obj in objects:
-                    append(run | id_of[obj])
+        keys = [
+            run | id_of[obj]
+            for subject, row in graph.out_rows()
+            for head in (id_of[subject] << row_shift,)
+            for pred, objects in row.items()
+            for run in (head | (pred_ids[pred] << node_bits),)
+            for obj in objects
+        ]
         keys.sort()
         sids, pids, oids = _unpack(keys, node_bits, pred_bits)
         del keys
@@ -453,19 +458,14 @@ class GraphSnapshot:
             found = base_preds.get(pred)
             return extra_preds[pred] if found is None else found
 
-        def run(row) -> List[Tuple[int, int]]:
-            pairs: List[Tuple[int, int]] = []
-            for pred, others in row.items():
-                pairs.extend(zip(repeat(pred_id(pred)), map(id_of, others)))
-            pairs.sort()
-            return pairs
-
         etypes, etype_of, num_base_entities = overlay.etypes, self._etype_of, self._num_entities
         try:
             for node_id, node in survivors:
                 fwd: List[Tuple[int, int]] = []
                 if is_entity_ref(node):
-                    fwd = run(graph.out_row(node))
+                    for pred, objects in graph.out_row(node).items():
+                        fwd.extend(zip(repeat(pred_id(pred)), map(id_of, objects)))
+                    fwd.sort()
                     num_triples += len(fwd)
                     etype = graph.entity_type(node)
                     known = etypes.get(node_id)
@@ -474,11 +474,13 @@ class GraphSnapshot:
                     if etype != known:
                         etypes[node_id] = etype
                         regrouped.update((etype, known))
-                bwd = run(graph.in_row(node))
+                bwd: List[Tuple[int, int]] = []
+                for pred, subjects in graph.in_row(node).items():
+                    bwd.extend(zip(repeat(pred_id(pred)), map(id_of, subjects)))
+                bwd.sort()
                 row = array(_ID, (len(fwd), len(bwd)))
-                for pairs in (fwd, bwd):
-                    row.extend([pred for pred, _ in pairs])
-                    row.extend([other for _, other in pairs])
+                for column in chain(zip(*fwd), zip(*bwd)):
+                    row.extend(column)
                 row.extend(sorted({other for _, other in chain(fwd, bwd)}))
                 rows[node_id] = row
         except KeyError as missing:
@@ -553,15 +555,22 @@ class GraphSnapshot:
         state = {}
         for name in self._PICKLED:
             value = getattr(self, name)
-            if isinstance(value, memoryview):
-                # mmap-backed segments (snapshot-store loads) materialize
-                # into plain arrays so detached pickling keeps working
-                value = array(_ID, value)
+            if isinstance(value, (array, memoryview)):
+                # ids and offsets (a store load's mmap views too) below 2**32
+                # ship as their low 4-byte halves; __setstate__ widens them
+                halves = memoryview(value).cast("B").cast("I")
+                high = halves[1 - _LOW :: 2].tobytes()
+                fits = high == bytes(len(high))
+                value = array("I", halves[_LOW::2].tobytes()) if fits else array(_ID, value)
             state[name] = value
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         for name, value in state.items():
+            if isinstance(value, array) and value.typecode == "I":
+                wide = array(_ID, bytes(8 * len(value)))
+                memoryview(wide).cast("B").cast("I")[_LOW::2] = value
+                value = wide
             object.__setattr__(self, name, value)
         # states pickled before the value index existed: degrade gracefully
         # (value_postings reports None and consumers fall back to traversal)
@@ -1037,7 +1046,7 @@ class GraphSnapshot:
                 per_pred.setdefault(pred_of[preds[i]], []).append(node_of[others[i]])
         return per_pred
 
-    def _decode_row(self, node: GraphNode, forward: bool) -> Dict[str, frozenset]:
+    def _decode_row(self, node: GraphNode, forward: bool) -> Mapping[str, frozenset]:
         """Decode and memoise one forward / backward row: ``pred -> node set``."""
         index = self._id_of.get(node) if self._overlay is None else self.id_of(node)
         if index is None:
@@ -1051,8 +1060,7 @@ class GraphSnapshot:
         memoised: :meth:`build` compiles a patched snapshot off these."""
         live = range(self._num_entities) if self._overlay is None else self._live_ids(True)
         for index in live:
-            row = self._row_at(index, True)
-            if row:
+            if row := self._row_at(index, True):
                 yield self.node_at(index), row
 
     def objects(self, subject: str, predicate: str) -> FrozenSet[GraphNode]:

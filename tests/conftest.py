@@ -4,7 +4,7 @@ the hypothesis profiles and the reach tally of the fuzzed properties."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
+from hypothesis import is_hypothesis_test, settings
 
 from repro.datasets.business import (
     EXPECTED_ADDRESS_PAIRS,
@@ -44,13 +44,20 @@ def pytest_configure(config):
 def pytest_collection_modifyitems(config, items):
     if config.getoption("hypothesis_profile", None) != "explore":
         return
-    # once per test function: the items of a parametrized test share one
-    for test in {id(item.obj): item.obj for item in items if hasattr(item, "obj")}.values():
-        chosen = getattr(test, "_hypothesis_internal_use_settings", None)
-        if chosen is not None:
-            test._hypothesis_internal_use_settings = settings(
-                chosen, max_examples=EXPLORE_SCALE * chosen.max_examples
-            )
+    # Once per test function: the items of a parametrized test share one.
+    # A test's own @settings beat any profile, and hypothesis keeps them in a
+    # private attribute; a release without it stops this run here instead of
+    # letting it explore at 1 x unnoticed.
+    tests = {
+        id(item.obj): item.obj
+        for item in items
+        if is_hypothesis_test(getattr(item, "obj", None))
+    }
+    for test in tests.values():
+        chosen = test._hypothesis_internal_use_settings
+        test._hypothesis_internal_use_settings = settings(
+            chosen, max_examples=EXPLORE_SCALE * chosen.max_examples
+        )
 
 
 @pytest.hookimpl(wrapper=True)

@@ -90,6 +90,13 @@ class TestQueries:
         assert "a" in graph.neighbors("r")
         assert Literal("X") in graph.neighbors("a")
 
+    def test_the_row_of_a_node_without_one_refuses_writes(self, graph: Graph):
+        assert dict(graph.out_row("r")) == {} and dict(graph.in_row("a")) == {}
+        with pytest.raises(TypeError):
+            graph.out_row("r")["made_up"] = {"a"}
+        assert not graph.has_triple("r", "made_up", "a")
+        assert graph.objects("b", "made_up") == set()
+
     def test_has_triple_and_contains(self, graph: Graph):
         assert graph.has_triple("a", "recorded_by", "r")
         assert Triple("a", "recorded_by", "r") in graph

@@ -9,6 +9,7 @@ import pytest
 from repro.core.graph import Graph
 from repro.core.triples import Literal, Triple
 from repro.datasets.music import music_dataset
+from repro.datasets.synthetic import synthetic_dataset
 from repro.exceptions import (
     StoreError,
     StoreFormatError,
@@ -444,10 +445,17 @@ class TestDeltaFiles:
 
 
 class TestWorkerCacheShipCost:
-    def test_store_backed_snapshot_shrinks_the_mr_worker_payload(self, graph, stored, store):
-        """The MR Haloop cache ships a path stub, not arrays, under a store."""
+    def test_store_backed_snapshot_shrinks_the_mr_worker_payload(self, store):
+        """The MR Haloop cache ships a path stub, not arrays, under a store.
+
+        On a 180-entity graph: the music graph's arrays, shipped as 4-byte
+        items, pickle in 1.4 KB, too close to the stub to show the gap."""
         from repro.mapreduce.haloop_cache import WorkerCache
 
+        graph = synthetic_dataset(
+            num_keys=10, chain_length=2, radius=2, entities_per_type=8, seed=7
+        ).graph
+        store.save(GraphSnapshot.build(graph), graph=graph)
         built_cache, stored_cache = WorkerCache(2), WorkerCache(2)
         built_cache.put("snapshot", GraphSnapshot.build(graph), records=0)
         stored_cache.put("snapshot", store.load(graph), records=0)

@@ -166,18 +166,28 @@ def factory_transcript() -> str:
 
 @pytest.fixture(scope="module")
 def transcripts():
-    """Salt -> this file's two transcripts, ``(stream, factories)``."""
-    outputs = {}
+    """Salt -> this file's two transcripts, ``(stream, factories)``; the
+    three interpreters run side by side."""
+    running = {}
     for salt in SALTS:
         env = {**os.environ, "PYTHONHASHSEED": salt}
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
         )
-        done = subprocess.run(
-            [sys.executable, __file__], env=env, capture_output=True, timeout=120,
+        running[salt] = subprocess.Popen(
+            [sys.executable, __file__], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        assert done.returncode == 0, done.stderr.decode()
-        outputs[salt] = tuple(done.stdout.split(SPLIT))
+    outputs = {}
+    try:
+        for salt, child in running.items():
+            stdout, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr.decode()
+            outputs[salt] = tuple(stdout.split(SPLIT))
+    finally:
+        for child in running.values():
+            child.kill()  # a no-op on a child that exited
+            child.wait(timeout=10)
     return outputs
 
 
