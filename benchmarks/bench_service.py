@@ -43,6 +43,7 @@ from typing import Dict, List, Tuple
 
 from repro.api.registry import ALGORITHMS
 from repro.api.session import MatchSession
+from repro.core.parser import parse_graph, serialize_graph
 from repro.datasets.music import music_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.matching.result import EMResult
@@ -126,7 +127,10 @@ def run_bench(
         store=store_dir, max_inflight=max_inflight, max_queued=len(jobs) + 8
     )
     for name, (graph, keys) in graphs.items():
-        service.register_graph(name, graph, keys, source="bench")
+        # as a restarted process parses it, holding no snapshot: the "built
+        # exactly once" gate would pass vacuously over one ``graph`` holds
+        restarted = parse_graph(serialize_graph(graph))
+        service.register_graph(name, restarted, keys, source="bench")
     server = make_http_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address
     server_thread = threading.Thread(target=server.serve_forever, daemon=True)

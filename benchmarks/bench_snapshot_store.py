@@ -40,6 +40,7 @@ from typing import Dict
 
 from repro.api.registry import ALGORITHMS
 from repro.api.session import MatchSession
+from repro.core.parser import parse_graph, serialize_graph
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.mapreduce.haloop_cache import WorkerCache
 from repro.storage import GraphSnapshot, SnapshotStore, graph_fingerprint, read_snapshot
@@ -140,7 +141,10 @@ def run_bench(scale: float, repeats: int, store_dir: str) -> Dict:
 
     # ---- identity: loaded snapshot == built snapshot, every backend ----- #
     session_built = MatchSession(graph).with_keys(keys)
-    session_loaded = MatchSession(graph, snapshot_store=store_dir).with_keys(keys)
+    # over the graph as a restarted process parses it, which holds no
+    # snapshot: a session over ``graph`` itself would read the one it holds
+    restarted = parse_graph(serialize_graph(graph))
+    session_loaded = MatchSession(restarted, snapshot_store=store_dir).with_keys(keys)
     identical = True
     divergent = []
     for name in ALGORITHMS:
@@ -168,7 +172,8 @@ def run_bench(scale: float, repeats: int, store_dir: str) -> Dict:
     patched = built.patched(graph, graph.touched_since(built.version))
     delta_path = store.patch(patched, base=built, fingerprint=graph.content_fingerprint())
     session_rebuilt = MatchSession(graph).with_keys(keys)
-    session_delta = MatchSession(graph, snapshot_store=store_dir).with_keys(keys)
+    restarted = parse_graph(serialize_graph(graph))  # as above
+    session_delta = MatchSession(restarted, snapshot_store=store_dir).with_keys(keys)
     delta_divergent = []
     for name in ALGORITHMS:
         rebuilt_result = session_rebuilt.run(name, processors=4)

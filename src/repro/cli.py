@@ -447,8 +447,10 @@ def _print_profile(session: MatchSession, result) -> None:
         provenance = f"loaded from store ({info.store_hits} hit(s))"
     elif info.store_misses:
         provenance = f"built (store miss: {info.store_misses}), saved back"
-    else:
+    elif info.snapshot_builds:
         provenance = "built in process (no snapshot store)"
+    else:
+        provenance = "the snapshot the graph already held"
     print(f"  {'snapshot source':<24} : {provenance}")
     if info.snapshot_patches:
         print(

@@ -149,7 +149,7 @@ def chase(
         prerequisite pairs of its witness (see :class:`ChaseStep`).
     snapshot:
         The snapshot of *graph* to read (e.g. the session cache's); without
-        one, a snapshot is built once, here.
+        one, the graph's published one (:meth:`Graph.snapshot`).
     index:
         An optional prebuilt
         :class:`~repro.storage.neighborhoods.SnapshotNeighborhoodIndex` over
@@ -177,9 +177,8 @@ def chase(
     # lazy: both packages import repro.core, which imports this module
     from ..matching.blocking import blocked_candidate_pairs
     from ..storage import SnapshotNeighborhoodIndex
-    from ..storage.snapshot import snapshot_of
 
-    snapshot = snapshot_of(graph, snapshot)
+    snapshot = graph.snapshot() if snapshot is None else snapshot
     evaluator = GuidedPairEvaluator(snapshot)
     neighborhoods = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
 

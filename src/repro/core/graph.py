@@ -1,32 +1,46 @@
-"""In-memory property graph (triple store): two rows per node.
+"""In-memory property graph (triple store): the published snapshot plus the
+rows written since.
 
 The graph follows the paper's model (Section 2.1): a set of triples
 ``(s, p, o)`` where ``s`` is an entity, ``p`` a predicate and ``o`` an entity
-or a value.  Every triple is held twice, factorised by node and predicate:
+or a value; values (:class:`~repro.core.triples.Literal`) are nodes too.
 
-* a forward row per subject, ``subject -> {predicate: set(objects)}``,
-* a backward row per object, ``object -> {predicate: set(subjects)}``.
-
-A removal drops any set or row it empties, so every other read is derived
-exactly from the two rows: ``triples()``, ``out_triples`` / ``in_triples``
-and ``neighbors`` build their answer on demand.  Beside the rows the graph
-keeps an entity table, a type index, triple counts (in all and per
-predicate), the mutation journal and the running content fingerprint.
-Values (:class:`~repro.core.triples.Literal`) are nodes too: two equal
-values are the same node, as in the paper.
+A graph holds its triples once: in the *held* snapshot, the immutable
+:class:`~repro.storage.snapshot.GraphSnapshot` it last *published*, and in
+the *written rows* — the forward (``subject -> {predicate: objects}``) and
+backward (``object -> {predicate: subjects}``) row of every node written
+since, copied from the held snapshot on the row's first write.  Node reads
+(``has_triple``, ``objects``, ``subjects``, ``out_row``, ``in_row``,
+``neighbors``, ``degree``) answer from a written row or the held snapshot
+and never publish, so a write never publishes.  :meth:`Graph.snapshot`
+publishes (a build, a patch of the held snapshot or a compaction) and drops
+the written rows; whole-graph reads (``types()``, ``triples()``,
+``stats()``, ``==``, ...) publish and answer from the snapshot.  The entity
+table (id -> type), counters, the mutation journal and the running content
+fingerprint answer the entity reads, ``num_triples``, ``predicates()`` and
+``content_fingerprint()`` without publishing either.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import defaultdict
+from functools import partial
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Set, Tuple
 
 from ..exceptions import DuplicateEntityError, GraphError, UnknownEntityError
 from .fingerprint import _FP_MOD, entity_term, format_fingerprint, triple_term
 from .triples import Entity, GraphNode, Literal, Triple
+
+if TYPE_CHECKING:
+    from ..storage.snapshot import GraphSnapshot
+
+#: ``publish(how, compile) -> snapshot``: the hook :meth:`Graph.snapshot`
+#: hands what it does (``how`` is ``"held"``, ``"build"``, ``"patch"`` or
+#: ``"compaction"``), answering the snapshot
+Publish = Callable[[str, Callable[[], "GraphSnapshot"]], "GraphSnapshot"]
 
 
 class Graph:
@@ -36,7 +50,9 @@ class Graph:
 
     >>> g = Graph()
     >>> g.add_entity("alb1", "album")
+    Entity(eid='alb1', etype='album')
     >>> g.add_entity("art1", "artist")
+    Entity(eid='art1', etype='artist')
     >>> g.add_value("alb1", "name_of", "Anthology 2")
     >>> g.add_edge("alb1", "recorded_by", "art1")
     >>> g.num_triples
@@ -44,8 +60,9 @@ class Graph:
     """
 
     __slots__ = (
+        "_snapshot",
         "_entities",
-        "_by_type",
+        "_typed",
         "_out",
         "_in",
         "_num_triples",
@@ -70,11 +87,22 @@ class Graph:
     #: (callers then do a full cache rebuild).
     MUTATION_LOG_LIMIT = 100_000
 
+    #: patch-vs-build threshold of :meth:`snapshot`: once the rows a patched
+    #: snapshot would hold outside its canonical arrays (the held overlay's,
+    #: plus the written nodes) pass this fraction of its nodes, publishing
+    #: compiles the canonical form instead; it bounds what every read
+    #: consults first, and what each publish copies and the store writes
+    SNAPSHOT_PATCH_MAX_FRACTION = 0.5
+
     def __init__(self) -> None:
-        self._entities: Dict[str, Entity] = {}
-        self._by_type: Dict[str, Set[str]] = defaultdict(set)
-        # the two rows of every node: subject -> predicate -> objects and
-        # object -> predicate -> subjects; no row, predicate or set is empty
+        # the held snapshot: the graph as last published (None before that)
+        self._snapshot: Optional["GraphSnapshot"] = None
+        # the entity table (id -> type), and the entities added or retyped
+        # since the held snapshot
+        self._entities: Dict[str, str] = {}
+        self._typed: Set[str] = set()
+        # the written rows: the forward / backward row of every node a
+        # triple write touched since (an emptied row still hides the held one)
         self._out: Dict[str, Dict[str, Set[GraphNode]]] = {}
         self._in: Dict[GraphNode, Dict[str, Set[str]]] = {}
         self._num_triples: int = 0
@@ -107,16 +135,15 @@ class Graph:
         """
         existing = self._entities.get(eid)
         if existing is not None:
-            if existing.etype != etype:
-                raise DuplicateEntityError(eid, existing.etype, etype)
-            return existing
+            if existing != etype:
+                raise DuplicateEntityError(eid, existing, etype)
+            return Entity(eid, etype)
         term = entity_term(eid, etype)  # before any write: it may raise
-        entity = Entity(eid, etype)
-        self._entities[eid] = entity
-        self._by_type[etype].add(eid)
+        self._entities[eid] = etype
+        self._typed.add(eid)
         self._fp_acc = (self._fp_acc + term) % _FP_MOD
         self._record_mutation((eid,))
-        return entity
+        return Entity(eid, etype)
 
     def add_triple(self, triple: Triple) -> None:
         """Add a triple; the subject (and an entity object) must be registered."""
@@ -127,11 +154,19 @@ class Graph:
             raise UnknownEntityError(subject)
         if isinstance(obj, str) and obj not in self._entities:
             raise UnknownEntityError(obj)
-        if self.has_triple(subject, predicate, obj):
+        held = self._snapshot
+        out = self._out.get(subject)
+        if out is None:  # copied from the held row, stored below if it changes
+            out = {} if held is None else held.row_copy(subject, True)
+        if obj in out.get(predicate, ()):
             return
         term = triple_term(subject, predicate, obj)  # before any write: it may raise
-        self._out.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
-        self._in.setdefault(obj, {}).setdefault(predicate, set()).add(subject)
+        self._out[subject] = out
+        out.setdefault(predicate, set()).add(obj)
+        back = self._in.get(obj)
+        if back is None:
+            back = self._in[obj] = {} if held is None else held.row_copy(obj, False)
+        back.setdefault(predicate, set()).add(subject)
         self._num_triples += 1
         self._pred_counts[predicate] = self._pred_counts.get(predicate, 0) + 1
         self._fp_acc = (self._fp_acc + term) % _FP_MOD
@@ -223,11 +258,19 @@ class Graph:
         self._remove(triple.subject, triple.predicate, triple.obj)
 
     def _remove(self, subject: str, predicate: str, obj: GraphNode) -> None:
-        if not self.has_triple(subject, predicate, obj):
+        held = self._snapshot
+        out = self._out.get(subject)
+        if out is None:  # as in _add
+            out = {} if held is None else held.row_copy(subject, True)
+        if obj not in out.get(predicate, ()):
             return
         term = triple_term(subject, predicate, obj)
-        _discard(self._out, subject, predicate, obj)
-        _discard(self._in, obj, predicate, subject)
+        self._out[subject] = out
+        _discard(out, predicate, obj)
+        back = self._in.get(obj)
+        if back is None:
+            back = self._in[obj] = held.row_copy(obj, False)  # the triple was held
+        _discard(back, predicate, subject)
         self._num_triples -= 1
         remaining = self._pred_counts[predicate] - 1
         if remaining > 0:
@@ -253,7 +296,7 @@ class Graph:
         the journalled mutation primitives.
         """
         literal = value if isinstance(value, Literal) else Literal(value)
-        for existing in list(self.objects(subject, predicate)):
+        for existing in self.objects(subject, predicate):
             if isinstance(existing, Literal) and existing != literal:
                 self._remove(subject, predicate, existing)
         self._add(subject, predicate, literal)
@@ -261,20 +304,17 @@ class Graph:
     def retype_entity(self, eid: str, etype: str) -> Entity:
         """Change the type of entity *eid* to *etype* (same type: no-op).
 
-        Incident triples are kept — only the type (and the type index)
-        changes.  The journal records the entity as touched.
+        Incident triples are kept — only the type changes.  The journal
+        records the entity as touched.
         """
-        existing = self.entity(eid)
-        if existing.etype == etype:
-            return existing
-        term = entity_term(eid, etype) - entity_term(eid, existing.etype)
-        self._by_type[existing.etype].discard(eid)  # types() skips an emptied bucket
-        entity = Entity(eid, etype)
-        self._entities[eid] = entity
-        self._by_type[etype].add(eid)
-        self._fp_acc = (self._fp_acc + term) % _FP_MOD
-        self._record_mutation((eid,))
-        return entity
+        existing = self.entity_type(eid)
+        if existing != etype:
+            term = entity_term(eid, etype) - entity_term(eid, existing)
+            self._entities[eid] = etype
+            self._typed.add(eid)
+            self._fp_acc = (self._fp_acc + term) % _FP_MOD
+            self._record_mutation((eid,))
+        return Entity(eid, etype)
 
     @classmethod
     def from_triples(
@@ -289,16 +329,19 @@ class Graph:
         return graph
 
     def copy(self) -> "Graph":
-        """Return a deep (structural) copy of this graph, row by row.
+        """Return an independent copy of this graph: the held snapshot is
+        shared (it is immutable), the written rows are copied.
 
         The copy starts at this graph's version with an empty journal:
         ``touched_since`` answers ``None`` below it (nothing holds a seed of
         a graph that did not exist yet)."""
+        out, back, typed = self._out, self._in, self._typed  # the rows first: see snapshot()
         clone = Graph()
+        clone._snapshot = self._snapshot
         clone._entities = dict(self._entities)
-        clone._by_type.update((etype, set(ids)) for etype, ids in self._by_type.items())
-        clone._out = {n: {p: set(m) for p, m in row.items()} for n, row in self._out.items()}
-        clone._in = {n: {p: set(m) for p, m in row.items()} for n, row in self._in.items()}
+        clone._typed = set(typed)
+        clone._out = {n: {p: set(m) for p, m in row.items()} for n, row in out.items()}
+        clone._in = {n: {p: set(m) for p, m in row.items()} for n, row in back.items()}
         clone._num_triples = self._num_triples
         clone._pred_counts = dict(self._pred_counts)
         clone._fp_acc = self._fp_acc
@@ -306,7 +349,78 @@ class Graph:
         return clone
 
     # ------------------------------------------------------------------ #
-    # basic inspection
+    # publishing
+    # ------------------------------------------------------------------ #
+
+    @property
+    def held_snapshot(self) -> Optional["GraphSnapshot"]:
+        """The snapshot last published, ``None`` before the first; older than
+        the graph while written rows are pending."""
+        return self._snapshot
+
+    def written_nodes(self) -> Set[GraphNode]:
+        """The nodes written since the held snapshot: exactly the journal's
+        ``touched_since`` of its version, whatever the journal kept."""
+        return self._typed | self._out.keys() | self._in.keys()
+
+    def snapshot(self, publish: Optional[Publish] = None) -> "GraphSnapshot":
+        """Publish: the immutable snapshot of this graph at its version.
+
+        This call decides how: ``"held"`` when nothing was written since
+        (the held snapshot answers), else ``"build"`` when none is held,
+        ``"patch"`` (the held snapshot patched with :meth:`written_nodes`),
+        or ``"compaction"`` (a build) once the patched overlay would pass
+        :attr:`SNAPSHOT_PATCH_MAX_FRACTION`; what it publishes is held as
+        the written rows are dropped.  *publish*, when given, is called as
+        ``publish(how, compile)`` and answers the snapshot: ``compile()``,
+        or a snapshot store's copy of a build (a session counts, times and
+        stores what the graph publishes there).
+
+        Two callers may publish one graph at once (sessions sharing it; no
+        write may run meanwhile).  Each compiles off the rows and the held
+        snapshot it captured, in that order, and the snapshot is swapped in
+        before the rows are dropped, so no capture pairs an older snapshot
+        with a newer one's (emptied) rows; either result holds the graph's
+        content, and the one held is answered.
+        """
+        from ..storage.snapshot import GraphSnapshot  # storage builds on this module
+
+        written = self._out, self._in
+        typed = self._typed
+        held = self._snapshot
+        if held is not None and held.version == self._version:
+            return held if publish is None else publish("held", lambda: held)
+        nodes = typed | written[0].keys() | written[1].keys()
+        if held is not None and held.overlay_rows + len(nodes) <= (
+            self.SNAPSHOT_PATCH_MAX_FRACTION * max(1, held.num_nodes)
+        ):
+            how, compile = "patch", partial(held.patched, self, nodes, written)
+        else:
+            how = "build" if held is None else "compaction"
+            compile = partial(GraphSnapshot.build, self)
+        published = compile() if publish is None else publish(how, compile)
+        if self._snapshot is held:  # else another publisher's is held
+            self._snapshot = published
+            self._typed, self._out, self._in = set(), {}, {}
+        return self._snapshot
+
+    def content(
+        self,
+    ) -> Tuple[Dict[str, str], Set[Literal], Iterable[str], Optional["GraphSnapshot"], Mapping]:
+        """What :meth:`GraphSnapshot.build` compiles, without publishing:
+        ``(entity id -> type, value nodes, predicates, held snapshot,
+        written forward rows)`` — the held snapshot's rows stand for every
+        subject the written rows do not name."""
+        written, backward = self._out, self._in  # the rows first: see snapshot()
+        held = self._snapshot
+        values = set() if held is None else set(held.value_nodes())
+        for node, row in backward.items():
+            if not isinstance(node, str):
+                (values.add if row else values.discard)(node)
+        return self._entities, values, self._pred_counts.keys(), held, written
+
+    # ------------------------------------------------------------------ #
+    # node reads: a written row, else the held snapshot; never a publish
     # ------------------------------------------------------------------ #
 
     @property
@@ -319,11 +433,6 @@ class Graph:
         """Number of triples, i.e. ``|G|`` in the paper's notation."""
         return self._num_triples
 
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes (entities plus distinct value nodes)."""
-        return len(self._entities) + len(self.value_nodes())
-
     def __len__(self) -> int:
         return self._num_triples
 
@@ -331,39 +440,31 @@ class Graph:
         if isinstance(item, Triple):
             return self.has_triple(*item)
         if isinstance(item, str):
-            return item in self._entities
+            return self.has_entity(item)
         return False
 
     def has_entity(self, eid: str) -> bool:
         """Return True when *eid* is a registered entity."""
         return eid in self._entities
 
+    def entity_ids(self) -> Iterator[str]:
+        """Iterate over all entity ids."""
+        return iter(self._entities)
+
+    def entities(self) -> Iterator[Entity]:
+        """Iterate over all entity records."""
+        return (Entity(eid, etype) for eid, etype in self._entities.items())
+
     def entity(self, eid: str) -> Entity:
         """Return the :class:`Entity` record for *eid*."""
+        return Entity(eid, self.entity_type(eid))
+
+    def entity_type(self, eid: str) -> str:
+        """Return the type of entity *eid*."""
         try:
             return self._entities[eid]
         except KeyError:
             raise UnknownEntityError(eid) from None
-
-    def entity_type(self, eid: str) -> str:
-        """Return the type of entity *eid*."""
-        return self.entity(eid).etype
-
-    def entities(self) -> Iterator[Entity]:
-        """Iterate over all entity records."""
-        return iter(self._entities.values())
-
-    def entity_ids(self) -> Iterator[str]:
-        """Iterate over all entity ids."""
-        return iter(self._entities.keys())
-
-    def entities_of_type(self, etype: str) -> List[str]:
-        """Return the ids of all entities with type *etype* (sorted)."""
-        return sorted(self._by_type.get(etype, ()))
-
-    def types(self) -> Set[str]:
-        """Return the set of entity types present in the graph."""
-        return {t for t, members in self._by_type.items() if members}
 
     def predicates(self) -> Set[str]:
         """Return the set of predicates used by triples of this graph.
@@ -373,33 +474,25 @@ class Graph:
         """
         return set(self._pred_counts)
 
-    def triples(self) -> Iterator[Triple]:
-        """Iterate over all triples (built from the forward rows)."""
-        new = tuple.__new__  # a Triple without NamedTuple's Python-level __new__
-        for subject, row in self._out.items():
-            for predicate, objects in row.items():
-                for obj in objects:
-                    yield new(Triple, (subject, predicate, obj))
-
     def has_triple(self, subject: str, predicate: str, obj: GraphNode) -> bool:
         """Return True when the triple ``(subject, predicate, obj)`` exists."""
-        return obj in self._out.get(subject, _NO_ROW).get(predicate, ())
-
-    # ------------------------------------------------------------------ #
-    # adjacency queries
-    # ------------------------------------------------------------------ #
-
-    def out_rows(self) -> Iterable[Tuple[str, Mapping[str, Set[GraphNode]]]]:
-        """Every forward row, ``(subject, {predicate: objects})`` (read only)."""
-        return self._out.items()
+        return obj in self.out_row(subject).get(predicate, ())
 
     def out_row(self, subject: str) -> Mapping[str, Set[GraphNode]]:
         """The forward row of *subject*, ``{predicate: objects}`` (read only)."""
-        return self._out.get(subject, _NO_ROW)
+        row = self._out.get(subject)
+        if row is None:
+            held = self._snapshot
+            return _NO_ROW if held is None else held.out_row(subject)
+        return row
 
     def in_row(self, obj: GraphNode) -> Mapping[str, Set[str]]:
         """The backward row of *obj*, ``{predicate: subjects}`` (read only)."""
-        return self._in.get(obj, _NO_ROW)
+        row = self._in.get(obj)
+        if row is None:
+            held = self._snapshot
+            return _NO_ROW if held is None else held.in_row(obj)
+        return row
 
     def out_triples(self, subject: str) -> Set[Triple]:
         """All triples whose subject is *subject* (a new set)."""
@@ -409,13 +502,13 @@ class Graph:
         """All triples whose object is *obj* (a new set)."""
         return {Triple(s, p, obj) for p, subjects in self.in_row(obj).items() for s in subjects}
 
-    def objects(self, subject: str, predicate: str) -> Set[GraphNode]:
+    def objects(self, subject: str, predicate: str) -> FrozenSet[GraphNode]:
         """All objects ``o`` with ``(subject, predicate, o)`` in the graph."""
-        return self._out.get(subject, _NO_ROW).get(predicate, set())
+        return frozenset(self.out_row(subject).get(predicate, ()))
 
-    def subjects(self, predicate: str, obj: GraphNode) -> Set[str]:
+    def subjects(self, predicate: str, obj: GraphNode) -> FrozenSet[str]:
         """All subjects ``s`` with ``(s, predicate, obj)`` in the graph."""
-        return self._in.get(obj, _NO_ROW).get(predicate, set())
+        return frozenset(self.in_row(obj).get(predicate, ()))
 
     def neighbors(self, node: GraphNode) -> Set[GraphNode]:
         """Undirected neighbours of *node*, whatever the predicate and the
@@ -426,10 +519,37 @@ class Graph:
         """Undirected degree of *node*."""
         return len(self.neighbors(node))
 
-    def value_nodes(self) -> Set[Literal]:
-        """Return the set of distinct value nodes: the literal keys of the
-        backward rows, so a literal whose last triple went is gone too."""
-        return {node for node in self._in if not isinstance(node, str)}
+    # ------------------------------------------------------------------ #
+    # whole-graph reads: publish, then answer from the snapshot
+    # ------------------------------------------------------------------ #
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of nodes (entities plus distinct value nodes)."""
+        return self.snapshot().num_nodes
+
+    def entities_of_type(self, etype: str) -> List[str]:
+        """Return the ids of all entities with type *etype* (sorted)."""
+        return self.snapshot().entities_of_type(etype)
+
+    def types(self) -> Set[str]:
+        """Return the set of entity types present in the graph."""
+        return self.snapshot().types()
+
+    def value_nodes(self) -> FrozenSet[Literal]:
+        """Return the set of distinct value nodes (a literal whose last triple
+        went is gone too)."""
+        return self.snapshot().value_nodes()
+
+    def triples(self) -> Iterator[Triple]:
+        """Iterate over all triples."""
+        return self.snapshot().triples()
+
+    def stats(self) -> Dict[str, int]:
+        """Return a small dictionary of summary statistics."""
+        stats = self.snapshot().stats()
+        del stats["decoded_rows"]
+        return stats
 
     # ------------------------------------------------------------------ #
     # subgraphs and structural queries
@@ -442,12 +562,13 @@ class Graph:
         are in *nodes*.
         """
         keep = set(nodes)
+        entities = [node for node in keep if isinstance(node, str) and self.has_entity(node)]
         sub = Graph()
-        for node in keep & self._entities.keys():
-            sub.add_entity(node, self._entities[node].etype)
-        for node in keep & self._out.keys():
-            for predicate, objects in self._out[node].items():
-                for obj in objects & keep:
+        for node in entities:
+            sub.add_entity(node, self.entity_type(node))
+        for node in entities:
+            for predicate, objects in self.out_row(node).items():
+                for obj in keep.intersection(objects):
                     sub._add(node, predicate, obj)
         return sub
 
@@ -461,11 +582,12 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Return True when the undirected graph is connected (or empty)."""
-        nodes = set(self._entities) | self._in.keys()
+        snapshot = self.snapshot()
+        nodes = set(snapshot.entity_ids()) | snapshot.value_nodes()
         frontier = [next(iter(nodes))] if nodes else []
         seen = set(frontier)
         while frontier:
-            fresh = self.neighbors(frontier.pop()) - seen
+            fresh = snapshot.neighbors(frontier.pop()) - seen
             seen |= fresh
             frontier.extend(fresh)
         return seen >= nodes
@@ -477,7 +599,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._entities == other._entities and self._out == other._out
+        return (
+            self._num_triples == other._num_triples
+            and set(self.entities()) == set(other.entities())
+            and set(self.triples()) == set(other.triples())
+        )
 
     def __hash__(self) -> int:  # graphs are mutable; identity hash
         return id(self)
@@ -485,37 +611,21 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Graph(entities={self.num_entities}, triples={self.num_triples}, "
-            f"types={len(self.types())})"
+            f"version={self.version})"
         )
-
-    # ------------------------------------------------------------------ #
-    # summary statistics used by reports and dataset scaling
-    # ------------------------------------------------------------------ #
-
-    def stats(self) -> Dict[str, int]:
-        """Return a small dictionary of summary statistics."""
-        return {
-            "entities": self.num_entities,
-            "values": len(self.value_nodes()),
-            "nodes": self.num_nodes,
-            "triples": self.num_triples,
-            "types": len(self.types()),
-            "predicates": len(self.predicates()),
-        }
 
 
 #: the row of a node without one (a read-only view: writing to it raises)
 _NO_ROW: Mapping[str, Set] = MappingProxyType({})
 
 
-def _discard(rows: Dict, node: GraphNode, predicate: str, other: GraphNode) -> None:
-    """Drop *other* from *node*'s row, and the set and the row it empties."""
-    row = rows[node]
-    row[predicate].discard(other)
-    if not row[predicate]:
+def _discard(row: Dict[str, Set], predicate: str, other: GraphNode) -> None:
+    """Drop *other* from a written row, and the set it empties (an emptied
+    row stays: it hides the held one)."""
+    members = row[predicate]
+    members.discard(other)
+    if not members:
         del row[predicate]
-        if not row:
-            del rows[node]
 
 
 def merge_graphs(graphs: Sequence[Graph]) -> Graph:

@@ -31,13 +31,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.equivalence import MAX_FORK_DEPTH, Pair
 from ..core.graph import Graph
 from ..core.key import Key, KeySet
 from ..core.triples import is_entity_ref
-from ..exceptions import SnapshotPatchError, StoreError
+from ..exceptions import StoreError
 from ..mapreduce.runtime import ShufflePlacement
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.neighborhoods import entities_within, radius_per_type
@@ -78,15 +79,14 @@ class SessionCacheInfo:
     #: ``snapshot_builds``, which counts full recompiles only)
     snapshot_patches: int = 0
     #: refreshes that recompiled the canonical form instead of patching,
-    #: because overlay rows + window passed ``SNAPSHOT_PATCH_MAX_FRACTION``
+    #: because overlay rows + window passed
+    #: ``Graph.SNAPSHOT_PATCH_MAX_FRACTION``
     snapshot_compactions: int = 0
     #: gauge, not a counter: rows the current snapshot holds outside the
     #: canonical arrays (0 right after a build or a compaction)
     snapshot_overlay_rows: int = 0
-    #: patches refused by a journal window that did not cover the delta
-    #: (``SnapshotPatchError``, answered with a rebuild) and write-throughs
-    #: of a patch the snapshot store failed; both stay 0 on a healthy stream
-    snapshot_patch_fallbacks: int = 0
+    #: write-throughs of a patch the snapshot store failed (0 on a healthy
+    #: stream)
     store_write_failures: int = 0
     #: incremental (delta) runs actually executed — silent fallbacks to a
     #: full run (no previous result, expired journal window) do not count
@@ -157,13 +157,6 @@ class SessionArtifacts:
     multiplexes all requests for a named graph through one instance).
     """
 
-    #: patch-vs-rebuild threshold: once the rows a snapshot would hold
-    #: outside its canonical arrays (the overlay's, plus the journal window's)
-    #: pass this fraction of its nodes, the snapshot is recompiled instead of
-    #: patched; it bounds what every read consults first, and what each
-    #: window copies and the store writes
-    SNAPSHOT_PATCH_MAX_FRACTION = 0.5
-
     #: run shapes whose last result :meth:`held` keeps for a ``reused``
     #: answer; one more evicts the least recently used (never the seed)
     MAX_HELD_SHAPES = 4
@@ -188,9 +181,9 @@ class SessionArtifacts:
         #: the :attr:`Graph.version` the cached artifacts describe
         self.version = graph.version
         self._snapshot: Optional[GraphSnapshot] = None
-        # (patched snapshot, its base, the graph's fingerprint there): the
-        # delta file the snapshot store is owed (:meth:`write_owed_snapshot`)
-        self._owed: Optional[Tuple[GraphSnapshot, GraphSnapshot, str]] = None
+        # (snapshot, the graph's fingerprint there): a published snapshot
+        # the snapshot store is owed (:meth:`write_owed_snapshot`)
+        self._owed: Optional[Tuple[GraphSnapshot, str]] = None
         # processors → MR shuffle placement over _snapshot; cleared with it
         self._placements: Dict[int, ShufflePlacement] = {}
         self._index: Optional[SnapshotNeighborhoodIndex] = None
@@ -401,9 +394,10 @@ class SessionArtifacts:
         """Reconcile the cache with the graph mutations since the last run,
         and return the window's affected sets (:class:`WindowSets`).
 
-        The snapshot goes first: while the journal covers the delta it is
-        *patched* — the touched rows recomputed into an overlay that reads
-        exactly as a recompile does (:meth:`_patched_snapshot`).  Then the
+        The snapshot goes first: the graph publishes the window
+        (:meth:`snapshot`), by a patch — the touched rows recomputed into an
+        overlay that reads exactly as a recompile does — or, past
+        :attr:`Graph.SNAPSHOT_PATCH_MAX_FRACTION`, a compaction.  Then the
         window is split in two, over the *new* snapshot, by one BFS each
         (:meth:`_touched_ball`): the **ball**, every entity within key
         radius (the key set's largest) of a touched node, and the **key
@@ -448,9 +442,9 @@ class SessionArtifacts:
             if touched is None or self._index is None:
                 self._drop_all()
             else:
-                self._snapshot = self._patched_snapshot(old, touched)
+                self._snapshot = None
                 self._placements.clear()
-                if self._snapshot is None:  # a rebuild starts a new id lineage
+                if self.snapshot().lineage is not old.lineage:  # a build starts a new one
                     self._blocking_index = None
             window = None
             if touched is not None:
@@ -526,47 +520,11 @@ class SessionArtifacts:
                 self._stale[slot] = (artifact, set(key_ball), set(ball))
         self._fresh.clear()
 
-    def _patched_snapshot(
-        self, old: Optional[GraphSnapshot], touched: set
-    ) -> Optional[GraphSnapshot]:
-        """Patch *old* onto the current graph version, or ``None`` to rebuild.
-
-        Patching recomputes only the touched rows and never moves an id, so
-        it costs the window, not the graph; what grows is the overlay, and
-        once its rows plus the window pass
-        :attr:`SNAPSHOT_PATCH_MAX_FRACTION` of the nodes the caller's next
-        :meth:`snapshot` access recompiles (and saves) the canonical form
-        instead: that is compaction.  The one failure answered with a
-        rebuild is the documented one, a window that does not cover the
-        delta (:class:`~repro.exceptions.SnapshotPatchError`); it is
-        counted, and anything else is a defect and propagates.  A successful
-        patch is *owed* to the configured snapshot store as a delta file,
-        and written by :meth:`write_owed_snapshot` — after the run that
-        reads it has published, off the refresh's path.
-        """
-        if old is None:
-            return None
-        rows = old.overlay_rows + len(touched)
-        if rows > self.SNAPSHOT_PATCH_MAX_FRACTION * max(1, old.num_nodes):
-            self._counts["snapshot_compactions"] += 1
-            return None
-        try:
-            patched = self._timed(
-                "snapshot_patch", lambda: old.patched(self.graph, touched)
-            )
-        except SnapshotPatchError:
-            self._counts["snapshot_patch_fallbacks"] += 1
-            return None
-        self._counts["snapshot_patches"] += 1
-        if self.snapshot_store is not None:
-            self._owed = (patched, old, self.graph.content_fingerprint())
-        return patched
-
     def write_owed_snapshot(self) -> None:
-        """Write the patched snapshot the store is owed, if any, as a delta
-        file (:meth:`SnapshotStore.patch`).
+        """Write the published snapshot the store is owed, if any: a patch
+        as a delta file, a canonical one whole (:meth:`SnapshotStore.patch`).
 
-        A patch is owed from the refresh that made it until this call: the
+        A patch is owed from the refresh that read it until this call: the
         ingest pipeline makes it right after it publishes a flush, recovery
         after its solve, and the next :meth:`refresh` before anything else,
         so every patched version reaches the store.  A failed write is
@@ -577,12 +535,12 @@ class SessionArtifacts:
             owed, self._owed = self._owed, None
             if owed is None:
                 return
-            patched, base, fingerprint = owed
+            snapshot, fingerprint = owed
             store = self.snapshot_store
             try:
                 self._timed(
                     "snapshot_store_patch",
-                    lambda: store.patch(patched, base=base, fingerprint=fingerprint),
+                    lambda: store.patch(snapshot, base=None, fingerprint=fingerprint),
                 )
             except (StoreError, OSError):
                 self._counts["store_write_failures"] += 1
@@ -620,36 +578,66 @@ class SessionArtifacts:
     # -- artifact accessors (the backend-facing surface) ----------------- #
 
     def snapshot(self) -> GraphSnapshot:
-        """The compiled, immutable read view of the session's graph.
+        """The compiled, immutable read view of the session's graph: the
+        graph's published snapshot (:meth:`Graph.snapshot`) at
+        :attr:`version`, which every read-side artifact below (and every
+        backend run through the session) shares.
 
-        Built once per :attr:`Graph.version`; every read-side artifact below
-        (and every backend run through the session) shares it.  With a
-        :attr:`snapshot_store` configured, the store is consulted first
-        (an ``mmap`` load of a warm file skips the build entirely) and a
-        freshly built snapshot is written back; *any*
-        :class:`~repro.exceptions.StoreError` — missing file, corruption,
-        format or staleness mismatch — falls back to a clean rebuild.  The
-        store's miss path is additionally serialized per graph fingerprint
+        The graph decides how to publish and the session handles each case
+        (:meth:`_publish`): it counts and times a patch or a build, and a
+        build (the graph holds no snapshot, a compaction, or a patch this
+        session has nothing cached to rebase over) asks the
+        :attr:`snapshot_store` first: an ``mmap`` load of a warm file skips
+        the build and is held by the graph, and a built one is written back;
+        *any* :class:`~repro.exceptions.StoreError` falls back to a clean
+        build.  The store's miss path is serialized per graph fingerprint
         (:meth:`SnapshotStore.get_or_build`), so sibling sessions sharing a
         store build each snapshot exactly once machine-process-wide.
         """
         with self._lock:
             if self._snapshot is None:
-                store = self.snapshot_store
-                if store is not None:
-                    self._snapshot, loaded = store.get_or_build(
-                        self.graph, self._build_snapshot, timed=self._timed
-                    )
-                    self._counts["store_hits" if loaded else "store_misses"] += 1
-                else:
-                    self._snapshot = self._build_snapshot()
+                self._snapshot = self.graph.snapshot(self._publish)
             return self._snapshot
 
-    def _build_snapshot(self) -> GraphSnapshot:
-        snapshot = self._timed(
-            "snapshot_build", lambda: GraphSnapshot.build(self.graph)
-        )
-        self._counts["snapshot_builds"] += 1
+    def _publish(self, how: str, compile: Callable[[], GraphSnapshot]) -> GraphSnapshot:
+        """The :data:`~repro.core.graph.Publish` hook of :meth:`snapshot`.
+
+        A snapshot this session did not build through the store — its
+        patch, or the held one another session or a whole-graph read
+        published — is owed to the store when the store lacks it: a patch
+        is written by :meth:`write_owed_snapshot`, after the run that reads
+        it has published, off the refresh's path; a canonical snapshot at
+        once.  A session with nothing cached to rebase builds where the
+        graph would patch: its full run reads a canonical snapshot faster
+        than a patched one by more than the build costs.
+        """
+        store = self.snapshot_store
+        if how == "patch" and self._index is None:
+            how, compile = "build", partial(GraphSnapshot.build, self.graph)
+        if how == "held":
+            snapshot = compile()
+        elif how == "patch":
+            self._counts["snapshot_patches"] += 1
+            snapshot = self._timed("snapshot_patch", compile)
+        else:
+            if how == "compaction":
+                self._counts["snapshot_compactions"] += 1
+
+            def build() -> GraphSnapshot:
+                self._counts["snapshot_builds"] += 1
+                return self._timed("snapshot_build", compile)
+
+            if store is None:
+                return build()
+            snapshot, loaded = store.get_or_build(self.graph, build, timed=self._timed)
+            self._counts["store_hits" if loaded else "store_misses"] += 1
+            return snapshot
+        if store is not None:
+            fingerprint = self.graph.content_fingerprint()
+            if how == "patch" or not store.contains(fingerprint):
+                self._owed = (snapshot, fingerprint)
+                if snapshot.lineage is snapshot:
+                    self.write_owed_snapshot()
         return snapshot
 
     def shuffle_placement(self, processors: int) -> ShufflePlacement:

@@ -62,7 +62,6 @@ from ..core.key import Key, KeySet
 from ..core.pattern import SignaturePath
 from ..exceptions import ConfigError
 from ..storage import GraphSnapshot
-from ..storage.snapshot import snapshot_of
 
 #: The recognised values of the ``blocking`` knob.
 BLOCKING_MODES: Tuple[str, ...] = ("off", "auto", "force")
@@ -266,9 +265,9 @@ class BlockingIndex:
         snapshot: Optional[GraphSnapshot] = None,
     ) -> "BlockingIndex":
         """Compile the schemes of *keys* and index every keyed entity: the
-        :meth:`rebased` of the empty index onto *snapshot* (built from
-        *graph* here when not given)."""
-        snapshot = snapshot_of(graph, snapshot)
+        :meth:`rebased` of the empty index onto *snapshot* (*graph*'s
+        published one when not given)."""
+        snapshot = graph.snapshot() if snapshot is None else snapshot
         schemes = compile_blocking_schemes(keys)
         empty = cls(
             snapshot=None,

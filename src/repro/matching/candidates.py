@@ -18,7 +18,6 @@ from ..core.key import KeySet
 from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.neighborhoods import entities_within, radius_per_type
-from ..storage.snapshot import snapshot_of
 from .blocking import BlockingIndex, BlockingStats, blocked_candidate_pairs
 
 
@@ -174,7 +173,7 @@ def build_candidates(
 ) -> CandidateSet:
     """The unfiltered candidate set ``L`` with full d-neighbourhoods.
 
-    Every read goes to *snapshot* (built from *graph* here when not given):
+    Every read goes to *snapshot* (:meth:`Graph.snapshot` when not given):
     candidate enumeration reads its type buckets and the neighbourhoods come
     off its CSR arrays.  Pass a prebuilt *index* over it (e.g. a session
     cache's) to reuse neighbourhood BFS results across runs; it is extended
@@ -192,7 +191,7 @@ def build_candidates(
     ``blocked_candidate_pairs`` branch, once the spine passes *blocked*
     (ROADMAP item 4).
     """
-    snapshot = snapshot_of(graph, snapshot)
+    snapshot = graph.snapshot() if snapshot is None else snapshot
     pairs, stats = _universe(graph, keys, snapshot, blocking, blocking_index, blocked)
     neighborhoods = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
     involved = {e for pair in pairs for e in pair}
@@ -229,13 +228,13 @@ def build_filtered_candidates(
     pairs are shrunk to the union of pairing-supported nodes.  A shared
     *index* is never reduced in place — the reduction happens on a clone, so
     the caller's cache stays valid for unreduced consumers.  Every read (type
-    lookups, the pairing fixpoint) goes to *snapshot*, built from *graph*
-    here when not given; ``L`` is enumerated as :func:`build_candidates`
+    lookups, the pairing fixpoint) goes to *snapshot*, *graph*'s published one
+    when not given; ``L`` is enumerated as :func:`build_candidates`
     does.
     """
     from .incremental import rebase_filtered_candidates  # it imports this module
 
-    snapshot = snapshot_of(graph, snapshot)
+    snapshot = graph.snapshot() if snapshot is None else snapshot
     pairs, stats = _universe(graph, keys, snapshot, blocking, blocking_index, blocked)
     index = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
     empty = CandidateSet(pairs=(), neighborhoods=index, pair_supports={}, rejected_pairs=set())

@@ -360,7 +360,6 @@ class RegisteredGraph:
                 "snapshot_patches": info.snapshot_patches,
                 "snapshot_compactions": info.snapshot_compactions,
                 "snapshot_overlay_rows": info.snapshot_overlay_rows,
-                "snapshot_patch_fallbacks": info.snapshot_patch_fallbacks,
                 "store_write_failures": info.store_write_failures,
                 "neighborhood_index_builds": info.neighborhood_index_builds,
                 "candidate_builds": info.candidate_builds,

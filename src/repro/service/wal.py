@@ -51,9 +51,10 @@ Retention: ``retain="all"`` (default) keeps every segment, so recovery can
 replay from the graph's *registration-time* base state.  ``retain="window"``
 deletes fully-checkpointed segments when the current one rolls over
 (``segment_max_bytes``) — for deployments where checkpointed state is
-durable elsewhere, e.g. a snapshot store whose stored snapshot is patched
-per flush; recovery then reconstructs the base via
-``GraphSnapshot.to_graph`` and replays only the retained suffix.
+durable elsewhere.  Nothing here rebuilds that state: the caller registers
+the graph at the journal base or at a recorded checkpoint (the fingerprint
+:meth:`WriteAheadLog.recovery_plan` is handed must be one of them), and
+:func:`replay` replays only the retained suffix past it.
 """
 
 from __future__ import annotations

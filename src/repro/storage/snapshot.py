@@ -1,9 +1,18 @@
 """``GraphSnapshot``: an immutable, interned, CSR-backed view of a ``Graph``.
 
+A snapshot is where a :class:`~repro.core.graph.Graph` holds its triples:
+the graph keeps the snapshot it last published plus the rows written since,
+and :meth:`Graph.snapshot` publishes the next one — a :meth:`build` when it
+holds none, else a :meth:`patched` of the held one, or a build again once
+the overlay passes the graph's bound (a compaction).  Every reader below
+``repro.api`` reads a snapshot, which answers ``snapshot()`` with itself.
+
 A snapshot is in one of two forms.
 
-**Canonical** is what :meth:`GraphSnapshot.build` produces and the only form
-the store writes whole.  Every node has a dense integer id:
+**Canonical** is what :meth:`GraphSnapshot.build` compiles, off what
+:meth:`Graph.content` answers (the rows nobody wrote re-keyed off the held
+snapshot in id space), and the only form the store writes whole.
+Every node has a dense integer id:
 
 * entity ids come first, sorted by ``(type, entity id)``, so within a type
   ids follow the sorted entity-id order that
@@ -17,21 +26,22 @@ undirected neighbour list per node that drives the d-neighbourhood BFS in
 pure integer space.
 
 **Patched** is what :meth:`GraphSnapshot.patched` produces from a journal
-window, and **ids never move**.  A patched snapshot shares its canonical
-ancestor's interning tables and arrays *by reference* and carries an overlay
-(:class:`_Overlay`): nodes and predicates new since the ancestor take the
-next ids past its, a node that left the graph leaves a tombstone, a retyped
-entity keeps its id, and the rows of every node a window touched are held,
-recomputed, in the overlay.  Every read consults the overlay first, so a
+window (a graph's own: the nodes it wrote), and **ids never move**.  A
+patched snapshot shares its canonical ancestor's interning tables and
+arrays *by reference* and carries an overlay (:class:`_Overlay`): nodes and
+predicates new since the ancestor take the next ids past its, a node that
+left the graph leaves a tombstone, a retyped entity keeps its id, and the
+rows of every node a window touched are held, recomputed, in the overlay.  Every read consults the overlay first, so a
 window costs what it touched and nothing that scales with the graph;
 :meth:`GraphSnapshot.compacted` re-canonicalises.
 
 Two API surfaces coexist:
 
 * the **read surface of Graph** (``entity_type``, ``objects``, ``subjects``,
-  ``has_triple``, ``neighbors``, ...), duck-type compatible so every existing
-  read-side consumer — the guided evaluator, the pairing fixpoint, the
-  declarative matcher, the product graph — runs on a snapshot unchanged;
+  ``has_triple``, ``neighbors``, ``out_row``, ...), duck-type compatible so
+  every read-side consumer — the guided evaluator, the pairing fixpoint,
+  the declarative matcher, the product graph — runs on a snapshot, and the
+  graph's own node reads fall through to it for every row not written;
 * an **integer-space surface** (``objects_ids``, ``subjects_ids``,
   ``neighborhood_ids``, ``type_ids``, ``is_literal_id``) used by the
   compiled hot paths (the CSR BFS, signature blocking).  An id is a stable
@@ -49,13 +59,16 @@ rows it touches and never for the graph (``stats()["decoded_rows"]``).
 
 from __future__ import annotations
 
+import os
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, repeat
 from operator import itemgetter as _itemgetter
+from operator import sub
 from types import MappingProxyType
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -272,24 +285,35 @@ class GraphSnapshot:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def build(cls, graph: Graph) -> "GraphSnapshot":
-        """Compile *graph* into a snapshot of its current version."""
+    def build(cls, graph: "Graph | GraphSnapshot") -> "GraphSnapshot":
+        """Compile *graph* into a canonical snapshot of its current version.
+
+        Reads what :meth:`Graph.content` answers — the written rows over the
+        held snapshot — and leaves the graph as it was: a build publishes
+        nothing.  The rows nobody wrote are re-keyed off the held snapshot's
+        arrays in id space (:meth:`_keys`), so a compaction decodes no row;
+        a snapshot compiles itself that way (that is :meth:`compacted`).
+        """
+        etypes, values, preds, held, written = graph.content()
         snap = object.__new__(cls)
         snap.version = graph.version
 
         # the sorted type buckets, concatenated, are the (type, id) order
-        types = sorted(graph.types())
-        buckets = [graph.entities_of_type(etype) for etype in types]
+        by_type: Dict[str, List[str]] = {}
+        for eid, etype in etypes.items():
+            by_type.setdefault(etype, []).append(eid)
+        types = sorted(by_type)
+        buckets = [sorted(by_type[etype]) for etype in types]
         node_of: List[GraphNode] = list(chain.from_iterable(buckets))
         ends = list(accumulate(map(len, buckets)))
         snap._num_entities = len(node_of)
         snap._type_ranges = dict(zip(types, zip([0] + ends[:-1], ends)))
         snap._etype_of = tuple(chain.from_iterable(map(repeat, types, map(len, buckets))))
-        node_of.extend(sorted(graph.value_nodes(), key=repr))
+        node_of.extend(sorted(values, key=repr))
         snap._node_of = tuple(node_of)
         snap._id_of = {node: index for index, node in enumerate(node_of)}
 
-        preds = sorted(graph.predicates())
+        preds = sorted(preds)
         snap._pred_of = tuple(preds)
         snap._pred_ids = {pred: index for index, pred in enumerate(preds)}
 
@@ -299,7 +323,8 @@ class GraphSnapshot:
         # container is allocated, and ints are invisible to the cycle
         # collector.  Rows come out sorted by (pred, other endpoint), the
         # layout ``patched()`` and the store's segment reuse rely on.  Keys come
-        # off the forward rows: one id lookup per triple, not three.
+        # off the written forward rows (one id lookup per triple, not three)
+        # and off the held snapshot's (none per triple).
         num_nodes = len(node_of)
         num_entities = snap._num_entities
         id_of = snap._id_of
@@ -311,12 +336,14 @@ class GraphSnapshot:
 
         keys = [
             run | id_of[obj]
-            for subject, row in graph.out_rows()
+            for subject, row in written.items()
             for head in (id_of[subject] << row_shift,)
             for pred, objects in row.items()
             for run in (head | (pred_ids[pred] << node_bits),)
             for obj in objects
         ]
+        if held is not None:
+            keys += held._keys(id_of, pred_ids, node_bits, row_shift, written)
         keys.sort()
         sids, pids, oids = _unpack(keys, node_bits, pred_bits)
         del keys
@@ -369,7 +396,12 @@ class GraphSnapshot:
     # delta patching
     # ------------------------------------------------------------------ #
 
-    def patched(self, graph: Graph, touched: Iterable[GraphNode]) -> "GraphSnapshot":
+    def patched(
+        self,
+        graph: Graph,
+        touched: Iterable[GraphNode],
+        written: Optional[Tuple[Mapping, Mapping]] = None,
+    ) -> "GraphSnapshot":
         """Compile *graph* from this snapshot and a mutation delta.
 
         *touched* is the journal window (:meth:`Graph.touched_since`) between
@@ -387,7 +419,10 @@ class GraphSnapshot:
         entity keeps its id.  The rows of every touched surviving node are
         recomputed from the live graph into the overlay, which is copied
         first so this snapshot stays as it was: O(|touched rows| +
-        |overlay|), and nothing scales with the graph.
+        |overlay|), and nothing scales with the graph.  *written*, from the
+        graph that holds this snapshot (:meth:`Graph.snapshot`), is its
+        forward and backward written rows: a touched row not in them is
+        this snapshot's, taken as it is in id space.
 
         Raises :class:`~repro.exceptions.SnapshotPatchError` when *touched*
         does not cover the delta.
@@ -458,14 +493,27 @@ class GraphSnapshot:
             found = base_preds.get(pred)
             return extra_preds[pred] if found is None else found
 
+        num_ids = self.num_interned_nodes
+
+        def pairs(node_id: int, node: GraphNode, forward: bool) -> List[Tuple[int, int]]:
+            if written is None:
+                found = graph.out_row(node) if forward else graph.in_row(node)
+            else:
+                found = written[0 if forward else 1].get(node)
+                if found is None:
+                    return list(self.row_pairs(node_id, forward)) if node_id < num_ids else []
+            row: List[Tuple[int, int]] = []
+            for pred, others in found.items():
+                row.extend(zip(repeat(pred_id(pred)), map(id_of, others)))
+            row.sort()
+            return row
+
         etypes, etype_of, num_base_entities = overlay.etypes, self._etype_of, self._num_entities
         try:
             for node_id, node in survivors:
                 fwd: List[Tuple[int, int]] = []
                 if is_entity_ref(node):
-                    for pred, objects in graph.out_row(node).items():
-                        fwd.extend(zip(repeat(pred_id(pred)), map(id_of, objects)))
-                    fwd.sort()
+                    fwd = pairs(node_id, node, True)
                     num_triples += len(fwd)
                     etype = graph.entity_type(node)
                     known = etypes.get(node_id)
@@ -474,10 +522,7 @@ class GraphSnapshot:
                     if etype != known:
                         etypes[node_id] = etype
                         regrouped.update((etype, known))
-                bwd: List[Tuple[int, int]] = []
-                for pred, subjects in graph.in_row(node).items():
-                    bwd.extend(zip(repeat(pred_id(pred)), map(id_of, subjects)))
-                bwd.sort()
+                bwd = pairs(node_id, node, False)
                 row = array(_ID, (len(fwd), len(bwd)))
                 for column in chain(zip(*fwd), zip(*bwd)):
                     row.extend(column)
@@ -508,6 +553,47 @@ class GraphSnapshot:
         snap._reset_lazy()
         snap._overlay = overlay
         return snap
+
+    def _keys(
+        self,
+        id_of: Mapping[GraphNode, int],
+        pred_ids: Mapping[str, int],
+        node_bits: int,
+        row_shift: int,
+        skip: Iterable[GraphNode],
+    ) -> List[int]:
+        """This snapshot's triples whose subject is not in *skip*, packed as
+        :meth:`build` packs them under the new interning *id_of* /
+        *pred_ids*: one lookup per node and per predicate, none per triple.
+        """
+        overlay = self._overlay
+        extra_nodes, extra_preds, rows = (
+            ((), (), {}) if overlay is None else (overlay.nodes, overlay.preds, overlay.rows)
+        )
+        # a node that left the graph maps to -1: no row kept here names it
+        remap = list(map(id_of.get, chain(self._node_of, extra_nodes), repeat(-1)))
+        runs = [pred_ids.get(pred, -1) << node_bits for pred in chain(self._pred_of, extra_preds)]
+        skipped = set(map(self.id_of, skip))
+        # the canonical rows, one subject head per triple (negative: a row
+        # the overlay or the writes replace, or a subject that left)
+        num_entities, offsets = self._num_entities, self._fwd_offsets
+        heads = [new << row_shift for new in remap[:num_entities]]
+        for s in skipped.union(rows):
+            if s is not None and s < num_entities:
+                heads[s] = -1
+        counts = map(sub, offsets[1 : num_entities + 1], offsets[:num_entities])
+        keys = [
+            head | runs[p] | remap[o]
+            for head, p, o in zip(
+                chain.from_iterable(map(repeat, heads, counts)), self._fwd_preds, self._fwd_objs
+            )
+            if head >= 0
+        ]
+        for s, row in rows.items():
+            if row[0] and s not in skipped:  # a forward run: a live entity's
+                head = remap[s] << row_shift
+                keys += [head | runs[p] | remap[o] for p, o in _row_pairs(row, True)]
+        return keys
 
     def compacted(self) -> "GraphSnapshot":
         """This snapshot in canonical form, bit-identical to ``build(graph)``.
@@ -592,10 +678,13 @@ class GraphSnapshot:
                 _restore_patched,
                 (overlay.base, overlay.packed(), self.version, self._num_triples),
             )
-        if self._store_path is not None:
+        if self._store_path is not None and os.path.isfile(self._store_path):
             # attach-by-path: ship the store file path (a few hundred bytes),
             # not the arrays — the receiving process mmaps the same file, so
-            # every worker on a machine shares one physical copy
+            # every worker on a machine shares one physical copy.  A graph's
+            # held snapshot outlives the store that saved it (sessions over
+            # the graph and its copies share it), so only while the file is
+            # there; else the arrays ship inline
             return (
                 _attach_stored_snapshot,
                 (self._store_path, self._store_fingerprint, self.version),
@@ -1017,25 +1106,27 @@ class GraphSnapshot:
                 for obj in objects:
                     yield Triple(subject, pred, obj)
 
-    def to_graph(self) -> "Graph":
-        """Reconstruct a mutable :class:`~repro.core.graph.Graph`.
+    def snapshot(self) -> "GraphSnapshot":
+        """A snapshot is its own published form (see :meth:`Graph.snapshot`)."""
+        return self
 
-        Content-faithful by construction (same entities, same triples), so
-        ``fingerprint_of(snapshot.to_graph()) == snapshot`` fingerprint —
-        the property WAL recovery relies on when the journal's base state
-        lives in a snapshot store rather than in memory.
-        """
-        return Graph.from_triples({e.eid: e.etype for e in self.entities()}, self.triples())
+    def content(self) -> Tuple[Dict[str, str], FrozenSet[Literal], Set[str], "GraphSnapshot", Dict]:
+        """What :meth:`build` compiles, as :meth:`Graph.content` answers it:
+        this snapshot stands for every row, none is written."""
+        etypes = {entity.eid: entity.etype for entity in self.entities()}
+        return etypes, self.value_nodes(), self.predicates(), self, {}
 
     # -- decoded adjacency rows (one row per first read, per process) ---- #
 
-    def _row_at(self, index: int, forward: bool) -> Dict[str, List[GraphNode]]:
-        """One forward / backward row decoded, ``pred -> nodes``, not memoised."""
-        per_pred: Dict[str, list] = {}
+    def _row_at(self, index: int, forward: bool, into: type = list) -> Dict[str, Collection]:
+        """One forward / backward row decoded, ``pred -> nodes`` (a list in
+        id order, or a set when *into* is ``set``), not memoised."""
+        per_pred: Dict[str, Collection] = {}
+        add = into.append if into is list else into.add
         if self._overlay is not None:
             node_at, pred_at = self.node_at, self._pred_at
             for pid, other in self.row_pairs(index, forward):
-                per_pred.setdefault(pred_at(pid), []).append(node_at(other))
+                add(per_pred.setdefault(pred_at(pid), into()), node_at(other))
         else:
             if forward:
                 offsets, preds, others = self._fwd_offsets, self._fwd_preds, self._fwd_objs
@@ -1043,8 +1134,18 @@ class GraphSnapshot:
                 offsets, preds, others = self._bwd_offsets, self._bwd_preds, self._bwd_subjs
             node_of, pred_of = self._node_of, self._pred_of
             for i in range(offsets[index], offsets[index + 1]):
-                per_pred.setdefault(pred_of[preds[i]], []).append(node_of[others[i]])
+                add(per_pred.setdefault(pred_of[preds[i]], into()), node_of[others[i]])
         return per_pred
+
+    def row_copy(self, node: GraphNode, forward: bool) -> Dict[str, Set[GraphNode]]:
+        """A mutable copy of *node*'s forward / backward row, ``pred -> node
+        set`` (what a ``Graph`` writes into): off the row a reader decoded,
+        else off the arrays, memoising nothing."""
+        row = (self._obj_map if forward else self._subj_map).get(node)
+        if row is not None:
+            return {pred: set(found) for pred, found in row.items()}
+        index = self._id_of.get(node) if self._overlay is None else self.id_of(node)
+        return {} if index is None else self._row_at(index, forward, set)
 
     def _decode_row(self, node: GraphNode, forward: bool) -> Mapping[str, frozenset]:
         """Decode and memoise one forward / backward row: ``pred -> node set``."""
@@ -1062,6 +1163,16 @@ class GraphSnapshot:
         for index in live:
             if row := self._row_at(index, True):
                 yield self.node_at(index), row
+
+    def out_row(self, subject: GraphNode) -> Mapping[str, FrozenSet[GraphNode]]:
+        """The forward row of *subject*, ``{pred: objects}``, decoded once."""
+        row = self._obj_map.get(subject)
+        return self._decode_row(subject, True) if row is None else row
+
+    def in_row(self, obj: GraphNode) -> Mapping[str, FrozenSet[str]]:
+        """The backward row of *obj*, ``{pred: subjects}``, decoded once."""
+        row = self._subj_map.get(obj)
+        return self._decode_row(obj, False) if row is None else row
 
     def objects(self, subject: str, predicate: str) -> FrozenSet[GraphNode]:
         row = self._obj_map.get(subject)
@@ -1099,15 +1210,11 @@ class GraphSnapshot:
         return self._und_offsets[index + 1] - self._und_offsets[index]
 
     def out_triples(self, subject: str) -> FrozenSet[Triple]:
-        row = self._obj_map.get(subject)
-        if row is None:
-            row = self._decode_row(subject, True)
+        row = self.out_row(subject)
         return frozenset(Triple(subject, p, obj) for p, objs in row.items() for obj in objs)
 
     def in_triples(self, obj: GraphNode) -> FrozenSet[Triple]:
-        row = self._subj_map.get(obj)
-        if row is None:
-            row = self._decode_row(obj, False)
+        row = self.in_row(obj)
         return frozenset(Triple(subj, p, obj) for p, subjs in row.items() for subj in subjs)
 
     def stats(self) -> Dict[str, int]:
@@ -1136,16 +1243,6 @@ class GraphSnapshot:
             f"GraphSnapshot(version={self.version}, entities={self.num_entities}, "
             f"triples={self.num_triples}, types={len(self.types())})"
         )
-
-
-def snapshot_of(graph: Graph, snapshot: Optional[GraphSnapshot] = None) -> GraphSnapshot:
-    """The read view of *graph*: *snapshot* when the caller holds one (a
-    session cache's), else a fresh :meth:`GraphSnapshot.build`.
-
-    A public entry point handed a bare ``Graph`` calls this once, first, and
-    reads nothing but the result below that line.
-    """
-    return GraphSnapshot.build(graph) if snapshot is None else snapshot
 
 
 def _restore_snapshot(state: Dict[str, object]) -> GraphSnapshot:

@@ -781,7 +781,7 @@ class SnapshotStore:
         not.  The store is content-addressed: a file already under the new
         fingerprint holds this content and is kept (it may be a canonical
         file that other deltas name as their ancestor; a delta never
-        replaces one), and a canonical *snapshot* is simply saved.
+        replaces one), and a canonical *snapshot* is saved whole.
 
         *base* is the snapshot this one was patched from (or its bare
         fingerprint).  With ``prune_base=True`` its file is unlinked after
@@ -794,16 +794,17 @@ class SnapshotStore:
         if isinstance(base, GraphSnapshot):
             base = base.store_fingerprint
         base_path = self.path_for(base) if base else None
-        if snapshot._overlay is None:
-            return self.save(snapshot, fingerprint=fingerprint)
-        ancestor = snapshot._overlay.base
-        ancestor_fingerprint = ancestor.store_fingerprint or fingerprint_of(ancestor)
-        if not self.contains(ancestor_fingerprint):
-            self.save(ancestor, fingerprint=ancestor_fingerprint)
+        if snapshot._overlay is not None:
+            ancestor = snapshot._overlay.base
+            ancestor_fingerprint = ancestor.store_fingerprint or fingerprint_of(ancestor)
+            if not self.contains(ancestor_fingerprint):
+                self.save(ancestor, fingerprint=ancestor_fingerprint)
         path = self.path_for(fingerprint)
         if path.is_file():  # also the graph that came back to its ancestor's content
             snapshot._mark_stored(str(path), fingerprint)
             return path
+        if snapshot._overlay is None:
+            return self.save(snapshot, fingerprint=fingerprint)
         _write_delta(snapshot, path, fingerprint=fingerprint, ancestor=ancestor_fingerprint)
         snapshot._mark_stored(str(path), fingerprint)
         self.patches += 1

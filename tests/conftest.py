@@ -32,7 +32,7 @@ EXPLORE_SCALE = 10
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "provokes_fallbacks: the test makes a snapshot patch or a store write fail on purpose",
+        "provokes_fallbacks: the test makes a store write fail on purpose",
     )
     config.addinivalue_line(
         "markers",
@@ -79,10 +79,9 @@ def pytest_pyfunc_call(pyfuncitem):
 
 @pytest.fixture(autouse=True)
 def no_silent_snapshot_fallbacks(request, monkeypatch):
-    """Every artifact cache a test creates ends with no refused patch and no
-    failed store write.
+    """Every artifact cache a test creates ends with no failed store write.
 
-    Both are answered with a correct rebuild, so a defect in the delta path
+    One is answered with a correct rebuild, so a defect in the delta path
     would otherwise leave every result right, the suite green and the gain
     gone.  A test that provokes one on purpose is marked
     ``provokes_fallbacks``.
@@ -99,7 +98,7 @@ def no_silent_snapshot_fallbacks(request, monkeypatch):
     if request.node.get_closest_marker("provokes_fallbacks") is None:
         for cache in caches:
             info = cache.cache_info()
-            assert (info.snapshot_patch_fallbacks, info.store_write_failures) == (0, 0), info
+            assert info.store_write_failures == 0, info
 
 
 @pytest.fixture

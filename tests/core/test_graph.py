@@ -249,3 +249,36 @@ class TestNonMonotoneMutations:
         clone = graph.copy()
         assert clone == graph
         assert clone.neighbors("a") == graph.neighbors("a")
+
+
+class TestReadOnlyAnswers:
+    """``objects`` / ``subjects`` hand out read-only answers, from a written
+    row and from the held snapshot alike: adding to one raises, and the
+    graph, its journal, its fingerprint and its triple count stay as they
+    were."""
+
+    @pytest.mark.parametrize("published", [False, True], ids=["written", "held"])
+    def test_adding_to_an_answer_raises_and_changes_nothing(self, graph: Graph, published):
+        if published:
+            graph.snapshot()
+        before = (
+            {t for node in ("a", "b", "r") for t in graph.out_triples(node)},
+            graph.version, graph.touched_since(0),
+            graph.content_fingerprint(), graph.num_triples,
+        )
+        answers = (
+            graph.objects("a", "name_of"),
+            graph.subjects("recorded_by", "r"),
+            graph.objects("r", "no_such_predicate"),
+        )
+        for answer in answers:
+            with pytest.raises(AttributeError):
+                answer.add("intruder")
+        assert graph.objects("a", "name_of") == {Literal("X")}
+        assert graph.subjects("recorded_by", "r") == {"a"}
+        after = (
+            {t for node in ("a", "b", "r") for t in graph.out_triples(node)},
+            graph.version, graph.touched_since(0),
+            graph.content_fingerprint(), graph.num_triples,
+        )
+        assert after == before

@@ -30,6 +30,7 @@ from repro.matching import incremental as incremental_module
 from repro.matching import product_graph as product_graph_module
 from repro.matching.artifacts import SessionArtifacts
 
+from tests.graphs import unpublished
 from tests.matching.test_incremental_equivalence import apply_random_mutation, fuzz_dataset
 
 FLAVOUR = dict(filtered=True, reduce_neighborhoods=False, blocking="off")
@@ -170,7 +171,8 @@ def test_backend_without_a_session_reads_through_a_throwaway_cache(
     assert via_registry.pairs() == via_session.pairs()
     assert via_registry.stats == via_session.stats
 
-    matcher = MATCHERS[name](graph, keys, blocking=blocking)
+    # a graph no session published yet, so the throwaway cache builds it all
+    matcher = MATCHERS[name](unpublished(graph), keys, blocking=blocking)
     direct = matcher.run()
     assert direct.pairs() == via_session.pairs()
     assert direct.stats == via_session.stats
@@ -196,7 +198,7 @@ def test_overlay_past_the_threshold_compacts_through_the_ordinary_build_path(sma
     session = MatchSession(graph).with_keys(keys).using("EMOptVC", blocking="auto")
     session.run()
     artifacts = session._artifacts
-    limit = SessionArtifacts.SNAPSHOT_PATCH_MAX_FRACTION
+    limit = Graph.SNAPSHOT_PATCH_MAX_FRACTION
     entities = sorted(graph.entity_ids())
     rows = []
     for window, subject in enumerate(entities):
@@ -213,34 +215,16 @@ def test_overlay_past_the_threshold_compacts_through_the_ordinary_build_path(sma
     assert rows[:-1] == sorted(rows[:-1]) and rows[-1] == 0  # grew, then compacted away
 
 
-@pytest.mark.provokes_fallbacks
-def test_a_window_that_does_not_cover_the_delta_is_counted_and_rebuilt(small_synthetic, monkeypatch):
-    graph, keys = small_synthetic.graph, small_synthetic.keys
-    session = MatchSession(graph).with_keys(keys).using("EMOptVC")
-    session.run()
-    subject = sorted(graph.entity_ids())[0]
-    touched_since = Graph.touched_since
-    # the journal "forgets" the literal the window added
-    monkeypatch.setattr(
-        Graph, "touched_since", lambda self, version: touched_since(self, version) & {subject}
-    )
-    graph.add_value(subject, "window_tag", "uncovered")
-    assert session.rerun().pairs() == session.run("chase").pairs()
-    info = session.cache_info()
-    assert info.snapshot_patch_fallbacks == 1 and info.snapshot_patches == 0
-    assert info.snapshot_builds == 2  # the documented failure is answered with a rebuild
-
-
 def test_a_defect_in_the_patch_is_not_answered_with_a_rebuild(small_synthetic, monkeypatch):
-    """Only ``SnapshotPatchError`` falls back; anything else is a bug and must
-    surface, not turn into a correct, slow, silent rebuild."""
+    """A defect in the patch surfaces: it never turns into a correct, slow,
+    silent rebuild."""
     from repro.storage import GraphSnapshot
 
     graph, keys = small_synthetic.graph, small_synthetic.keys
     session = MatchSession(graph).with_keys(keys).using("EMOptVC")
     session.run()
 
-    def defective(self, graph, touched):
+    def defective(self, *args):
         raise ZeroDivisionError("a defect in the overlay code")
 
     monkeypatch.setattr(GraphSnapshot, "patched", defective)
@@ -260,4 +244,3 @@ def test_a_failed_store_write_through_is_counted_and_the_run_goes_on(small_synth
     assert session.rerun().pairs() == session.run("chase").pairs()
     info = session.cache_info()
     assert info.store_write_failures == 1 and info.snapshot_patches == 1
-    assert info.snapshot_patch_fallbacks == 0

@@ -300,7 +300,7 @@ class TestRebasing:
         them all), so the session's index after it must read the compacted
         snapshot's ids, exactly as a fresh build over it does.  The graph
         holds 10 entities, so the naive oracle costs microseconds."""
-        monkeypatch.setattr(SessionArtifacts, "SNAPSHOT_PATCH_MAX_FRACTION", 0.0)
+        monkeypatch.setattr(Graph, "SNAPSHOT_PATCH_MAX_FRACTION", 0.0)
         graph, keys = flat_graph(), flat_key()
         session = MatchSession(graph).with_keys(keys).using("EMOptMR", blocking="auto")
         session.run()

@@ -1,22 +1,24 @@
-"""A differential model for the dict ``Graph``.
+"""A differential model for the ``Graph``.
 
-``Graph`` keeps two rows per node (subject -> predicate -> objects, object
--> predicate -> subjects) and derives every other read from them.  This
-suite runs random mutation sequences against it and against a model that
-shares none of its code, ``eid -> type`` plus a set of ``(s, p, o)``, and
-after every operation checks each derived read against the model: the
-triple set, ``has_triple`` / ``in``, ``out_triples`` / ``in_triples``,
-``objects`` / ``subjects``, ``neighbors`` / ``degree``, ``value_nodes``,
-the counts, ``==``, ``is_connected`` and ``induced_subgraph``, plus the
+``Graph`` holds its published snapshot plus the rows written since (the
+forward and backward row of each node a write touched).  This suite runs
+random mutation sequences, with publishes drawn among them, against it and
+against a model that shares none of its code, ``eid -> type`` plus a set of
+``(s, p, o)``.  After every operation it checks each node read against the
+model — ``has_triple`` / ``in``, ``out_triples`` / ``in_triples``,
+``objects`` / ``subjects``, ``neighbors`` / ``degree``, the entity reads
+and the counts — and that those reads published nothing.  After every
+publish it checks the whole-graph reads: the triple set, ``value_nodes``,
+``num_nodes``, ``==``, ``is_connected`` and ``induced_subgraph``, plus the
 running fingerprint, ``copy()`` and the journal (``touched_since(v)``
 covers every node whose rows, type or existence changed after ``v``).
 
-The naive oracle (``tests/naive_semantics.py``) reads the dict ``Graph``
-too, so this suite is what keeps that oracle independent of the graph's
-layout.  The operations lean toward the cases a two-row layout can get
-wrong: parallel triples (two predicates between one pair), reverse
-triples, self-loops, and removing the last triple of a predicate or of a
-literal.
+The naive oracle (``tests/naive_semantics.py``) reads the ``Graph`` too,
+so this suite is what keeps that oracle independent of the graph's layout.
+The operations lean toward the cases the layout can get wrong: parallel
+triples (two predicates between one pair), reverse triples, self-loops,
+removing the last triple of a predicate or of a literal, and writing a node
+whose rows only the held snapshot has.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from repro.core.graph import Graph
 from repro.core.triples import GraphNode, Literal, Triple
 from repro.exceptions import DuplicateEntityError, UnknownEntityError
 
+from tests.graphs import publish
+from tests.reach import reach
+
 ENTITIES = ("a", "b", "c", "d")
 #: registered before the drawn operations run ("d" only by an operation)
 FIRST = ENTITIES[:3]
@@ -40,12 +45,20 @@ PREDICATES = ("p", "q")
 LITERALS = (Literal("x"), Literal("y"), Literal(1))
 NODES: Tuple[GraphNode, ...] = ENTITIES + LITERALS
 
+#: the transitions this suite exists for
+LITERAL_RETURNS = "a literal loses its last triple, then returns"
+HELD_ROW_WRITE = "a write hits a node whose row only the held snapshot has"
+MID_WINDOW_READ = "a node read happens mid-window and leaves the held snapshot as it was"
+PUBLISH_COMPACTS = "a publish compacts"
+
 class GraphModel:
     """``eid -> type`` and a set of ``(s, p, o)``: the graph as Section 2 says."""
 
     def __init__(self) -> None:
         self.types: Dict[str, str] = {}
         self.triples: Set[Tuple[str, str, GraphNode]] = set()
+        #: literals whose last triple went (the reach tally watches them return)
+        self.gone: Set[Literal] = set()
 
     def add_entity(self, eid: str, etype: str) -> None:
         if self.types.get(eid, etype) != etype:
@@ -56,15 +69,23 @@ class GraphModel:
         if s not in self.types or (isinstance(o, str) and o not in self.types):
             raise UnknownEntityError(s)
         self.triples.add((s, p, o))
+        if o in self.gone:
+            self.gone.discard(o)
+            reach(LITERAL_RETURNS)
 
     def remove(self, s: str, p: str, o: GraphNode) -> None:
-        self.triples.discard((s, p, o))
+        self._drop({(s, p, o)})
 
     def set_value(self, s: str, p: str, o: Literal) -> None:
         if s not in self.types:
             raise UnknownEntityError(s)
-        self.triples -= {t for t in self.triples if t[:2] == (s, p) and isinstance(t[2], Literal)}
-        self.triples.add((s, p, o))
+        self._drop({t for t in self.triples if t[:2] == (s, p) and isinstance(t[2], Literal)})
+        self.add(s, p, o)
+
+    def _drop(self, triples) -> None:
+        self.triples -= triples
+        live = {o for _, _, o in self.triples}
+        self.gone |= {o for _, _, o in triples if isinstance(o, Literal) and o not in live}
 
     def retype(self, eid: str, etype: str) -> None:
         if eid not in self.types:
@@ -92,6 +113,10 @@ _KINDS = (
     "set_value", "retype_entity",
     # the biased kinds, each resolved onto a triple the model holds
     "parallel", "reverse", "self_loop", "remove_last",
+    # a literal whose last triple went comes back
+    "revive",
+    # a publish between writes (whole-graph reads are checked after it)
+    "publish", "publish",
 )
 
 
@@ -102,11 +127,12 @@ def _ops(kinds, min_size, max_size):
     return st.lists(draws, min_size=min_size, max_size=max_size)
 
 
-#: a few additions first, so that the mixed tail has triples to work on
+#: a few additions first, published, so that the mixed tail has triples to
+#: work on and a held snapshot to write over
 operations = st.tuples(
     _ops(("add_edge", "add_value", "parallel", "reverse", "self_loop"), 3, 8),
     _ops(_KINDS, 1, 24),
-).map(lambda parts: parts[0] + parts[1])
+).map(lambda parts: parts[0] + [("publish", 0, 0, 0)] + parts[1])
 
 
 def _pick(items, index):
@@ -116,6 +142,8 @@ def _pick(items, index):
 
 def _resolve(model: GraphModel, kind: str, i: int, j: int, k: int) -> Tuple[str, tuple]:
     """One concrete ``Graph`` call ``(method, args)`` for a drawn operation."""
+    if kind == "publish":
+        return "snapshot", ()
     entity = ENTITIES[i % len(ENTITIES)]
     other = ENTITIES[j % len(ENTITIES)]
     pred = PREDICATES[k % len(PREDICATES)]
@@ -126,8 +154,10 @@ def _resolve(model: GraphModel, kind: str, i: int, j: int, k: int) -> Tuple[str,
         return "retype_entity", (entity, TYPES[j % len(TYPES)])
     if kind in ("add_edge", "remove_edge"):
         return kind, (entity, pred, other)
-    if kind in ("add_value", "remove_value", "set_value"):
-        return kind, (entity, pred, literal.value)
+    if kind == "revive" and model.gone and model.types:
+        return "add_value", (_pick(model.types, i), pred, _pick(model.gone, j).value)
+    if kind in ("add_value", "remove_value", "set_value", "revive"):
+        return ("add_value" if kind == "revive" else kind), (entity, pred, literal.value)
     held = _pick(model.triples, i)
     if held is None:
         return "add_entity", (entity, TYPES[0])
@@ -157,6 +187,34 @@ def _resolve(model: GraphModel, kind: str, i: int, j: int, k: int) -> Tuple[str,
 def _apply(graph: Graph, model: GraphModel, method: str, args: tuple) -> None:
     """Apply to both; an operation the model refuses must be refused alike
     and change neither."""
+    if method == "snapshot":
+        _publish(graph)
+        return
+    held = graph.held_snapshot
+    if held is not None and method not in ("add_entity", "retype_entity"):
+        endpoints = {args[0], args[2] if method.endswith("edge") else Literal(args[2])}
+        if any(
+            node not in graph.written_nodes() and (held.out_row(node) or held.in_row(node))
+            for node in endpoints
+        ):
+            before = graph.version
+            _mirror_and_apply(graph, model, method, args)
+            if graph.version != before:
+                reach(HELD_ROW_WRITE)
+            return
+    _mirror_and_apply(graph, model, method, args)
+
+
+def _publish(graph: Graph) -> None:
+    snapshot, how = publish(graph)
+    assert graph.held_snapshot is snapshot and graph.written_nodes() == set()
+    assert snapshot.version == graph.version
+    if how == "compaction":
+        assert snapshot.lineage is snapshot
+        reach(PUBLISH_COMPACTS)
+
+
+def _mirror_and_apply(graph: Graph, model: GraphModel, method: str, args: tuple) -> None:
     mirror = {
         "add_entity": model.add_entity,
         "retype_entity": model.retype,
@@ -195,14 +253,19 @@ def _connected(model: GraphModel) -> bool:
     return seen == nodes
 
 
-def _check_reads(graph: Graph, model: GraphModel) -> None:
+def _check_node_reads(graph: Graph, model: GraphModel) -> None:
+    """The reads that never publish: the held snapshot stays as it was."""
+    held, written = graph.held_snapshot, graph.written_nodes()
+    version = None if held is None else held.version
     triples = {Triple(*t) for t in model.triples}
-    assert set(graph.triples()) == triples
     assert graph.num_triples == len(graph) == len(triples)
     assert {e.eid: e.etype for e in graph.entities()} == model.types
+    assert graph.num_entities == len(model.types)
+    for eid in ENTITIES:
+        assert graph.has_entity(eid) is (eid in model.types)
+        if eid in model.types:
+            assert graph.entity_type(eid) == model.types[eid]
     assert graph.predicates() == {p for _, p, _ in model.triples}
-    assert graph.value_nodes() == {o for _, _, o in model.triples if isinstance(o, Literal)}
-    assert graph.num_nodes == len(model.types) + len(graph.value_nodes())
     for s in ENTITIES:
         for p in PREDICATES:
             assert graph.objects(s, p) == {o for t, q, o in model.triples if (t, q) == (s, p)}
@@ -218,6 +281,19 @@ def _check_reads(graph: Graph, model: GraphModel) -> None:
         neighbours = model.neighbors(node)
         assert graph.neighbors(node) == neighbours
         assert graph.degree(node) == len(neighbours)
+    assert graph.held_snapshot is held and graph.written_nodes() == written
+    if held is not None:
+        assert held.version == version
+        if written:
+            reach(MID_WINDOW_READ)
+
+
+def _check_whole_reads(graph: Graph, model: GraphModel) -> None:
+    """The reads that publish, on a published graph."""
+    triples = {Triple(*t) for t in model.triples}
+    assert set(graph.triples()) == triples
+    assert graph.value_nodes() == {o for _, _, o in model.triples if isinstance(o, Literal)}
+    assert graph.num_nodes == len(model.types) + len(graph.value_nodes())
     assert graph.is_connected() is _connected(model)
     keep = set(NODES[::2])
     sub = graph.induced_subgraph(keep)
@@ -226,12 +302,16 @@ def _check_reads(graph: Graph, model: GraphModel) -> None:
     assert graph == Graph.from_triples(model.types, triples)
 
 
-def _check_copy_and_fingerprint(graph: Graph) -> None:
-    assert graph.content_fingerprint() == graph_fingerprint(graph)
+def _check_copy_and_fingerprint(graph: Graph, model: GraphModel) -> None:
+    """A copy shares the held snapshot and reads as the graph does; it is
+    published here, and the graph is not."""
     clone = graph.copy()
-    assert clone == graph
+    assert clone.held_snapshot is graph.held_snapshot
+    assert clone.written_nodes() == graph.written_nodes()
+    _check_node_reads(clone, model)
+    assert clone.content_fingerprint() == graph.content_fingerprint() == graph_fingerprint(clone)
+    assert clone == Graph.from_triples(model.types, {Triple(*t) for t in model.triples})
     assert clone.version >= graph.version and clone.touched_since(clone.version) == set()
-    assert clone.content_fingerprint() == graph.content_fingerprint()
 
 
 def _check_journal(graph: Graph, model: GraphModel, history: List[Tuple[int, dict]]) -> None:
@@ -242,6 +322,10 @@ def _check_journal(graph: Graph, model: GraphModel, history: List[Tuple[int, dic
         assert touched is not None and changed <= touched, (version, changed - touched)
 
 
+@pytest.mark.reaches(LITERAL_RETURNS, 10)
+@pytest.mark.reaches(HELD_ROW_WRITE, 40)
+@pytest.mark.reaches(MID_WINDOW_READ, 200)
+@pytest.mark.reaches(PUBLISH_COMPACTS, 20)
 @given(first=st.lists(st.sampled_from(TYPES), min_size=3, max_size=3), ops=operations)
 @settings(max_examples=60, deadline=None)
 def test_every_derived_read_follows_the_model(first, ops):
@@ -249,13 +333,15 @@ def test_every_derived_read_follows_the_model(first, ops):
     for eid, etype in zip(FIRST, first):
         _apply(graph, model, "add_entity", (eid, etype))
     history = [(graph.version, {node: model.state(node) for node in NODES})]
-    for kind, i, j, k in ops:
+    for kind, i, j, k in ops + [("publish", 0, 0, 0)]:
         method, args = _resolve(model, kind, i, j, k)
         _apply(graph, model, method, args)
         if kind != method:
             event(f"biased op: {kind}")
-        _check_reads(graph, model)
-        _check_copy_and_fingerprint(graph)
+        _check_node_reads(graph, model)
+        if method == "snapshot":
+            _check_whole_reads(graph, model)
+        _check_copy_and_fingerprint(graph, model)
         _check_journal(graph, model, history)
         history.append((graph.version, {node: model.state(node) for node in NODES}))
 

@@ -29,12 +29,14 @@ universe.  The property must reach that transition (:data:`STARTS_COLLIDING`).
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MatchSession
+from repro.core.graph import Graph
 
 from tests.matching.test_incremental_equivalence import apply_random_mutation, fuzz_dataset
 from tests.naive_semantics import reference_fixpoint
@@ -106,12 +108,15 @@ def test_the_fixpoint_survives_blocking_and_pairing_after_every_window(
             collide_a_lonely_entity(graph, keys, rng)
         compacting = window == compact_at
         if compacting:
-            arts.SNAPSHOT_PATCH_MAX_FRACTION = 0.0  # this window recompiles
+            # a write after every read above, so the session's run publishes
+            # this window, and every row counts past the threshold
+            graph.add_value(rng.choice(entities), "tag", f"w{window}")
         compactions = arts.cache_info().snapshot_compactions
-        for shape in SHAPES:
-            result = session.run(shape, incremental=True)
+        limit = 0.0 if compacting else Graph.SNAPSHOT_PATCH_MAX_FRACTION
+        with mock.patch.object(Graph, "SNAPSHOT_PATCH_MAX_FRACTION", limit):
+            for shape in SHAPES:
+                result = session.run(shape, incremental=True)
         if compacting:
             assert arts.cache_info().snapshot_compactions == compactions + 1
-            del arts.SNAPSHOT_PATCH_MAX_FRACTION
         assert result.eq.pairs() == reference_fixpoint(graph, keys)
         assert_no_false_negatives(session)

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MatchSession
+from repro.core.graph import Graph
 from repro.core.key import KeySet
 from repro.matching.blocking import BlockingIndex, compile_blocking_schemes
 from repro.matching.candidates import build_filtered_candidates, dependency_map
@@ -196,15 +198,16 @@ def test_rebased_artifacts_equal_rebuilt_ones_after_every_window(
             # every row counts past the threshold: this window recompiles
             # (and it touches something, or there is nothing to refresh)
             graph.add_value(rng.choice(sorted(graph.entity_ids())), "tag", f"w{window}")
-            arts.SNAPSHOT_PATCH_MAX_FRACTION = 0.0
         if window == rekey_at % len(windows):
             keys = _fewer_keys(dataset.keys, seed)
             session.with_keys(keys)
         compactions = arts.cache_info().snapshot_compactions
-        for shape in SHAPES:
-            result = session.run(shape, incremental=True)
-        if window == compact_at % len(windows):
+        compacting = window == compact_at % len(windows)
+        limit = 0.0 if compacting else Graph.SNAPSHOT_PATCH_MAX_FRACTION
+        with mock.patch.object(Graph, "SNAPSHOT_PATCH_MAX_FRACTION", limit):
+            for shape in SHAPES:
+                result = session.run(shape, incremental=True)
+        if compacting:
             assert arts.cache_info().snapshot_compactions == compactions + 1
-            del arts.SNAPSHOT_PATCH_MAX_FRACTION
         assert result.eq.pairs() == reference_fixpoint(graph, keys)
         assert_carried_equals_applied_from_empty(session)

@@ -30,6 +30,8 @@ from repro.service.ingest import (
     iter_jsonl,
 )
 
+from tests.graphs import unpublished
+
 
 def small_dataset(seed=3):
     return synthetic_dataset(
@@ -289,8 +291,8 @@ class TestStoreAfterPublication:
         assert all(store.contains(fingerprint) for fingerprint, _ in published)
         assert session.cache_info().store_write_failures == 0
 
-        final = graph.copy()
-        restarted = MatchSession(final, snapshot_store=store).with_keys(dataset.keys)
+        # a restarted process parses the graph afresh: it holds no snapshot
+        restarted = MatchSession(unpublished(graph), snapshot_store=store).with_keys(dataset.keys)
         assert restarted.run("EMOptVC").pairs() == pipeline.last_result.pairs()
         assert restarted.cache_info().store_hits == 1
 

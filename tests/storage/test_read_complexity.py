@@ -5,8 +5,8 @@ is read, and never the whole graph.  A blocked cold match reads only around
 its candidates, so what it decodes is bounded by their d-neighbourhoods —
 not by ``|G|`` — and a snapshot nobody has read yet has decoded nothing,
 however it was produced.  Below a public entry point handed a bare
-``Graph``, the snapshot is the only thing read: one is compiled, first, and
-the ``Graph`` is not read again.
+``Graph``, its published snapshot is the only thing read: it is asked for
+once, first, and the ``Graph`` is not read again.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def test_a_window_costs_its_rows_at_any_graph_size(tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# one read path: an entry point handed a Graph compiles it once, reads that
+# one read path: an entry point handed a Graph publishes it once, reads that
 # --------------------------------------------------------------------------- #
 
 #: what a read path over the ``Graph`` would call
@@ -180,34 +180,33 @@ GRAPH_READS = (
     "in_triples",
     "out_row",
     "in_row",
-    "out_rows",
 )
 
 
 def _refused(name: str):
     def read(*_args, **_kwargs):
-        raise AssertionError(f"Graph.{name} read after the snapshot was built")
+        raise AssertionError(f"Graph.{name} read after the snapshot was published")
 
     return read
 
 
 @contextlib.contextmanager
-def graph_sealed_after_build(monkeypatch):
-    """Every ``GraphSnapshot.build`` in the block, recorded; the first one
-    seals the ``Graph`` read methods as it returns."""
-    builds = []
-    build = GraphSnapshot.build.__func__
+def graph_sealed_after_publish(monkeypatch):
+    """Every ``Graph.snapshot`` in the block, recorded; the first one seals
+    the ``Graph`` read methods as it returns."""
+    published = []
+    publish = Graph.snapshot
 
-    def sealing_build(cls, graph):
-        snapshot = build(cls, graph)
-        builds.append(snapshot)
+    def sealing_publish(graph, *hook):
+        snapshot = publish(graph, *hook)
+        published.append(snapshot)
         for name in GRAPH_READS:
             patch.setattr(Graph, name, _refused(name))
         return snapshot
 
     with monkeypatch.context() as patch:
-        patch.setattr(GraphSnapshot, "build", classmethod(sealing_build))
-        yield builds
+        patch.setattr(Graph, "snapshot", sealing_publish)
+        yield published
 
 
 @pytest.fixture
@@ -224,24 +223,24 @@ def workload():
 @pytest.mark.parametrize("blocking", ["off", "auto"])
 def test_chase_reads_one_snapshot(workload, blocking, monkeypatch):
     graph, keys, reference = workload
-    with graph_sealed_after_build(monkeypatch) as builds:
+    with graph_sealed_after_publish(monkeypatch) as published:
         result = chase(graph, keys, blocking=blocking)
-    assert len(builds) == 1
+    assert len(published) == 1
     assert result.pairs() == reference
 
 
 def test_filtered_candidates_read_one_snapshot(workload, monkeypatch):
     graph, keys, reference = workload
-    with graph_sealed_after_build(monkeypatch) as builds:
+    with graph_sealed_after_publish(monkeypatch) as published:
         candidates = build_filtered_candidates(graph, keys, blocking="auto")
-    assert len(builds) == 1
-    assert candidates.neighborhoods.snapshot is builds[0]
+    assert len(published) == 1
+    assert candidates.neighborhoods.snapshot is published[0]
     assert reference <= set(candidates.pairs)  # no false negatives
 
 
 def test_blocking_index_reads_one_snapshot(workload, monkeypatch):
     graph, keys, reference = workload
-    with graph_sealed_after_build(monkeypatch) as builds:
+    with graph_sealed_after_publish(monkeypatch) as published:
         pairs, _ = BlockingIndex.build(graph, keys).candidate_pairs("auto")
-    assert len(builds) == 1
+    assert len(published) == 1
     assert reference <= set(pairs)

@@ -10,15 +10,22 @@ order) counts.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 from repro.api.registry import ALGORITHMS
 from repro.api.session import MatchSession
 from repro.core.chase import chase
-from repro.core.triples import Triple
+from repro.core.graph import Graph
+from repro.core.triples import Literal, Triple
 from repro.datasets.music import music_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.storage import GraphSnapshot
 
-from tests.naive_semantics import naive_chase
+from tests.graphs import triples_of, unpublished
+from tests.naive_semantics import naive_chase, reference_fixpoint
 
 
 def _session_dataset():
@@ -39,7 +46,7 @@ def test_all_six_backends_agree_with_the_naive_chase():
     dataset = _session_dataset()
     reference = naive_chase(dataset.graph, dataset.keys)
     assert reference  # the seeded dataset must contain duplicates to find
-    session = MatchSession(dataset.graph).with_keys(dataset.keys)
+    session = MatchSession(unpublished(dataset.graph)).with_keys(dataset.keys)
     results = session.run_all(list(ALGORITHMS))
     assert set(results) == set(ALGORITHMS)
     for name, result in results.items():
@@ -147,3 +154,147 @@ def test_phase_timings_record_snapshot_and_candidate_builds():
     timings = session.phase_timings()
     for phase in ("snapshot_build", "candidates_build", "product_graph_build"):
         assert phase in timings and timings[phase] >= 0.0
+
+
+def test_a_second_session_and_a_copy_read_the_snapshot_the_graph_holds(tmp_path):
+    """A graph holds the snapshot its first session published: a second
+    session over it — with a snapshot store or without — and a session over
+    its copy build nothing and ask the store nothing.  The first
+    store-backed one writes the held snapshot, which the store lacked, to
+    the store; the next one finds it stored."""
+    dataset = _session_dataset()
+    graph, keys = dataset.graph, dataset.keys
+    first = MatchSession(graph).with_keys(keys)
+    expected = first.run("EMOptVC").pairs()
+    held = graph.held_snapshot
+    assert first.cache_info().snapshot_builds == 1 and held is not None
+    copy = graph.copy()
+    assert copy.held_snapshot is held and copy.written_nodes() == set()
+    for session in (
+        MatchSession(graph).with_keys(keys),
+        MatchSession(graph, snapshot_store=tmp_path).with_keys(keys),
+        MatchSession(copy).with_keys(keys),
+        MatchSession(copy, snapshot_store=tmp_path).with_keys(keys),
+    ):
+        assert session.run("EMOptVC").pairs() == expected
+        info = session.cache_info()
+        assert (info.snapshot_builds, info.store_hits, info.store_misses) == (0, 0, 0)
+        assert session._artifacts.snapshot() is held
+    assert graph.held_snapshot is copy.held_snapshot is held
+    assert held.store_path is not None and len(list(tmp_path.iterdir())) == 1
+
+
+def test_a_session_with_nothing_to_rebase_builds_where_the_graph_would_patch(tmp_path):
+    """A graph holding a snapshot plus one written row would publish by a
+    patch.  A session that has cached nothing (a first run, a recovery's)
+    builds instead, asking its store first, because its full run reads a
+    canonical snapshot; the graph holds that build.  A session with
+    artifacts to rebase patches what the graph holds."""
+    dataset = _session_dataset()
+    graph, keys = dataset.graph, dataset.keys
+    warm = MatchSession(graph).with_keys(keys)
+    warm.run("EMOptVC")
+    entity = sorted(graph.entity_ids())[0]
+    graph.set_value(entity, "window_tag", "cold")
+    cold = MatchSession(graph, snapshot_store=tmp_path).with_keys(keys)
+    assert cold.run("EMOptVC").pairs() == reference_fixpoint(unpublished(graph), keys)
+    info = cold.cache_info()
+    assert (info.snapshot_builds, info.snapshot_patches, info.store_misses) == (1, 0, 1)
+    built = graph.held_snapshot
+    assert built.lineage is built and built.version == graph.version
+
+    graph.set_value(entity, "window_tag", "warm")
+    assert warm.rerun().pairs() == reference_fixpoint(unpublished(graph), keys)
+    info = warm.cache_info()
+    assert (info.snapshot_builds, info.snapshot_patches) == (1, 1)
+    assert graph.held_snapshot.lineage is built
+
+
+def test_two_sessions_publishing_one_graph_at_once_hold_its_content(monkeypatch):
+    """Two sessions over one graph rerun at once after a ``set_value``
+    window (one literal swapped for a new one, so the triple count stays).
+    The first is held up inside its patch, after it has classified the
+    window, until the second has published and the graph has dropped its
+    written rows: it must still patch off the rows it captured, not read
+    the held snapshot for a row the graph wrote.  Both answer the naive
+    chase of the graph, and the snapshot the graph holds reads as a build
+    of an independent copy of it."""
+    dataset = synthetic_dataset(
+        num_keys=6, chain_length=2, radius=2, entities_per_type=5, seed=13
+    )
+    graph, keys = dataset.graph, dataset.keys
+    slow, fast = (MatchSession(graph).with_keys(keys).using("EMOptVC") for _ in range(2))
+    slow.run(), fast.run()
+    subject, predicate, literal = next(
+        (t.subject, t.predicate, t.obj)
+        for t in sorted(graph.triples(), key=repr)
+        if isinstance(t.obj, Literal) and len(graph.in_row(t.obj)) == 1
+    )
+    graph.set_value(subject, predicate, "raced")
+    assert not graph.in_row(literal) and graph.num_triples == len(list(triples_of(graph)))
+    truth = unpublished(graph)
+    held = graph.held_snapshot
+
+    entered, published = threading.Event(), threading.Event()
+    entity_type = Graph.entity_type
+
+    def held_up(self, eid):  # the slow session's first read past the classification
+        if threading.current_thread().name == "slow" and not entered.is_set():
+            entered.set()
+            assert published.wait(10)
+        return entity_type(self, eid)
+
+    monkeypatch.setattr(Graph, "entity_type", held_up)
+    results = {}
+    worker = threading.Thread(
+        target=lambda: results.setdefault("slow", slow.rerun()), name="slow"
+    )
+    worker.start()
+    assert entered.wait(10)
+    results["fast"] = fast.rerun()
+    assert graph.held_snapshot is not held and graph.written_nodes() == set()
+    published.set()
+    worker.join(10)
+    assert not worker.is_alive()
+
+    expected = reference_fixpoint(truth, keys)
+    assert {name: result.pairs() for name, result in results.items()} == {
+        "slow": expected, "fast": expected
+    }
+    reference = GraphSnapshot.build(truth)
+    for snapshot in (graph.held_snapshot, slow._artifacts.snapshot(), fast._artifacts.snapshot()):
+        assert snapshot.version == graph.version
+        assert set(snapshot.triples()) == set(reference.triples())
+        assert snapshot.value_nodes() == reference.value_nodes()
+        for node in (subject, literal, Literal("raced")):
+            assert snapshot.out_row(node) == reference.out_row(node)
+            assert snapshot.in_row(node) == reference.in_row(node)
+
+
+def test_four_sessions_publishing_one_graph_under_a_short_switch_interval_agree():
+    """More sessions than cores publish one graph at once, window after
+    window (a build first, then patches), with the interpreter switching
+    threads every microsecond: every run answers the naive chase, and the
+    graph ends each window holding its content with no written row left."""
+    dataset = synthetic_dataset(
+        num_keys=6, chain_length=2, radius=2, entities_per_type=5, seed=13
+    )
+    graph, keys = dataset.graph, dataset.keys
+    sessions = [MatchSession(graph).with_keys(keys).using("EMOptVC") for _ in range(4)]
+    rng = random.Random(5)
+    entities = sorted(graph.entity_ids())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
+            for window in range(6):
+                for _ in range(3 * window):
+                    graph.set_value(rng.choice(entities), "window_tag", f"v{rng.randrange(4)}")
+                truth = unpublished(graph)
+                runs = [pool.submit(s.rerun if window else s.run) for s in sessions]
+                expected = reference_fixpoint(truth, keys)
+                assert [run.result(timeout=60).pairs() for run in runs] == [expected] * 4
+                assert graph.written_nodes() == set() and graph.held_snapshot.version == graph.version
+                assert set(graph.held_snapshot.triples()) == set(GraphSnapshot.build(truth).triples())
+    finally:
+        sys.setswitchinterval(interval)

@@ -9,6 +9,8 @@ in-memory rebuild without failing the run.
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.api.registry import ALGORITHMS, get_algorithm
@@ -17,6 +19,8 @@ from repro.datasets.music import music_dataset
 from repro.datasets.synthetic import synthetic_dataset
 from repro.exceptions import ConfigError
 from repro.storage import FORMAT_VERSION, GraphSnapshot, SnapshotStore, graph_fingerprint
+
+from tests.graphs import unpublished
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +52,7 @@ class TestRoundTripIdentity:
         """Store-loaded vs built: identical results, six backends, 3 executors."""
         built = MatchSession(dataset.graph).with_keys(dataset.keys)
         loaded = MatchSession(
-            dataset.graph, snapshot_store=warm_store
+            unpublished(dataset.graph), snapshot_store=warm_store
         ).with_keys(dataset.keys)
         for name in ALGORITHMS:
             executors = (
@@ -67,11 +71,15 @@ class TestRoundTripIdentity:
         assert info.snapshot_builds == 0  # the whole point: zero-rebuild cold start
 
     def test_store_write_back_then_warm_restart(self, dataset, tmp_path):
-        cold = MatchSession(dataset.graph, snapshot_store=tmp_path).with_keys(dataset.keys)
+        cold = MatchSession(unpublished(dataset.graph), snapshot_store=tmp_path).with_keys(
+            dataset.keys
+        )
         cold_result = cold.run("EMOptVC")
         assert cold.cache_info().store_misses == 1
         assert cold.cache_info().snapshot_builds == 1
-        warm = MatchSession(dataset.graph, snapshot_store=tmp_path).with_keys(dataset.keys)
+        warm = MatchSession(unpublished(dataset.graph), snapshot_store=tmp_path).with_keys(
+            dataset.keys
+        )
         warm_result = warm.run("EMOptVC")
         assert warm.cache_info().store_hits == 1
         assert warm.cache_info().snapshot_builds == 0
@@ -99,7 +107,9 @@ class TestSessionFallback:
         path.write_bytes(bytes(raw))
 
         reference = MatchSession(dataset.graph).with_keys(dataset.keys).run("EMOptMR")
-        session = MatchSession(dataset.graph, snapshot_store=store).with_keys(dataset.keys)
+        session = MatchSession(unpublished(dataset.graph), snapshot_store=store).with_keys(
+            dataset.keys
+        )
         result = session.run("EMOptMR")
         assert result_key(result) == result_key(reference)
         info = session.cache_info()
@@ -107,7 +117,9 @@ class TestSessionFallback:
         assert info.store_hits == 0
         assert info.snapshot_builds == 1
         # the rebuild was written back over the corrupt entry: next session hits
-        again = MatchSession(dataset.graph, snapshot_store=store).with_keys(dataset.keys)
+        again = MatchSession(unpublished(dataset.graph), snapshot_store=store).with_keys(
+            dataset.keys
+        )
         again.run("EMOptMR")
         assert again.cache_info().store_hits == 1
 
@@ -131,10 +143,45 @@ class TestSessionFallback:
         assert info.snapshot_patches == 1
         assert store.metrics()["patches"] == 1
 
+    def test_a_patch_a_whole_graph_read_published_still_reaches_the_store(self, tmp_path):
+        """``stats()`` publishes the window outside any session, by a patch;
+        the session then reads that patch with no patch of its own, and owes
+        it to the store all the same."""
+        graph, keys = music_dataset()
+        store = SnapshotStore(tmp_path)
+        session = MatchSession(graph, snapshot_store=store).with_keys(keys)
+        session.run("EMOptVC")
+        graph.add_value("alb1", "bonus_of", "extra")
+        graph.stats()
+        published = graph.held_snapshot
+        assert published.lineage is not published and published.store_path is None
+        session.run("EMOptVC")
+        session.write_owed_snapshot()
+        assert published.store_path == str(store.path_for(graph_fingerprint(graph)))
+        assert store.metrics()["patches"] == 1
+        info = session.cache_info()
+        assert (info.snapshot_patches, info.store_write_failures) == (0, 0)
+
+    def test_a_held_snapshot_outlives_the_store_that_saved_it(self, dataset, tmp_path):
+        """A store-backed session saves the snapshot the graph then holds;
+        once that store is gone, a process-pool run over a copy of the graph
+        (which shares the held snapshot) ships its arrays, not the path."""
+        graph, keys = unpublished(dataset.graph), dataset.keys
+        store = tmp_path / "store"
+        expected = MatchSession(graph, snapshot_store=store).with_keys(keys).run("EMOptMR")
+        assert graph.held_snapshot.store_path is not None
+        shutil.rmtree(store)
+        result = MatchSession(graph.copy()).with_keys(keys).run(
+            "EMOptMR", executor="process", workers=2
+        )
+        assert result.pairs() == expected.pairs()
+
     def test_unwritable_store_never_fails_a_run(self, dataset, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("a file where the store directory should be")
-        session = MatchSession(dataset.graph, snapshot_store=blocker).with_keys(dataset.keys)
+        session = MatchSession(unpublished(dataset.graph), snapshot_store=blocker).with_keys(
+            dataset.keys
+        )
         result = session.run("EMOptVC")
         assert result.pairs()
         assert session.cache_info().snapshot_builds == 1
@@ -142,7 +189,7 @@ class TestSessionFallback:
 
 class TestConfigPlumbing:
     def test_using_and_config_carry_the_store(self, dataset, tmp_path):
-        session = MatchSession(dataset.graph).with_keys(dataset.keys)
+        session = MatchSession(unpublished(dataset.graph)).with_keys(dataset.keys)
         session.using("EMOptVC", snapshot_store=tmp_path)
         assert str(session.config.snapshot_store) == str(tmp_path)
         assert f"store=" in session.config.describe()

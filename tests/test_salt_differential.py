@@ -29,19 +29,27 @@ VC message counters this leg was written for (80 under salts 0-5, 78 under
 6, 8, 9 and 11, before their sets were walked in id order); salts 1-3 alone
 never did.
 
-Run ``python tests/test_salt_differential.py`` to print one salt's two
-transcripts, the second after a ``# factories`` line.
+A third leg streams windows through a store-backed session on a graph
+small enough that the overlay passes its bound: after every window the
+name, kind and SHA-256 of every file in the snapshot store — the canonical
+file, each window's delta file and the compacted canonical files — then the
+session's counters.
+
+Run ``python tests/test_salt_differential.py`` to print one salt's three
+transcripts, each after a ``# factories`` line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -63,6 +71,8 @@ BLOCKING = ("off", "auto")
 #: one window per shape: each shape leads one window, planning it against
 #: the frozen seed, while the shapes after it reuse or extend its fixpoint
 WINDOWS = len(SHAPES)
+#: windows of the store leg: its graph compacts at least twice in them
+STORE_WINDOWS = 12
 SALTS = ("1", "6", "9")
 #: the line between the stream's transcript and the factory leg's
 SPLIT = b"# factories\n"
@@ -73,9 +83,11 @@ def _windows(graph, count: int):
     """*count* windows of key-relevant and key-free ops, drawn from sorted
     lists so the stream itself is salt-free."""
     rng = random.Random(11)
+    # node and entity reads only: the graph stays unpublished, so the
+    # session's first run builds its snapshot
     entities = sorted(graph.entity_ids())
-    names = sorted({t.obj.value for t in graph.triples() if t.predicate == "name_of"})
-    types = sorted(graph.types())
+    names = sorted({value.value for e in entities for value in graph.objects(e, "name_of")})
+    types = sorted({entity.etype for entity in graph.entities()})
     windows = []
     for window in range(count):
         new = f"salt_new_{window}"
@@ -163,11 +175,44 @@ def factory_transcript() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def store_transcript() -> str:
+    """The snapshot store's files after every window of a stream that
+    compacts, one JSON line each, then the session's counters."""
+    from repro.api.session import MatchSession
+    from repro.datasets.synthetic import synthetic_dataset
+    from repro.service.ingest import apply_mutation
+    from repro.storage.store import SnapshotStore, snapshot_info
+
+    dataset = synthetic_dataset(
+        num_keys=4, chain_length=2, radius=2, entities_per_type=3, seed=1
+    )
+    graph, keys = dataset.graph, dataset.keys
+    lines = []
+    with tempfile.TemporaryDirectory() as root:
+        session = MatchSession(graph, snapshot_store=SnapshotStore(root)).with_keys(keys)
+        for window, ops in enumerate([[]] + _windows(graph, STORE_WINDOWS)):
+            for op in ops:
+                apply_mutation(graph, op)
+            session.run("EMOptVC", incremental=window > 0)
+            session.write_owed_snapshot()
+            files = [
+                [path.name, snapshot_info(path)["kind"], _sha256(path)]
+                for path in sorted(Path(root).iterdir())
+            ]
+            lines.append(json.dumps({"window": window, "files": files}, sort_keys=True))
+        cache = dataclasses.asdict(session.cache_info())
+        lines.append(json.dumps({"cache": cache}, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
 
 @pytest.fixture(scope="module")
 def transcripts():
-    """Salt -> this file's two transcripts, ``(stream, factories)``; the
-    three interpreters run side by side."""
+    """Salt -> this file's three transcripts, ``(stream, factories,
+    store)``; the three interpreters run side by side."""
     running = {}
     for salt in SALTS:
         env = {**os.environ, "PYTHONHASHSEED": salt}
@@ -205,7 +250,7 @@ def _assert_one_transcript(outputs) -> None:
 
 
 def test_three_salts_write_the_same_bytes_after_every_window(transcripts):
-    outputs = {salt: stream for salt, (stream, _) in transcripts.items()}
+    outputs = {salt: stream for salt, (stream, _, _) in transcripts.items()}
     reference = outputs[SALTS[0]]
     assert reference.count(b"\n") == (WINDOWS + 1) * (len(SHAPES) + 1)
     assert b'"cold_cache"' in reference and b'"product_graph_build"' in reference
@@ -216,12 +261,24 @@ def test_three_salts_write_the_same_bytes_after_every_window(transcripts):
 def test_session_less_runs_on_the_benchmark_workloads_count_the_same_under_three_salts(
     transcripts,
 ):
-    outputs = {salt: factories for salt, (_, factories) in transcripts.items()}
+    outputs = {salt: factories for salt, (_, factories, _) in transcripts.items()}
     reference = outputs[SALTS[0]]
     assert reference.count(b"\n") == 3 * 6
     assert b'"workload": "google"' in reference and b'"messages_sent": 0' in reference
     _assert_one_transcript(outputs)
 
 
+def test_three_salts_write_the_same_store_files_through_compactions(transcripts):
+    outputs = {salt: store for salt, (_, _, store) in transcripts.items()}
+    lines = outputs[SALTS[0]].splitlines()
+    assert len(lines) == STORE_WINDOWS + 2
+    kinds = [kind for line in lines[:-1] for _, kind, _ in json.loads(line)["files"]]
+    assert "canonical" in kinds and "delta" in kinds
+    assert json.loads(lines[-1])["cache"]["snapshot_compactions"] >= 2
+    _assert_one_transcript(outputs)
+
+
 if __name__ == "__main__":
-    sys.stdout.write(transcript() + SPLIT.decode() + factory_transcript())
+    sys.stdout.write(
+        transcript() + SPLIT.decode() + factory_transcript() + SPLIT.decode() + store_transcript()
+    )
