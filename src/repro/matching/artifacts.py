@@ -85,8 +85,9 @@ class SessionCacheInfo:
     #: gauge, not a counter: rows the current snapshot holds outside the
     #: canonical arrays (0 right after a build or a compaction)
     snapshot_overlay_rows: int = 0
-    #: write-throughs of a patch the snapshot store failed (0 on a healthy
-    #: stream)
+    #: snapshots the snapshot store failed to write: a patch's write-through
+    #: or a built snapshot's save (0 on a healthy stream or store; each one
+    #: is rebuilt by the next cold start that asks the store for it)
     store_write_failures: int = 0
     #: incremental (delta) runs actually executed — silent fallbacks to a
     #: full run (no previous result, expired journal window) do not count
@@ -543,7 +544,10 @@ class SessionArtifacts:
                     lambda: store.patch(snapshot, base=None, fingerprint=fingerprint),
                 )
             except (StoreError, OSError):
-                self._counts["store_write_failures"] += 1
+                self._write_failed()
+
+    def _write_failed(self) -> None:
+        self._counts["store_write_failures"] += 1
 
     # -- the slot rule ------------------------------------------------------ #
 
@@ -629,7 +633,9 @@ class SessionArtifacts:
 
             if store is None:
                 return build()
-            snapshot, loaded = store.get_or_build(self.graph, build, timed=self._timed)
+            snapshot, loaded = store.get_or_build(
+                self.graph, build, timed=self._timed, save_failed=self._write_failed
+            )
             self._counts["store_hits" if loaded else "store_misses"] += 1
             return snapshot
         if store is not None:

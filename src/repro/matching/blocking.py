@@ -45,16 +45,15 @@ produce identical pairs whenever ``"force"`` is accepted.
 
 The emitted pairs are a subset of :func:`~repro.core.chase.candidate_pairs`
 in the same order: per sorted target type, canonically ordered pairs sorted
-within the type.
+within the type, held as a :class:`~repro.matching.pair_table.PairTable`.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import Pair
 from ..core.graph import Graph
@@ -62,6 +61,7 @@ from ..core.key import Key, KeySet
 from ..core.pattern import SignaturePath
 from ..exceptions import ConfigError
 from ..storage import GraphSnapshot
+from .pair_table import PairTable, edited_sets
 
 #: The recognised values of the ``blocking`` knob.
 BLOCKING_MODES: Tuple[str, ...] = ("off", "auto", "force")
@@ -139,8 +139,8 @@ class BlockingStats:
 #: entity -> non-empty literal-id set; entities with empty signatures are absent.
 _PathSignatures = Dict[str, FrozenSet[int]]
 #: literal id -> the participants whose anchor-path signature holds it (a
-#: list never changed once built: an apply moves a token to a new one)
-_TokenMembers = Dict[int, List[str]]
+#: set never changed once built: an apply moves a token to a new one)
+_TokenMembers = Dict[int, AbstractSet[str]]
 _NO_TOKENS: FrozenSet[int] = frozenset()
 
 
@@ -161,47 +161,18 @@ def _moved_tokens(
 ) -> _TokenMembers:
     """*members* (the anchor-path tokens of *old*'s participants) carried
     onto *new*: only the tokens of the *entities* whose anchor tokens or
-    participation changed are rewritten, each token once, with the entities
-    it lost and gained grouped (a C-level copy of the map first, and none
-    when nothing moved)."""
+    participation changed are rewritten, each once (:func:`edited_sets`)."""
     was, now = _participants(old, entities), _participants(new, entities)
     old_anchor, new_anchor = old[anchor], new[anchor]
-    lost: Dict[int, Set[str]] = {}
-    gained: Dict[int, List[str]] = {}
+    lost: List[Tuple[int, str]] = []
+    gained: List[Tuple[int, str]] = []
     for entity in was | now:
         before = old_anchor[entity] if entity in was else _NO_TOKENS
         after = new_anchor[entity] if entity in now else _NO_TOKENS
-        if before == after:
-            continue
-        for token in before - after:
-            lost.setdefault(token, set()).add(entity)
-        for token in after - before:
-            gained.setdefault(token, []).append(entity)
-    if not lost and not gained:
-        return members
-    moved = dict(members)
-    for token, gone in lost.items():
-        held = [entity for entity in moved[token] if entity not in gone]
-        if held:
-            moved[token] = held
-        else:
-            del moved[token]
-    for token, came in gained.items():
-        moved[token] = moved.get(token, []) + came
-    return moved
-
-
-def merge_sorted(kept: List, found: Iterable) -> None:
-    """Insert *found* into the sorted list *kept*: one by one by bisection,
-    or, when the batch is at least as long as the list (an apply from
-    empty, a window that rewrote most of a type), in bulk by one sort."""
-    found = sorted(found)
-    if len(found) >= len(kept):
-        kept.extend(found)
-        kept.sort()
-    else:
-        for item in found:
-            bisect.insort(kept, item)
+        if before != after:
+            lost.extend((token, entity) for token in before - after)
+            gained.extend((token, entity) for token in after - before)
+    return edited_sets(members, lost, gained)
 
 
 class BlockingIndex:
@@ -246,9 +217,9 @@ class BlockingIndex:
         #: anchor is the most selective path at the apply from empty
         self._tokens = tokens
         #: the certified enumeration at this version, once collided
-        self._enumerated: Optional[_PairState] = None
+        self._enumerated: Optional[PairTable] = None
         #: an ancestor's enumeration and the entities rewritten since, by id
-        self._carried: Optional[Tuple[_PairState, Dict[int, str]]] = None
+        self._carried: Optional[Tuple[PairTable, Dict[int, str]]] = None
         #: the stats of the collision pass that produced ``_enumerated``
         self._stats: Optional[BlockingStats] = None
 
@@ -280,7 +251,7 @@ class BlockingIndex:
             tokens={},
             build_seconds=0.0,
         )
-        empty._enumerated = _PairState({etype: [] for etype in empty._type_schemes()})
+        empty._enumerated = PairTable({etype: [] for etype in empty._type_schemes()})
         return empty.rebased(snapshot)
 
     def rebased(
@@ -442,17 +413,14 @@ class BlockingIndex:
         """The pairs of :meth:`candidate_pairs` with an entity in *entities*,
         read off the per-entity pair index (and, for a fallback type, the
         entity's bucket): work for the entities, not for ``L``."""
-        by_entity = self._collided().index()
         entities = list(entities)
-        found: Set[Pair] = set()
-        for entity in entities:
-            found.update(by_entity.get(entity, ()))
+        found = self._collided().touching(entities)
         fallback = {s.target_type for s in self._schemes} - self._enumerated.lists.keys()
         if fallback:
             found |= quadratic_pairs_touching(self._snapshot, fallback, entities)
         return found
 
-    def _collided(self) -> "_PairState":
+    def _collided(self) -> PairTable:
         """The certified enumeration at this version, collided on first use
         by delta from the carried ancestor's (see :meth:`rebased`)."""
         if self._enumerated is None:
@@ -477,58 +445,29 @@ class BlockingIndex:
         return {etype: found for etype, found in by_type.items() if etype not in fallback}
 
     def _recollide(
-        self, state: "_PairState", dirty_ids: Dict[int, str], stats: BlockingStats
-    ) -> "_PairState":
+        self, state: PairTable, dirty_ids: Dict[int, str], stats: BlockingStats
+    ) -> PairTable:
         """*state*, an ancestor's enumeration, carried onto this index: the
         pairs of every dirty entity (*dirty_ids*: id -> entity, rewritten
         since *state*) are dropped, and the dirty entities still in a
         certified type are collided again against the anchor path's token
-        map.  *state* is left as it was (copy-on-write).
+        map (:meth:`PairTable.edited`, which leaves *state* as it was).
 
         A block (a token of the anchor path) counts as touched when a dirty
         participant holds it beside another participant: every block with
         two participants on a pass from the empty state.  A pair of two
-        dirty entities is taken from its first entity's side only.  The
-        per-entity pair index is carried only when *state* held pairs (the
-        drop reads it); otherwise it is built on first use.
+        dirty entities is taken from its first entity's side only.
         """
         snapshot = self._snapshot
-        dirty = set(dirty_ids.values())
-        lists = dict(state.lists)
-        by_entity = dict(state.index()) if any(lists.values()) else None
-        owned: Set[str] = set()  # types whose list is the new state's own
-
-        def own(etype: str) -> List[Pair]:
-            if etype not in owned:
-                lists[etype] = lists[etype][:]
-                owned.add(etype)
-            return lists[etype]
-
-        if by_entity is not None:
-            # drop: every pair of a dirty entity, out of its type's sorted list
-            gone: Set[Pair] = set()
-            for entity in dirty:
-                gone.update(by_entity.pop(entity, ()))
-            for entity in {entity for pair in gone for entity in pair}.difference(dirty):
-                rest = by_entity[entity] - gone
-                if rest:
-                    by_entity[entity] = rest
-                else:
-                    del by_entity[entity]
-            for pair in gone:
-                for etype, kept in lists.items():
-                    at = bisect.bisect_left(kept, pair)
-                    if at < len(kept) and kept[at] == pair:
-                        del own(etype)[at]
-                        break
+        dropped = state.touching(dirty_ids.values())
         # re-collide the dirty entities by their type on this version, block
         # by block: the anchor tokens the dirty participants hold
         blocks: Set[Tuple[int, int]] = set()
-        gained: Dict[str, List[Pair]] = {}
+        added: Dict[str, Set[Pair]] = {}
         for etype, indices in self._type_schemes().items():
             bucket = snapshot.type_ids(etype)
             entities = {bucket[i] for i in bucket.keys() & dirty_ids.keys()}
-            found: Set[Pair] = set()
+            found = added[etype] = set()
             for index in indices:
                 per_path = self._signatures[index]
                 anchor, members_of = self._tokens[index]
@@ -557,42 +496,8 @@ class BlockingIndex:
                                 not sigs[entity].isdisjoint(sigs[other]) for sigs in others
                             ):
                                 found.add(pair)
-            if found:
-                merge_sorted(own(etype), found)
-                if by_entity is not None:
-                    for pair in found:
-                        gained.setdefault(pair[0], []).append(pair)
-                        gained.setdefault(pair[1], []).append(pair)
-        for entity, pairs in gained.items():
-            by_entity[entity] = by_entity.get(entity, frozenset()).union(pairs)
         stats.blocks_touched = len(blocks)
-        return _PairState(lists, by_entity)
-
-
-class _PairState:
-    """The certified part of one blocked enumeration: per type, its pairs in
-    emission order, and (built on first use) each entity's pairs."""
-
-    __slots__ = ("lists", "_by_entity")
-
-    def __init__(
-        self,
-        lists: Dict[str, List[Pair]],
-        by_entity: Optional[Dict[str, FrozenSet[Pair]]] = None,
-    ) -> None:
-        self.lists = lists
-        self._by_entity = by_entity
-
-    def index(self) -> Dict[str, FrozenSet[Pair]]:
-        """Entity -> its pairs (never mutated once built)."""
-        if self._by_entity is None:
-            grouped: Dict[str, Set[Pair]] = {}
-            for pairs in self.lists.values():
-                for pair in pairs:
-                    grouped.setdefault(pair[0], set()).add(pair)
-                    grouped.setdefault(pair[1], set()).add(pair)
-            self._by_entity = {e: frozenset(p) for e, p in grouped.items()}
-        return self._by_entity
+        return state.edited(dropped, added)
 
 
 def _ids_of(snapshot: GraphSnapshot, entities: Iterable[str]) -> Dict[int, str]:
@@ -641,11 +546,11 @@ def _most_selective_map(per_path: Sequence[_PathSignatures]) -> Tuple[int, _Toke
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_index = index
-    groups: Dict[int, List[str]] = {}
+    groups: Dict[int, Set[str]] = {}
     anchor_sigs = per_path[best_index]
     for entity in participants:
         for token in anchor_sigs[entity]:
-            groups.setdefault(token, []).append(entity)
+            groups.setdefault(token, set()).add(entity)
     return best_index, groups
 
 

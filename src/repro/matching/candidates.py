@@ -3,13 +3,15 @@
 ``L`` contains every pair of same-type entities on which at least one key is
 defined; the optimized algorithms shrink it with the pairing relation of
 Proposition 9 (a cheap necessary condition) before any isomorphism check, and
-shrink the d-neighbourhoods to pairing-supported nodes at the same time.
+shrink the d-neighbourhoods to pairing-supported nodes at the same time.  A
+set reads its pairs by entity off its pair table
+(:class:`~repro.matching.pair_table.PairTable`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.chase import candidate_pairs
 from ..core.equivalence import Pair
@@ -19,6 +21,7 @@ from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
 from ..storage.neighborhoods import entities_within, radius_per_type
 from .blocking import BlockingIndex, BlockingStats, blocked_candidate_pairs
+from .pair_table import PairTable
 
 
 @dataclass
@@ -29,6 +32,11 @@ class CandidateSet:
     #: unfiltered set shares the session cache's enumeration tuple)
     pairs: Sequence[Pair]
     neighborhoods: SnapshotNeighborhoodIndex
+    #: the pairs by entity, and the survivors by type (a
+    #: :class:`~repro.matching.pair_table.PairTable`).  Unlisted in it: a
+    #: filtered set's rejected pairs, which a window finds by entity and
+    #: judges again, and every pair of an unfiltered set (never edited)
+    table: PairTable
     #: |L| before the pairing filter (for the optimization-effectiveness stats).
     unfiltered_size: int = 0
     #: total neighbourhood size before reduction (nodes).
@@ -38,8 +46,6 @@ class CandidateSet:
     #: rebasing (``repro.matching.incremental``) reuses these to skip the
     #: pairing fixpoint for pairs a journal delta cannot have affected.
     pair_supports: Optional[Dict[Pair, Tuple[Set[GraphNode], Set[GraphNode]]]] = None
-    #: pairs the pairing filter rejected (``None`` on unfiltered sets).
-    rejected_pairs: Optional[Set[Pair]] = None
     #: entities whose *reduced* neighbourhood changed in a rebase although
     #: they were not delta-affected themselves: pairing supports are a joint
     #: simulation, so a mutation entirely on the partner's side of a pair
@@ -51,12 +57,6 @@ class CandidateSet:
     #: observability of the blocked enumeration (``None`` when the pairs came
     #: from the classic quadratic path).
     blocking: Optional[BlockingStats] = None
-    #: the judged pairs by entity and the survivors by type
-    #: (:class:`PairIndex`).  Built on first use (:meth:`pair_index`), then
-    #: carried by every later apply to the set, so the delta path reads a
-    #: window's pairs by entity and keeps the order without a pass over the
-    #: set.
-    index: Optional["PairIndex"] = None
     #: unreduced filtered sets: the pairs the apply that made the set paired
     #: and kept (every pair, from empty), each with its product-graph nodes
     #: (itself plus every node pair of its pairing relations, Prop. 9), so
@@ -65,13 +65,19 @@ class CandidateSet:
     repaired: Optional[Dict[Pair, Set[Tuple[GraphNode, GraphNode]]]] = None
 
     # A candidate set travels to process-pool workers inside the product
-    # graph; what only a rebase reads stays behind (rebuilt on first use).
+    # graph; what only a rebase reads stays behind (its table's index too).
     def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, "index": None, "repaired": None}
+        table = PairTable(self.table.lists, self.table.unlisted)
+        return {**self.__dict__, "table": table, "repaired": None}
 
     @property
     def size(self) -> int:
         return len(self.pairs)
+
+    @property
+    def rejected_pairs(self) -> Optional[AbstractSet[Pair]]:
+        """Pairs the pairing filter rejected (``None`` on unfiltered sets)."""
+        return None if self.pair_supports is None else self.table.unlisted
 
     def reduction_ratio(self) -> float:
         """Fraction of candidate pairs removed by the pairing filter."""
@@ -79,43 +85,20 @@ class CandidateSet:
             return 0.0
         return 1.0 - (len(self.pairs) / self.unfiltered_size)
 
-    def pair_index(self) -> "PairIndex":
-        """The :class:`PairIndex` of the set (one pass on first use); an
-        unfiltered set judges exactly its pairs."""
-        if self.index is None:
-            grouped: Dict[str, Set[Pair]] = {}
-            filtered = self.pair_supports is not None
-            for judged in (self.pair_supports, self.rejected_pairs) if filtered else (self.pairs,):
-                for pair in judged:
-                    grouped.setdefault(pair[0], set()).add(pair)
-                    grouped.setdefault(pair[1], set()).add(pair)
-            entity_type = self.neighborhoods.snapshot.entity_type
-            by_type: Dict[str, List[Pair]] = {}
-            for pair in self.pairs:  # already in order
-                by_type.setdefault(entity_type(pair[0]), []).append(pair)
-            self.index = PairIndex(
-                {e: frozenset(p) for e, p in grouped.items()}, by_type
-            )
-        return self.index
-
     def pairs_touching(self, entities: Iterable[GraphNode]) -> Set[Pair]:
         """The pairs of the set with an entity in *entities* (other nodes
         hold no pair), read off the per-entity index."""
-        judged, supports = self.pair_index().judged, self.pair_supports
+        supports = self.pair_supports
         if supports is None:
-            return {pair for entity in entities for pair in judged.get(entity, ())}
-        return {
-            pair
-            for entity in entities
-            for pair in judged.get(entity, ())
-            if pair in supports
-        }
+            return self.table.touching(entities)
+        index = self.table.index()
+        return {pair for entity in entities for pair in index.get(entity, ()) if pair in supports}
 
     def holds(self, pair: Pair) -> bool:
         """Whether *pair* is one of the set's pairs (an index lookup)."""
         if self.pair_supports is not None:
             return pair in self.pair_supports
-        return pair in self.pair_index().judged.get(pair[0], ())
+        return pair in self.table.index().get(pair[0], ())
 
     def in_order(self, pairs: Iterable[Pair]) -> List[Pair]:
         """*pairs* in the set's enumeration order: by sorted type, then
@@ -129,17 +112,6 @@ class CandidateSet:
         if reduced == 0:
             return 1.0
         return self.unreduced_neighborhood_total / reduced
-
-
-@dataclass(frozen=True)
-class PairIndex:
-    """A filtered candidate set read by entity and by type.  Never mutated:
-    a rebase copies the maps and replaces the entries it changes."""
-
-    #: entity -> the judged pairs (surviving or rejected) it is in
-    judged: Dict[str, FrozenSet[Pair]]
-    #: type -> its surviving pairs, sorted (the set's order, type by type)
-    by_type: Dict[str, List[Pair]]
 
 
 def _universe(
@@ -203,6 +175,7 @@ def build_candidates(
         unfiltered_size=len(pairs),
         unreduced_neighborhood_total=total,
         blocking=stats,
+        table=PairTable({}, pairs),
     )
 
 
@@ -237,7 +210,7 @@ def build_filtered_candidates(
     snapshot = graph.snapshot() if snapshot is None else snapshot
     pairs, stats = _universe(graph, keys, snapshot, blocking, blocking_index, blocked)
     index = index if index is not None else SnapshotNeighborhoodIndex(snapshot, keys)
-    empty = CandidateSet(pairs=(), neighborhoods=index, pair_supports={}, rejected_pairs=set())
+    empty = CandidateSet(pairs=(), neighborhoods=index, pair_supports={}, table=PairTable({}))
     return rebase_filtered_candidates(
         empty,
         keys,

@@ -34,37 +34,37 @@ key triple cannot hide an entity whose old neighbourhood held a key-root
 from the new ball, and an added one cannot put an entity in the new ball
 whose old neighbourhood, at that radius, held none.
 
-All six backends consume the same plan through their ``seed`` /
-``worklist`` entry points; :func:`plan_session_delta` reads a session's
-artifact cache — which also holds the seed, so every session sharing the
-cache plans from the same fixpoint — across the window, and
-:class:`~repro.api.session.MatchSession` owns the fallback policy (a full
-run when the journal window expired or the cache holds no fixpoint yet).
+The candidate and dependency-map rebases below edit their artifacts
+copy-on-write (:mod:`repro.matching.pair_table`).  All six backends consume
+the same plan through their ``seed`` / ``worklist`` entry points;
+:func:`plan_session_delta` reads a session's artifact cache — which also
+holds the seed, so every session sharing the cache plans from the same
+fixpoint — across the window, and :class:`~repro.api.session.MatchSession`
+owns the fallback policy (a full run when the journal window expired or
+the cache holds no fixpoint yet).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import time
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.equivalence import EquivalenceFork, Pair, Relation
 from ..core.key import Key, KeySet
 from ..core.pairing import pairing_relation, pairing_support_nodes
 from ..core.triples import GraphNode
 from ..storage import GraphSnapshot, SnapshotNeighborhoodIndex
-from .blocking import merge_sorted
 from .candidates import (
     CandidateSet,
-    PairIndex,
     apply_support_restrictions,
     dependents_reaching,
     depends_on_types_by_target,
     probe_prerequisites,
 )
+from .pair_table import edited_sets
 
 
 class DependencyWorklist:
@@ -470,13 +470,13 @@ def rebase_filtered_candidates(
     holds for it.  Such a pair was in the old universe too: a pair enters or
     leaves the universe only through an entity whose signatures, type or
     keys the delta changed, and every such entity is affected.  So the
-    verdicts, the surviving order and the per-entity index are carried as
-    C-level copies, and Python-level work is spent on *touching* — the new
-    universe's pairs with an affected entity (the caller reads them off the
-    blocking index, or the type buckets when unblocked) — and on the old
-    verdicts naming an affected entity, which are dropped first.  The
-    per-entity index is carried only when *old* has one or judged pairs (the
-    drop reads it); otherwise it is built on first use.  An unreduced set
+    supports are carried as a C-level copy and the survivors' order, the
+    rejected pairs and the per-entity index as *old*'s pair table edited
+    (:meth:`~repro.matching.pair_table.PairTable.edited`), and Python-level
+    work is spent on *touching* — the new universe's pairs with an affected
+    entity (the caller reads them off the blocking index, or the type
+    buckets when unblocked) — and on the old verdicts naming an affected
+    entity, which are dropped first.  An unreduced set
     carries the product-graph nodes of every pair it paired (``repaired``);
     a reduced one re-applies its restrictions over every support.  With
     *blocking*, pass the session cache's *blocked* enumeration of the new
@@ -491,13 +491,7 @@ def rebase_filtered_candidates(
             count = len(snapshot.type_ids(etype))
             universe_size += count * (count - 1) // 2
     old_supports = old.pair_supports
-    old_index = old.index
-    if old_index is None and (old_supports or old.rejected_pairs):
-        old_index = old.pair_index()
-    stale: Set[Pair] = set()
-    if old_index is not None:
-        old_judged = old_index.judged
-        stale = {pair for entity in affected_entities for pair in old_judged.get(entity, ())}
+    stale = old.table.touching(affected_entities)
     involved = {entity for pair in touching for entity in pair}
     index.precompute(involved)
     started = time.perf_counter()  # the pairing filter's own clock
@@ -506,27 +500,11 @@ def rebase_filtered_candidates(
         etype: keys.keys_for_type(etype) for etype in keys.target_types()
     }
     supports = dict(old_supports)
-    rejected = set(old.rejected_pairs)
-    by_type = {} if old_index is None else dict(old_index.by_type)
-    owned: Set[str] = set()  # types whose survivor list is this set's own
-
-    def own(etype: str) -> List[Pair]:
-        if etype not in owned:
-            by_type[etype] = list(by_type.get(etype, ()))
-            owned.add(etype)
-        return by_type[etype]
-
     for pair in stale:
         supports.pop(pair, None)
-        rejected.discard(pair)
-        if pair in old_supports:  # a survivor: out of its type's sorted list
-            for etype, kept in by_type.items():
-                at = bisect.bisect_left(kept, pair)
-                if at < len(kept) and kept[at] == pair:
-                    del own(etype)[at]
-                    break
     repaired: Dict[Pair, Set[Tuple[GraphNode, GraphNode]]] = {}
     paired_by_type: Dict[str, List[Pair]] = {}
+    rejected: List[Pair] = []
     for pair in sorted(touching):
         e1, e2 = pair
         etype = snapshot.entity_type(e1)
@@ -553,26 +531,8 @@ def rebase_filtered_candidates(
             if nodes is not None:
                 repaired[pair] = nodes
         else:
-            rejected.add(pair)
-    for etype, found in paired_by_type.items():
-        merge_sorted(own(etype), found)
-    surviving = list(itertools.chain.from_iterable(by_type[t] for t in sorted(by_type)))
-
-    pair_index: Optional[PairIndex] = None
-    if old_index is not None:
-        # the per-entity index: (old pairs - stale) + touching, per changed entity
-        judged = dict(old_judged)
-        touching_of: Dict[str, Set[Pair]] = {}
-        for pair in touching:
-            touching_of.setdefault(pair[0], set()).add(pair)
-            touching_of.setdefault(pair[1], set()).add(pair)
-        for entity in {e for pair in stale for e in pair} | touching_of.keys():
-            pairs = (old_judged.get(entity, frozenset()) - stale) | touching_of.get(entity, set())
-            if pairs:
-                judged[entity] = frozenset(pairs)
-            else:
-                judged.pop(entity, None)
-        pair_index = PairIndex(judged, by_type)
+            rejected.append(pair)
+    table = old.table.edited(stale, paired_by_type, rejected)
 
     drift: Optional[Set[str]] = None
     if reduce_neighborhoods:
@@ -583,7 +543,7 @@ def rebase_filtered_candidates(
         # of restricted neighbourhoods widen their affected sets
         recomputed = set(involved)
         for pair in stale:  # an old survivor no pairing judged again
-            if pair in old_supports and pair not in supports and pair not in rejected:
+            if pair in old_supports and pair not in supports and pair not in table.unlisted:
                 recomputed.update(pair)
         drift = {
             entity
@@ -594,15 +554,14 @@ def rebase_filtered_candidates(
     if stats is not None:
         stats.filter_seconds += time.perf_counter() - started
     return CandidateSet(
-        pairs=surviving,
+        pairs=table.ordered(),
         neighborhoods=neighborhoods,
         unfiltered_size=universe_size,
         unreduced_neighborhood_total=index.total_size(),
         pair_supports=supports,
-        rejected_pairs=rejected,
         restriction_drift=drift,
         blocking=stats,
-        index=pair_index,
+        table=table,
         repaired=None if reduce_neighborhoods else repaired,
     )
 
@@ -615,19 +574,21 @@ class DependencyArtifact:
     its inverse (dependent → prerequisites), kept so :meth:`rebased` can
     patch only delta-affected rows instead of re-deriving every edge; and
     ``candidates`` is the candidate set both are over, whose per-entity
-    index tells a rebase which of its pairs a window can reach.  The two maps
-    start a rebase as C-level copies, their set objects are shared between
-    generations and privatized on first write, and every pair a rebase reads
-    comes off a per-entity index, so its Python-level work is the delta's,
-    not ``|L|``'s.
+    index tells a rebase which of its pairs a window can reach.  Both maps
+    hold frozensets, and only for the pairs with an edge: a rebase collects
+    the edges a window drops and adds and edits both maps by them
+    (:func:`~repro.matching.pair_table.edited_sets`), so every set it does
+    not touch is shared between generations, and every pair it reads comes
+    off a per-entity index, so its Python-level work is the delta's, not
+    ``|L|``'s.
     """
 
     __slots__ = ("forward", "rows", "candidates")
 
     def __init__(
         self,
-        forward: Dict[Pair, Set[Pair]],
-        rows: Dict[Pair, Set[Pair]],
+        forward: Dict[Pair, FrozenSet[Pair]],
+        rows: Dict[Pair, FrozenSet[Pair]],
         candidates: Optional[CandidateSet],
     ) -> None:
         self.forward = forward
@@ -637,7 +598,8 @@ class DependencyArtifact:
     @classmethod
     def build(cls, keys: KeySet, candidates: CandidateSet) -> "DependencyArtifact":
         """The map over *candidates*: :meth:`rebased` from the empty
-        artifact, which holds no row, so every candidate pair's is probed."""
+        artifact, which is over no candidates, so every pair's row is
+        probed."""
         return cls({}, {}, None).rebased(keys, candidates, set())
 
     def rebased(
@@ -653,86 +615,51 @@ class DependencyArtifact:
         *affected_entities*, so the removed pairs are the old pairs of those
         entities that the new set no longer holds, and the new pairs are
         among its pairs of them; both are read off the two sets' per-entity
-        indexes.  Removed pairs are unlinked edge by edge; the rows of the
-        dependents with an affected entity (the new pairs among them) are
-        recomputed from their neighbourhoods
+        indexes.  Removed pairs lose every edge; the rows of the dependents
+        with an affected entity (the new pairs among them) are recomputed
+        from their neighbourhoods
         (:func:`~repro.matching.candidates.probe_prerequisites`) — every
-        pair's, from the empty map, which holds no row to keep; and, when
-        some candidate pair is not such a dependent, the new pairs are
-        probed as *prerequisites* of the other dependents within key radius
-        of them (:func:`~repro.matching.candidates.dependents_reaching`).
+        pair's, from the empty artifact; and, when some candidate pair is
+        not such a dependent, the new pairs are probed as *prerequisites* of
+        the other dependents within key radius of them
+        (:func:`~repro.matching.candidates.dependents_reaching`).
         ``forward`` is bit-identical (as a mapping of sets) whatever
         artifact it started from.
         """
         depends_on_types = depends_on_types_by_target(keys)
-        old_forward, old_rows = self.forward, self.rows
-        forward: Dict[Pair, Set[Pair]] = dict(old_forward)
-        rows: Dict[Pair, Set[Pair]] = dict(old_rows)
-        owned_forward: Set[Pair] = set()
-        owned_rows: Set[Pair] = set()
-
-        def own_forward(pair: Pair) -> Set[Pair]:
-            if pair not in owned_forward:
-                forward[pair] = set(forward.get(pair, ()))
-                owned_forward.add(pair)
-            return forward[pair]
-
-        def own_row(pair: Pair) -> Set[Pair]:
-            if pair not in owned_rows:
-                rows[pair] = set(rows.get(pair, ()))
-                owned_rows.add(pair)
-            return rows[pair]
-
-        # 1) unlink pairs that stopped being candidates (an empty old map
-        # holds none)
-        holds = candidates.holds
-        removed = [
-            pair
-            for pair in (self.candidates.pairs_touching(affected_entities) if old_rows else ())
-            if not holds(pair)
-        ]
-        for pair in removed:
-            for prerequisite in old_rows.get(pair, ()):
-                if holds(prerequisite):
-                    own_forward(prerequisite).discard(pair)
-            for dependent in old_forward.get(pair, ()):
-                if holds(dependent):
-                    own_row(dependent).discard(pair)
-            forward.pop(pair, None)
-            rows.pop(pair, None)
-            owned_forward.discard(pair)
-            owned_rows.discard(pair)
-
-        # 2) recompute the rows of affected dependents (covers new pairs too;
-        # an empty old map holds no row, so every pair is one); every
-        # candidate pair is a forward key, a new one with no dependent yet too
-        if old_rows:
-            affected_dependents = candidates.pairs_touching(affected_entities)
-        else:
+        old_forward, old_rows, old_candidates = self.forward, self.rows, self.candidates
+        # the (prerequisite, dependent) edges the window drops and adds
+        lost: List[Tuple[Pair, Pair]] = []
+        gained: List[Tuple[Pair, Pair]] = []
+        if old_candidates is None:
             affected_dependents = set(candidates.pairs)
+        else:
+            holds = candidates.holds
+            for pair in old_candidates.pairs_touching(affected_entities):
+                if not holds(pair):  # no longer a candidate: every edge goes
+                    lost.extend((prerequisite, pair) for prerequisite in old_rows.get(pair, ()))
+                    lost.extend((pair, dependent) for dependent in old_forward.get(pair, ()))
+            affected_dependents = candidates.pairs_touching(affected_entities)
+        # the rows of affected dependents, recomputed (new pairs among them)
         entity_type = candidates.neighborhoods.snapshot.entity_type
         for dependent in affected_dependents:
-            if dependent not in forward:
-                forward[dependent] = set()
-                owned_forward.add(dependent)
             wanted = depends_on_types.get(entity_type(dependent[0]), set())
             new_row = probe_prerequisites(dependent, wanted, candidates)
-            old_row = rows.get(dependent)
-            if old_row:
-                for prerequisite in old_row - new_row:
-                    own_forward(prerequisite).discard(dependent)
-            for prerequisite in new_row - old_row if old_row else new_row:
-                own_forward(prerequisite).add(dependent)
-            rows[dependent] = new_row
-            owned_rows.add(dependent)
-
-        # 3) probe fresh pairs as prerequisites of *unaffected* dependents,
-        # if there are any
+            old_row = old_rows.get(dependent, frozenset())
+            if new_row != old_row:
+                lost.extend((prerequisite, dependent) for prerequisite in old_row - new_row)
+                gained.extend((prerequisite, dependent) for prerequisite in new_row - old_row)
+        # fresh pairs probed as prerequisites of *unaffected* dependents, if any
         if len(affected_dependents) < len(candidates.pairs):
-            fresh = [pair for pair in affected_dependents if pair not in old_forward]
+            fresh = [pair for pair in affected_dependents if not old_candidates.holds(pair)]
             reached = dependents_reaching(keys, candidates, fresh, skip=affected_dependents)
-            for prerequisite, dependents in reached.items():
-                own_forward(prerequisite).update(dependents)
-                for dependent in dependents:
-                    own_row(dependent).add(prerequisite)
-        return DependencyArtifact(forward, rows, candidates)
+            gained.extend(
+                (prerequisite, dependent)
+                for prerequisite, dependents in reached.items()
+                for dependent in dependents
+            )
+        return DependencyArtifact(
+            edited_sets(old_forward, lost, gained),
+            edited_sets(old_rows, [(d, p) for p, d in lost], [(d, p) for p, d in gained]),
+            candidates,
+        )

@@ -13,14 +13,14 @@ naive ``|G|²``; :meth:`ProductGraph.count_edges` reproduces that statistic.
 
 The topology edges stay implicit in ``G``, but what a run derives from them
 is remembered on the product graph, which outlives runs (a session caches it
-and rebases it across mutation windows): each node's sorted neighbour lists,
-EMOptVC's send order over them, and each node's simulated worker.
+and rebases it across mutation windows, its entity indexes edited by
+:func:`~repro.matching.pair_table.edited_sets`): each node's sorted neighbour
+lists, EMOptVC's send order over them, and each node's simulated worker.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.equivalence import Pair
 from ..core.graph import Graph
@@ -29,6 +29,7 @@ from ..core.pairing import pairing_relation
 from ..core.triples import GraphNode, is_entity_ref
 from ..vertexcentric.cost_model import Placement
 from .candidates import CandidateSet, dependency_map
+from .pair_table import edited_sets, ends
 
 #: A product-graph node: an ordered pair of graph nodes.
 ProductNode = Tuple[GraphNode, GraphNode]
@@ -111,8 +112,6 @@ class ProductGraph:
     def _register_pair(self, pair: Pair, contributed: Set[ProductNode]) -> None:
         self._nodes_by_pair[pair] = contributed
         self._nodes |= contributed
-        self._pairs_by_entity[pair[0]].add(pair)
-        self._pairs_by_entity[pair[1]].add(pair)
 
     def rebased(
         self,
@@ -135,10 +134,13 @@ class ProductGraph:
         reads the key triples within key radius of the pair, and a pair
         joins or leaves the candidates only through an affected entity (the
         session passes the window's key ball).  The carrying is by
-        difference: the node set, the contribution counts and the indexes
-        start as C-level copies, the old pairs of the affected entities are
-        withdrawn (a node goes when its count reaches zero) and the new ones
-        registered, so the Python-level work is the window's pairs.  The
+        difference: the node set and the contribution counts start as
+        C-level copies, the old pairs of the affected entities are withdrawn
+        (a node goes when its count reaches zero) and the new ones
+        registered, and the per-entity pair and node indexes are edited by
+        the same difference
+        (:func:`~repro.matching.pair_table.edited_sets`), so the
+        Python-level work is the window's pairs.  The
         ``dep`` edges are the given (or recomputed) map over the new
         candidates.  Affected pairs relate under *keys*, so a key-set change
         (a session ``rekeyed`` delta) is applied with the changed types'
@@ -152,7 +154,6 @@ class ProductGraph:
         twin._graph = graph
         twin._keys = keys
         twin._candidates = candidates
-        twin._candidate_nodes = list(candidates.pairs)
         #: work units spent building the product graph (charged as setup cost)
         twin.construction_work = 0
         twin._forget_derived()
@@ -163,7 +164,6 @@ class ProductGraph:
         nodes_by_pair = twin._nodes_by_pair = dict(self._nodes_by_pair)
         #: node -> how many candidate pairs contribute it
         refs = twin._refs = dict(self._refs)
-        pairs_by_entity = twin._pairs_by_entity = defaultdict(set, self._pairs_by_entity)
         withdrawn = {
             pair for entity in affected_entities for pair in self._pairs_by_entity.get(entity, ())
         }
@@ -172,32 +172,19 @@ class ProductGraph:
             arriving = candidates.pairs_touching(affected_entities)
         else:
             arriving = candidates.pairs
-        owned: Set[str] = set()  # entities whose pair set is the twin's own
-
-        def own(entity: str) -> Set[Pair]:
-            if entity not in owned:
-                pairs_by_entity[entity] = set(pairs_by_entity.get(entity, ()))
-                owned.add(entity)
-            return pairs_by_entity[entity]
-
         counted: Set[ProductNode] = set()  # nodes whose count moved
         for pair in withdrawn:
             for node in nodes_by_pair.pop(pair):
                 refs[node] -= 1
                 counted.add(node)
-            own(pair[0]).discard(pair)
-            own(pair[1]).discard(pair)
         for pair in sorted(arriving):
             contributed = twin._pair_nodes(pair)
-            own(pair[0])
-            own(pair[1])
             twin._register_pair(pair, contributed)
             for node in contributed:
                 refs[node] = refs.get(node, 0) + 1
             counted |= contributed
-        for entity in owned:
-            if not pairs_by_entity[entity]:
-                del pairs_by_entity[entity]
+        #: entity -> the candidate pairs holding it (the ``tc`` index)
+        twin._pairs_by_entity = edited_sets(self._pairs_by_entity, ends(withdrawn), ends(arriving))
         flipped: Set[ProductNode] = set()  # nodes that joined or left Gp
         for node in counted:
             if not refs[node]:
@@ -205,22 +192,13 @@ class ProductGraph:
                 nodes.discard(node)
             if (node in nodes) != (node in self._nodes):
                 flipped.add(node)
-        # entity -> the entity-pair nodes holding it, one set per entity moved
-        gained: Dict[str, List[ProductNode]] = {}
-        lost: Dict[str, List[ProductNode]] = {}
-        for node in flipped:
-            if is_entity_ref(node[0]) and is_entity_ref(node[1]):
-                moved = gained if node in nodes else lost
-                for entity in set(node):
-                    moved.setdefault(entity, []).append(node)
-        entity_nodes = twin._entity_nodes = dict(self._entity_nodes)
-        for entity in gained.keys() | lost.keys():
-            held = entity_nodes.get(entity, frozenset()).difference(lost.get(entity, ()))
-            held = held.union(gained.get(entity, ()))
-            if held:
-                entity_nodes[entity] = held
-            else:
-                entity_nodes.pop(entity, None)
+        #: entity -> the entity-pair nodes holding it
+        moved = [node for node in flipped if is_entity_ref(node[0]) and is_entity_ref(node[1])]
+        twin._entity_nodes = edited_sets(
+            self._entity_nodes,
+            ends(node for node in moved if node not in nodes),
+            ends(node for node in moved if node in nodes),
+        )
         twin._dependents = (
             dependents if dependents is not None else dependency_map(keys, candidates)
         )
@@ -301,7 +279,7 @@ class ProductGraph:
 
     def candidate_nodes(self) -> List[Pair]:
         """The candidate entity pairs (the vertices on which keys are evaluated)."""
-        return list(self._candidate_nodes)
+        return list(self._candidates.pairs)
 
     def node_set(self) -> Set[ProductNode]:
         """The node set itself (read-only for the caller): what a vertex
@@ -316,9 +294,9 @@ class ProductGraph:
         """Candidate pairs that depend on *pair* (``dep`` edges out of it)."""
         return self._dependents.get(pair, set())
 
-    def candidate_pairs_touching(self, entity: str) -> Set[Pair]:
+    def candidate_pairs_touching(self, entity: str) -> FrozenSet[Pair]:
         """Candidate pairs having *entity* as a component (``tc`` edge index)."""
-        return self._pairs_by_entity.get(entity, set())
+        return self._pairs_by_entity.get(entity, frozenset())
 
     # ------------------------------------------------------------------ #
     # adjacency (computed from G on demand; Gp edges are implicit)
@@ -406,7 +384,7 @@ class ProductGraph:
     def stats(self) -> Dict[str, int]:
         return {
             "nodes": self.num_nodes,
-            "candidate_nodes": len(self._candidate_nodes),
+            "candidate_nodes": len(self._candidates.pairs),
             "dep_edges": sum(len(deps) for deps in self._dependents.values()),
             "construction_work": self.construction_work,
         }

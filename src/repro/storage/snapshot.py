@@ -42,7 +42,7 @@ Two API surfaces coexist:
   every read-side consumer — the guided evaluator, the pairing fixpoint,
   the declarative matcher, the product graph — runs on a snapshot, and the
   graph's own node reads fall through to it for every row not written;
-* an **integer-space surface** (``objects_ids``, ``subjects_ids``,
+* an **integer-space surface** (``out_ids``, ``in_ids``,
   ``neighborhood_ids``, ``type_ids``, ``is_literal_id``) used by the
   compiled hot paths (the CSR BFS, signature blocking).  An id is a stable
   handle and nothing more: that a canonical type bucket is a contiguous
@@ -91,7 +91,6 @@ _ID = "q"
 _LOW = 0 if sys.byteorder == "little" else 1
 
 #: The empty candidate set returned for unknown (node, predicate) lookups.
-_EMPTY_IDS: FrozenSet[int] = frozenset()
 _EMPTY_NODES: FrozenSet[GraphNode] = frozenset()
 #: The decoded row of a node the graph does not hold (never memoised).
 _NO_ROW: Mapping[str, frozenset] = MappingProxyType({})
@@ -267,8 +266,6 @@ class GraphSnapshot:
         "_obj_map",        # subject eid -> pred -> frozenset of object nodes
         "_subj_map",       # object node -> pred -> frozenset of subject eids
         "_neighbor_map",   # node -> frozenset of undirected neighbour nodes
-        "_int_objects",    # (subject id, pred id) -> frozenset of object ids
-        "_int_subjects",   # (object id, pred id) -> frozenset of subject ids
         "_adjacency",      # id -> tuple of undirected neighbour ids (BFS form)
         "_value_node_set",
         "_buckets",        # type -> {id: entity id}, see type_ids
@@ -622,8 +619,6 @@ class GraphSnapshot:
         self._obj_map = {}
         self._subj_map = {}
         self._neighbor_map = {}
-        self._int_objects = {}
-        self._int_subjects = {}
         self._adjacency = {}
         self._value_node_set = None
         self._buckets = {}
@@ -813,31 +808,13 @@ class GraphSnapshot:
     # integer-space adjacency (compiled hot paths)
     # ------------------------------------------------------------------ #
 
-    def objects_ids(self, subject_id: int, pred_id: int) -> FrozenSet[int]:
-        """Interned object ids with ``(subject, pred, o)`` in the graph."""
-        key = (subject_id, pred_id)
-        found = self._int_objects.get(key)
-        if found is None:
-            found = frozenset(self.out_ids(subject_id, pred_id)) or _EMPTY_IDS
-            self._int_objects[key] = found
-        return found
-
-    def subjects_ids(self, object_id: int, pred_id: int) -> FrozenSet[int]:
-        """Interned subject ids with ``(s, pred, object)`` in the graph."""
-        key = (object_id, pred_id)
-        found = self._int_subjects.get(key)
-        if found is None:
-            found = frozenset(self.in_ids(object_id, pred_id)) or _EMPTY_IDS
-            self._int_subjects[key] = found
-        return found
-
     def out_ids(self, node_id: int, pred_id: int) -> List[int]:
         """Object ids of ``(node, pred, o)`` straight off the row.
 
         The forward row is sorted by ``(pred, obj)``, so one bisection
         isolates the predicate run — O(log row + matches) per call and
         nothing memoised, which is what signature traversal and incremental
-        rebasing want; :meth:`objects_ids` is this answer kept as a set.
+        rebasing want.
         """
         overlay = self._overlay
         if overlay is not None and (row := overlay.rows.get(node_id)) is not None:
@@ -1221,14 +1198,12 @@ class GraphSnapshot:
         """Summary counts; ``decoded_rows`` is what this process has read so far.
 
         It counts the CSR rows decoded and memoised on first read — forward
-        and backward rows (object space), undirected rows (the BFS form) —
-        plus the predicate runs kept by the integer surface.  A freshly
-        built, patched, loaded or unpickled snapshot starts at zero.
+        and backward rows (object space) and undirected rows (the BFS
+        form).  A freshly built, patched, loaded or unpickled snapshot starts at zero.
         """
         return {
             "decoded_rows": (
                 len(self._obj_map) + len(self._subj_map) + len(self._adjacency)
-                + len(self._int_objects) + len(self._int_subjects)
             ),
             "entities": self.num_entities,
             "values": self.num_nodes - self.num_entities,

@@ -693,6 +693,7 @@ class SnapshotStore:
         *,
         fingerprint: Optional[str] = None,
         timed: Optional[Callable[[str, Callable[[], object]], object]] = None,
+        save_failed: Optional[Callable[[], None]] = None,
     ) -> Tuple[GraphSnapshot, bool]:
         """The stored snapshot for *graph*, building-and-saving on a cold miss.
 
@@ -703,7 +704,8 @@ class SnapshotStore:
         first caller builds and writes, the rest block briefly and then load
         the freshly written file.  Any :class:`~repro.exceptions.StoreError`
         on the load path falls back to a build; an unwritable store never
-        fails the call.
+        fails the call, and *save_failed*, when given, is called instead
+        (the session artifact cache counts it).
 
         *timed* is an optional ``timed(phase, thunk)`` hook (the session
         artifact cache passes its phase timer) wrapping the load / save
@@ -736,7 +738,8 @@ class SnapshotStore:
                     lambda: self.save(snapshot, fingerprint=fingerprint),
                 )
             except (StoreError, OSError):
-                pass
+                if save_failed is not None:
+                    save_failed()
             return snapshot, False
 
     def path_for(self, fingerprint: str) -> Path:

@@ -4,7 +4,7 @@ the hypothesis profiles and the reach tally of the fuzzed properties."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import is_hypothesis_test, settings
+from hypothesis import Phase, is_hypothesis_test, settings
 
 from repro.datasets.business import (
     EXPECTED_ADDRESS_PAIRS,
@@ -25,8 +25,20 @@ from tests.reach import TALLY
 # job) draws fresh examples instead, ten times as many per property.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False, database=None)
+# under ``--mutant`` a failure is all that counts: no shrinking
+settings.register_profile(
+    "mutant", derandomize=True, database=None, phases=(Phase.explicit, Phase.generate)
+)
 settings.load_profile("tier1")
 EXPLORE_SCALE = 10
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--mutant",
+        metavar="NAME",
+        help="run with the named mutant of the bug museum applied (tests/mutants)",
+    )
 
 
 def pytest_configure(config):
@@ -36,12 +48,24 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
+        "mutants: the bug museum's meta-test, run only when selected (-m mutants)",
+    )
+    if config.getoption("--mutant"):
+        settings.load_profile("mutant")
+    config.addinivalue_line(
+        "markers",
         "reaches(label, at_least): the property's examples must reach the transition "
         "*label* (tests.reach.reach) at least *at_least* times",
     )
 
 
 def pytest_collection_modifyitems(config, items):
+    # the bug museum runs a subprocess per mutant: only when asked for
+    if "mutants" not in config.getoption("markexpr", ""):
+        museum = [item for item in items if item.get_closest_marker("mutants")]
+        if museum:
+            config.hook.pytest_deselected(items=museum)
+            items[:] = [item for item in items if not item.get_closest_marker("mutants")]
     if config.getoption("hypothesis_profile", None) != "explore":
         return
     # Once per test function: the items of a parametrized test share one.
@@ -75,6 +99,20 @@ def pytest_pyfunc_call(pyfuncitem):
                 pytrace=False,
             )
     return result
+
+
+@pytest.fixture(autouse=True, scope="session")
+def mutant(request):
+    """The ``--mutant`` named, applied for the whole run."""
+    name = request.config.getoption("--mutant")
+    if name is None:
+        yield None
+        return
+    from tests.mutants import MUTANTS
+
+    with pytest.MonkeyPatch.context() as patch:
+        MUTANTS[name].apply(patch)
+        yield name
 
 
 @pytest.fixture(autouse=True)

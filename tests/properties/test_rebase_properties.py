@@ -23,10 +23,19 @@ collides with no entity of its type takes on the rows of one that does, so
 it starts colliding.  That is the transition the blocking rebase once got
 wrong (it rewrote only the affected entities that collided before), and
 the property must reach it (:data:`STARTS_COLLIDING`).
+
+A rebase never changes what it started from: since a run's seed and the
+in-flight readers hold the artifacts of the version they read, every
+window first takes a deep copy of the contents of the cached artifacts
+(:func:`contents`) and afterwards compares the same objects with it.  That
+check exists for the pair tables' copy-on-write edits, so the property
+must reach a window that edits a type list the pre-window table holds
+(:data:`EDITS_A_HELD_LIST`).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from unittest import mock
@@ -40,6 +49,7 @@ from repro.core.graph import Graph
 from repro.core.key import KeySet
 from repro.matching.blocking import BlockingIndex, compile_blocking_schemes
 from repro.matching.candidates import build_filtered_candidates, dependency_map
+from repro.matching.pair_table import PairTable
 from repro.matching.product_graph import ProductGraph
 
 from tests.matching.test_incremental_equivalence import apply_random_mutation, fuzz_dataset
@@ -158,6 +168,67 @@ def assert_carried_equals_applied_from_empty(session: MatchSession) -> None:
             assert row == fresh_graph._forward[node], (flavour, node)
 
 
+#: the reach target of the copy-on-write check
+EDITS_A_HELD_LIST = "a window edits a type list the pre-window table holds"
+
+
+def held_artifacts(session: MatchSession) -> dict:
+    """The artifact objects a session's cache holds at one version."""
+    arts = session._artifacts
+    held = {"blocking": arts._blocking_index, "blocked": arts._blocked_pairs}
+    for kind in ("candidates", "dependency_map", "product_graph"):
+        held.update({(kind, flavour): found for flavour, found in arts.cached(kind).items()})
+    return held
+
+
+def _table(table: PairTable) -> tuple:
+    return table.lists, table.unlisted, table.index()
+
+
+def contents(held: dict) -> dict:
+    """What each of *held*'s objects holds, read off its own containers: the
+    blocked enumeration with its pair table, signatures and token maps; the
+    filtered candidate sets' pairs, supports, rejected pairs and pair
+    table; both directions of the dependency maps; the product graphs'
+    rebased tables and forward rows."""
+    found = {"blocked": held["blocked"]}
+    blocking = held["blocking"]
+    if blocking is not None and blocking._enumerated is not None:
+        found["blocking"] = (
+            _table(blocking._enumerated), blocking._signatures, blocking._tokens
+        )
+    for name, artifact in held.items():
+        kind = name[0]
+        if kind == "candidates" and artifact.pair_supports is not None:
+            found[name] = (
+                artifact.pairs, artifact.pair_supports, artifact.rejected_pairs,
+                _table(artifact.table),
+            )
+        elif kind == "dependency_map":
+            found[name] = (artifact.forward, artifact.rows)
+        elif kind == "product_graph":
+            found[name] = (
+                artifact.candidate_nodes(), artifact._nodes, artifact._nodes_by_pair,
+                artifact._refs, artifact._pairs_by_entity, artifact._entity_nodes,
+                artifact._forward, artifact._dependents,
+            )
+    return found
+
+
+def _counting_held_list_edits(edits: list):
+    """A :meth:`PairTable.edited` that records, per call, whether it
+    changed the content of a type list the table it edits holds."""
+    edited = PairTable.edited
+
+    def counted(table, dropped, added, unlisted=()):
+        before = {etype: list(kept) for etype, kept in table.lists.items() if kept}
+        fresh = edited(table, dropped, added, unlisted)
+        edits.append(any(fresh.lists.get(t) != kept for t, kept in before.items()))
+        return fresh
+
+    return counted
+
+
 def _fewer_keys(keys: KeySet, drop: int) -> KeySet:
     kept = list(keys)
     del kept[drop % len(kept)]
@@ -172,6 +243,7 @@ windows = st.lists(
 
 
 @pytest.mark.reaches(STARTS_COLLIDING, 10)
+@pytest.mark.reaches(EDITS_A_HELD_LIST, 10)
 @given(
     seed=st.integers(min_value=0, max_value=100_000),
     windows=windows,
@@ -190,6 +262,8 @@ def test_rebased_artifacts_equal_rebuilt_ones_after_every_window(
     rng = random.Random(seed)
     arts = session._artifacts
     for window, (mutations, collide) in enumerate(windows):
+        held = held_artifacts(session)
+        before = copy.deepcopy(contents(held))
         for _ in range(mutations):
             apply_random_mutation(graph, rng)
         if collide:
@@ -204,9 +278,15 @@ def test_rebased_artifacts_equal_rebuilt_ones_after_every_window(
         compactions = arts.cache_info().snapshot_compactions
         compacting = window == compact_at % len(windows)
         limit = 0.0 if compacting else Graph.SNAPSHOT_PATCH_MAX_FRACTION
-        with mock.patch.object(Graph, "SNAPSHOT_PATCH_MAX_FRACTION", limit):
+        edits: list = []
+        with mock.patch.object(Graph, "SNAPSHOT_PATCH_MAX_FRACTION", limit), mock.patch.object(
+            PairTable, "edited", _counting_held_list_edits(edits)
+        ):
             for shape in SHAPES:
                 result = session.run(shape, incremental=True)
+        if any(edits):
+            reach(EDITS_A_HELD_LIST)
+        assert contents(held) == before
         if compacting:
             assert arts.cache_info().snapshot_compactions == compactions + 1
         assert result.eq.pairs() == reference_fixpoint(graph, keys)

@@ -176,7 +176,9 @@ class TestSessionFallback:
         )
         assert result.pairs() == expected.pairs()
 
+    @pytest.mark.provokes_fallbacks
     def test_unwritable_store_never_fails_a_run(self, dataset, tmp_path):
+        """The failed save of the build is counted, not swallowed."""
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("a file where the store directory should be")
         session = MatchSession(unpublished(dataset.graph), snapshot_store=blocker).with_keys(
@@ -185,6 +187,7 @@ class TestSessionFallback:
         result = session.run("EMOptVC")
         assert result.pairs()
         assert session.cache_info().snapshot_builds == 1
+        assert session.cache_info().store_write_failures == 1
 
 
 class TestConfigPlumbing:
